@@ -25,6 +25,7 @@ from .errors import (
     UnsupportedK,
     UsageError,
 )
+from .linalg import Echelon
 from .rings import Padic2Ring, RAT, rat_val2
 
 Rat = Fraction
@@ -731,7 +732,6 @@ class DReducer:
         return {i: c for i, c in vec.items() if c}
 
     def _build(self):
-        n = len(self._amonos)
         # relation-multiple generators of the ideal subspace, as sparse rows
         gens = []
         for rel in self.rels:
@@ -756,26 +756,18 @@ class DReducer:
                     prod = {j: c for j, c in prod.items() if c}
                     if prod:
                         gens.append(prod)
-        # row-reduce the ideal subspace: echelon over column index
-        self._echelon = {}  # pivot index -> dense-ish sparse row (dict)
+        # the ideal subspace, in echelon form over column index
+        self._ideal = Echelon()
         for row in gens:
-            row = self._reduce_row(row)
-            if row:
-                piv = max(row)
-                inv = 1 / row[piv]
-                self._echelon[piv] = {j: c * inv for j, c in row.items()}
-        # re-reduce for canonical form
-        for piv in sorted(self._echelon, reverse=True):
-            self._echelon[piv] = self._reduce_row(self._echelon[piv], skip=piv)
-            inv = 1 / self._echelon[piv][piv]
-            self._echelon[piv] = {j: c * inv for j, c in self._echelon[piv].items()}
-        # normal forms of d-monomials
-        self._dnf = []
-        for dm in self._dmonos:
+            self._ideal.add(row)
+        # normal forms of the d-monomials, factored once with their combinations
+        self._dnf = Echelon()
+        for j, dm in enumerate(self._dmonos):
             poly = APoly.const(1)
             for k in dm:
                 poly = poly * dk_as_apoly(k, nki_coeffs(k, self.nki_mode))
-            self._dnf.append(self._reduce_row(self._apoly_vector(poly)))
+            nf, _ = self._ideal.reduce(self._apoly_vector(poly))
+            self._dnf.add(nf, key=j)
 
     def _try_vec(self, poly):
         try:
@@ -792,82 +784,15 @@ class DReducer:
             return None
         return m
 
-    def _reduce_row(self, row, skip=None):
-        row = dict(row)
-        # eliminate from the top index down
-        changed = True
-        while changed:
-            changed = False
-            for j in sorted(row, reverse=True):
-                if j == skip:
-                    continue
-                er = self._echelon.get(j)
-                if er is not None and row.get(j):
-                    f = row[j]
-                    for jj, c in er.items():
-                        s = row.get(jj, Fraction(0)) - f * c
-                        if s:
-                            row[jj] = s
-                        else:
-                            row.pop(jj, None)
-                    changed = True
-                    break
-        return {j: c for j, c in row.items() if c}
-
     def reduce(self, expr: APoly) -> DPoly:
         """Rewrite expr (mod the relation ideal) as a polynomial in the d_k."""
-        target = self._reduce_row(self._apoly_vector(expr))
-        # solve target = sum lam_i dnf_i  by Gaussian elimination on the
-        # small (#dmonos) system
-        cols = list(range(len(self._dmonos)))
-        rows = sorted(set().union(target, *self._dnf))
-        ridx = {r: i for i, r in enumerate(rows)}
-        A = [[Fraction(0)] * len(cols) for _ in rows]
-        bvec = [Fraction(0)] * len(rows)
-        for j, nf in enumerate(self._dnf):
-            for r, c in nf.items():
-                A[ridx[r]][j] = c
-        for r, c in target.items():
-            bvec[ridx[r]] = c
-        sol, unique = _solve_exact(A, bvec)
-        if sol is None:
+        target, _ = self._ideal.reduce(self._apoly_vector(expr))
+        rest, used = self._dnf.reduce(target)
+        if rest:
             raise NotReducible(self.W, "target not in the span of d-monomials modulo relations")
-        if not unique:
+        if len(self._dnf.rows) < len(self._dmonos):
             raise UsageError("d-monomial images are linearly dependent; quotient not polynomial")
-        return DPoly({self._dmonos[j]: sol[j] for j in range(len(cols)) if sol[j]})
-
-
-def _solve_exact(A, b):
-    """Solve A x = b over Q; returns (solution, unique_flag) or (None, False)."""
-    m = len(A)
-    n = len(A[0]) if A else 0
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if M[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [a * inv for a in M[r]]
-        for i in range(m):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [a - f * bb for a, bb in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-    for i in range(r, m):
-        if M[i][n] != 0:
-            return None, False
-    x = [Fraction(0)] * n
-    for row, c in zip(M, piv_cols):
-        x[c] = row[n]
-    return x, len(piv_cols) == n
+        return DPoly({self._dmonos[j]: c for j, c in self._dnf.combination(used).items()})
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:

@@ -3,9 +3,7 @@ emission in text/csv/json, and a reproduce-paper mode that recomputes every
 embedded golden table and diffs it cell by cell.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 golden-diff
-failure.  Output is deterministic for a fixed configuration; FGLAB_THREADS
-caps internal parallelism (evaluation is sequential, so the cap is honored
-trivially).
+failure.  Output is deterministic for a fixed configuration.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import golden_data
-from .config import Config, thread_cap
+from .config import Config
 from .errors import FglabError, UsageError
 from .rings import RAT, Padic2
 from . import adams, cannibal, chern, fgl, mahler
@@ -103,7 +101,11 @@ def cmd_fgl(args, cfg, out):
 
 def cmd_chern(args, cfg, out):
     if args.action == "total":
-        p = chern.ProjProduct([int(d) for d in args.dims.split(",")])
+        try:
+            dims = [int(d) for d in args.dims.split(",")]
+        except ValueError:
+            raise UsageError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
+        p = chern.ProjProduct(dims)
         tc = chern.total_chern(p)
         rows = []
         for exp, c in sorted(tc.terms.items(), key=lambda t: (sum(t[0]), t[0])):
@@ -297,7 +299,7 @@ def build_parser():
     common.add_argument("--bound", type=int, default=12, help="series truncation bound")
     common.add_argument("--precision", type=int, default=64, help="2-adic precision (bits)")
     common.add_argument("--mode", default="paper-box", choices=["paper-box", "residue-exact"])
-    common.add_argument("--nki", default="paper", choices=["paper", "extended-gcd", "auto"])
+    common.add_argument("--nki", default="auto", choices=["paper", "extended-gcd", "auto"])
     common.add_argument("--format", dest="fmt", default="text", choices=["text", "csv", "json"])
     common.add_argument("--out", default=None, help="write output to FILE")
 
@@ -377,7 +379,6 @@ def main(argv=None):
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    thread_cap()  # FGLAB_THREADS: evaluation is sequential, any cap >= 1 holds
     buf = io.StringIO()
     try:
         code = DISPATCH[args.command](args, cfg, buf)
@@ -386,6 +387,9 @@ def main(argv=None):
         return 2
     except FglabError as e:
         print(f"computation error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # the CLI contract: no traceback reaches the user
+        print(f"computation error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     text = buf.getvalue()
     if args.out:

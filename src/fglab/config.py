@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .errors import UsageError
@@ -16,7 +15,7 @@ class Config:
     bound: int = 12              # series truncation (weighted total degree)
     precision: int = 64          # 2-adic working precision in bits
     mode: str = "paper-box"      # CP^n substitution: paper-box | residue-exact
-    nki: str = "paper"           # n_k^i source: paper | extended-gcd | auto
+    nki: str = "auto"            # n_k^i source: paper | extended-gcd | auto
     fmt: str = "text"            # output: text | csv | json
 
     def __post_init__(self):
@@ -30,12 +29,3 @@ class Config:
             raise UsageError(f"unknown nki mode {self.nki!r}")
         if self.fmt not in ("text", "csv", "json"):
             raise UsageError(f"unknown format {self.fmt!r}")
-
-
-def thread_cap() -> int:
-    """FGLAB_THREADS caps internal parallelism; evaluation is sequential and
-    deterministic, so any cap >= 1 is honored trivially."""
-    try:
-        return max(1, int(os.environ.get("FGLAB_THREADS", "1")))
-    except ValueError:
-        return 1

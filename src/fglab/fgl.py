@@ -444,7 +444,10 @@ class BordismExpr:
             elif re.fullmatch(r"\d+/\d+|\d+", t):
                 if coeff is not None or factors:
                     raise UsageError(f"unexpected number {t} in {text!r}")
-                coeff = Fraction(t)
+                try:
+                    coeff = Fraction(t)
+                except ZeroDivisionError:
+                    raise UsageError(f"zero denominator in {t} ({text!r})") from None
                 if i + 1 < len(tokens) and tokens[i + 1] == "*":
                     i += 1
             elif t == "x":

@@ -1,0 +1,73 @@
+"""Sparse exact row echelon over Q.
+
+Rows are dicts {column: Fraction} without zero entries.  Every echelon row is
+monic at its largest column (its pivot), so eliminating column j only touches
+columns below j, and a single top-down pass over a max-heap of the row's
+columns reduces a row completely.
+"""
+
+import heapq
+from fractions import Fraction
+
+
+class Echelon:
+    """A row echelon basis that can also record, for each of its rows, the
+    combination of the added rows it came from."""
+
+    def __init__(self):
+        self.rows = {}    # pivot column -> monic row
+        self.combos = {}  # pivot column -> {key: coefficient}, for keyed rows
+
+    def reduce(self, row):
+        """Return (remainder, used) with row = remainder + sum(used[p] * rows[p]).
+
+        The remainder has no entry in a pivot column, so it is the same for
+        every echelon basis of the same span."""
+        row = dict(row)
+        heap = [-j for j in row]
+        heapq.heapify(heap)
+        used = {}
+        while heap:
+            j = -heapq.heappop(heap)
+            f = row.get(j)
+            er = self.rows.get(j)
+            if f is None or er is None:
+                continue
+            used[j] = f
+            for jj, c in er.items():
+                s = row.get(jj)
+                if s is None:
+                    row[jj] = -f * c
+                    heapq.heappush(heap, -jj)
+                else:
+                    s -= f * c
+                    if s:
+                        row[jj] = s
+                    else:
+                        del row[jj]
+        return row, used
+
+    def add(self, row, key=None):
+        """Reduce row and keep what is left as a new echelon row.
+
+        With a key, the new row's combination of keyed input rows is tracked.
+        Returns False when row already lies in the span."""
+        rem, used = self.reduce(row)
+        if not rem:
+            return False
+        piv = max(rem)
+        inv = Fraction(1) / rem[piv]
+        self.rows[piv] = {j: c * inv for j, c in rem.items()}
+        if key is not None:
+            combo = {k: -c * inv for k, c in self.combination(used).items()}
+            combo[key] = combo.get(key, 0) + inv
+            self.combos[piv] = combo
+        return True
+
+    def combination(self, used):
+        """sum(used[p] * combos[p]) as {key: coefficient}, zeros dropped."""
+        out = {}
+        for p, f in used.items():
+            for k, c in self.combos[p].items():
+                out[k] = out.get(k, 0) + f * c
+        return {k: c for k, c in out.items() if c}

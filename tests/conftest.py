@@ -15,6 +15,11 @@ def reducer10():
 
 
 @pytest.fixture(scope="session")
+def reducer11():
+    return DReducer(11, gen_2structure_relations(11))
+
+
+@pytest.fixture(scope="session")
 def theta30():
     return theta3_direct(30)
 

@@ -12,7 +12,7 @@ independent of the 2-structure relation machinery.
 
 from fractions import Fraction
 
-from fglab.adams import dmonomials_upto, nki_coeffs, psi_power_coeff, _solve_exact
+from fglab.adams import dmonomials_upto, nki_coeffs, psi_power_coeff
 from fglab.rings import RAT
 from fglab.series import MultiSeries
 
@@ -107,3 +107,38 @@ class BUOracle:
 
     def psi_dk_coords(self, k):
         return self.solve_in_d(self.psi(self.d(k)), k)
+
+
+# A dense Gauss-Jordan solve, kept here so the oracle shares no linear
+# algebra with the reducer it checks.
+def _solve_exact(A, b):
+    """Solve A x = b over Q; returns (solution, unique_flag) or (None, False)."""
+    m = len(A)
+    n = len(A[0]) if A else 0
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    piv_cols = []
+    r = 0
+    for c in range(n):
+        piv = None
+        for i in range(r, m):
+            if M[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        inv = 1 / M[r][c]
+        M[r] = [a * inv for a in M[r]]
+        for i in range(m):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [a - f * bb for a, bb in zip(M[i], M[r])]
+        piv_cols.append(c)
+        r += 1
+    for i in range(r, m):
+        if M[i][n] != 0:
+            return None, False
+    x = [Fraction(0)] * n
+    for row, c in zip(M, piv_cols):
+        x[c] = row[n]
+    return x, len(piv_cols) == n

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from fglab import adams
 from fglab.adams import (APoly, DPoly, DReducer, GF2DPoly, bootstrap_lift, binom_gcd,
                          apoly_eval, coboundary_apoly_values, dk_as_apoly,
                          dmonomials_upto, gen_2structure_relations, in_gf2_span,
@@ -11,7 +12,7 @@ from fglab.adams import (APoly, DPoly, DReducer, GF2DPoly, bootstrap_lift, binom
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_dpoly)
 from fglab.config import RANDOM_SEED
-from fglab.errors import LiftObstruction, NotReducible, UnsupportedK
+from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
 from oracle_bu import BUOracle
@@ -200,6 +201,21 @@ def test_reduce_roundtrip(reducer7):
         assert reducer7.reduce(dk_as_apoly(k)) == DPoly({(k,): 1}), k
 
 
+@pytest.fixture(scope="module", params=[10, 11, 12])
+def reducer_at(request, reducer10, reducer11):
+    W = request.param
+    return {10: reducer10, 11: reducer11}.get(W) or DReducer(W, gen_2structure_relations(W))
+
+
+def test_reduce_dmonomial_images_to_themselves(reducer_at):
+    """Each d-monomial's own a-polynomial reduces to exactly that monomial."""
+    for dm in dmonomials_upto(reducer_at.W, include_const=True):
+        poly = APoly.const(1)
+        for k in dm:
+            poly = poly * dk_as_apoly(k)
+        assert reducer_at.reduce(poly) == DPoly({dm: 1}), dm
+
+
 def test_reduce_fails_loudly_without_relations():
     # degree-3 sources yield no relations at all, so a bare a22 is stuck
     red = DReducer(5, gen_2structure_relations(3))
@@ -208,6 +224,18 @@ def test_reduce_fails_loudly_without_relations():
     # with the degree-4 relation it reduces: a22 = 3d4 + d3 - d2^2
     red4 = DReducer(5, gen_2structure_relations(4))
     assert red4.reduce(APoly.gen(2, 2)) == DPoly({(4,): 3, (3,): 1, (2, 2): -1})
+
+
+def test_reduce_checks_span_before_dependence(monkeypatch):
+    """With a repeated d-monomial the images are dependent: a target in their
+    span is a UsageError, a target outside it still NotReducible."""
+    monkeypatch.setattr(adams, "dmonomials_upto",
+                        lambda w, include_const=True: [(), (2,), (2,)])
+    red = DReducer(5, gen_2structure_relations(4))
+    with pytest.raises(UsageError):
+        red.reduce(dk_as_apoly(2))
+    with pytest.raises(NotReducible):
+        red.reduce(dk_as_apoly(3))
 
 
 PSI_DK_COMPUTED = {

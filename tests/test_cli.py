@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fglab import cli
 from fglab.cli import main
 
 
@@ -105,3 +106,34 @@ def test_reproduce_paper_fully_matches(capsys):
     code, out, _ = run(capsys, "reproduce-paper")
     assert code == 0
     assert "all tables match" in out
+
+
+def test_zero_denominator_is_usage_error(capsys):
+    code, _, err = run(capsys, "fgl", "miscenko", "--expr", "1/0*CP4")
+    assert code == 2
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_non_integer_dims_is_usage_error(capsys):
+    code, _, err = run(capsys, "chern", "total", "--dims", "a")
+    assert code == 2
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
+def test_unexpected_exception_is_one_line_computation_error(capsys, monkeypatch):
+    def boom(args, cfg, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.DISPATCH, "series", boom)
+    code, _, err = run(capsys, "series", "invert")
+    assert code == 1
+    assert err == "computation error: RuntimeError: boom\n"
+
+
+def test_nki_defaults_to_auto(capsys):
+    argv = ("adams", "spherical", "--level", "thom", "--max-weight", "22")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--nki", "auto")[:2]
+    code, out, _ = run(capsys, "adams", "psi-dk", "--k", "11")
+    assert code == 0 and out.startswith("generator")

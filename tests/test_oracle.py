@@ -71,3 +71,9 @@ def test_thom_matches_oracle(reducer10, thom_table10, oracle10):
         coords = oracle10.solve_in_d(total, k)
         assert coords is not None, k
         assert DPoly(coords) == thom_table10[k], k
+
+
+def test_reducer_matches_oracle_at_weight_11(reducer11):
+    """One cross-check above the paper's range, where n_11^i come from the
+    extended-gcd rows."""
+    assert psi_on_dk(11, reducer11) == DPoly(BUOracle(11).psi_dk_coords(11))
