@@ -15,6 +15,7 @@ deterministic in that order.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -25,8 +26,9 @@ from .errors import (
     UnsupportedK,
     UsageError,
 )
-from .linalg import Echelon
+from .linalg import Echelon, GF2Echelon
 from .rings import Padic2Ring, RAT, rat_val2
+from .series import MultiSeries, format_product, format_sum, format_term
 
 Rat = Fraction
 
@@ -82,22 +84,14 @@ class BetaElt:
         return f"BetaElt({self.coeffs})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in sorted(self.coeffs):
-            c = self.coeffs[i]
-            name = f"b{i}" if i > 0 else "1"
-            if c == 1 and i > 0:
-                parts.append(name)
-            elif c == -1 and i > 0:
-                parts.append(f"-{name}")
-            else:
-                parts.append(f"{c} {name}" if i > 0 else f"{c}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        def term(i, c):
+            if i == 0:
+                return str(c)
+            if c in (1, -1):
+                return f"b{i}" if c == 1 else f"-b{i}"
+            return f"{c} b{i}"
+
+        return format_sum([term(i, c) for i, c in sorted(self.coeffs.items())])
 
     def mod2(self):
         return BetaElt({i: c % 2 for i, c in self.coeffs.items()})
@@ -225,6 +219,13 @@ def _amono_weight(mono):
     return ue + sum((i + j) * e for (i, j), e in pairs)
 
 
+def _amono_str(mono):
+    ue, pairs = mono
+    factors = [("u", ue)] if ue else []
+    factors += [(f"a{i}{j}" if i < 10 and j < 10 else f"a{i}_{j}", e) for (i, j), e in pairs]
+    return format_product(factors)
+
+
 def _amono_mul(m1, m2):
     u = m1[0] + m2[0]
     acc = dict(m1[1])
@@ -335,31 +336,7 @@ class APoly:
         return f"APoly({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for (ue, pairs), c in self.sorted_terms():
-            factors = []
-            if ue:
-                factors.append("u" if ue == 1 else f"u^{ue}")
-            for (i, j), e in pairs:
-                name = f"a{i}{j}" if i < 10 and j < 10 else f"a{i}_{j}"
-                factors.append(name if e == 1 else f"{name}^{e}")
-            mono = "*".join(factors)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_sum([format_term(c, _amono_str(m)) for m, c in self.sorted_terms()])
 
 
 class DPoly:
@@ -443,32 +420,14 @@ class DPoly:
         return f"DPoly({self})"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, c in self.sorted_terms():
-            from collections import Counter
-            factors = []
-            for k, e in sorted(Counter(m).items()):
-                factors.append(f"d{k}" if e == 1 else f"d{k}^{e}")
-            mono = "*".join(factors)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_sum([format_term(c, self.monomial_str(m)) for m, c in self.sorted_terms()])
+
+    @staticmethod
+    def monomial_str(m) -> str:
+        """A d-monomial (sorted index tuple) as d2^2*d5; the empty one prints ''."""
+        return format_product((f"d{k}", e) for k, e in sorted(Counter(m).items()))
 
     def to_json_obj(self):
-        from collections import Counter
         out = []
         for m, c in self.sorted_terms():
             mono = {f"d{k}": e for k, e in sorted(Counter(m).items())}
@@ -618,7 +577,6 @@ def coboundary_apoly_values(g_coeffs, wmax):
     Returns {(i,j): Fraction} for i+j <= wmax.  Coboundaries are 2-structures,
     so every universal relation must evaluate to zero on them.
     """
-    from .series import MultiSeries
     ring = RAT
     vars_ = ("x", "y")
     bound = wmax
@@ -841,15 +799,7 @@ class GF2DPoly:
         return GF2DPoly(self.monos ^ other.monos)
 
     def __mul__(self, other):
-        out = set()
-        for m1 in self.monos:
-            for m2 in other.monos:
-                m = tuple(sorted(m1 + m2))
-                if m in out:
-                    out.remove(m)
-                else:
-                    out.add(m)
-        return GF2DPoly(out)
+        return GF2DPoly(m1 + m2 for m1 in self.monos for m2 in other.monos)
 
     def is_zero(self):
         return not self.monos
@@ -861,19 +811,8 @@ class GF2DPoly:
         return hash(self.monos)
 
     def __str__(self):
-        if not self.monos:
-            return "0"
-        from collections import Counter
-        parts = []
-        for m in sorted(self.monos, key=lambda m: (sum(m), m)):
-            if not m:
-                parts.append("1")
-                continue
-            factors = []
-            for k, e in sorted(Counter(m).items()):
-                factors.append(f"d{k}" if e == 1 else f"d{k}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return format_sum([DPoly.monomial_str(m) or "1"
+                           for m in sorted(self.monos, key=lambda m: (sum(m), m))])
 
 
 def psi_table_mod2(psi_table: dict) -> dict:
@@ -899,8 +838,6 @@ def spherical_search(max_weight: int, psi_table: dict):
         if k not in table:
             raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
     monos = dmonomials_upto(W, include_const=True)
-    index = {m: i for i, m in enumerate(monos)}
-    n = len(monos)
 
     def psi_of_mono(m):
         acc = GF2DPoly([()])
@@ -908,37 +845,20 @@ def spherical_search(max_weight: int, psi_table: dict):
             acc = acc * table[k]
         return acc
 
-    # columns: (psi - id) images in GF(2)^n
-    cols = []
+    # columns: (psi - id) images of the monomials
+    imgs = []
     for m in monos:
         img = psi_of_mono(m) + GF2DPoly([m])
-        vec = 0
-        for mm in img.monos:
-            if sum(mm) > W:
-                raise InsufficientTable(f"psi image of {m} leaves weight {W}")
-            vec ^= 1 << index[mm]
-        cols.append(vec)
-    # GF(2) kernel via bit-packed elimination
-    basis_rows = []  # (colmask tracking, pivot)
-    combos = [1 << i for i in range(n)]
-    pivots = {}
-    for i in range(n):
-        vec, combo = cols[i], combos[i]
-        while vec:
-            p = vec.bit_length() - 1
-            if p in pivots:
-                pv, pc = pivots[p]
-                vec ^= pv
-                combo ^= pc
-            else:
-                pivots[p] = (vec, combo)
-                break
-        if not vec:
-            basis_rows.append(combo)
+        if any(sum(mm) > W for mm in img.monos):
+            raise InsufficientTable(f"psi image of {m} leaves weight {W}")
+        imgs.append(img)
+    # each column dependent on the earlier ones gives one kernel element
+    ech = GF2Echelon()
     kernel = []
-    for combo in basis_rows:
-        ms = [monos[i] for i in range(n) if (combo >> i) & 1]
-        kernel.append(GF2DPoly(ms))
+    for i, col in enumerate(_gf2_vectors(imgs)):
+        if not ech.add(col, key=i):
+            combo = ech.reduce(col)[1] ^ (1 << i)
+            kernel.append(GF2DPoly(m for j, m in enumerate(monos) if combo >> j & 1))
     new_by_weight = {}
     for elt in kernel:
         if all(m == () for m in elt.monos):
@@ -948,34 +868,27 @@ def spherical_search(max_weight: int, psi_table: dict):
     return kernel, new_by_weight
 
 
+def _gf2_vectors(polys):
+    """The GF(2) d-polynomials as bitsets over the sorted monomials they use."""
+    index = {m: i for i, m in enumerate(sorted(set().union(*(p.monos for p in polys))))}
+    return [sum(1 << index[m] for m in p.monos) for p in polys]
+
+
+def _gf2_solve(imgs, target: GF2DPoly):
+    """Solve sum_{i in S} imgs[i] = target over GF(2); returns index set or None."""
+    *vecs, vt = _gf2_vectors([*imgs, target])
+    ech = GF2Echelon()
+    for i, v in enumerate(vecs):
+        ech.add(v, key=i)
+    rest, combo = ech.reduce(vt)
+    if rest:
+        return None
+    return [i for i in range(len(imgs)) if combo >> i & 1]
+
+
 def in_gf2_span(candidates, target: GF2DPoly) -> bool:
     """Membership of target in the GF(2) span of candidate d-polynomials."""
-    monos = sorted(set().union(target.monos, *(c.monos for c in candidates)))
-    index = {m: i for i, m in enumerate(monos)}
-
-    def vec(p):
-        v = 0
-        for m in p.monos:
-            v ^= 1 << index[m]
-        return v
-
-    pivots = {}
-    for c in candidates:
-        vc = vec(c)
-        while vc:
-            p = vc.bit_length() - 1
-            if p in pivots:
-                vc ^= pivots[p]
-            else:
-                pivots[p] = vc
-                break
-    vt = vec(target)
-    while vt:
-        p = vt.bit_length() - 1
-        if p not in pivots:
-            return False
-        vt ^= pivots[p]
-    return True
+    return _gf2_solve(candidates, target) is not None
 
 
 # -- bootstrap lifting ------------------------------------------------------------
@@ -1039,37 +952,3 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
         corr = DPoly({monos[i]: Fraction(2) ** m_stage for i in sol})
         b = b + corr
     return b
-
-
-def _gf2_solve(imgs, target: GF2DPoly):
-    """Solve sum_{i in S} imgs[i] = target over GF(2); returns index set or None."""
-    monos = sorted(set().union(target.monos, *(img.monos for img in imgs)))
-    index = {m: i for i, m in enumerate(monos)}
-
-    def vec(p):
-        v = 0
-        for m in p.monos:
-            v ^= 1 << index[m]
-        return v
-
-    pivots = {}
-    for i, img in enumerate(imgs):
-        vi, combo = vec(img), 1 << i
-        while vi:
-            p = vi.bit_length() - 1
-            if p in pivots:
-                pv, pc = pivots[p]
-                vi ^= pv
-                combo ^= pc
-            else:
-                pivots[p] = (vi, combo)
-                break
-    vt, combo = vec(target), 0
-    while vt:
-        p = vt.bit_length() - 1
-        if p not in pivots:
-            return None
-        pv, pc = pivots[p]
-        vt ^= pv
-        combo ^= pc
-    return [i for i in range(len(imgs)) if (combo >> i) & 1]

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DimensionMismatch, UsageError
+from .linalg import Echelon
+from .series import format_product
 
 Rat = Fraction
 
@@ -100,6 +102,12 @@ class CohClass:
     def __eq__(self, other):
         return isinstance(other, CohClass) and self.dims == other.dims and self.terms == other.terms
 
+    def sorted_terms(self):
+        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+
+    def monomial_str(self, exp):
+        return format_product((f"x{i+1}", e) for i, e in enumerate(exp) if e)
+
     def __repr__(self):
         return f"CohClass({self.terms})"
 
@@ -126,12 +134,8 @@ def chern_number(p: ProjProduct, monomial) -> int:
     return acc.top_coefficient()
 
 
-def chern_monomials_with_c1(dim: int):
-    """Partitions of ``dim`` containing a part 1, in the paper's display order.
-
-    Order: c1^dim first, then by decreasing largest part (c1*c3 before
-    c1^2*c2 in dimension 4, matching the constraint-system rows).
-    """
+def partitions(dim: int):
+    """Partitions of ``dim`` as non-increasing tuples."""
     parts = []
 
     def rec(rem, mx, cur):
@@ -144,7 +148,16 @@ def chern_monomials_with_c1(dim: int):
             cur.pop()
 
     rec(dim, dim, [])
-    keep = [p for p in parts if 1 in p]
+    return parts
+
+
+def chern_monomials_with_c1(dim: int):
+    """Partitions of ``dim`` containing a part 1, in the paper's display order.
+
+    Order: c1^dim first, then by decreasing largest part (c1*c3 before
+    c1^2*c2 in dimension 4, matching the constraint-system rows).
+    """
+    keep = [p for p in partitions(dim) if 1 in p]
     keep.sort(key=lambda p: (len([x for x in p if x == 1]) != len(p), -max(p), p))
     # c1^dim (all ones) sorts first, then larger top parts
     return keep
@@ -152,10 +165,7 @@ def chern_monomials_with_c1(dim: int):
 
 def monomial_label(mono) -> str:
     from collections import Counter
-    out = []
-    for idx, mult in sorted(Counter(mono).items()):
-        out.append(f"c{idx}" + (f"^{mult}" if mult > 1 else ""))
-    return "*".join(out)
+    return format_product((f"c{idx}", mult) for idx, mult in sorted(Counter(mono).items()))
 
 
 class IntMatrix:
@@ -232,29 +242,23 @@ def integer_reduce(m: IntMatrix) -> IntMatrix:
 
 
 def rref(rows):
-    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns)."""
-    rows = [[Fraction(a) for a in r] for r in rows]
+    """Reduced row echelon form over Q; returns (rref_rows, pivot_columns).
+
+    Column c is stored at Echelon index ncols-1-c, so each echelon row's pivot
+    is its leading column.  The RREF row at a pivot is the pivot entry plus the
+    remainder of the rest of its echelon row, which has no other pivot entry."""
     ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [row for row in rows if any(row)], pivots
+    ech = Echelon()
+    for r in rows:
+        ech.add({ncols - 1 - c: a for c, a in enumerate(map(Fraction, r)) if a})
+    pivots = sorted(ncols - 1 - p for p in ech.rows)
+    red = []
+    for c in pivots:
+        p = ncols - 1 - c
+        rest, _ = ech.reduce({j: a for j, a in ech.rows[p].items() if j != p})
+        rest[p] = Fraction(1)
+        red.append([rest.get(ncols - 1 - j, Fraction(0)) for j in range(ncols)])
+    return red, pivots
 
 
 def nullspace_rational(m: IntMatrix):
@@ -276,15 +280,11 @@ def nullspace_rational(m: IntMatrix):
 
 def in_span(vectors, v):
     """Exact membership of v in the rational span of ``vectors``."""
-    if not vectors:
-        return all(Fraction(a) == 0 for a in v)
     red, pivots = rref(vectors)
+    # the only candidate is the RREF combination with v's own pivot entries
     w = [Fraction(a) for a in v]
-    for row, pc in zip(red, pivots):
-        if w[pc] != 0:
-            f = w[pc]
-            w = [a - f * b for a, b in zip(w, row)]
-    return all(a == 0 for a in w)
+    return all(sum(w[pc] * row[c] for row, pc in zip(red, pivots)) == a
+               for c, a in enumerate(w))
 
 
 def same_row_space(a_rows, b_rows) -> bool:

@@ -41,6 +41,11 @@ def _emit(rows, headers, cfg: Config, out):
             out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
 
 
+def _at_least(flag, value, low):
+    if value < low:
+        raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
 # -- subcommand implementations ---------------------------------------------------
 
 
@@ -107,14 +112,10 @@ def cmd_chern(args, cfg, out):
             raise UsageError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
         p = chern.ProjProduct(dims)
         tc = chern.total_chern(p)
-        rows = []
-        for exp, c in sorted(tc.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                            for i, e in enumerate(exp) if e) or "1"
-            rows.append((mono, c))
+        rows = [(tc.monomial_str(exp) or "1", c) for exp, c in tc.sorted_terms()]
         _emit(rows, ["monomial", "coefficient"], cfg, out)
     elif args.action == "system":
-        basis = chern.paper_dim8_basis() if args.dim == 4 else _dim_basis(args.dim)
+        basis = _dim_basis(args.dim)
         m = chern.su_constraint_system(basis, args.dim)
         monos = chern.chern_monomials_with_c1(args.dim)
         rows = []
@@ -122,12 +123,12 @@ def cmd_chern(args, cfg, out):
             rows.append((chern.monomial_label(mono), *row))
         _emit(rows, ["constraint"] + [b.label() for b in basis], cfg, out)
     elif args.action == "reduce":
-        basis = chern.paper_dim8_basis() if args.dim == 4 else _dim_basis(args.dim)
+        basis = _dim_basis(args.dim)
         m = chern.integer_reduce(chern.su_constraint_system(basis, args.dim))
         rows = [(f"row{i+1}", *r) for i, r in enumerate(m.rows)]
         _emit(rows, ["row"] + [b.label() for b in basis], cfg, out)
     elif args.action == "nullspace":
-        basis = chern.paper_dim8_basis() if args.dim == 4 else _dim_basis(args.dim)
+        basis = _dim_basis(args.dim)
         m = chern.su_constraint_system(basis, args.dim)
         ns = chern.nullspace_rational(m)
         rows = [(f"v{i+1}", *[str(x) for x in v]) for i, v in enumerate(ns)]
@@ -142,29 +143,24 @@ def cmd_chern(args, cfg, out):
 
 
 def _dim_basis(dim):
-    # all products of projective spaces of total complex dimension `dim`
-    parts = []
-
-    def rec(rem, mx, cur):
-        if rem == 0:
-            parts.append(tuple(sorted(cur)))
-            return
-        for p in range(min(rem, mx), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    rec(dim, dim, [])
-    return [chern.ProjProduct(p) for p in sorted(set(parts))]
+    """The paper's basis in dimension 4, else every product of projective
+    spaces of total complex dimension ``dim``."""
+    if dim == 4:
+        return chern.paper_dim8_basis()
+    return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]
 
 
 def cmd_adams(args, cfg, out):
+    if args.action in ("beta", "beta-table"):
+        _at_least("--k", args.k, 1)
     if args.action == "beta":
+        _at_least("--i", args.i, 0)
         elt = adams.psi_inv_beta(args.k, args.i, max(args.i, args.imax or args.i))
         if args.mod2:
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], cfg, out)
     elif args.action == "beta-table":
+        _at_least("--imax", args.imax, 1)
         rows = []
         for i in range(1, args.imax + 1):
             elt = adams.psi_inv_beta(args.k, i, args.imax)
@@ -226,6 +222,7 @@ def cmd_cannibal(args, cfg, out):
         _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
               ["m", "n", "c_mn"], cfg, out)
     elif args.action == "tseq":
+        _at_least("--n", args.n, 0)
         ts = cannibal.theta_gen(args.n)
         rows = [(k, str(ts[k]), str(cannibal.theta_gen_closed(k))) for k in range(args.n + 1)]
         _emit(rows, ["k", "recurrence", "closed_form"], cfg, out)
@@ -234,6 +231,7 @@ def cmd_cannibal(args, cfg, out):
 
 def cmd_mahler(args, cfg, out):
     if args.action == "dilate":
+        _at_least("--i", args.i, 0)
         k = Padic2(args.padic, cfg.precision) if args.padic is not None else args.k
         np_ = mahler.dilate(k, args.i)
         if cfg.fmt == "json" and args.padic is None:
@@ -243,10 +241,12 @@ def cmd_mahler(args, cfg, out):
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", str(np_))],
                   ["dilation", "expansion"], cfg, out)
     elif args.action == "matrix":
+        _at_least("--imax", args.imax, 0)
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
         _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], cfg, out)
     elif args.action == "vs-adams":
+        _at_least("--imax", args.imax, 0)
         res = mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
               ["check", "result"], cfg, out)
@@ -393,8 +393,12 @@ def main(argv=None):
         return 1
     text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"usage error: cannot write {args.out}: {e.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -435,6 +435,8 @@ class BordismExpr:
                 raise UsageError(f"cannot tokenize {text!r} at position {pos}")
             tokens.append(m.group(1))
             pos = m.end()
+        if tokens and tokens[-1] in "+-":
+            raise UsageError(f"trailing operator {tokens[-1]!r} in {text!r}")
         i = 0
         while i < len(tokens):
             t = tokens[i]

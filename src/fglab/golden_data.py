@@ -86,12 +86,9 @@ def _thom_table():
     return _CACHE["thom"]
 
 
-def _series_cells(prefix, series):
-    out = {}
-    for exp, c in series.sorted_terms():
-        mono = series.monomial_str(exp) or "1"
-        out[f"{prefix}/{mono}"] = str(c)
-    return out
+def _cells(prefix, poly):
+    """One cell per term of a MultiSeries, DPoly or CohClass, keyed by monomial."""
+    return {f"{prefix}/{poly.monomial_str(m) or '1'}": str(c) for m, c in poly.sorted_terms()}
 
 
 # -- compute functions ---------------------------------------------------------------
@@ -112,14 +109,14 @@ def compute_twist_images():
                              {tuple(e for v, e in zip(img.vars, exp) if v not in ("x", "y")): c
                               for exp, c in img.terms.items()}, img.bound,
                              tuple(w for v, w in zip(img.vars, img.weights) if v not in ("x", "y")))
-        out.update(_series_cells(f"a{i}{j}", target))
+        out.update(_cells(f"a{i}{j}", target))
     return out
 
 
 def compute_cpn_box():
     out = {}
     for n in range(1, 5):
-        out.update(_series_cells(f"CP{n}", fgl.cpn_in_a(n, "paper-box")))
+        out.update(_cells(f"CP{n}", fgl.cpn_in_a(n, "paper-box")))
     return out
 
 
@@ -128,18 +125,14 @@ def compute_miscenko():
     out = {}
     for name, text in [("N", "N"), ("K3SQ4", "1/4*K3SQ"), ("M", "1/4*K3SQ + 12*N")]:
         img = fgl.miscenko_image(fgl.BordismExpr.parse(text), tw, "paper-box")
-        out.update(_series_cells(name, img))
+        out.update(_cells(name, img))
     return out
 
 
 def compute_chern_classes():
     out = {}
     for p in chern.paper_dim8_basis():
-        tc = chern.total_chern(p)
-        for exp, c in sorted(tc.terms.items(), key=lambda t: (sum(t[0]), t[0])):
-            mono = "*".join(f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                            for i, e in enumerate(exp) if e) or "1"
-            out[f"{p.label()}/{mono}"] = str(c)
+        out.update(_cells(p.label(), chern.total_chern(p)))
     return out
 
 
@@ -233,24 +226,11 @@ def compute_relations():
     return out
 
 
-def _dpoly_cells(prefix, p):
-    out = {}
-    for m, c in p.sorted_terms():
-        from collections import Counter
-        if not m:
-            mono = "1"
-        else:
-            mono = "*".join(f"d{k}" + (f"^{e}" if e > 1 else "")
-                            for k, e in sorted(Counter(m).items()))
-        out[f"{prefix}/{mono}"] = str(c)
-    return out
-
-
 def compute_psi_dk_base():
     red = _reducer(10)
     out = {}
     for k in range(2, 7):
-        out.update(_dpoly_cells(f"d{k}", adams.psi_on_dk(k, red)))
+        out.update(_cells(f"d{k}", adams.psi_on_dk(k, red)))
     return out
 
 
@@ -258,7 +238,7 @@ def compute_psi_dk_thom():
     thom = _thom_table()
     out = {}
     for k in range(2, 6):
-        out.update(_dpoly_cells(f"d{k}", thom[k]))
+        out.update(_cells(f"d{k}", thom[k]))
     return out
 
 

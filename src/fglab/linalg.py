@@ -1,9 +1,11 @@
-"""Sparse exact row echelon over Q.
+"""Exact row echelon forms: sparse over Q (`Echelon`) and bit-packed over
+GF(2) (`GF2Echelon`).
 
-Rows are dicts {column: Fraction} without zero entries.  Every echelon row is
-monic at its largest column (its pivot), so eliminating column j only touches
-columns below j, and a single top-down pass over a max-heap of the row's
-columns reduces a row completely.
+Every echelon row has its pivot at its largest column, so eliminating column j
+only touches columns below j, and a single top-down pass reduces a row
+completely.  Over Q rows are dicts {column: Fraction} without zero entries,
+monic at the pivot, and the pass pops columns from a max-heap; over GF(2) rows
+are int bitsets and the pivot is the highest set bit.
 """
 
 import heapq
@@ -71,3 +73,39 @@ class Echelon:
             for k, c in self.combos[p].items():
                 out[k] = out.get(k, 0) + f * c
         return {k: c for k, c in out.items() if c}
+
+
+class GF2Echelon:
+    """A row echelon basis over GF(2) on int bitsets.  Like `Echelon`, it
+    records for each of its rows the keys of the added rows it is the sum of,
+    as a bitset with bit `key` set for each."""
+
+    def __init__(self):
+        self.rows = {}    # pivot bit -> row
+        self.combos = {}  # pivot bit -> bitset of keys
+
+    def reduce(self, row):
+        """Return (remainder, combo) with row = remainder ^ (the XOR of the
+        added rows in combo).
+
+        The remainder has no bit at a pivot, so it is 0 exactly when row lies
+        in the span."""
+        combo = 0
+        for p in sorted(self.rows, reverse=True):
+            if row >> p & 1:
+                row ^= self.rows[p]
+                combo ^= self.combos[p]
+        return row, combo
+
+    def add(self, row, key):
+        """Reduce row and keep what is left as a new echelon row, whose
+        combination of added rows includes this one as bit `key`.
+
+        Returns False when row already lies in the span."""
+        rem, combo = self.reduce(row)
+        if not rem:
+            return False
+        piv = rem.bit_length() - 1
+        self.rows[piv] = rem
+        self.combos[piv] = combo ^ (1 << key)
+        return True

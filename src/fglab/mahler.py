@@ -17,6 +17,7 @@ from math import comb
 from .adams import psi_power_coeff
 from .errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from .rings import Padic2, padic_from_rat, padic_log
+from .series import format_sum
 
 Rat = Fraction
 
@@ -40,8 +41,6 @@ class NumPoly:
         return f"NumPoly({self.coeffs})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
         parts = []
         for i in sorted(self.coeffs, reverse=True):
             c = self.coeffs[i]
@@ -50,7 +49,7 @@ class NumPoly:
                 parts.append(basis)
             else:
                 parts.append(f"{c}*{basis}" if i > 0 else f"{c}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return format_sum(parts)
 
     def eval_at(self, t: int):
         return sum(c * comb(t, i) for i, c in self.coeffs.items()) if self.coeffs else 0

@@ -450,29 +450,11 @@ class MultiSeries:
         return sorted(self.terms.items(), key=lambda t: (self._wdeg(t[0]), t[0]))
 
     def monomial_str(self, exp):
-        return "*".join((v if e == 1 else f"{v}^{e}")
-                        for v, e in zip(self.vars, exp) if e)
+        return format_product((v, e) for v, e in zip(self.vars, exp) if e)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exp, c in self.sorted_terms():
-            mono = self.monomial_str(exp)
-            cs = str(c)
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append(f"-{mono}")
-                else:
-                    parts.append(f"{cs}*{mono}")
-            else:
-                parts.append(cs)
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return format_sum([format_term(c, self.monomial_str(exp))
+                           for exp, c in self.sorted_terms()])
 
     def __repr__(self):
         return f"MultiSeries({self})"
@@ -520,6 +502,39 @@ class MultiSeries:
     @classmethod
     def from_json(cls, s, ring=None):
         return cls.from_json_obj(json.loads(s), ring)
+
+
+# -- printing -------------------------------------------------------------------
+#
+# Every polynomial-like value prints as a signed sum of terms c*monomial, in the
+# order its sorted_terms() gives.
+
+
+def format_product(factors) -> str:
+    """Monomial from (name, exponent) pairs: x*y^2; exponent 1 is left bare."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors)
+
+
+def format_term(c, mono: str) -> str:
+    """c*mono, with a unit coefficient folded into the sign; mono '' is 1."""
+    cs = str(c)
+    if not mono:
+        return cs
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return f"-{mono}"
+    return f"{cs}*{mono}"
+
+
+def format_sum(parts) -> str:
+    """Join printed terms as a + b - c; the empty sum prints 0."""
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+    return out
 
 
 # -- module-level operation wrappers (CLI-facing names) -----------------------

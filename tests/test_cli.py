@@ -60,6 +60,29 @@ def test_out_file(tmp_path, capsys):
     assert "6,-1/81,-1/81" in text
 
 
+def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
+    code, out, err = run(capsys, "cannibal", "tseq", "--out", str(tmp_path / "missing" / "x"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: cannot write") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("adams", "beta", "--k", "0"),
+    ("adams", "beta", "--i", "-1"),
+    ("adams", "beta-table", "--imax", "-1"),
+    ("cannibal", "tseq", "--n", "-3"),
+    ("mahler", "matrix", "--imax", "-1"),
+    ("fgl", "miscenko", "--expr", "CP4+"),
+    ("fgl", "miscenko", "--expr", "CP4-"),
+])
+def test_invalid_argument_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
 def test_mahler_matrix_csv(capsys):
     code, out, _ = run(capsys, "mahler", "matrix", "--k", "3", "--imax", "4",
                        "--format", "csv")

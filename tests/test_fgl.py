@@ -290,8 +290,9 @@ def test_bordism_grammar():
     assert BordismExpr.parse("CP1^2xCP2").terms == {(1, 1, 2): Fraction(1)}
     with pytest.raises(UsageError):
         BordismExpr.parse("CP1 + CP2")  # inhomogeneous dimensions
-    with pytest.raises(UsageError):
-        BordismExpr.parse("3*")
+    for dangling in ("3*", "CP4+", "CP4-"):
+        with pytest.raises(UsageError):
+            BordismExpr.parse(dangling)
 
 
 def test_miscenko_cp1(twisted6):

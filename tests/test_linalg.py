@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.linalg import Echelon
+from fglab.chern import IntMatrix, matvec, nullspace_rational, rref
+from fglab.linalg import Echelon, GF2Echelon
 
 rows = st.lists(
     st.dictionaries(st.integers(0, 7), st.fractions(min_value=-5, max_value=5,
@@ -36,3 +37,51 @@ def test_reduce_and_combinations(inputs, target):
     for k, c in ech.combination(used).items():
         acc = _axpy(acc, c, inputs[k])
     assert acc == {j: Fraction(c) for j, c in target.items()}
+
+
+def _xor(inputs, combo):
+    acc = 0
+    for k, r in enumerate(inputs):
+        if combo >> k & 1:
+            acc ^= r
+    return acc
+
+
+bitsets = st.integers(0, (1 << 12) - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(bitsets, max_size=8), bitsets)
+def test_gf2_reduce_and_combinations(inputs, target):
+    ech = GF2Echelon()
+    independent = [ech.add(r, key=i) for i, r in enumerate(inputs)]
+    for p, r in ech.rows.items():
+        assert r.bit_length() - 1 == p
+        assert _xor(inputs, ech.combos[p]) == r
+    assert sum(independent) == len(ech.rows)
+    rem, combo = ech.reduce(target)
+    assert not any(rem >> p & 1 for p in ech.rows)
+    assert rem ^ _xor(inputs, combo) == target
+    # brute force: the target is in the span iff some subset XORs to it
+    in_span = any(_xor(inputs, s) == target for s in range(1 << len(inputs)))
+    assert (rem == 0) == in_span
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=5)))
+def test_rref_and_nullspace(rows):
+    ncols = len(rows[0])
+    red, pivots = rref(rows)
+    assert len(red) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, (row, pc) in enumerate(zip(red, pivots)):
+        assert not any(row[:pc]) and row[pc] == 1
+        assert [r[pc] for r in red] == [int(k == i) for k in range(len(red))]
+    # every input row is the RREF combination weighted by its pivot entries
+    for r in rows:
+        assert [sum(r[pc] * row[c] for row, pc in zip(red, pivots)) for c in range(ncols)] == r
+    ns = nullspace_rational(IntMatrix(rows))
+    assert len(ns) == ncols - len(pivots)
+    for v in ns:
+        assert not any(matvec(IntMatrix(rows), v))
