@@ -50,6 +50,7 @@ def _at_least(flag, value, low):
 
 
 def cmd_series(args, cfg, out):
+    _at_least("--order", args.order, 1)
     if args.action == "invert":
         n = args.order
         g = fgl.generic_strict_series(RAT, n + 1, n, ambient_extra=())
@@ -73,6 +74,7 @@ def cmd_series(args, cfg, out):
 
 def cmd_fgl(args, cfg, out):
     if args.action == "twist":
+        _at_least("--nb", args.nb, 0)
         nb = args.nb
         F = fgl.multiplicative_law(RAT, args.bound, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
                                    extra_weights=(0,) * nb)
@@ -81,7 +83,7 @@ def cmd_fgl(args, cfg, out):
         rows = []
         for (i, j), c in sorted(law.coeff_table().items()):
             if i <= j:
-                rows.append((f"a{i}{j}", str(law.a(i, j))))
+                rows.append((f"a{i}{j}", str(c)))
         _emit(rows, ["coefficient", "image"], cfg, out)
     elif args.action == "cpn":
         poly = fgl.cpn_in_a(args.n, cfg.mode)
@@ -192,6 +194,7 @@ def cmd_adams(args, cfg, out):
         else:
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], cfg, out)
     elif args.action == "spherical":
+        _at_least("--max-weight", args.max_weight, 2)
         W = args.max_weight // 2
         red = adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=cfg.nki)
         if args.level == "thom":
@@ -219,6 +222,8 @@ def cmd_cannibal(args, cfg, out):
             rows.append((m, *[str(tab[m, n]) for n in range(args.bound + 1)]))
         _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], cfg, out)
     elif args.action == "closed":
+        _at_least("--m", args.m, 0)
+        _at_least("--n", args.n, 0)
         _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
               ["m", "n", "c_mn"], cfg, out)
     elif args.action == "tseq":

@@ -41,28 +41,24 @@ class FGL:
 
     def __init__(self, law: MultiSeries):
         self.law = law
-        self._x = law._var_index(X)
-        self._y = law._var_index(Y)
-
-    def coeff_table(self):
-        """Extract a_ij from F = x + y + sum_{i,j>=1} a_ij x^i y^j."""
-        out = {}
-        for exp, c in self.law.terms.items():
-            i, j = exp[self._x], exp[self._y]
+        ix, iy = law._var_index(X), law._var_index(Y)
+        groups = {}
+        for exp, c in law.terms.items():
+            i, j = exp[ix], exp[iy]
             if i >= 1 and j >= 1:
                 rest = list(exp)
-                rest[self._x] = 0
-                rest[self._y] = 0
-                key = (i, j)
-                cur = out.get(key)
-                term = MultiSeries(self.law.ring, self.law.vars, {tuple(rest): c},
-                                   self.law.bound, self.law.weights)
-                out[key] = term if cur is None else cur + term
-        return out
+                rest[ix] = 0
+                rest[iy] = 0
+                groups.setdefault((i, j), {})[tuple(rest)] = c
+        self._table = {key: MultiSeries(law.ring, law.vars, terms, law.bound, law.weights)
+                       for key, terms in groups.items()}
+
+    def coeff_table(self):
+        """a_ij from F = x + y + sum_{i,j>=1} a_ij x^i y^j, as {(i, j): series}."""
+        return dict(self._table)
 
     def a(self, i, j):
-        table = self.coeff_table()
-        got = table.get((i, j))
+        got = self._table.get((i, j))
         if got is None:
             return MultiSeries.zero(self.law.ring, self.law.vars, self.law.bound, self.law.weights)
         return got

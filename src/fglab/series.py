@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import inf
+from operator import add, itemgetter
 
 from .errors import (
     BoundMismatch,
@@ -165,13 +167,16 @@ class MultiSeries:
         bound = self.bound
         left, right = (other, self) if len(self.terms) > len(other.terms) else (self, other)
         wd = self._wdeg
+        # Right-hand terms by ascending weighted degree: a left term of degree
+        # d1 pairs only with a prefix of them, the ones of degree <= bound - d1.
+        by_degree = sorted(((wd(e), e, c) for e, c in right.terms.items()), key=itemgetter(0))
         terms = {}
         for e1, c1 in left.terms.items():
-            d1 = wd(e1)
-            for e2, c2 in right.terms.items():
-                if bound is not None and d1 + wd(e2) > bound:
-                    continue
-                exp = tuple(a + b for a, b in zip(e1, e2))
+            room = inf if bound is None else bound - wd(e1)
+            for d2, e2, c2 in by_degree:
+                if d2 > room:
+                    break
+                exp = tuple(map(add, e1, e2))
                 c = c1 * c2
                 s = terms.get(exp)
                 s = c if s is None else s + c

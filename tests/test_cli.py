@@ -75,6 +75,13 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("mahler", "matrix", "--imax", "-1"),
     ("fgl", "miscenko", "--expr", "CP4+"),
     ("fgl", "miscenko", "--expr", "CP4-"),
+    ("adams", "spherical", "--max-weight", "0"),
+    ("fgl", "twist", "--nb", "-1"),
+    ("cannibal", "closed", "--m", "-1"),
+    ("cannibal", "closed", "--n", "-1"),
+    ("series", "invert", "--order", "-1"),
+    ("series", "invert", "--order", "0"),
+    ("series", "residue", "--order", "0"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -136,6 +136,29 @@ def test_twisted_law_images_homogeneous(twisted6):
         assert poly.grades_present(grades) == [2 * (i + j - 1)], (i, j)
 
 
+def test_coeff_table_rebuilds_the_law(twisted6):
+    """x + y + sum a_ij x^i y^j over the table is the law; a(i, j) reads the
+    table and is zero for a pair the law does not contain."""
+    law = FGL(twisted6)
+    table = law.coeff_table()
+    F = twisted6
+
+    def mono(name, k):
+        return MultiSeries.var(RAT, F.vars, name, F.bound, F.weights, power=k)
+
+    rebuilt = mono("x", 1) + mono("y", 1)
+    for (i, j), aij in table.items():
+        assert all(e[F.vars.index("x")] == 0 == e[F.vars.index("y")] for e in aij.terms)
+        rebuilt = rebuilt + aij * mono("x", i) * mono("y", j)
+        assert law.a(i, j) == aij
+    assert rebuilt == F
+    zero = MultiSeries.zero(RAT, F.vars, F.bound, F.weights)
+    assert (1, 0) not in table and law.a(1, 0) == zero
+    assert (F.bound, F.bound) not in table and law.a(F.bound, F.bound) == zero
+    table.clear()
+    assert law.coeff_table() and law.a(1, 1) != zero
+
+
 def test_twisted_law_passes_axioms_random_rationals():
     rng = random.Random(RANDOM_SEED)
     for _ in range(5):

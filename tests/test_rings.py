@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglab.config import RANDOM_SEED
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
-from fglab.rings import (GF2, Padic2, Padic2Ring, gf2_from_rat, padic_from_rat,
+from fglab.rings import (GF2, GF2Elt, Padic2, Padic2Ring, gf2_from_rat, padic_from_rat,
                          padic_inverse, padic_log, val2)
 
 
@@ -123,3 +124,33 @@ def test_padic_shift_and_div():
     assert y * Padic2(3, 32) == Padic2(9, 32)
     with pytest.raises(NotInDomain):
         Padic2(3, 16).shift_down(1)
+
+
+def test_gf2_equals_int_of_same_value():
+    assert GF2Elt(0) == 0 and GF2Elt(1) == 1
+    assert 0 == GF2Elt(0) and 1 == GF2Elt(1)
+    assert GF2Elt(1) != 0 and GF2Elt(0) != 1
+    assert GF2Elt(1) != 3 and GF2Elt(0) != 2 and GF2Elt(1) != -1
+    assert GF2Elt(1) != "1"
+    assert {GF2Elt(1), 1, GF2Elt(3)} == {1}
+    assert hash(GF2Elt(5)) == hash(1)
+
+
+def test_padic_congruent_values_share_a_hash():
+    assert Padic2(1, 8) == Padic2(257, 16)
+    assert len({Padic2(1, 8), Padic2(257, 16)}) == 1
+    assert Padic2(1, 16) != Padic2(257, 16)
+    assert len({Padic2(1, 16), Padic2(257, 16)}) == 2
+
+
+gf2_or_int = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(GF2Elt))
+padics = st.builds(Padic2, st.integers(-600, 600), st.integers(1, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(gf2_or_int, gf2_or_int), st.tuples(padics, padics)))
+def test_equal_values_have_equal_hashes(pair):
+    a, b = pair
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)

@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglab.config import RANDOM_SEED
 from fglab.errors import (BoundMismatch, NonUnitConstantTerm, NonzeroConstantTerm,
                           NotStrict, VariableMismatch)
-from fglab.rings import GF2, RAT, gf2_from_rat
+from fglab.rings import GF2, RAT, GF2Elt, gf2_from_rat
 from fglab.series import (MultiSeries, exp_series, log1p_series, residue_inverse_coeff,
                           series_arith, series_comp_inverse, series_compose,
                           series_reciprocal)
@@ -33,6 +34,41 @@ def test_mul_simple():
     xy = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1)}, 2) * \
          MultiSeries(RAT, ("x", "y"), {(0, 1): Fraction(1)}, 2)
     assert xy.terms == {(1, 1): Fraction(1)}
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series in one ambient: 1-3 variables with weights in {-1, 0, 1, 2},
+    bound None or 0..8, coefficients in RAT or GF2."""
+    ring = draw(st.sampled_from([RAT, GF2]))
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n))
+    bound = draw(st.one_of(st.none(), st.integers(0, 8)))
+    if ring is RAT:
+        coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        coeffs = st.integers(0, 1).map(GF2Elt)
+    exps = st.tuples(*[st.integers(0, 4)] * n)
+
+    def one():
+        terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+        return MultiSeries(ring, [f"x{i}" for i in range(n)], terms, bound, weights)
+
+    return one(), one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_mul_equals_truncated_all_pairs_product(pair):
+    a, b = pair
+    naive = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            naive[exp] = naive[exp] + c1 * c2 if exp in naive else c1 * c2
+    want = MultiSeries(a.ring, a.vars, naive, a.bound, a.weights)
+    assert (a * b).terms == want.terms
+    assert (b * a).terms == want.terms
 
 
 def test_square_of_psi3_orbit_polynomial():
