@@ -214,9 +214,14 @@ def _ext_gcd(a, b):
 # for d_2^2 d_5.
 
 
-def _amono_weight(mono):
-    ue, pairs = mono
-    return ue + sum((i + j) * e for (i, j), e in pairs)
+def _amono_weight(pairs):
+    """Halved weight of a u-free a-monomial."""
+    return sum((i + j) * e for (i, j), e in pairs)
+
+
+def _apoly_weight(mono):
+    """Halved weight of an APoly monomial (u has weight 1)."""
+    return mono[0] + _amono_weight(mono[1])
 
 
 def _amono_str(mono):
@@ -226,12 +231,12 @@ def _amono_str(mono):
     return format_product(factors)
 
 
-def _amono_mul(m1, m2):
-    u = m1[0] + m2[0]
-    acc = dict(m1[1])
-    for key, e in m2[1]:
+def _amono_mul(p1, p2):
+    """Product of two u-free a-monomials."""
+    acc = dict(p1)
+    for key, e in p2:
         acc[key] = acc.get(key, 0) + e
-    return (u, tuple(sorted(acc.items())))
+    return tuple(sorted(acc.items()))
 
 
 _ONE_MONO = (0, ())
@@ -288,7 +293,7 @@ class APoly:
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = _amono_mul(m1, m2)
+                m = (m1[0] + m2[0], _amono_mul(m1[1], m2[1]))
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return APoly(out)
 
@@ -305,7 +310,7 @@ class APoly:
         return APoly(out)
 
     def weights_present(self):
-        return sorted({_amono_weight(m) for m in self.terms})
+        return sorted({_apoly_weight(m) for m in self.terms})
 
     def is_homogeneous(self):
         return len(self.weights_present()) <= 1
@@ -321,13 +326,13 @@ class APoly:
             num = _g(num, abs(c.numerator))
             den = _g(den, c.denominator) if den != 1 else c.denominator
         scale = Fraction(den, num) if num else Fraction(1)
-        lead = max(self.terms, key=lambda m: (_amono_weight(m), m))
+        lead = max(self.terms, key=lambda m: (_apoly_weight(m), m))
         if self.terms[lead] < 0:
             scale = -scale
         return self.scale(scale)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (_amono_weight(t[0]), t[0]))
+        return sorted(self.terms.items(), key=lambda t: (_apoly_weight(t[0]), t[0]))
 
     def __eq__(self, other):
         return isinstance(other, APoly) and self.terms == other.terms
@@ -474,93 +479,51 @@ class RelationSet:
         return None
 
 
-def _trivariate_f(pairs_bound):
-    """Coefficient tables for f(X, Y) = 1 + sum a_ij X^i Y^j as abstract data."""
-    out = []
-    for i in range(1, pairs_bound):
-        for j in range(1, pairs_bound + 1 - i):
-            out.append((i, j))
-    return out
-
-
 def gen_2structure_relations(N: int) -> RelationSet:
     """Expand the symmetric-cocycle identity and collect coefficient relations.
 
     The identity f(x, y) f(x +. y, z) = f(x, y +. z) f(y, z) with
-    f = 1 + sum a_ij x^i y^j and x +. y = x + y - u x y is expanded as a
-    trivariate series with APoly coefficients; for every monomial
-    x^a y^b z^c (a, b, c >= 1) of total degree <= N the difference of the
-    two sides is a homogeneous relation of halved weight a+b+c.  Relations
-    are content-normalized (coefficient gcd divided out, graded-lex leading
-    sign positive).
+    f = 1 + sum a_ij x^i y^j and x +. y = x + y - u x y is expanded as one
+    series in x, y, z (weight 1, truncated at total degree N) whose weight-0
+    symbols u and a_ij ride along as coefficients; for every monomial
+    x^a y^b z^c (a, b, c >= 1) the difference of the two sides is a
+    homogeneous relation of halved weight a+b+c.  Relations are
+    content-normalized (coefficient gcd divided out, graded-lex leading sign
+    positive).
     """
-    # trivariate polys: dict (ex, ey, ez) -> APoly
-    def tri_mul(A, B, bound):
-        out = {}
-        for (e1, p1) in A.items():
-            d1 = sum(e1)
-            for (e2, p2) in B.items():
-                if d1 + sum(e2) > bound:
-                    continue
-                key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                prod = p1 * p2
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return {k: v for k, v in out.items() if not v.is_zero()}
+    # in (i, j) order, so the a-monomials read off the exponents are sorted as APoly keys
+    pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
+    names = ("x", "y", "z", "u") + tuple(f"a{i}_{j}" for i, j in pairs)
+    weights = (1, 1, 1) + (0,) * (len(names) - 3)
+    f_terms = {(0,) * len(names): Fraction(1)}
+    for i in range(1, N):
+        for j in range(1, N + 1 - i):
+            exp = [0] * len(names)
+            exp[0], exp[1] = i, j
+            exp[names.index(f"a{min(i, j)}_{max(i, j)}")] = 1
+            f_terms[tuple(exp)] = Fraction(1)
+    f = MultiSeries(RAT, names, f_terms, N, weights)
+    x, y, z, u = (MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu")
 
-    def tri_add(A, B):
-        out = dict(A)
-        for k, p in B.items():
-            out[k] = out[k] + p if k in out else p
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    one = {(0, 0, 0): APoly.const(1)}
-    xm = {(1, 0, 0): APoly.const(1)}
-    ym = {(0, 1, 0): APoly.const(1)}
-    zm = {(0, 0, 1): APoly.const(1)}
+    def f_at(A, B):
+        return f.substitute({"x": A, "y": B})
 
     def gm_sum(A, B):
-        # A + B - u*A*B
-        prod = tri_mul(A, B, N)
-        mu = {k: p.scale(-1) * APoly({(1, ()): Fraction(1)}) for k, p in prod.items()}
-        return tri_add(tri_add(A, B), mu)
+        return A + B - u * A * B
 
-    def f_of(A, B):
-        # 1 + sum a_ij A^i B^j, truncated at total degree N
-        powsA = [one, A]
-        powsB = [one, B]
-        for _ in range(2, N + 1):
-            powsA.append(tri_mul(powsA[-1], A, N))
-            powsB.append(tri_mul(powsB[-1], B, N))
-        out = dict(one)
-        for i in range(1, N + 1):
-            if not powsA[i]:
-                continue
-            for j in range(1, N + 1 - i):
-                if not powsB[j]:
-                    continue
-                piece = tri_mul(powsA[i], powsB[j], N)
-                piece = {k: p * APoly.gen(i, j) for k, p in piece.items()}
-                out = tri_add(out, piece)
-        return out
-
-    w = gm_sum(xm, ym)
-    v2 = gm_sum(ym, zm)
-    lhs = tri_mul(f_of(xm, ym), f_of(w, zm), N)
-    rhs = tri_mul(f_of(xm, v2), f_of(ym, zm), N)
-    diff = tri_add(lhs, {k: p.scale(-1) for k, p in rhs.items()})
+    diff = f_at(x, y) * f_at(gm_sum(x, y), z) - f_at(x, gm_sum(y, z)) * f_at(y, z)
+    groups = {}
+    for exp, c in diff.terms.items():
+        mono = (exp[3], tuple((p, e) for p, e in zip(pairs, exp[4:]) if e))
+        groups.setdefault(exp[:3], {})[mono] = c
 
     rels = []
-    for key in sorted(diff):
+    for key in sorted(groups):
         a, b, c = key
         if a < 1 or b < 1 or c < 1:
             # f(x,0) = 1 makes these vanish identically; enforce that here
-            if not diff[key].is_zero():
-                raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
-            continue
-        poly = diff[key].content_normalize()
+            raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
+        poly = APoly(groups[key]).content_normalize()
         if poly.is_zero():
             continue
         expected_w = a + b + c
@@ -630,14 +593,14 @@ def _amonos_upto(w):
         pw = p[0] + p[1]
         new = []
         for m in monos:
-            used = sum((i + j) * e for (i, j), e in m)
+            used = _amono_weight(m)
             e = 1
             while used + pw * e <= w:
                 new.append(tuple(sorted(m + (((p), e),))))
                 e += 1
         monos.extend(new)
     # dedupe (different build orders can repeat)
-    uniq = sorted(set(monos), key=lambda m: (sum((i + j) * e for (i, j), e in m), m))
+    uniq = sorted(set(monos), key=lambda m: (_amono_weight(m), m))
     return uniq
 
 
@@ -674,6 +637,7 @@ class DReducer:
         self.rels = rels
         self.nki_mode = nki_mode
         self._amonos = _amonos_upto(W)
+        self._aweights = [_amono_weight(m) for m in self._amonos]
         self._aindex = {m: i for i, m in enumerate(self._amonos)}
         self._dmonos = dmonomials_upto(W, include_const=True)
         self._build()
@@ -696,24 +660,19 @@ class DReducer:
             rvec = self._try_vec(rel.poly)
             if rvec is None:
                 continue  # relation lives above the working weight
-            rw = max((_amono_weight((0, m)) for m in
-                      (self._amonos[i] for i in rvec)), default=0)
-            for mult in self._amonos:
-                mw = sum((i + j) * e for (i, j), e in mult)
+            rw = max((self._aweights[i] for i in rvec), default=0)
+            # a-monomials are sorted by weight, so the multipliers that keep
+            # every product within W form a prefix
+            for mult, mw in zip(self._amonos, self._aweights):
                 if rw + mw > self.W:
-                    continue
+                    break
                 prod = {}
                 for i, c in rvec.items():
-                    m = self._mono_mul(self._amonos[i], mult)
-                    if m is None:
-                        prod = None
-                        break
-                    j = self._aindex[m]
+                    j = self._aindex[_amono_mul(self._amonos[i], mult)]
                     prod[j] = prod.get(j, Fraction(0)) + c
+                prod = {j: c for j, c in prod.items() if c}
                 if prod:
-                    prod = {j: c for j, c in prod.items() if c}
-                    if prod:
-                        gens.append(prod)
+                    gens.append(prod)
         # the ideal subspace, in echelon form over column index
         self._ideal = Echelon()
         for row in gens:
@@ -733,15 +692,6 @@ class DReducer:
         except NotReducible:
             return None
 
-    def _mono_mul(self, m1, m2):
-        acc = dict(m1)
-        for key, e in m2:
-            acc[key] = acc.get(key, 0) + e
-        m = tuple(sorted(acc.items()))
-        if sum((i + j) * e for (i, j), e in m) > self.W:
-            return None
-        return m
-
     def reduce(self, expr: APoly) -> DPoly:
         """Rewrite expr (mod the relation ideal) as a polynomial in the d_k."""
         target, _ = self._ideal.reduce(self._apoly_vector(expr))
@@ -756,11 +706,8 @@ class DReducer:
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
     """psi^(k^-1) f_*(beta_i (x) beta_j) as an APoly (beta_0 terms collapse)."""
     out = APoly.zero()
-    li = psi_inv_beta(k, i, max(i, 1)).coeffs if i > 0 else {0: 1}
-    lj = psi_inv_beta(k, j, max(j, 1)).coeffs if j > 0 else {0: 1}
-    for m, cm in li.items():
-        for n, cn in lj.items():
-            out = out + APoly.gen(m, n, cm * cn)
+    for (m, n), c in psi_inv_tensor(k, i, j, max(i, j, 1)).coeffs.items():
+        out = out + APoly.gen(m, n, c)
     return out
 
 

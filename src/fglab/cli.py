@@ -86,6 +86,7 @@ def cmd_fgl(args, cfg, out):
                 rows.append((f"a{i}{j}", str(c)))
         _emit(rows, ["coefficient", "image"], cfg, out)
     elif args.action == "cpn":
+        _at_least("--n", args.n, 1)
         poly = fgl.cpn_in_a(args.n, cfg.mode)
         _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], cfg, out)
     elif args.action == "box-diff":
@@ -175,6 +176,7 @@ def cmd_adams(args, cfg, out):
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
         _emit(rows, ["coefficient", "value"], cfg, out)
     elif args.action == "relations":
+        _at_least("--degree", args.degree, 3)  # a relation sits at x^a y^b z^c, a, b, c >= 1
         rels = adams.gen_2structure_relations(args.degree)
         rows = []
         for r in rels:

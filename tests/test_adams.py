@@ -175,13 +175,20 @@ def test_relations_x2y2z_x3yz2_as_printed(rels7):
     assert canon(rels7.by_monomial(3, 1, 2).poly) == "-2*a23 + a11*a13 - a11*a22 - a12^2 + 3*a33"
 
 
-def test_relations_annihilate_coboundaries(rels7):
+@pytest.mark.parametrize("N", [7, 10])
+def test_relations_annihilate_coboundaries(N):
+    rels = gen_2structure_relations(N)
     rng = random.Random(RANDOM_SEED)
     for _ in range(20):
-        g = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3, 5])) for _ in range(7)]
-        avals = coboundary_apoly_values(g, 7)
-        for r in rels7:
+        g = [Fraction(rng.randint(-9, 9), rng.choice([1, 1, 3, 5])) for _ in range(N)]
+        avals = coboundary_apoly_values(g, N)
+        for r in rels:
             assert apoly_eval(r.poly, avals) == 0, (r.monomial, g)
+
+
+def test_relation_counts():
+    counts = {N: len(gen_2structure_relations(N)) for N in (3, 4, 7, 10, 11, 12)}
+    assert counts == {3: 0, 4: 2, 7: 26, 10: 100, 11: 140, 12: 190}
 
 
 def test_relations_annihilate_topological_family(rels7):

@@ -82,6 +82,9 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("series", "invert", "--order", "-1"),
     ("series", "invert", "--order", "0"),
     ("series", "residue", "--order", "0"),
+    ("adams", "relations", "--degree", "0"),
+    ("adams", "relations", "--degree", "-2"),
+    ("fgl", "cpn", "--n", "0"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -71,6 +71,38 @@ def test_mul_equals_truncated_all_pairs_product(pair):
     assert (b * a).terms == want.terms
 
 
+@st.composite
+def substitutions(draw):
+    """s, A and B in one ambient (x, y, a): x and y weigh 0, 1 or 2, the symbol
+    a weighs 0; bound 0..8, coefficients in RAT or GF2."""
+    ring = draw(st.sampled_from([RAT, GF2]))
+    weights = (*draw(st.lists(st.sampled_from([0, 1, 2]), min_size=2, max_size=2)), 0)
+    bound = draw(st.integers(0, 8))
+    if ring is RAT:
+        coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        coeffs = st.integers(0, 1).map(GF2Elt)
+    exps = st.tuples(*[st.integers(0, 3)] * 3)
+
+    def one():
+        terms = draw(st.dictionaries(exps, coeffs, max_size=5))
+        return MultiSeries(ring, ("x", "y", "a"), terms, bound, weights)
+
+    return one(), one(), one()
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_equals_sum_of_products(triple):
+    """s(A, B) with the symbol a carried by name is sum c a^k A^i B^j."""
+    s, A, B = triple
+    want = MultiSeries.zero(s.ring, s.vars, s.bound, s.weights)
+    for (i, j, k), c in s.terms.items():
+        carried = MultiSeries(s.ring, s.vars, {(0, 0, k): c}, s.bound, s.weights)
+        want = want + carried * A ** i * B ** j
+    assert s.substitute({"x": A, "y": B}) == want
+
+
 def test_square_of_psi3_orbit_polynomial():
     s = uni({1: 3, 2: -3, 3: 1}, 6)
     assert (s * s) == uni({2: 9, 3: -18, 4: 15, 5: -6, 6: 1}, 6)
