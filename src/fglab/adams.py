@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     InsufficientTable,
@@ -27,10 +27,8 @@ from .errors import (
     UsageError,
 )
 from .linalg import Echelon, GF2Echelon
-from .rings import Padic2Ring, RAT, rat_val2
+from .rings import RAT, rat_val2
 from .series import MultiSeries, format_product, format_sum, format_term
-
-Rat = Fraction
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -302,30 +300,21 @@ class APoly:
 
     def set_u(self, value=1):
         """Specialize u (printed forms use u = 1)."""
-        value = Fraction(value)
         out = {}
         for (ue, pairs), c in self.terms.items():
             m = (0, pairs)
-            out[m] = out.get(m, Fraction(0)) + c * value ** ue
+            out[m] = out.get(m, 0) + (c if value == 1 else c * Fraction(value) ** ue)
         return APoly(out)
 
     def weights_present(self):
         return sorted({_apoly_weight(m) for m in self.terms})
 
-    def is_homogeneous(self):
-        return len(self.weights_present()) <= 1
-
     def content_normalize(self):
-        """Divide by the coefficient gcd; sign so the graded-lex lead is positive."""
+        """Scale to coprime integer coefficients with a positive graded-lex lead."""
         if not self.terms:
             return self
-        from math import gcd as _g
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _g(num, abs(c.numerator))
-            den = _g(den, c.denominator) if den != 1 else c.denominator
-        scale = Fraction(den, num) if num else Fraction(1)
+        scale = Fraction(lcm(*(c.denominator for c in self.terms.values())),
+                         gcd(*(c.numerator for c in self.terms.values())))
         lead = max(self.terms, key=lambda m: (_apoly_weight(m), m))
         if self.terms[lead] < 0:
             scale = -scale
@@ -407,10 +396,6 @@ class DPoly:
             if c.numerator % 2:
                 out[m] = Fraction(1)
         return DPoly(out)
-
-    def map_padic(self, precision):
-        ring = Padic2Ring(precision)
-        return {m: ring.from_rat(c) for m, c in self.terms.items()}
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
@@ -582,28 +567,6 @@ def apoly_eval(poly: APoly, avals: dict, u=Fraction(1)) -> Fraction:
 # -- reduction to d-polynomials ---------------------------------------------------
 
 
-def _amonos_upto(w):
-    """All u-free a-monomials of halved weight <= w, graded-lex sorted."""
-    pairs = []
-    for s in range(2, w + 1):
-        for i in range(1, s // 2 + 1):
-            pairs.append((i, s - i))
-    monos = [()]
-    for p in pairs:
-        pw = p[0] + p[1]
-        new = []
-        for m in monos:
-            used = _amono_weight(m)
-            e = 1
-            while used + pw * e <= w:
-                new.append(tuple(sorted(m + (((p), e),))))
-                e += 1
-        monos.extend(new)
-    # dedupe (different build orders can repeat)
-    uniq = sorted(set(monos), key=lambda m: (_amono_weight(m), m))
-    return uniq
-
-
 def dmonomials_upto(w, include_const=True):
     out = []
 
@@ -616,91 +579,109 @@ def dmonomials_upto(w, include_const=True):
             cur.pop()
 
     rec(2, w, [])
-    uniq = sorted(set(out), key=lambda m: (sum(m), m))
-    return uniq
+    return sorted(out, key=lambda m: (sum(m), m))
+
+
+def _dpoly_addto(acc, p, c):
+    """acc += c * p, on plain {d-monomial: coefficient} dicts."""
+    for m, v in p.items():
+        acc[m] = acc.get(m, 0) + c * v
+
+
+def _dpoly_clean(p):
+    """Drop zero coefficients; one whose denominator is 1 becomes an int."""
+    return {m: c.numerator if c.denominator == 1 else c for m, c in p.items() if c}
 
 
 class DReducer:
-    """Exact linear algebra expressing a-polynomials modulo the relation ideal
-    as polynomials in the d_k.
+    """a-polynomials modulo the relation ideal as polynomials in the d_k, by
+    substitution (sec. 4.2.3 of the source).
 
-    Works in the filtered space of u = 1 specializations of halved weight
-    <= W: the ambient basis is all a-monomials of weight <= W, the relation
-    subspace is spanned by (relation x a-monomial) products, and the target
-    basis is the d-monomials.  A unique solution is demanded; anything else
-    raises NotReducible (relation set insufficient) or UsageError (the
-    quotient failed to be polynomial, which would be a real inconsistency).
+    Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
+    is a ring map phi: a_ij -> D_ij, solved one halved weight w <= W at a time
+    at u = 1.  The unknowns a_{i,w-i} (i <= w/2) appear linearly in each
+    relation of weight w, whose other terms are products of lower a's with phi
+    known; d_w = sum_i n_w^i a_{i,w-i} is one more equation.  A target that
+    needs an a_ij left undetermined is NotReducible (relations insufficient).
+
+    Guard: every equation that adds no rank is checked exactly, its right-hand
+    side against the same combination of the rank-raising ones.  If any check
+    fails, the d-monomials are dependent modulo the relations, and ``reduce``
+    raises UsageError (the quotient is not polynomial, a real inconsistency).
     """
 
     def __init__(self, W: int, rels: RelationSet, nki_mode="auto"):
         self.W = W
-        self.rels = rels
-        self.nki_mode = nki_mode
-        self._amonos = _amonos_upto(W)
-        self._aweights = [_amono_weight(m) for m in self._amonos]
-        self._aindex = {m: i for i, m in enumerate(self._amonos)}
-        self._dmonos = dmonomials_upto(W, include_const=True)
-        self._build()
+        self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
+        self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
+        self._consistent = True
+        eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
+        for rel in rels:
+            poly = rel.poly.set_u(1)
+            eqs.setdefault(max(poly.weights_present(), default=0), []).append((poly, {}))
+        for w in range(2, W + 1):
+            dw = dk_as_apoly(w, nki_coeffs(w, nki_mode))
+            self._solve_weight(w, eqs.get(w, []) + [(dw, {(w,): 1})])
 
-    def _apoly_vector(self, poly: APoly):
-        vec = {}
-        for (ue, pairs), c in poly.set_u(1).terms.items():
-            if ue:
-                raise UsageError("internal: u survived specialization")
-            idx = self._aindex.get(pairs)
-            if idx is None:
-                raise NotReducible(self.W, f"monomial {pairs} exceeds weight {self.W}")
-            vec[idx] = vec.get(idx, Fraction(0)) + c
-        return {i: c for i, c in vec.items() if c}
+    def _solve_weight(self, w, eqs):
+        """Set phi(a_{i,w-i}) for each i the weight-w equations determine."""
+        ech = Echelon()
+        rhs = []
+        for poly, target in eqs:
+            vec, rest = {}, dict(target)
+            try:
+                for (_, mono), c in poly.terms.items():
+                    c = c.numerator if c.denominator == 1 else c
+                    if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
+                        vec[mono[0][0][0]] = c
+                    else:
+                        _dpoly_addto(rest, self._phi_of(mono), -c)
+            except NotReducible:
+                continue  # needs an undetermined lower a_ij: neither solvable nor checkable
+            rhs.append(_dpoly_clean(rest))
+            left, used = ech.reduce(vec)
+            if left:
+                ech.add(vec, key=len(rhs) - 1)
+            elif self._combine(rhs, ech.combination(used)) != rhs[-1]:
+                self._consistent = False
+        for i in range(1, w // 2 + 1):
+            left, used = ech.reduce({i: 1})
+            if not left:
+                self._gen[(i, w - i)] = self._combine(rhs, ech.combination(used))
 
-    def _build(self):
-        # relation-multiple generators of the ideal subspace, as sparse rows
-        gens = []
-        for rel in self.rels:
-            rvec = self._try_vec(rel.poly)
-            if rvec is None:
-                continue  # relation lives above the working weight
-            rw = max((self._aweights[i] for i in rvec), default=0)
-            # a-monomials are sorted by weight, so the multipliers that keep
-            # every product within W form a prefix
-            for mult, mw in zip(self._amonos, self._aweights):
-                if rw + mw > self.W:
-                    break
-                prod = {}
-                for i, c in rvec.items():
-                    j = self._aindex[_amono_mul(self._amonos[i], mult)]
-                    prod[j] = prod.get(j, Fraction(0)) + c
-                prod = {j: c for j, c in prod.items() if c}
-                if prod:
-                    gens.append(prod)
-        # the ideal subspace, in echelon form over column index
-        self._ideal = Echelon()
-        for row in gens:
-            self._ideal.add(row)
-        # normal forms of the d-monomials, factored once with their combinations
-        self._dnf = Echelon()
-        for j, dm in enumerate(self._dmonos):
-            poly = APoly.const(1)
-            for k in dm:
-                poly = poly * dk_as_apoly(k, nki_coeffs(k, self.nki_mode))
-            nf, _ = self._ideal.reduce(self._apoly_vector(poly))
-            self._dnf.add(nf, key=j)
+    @staticmethod
+    def _combine(rhs, combo):
+        """sum(combo[key] * rhs[key]), summed with the denominators cleared."""
+        den = lcm(*(c.denominator for c in combo.values()))
+        out = {}
+        for key, c in combo.items():
+            _dpoly_addto(out, rhs[key], int(c * den))
+        return {m: v // den if v % den == 0 else Fraction(v, den) for m, v in out.items() if v}
 
-    def _try_vec(self, poly):
-        try:
-            return self._apoly_vector(poly)
-        except NotReducible:
-            return None
+    def _phi_of(self, mono):
+        """phi of a u-free a-monomial, memoised as phi(prefix) * phi(last generator)."""
+        if mono not in self._phi:
+            pair, e = mono[-1]
+            if pair not in self._gen:
+                raise NotReducible(self.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
+            out = {}
+            for m1, c1 in self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ())).items():
+                for m2, c2 in self._gen[pair].items():
+                    m = tuple(sorted(m1 + m2))
+                    out[m] = out.get(m, 0) + c1 * c2
+            self._phi[mono] = _dpoly_clean(out)
+        return self._phi[mono]
 
     def reduce(self, expr: APoly) -> DPoly:
         """Rewrite expr (mod the relation ideal) as a polynomial in the d_k."""
-        target, _ = self._ideal.reduce(self._apoly_vector(expr))
-        rest, used = self._dnf.reduce(target)
-        if rest:
-            raise NotReducible(self.W, "target not in the span of d-monomials modulo relations")
-        if len(self._dnf.rows) < len(self._dmonos):
-            raise UsageError("d-monomial images are linearly dependent; quotient not polynomial")
-        return DPoly({self._dmonos[j]: c for j, c in self._dnf.combination(used).items()})
+        out = {}
+        for (_, mono), c in expr.set_u(1).terms.items():
+            if _amono_weight(mono) > self.W:
+                raise NotReducible(self.W, f"{_amono_str((0, mono))} exceeds weight {self.W}")
+            _dpoly_addto(out, self._phi_of(mono), c)
+        if not self._consistent:
+            raise UsageError("a relation contradicts the d_k; quotient not polynomial")
+        return DPoly(out)
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
@@ -760,10 +741,6 @@ class GF2DPoly:
     def __str__(self):
         return format_sum([DPoly.monomial_str(m) or "1"
                            for m in sorted(self.monos, key=lambda m: (sum(m), m))])
-
-
-def psi_table_mod2(psi_table: dict) -> dict:
-    return {k: GF2DPoly.from_dpoly(p) for k, p in psi_table.items()}
 
 
 def spherical_search(max_weight: int, psi_table: dict):

@@ -74,6 +74,7 @@ def cmd_series(args, cfg, out):
 
 def cmd_fgl(args, cfg, out):
     if args.action == "twist":
+        _at_least("--bound", args.bound, 2)
         _at_least("--nb", args.nb, 0)
         nb = args.nb
         F = fgl.multiplicative_law(RAT, args.bound, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
@@ -172,6 +173,7 @@ def cmd_adams(args, cfg, out):
             rows.append((f"beta_{i}", str(elt)))
         _emit(rows, ["generator", "image"], cfg, out)
     elif args.action == "nki":
+        _nki_reaches(cfg, args.k, f"got --k {args.k}")
         table = adams.nki_coeffs(args.k, cfg.nki)
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
         _emit(rows, ["coefficient", "value"], cfg, out)
@@ -185,7 +187,7 @@ def cmd_adams(args, cfg, out):
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], cfg, out)
     elif args.action == "psi-dk":
         W = max(args.k, 7)
-        red = adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=cfg.nki)
+        red = _reducer(W, cfg)
         if args.level == "base":
             p = adams.psi_on_dk(args.k, red, nki_mode=cfg.nki)
         else:
@@ -198,7 +200,7 @@ def cmd_adams(args, cfg, out):
     elif args.action == "spherical":
         _at_least("--max-weight", args.max_weight, 2)
         W = args.max_weight // 2
-        red = adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=cfg.nki)
+        red = _reducer(W, cfg)
         if args.level == "thom":
             table = cannibal.thom_psi_table(W, red, theta=cannibal.theta3_direct(W),
                                             nki_mode=cfg.nki)
@@ -216,8 +218,21 @@ def cmd_adams(args, cfg, out):
     return 0
 
 
+def _nki_reaches(cfg, k, context):
+    """--nki paper has n_k^i only for k in the paper's table."""
+    if cfg.nki == "paper" and k > max(adams.NKI_PAPER):
+        raise UsageError(f"--nki paper covers k <= {max(adams.NKI_PAPER)}, {context}")
+
+
+def _reducer(W, cfg):
+    """The d_k reducer through halved weight W, which needs n_k^i for every k <= W."""
+    _nki_reaches(cfg, W, f"but this command needs the reducer through weight {W}")
+    return adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=cfg.nki)
+
+
 def cmd_cannibal(args, cfg, out):
     if args.action == "table":
+        _at_least("--bound", args.bound, 2)
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
@@ -381,8 +396,7 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        cfg = Config(bound=args.bound, precision=args.precision, mode=args.mode,
-                     nki=args.nki, fmt=args.fmt)
+        cfg = Config(precision=args.precision, mode=args.mode, nki=args.nki, fmt=args.fmt)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

@@ -12,15 +12,12 @@ RANDOM_SEED = 271828
 
 @dataclass(frozen=True)
 class Config:
-    bound: int = 12              # series truncation (weighted total degree)
     precision: int = 64          # 2-adic working precision in bits
     mode: str = "paper-box"      # CP^n substitution: paper-box | residue-exact
     nki: str = "auto"            # n_k^i source: paper | extended-gcd | auto
     fmt: str = "text"            # output: text | csv | json
 
     def __post_init__(self):
-        if self.bound < 2:
-            raise UsageError("bound must be >= 2")
         if self.precision < 16:
             raise UsageError("precision must be >= 16")
         if self.mode not in ("paper-box", "residue-exact"):

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from fglab import adams
-from fglab.adams import (APoly, DPoly, DReducer, GF2DPoly, bootstrap_lift, binom_gcd,
-                         apoly_eval, coboundary_apoly_values, dk_as_apoly,
-                         dmonomials_upto, gen_2structure_relations, in_gf2_span,
+from hypothesis import given, settings, strategies as st
+
+from fglab.adams import (APoly, DPoly, DReducer, GF2DPoly, Relation, RelationSet,
+                         bootstrap_lift, binom_gcd, apoly_eval, coboundary_apoly_values,
+                         dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          nki_coeffs, psi3_closed_coeff, psi_inv_beta, psi_inv_tensor,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_dpoly)
@@ -138,6 +139,30 @@ def canon(p):
     return str(p.set_u(1).content_normalize())
 
 
+A_MONOS = [(ue, pairs) for ue in (0, 1)
+           for pairs in ((), (((1, 1), 1),), (((1, 1), 2),), (((1, 2), 1),),
+                         (((1, 1), 1), ((1, 2), 1)), (((2, 2), 1),), (((1, 3), 2),))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(A_MONOS),
+                          st.fractions().filter(bool)), min_size=1, unique_by=lambda t: t[0]),
+       st.randoms())
+def test_content_normalize_is_canonical(terms, rnd):
+    """Coprime integer coefficients, a positive graded-lex lead, and the same
+    result whatever order the terms were built in."""
+    p = APoly(dict(terms)).content_normalize()
+    shuffled = list(terms)
+    rnd.shuffle(shuffled)
+    assert p == APoly(dict(shuffled)).content_normalize()
+    coeffs = [c for _, c in p.sorted_terms()]
+    assert all(c.denominator == 1 for c in coeffs)
+    assert gcd(*(c.numerator for c in coeffs)) == 1
+    assert coeffs[-1] > 0
+    # a rational multiple of p, scaled back to it
+    assert (p.scale(Fraction(-7, 3))).content_normalize() == p
+
+
 def test_relation_x2yz_generated(rels7):
     r = rels7.by_monomial(2, 1, 1)
     assert canon(r.poly) == "a12 - a11^2 - 3*a13 + 2*a22"
@@ -233,16 +258,16 @@ def test_reduce_fails_loudly_without_relations():
     assert red4.reduce(APoly.gen(2, 2)) == DPoly({(4,): 3, (3,): 1, (2, 2): -1})
 
 
-def test_reduce_checks_span_before_dependence(monkeypatch):
-    """With a repeated d-monomial the images are dependent: a target in their
-    span is a UsageError, a target outside it still NotReducible."""
-    monkeypatch.setattr(adams, "dmonomials_upto",
-                        lambda w, include_const=True: [(), (2,), (2,)])
-    red = DReducer(5, gen_2structure_relations(4))
+def test_reduce_checks_span_before_dependence():
+    """A false relation a13 = 0 contradicts the d_k (the quotient is not
+    polynomial): a reducible target is a UsageError, while a target that
+    needs the undetermined a23 is still NotReducible."""
+    rels = RelationSet(list(gen_2structure_relations(4)) + [Relation((1, 1, 2), APoly.gen(1, 3))])
+    red = DReducer(5, rels)
     with pytest.raises(UsageError):
         red.reduce(dk_as_apoly(2))
     with pytest.raises(NotReducible):
-        red.reduce(dk_as_apoly(3))
+        red.reduce(APoly.gen(2, 3))
 
 
 PSI_DK_COMPUTED = {

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -85,6 +86,11 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("adams", "relations", "--degree", "0"),
     ("adams", "relations", "--degree", "-2"),
     ("fgl", "cpn", "--n", "0"),
+    ("fgl", "twist", "--bound", "0"),
+    ("cannibal", "table", "--bound", "-1"),
+    ("adams", "psi-dk", "--k", "12", "--nki", "paper"),
+    ("adams", "spherical", "--max-weight", "22", "--nki", "paper"),
+    ("adams", "nki", "--k", "11", "--nki", "paper"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -170,3 +176,12 @@ def test_nki_defaults_to_auto(capsys):
     assert (code, out) == run(capsys, *argv, "--nki", "auto")[:2]
     code, out, _ = run(capsys, "adams", "psi-dk", "--k", "11")
     assert code == 0 and out.startswith("generator")
+
+
+def test_psi_dk_16_matches_pinned_output(capsys):
+    """psi^(1/3) d16 at the Thom level, byte for byte as the earlier
+    global-echelon reducer printed it."""
+    code, out, _ = run(capsys, "adams", "psi-dk", "--level", "thom", "--k", "16", "--nki", "auto")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "069b64fa4896250553fdb57734ea71885ca77da452759cb922b1b7e2f36144c5")

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.adams import DPoly, nki_coeffs, psi_on_dk, psi_power_coeff
+from hypothesis import given, settings, strategies as st
+
+from fglab.adams import APoly, DPoly, nki_coeffs, psi_on_dk, psi_power_coeff
 from fglab.cannibal import theta3_closed
 
 from oracle_bu import BUOracle
@@ -52,6 +54,32 @@ def test_reducer_matches_oracle_through_weight_10(reducer10, oracle10):
         want = oracle10.psi_dk_coords(k)
         assert want is not None, k
         assert psi_on_dk(k, reducer10) == DPoly(want), k
+
+
+A_GENS = [(i, j) for i in range(1, 6) for j in range(i, 11 - i)]
+
+
+@st.composite
+def targets_upto_10(draw):
+    """A rational combination of a-monomials of halved weight <= 10."""
+    total = APoly.zero()
+    for _ in range(draw(st.integers(1, 4))):
+        mono, weight = APoly.const(draw(st.fractions(max_denominator=9).filter(bool))), 0
+        for i, j in draw(st.lists(st.sampled_from(A_GENS), min_size=1, max_size=4)):
+            if weight + i + j <= 10:
+                mono, weight = mono * APoly.gen(i, j), weight + i + j
+        total = total + mono
+    return total
+
+
+@settings(max_examples=12, deadline=None)
+@given(targets_upto_10())
+def test_reduce_matches_oracle_on_random_targets(reducer10, oracle10, target):
+    """The substitution reducer and the classifying-space model's own
+    coordinate solve agree on arbitrary targets, not only on psi(d_k)."""
+    want = oracle10.solve_in_d(oracle10.eval_apoly(target), 10)
+    assert want is not None
+    assert reducer10.reduce(target) == DPoly(want)
 
 
 def test_thom_matches_oracle(reducer10, thom_table10, oracle10):
