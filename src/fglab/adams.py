@@ -353,10 +353,6 @@ class DPoly:
                 clean[m] = clean.get(m, Fraction(0)) + c
         self.terms = {m: c for m, c in clean.items() if c}
 
-    @classmethod
-    def gen(cls, k):
-        return cls({(k,): 1})
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, c in other.terms.items():

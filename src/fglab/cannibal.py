@@ -17,8 +17,6 @@ from .errors import EvenK, IndexOutOfRange
 from .rings import RAT
 from .series import MultiSeries, geometric
 
-Rat = Fraction
-
 
 class ThetaGenSeq:
     """t_k coefficients of 1/(3 - 3x + x^2), by the recurrence."""

@@ -14,8 +14,6 @@ from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
 from .series import format_product
 
-Rat = Fraction
-
 
 class ProjProduct:
     """CP^(n1) x ... x CP^(nr), dims sorted for a canonical key."""

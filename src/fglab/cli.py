@@ -138,7 +138,10 @@ def cmd_chern(args, cfg, out):
         rows = [(f"v{i+1}", *[str(x) for x in v]) for i, v in enumerate(ns)]
         _emit(rows, ["vector"] + [b.label() for b in basis], cfg, out)
     elif args.action == "todd":
-        vals = [Fraction(v) for v in args.inputs.split(",")]
+        try:
+            vals = [Fraction(v) for v in args.inputs.split(",")]
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--inputs expects comma-separated rationals, got {args.inputs!r}") from None
         if len(vals) != 5:
             raise UsageError("todd expects c1^4,c1c3,c1^2c2,c2^2,c4")
         t4 = chern.todd_t4(*vals)

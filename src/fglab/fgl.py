@@ -15,14 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import (
-    AxiomViolation,
-    DivisionUndefined,
-    NotStrict,
-    UnsupportedDimension,
-    UsageError,
-    VariableMismatch,
-)
+from .errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
 from .rings import RAT
 from .series import MultiSeries
 
@@ -41,17 +34,7 @@ class FGL:
 
     def __init__(self, law: MultiSeries):
         self.law = law
-        ix, iy = law._var_index(X), law._var_index(Y)
-        groups = {}
-        for exp, c in law.terms.items():
-            i, j = exp[ix], exp[iy]
-            if i >= 1 and j >= 1:
-                rest = list(exp)
-                rest[ix] = 0
-                rest[iy] = 0
-                groups.setdefault((i, j), {})[tuple(rest)] = c
-        self._table = {key: MultiSeries(law.ring, law.vars, terms, law.bound, law.weights)
-                       for key, terms in groups.items()}
+        self._table = {key: part for key, part in law.split((X, Y)).items() if min(key) >= 1}
 
     def coeff_table(self):
         """a_ij from F = x + y + sum_{i,j>=1} a_ij x^i y^j, as {(i, j): series}."""
@@ -62,21 +45,6 @@ class FGL:
         if got is None:
             return MultiSeries.zero(self.law.ring, self.law.vars, self.law.bound, self.law.weights)
         return got
-
-
-def _lift_to_tri(series, bound):
-    """Relabel a bivariate law ambient (x,y,sym...) into (x,y,z,sym...)."""
-    vars3 = ("x", "y", "z") + tuple(v for v in series.vars if v not in ("x", "y"))
-    weights3 = (1, 1, 1) + tuple(w for v, w in zip(series.vars, series.weights)
-                                 if v not in ("x", "y"))
-    terms = {}
-    pos = [vars3.index(v) for v in series.vars]
-    for exp, c in series.terms.items():
-        t = [0] * len(vars3)
-        for i, e in enumerate(exp):
-            t[pos[i]] = e
-        terms[tuple(t)] = c
-    return MultiSeries(series.ring, vars3, terms, bound, weights3)
 
 
 def fgl_check(F: MultiSeries) -> FGL:
@@ -113,9 +81,11 @@ def fgl_check(F: MultiSeries) -> FGL:
     if not diff.is_zero():
         exp, _ = diff.sorted_terms()[0]
         raise AxiomViolation("commutativity", diff.monomial_str(exp))
-    # associativity, in a trivariate ambient one order below the bound
+    # associativity, in the ambient (x, y, z, symbols...) one order below the bound
     bound3 = None if F.bound is None else F.bound - 1
-    F3 = _lift_to_tri(F, bound3)
+    symbols = [(v, w) for v, w in zip(F.vars, F.weights) if v not in (X, Y)]
+    F3 = F.embed((X, Y, "z") + tuple(v for v, _ in symbols),
+                 (1, 1, 1) + tuple(w for _, w in symbols), bound3)
     xv = MultiSeries.var(ring, F3.vars, "x", bound3, F3.weights)
     yv = MultiSeries.var(ring, F3.vars, "y", bound3, F3.weights)
     zv = MultiSeries.var(ring, F3.vars, "z", bound3, F3.weights)
@@ -211,18 +181,7 @@ def fgl_log(F: MultiSeries) -> MultiSeries:
     Q-algebra coefficient ring.
     """
     dFdy = F.partial(Y).coeff_in_var(Y, 0).drop_vars((Y,))
-    rec = dFdy.reciprocal()
-    terms = {}
-    ix = rec._var_index(X)
-    ring = rec.ring
-    for exp, c in rec.terms.items():
-        e = exp[ix]
-        try:
-            f = ring.invert(ring.from_int(e + 1))
-        except DivisionUndefined:
-            raise DivisionUndefined("fgl_log needs a Q-algebra") from None
-        terms[exp[:ix] + (e + 1,) + exp[ix + 1:]] = c * f
-    return MultiSeries(ring, rec.vars, terms, rec.bound, rec.weights)
+    return dFdy.reciprocal().integrate_strict(X)
 
 
 def fgl_exp(F: MultiSeries) -> MultiSeries:
@@ -256,17 +215,7 @@ def fgl_binom(F: MultiSeries, k: int) -> dict:
     """
     if k < 0:
         raise UsageError("k must be >= 0")
-    Fk = F ** k
-    ix, iy = Fk._var_index(X), Fk._var_index(Y)
-    out = {}
-    for exp, c in Fk.terms.items():
-        i, j = exp[ix], exp[iy]
-        rest = list(exp)
-        rest[ix] = rest[iy] = 0
-        key = (i, j)
-        term = MultiSeries(Fk.ring, Fk.vars, {tuple(rest): c}, Fk.bound, Fk.weights)
-        out[key] = out.get(key, MultiSeries.zero(Fk.ring, Fk.vars, Fk.bound, Fk.weights)) + term
-    return out
+    return (F ** k).split((X, Y))
 
 
 # -- projective spaces in the a_ij coordinates ---------------------------------
@@ -325,27 +274,14 @@ def cpn_in_a(n: int, mode: str = "paper-box", bound=None):
         exp[svars.index(a_var(1, i))] = 1
         terms[tuple(exp)] = ring.one
     R = MultiSeries(ring, svars, terms, n, sweights).reciprocal()
-    out = {}
-    for exp, c in R.terms.items():
-        if exp[0] == n:
-            out[exp[1:]] = c
-    return MultiSeries(ring, vars_, out, bound, weights)
+    return R.coeff_in_var("#s", n).embed(vars_, weights, bound)
 
 
 def cpn_box_diff(n: int):
     """paper-box minus residue-exact, in the shared a-ambient."""
     box = cpn_in_a(n, "paper-box")
     res = cpn_in_a(n, "residue-exact")
-    if res.vars != box.vars:
-        terms = {}
-        pos = [box.vars.index(v) for v in res.vars]
-        for exp, c in res.terms.items():
-            t = [0] * len(box.vars)
-            for i, e in enumerate(exp):
-                t[pos[i]] = e
-            terms[tuple(t)] = c
-        res = MultiSeries(box.ring, box.vars, terms, box.bound, box.weights)
-    return box - res
+    return box - res.embed(box.vars, box.weights, box.bound)
 
 
 # -- bordism expressions --------------------------------------------------------
@@ -409,6 +345,8 @@ class BordismExpr:
                 return
             if expect_factor or not factors:
                 raise UsageError(f"dangling operator or bare coefficient in {text!r}")
+            if len(factors) > 1 and any(isinstance(f, str) for f in factors):
+                raise UsageError(f"a built-in cannot appear in a product ({text!r})")
             c = Fraction(sign) * (coeff if coeff is not None else Fraction(1))
             if len(factors) == 1 and isinstance(factors[0], str):
                 name = factors[0]
@@ -456,6 +394,8 @@ class BordismExpr:
                 n = int(t[2:])
                 power = 1
                 if i + 2 < len(tokens) and tokens[i + 1] == "^":
+                    if not tokens[i + 2].isdigit():
+                        raise UsageError(f"exponent of {t} must be a whole number in {text!r}")
                     power = int(tokens[i + 2])
                     i += 2
                 factors.append((n,) * power)
@@ -480,22 +420,14 @@ def miscenko_image(expr: BordismExpr, twisted: MultiSeries, mode="paper-box") ->
     Each CP^n maps to its a-polynomial with a_{1,i} replaced by the twisted
     law's coefficient of x y^i; products multiply, weights act linearly.
     """
-    law = FGL(twisted)
-    table = law.coeff_table()
+    table = FGL(twisted).coeff_table()
     ring = twisted.ring
-    target_vars = tuple(v for v in twisted.vars if v not in (X, Y))
-    target_weights = tuple(w for v, w in zip(twisted.vars, twisted.weights)
-                           if v not in (X, Y))
-    target = MultiSeries.zero(ring, target_vars, twisted.bound, target_weights)
+    # the symbol ambient: the twisted law's variables without x and y
+    target = MultiSeries.zero(ring, twisted.vars, twisted.bound, twisted.weights).drop_vars((X, Y))
 
     def aimg(i):
         got = table.get((1, i)) or table.get((i, 1))
-        if got is None:
-            return MultiSeries.zero(ring, target_vars, twisted.bound, target_weights)
-        terms = {}
-        for exp, c in got.terms.items():
-            terms[tuple(e for v, e in zip(twisted.vars, exp) if v not in (X, Y))] = c
-        return MultiSeries(ring, target_vars, terms, twisted.bound, target_weights)
+        return target if got is None else got.drop_vars((X, Y))
 
     cache = {}
 
@@ -508,8 +440,8 @@ def miscenko_image(expr: BordismExpr, twisted: MultiSeries, mode="paper-box") ->
 
     out = target
     for key, w in expr.terms.items():
-        piece = MultiSeries.constant(ring, target_vars, ring.from_rat(w),
-                                     twisted.bound, target_weights)
+        piece = MultiSeries.constant(ring, target.vars, ring.from_rat(w),
+                                     target.bound, target.weights)
         for n in key:
             piece = piece * cp(n)
         out = out + piece

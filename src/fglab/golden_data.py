@@ -104,12 +104,7 @@ def compute_twist_images():
     law = fgl.FGL(_twisted_law())
     out = {}
     for (i, j) in [(1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]:
-        img = law.a(i, j)
-        target = MultiSeries(img.ring, tuple(v for v in img.vars if v not in ("x", "y")),
-                             {tuple(e for v, e in zip(img.vars, exp) if v not in ("x", "y")): c
-                              for exp, c in img.terms.items()}, img.bound,
-                             tuple(w for v, w in zip(img.vars, img.weights) if v not in ("x", "y")))
-        out.update(_cells(f"a{i}{j}", target))
+        out.update(_cells(f"a{i}{j}", law.a(i, j).drop_vars(("x", "y"))))
     return out
 
 

@@ -19,8 +19,6 @@ from .errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from .rings import Padic2, padic_from_rat, padic_log
 from .series import format_sum
 
-Rat = Fraction
-
 
 class NumPoly:
     """Finite coefficient vector in the binomial basis C(T, i)."""

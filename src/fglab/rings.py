@@ -20,10 +20,6 @@ from .errors import DivisionUndefined, NotAUnit, NotInDomain, PrecisionTooLow
 Rat = Fraction  # reduced numerator/denominator invariants come for free
 
 
-def rat(num, den=1) -> Rat:
-    return Fraction(num, den)
-
-
 def val2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:

@@ -64,9 +64,6 @@ class MultiSeries:
     def _wdeg(self, exp):
         return sum(e * w for e, w in zip(exp, self.weights))
 
-    def weighted_degree(self, exp):
-        return self._wdeg(exp)
-
     def _check_compat(self, other):
         if self.ring != other.ring:
             raise VariableMismatch(f"coefficient rings differ: {self.ring} vs {other.ring}")
@@ -108,19 +105,6 @@ class MultiSeries:
         exp = tuple(power if v == name else 0 for v in vs)
         return cls(ring, vs, {exp: ring.one}, bound, weights)
 
-    @classmethod
-    def from_coeff_map(cls, ring, varnames, mapping, bound=None, weights=None):
-        """Build from {(exponents as kwargs-like dict or tuple): coeff}."""
-        vs = tuple(varnames)
-        terms = {}
-        for key, c in mapping.items():
-            if isinstance(key, dict):
-                exp = tuple(key.get(v, 0) for v in vs)
-            else:
-                exp = tuple(key)
-            terms[exp] = c
-        return cls(ring, vs, terms, bound, weights)
-
     def coefficient(self, exp):
         return self.terms.get(tuple(exp), self.ring.zero)
 
@@ -133,9 +117,6 @@ class MultiSeries:
 
     def is_zero(self):
         return not self.terms
-
-    def max_wdeg(self):
-        return max((self._wdeg(e) for e in self.terms), default=0)
 
     def min_pos_wdeg_ok(self):
         return all(self._wdeg(e) > 0 for e in self.terms)
@@ -249,24 +230,36 @@ class MultiSeries:
                 terms[exp[:idx] + (0,) + exp[idx + 1:]] = c
         return self._bare(terms)
 
-    def _carry_into(self, var, target):
-        """Embed self (support free of ``var``) into target's ambient by name."""
-        idx = self._var_index(var) if var in self.vars else None
-        pos = {}
-        for i, v in enumerate(self.vars):
-            if v == var:
-                continue
-            pos[i] = target._var_index(v)
+    def split(self, names):
+        """Group the terms by their exponents in the named variables.
+
+        Returns {exponents in ``names``: series of those terms with the named
+        variables zeroed}, all in self's ambient.  The parts are not
+        re-truncated, so the sum of part * prod(name^e) gives back self.
+        """
+        idxs = [self._var_index(v) for v in names]
+        groups = {}
+        for exp, c in self.terms.items():
+            rest = list(exp)
+            for i in idxs:
+                rest[i] = 0
+            groups.setdefault(tuple(exp[i] for i in idxs), {})[tuple(rest)] = c
+        return {key: self._bare(terms) for key, terms in groups.items()}
+
+    def embed(self, varnames, weights, bound):
+        """The same terms in the ambient (varnames, weights, bound), matching
+        variables by name.  A variable the target lacks must not occur."""
+        index = {v: j for j, v in enumerate(varnames)}
         terms = {}
         for exp, c in self.terms.items():
-            if idx is not None and exp[idx] != 0:
-                raise VariableMismatch("internal: spine variable still present")
-            t = [0] * len(target.vars)
-            for i, e in enumerate(exp):
-                if e and i != idx:
-                    t[pos[i]] = e
+            t = [0] * len(index)
+            for v, e in zip(self.vars, exp):
+                if e:
+                    if v not in index:
+                        raise VariableMismatch(f"variable {v!r} occurs in {exp}")
+                    t[index[v]] = e
             terms[tuple(t)] = c
-        return MultiSeries(target.ring, target.vars, terms, target.bound, target.weights)
+        return MultiSeries(self.ring, varnames, terms, bound, weights)
 
     def substitute(self, replacements: dict):
         """Simultaneous substitution var -> series, all over one target ambient.
@@ -317,16 +310,13 @@ class MultiSeries:
         """
         if not inner.ring.is_zero(inner.constant_term()):
             raise NonzeroConstantTerm("inner series has nonzero constant term")
-        idx = self._var_index(var)
-        deg = max((e[idx] for e in self.terms), default=0)
-        layers = [{} for _ in range(deg + 1)]
-        for exp, c in self.terms.items():
-            rest = exp[:idx] + (0,) + exp[idx + 1:]
-            layers[exp[idx]][rest] = c
+        layers = self.split((var,))
         out = MultiSeries.zero(inner.ring, inner.vars, inner.bound, inner.weights)
-        for k in range(deg, -1, -1):
-            layer = MultiSeries(self.ring, self.vars, layers[k], self.bound, self.weights)
-            out = out * inner + layer._carry_into(var, inner)
+        for k in range(max((k for (k,) in layers), default=0), -1, -1):
+            out = out * inner
+            layer = layers.get((k,))
+            if layer is not None:
+                out = out + layer.embed(inner.vars, inner.weights, inner.bound)
         return out
 
     def comp_inverse(self, var):
@@ -428,16 +418,8 @@ class MultiSeries:
 
     def drop_vars(self, names):
         """Remove variables that occur with exponent zero in every term."""
-        names = set(names)
-        idxs = [i for i, v in enumerate(self.vars) if v in names]
-        for exp in self.terms:
-            for i in idxs:
-                if exp[i] != 0:
-                    raise VariableMismatch(f"variable {self.vars[i]!r} occurs in {exp}")
-        keep = [i for i in range(len(self.vars)) if i not in idxs]
-        return MultiSeries(self.ring, [self.vars[i] for i in keep],
-                           {tuple(e[i] for i in keep): c for e, c in self.terms.items()},
-                           self.bound, [self.weights[i] for i in keep])
+        keep = [(v, w) for v, w in zip(self.vars, self.weights) if v not in names]
+        return self.embed([v for v, _ in keep], [w for _, w in keep], self.bound)
 
     # -- equality / display --------------------------------------------------
 
@@ -600,13 +582,8 @@ def residue_inverse_coeff(g, var, n):
         k = exp[idx]
         rest = exp[:idx] + (0,) + exp[idx + 1:]
         b_terms[(k - 1,) + rest] = c
-    B = MultiSeries(ring, svars, b_terms, n, sweights)
-    P = B.reciprocal() ** (n + 1)
-    terms = {}
-    for exp, c in P.terms.items():
-        if exp[0] == n:
-            terms[exp[1:]] = c * inv_n1
-    return MultiSeries(ring, g.vars, terms, g.bound, g.weights)
+    P = MultiSeries(ring, svars, b_terms, n, sweights).reciprocal() ** (n + 1)
+    return P.coeff_in_var("#s", n).embed(g.vars, g.weights, g.bound).scale(inv_n1)
 
 
 def degree_part(a, d, grades=None):

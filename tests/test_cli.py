@@ -76,6 +76,11 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("mahler", "matrix", "--imax", "-1"),
     ("fgl", "miscenko", "--expr", "CP4+"),
     ("fgl", "miscenko", "--expr", "CP4-"),
+    ("fgl", "miscenko", "--expr", "CP1^x"),
+    ("fgl", "miscenko", "--expr", "CP1^-1"),
+    ("fgl", "miscenko", "--expr", "K3SQxCP2"),
+    ("chern", "todd", "--inputs", "1,2,3,4,x"),
+    ("chern", "todd", "--inputs", "1/0,1,1,1,1"),
     ("adams", "spherical", "--max-weight", "0"),
     ("fgl", "twist", "--nb", "-1"),
     ("cannibal", "closed", "--m", "-1"),

@@ -313,3 +313,69 @@ def test_substitute_simultaneous():
     y = MultiSeries.var(RAT, vars_, "y", 6)
     swapped = F.substitute({"x": y, "y": x})
     assert swapped == F  # symmetric law
+
+
+@st.composite
+def ambient_series(draw):
+    """One series over 1-3 variables x0.. with weights in {0, 1, 2}, bound None
+    or 0..8, coefficients in RAT or GF2."""
+    ring = draw(st.sampled_from([RAT, GF2]))
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    bound = draw(st.one_of(st.none(), st.integers(0, 8)))
+    if ring is RAT:
+        coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    else:
+        coeffs = st.integers(0, 1).map(GF2Elt)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * n), coeffs, max_size=8))
+    return MultiSeries(ring, [f"x{i}" for i in range(n)], terms, bound, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_series(), st.data())
+def test_split_parts_sum_back(s, data):
+    names = data.draw(st.lists(st.sampled_from(s.vars), unique=True))
+    total = MultiSeries.zero(s.ring, s.vars, s.bound, s.weights)
+    for key, part in s.split(names).items():
+        powers = dict(zip(names, key))
+        mono = tuple(powers.get(v, 0) for v in s.vars)
+        assert part.terms and not any(e[s.vars.index(v)] for e in part.terms for v in names)
+        total = total + part * MultiSeries(s.ring, s.vars, {mono: s.ring.one}, s.bound, s.weights)
+    assert total == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_series(), st.data())
+def test_embed_then_drop_is_identity(s, data):
+    vars_, weights = list(s.vars), list(s.weights)
+    extra = data.draw(st.lists(st.sampled_from(["e0", "e1"]), unique=True))
+    for name in extra:
+        at = data.draw(st.integers(0, len(vars_)))
+        vars_.insert(at, name)
+        weights.insert(at, data.draw(st.sampled_from([0, 1, 2])))
+    big = s.embed(vars_, weights, s.bound)
+    assert big.vars == tuple(vars_) and len(big.terms) == len(s.terms)
+    assert big.drop_vars(extra) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(ambient_series(), st.data())
+def test_embed_rejects_a_dropped_variable_that_occurs(s, data):
+    gone = data.draw(st.sampled_from(s.vars))
+    kept = [(v, w) for v, w in zip(s.vars, s.weights) if v != gone]
+    target = ([v for v, _ in kept], [w for _, w in kept], s.bound)
+    if any(e[s.vars.index(gone)] for e in s.terms):
+        with pytest.raises(VariableMismatch, match=f"variable '{gone}' occurs in"):
+            s.embed(*target)
+    else:
+        assert s.embed(*target) == s.drop_vars((gone,))
+
+
+def test_compose_carries_outer_by_name():
+    """An outer variable that occurs nowhere need not exist in the inner ambient;
+    a ring mismatch between outer and inner raises."""
+    outer = MultiSeries(RAT, ("x", "w"), {(1, 0): Fraction(1), (2, 0): Fraction(3)}, 6)
+    inner = uni({1: 1, 2: -1}, 6)
+    assert series_compose(outer, "x", inner) == inner + (inner * inner).scale(Fraction(3))
+    with pytest.raises(VariableMismatch, match="coefficient rings differ"):
+        series_compose(outer.map_coefficients(gf2_from_rat, GF2), "x", inner)
