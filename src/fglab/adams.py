@@ -250,7 +250,8 @@ class APoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {m: Fraction(c) for m, c in (terms or {}).items() if c}
+        self.terms = {m: c if type(c) is Fraction else Fraction(c)
+                      for m, c in (terms or {}).items() if c}
 
     @classmethod
     def zero(cls):
@@ -284,7 +285,7 @@ class APoly:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         return APoly({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):
@@ -348,9 +349,10 @@ class DPoly:
             m = tuple(sorted(m))
             if any(k < 2 for k in m):
                 raise UsageError(f"d-index < 2 in {m}")
-            c = Fraction(c)
             if c:
-                clean[m] = clean.get(m, Fraction(0)) + c
+                c = c if type(c) is Fraction else Fraction(c)
+                s = clean.get(m)
+                clean[m] = c if s is None else s + c
         self.terms = {m: c for m, c in clean.items() if c}
 
     def __add__(self, other):
@@ -367,7 +369,7 @@ class DPoly:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = c if type(c) is Fraction else Fraction(c)
         return DPoly({m: c * v for m, v in self.terms.items()})
 
     def __mul__(self, other):

@@ -391,11 +391,13 @@ class BordismExpr:
                     raise UsageError(f"stray 'x' in {text!r}")
                 expect_factor = True
             elif t.startswith("CP"):
+                if factors and not expect_factor:
+                    raise UsageError(f"missing 'x' before {t} in {text!r}")
                 n = int(t[2:])
                 power = 1
                 if i + 2 < len(tokens) and tokens[i + 1] == "^":
-                    if not tokens[i + 2].isdigit():
-                        raise UsageError(f"exponent of {t} must be a whole number in {text!r}")
+                    if not tokens[i + 2].isdigit() or int(tokens[i + 2]) < 1:
+                        raise UsageError(f"exponent of {t} must be a whole number >= 1 in {text!r}")
                     power = int(tokens[i + 2])
                     i += 2
                 factors.append((n,) * power)

@@ -14,6 +14,7 @@ All scalar values are immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import DivisionUndefined, NotAUnit, NotInDomain, PrecisionTooLow
 
@@ -185,6 +186,12 @@ def gf2_from_rat(q: Fraction) -> GF2Elt:
 # A ring descriptor carries the constants and the few operations that are
 # not expressible through element operators (inversion, conversions,
 # serialization).  Elements themselves implement +, -, *.
+#
+# ``lift``/``lower`` frame the series product's pair loop.  ``lift`` maps an
+# operand's coefficients to values the loop multiplies and adds (each
+# coefficient is value/scale, one scale per operand); a value of truth
+# False must be a zero.  ``lower`` turns the loop's sums back into nonzero
+# coefficients, given the product of the two scales.
 
 
 class RatRing:
@@ -206,6 +213,19 @@ class RatRing:
         if a == 0:
             raise DivisionUndefined("division by zero in Q")
         return 1 / Fraction(a)
+
+    def lift(self, coeffs):
+        """Python ints over one common denominator: the lcm of the coefficients'."""
+        den = lcm(*(c.denominator for c in coeffs))
+        if den == 1:
+            return [c.numerator for c in coeffs], 1
+        return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+    def lower(self, sums, den):
+        """One Fraction per sum; the loop has already dropped the zero sums."""
+        if den == 1:
+            return {e: Fraction(s) for e, s in sums.items()}
+        return {e: Fraction(s, den) for e, s in sums.items()}
 
     def coeff_to_json(self, a):
         return str(a.numerator), str(a.denominator)
@@ -242,6 +262,12 @@ class GF2Ring:
         if a.v == 0:
             raise DivisionUndefined("division by zero in GF(2)")
         return GF2Elt(1)
+
+    def lift(self, coeffs):
+        return coeffs, 1
+
+    def lower(self, sums, scale):
+        return sums
 
     def coeff_to_json(self, a):
         return str(a.v), "1"
@@ -282,6 +308,13 @@ class Padic2Ring:
 
     def invert(self, a):
         return a.inverse()
+
+    def lift(self, coeffs):
+        return coeffs, 1
+
+    def lower(self, sums, scale):
+        """Drop the sums that vanish only at the ring's precision, below their own."""
+        return {e: s for e, s in sums.items() if not self.is_zero(s)}
 
     def coeff_to_json(self, a):
         return str(a.value), "1"

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
 from math import inf
-from operator import add, itemgetter
+from operator import add, itemgetter, mul
 
 from .errors import (
     BoundMismatch,
@@ -35,8 +36,25 @@ from .errors import (
 from .rings import RAT
 
 
+@lru_cache(maxsize=256)
+def _degree_fn(weights):
+    """exponent vector -> weighted degree for one weights tuple, reading only
+    the positions of nonzero weight (often a few of dozens of variables)."""
+    nonzero = [(i, w) for i, w in enumerate(weights) if w]
+    if not nonzero:
+        return lambda exp: 0
+    if len(nonzero) == 1:
+        (i, w), = nonzero
+        return lambda exp: exp[i] * w
+    pick = itemgetter(*(i for i, _ in nonzero))
+    ws = tuple(w for _, w in nonzero)
+    if all(w == 1 for w in ws):
+        return lambda exp: sum(pick(exp))
+    return lambda exp: sum(map(mul, pick(exp), ws))
+
+
 class MultiSeries:
-    __slots__ = ("ring", "vars", "weights", "bound", "terms")
+    __slots__ = ("ring", "vars", "weights", "bound", "terms", "_wdeg")
 
     def __init__(self, ring, varnames, terms=None, bound=None, weights=None):
         self.ring = ring
@@ -47,6 +65,7 @@ class MultiSeries:
         if len(self.weights) != len(self.vars):
             raise VariableMismatch("weights/vars length mismatch")
         self.bound = bound
+        self._wdeg = deg = _degree_fn(self.weights)
         clean = {}
         for exp, c in (terms or {}).items():
             exp = tuple(exp)
@@ -54,15 +73,12 @@ class MultiSeries:
                 raise VariableMismatch(f"exponent {exp} has wrong arity for {self.vars}")
             if ring.is_zero(c):
                 continue
-            if bound is not None and self._wdeg(exp) > bound:
+            if bound is not None and deg(exp) > bound:
                 continue
             clean[exp] = c
         self.terms = clean
 
     # -- basics --------------------------------------------------------------
-
-    def _wdeg(self, exp):
-        return sum(e * w for e, w in zip(exp, self.weights))
 
     def _check_compat(self, other):
         if self.ring != other.ring:
@@ -81,6 +97,7 @@ class MultiSeries:
     def _bare(self, terms):
         out = MultiSeries.__new__(MultiSeries)
         out.ring, out.vars, out.weights, out.bound = self.ring, self.vars, self.weights, self.bound
+        out._wdeg = self._wdeg
         out.terms = terms
         return out
 
@@ -143,29 +160,34 @@ class MultiSeries:
         return self + (-other)
 
     def __mul__(self, other):
+        """Truncated product.  The pair loop runs on the ring's lifted values
+        (Python ints over Q: each operand scaled once by the lcm of its
+        denominators), and each surviving sum is lowered back once."""
         self._check_compat(other)
         ring = self.ring
-        bound = self.bound
         left, right = (other, self) if len(self.terms) > len(other.terms) else (self, other)
         wd = self._wdeg
+        lvals, lscale = ring.lift(left.terms.values())
+        rvals, rscale = ring.lift(right.terms.values())
         # Right-hand terms by ascending weighted degree: a left term of degree
         # d1 pairs only with a prefix of them, the ones of degree <= bound - d1.
-        by_degree = sorted(((wd(e), e, c) for e, c in right.terms.items()), key=itemgetter(0))
+        by_degree = sorted(zip(map(wd, right.terms), right.terms, rvals), key=itemgetter(0))
+        bound = inf if self.bound is None else self.bound
         terms = {}
-        for e1, c1 in left.terms.items():
-            room = inf if bound is None else bound - wd(e1)
+        get = terms.get
+        for e1, c1 in zip(left.terms, lvals):
+            room = bound - wd(e1)
             for d2, e2, c2 in by_degree:
                 if d2 > room:
                     break
                 exp = tuple(map(add, e1, e2))
-                c = c1 * c2
-                s = terms.get(exp)
-                s = c if s is None else s + c
-                if ring.is_zero(s):
-                    terms.pop(exp, None)
-                else:
+                s = get(exp)
+                s = c1 * c2 if s is None else s + c1 * c2
+                if s:
                     terms[exp] = s
-        return self._bare(terms)
+                else:
+                    terms.pop(exp, None)
+        return self._bare(ring.lower(terms, lscale * rscale))
 
     def scale(self, c):
         ring = self.ring

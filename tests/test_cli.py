@@ -104,6 +104,17 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     assert err.startswith("usage error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr", [
+    "CP2CP3", "CP2 CP2", "CP2^2CP1", "N CP2", "CP1^0", "CP1^0xCP3", "CP2xCP1^00",
+])
+def test_bordism_expr_outside_the_grammar_is_usage_error(capsys, expr):
+    """Factors need an x between them, and an exponent is at least 1."""
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error") and "Traceback" not in err
+
+
 def test_mahler_matrix_csv(capsys):
     code, out, _ = run(capsys, "mahler", "matrix", "--k", "3", "--imax", "4",
                        "--format", "csv")

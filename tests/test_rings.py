@@ -154,3 +154,34 @@ def test_equal_values_have_equal_hashes(pair):
     assert (a == b) == (b == a)
     if a == b:
         assert hash(a) == hash(b)
+
+
+# -- ring axioms ----------------------------------------------------------------
+
+rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+gf2s = st.integers(0, 1).map(GF2Elt)
+
+
+def exact(v):
+    """A Padic2 as (value, precision): its == is congruence at the lower precision."""
+    return (v.value, v.precision) if isinstance(v, Padic2) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(rats, rats, rats), st.tuples(gf2s, gf2s, gf2s),
+                 st.tuples(padics, padics, padics)))
+def test_scalar_ring_axioms(triple):
+    a, b, c = triple
+    assert exact(a + b) == exact(b + a)
+    assert exact(a * b) == exact(b * a)
+    assert exact((a + b) + c) == exact(a + (b + c))
+    assert exact((a * b) * c) == exact(a * (b * c))
+    assert exact(a * (b + c)) == exact(a * b + a * c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(padics, padics)
+def test_padic_precision_is_the_minimum(a, b):
+    low = min(a.precision, b.precision)
+    assert (a + b).precision == (a - b).precision == (a * b).precision == low
+    assert (-a).precision == a.precision

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fglab.config import RANDOM_SEED
 from fglab.errors import (BoundMismatch, NonUnitConstantTerm, NonzeroConstantTerm,
                           NotStrict, VariableMismatch)
-from fglab.rings import GF2, RAT, GF2Elt, gf2_from_rat
+from fglab.rings import GF2, RAT, GF2Elt, Padic2, Padic2Ring, gf2_from_rat
 from fglab.series import (MultiSeries, exp_series, log1p_series, residue_inverse_coeff,
                           series_arith, series_comp_inverse, series_compose,
                           series_reciprocal)
@@ -379,3 +379,127 @@ def test_compose_carries_outer_by_name():
     assert series_compose(outer, "x", inner) == inner + (inner * inner).scale(Fraction(3))
     with pytest.raises(VariableMismatch, match="coefficient rings differ"):
         series_compose(outer.map_coefficients(gf2_from_rat, GF2), "x", inner)
+
+
+# -- the product's integer kernel -------------------------------------------
+
+
+@st.composite
+def kernel_pairs(draw, rings=(RAT, GF2, Padic2Ring(6))):
+    """Two series in one ambient of 1-4 variables with weights in {-1, 0, 1, 2},
+    bound None or 0..8.  RAT coefficients have denominators up to 12 and either
+    sign; Padic2 operands each carry one precision of their own, at most two
+    bits above the ring's, and values of high 2-adic valuation."""
+    ring = draw(st.sampled_from(rings))
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.sampled_from([-1, 0, 1, 2]), min_size=n, max_size=n))
+    bound = draw(st.one_of(st.none(), st.integers(0, 8)))
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+
+    def one():
+        if ring is RAT:
+            coeffs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+        elif ring is GF2:
+            coeffs = st.integers(0, 1).map(GF2Elt)
+        else:
+            prec = draw(st.integers(1, 8))
+            coeffs = st.builds(lambda v, k: Padic2(v << k, prec), st.integers(-9, 9),
+                               st.integers(0, 4))
+        terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+        return MultiSeries(ring, [f"x{i}" for i in range(n)], terms, bound, weights)
+
+    return one(), one()
+
+
+def naive_product(a, b):
+    """All pairs in Fraction (or element) arithmetic, then truncated and the
+    zeros dropped here, independently of the series engine."""
+    naive = {}
+    for e1, c1 in a.terms.items():
+        for e2, c2 in b.terms.items():
+            exp = tuple(x + y for x, y in zip(e1, e2))
+            naive[exp] = naive[exp] + c1 * c2 if exp in naive else c1 * c2
+    out = MultiSeries.zero(a.ring, a.vars, a.bound, a.weights)
+    out.terms = {e: c for e, c in naive.items() if not a.ring.is_zero(c)
+                 and (a.bound is None or sum(x * w for x, w in zip(e, a.weights)) <= a.bound)}
+    return out
+
+
+def exact_terms(s):
+    """Terms with each coefficient as its exact representation: Padic2 equality
+    is congruence at the lower precision, so compare (value, precision)."""
+    if s.ring.name == "padic2":
+        return {e: (c.value, c.precision) for e, c in s.terms.items()}
+    return {e: (type(c), c) for e, c in s.terms.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_pairs())
+def test_kernel_product_equals_naive_product(pair):
+    a, b = pair
+    want = exact_terms(naive_product(a, b))
+    assert exact_terms(a * b) == want
+    assert exact_terms(b * a) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_pairs(rings=(Padic2Ring(6),)))
+def test_padic_product_precision_is_the_operands_minimum(pair):
+    """Also drops the sums that vanish at the ring's precision but not at their own."""
+    a, b = pair
+    assert exact_terms(a * b) == exact_terms(naive_product(a, b))
+    if a.terms and b.terms:
+        low = min(next(iter(a.terms.values())).precision, next(iter(b.terms.values())).precision)
+        assert all(c.precision == low for c in (a * b).terms.values())
+
+
+rat_coeffs = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 1, 2, 3, 7]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 2)), rat_coeffs, max_size=6),
+       st.dictionaries(st.tuples(st.integers(1, 4), st.integers(0, 2)), rat_coeffs, max_size=4),
+       st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]),
+       st.integers(2, 6))
+def test_rat_results_have_fraction_coefficients(outer, tail, unit, bound):
+    """*, substitute, compose, reciprocal and comp_inverse over RAT return
+    Fractions, also where every denominator is 1 and the kernel ran on ints."""
+    def series(terms):
+        return MultiSeries(RAT, ("x", "a"), terms, bound, (1, 0))
+
+    s = series(outer)
+    g = series({**tail, (1, 0): Fraction(1)})  # strict in x
+    u = series({**tail, (0, 0): unit})  # a unit
+    results = [s * g, s * s, s.substitute({"x": g}), s.compose("x", g),
+               u.reciprocal(), g.comp_inverse("x")]
+    for r in results:
+        assert all(type(c) is Fraction for c in r.terms.values()), r
+
+
+@st.composite
+def series_triples(draw):
+    """Three series in one ambient of 1-3 variables with weights in {0, 1, 2}
+    (truncation is an ideal only for weights >= 0), bound None or 0..6, over
+    RAT, GF2 or Padic2 at the ring's precision."""
+    ring = draw(st.sampled_from([RAT, GF2, Padic2Ring(5)]))
+    n = draw(st.integers(1, 3))
+    weights = draw(st.lists(st.sampled_from([0, 1, 2]), min_size=n, max_size=n))
+    bound = draw(st.one_of(st.none(), st.integers(0, 6)))
+    coeffs = {"rat": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+              "gf2": st.integers(0, 1).map(GF2Elt),
+              "padic2": st.integers(-40, 40).map(lambda v: Padic2(v, 5))}[ring.name]
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    return tuple(MultiSeries(ring, [f"x{i}" for i in range(n)],
+                             draw(st.dictionaries(exps, coeffs, max_size=5)), bound, weights)
+                 for _ in range(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(series_triples())
+def test_series_ring_axioms(triple):
+    a, b, c = triple
+    assert exact_terms(a + b) == exact_terms(b + a)
+    assert exact_terms(a * b) == exact_terms(b * a)
+    assert exact_terms((a + b) + c) == exact_terms(a + (b + c))
+    assert exact_terms((a * b) * c) == exact_terms(a * (b * c))
+    assert exact_terms(a * (b + c)) == exact_terms(a * b + a * c)
