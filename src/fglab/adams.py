@@ -57,7 +57,11 @@ def psi3_closed_coeff(j: int, i: int) -> int:
 
 
 class BetaElt:
-    """Finitely supported sum over beta_i; index 0 is the unit class."""
+    """Finitely supported sum over beta_i; index 0 is the unit class.
+
+    ``psi_inv_tensor`` keys the same container by pairs (m, n) for
+    beta_m (x) beta_n; only int-keyed elements print.
+    """
 
     def __init__(self, coeffs: dict):
         self.coeffs = {i: c for i, c in coeffs.items() if c}
@@ -95,32 +99,6 @@ class BetaElt:
         return BetaElt({i: c % 2 for i, c in self.coeffs.items()})
 
 
-class BetaTensor:
-    """Finitely supported sum over beta_i (x) beta_j (not symmetrized)."""
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {k: c for k, c in coeffs.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return BetaTensor(out)
-
-    def __eq__(self, other):
-        return isinstance(other, BetaTensor) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        return f"BetaTensor({self.coeffs})"
-
-    def mod2(self):
-        return BetaTensor({k: c % 2 for k, c in self.coeffs.items()})
-
-
 def psi_inv_beta(k: int, i: int, N: int) -> BetaElt:
     """psi^(k^-1) beta_i = sum_j <psi^k x^j, beta_i> beta_j, indices <= N."""
     if i > N:
@@ -128,15 +106,15 @@ def psi_inv_beta(k: int, i: int, N: int) -> BetaElt:
     return BetaElt({j: psi_power_coeff(k, j, i) for j in range(0, i + 1)})
 
 
-def psi_inv_tensor(k: int, i: int, j: int, N: int) -> BetaTensor:
-    """Tensor factorization psi^(k^-1)(beta_i (x) beta_j)."""
+def psi_inv_tensor(k: int, i: int, j: int, N: int) -> BetaElt:
+    """Tensor factorization psi^(k^-1)(beta_i (x) beta_j), keyed by (m, n)."""
     left = psi_inv_beta(k, i, N)
     right = psi_inv_beta(k, j, N)
     out = {}
     for m, cm in left.coeffs.items():
         for n, cn in right.coeffs.items():
             out[(m, n)] = out.get((m, n), 0) + cm * cn
-    return BetaTensor(out)
+    return BetaElt(out)
 
 
 # -- n_k^i coefficients -------------------------------------------------------
@@ -338,7 +316,8 @@ class DPoly:
     """Polynomial in the d_k (k >= 2) with a degree-0 constant allowed.
 
     Monomials are sorted tuples of indices; coefficients Fractions (base and
-    Thom level), reducible mod 2 when every denominator is odd.
+    Thom level).  With every denominator odd, ``mod2`` gives the mod-2
+    reduction: the monomials of odd coefficient, each with coefficient 1.
     """
 
     __slots__ = ("terms",)
@@ -347,7 +326,7 @@ class DPoly:
         clean = {}
         for m, c in (terms or {}).items():
             m = tuple(sorted(m))
-            if any(k < 2 for k in m):
+            if m and m[0] < 2:
                 raise UsageError(f"d-index < 2 in {m}")
             if c:
                 c = c if type(c) is Fraction else Fraction(c)
@@ -702,76 +681,37 @@ def psi_on_dk(k_gen: int, reducer: DReducer, k_adams: int = 3, nki_mode="auto") 
 # -- spherical classes ----------------------------------------------------------
 
 
-class GF2DPoly:
-    """Mod-2 d-polynomial: a frozenset of monomials (sorted index tuples)."""
-
-    __slots__ = ("monos",)
-
-    def __init__(self, monos):
-        acc = set()
-        for m in monos:
-            m = tuple(sorted(m))
-            if m in acc:
-                acc.remove(m)
-            else:
-                acc.add(m)
-        self.monos = frozenset(acc)
-
-    @classmethod
-    def from_dpoly(cls, p: DPoly):
-        return cls(p.mod2().terms.keys())
-
-    def __add__(self, other):
-        return GF2DPoly(self.monos ^ other.monos)
-
-    def __mul__(self, other):
-        return GF2DPoly(m1 + m2 for m1 in self.monos for m2 in other.monos)
-
-    def is_zero(self):
-        return not self.monos
-
-    def __eq__(self, other):
-        return isinstance(other, GF2DPoly) and self.monos == other.monos
-
-    def __hash__(self):
-        return hash(self.monos)
-
-    def __str__(self):
-        return format_sum([DPoly.monomial_str(m) or "1"
-                           for m in sorted(self.monos, key=lambda m: (sum(m), m))])
-
-
 def spherical_search(max_weight: int, psi_table: dict):
     """Kernel of (psi - id) on GF(2)[d_2, ...] filtered by weight.
 
     ``max_weight`` is the topological weight (d_k has weight 2k);
-    ``psi_table`` maps k -> DPoly or GF2DPoly for every k <= max_weight/2.
+    ``psi_table`` maps k -> DPoly for every k <= max_weight/2.
     psi extends multiplicatively to monomials (it is a ring operation).
     Returns (kernel_basis, new_by_weight) where new_by_weight[w] lists
-    kernel elements whose top weight is w, constants excluded.
+    kernel elements whose top weight is w, constants excluded.  Kernel
+    elements are DPolys with unit coefficients.
     """
     if max_weight % 2 != 0:
         raise UsageError("weights are even")
     W = max_weight // 2
-    table = {}
-    for k, p in psi_table.items():
-        table[k] = p if isinstance(p, GF2DPoly) else GF2DPoly.from_dpoly(p)
+    # mod-2 d-polynomials as sets of monomials, summed by ^ (the products on
+    # Fraction DPolys alone take longer than the whole search)
+    table = {k: set(p.mod2().terms) for k, p in psi_table.items()}
     for k in range(2, W + 1):
         if k not in table:
             raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
     monos = dmonomials_upto(W, include_const=True)
-
-    def psi_of_mono(m):
-        acc = GF2DPoly([()])
-        for k in m:
-            acc = acc * table[k]
-        return acc
-
-    # columns: (psi - id) images of the monomials
-    imgs = []
+    # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
+    # earlier in the weight order, so each image is one product
+    psi = {(): {()}}
+    imgs = []  # columns: (psi - id) images of the monomials
     for m in monos:
-        img = psi_of_mono(m) + GF2DPoly([m])
-        if any(sum(mm) > W for mm in img.monos):
+        if m:
+            pairs = Counter(tuple(sorted(m1 + m2))
+                            for m1 in psi[m[:-1]] for m2 in table[m[-1]])
+            psi[m] = {mm for mm, n in pairs.items() if n % 2}
+        img = psi[m] ^ {m}
+        if any(sum(mm) > W for mm in img):
             raise InsufficientTable(f"psi image of {m} leaves weight {W}")
         imgs.append(img)
     # each column dependent on the earlier ones gives one kernel element
@@ -780,24 +720,26 @@ def spherical_search(max_weight: int, psi_table: dict):
     for i, col in enumerate(_gf2_vectors(imgs)):
         if not ech.add(col, key=i):
             combo = ech.reduce(col)[1] ^ (1 << i)
-            kernel.append(GF2DPoly(m for j, m in enumerate(monos) if combo >> j & 1))
+            kernel.append(DPoly({m: 1 for j, m in enumerate(monos) if combo >> j & 1}))
     new_by_weight = {}
     for elt in kernel:
-        if all(m == () for m in elt.monos):
+        if all(m == () for m in elt.terms):
             continue  # constants excluded
-        top = max(sum(m) for m in elt.monos)
+        top = max(sum(m) for m in elt.terms)
         new_by_weight.setdefault(2 * top, []).append(elt)
     return kernel, new_by_weight
 
 
-def _gf2_vectors(polys):
-    """The GF(2) d-polynomials as bitsets over the sorted monomials they use."""
-    index = {m: i for i, m in enumerate(sorted(set().union(*(p.monos for p in polys))))}
-    return [sum(1 << index[m] for m in p.monos) for p in polys]
+def _gf2_vectors(supports):
+    """GF(2) d-polynomials, given by their monomial supports, as bitsets over
+    the sorted monomials they use."""
+    index = {m: i for i, m in enumerate(sorted(set().union(*supports)))}
+    return [sum(1 << index[m] for m in s) for s in supports]
 
 
-def _gf2_solve(imgs, target: GF2DPoly):
-    """Solve sum_{i in S} imgs[i] = target over GF(2); returns index set or None."""
+def _gf2_solve(imgs, target):
+    """Solve sum_{i in S} imgs[i] = target over GF(2), all given by their
+    monomial supports; returns the index set or None."""
     *vecs, vt = _gf2_vectors([*imgs, target])
     ech = GF2Echelon()
     for i, v in enumerate(vecs):
@@ -808,9 +750,9 @@ def _gf2_solve(imgs, target: GF2DPoly):
     return [i for i in range(len(imgs)) if combo >> i & 1]
 
 
-def in_gf2_span(candidates, target: GF2DPoly) -> bool:
+def in_gf2_span(candidates, target: DPoly) -> bool:
     """Membership of target in the GF(2) span of candidate d-polynomials."""
-    return _gf2_solve(candidates, target) is not None
+    return _gf2_solve([c.mod2().terms for c in candidates], target.mod2().terms) is not None
 
 
 # -- bootstrap lifting ------------------------------------------------------------
@@ -849,10 +791,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     if not all(rat_val2(c) >= 1 for c in (psi_z - z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
     # mod-2 images of (psi - 1) on the correction space
-    imgs = []
-    for m in monos:
-        img = _psi_dpoly(DPoly({m: 1}), psi_table) - DPoly({m: 1})
-        imgs.append(GF2DPoly.from_dpoly(img))
+    imgs = [(_psi_dpoly(DPoly({m: 1}), psi_table) - DPoly({m: 1})).mod2().terms for m in monos]
     b = z
     for m_stage in range(1, target_precision):
         defect = _psi_dpoly(b, psi_table) - b
@@ -867,8 +806,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
                 resid[mono] = 1
         if not resid:
             continue
-        target = GF2DPoly(resid.keys())
-        sol = _gf2_solve(imgs, target)
+        sol = _gf2_solve(imgs, resid)
         if sol is None:
             raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
         corr = DPoly({monos[i]: Fraction(2) ** m_stage for i in sol})

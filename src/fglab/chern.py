@@ -3,16 +3,19 @@ constraint system, exact integer/rational linear algebra, and the degree-8
 Todd coefficient.
 
 Cohomology of CP^(n1) x ... x CP^(nr) is Z[x1..xr]/(x_i^(n_i+1)); classes
-are kept as dicts from bounded exponent tuples to integers.
+are MultiSeries over Q in x1..xr, truncated at the complex dimension.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import comb
 
 from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
-from .series import format_product
+from .rings import RAT
+from .series import MultiSeries, format_product
 
 
 class ProjProduct:
@@ -29,7 +32,6 @@ class ProjProduct:
         return sum(self.dims)
 
     def label(self):
-        from collections import Counter
         parts = []
         for n, mult in sorted(Counter(self.dims).items()):
             parts.append(f"CP{n}" + (f"^{mult}" if mult > 1 else ""))
@@ -45,91 +47,31 @@ class ProjProduct:
         return hash(self.dims)
 
 
-class CohClass:
-    """Integer polynomial in x1..xr reduced modulo (x_i^(n_i+1))."""
-
-    __slots__ = ("dims", "terms")
-
-    def __init__(self, dims, terms=None):
-        self.dims = tuple(dims)
-        clean = {}
-        for exp, c in (terms or {}).items():
-            exp = tuple(exp)
-            if any(e > n for e, n in zip(exp, self.dims)):
-                continue
-            if c:
-                clean[exp] = c
-        self.terms = clean
-
-    @classmethod
-    def one(cls, dims):
-        return cls(dims, {(0,) * len(tuple(dims)): 1})
-
-    def __add__(self, other):
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, 0) + c
-            if s:
-                terms[e] = s
-            else:
-                terms.pop(e, None)
-        return CohClass(self.dims, terms)
-
-    def __mul__(self, other):
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                if any(e > n for e, n in zip(exp, self.dims)):
-                    continue
-                terms[exp] = terms.get(exp, 0) + c1 * c2
-        return CohClass(self.dims, terms)
-
-    def __pow__(self, k):
-        out = CohClass.one(self.dims)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def homogeneous(self, d):
-        return CohClass(self.dims, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def top_coefficient(self):
-        return self.terms.get(self.dims, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, CohClass) and self.dims == other.dims and self.terms == other.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def monomial_str(self, exp):
-        return format_product((f"x{i+1}", e) for i, e in enumerate(exp) if e)
-
-    def __repr__(self):
-        return f"CohClass({self.terms})"
-
-
-def total_chern(p: ProjProduct) -> CohClass:
-    """c(T(CP^n1 x ...)) = prod_i (1 + x_i)^(n_i + 1) mod the truncation ideal."""
-    out = CohClass.one(p.dims)
+def total_chern(p: ProjProduct) -> MultiSeries:
+    """c(T(CP^n1 x ...)) = prod_i sum_{k <= n_i} C(n_i + 1, k) x_i^k, over Q in
+    x1..xr, truncated at the complex dimension."""
+    names = tuple(f"x{i + 1}" for i in range(len(p.dims)))
+    out = MultiSeries.one(RAT, names, p.complex_dim)
     for i, n in enumerate(p.dims):
-        unit = CohClass.one(p.dims)
-        xi = CohClass(p.dims, {tuple(1 if j == i else 0 for j in range(len(p.dims))): 1})
-        out = out * (unit + xi) ** (n + 1)
+        factor = {tuple(k if j == i else 0 for j in range(len(names))): Fraction(comb(n + 1, k))
+                  for k in range(n + 1)}
+        out = out * MultiSeries(RAT, names, factor, p.complex_dim)
     return out
 
 
 def chern_number(p: ProjProduct, monomial) -> int:
-    """Evaluate a Chern monomial (partition of indices) on the fundamental class."""
+    """Evaluate a Chern monomial (partition of indices) on the fundamental class.
+
+    No quotient by x_i^(n_i+1) is needed: exponents only add, so the
+    coefficient at x^dims is fed only by terms with exponents <= dims."""
     if sum(monomial) != p.complex_dim:
         raise DimensionMismatch(
             f"monomial {monomial} has degree {sum(monomial)}, manifold has {p.complex_dim}")
     tc = total_chern(p)
-    acc = CohClass.one(p.dims)
+    acc = MultiSeries.one(RAT, tc.vars, tc.bound)
     for idx in monomial:
-        acc = acc * tc.homogeneous(idx)
-    return acc.top_coefficient()
+        acc = acc * tc.degree_part(idx)
+    return int(acc.coefficient(p.dims))
 
 
 def partitions(dim: int):
@@ -162,7 +104,6 @@ def chern_monomials_with_c1(dim: int):
 
 
 def monomial_label(mono) -> str:
-    from collections import Counter
     return format_product((f"c{idx}", mult) for idx, mult in sorted(Counter(mono).items()))
 
 

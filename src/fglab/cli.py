@@ -13,11 +13,12 @@ import csv
 import io
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from . import golden_data
 from .config import Config
-from .errors import FglabError, UsageError
+from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
 from .rings import RAT, Padic2
 from . import adams, cannibal, chern, fgl, mahler
 
@@ -44,6 +45,15 @@ def _emit(rows, headers, cfg: Config, out):
 def _at_least(flag, value, low):
     if value < low:
         raise UsageError(f"{flag} must be >= {low}, got {value}")
+
+
+@contextmanager
+def _domain(flag, error):
+    """The library's out-of-domain ``error`` for the value of ``flag`` is a usage error."""
+    try:
+        yield
+    except error as e:
+        raise UsageError(f"{flag}: {e}") from None
 
 
 # -- subcommand implementations ---------------------------------------------------
@@ -88,7 +98,8 @@ def cmd_fgl(args, cfg, out):
         _emit(rows, ["coefficient", "image"], cfg, out)
     elif args.action == "cpn":
         _at_least("--n", args.n, 1)
-        poly = fgl.cpn_in_a(args.n, cfg.mode)
+        with _domain("--n", UnsupportedDimension):
+            poly = fgl.cpn_in_a(args.n, cfg.mode)
         _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], cfg, out)
     elif args.action == "box-diff":
         rows = []
@@ -103,7 +114,8 @@ def cmd_fgl(args, cfg, out):
                                    extra_weights=(0,) * nb)
         g = fgl.generic_strict_series(RAT, nb + 2, nb)
         tw = fgl.fgl_twist(F, g)
-        img = fgl.miscenko_image(expr, tw, cfg.mode)
+        with _domain("--expr", UnsupportedDimension):
+            img = fgl.miscenko_image(expr, tw, cfg.mode)
         _emit([(args.expr, cfg.mode, str(img))], ["expression", "mode", "image"], cfg, out)
     return 0
 
@@ -152,6 +164,7 @@ def cmd_chern(args, cfg, out):
 def _dim_basis(dim):
     """The paper's basis in dimension 4, else every product of projective
     spaces of total complex dimension ``dim``."""
+    _at_least("--dim", dim, 1)
     if dim == 4:
         return chern.paper_dim8_basis()
     return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]
@@ -258,7 +271,8 @@ def cmd_mahler(args, cfg, out):
     if args.action == "dilate":
         _at_least("--i", args.i, 0)
         k = Padic2(args.padic, cfg.precision) if args.padic is not None else args.k
-        np_ = mahler.dilate(k, args.i)
+        with _domain("--padic", NotAUnit):
+            np_ = mahler.dilate(k, args.i)
         if cfg.fmt == "json" and args.padic is None:
             json.dump(np_.to_json_obj(), out, indent=1, sort_keys=True)
             out.write("\n")
@@ -279,7 +293,8 @@ def cmd_mahler(args, cfg, out):
 
 
 def cmd_artin_schreier(args, cfg, out):
-    res = mahler.artin_schreier_check(args.u, cfg.precision)
+    with _domain("--u", NotInDomain):
+        res = mahler.artin_schreier_check(args.u, cfg.precision)
     rows = [
         ("b = -log(u)/log(81)", f"{res['b'].value} mod 2^{res['b'].precision}"),
         ("-log(u/81)/log(81)", f"{res['lhs'].value} mod 2^{res['lhs'].precision}"),

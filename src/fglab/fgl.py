@@ -369,7 +369,9 @@ class BordismExpr:
                 raise UsageError(f"cannot tokenize {text!r} at position {pos}")
             tokens.append(m.group(1))
             pos = m.end()
-        if tokens and tokens[-1] in "+-":
+        if not tokens:
+            raise UsageError("empty bordism expression")
+        if tokens[-1] in "+-":
             raise UsageError(f"trailing operator {tokens[-1]!r} in {text!r}")
         i = 0
         while i < len(tokens):

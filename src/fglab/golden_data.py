@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 from .rings import RAT
@@ -87,7 +88,7 @@ def _thom_table():
 
 
 def _cells(prefix, poly):
-    """One cell per term of a MultiSeries, DPoly or CohClass, keyed by monomial."""
+    """One cell per term of a MultiSeries or DPoly, keyed by monomial."""
     return {f"{prefix}/{poly.monomial_str(m) or '1'}": str(c) for m, c in poly.sorted_terms()}
 
 
@@ -181,20 +182,11 @@ def compute_psi_powers():
     return out
 
 
-def compute_psi_beta():
+def compute_psi_beta(mod2=False):
     out = {}
     for i in range(1, 11):
         elt = adams.psi_inv_beta(3, i, 10)
-        for j, c in sorted(elt.coeffs.items()):
-            out[f"beta{i}/b{j}"] = str(c)
-    return out
-
-
-def compute_psi_beta_mod2():
-    out = {}
-    for i in range(1, 11):
-        elt = adams.psi_inv_beta(3, i, 10).mod2()
-        for j, c in sorted(elt.coeffs.items()):
+        for j, c in sorted((elt.mod2() if mod2 else elt).coeffs.items()):
             out[f"beta{i}/b{j}"] = str(c)
     return out
 
@@ -241,10 +233,10 @@ def compute_spherical():
     thom = _thom_table()
     kernel, new = adams.spherical_search(20, thom)
     zs = {
-        "z4": adams.GF2DPoly([(2,)]),
-        "z12": adams.GF2DPoly([(2, 2), (4,), (5,), (3, 3)]),
-        "z16": adams.GF2DPoly([(4,), (4, 4)]),
-        "z20": adams.GF2DPoly([(2, 2, 5), (5, 5)]),
+        "z4": adams.DPoly({(2,): 1}),
+        "z12": adams.DPoly({(2, 2): 1, (4,): 1, (5,): 1, (3, 3): 1}),
+        "z16": adams.DPoly({(4,): 1, (4, 4): 1}),
+        "z20": adams.DPoly({(2, 2, 5): 1, (5, 5): 1}),
     }
     out = {}
     for name, z in zs.items():
@@ -276,7 +268,7 @@ TABLES = [
     ("todd", "sec. 3.3 (degree-8 Todd evaluations)", compute_todd),
     ("psi_powers", "sec. 4.2.1 (powers of 3x-3x^2+x^3)", compute_psi_powers),
     ("psi_beta", "sec. 4.2.1 (inverse Adams operation on beta)", compute_psi_beta),
-    ("psi_beta_mod2", "sec. 4.2.2 (mod-2 coefficient table)", compute_psi_beta_mod2),
+    ("psi_beta_mod2", "sec. 4.2.2 (mod-2 coefficient table)", partial(compute_psi_beta, mod2=True)),
     ("nki_table", "sec. 4.2.3 (chosen n_k^i coefficients)", compute_nki),
     ("relations", "sec. 4.2.3 (2-structure relation table)", compute_relations),
     ("psi_dk_base", "sec. 4.2.3 (psi on d_k, base level)", compute_psi_dk_base),

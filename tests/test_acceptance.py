@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.adams import (DPoly, GF2DPoly, apoly_eval, coboundary_apoly_values,
+from fglab.adams import (DPoly, apoly_eval, coboundary_apoly_values,
                          dk_as_apoly, gen_2structure_relations, in_gf2_span,
                          nki_coeffs, psi_inv_beta, psi_on_dk, spherical_search)
 from fglab.cannibal import (theta3_bilinear, theta3_closed, theta_gen,
@@ -262,10 +262,10 @@ def test_criterion_10_thom_level(thom_table10):
 
 def test_criterion_11_spherical_classes(thom_table10):
     kernel, new = spherical_search(20, thom_table10)
-    for z in (GF2DPoly([(2,)]),
-              GF2DPoly([(3, 3), (5,), (4,), (2, 2)]),
-              GF2DPoly([(4, 4), (4,)]),
-              GF2DPoly([(5, 5), (2, 2, 5)])):
+    for z in (DPoly({(2,): 1}),
+              DPoly({(3, 3): 1, (5,): 1, (4,): 1, (2, 2): 1}),
+              DPoly({(4, 4): 1, (4,): 1}),
+              DPoly({(5, 5): 1, (2, 2, 5): 1})):
         assert in_gf2_span(kernel, z), str(z)
     assert not new.get(6)
     ok(11, "z4, z12, z16, z20 in the mod-2 kernel; weight 6 empty")

@@ -1,14 +1,18 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fglab.chern import (CohClass, IntMatrix, ProjProduct, chern_monomials_with_c1,
+from fglab.chern import (IntMatrix, ProjProduct, chern_monomials_with_c1,
                          chern_number, in_span, integer_reduce, matvec, monomial_label,
-                         nullspace_rational, paper_dim8_basis, rref, same_row_space,
+                         nullspace_rational, partitions, paper_dim8_basis, rref, same_row_space,
                          su_constraint_system, todd_t4, total_chern)
 from fglab.config import RANDOM_SEED
 from fglab.errors import DimensionMismatch
+from fglab.rings import RAT
+from fglab.series import MultiSeries
 
 
 def cells(tc):
@@ -33,17 +37,17 @@ def test_total_chern_cp1_cp3():
 
 def test_total_chern_cp1_four():
     tc = total_chern(ProjProduct([1, 1, 1, 1]))
-    deg4 = tc.homogeneous(4)
+    deg4 = tc.degree_part(4)
     assert cells(deg4) == {(1, 1, 1, 1): 16}
-    deg1 = tc.homogeneous(1)
+    deg1 = tc.degree_part(1)
     assert all(c == 2 for c in deg1.terms.values()) and len(deg1.terms) == 4
 
 
 def test_total_chern_cp1sq_cp2():
     tc = total_chern(ProjProduct([1, 1, 2]))
-    assert cells(tc.homogeneous(2)) == {(1, 1, 0): 4, (1, 0, 1): 6, (0, 1, 1): 6,
+    assert cells(tc.degree_part(2)) == {(1, 1, 0): 4, (1, 0, 1): 6, (0, 1, 1): 6,
                                         (0, 0, 2): 3}
-    assert cells(tc.homogeneous(4)) == {(1, 1, 2): 12}
+    assert cells(tc.degree_part(4)) == {(1, 1, 2): 12}
 
 
 def test_chern_numbers_paper_values():
@@ -61,9 +65,9 @@ def test_chern_numbers_paper_values():
 def test_chern_number_c2sq_brute_force():
     # (3x1^2 + 9x1x2 + 3x2^2)^2, coefficient of x1^2 x2^2: 2*3*3 + 81 = 99
     p = ProjProduct([2, 2])
-    c2 = total_chern(p).homogeneous(2)
+    c2 = total_chern(p).degree_part(2)
     sq = c2 * c2
-    assert sq.top_coefficient() == 99
+    assert sq.coefficient(p.dims) == 99
     assert chern_number(p, (2, 2)) == 99
 
 
@@ -86,10 +90,42 @@ def test_chern_number_multiplicative_under_products():
         # c_top(p1 x p2) in split form: sum over splittings; compare the
         # simplest instance via the Whitney product on disjoint variables
         tc = total_chern(prod)
-        acc = CohClass.one(prod.dims)
+        acc = MultiSeries.one(RAT, tc.vars, tc.bound)
         for idx in sorted(m1 + m2, reverse=True):
-            acc = acc * tc.homogeneous(idx)
-        assert lhs == acc.top_coefficient()
+            acc = acc * tc.degree_part(idx)
+        assert lhs == acc.coefficient(prod.dims)
+
+
+def _truncated_chern_number(dims, monomial):
+    """The Chern number in Z[x1..xr]/(x_i^(n_i+1)), built from (1 + x_i)^(n_i+1)
+    with the quotient applied after every product."""
+    def mul(a, b):
+        out = {}
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
+                e = tuple(map(add, e1, e2))
+                if all(x <= n for x, n in zip(e, dims)):
+                    out[e] = out.get(e, 0) + c1 * c2
+        return out
+
+    one = {(0,) * len(dims): 1}
+    total = one
+    for i, n in enumerate(dims):
+        one_plus_xi = {**one, tuple(int(j == i) for j in range(len(dims))): 1}
+        for _ in range(n + 1):
+            total = mul(total, one_plus_xi)
+    acc = one
+    for idx in monomial:
+        acc = mul(acc, {e: c for e, c in total.items() if sum(e) == idx})
+    return acc.get(tuple(dims), 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+def test_chern_number_matches_truncated_brute_force(dims):
+    p = ProjProduct(dims)
+    for mono in partitions(p.complex_dim):
+        assert chern_number(p, mono) == _truncated_chern_number(p.dims, mono), mono
 
 
 def test_constraint_monomials():

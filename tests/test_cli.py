@@ -45,7 +45,9 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_computation_error_exit_1(capsys):
-    code, _, err = run(capsys, "fgl", "cpn", "--n", "7", "--mode", "paper-box")
+    # C(3T, 40) divides by 40!, which needs 38 bits of 2-adic precision
+    code, _, err = run(capsys, "mahler", "dilate", "--padic", "3", "--i", "40",
+                       "--precision", "16")
     assert code == 1
     assert "computation error" in err
 
@@ -96,12 +98,36 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("adams", "psi-dk", "--k", "12", "--nki", "paper"),
     ("adams", "spherical", "--max-weight", "22", "--nki", "paper"),
     ("adams", "nki", "--k", "11", "--nki", "paper"),
+    ("chern", "system", "--dim", "-1"),
+    ("chern", "reduce", "--dim", "-1"),
+    ("chern", "nullspace", "--dim", "-1"),
+    ("chern", "nullspace", "--dim", "0"),
+    ("fgl", "cpn", "--n", "5"),
+    ("fgl", "miscenko", "--expr", "CP5"),
+    ("mahler", "dilate", "--padic", "2"),
+    ("mahler", "dilate", "--padic", "0"),
+    ("artin-schreier", "--u", "2"),
+    ("fgl", "miscenko", "--expr", ""),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("usage error") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("chern", "system", "--dim", "0"), "--dim"),
+    (("fgl", "cpn", "--n", "5"), "--n"),
+    (("fgl", "miscenko", "--expr", "CP1xCP5"), "--expr"),
+    (("mahler", "dilate", "--padic", "2"), "--padic"),
+    (("artin-schreier", "--u", "2"), "--u"),
+])
+def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
+    """The library raises its own error types; the CLI reports them against the flag."""
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith(f"usage error: {flag}")
 
 
 @pytest.mark.parametrize("expr", [
@@ -201,3 +227,21 @@ def test_psi_dk_16_matches_pinned_output(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "069b64fa4896250553fdb57734ea71885ca77da452759cb922b1b7e2f36144c5")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("chern", "total", "--dims", "2,2,1"),
+     "82736d1e41de7192f6ed0e5920dbcf9821c93fb92340de34171cbed6030d32ba"),
+    (("chern", "system", "--dim", "6", "--format", "csv"),
+     "61de66484228bc48a0c442e2c460ae6fa4e33b4eee62eaff36fba7f0a4aacf7f"),
+    (("chern", "nullspace", "--dim", "6"),
+     "396dd9043bcbb589debbfd7853b6f2f9c9ae7e5e4ed95d7e36bd05739e459cfd"),
+    (("adams", "spherical", "--max-weight", "24"),
+     "53f1ca22c3f05b6274a57b3e3366f7056f6403da01bba708317e165a3b2c9f2a"),
+])
+def test_chern_and_spherical_match_pinned_output(capsys, argv, digest):
+    """Byte for byte as printed when Chern classes had their own truncated
+    container and mod-2 d-polynomials their own class."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fglab.chern import partitions
 from fglab.config import RANDOM_SEED
 from fglab.errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
 from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
@@ -316,6 +318,35 @@ def test_bordism_grammar():
     for dangling in ("3*", "CP4+", "CP4-"):
         with pytest.raises(UsageError):
             BordismExpr.parse(dangling)
+
+
+@st.composite
+def rendered_bordism_combinations(draw):
+    """A homogeneous {dimension tuple: nonzero weight} and one way to write it:
+    factors in any order, repeats as CPn^k or spelled out, a unit weight
+    left implicit or not, any spacing."""
+    dim = draw(st.integers(1, 6))
+    keys = draw(st.lists(st.sampled_from(partitions(dim)), min_size=1, max_size=4, unique=True))
+    space = draw(st.sampled_from(["", " "]))
+    terms, text = {}, ""
+    for key in keys:
+        w = Fraction(draw(st.integers(-40, 40).filter(bool)), draw(st.integers(1, 9)))
+        terms[key] = w
+        factors = []
+        for n in draw(st.permutations(sorted(set(key)))):
+            k = key.count(n)
+            factors += [f"CP{n}^{k}"] if k > 1 and draw(st.booleans()) else [f"CP{n}"] * k
+        coeff = f"{abs(w)}*" if abs(w) != 1 or draw(st.booleans()) else ""
+        sign = "-" if w < 0 else ("+" if text else "")
+        text += f"{space}{sign}{space}{coeff}" + "x".join(factors)
+    return terms, text
+
+
+@settings(max_examples=200, deadline=None)
+@given(rendered_bordism_combinations())
+def test_bordism_parse_reads_back_a_rendered_combination(case):
+    terms, text = case
+    assert BordismExpr.parse(text) == BordismExpr(terms), text
 
 
 def test_miscenko_cp1(twisted6):
