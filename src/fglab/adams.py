@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -218,14 +219,46 @@ def _amono_mul(p1, p2):
 _ONE_MONO = (0, ())
 
 
-class APoly:
+class _Poly:
+    """What APoly and DPoly share: ``terms`` maps monomials to nonzero
+    Fractions, and the subclass constructor drops zeros and normalizes."""
+
+    __slots__ = ("terms",)
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return type(self)(out)
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def scale(self, c):
+        c = c if type(c) is Fraction else Fraction(c)
+        return type(self)({m: c * v for m, v in self.terms.items()})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+
+class APoly(_Poly):
     """Polynomial in the a_ij (i <= j after symmetrization) and u = v^{-1}.
 
     a_{0,0} = 1 and a_{0,i} = 0 are applied eagerly by the builders.
     Coefficients are Fractions.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         self.terms = {m: c if type(c) is Fraction else Fraction(c)
@@ -249,23 +282,6 @@ class APoly:
         key = (min(i, j), max(i, j))
         return cls({(upow, ((key, 1),)): Fraction(coeff)})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return APoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = c if type(c) is Fraction else Fraction(c)
-        return APoly({m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.terms.items():
@@ -273,9 +289,6 @@ class APoly:
                 m = (m1[0] + m2[0], _amono_mul(m1[1], m2[1]))
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return APoly(out)
-
-    def is_zero(self):
-        return not self.terms
 
     def set_u(self, value=1):
         """Specialize u (printed forms use u = 1)."""
@@ -302,17 +315,11 @@ class APoly:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (_apoly_weight(t[0]), t[0]))
 
-    def __eq__(self, other):
-        return isinstance(other, APoly) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"APoly({self})"
-
     def __str__(self):
         return format_sum([format_term(c, _amono_str(m)) for m, c in self.sorted_terms()])
 
 
-class DPoly:
+class DPoly(_Poly):
     """Polynomial in the d_k (k >= 2) with a degree-0 constant allowed.
 
     Monomials are sorted tuples of indices; coefficients Fractions (base and
@@ -320,7 +327,7 @@ class DPoly:
     reduction: the monomials of odd coefficient, each with coefficient 1.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms=None):
         clean = {}
@@ -334,23 +341,6 @@ class DPoly:
                 clean[m] = c if s is None else s + c
         self.terms = {m: c for m, c in clean.items() if c}
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return DPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = c if type(c) is Fraction else Fraction(c)
-        return DPoly({m: c * v for m, v in self.terms.items()})
-
     def __mul__(self, other):
         out = {}
         for m1, c1 in self.terms.items():
@@ -361,9 +351,6 @@ class DPoly:
 
     def weight(self):
         return max((sum(m) for m in self.terms), default=0)
-
-    def is_zero(self):
-        return not self.terms
 
     def mod2(self):
         out = {}
@@ -376,15 +363,6 @@ class DPoly:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
-
-    def __eq__(self, other):
-        return isinstance(other, DPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self):
-        return f"DPoly({self})"
 
     def __str__(self):
         return format_sum([format_term(c, self.monomial_str(m)) for m, c in self.sorted_terms()])
@@ -435,10 +413,7 @@ class RelationSet:
         return len(self.relations)
 
     def by_monomial(self, a, b, c):
-        for r in self.relations:
-            if r.monomial == (a, b, c):
-                return r
-        return None
+        return next((r for r in self.relations if r.monomial == (a, b, c)), None)
 
 
 def gen_2structure_relations(N: int) -> RelationSet:
@@ -447,11 +422,13 @@ def gen_2structure_relations(N: int) -> RelationSet:
     The identity f(x, y) f(x +. y, z) = f(x, y +. z) f(y, z) with
     f = 1 + sum a_ij x^i y^j and x +. y = x + y - u x y is expanded as one
     series in x, y, z (weight 1, truncated at total degree N) whose weight-0
-    symbols u and a_ij ride along as coefficients; for every monomial
-    x^a y^b z^c (a, b, c >= 1) the difference of the two sides is a
-    homogeneous relation of halved weight a+b+c.  Relations are
-    content-normalized (coefficient gcd divided out, graded-lex leading sign
-    positive).
+    symbols u and a_ij ride along as coefficients.  As f(a, b) = f(b, a) and
+    x +. y = y +. x, the right side is the left side with x and z swapped, so
+    only the left side L is expanded: for every monomial x^a y^b z^c
+    (a, b, c >= 1) the relation L[a,b,c] - L[c,b,a] has halved weight a+b+c.
+    It vanishes at a = c; otherwise it is built once and listed at both
+    (a, b, c) and (c, b, a).  Relations are content-normalized (coefficient
+    gcd divided out, graded-lex leading sign positive), in monomial order.
     """
     # in (i, j) order, so the a-monomials read off the exponents are sorted as APoly keys
     pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
@@ -466,33 +443,32 @@ def gen_2structure_relations(N: int) -> RelationSet:
             f_terms[tuple(exp)] = Fraction(1)
     f = MultiSeries(RAT, names, f_terms, N, weights)
     x, y, z, u = (MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu")
-
-    def f_at(A, B):
-        return f.substitute({"x": A, "y": B})
-
-    def gm_sum(A, B):
-        return A + B - u * A * B
-
-    diff = f_at(x, y) * f_at(gm_sum(x, y), z) - f_at(x, gm_sum(y, z)) * f_at(y, z)
+    left = f * f.substitute({"x": x + y - u * x * y, "y": z})
     groups = {}
-    for exp, c in diff.terms.items():
-        mono = (exp[3], tuple((p, e) for p, e in zip(pairs, exp[4:]) if e))
+    for exp, c in left.terms.items():
+        avec = exp[4:]  # each term has at most two nonzero a-exponents
+        mono = (exp[3], tuple(zip(compress(pairs, avec), filter(None, avec))))
         groups.setdefault(exp[:3], {})[mono] = c
 
     rels = []
-    for key in sorted(groups):
+    for key in groups:
         a, b, c = key
-        if a < 1 or b < 1 or c < 1:
-            # f(x,0) = 1 makes these vanish identically; enforce that here
-            raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
-        poly = APoly(groups[key]).content_normalize()
+        mirror = (c, b, a)
+        if a == c or (a > c and mirror in groups):
+            continue  # zero, or built at its mirror
+        diff = dict(groups[key])
+        for mono, v in groups.get(mirror, {}).items():
+            diff[mono] = diff.get(mono, 0) - v
+        poly = APoly(diff).content_normalize()
         if poly.is_zero():
             continue
-        expected_w = a + b + c
-        if poly.weights_present() not in ([], [expected_w]):
-            raise NotReducible(expected_w, f"inhomogeneous relation at {key}")
-        rels.append(Relation(key, poly))
-    return RelationSet(rels)
+        if not (a and b and c):
+            # f(x,0) = 1 makes these vanish identically; enforce that here
+            raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
+        if poly.weights_present() != [a + b + c]:
+            raise NotReducible(a + b + c, f"inhomogeneous relation at {key}")
+        rels += [Relation(key, poly), Relation(mirror, poly)]
+    return RelationSet(sorted(rels, key=lambda r: r.monomial))
 
 
 def coboundary_apoly_values(g_coeffs, wmax):
@@ -585,6 +561,9 @@ class DReducer:
     side against the same combination of the rank-raising ones.  If any check
     fails, the d-monomials are dependent modulo the relations, and ``reduce``
     raises UsageError (the quotient is not polynomial, a real inconsistency).
+    Each distinct u = 1 equation is solved and checked once: a repeat (a
+    relation and its x <-> z mirror are one polynomial) would repeat the same
+    check, or pass it trivially after its first copy raised the rank.
     """
 
     def __init__(self, W: int, rels: RelationSet, nki_mode="auto"):
@@ -593,8 +572,7 @@ class DReducer:
         self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
         self._consistent = True
         eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
-        for rel in rels:
-            poly = rel.poly.set_u(1)
+        for poly in dict.fromkeys(rel.poly.set_u(1) for rel in rels):
             eqs.setdefault(max(poly.weights_present(), default=0), []).append((poly, {}))
         for w in range(2, W + 1):
             dw = dk_as_apoly(w, nki_coeffs(w, nki_mode))
@@ -718,8 +696,11 @@ def spherical_search(max_weight: int, psi_table: dict):
     ech = GF2Echelon()
     kernel = []
     for i, col in enumerate(_gf2_vectors(imgs)):
-        if not ech.add(col, key=i):
-            combo = ech.reduce(col)[1] ^ (1 << i)
+        rem, combo = ech.reduce(col)
+        combo ^= 1 << i
+        if rem:
+            ech.keep(rem, combo)
+        else:
             kernel.append(DPoly({m: 1 for j, m in enumerate(monos) if combo >> j & 1}))
     new_by_weight = {}
     for elt in kernel:

@@ -19,7 +19,9 @@ from .series import MultiSeries, format_product
 
 
 class ProjProduct:
-    """CP^(n1) x ... x CP^(nr), dims sorted for a canonical key."""
+    """CP^(n1) x ... x CP^(nr).  ``dims`` keeps the given order, which names
+    the variables x1..xr of ``total_chern``; equality and hash compare the
+    sorted dims, as the product does not depend on the order."""
 
     def __init__(self, dims):
         dims = tuple(dims)
@@ -41,10 +43,10 @@ class ProjProduct:
         return f"ProjProduct{self.dims}"
 
     def __eq__(self, other):
-        return isinstance(other, ProjProduct) and self.dims == other.dims
+        return isinstance(other, ProjProduct) and sorted(self.dims) == sorted(other.dims)
 
     def __hash__(self):
-        return hash(self.dims)
+        return hash(tuple(sorted(self.dims)))
 
 
 def total_chern(p: ProjProduct) -> MultiSeries:

@@ -9,7 +9,9 @@ are int bitsets and the pivot is the highest set bit.
 """
 
 import heapq
+from bisect import insort
 from fractions import Fraction
+from operator import neg
 
 
 class Echelon:
@@ -83,6 +85,7 @@ class GF2Echelon:
     def __init__(self):
         self.rows = {}    # pivot bit -> row
         self.combos = {}  # pivot bit -> bitset of keys
+        self._order = []  # pivot bits, descending
 
     def reduce(self, row):
         """Return (remainder, combo) with row = remainder ^ (the XOR of the
@@ -91,7 +94,7 @@ class GF2Echelon:
         The remainder has no bit at a pivot, so it is 0 exactly when row lies
         in the span."""
         combo = 0
-        for p in sorted(self.rows, reverse=True):
+        for p in self._order:
             if row >> p & 1:
                 row ^= self.rows[p]
                 combo ^= self.combos[p]
@@ -103,9 +106,14 @@ class GF2Echelon:
 
         Returns False when row already lies in the span."""
         rem, combo = self.reduce(row)
-        if not rem:
-            return False
+        if rem:
+            self.keep(rem, combo ^ (1 << key))
+        return bool(rem)
+
+    def keep(self, rem, combo):
+        """Keep a nonzero remainder of `reduce` as a new echelon row, the XOR
+        of the added rows in combo."""
         piv = rem.bit_length() - 1
         self.rows[piv] = rem
-        self.combos[piv] = combo ^ (1 << key)
-        return True
+        self.combos[piv] = combo
+        insort(self._order, piv, key=neg)

@@ -50,7 +50,7 @@ class NumPoly:
         return format_sum(parts)
 
     def eval_at(self, t: int):
-        return sum(c * comb(t, i) for i, c in self.coeffs.items()) if self.coeffs else 0
+        return sum(c * binom(t, i) for i, c in self.coeffs.items()) if self.coeffs else 0
 
     def is_integral(self):
         return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
@@ -96,10 +96,10 @@ def mahler_expand_poly(poly_coeffs, N: int) -> NumPoly:
 def dilate(k, i: int, N: int = None) -> NumPoly:
     """C(kT, i) expanded in the C(T, j) basis.
 
-    Integer k: exact finite differences.  2-adic k: the coefficient
-    a_j = sum over the difference formula with C(k m, i) evaluated as the
-    integer-valued polynomial at the 2-adic argument, truncated at k's
-    working precision.
+    Integer k of either sign: exact finite differences.  2-adic k: the
+    coefficient a_j = sum over the difference formula with C(k m, i)
+    evaluated as the integer-valued polynomial at the 2-adic argument,
+    truncated at k's working precision.
     """
     if N is not None and i > N:
         raise NotInDomain(f"index {i} exceeds basis bound {N}")
@@ -121,7 +121,12 @@ def dilate(k, i: int, N: int = None) -> NumPoly:
                 coeffs[j] = acc
         return NumPoly(coeffs)
     k = int(k)
-    return mahler_expand(lambda t: comb(k * t, i), i)
+    return mahler_expand(lambda t: binom(k * t, i), i)
+
+
+def binom(n: int, i: int) -> int:
+    """C(n, i) = n(n-1)...(n-i+1)/i! for every integer n: (-1)^i C(i-n-1, i) for n < 0."""
+    return comb(n, i) if n >= 0 else (-1) ** i * comb(i - n - 1, i)
 
 
 def _binom_padic(x: Padic2, i: int) -> Padic2:

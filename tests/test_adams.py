@@ -14,7 +14,8 @@ from fglab.adams import (APoly, DPoly, DReducer, Relation, RelationSet,
                          _psi_dpoly)
 from fglab.config import RANDOM_SEED
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
-from fglab.rings import rat_val2
+from fglab.rings import RAT, rat_val2
+from fglab.series import MultiSeries
 
 from oracle_bu import BUOracle
 
@@ -216,6 +217,62 @@ def test_relation_counts():
     assert counts == {3: 0, 4: 2, 7: 26, 10: 100, 11: 140, 12: 190}
 
 
+def _two_sided_relations(N):
+    """The relations from expanding both sides of the cocycle identity, each
+    monomial's difference normalized on its own."""
+    pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
+    names = ("x", "y", "z", "u") + tuple(f"a{i}_{j}" for i, j in pairs)
+    weights = (1, 1, 1) + (0,) * (len(names) - 3)
+    f_terms = {(0,) * len(names): 1}
+    for i in range(1, N):
+        for j in range(1, N + 1 - i):
+            exp = [0] * len(names)
+            exp[0], exp[1] = i, j
+            exp[4 + pairs.index((min(i, j), max(i, j)))] = 1
+            f_terms[tuple(exp)] = 1
+    f = MultiSeries(RAT, names, f_terms, N, weights)
+    x, y, z, u = (MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu")
+
+    def f_at(A, B):
+        return f.substitute({"x": A, "y": B})
+
+    diff = (f_at(x, y) * f_at(x + y - u * x * y, z)
+            - f_at(x, y + z - u * y * z) * f_at(y, z))
+    groups = {}
+    for exp, c in diff.terms.items():
+        mono = (exp[3], tuple((p, e) for p, e in zip(pairs, exp[4:]) if e))
+        groups.setdefault(exp[:3], {})[mono] = c
+    out = [(key, APoly(groups[key]).content_normalize()) for key in sorted(groups)]
+    return [(key, str(poly)) for key, poly in out if not poly.is_zero()]
+
+
+@pytest.mark.parametrize("N", range(3, 10))
+def test_relations_match_two_sided_expansion(N):
+    """Expanding one side and mirroring x <-> z gives the same relations, in
+    the same order, as expanding both sides."""
+    got = [(r.monomial, str(r.poly)) for r in gen_2structure_relations(N)]
+    assert got == _two_sided_relations(N)
+
+
+@pytest.mark.parametrize("N", [7, 10, 12])
+def test_relations_mirror_pairs(N):
+    rels = gen_2structure_relations(N)
+    by_mono = {r.monomial: r.poly for r in rels}
+    assert len(by_mono) == len(rels)
+    for (a, b, c), poly in by_mono.items():
+        assert a != c
+        assert by_mono[(c, b, a)] == poly
+        assert hash(by_mono[(c, b, a)]) == hash(poly)
+
+
+def test_reducer_solves_repeated_relations_once():
+    rels = list(gen_2structure_relations(9))
+    once, twice = DReducer(9, RelationSet(rels)), DReducer(9, RelationSet(rels + rels))
+    for i in range(1, 9):
+        for j in range(i, 10 - i):
+            assert once.reduce(APoly.gen(i, j)) == twice.reduce(APoly.gen(i, j)), (i, j)
+
+
 def test_relations_annihilate_topological_family(rels7):
     """The universal relations vanish on the faithful classifying-space model."""
     oracle = BUOracle(7)
@@ -262,12 +319,13 @@ def test_reduce_checks_span_before_dependence():
     """A false relation a13 = 0 contradicts the d_k (the quotient is not
     polynomial): a reducible target is a UsageError, while a target that
     needs the undetermined a23 is still NotReducible."""
-    rels = RelationSet(list(gen_2structure_relations(4)) + [Relation((1, 1, 2), APoly.gen(1, 3))])
-    red = DReducer(5, rels)
-    with pytest.raises(UsageError):
-        red.reduce(dk_as_apoly(2))
-    with pytest.raises(NotReducible):
-        red.reduce(APoly.gen(2, 3))
+    false = Relation((1, 1, 2), APoly.gen(1, 3))
+    for extra in ([false], [false, false]):
+        red = DReducer(5, RelationSet(list(gen_2structure_relations(4)) + extra))
+        with pytest.raises(UsageError):
+            red.reduce(dk_as_apoly(2))
+        with pytest.raises(NotReducible):
+            red.reduce(APoly.gen(2, 3))
 
 
 PSI_DK_COMPUTED = {

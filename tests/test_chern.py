@@ -19,6 +19,15 @@ def cells(tc):
     return {tuple(e for e in exp): c for exp, c in tc.terms.items()}
 
 
+def test_proj_product_equality_ignores_order():
+    p, q = ProjProduct([1, 3]), ProjProduct([3, 1])
+    assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+    assert p.label() == q.label() == "CP1xCP3"
+    assert q.dims == (3, 1) and p != ProjProduct([1, 1, 3])
+    # the given order still names the variables x1..xr
+    assert cells(total_chern(q))[(1, 0)] == 4
+
+
 def test_total_chern_cp1():
     tc = total_chern(ProjProduct([1]))
     assert cells(tc) == {(0,): 1, (1,): 2}

@@ -141,6 +141,15 @@ def test_bordism_expr_outside_the_grammar_is_usage_error(capsys, expr):
     assert err.startswith("usage error") and "Traceback" not in err
 
 
+def test_mahler_negative_k(capsys):
+    code, out, _ = run(capsys, "mahler", "dilate", "--k", "-3", "--i", "3")
+    assert code == 0
+    assert "-27*C(T,3) - 36*C(T,2) - 10*C(T,1)" in out
+    code, out, _ = run(capsys, "mahler", "matrix", "--k", "-3", "--imax", "3")
+    assert code == 0
+    assert out.splitlines()[-1].split() == ["3", "0", "-10", "-36", "-27"]
+
+
 def test_mahler_matrix_csv(capsys):
     code, out, _ = run(capsys, "mahler", "matrix", "--k", "3", "--imax", "4",
                        "--format", "csv")
@@ -227,6 +236,15 @@ def test_psi_dk_16_matches_pinned_output(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "069b64fa4896250553fdb57734ea71885ca77da452759cb922b1b7e2f36144c5")
+
+
+def test_relations_10_match_pinned_output(capsys):
+    """The degree-10 relations, byte for byte as printed when both sides of
+    the cocycle identity were expanded."""
+    code, out, _ = run(capsys, "adams", "relations", "--degree", "10", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c3e51afc9d54f148c8495e114723ba07a686631d914d6297d1fea1752b4815e6")
 
 
 @pytest.mark.parametrize("argv, digest", [

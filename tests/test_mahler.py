@@ -6,7 +6,7 @@ import pytest
 
 from fglab.config import RANDOM_SEED
 from fglab.errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
-from fglab.mahler import (adams_matrix, artin_schreier_check, dilate,
+from fglab.mahler import (adams_matrix, artin_schreier_check, binom, dilate,
                           dilation_matrix, dilation_vs_adams, mahler_expand,
                           mahler_expand_poly)
 from fglab.rings import Padic2
@@ -107,6 +107,26 @@ def test_dilate_2adic_matches_integer():
             assert g is not None and g == Padic2(int(w), g.precision), (i, j)
     with pytest.raises(NotAUnit):
         dilate(Padic2(2, 16), 3)
+
+
+@pytest.mark.parametrize("k", [-1, -3, -5])
+def test_dilate_negative_k_matches_2adic(k):
+    """For integer k < 0, C(kT, i) uses the generalized binomial and agrees
+    with the 2-adic path at the same k modulo 2^precision."""
+    for i in range(0, 7):
+        got = dilate(Padic2(k, 63), i)
+        want = dilate(k, i)
+        assert set(got.coeffs) == set(want.coeffs), i
+        for j, w in want.coeffs.items():
+            g = got.coeffs[j]
+            assert g == Padic2(int(w), g.precision), (i, j)
+        for t in range(-4, 5):
+            assert want.eval_at(t) == binom(k * t, i), (i, t)
+
+
+def test_binom_generalized():
+    assert [binom(-3, i) for i in range(5)] == [1, -3, 6, -10, 15]
+    assert binom(-1, 7) == -1 and binom(2, 3) == 0 and binom(5, 2) == comb(5, 2)
 
 
 def test_dilation_vs_adams_identity_k1():
