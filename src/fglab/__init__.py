@@ -2,7 +2,7 @@
 and 2-adic Mahler calculus, with the source tables reproduced as golden data.
 """
 
-from .rings import GF2, Padic2, Padic2Ring, RAT, Rat, padic_from_rat, padic_inverse, padic_log
+from .rings import GF2, Padic2, Padic2Ring, RAT, padic_from_rat, padic_log
 from .series import MultiSeries
 
 __version__ = "0.1.0"
@@ -13,9 +13,7 @@ __all__ = [
     "Padic2",
     "Padic2Ring",
     "RAT",
-    "Rat",
     "padic_from_rat",
-    "padic_inverse",
     "padic_log",
     "__version__",
 ]

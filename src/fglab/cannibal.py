@@ -38,10 +38,6 @@ class ThetaGenSeq:
         return len(self.t)
 
 
-def theta_gen(N: int) -> ThetaGenSeq:
-    return ThetaGenSeq(N)
-
-
 def theta_gen_closed(k: int) -> Fraction:
     """Closed form by residue of k mod 6."""
     n, r = divmod(k, 6)
@@ -199,11 +195,6 @@ def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
         return (g * t).scale(Fraction(-1))
 
     return series.substitute({"x": inner("x"), "y": inner("y")})
-
-
-def theta_table_to_series(tab: ThetaTable) -> MultiSeries:
-    terms = {(m, n): c for (m, n), c in tab.table.items()}
-    return MultiSeries(RAT, ("x", "y"), terms, 2 * tab.bound)
 
 
 # -- Thom-level Adams operation ---------------------------------------------------

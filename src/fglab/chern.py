@@ -232,10 +232,6 @@ def same_row_space(a_rows, b_rows) -> bool:
     return all(in_span(b_rows, r) for r in a_rows) and all(in_span(a_rows, r) for r in b_rows)
 
 
-def matvec(m: IntMatrix, v):
-    return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m.rows]
-
-
 def todd_t4(c1_4, c1_c3, c1sq_c2, c2_sq, c4) -> Fraction:
     """Degree-8 Todd coefficient (-c4 + c3 c1 + 3 c2^2 + 4 c2 c1^2 - c1^4)/720."""
     return (Fraction(-1) * c4 + Fraction(c1_c3) + 3 * Fraction(c2_sq)

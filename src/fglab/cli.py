@@ -17,20 +17,19 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import golden_data
-from .config import Config
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
 from .rings import RAT, Padic2
 from . import adams, cannibal, chern, fgl, mahler
 
 
-def _emit(rows, headers, cfg: Config, out):
+def _emit(rows, headers, fmt, out):
     """rows: list of tuples; deterministic ordering supplied by callers."""
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         w = csv.writer(out, lineterminator="\n")
         w.writerow(headers)
         for r in rows:
             w.writerow([str(c) for c in r])
-    elif cfg.fmt == "json":
+    elif fmt == "json":
         payload = [dict(zip(headers, [str(c) for c in r])) for r in rows]
         json.dump(payload, out, indent=1, sort_keys=True)
         out.write("\n")
@@ -59,7 +58,7 @@ def _domain(flag, error):
 # -- subcommand implementations ---------------------------------------------------
 
 
-def cmd_series(args, cfg, out):
+def cmd_series(args, out):
     _at_least("--order", args.order, 1)
     if args.action == "invert":
         n = args.order
@@ -68,7 +67,7 @@ def cmd_series(args, cfg, out):
         rows = []
         for k in range(1, n + 1):
             rows.append((f"c{k}", str(inv.coeff_in_var("t", k + 1))))
-        _emit(rows, ["coefficient", "value"], cfg, out)
+        _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "residue":
         n = args.order
         g = fgl.generic_strict_series(RAT, n + 1, n, ambient_extra=())
@@ -78,11 +77,11 @@ def cmd_series(args, cfg, out):
         for k in range(1, n + 1):
             r = residue_inverse_coeff(g, "t", k)
             rows.append((f"c{k}", str(r), "agree" if r == inv.coeff_in_var("t", k + 1) else "DIFFER"))
-        _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], cfg, out)
+        _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], args.fmt, out)
     return 0
 
 
-def cmd_fgl(args, cfg, out):
+def cmd_fgl(args, out):
     if args.action == "twist":
         _at_least("--bound", args.bound, 2)
         _at_least("--nb", args.nb, 0)
@@ -95,18 +94,18 @@ def cmd_fgl(args, cfg, out):
         for (i, j), c in sorted(law.coeff_table().items()):
             if i <= j:
                 rows.append((f"a{i}{j}", str(c)))
-        _emit(rows, ["coefficient", "image"], cfg, out)
+        _emit(rows, ["coefficient", "image"], args.fmt, out)
     elif args.action == "cpn":
         _at_least("--n", args.n, 1)
         with _domain("--n", UnsupportedDimension):
-            poly = fgl.cpn_in_a(args.n, cfg.mode)
-        _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], cfg, out)
+            poly = fgl.cpn_in_a(args.n, args.mode)
+        _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], args.fmt, out)
     elif args.action == "box-diff":
         rows = []
         for n in range(1, 5):
             d = fgl.cpn_box_diff(n)
             rows.append((f"CP{n}", "match" if d.is_zero() else f"box - residue = {d}"))
-        _emit(rows, ["class", "paper_box_vs_residue_exact"], cfg, out)
+        _emit(rows, ["class", "paper_box_vs_residue_exact"], args.fmt, out)
     elif args.action == "miscenko":
         expr = fgl.BordismExpr.parse(args.expr)
         nb = expr.dimension()
@@ -115,12 +114,12 @@ def cmd_fgl(args, cfg, out):
         g = fgl.generic_strict_series(RAT, nb + 2, nb)
         tw = fgl.fgl_twist(F, g)
         with _domain("--expr", UnsupportedDimension):
-            img = fgl.miscenko_image(expr, tw, cfg.mode)
-        _emit([(args.expr, cfg.mode, str(img))], ["expression", "mode", "image"], cfg, out)
+            img = fgl.miscenko_image(expr, tw, args.mode)
+        _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
     return 0
 
 
-def cmd_chern(args, cfg, out):
+def cmd_chern(args, out):
     if args.action == "total":
         try:
             dims = [int(d) for d in args.dims.split(",")]
@@ -129,7 +128,7 @@ def cmd_chern(args, cfg, out):
         p = chern.ProjProduct(dims)
         tc = chern.total_chern(p)
         rows = [(tc.monomial_str(exp) or "1", c) for exp, c in tc.sorted_terms()]
-        _emit(rows, ["monomial", "coefficient"], cfg, out)
+        _emit(rows, ["monomial", "coefficient"], args.fmt, out)
     elif args.action == "system":
         basis = _dim_basis(args.dim)
         m = chern.su_constraint_system(basis, args.dim)
@@ -137,18 +136,18 @@ def cmd_chern(args, cfg, out):
         rows = []
         for mono, row in zip(monos, m.rows):
             rows.append((chern.monomial_label(mono), *row))
-        _emit(rows, ["constraint"] + [b.label() for b in basis], cfg, out)
+        _emit(rows, ["constraint"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "reduce":
         basis = _dim_basis(args.dim)
         m = chern.integer_reduce(chern.su_constraint_system(basis, args.dim))
         rows = [(f"row{i+1}", *r) for i, r in enumerate(m.rows)]
-        _emit(rows, ["row"] + [b.label() for b in basis], cfg, out)
+        _emit(rows, ["row"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "nullspace":
         basis = _dim_basis(args.dim)
         m = chern.su_constraint_system(basis, args.dim)
         ns = chern.nullspace_rational(m)
         rows = [(f"v{i+1}", *[str(x) for x in v]) for i, v in enumerate(ns)]
-        _emit(rows, ["vector"] + [b.label() for b in basis], cfg, out)
+        _emit(rows, ["vector"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "todd":
         try:
             vals = [Fraction(v) for v in args.inputs.split(",")]
@@ -157,7 +156,7 @@ def cmd_chern(args, cfg, out):
         if len(vals) != 5:
             raise UsageError("todd expects c1^4,c1c3,c1^2c2,c2^2,c4")
         t4 = chern.todd_t4(*vals)
-        _emit([(args.inputs, str(t4))], ["chern_numbers", "T4"], cfg, out)
+        _emit([(args.inputs, str(t4))], ["chern_numbers", "T4"], args.fmt, out)
     return 0
 
 
@@ -170,7 +169,7 @@ def _dim_basis(dim):
     return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]
 
 
-def cmd_adams(args, cfg, out):
+def cmd_adams(args, out):
     if args.action in ("beta", "beta-table"):
         _at_least("--k", args.k, 1)
     if args.action == "beta":
@@ -178,7 +177,7 @@ def cmd_adams(args, cfg, out):
         elt = adams.psi_inv_beta(args.k, args.i, max(args.i, args.imax or args.i))
         if args.mod2:
             elt = elt.mod2()
-        _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], cfg, out)
+        _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
     elif args.action == "beta-table":
         _at_least("--imax", args.imax, 1)
         rows = []
@@ -187,41 +186,42 @@ def cmd_adams(args, cfg, out):
             if args.mod2:
                 elt = elt.mod2()
             rows.append((f"beta_{i}", str(elt)))
-        _emit(rows, ["generator", "image"], cfg, out)
+        _emit(rows, ["generator", "image"], args.fmt, out)
     elif args.action == "nki":
-        _nki_reaches(cfg, args.k, f"got --k {args.k}")
-        table = adams.nki_coeffs(args.k, cfg.nki)
+        _nki_reaches(args.nki, args.k, f"got --k {args.k}")
+        table = adams.nki_coeffs(args.k, args.nki)
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
-        _emit(rows, ["coefficient", "value"], cfg, out)
+        _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "relations":
-        _at_least("--degree", args.degree, 3)  # a relation sits at x^a y^b z^c, a, b, c >= 1
+        # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
+        _at_least("--degree", args.degree, 4)
         rels = adams.gen_2structure_relations(args.degree)
         rows = []
         for r in rels:
             a, b, c = r.monomial
             rows.append((f"x^{a}*y^{b}*z^{c}", str(r.poly), str(r.poly.set_u(1).content_normalize())))
-        _emit(rows, ["monomial", "relation", "relation_at_u_1"], cfg, out)
+        _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
         W = max(args.k, 7)
-        red = _reducer(W, cfg)
+        red = _reducer(W, args.nki)
         if args.level == "base":
-            p = adams.psi_on_dk(args.k, red, nki_mode=cfg.nki)
+            p = adams.psi_on_dk(args.k, red, nki_mode=args.nki)
         else:
-            p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red, nki_mode=cfg.nki)
-        if cfg.fmt == "json":
+            p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red, nki_mode=args.nki)
+        if args.fmt == "json":
             json.dump(p.to_json_obj(), out, indent=1, sort_keys=True)
             out.write("\n")
         else:
-            _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], cfg, out)
+            _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
         _at_least("--max-weight", args.max_weight, 2)
         W = args.max_weight // 2
-        red = _reducer(W, cfg)
+        red = _reducer(W, args.nki)
         if args.level == "thom":
             table = cannibal.thom_psi_table(W, red, theta=cannibal.theta3_direct(W),
-                                            nki_mode=cfg.nki)
+                                            nki_mode=args.nki)
         else:
-            table = cannibal.base_psi_table(W, red, nki_mode=cfg.nki)
+            table = cannibal.base_psi_table(W, red, nki_mode=args.nki)
         kern, new = adams.spherical_search(args.max_weight, table)
         rows = []
         for w in range(2, args.max_weight + 1, 2):
@@ -230,82 +230,84 @@ def cmd_adams(args, cfg, out):
                 rows.append((w, "-"))
             for e in elts:
                 rows.append((w, str(e)))
-        _emit(rows, ["weight", "kernel_class_mod2"], cfg, out)
+        _emit(rows, ["weight", "kernel_class_mod2"], args.fmt, out)
     return 0
 
 
-def _nki_reaches(cfg, k, context):
+def _nki_reaches(nki, k, context):
     """--nki paper has n_k^i only for k in the paper's table."""
-    if cfg.nki == "paper" and k > max(adams.NKI_PAPER):
+    if nki == "paper" and k > max(adams.NKI_PAPER):
         raise UsageError(f"--nki paper covers k <= {max(adams.NKI_PAPER)}, {context}")
 
 
-def _reducer(W, cfg):
+def _reducer(W, nki):
     """The d_k reducer through halved weight W, which needs n_k^i for every k <= W."""
-    _nki_reaches(cfg, W, f"but this command needs the reducer through weight {W}")
-    return adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=cfg.nki)
+    _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
+    return adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=nki)
 
 
-def cmd_cannibal(args, cfg, out):
+def cmd_cannibal(args, out):
     if args.action == "table":
         _at_least("--bound", args.bound, 2)
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
             rows.append((m, *[str(tab[m, n]) for n in range(args.bound + 1)]))
-        _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], cfg, out)
+        _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], args.fmt, out)
     elif args.action == "closed":
         _at_least("--m", args.m, 0)
         _at_least("--n", args.n, 0)
         _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
-              ["m", "n", "c_mn"], cfg, out)
+              ["m", "n", "c_mn"], args.fmt, out)
     elif args.action == "tseq":
         _at_least("--n", args.n, 0)
-        ts = cannibal.theta_gen(args.n)
+        ts = cannibal.ThetaGenSeq(args.n)
         rows = [(k, str(ts[k]), str(cannibal.theta_gen_closed(k))) for k in range(args.n + 1)]
-        _emit(rows, ["k", "recurrence", "closed_form"], cfg, out)
+        _emit(rows, ["k", "recurrence", "closed_form"], args.fmt, out)
     return 0
 
 
-def cmd_mahler(args, cfg, out):
+def cmd_mahler(args, out):
+    _at_least("--precision", args.precision, 16)
     if args.action == "dilate":
         _at_least("--i", args.i, 0)
-        k = Padic2(args.padic, cfg.precision) if args.padic is not None else args.k
+        k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
-        if cfg.fmt == "json" and args.padic is None:
+        if args.fmt == "json" and args.padic is None:
             json.dump(np_.to_json_obj(), out, indent=1, sort_keys=True)
             out.write("\n")
         else:
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", str(np_))],
-                  ["dilation", "expansion"], cfg, out)
+                  ["dilation", "expansion"], args.fmt, out)
     elif args.action == "matrix":
         _at_least("--imax", args.imax, 0)
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
-        _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], cfg, out)
+        _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], args.fmt, out)
     elif args.action == "vs-adams":
         _at_least("--imax", args.imax, 0)
         res = mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
-              ["check", "result"], cfg, out)
+              ["check", "result"], args.fmt, out)
     return 0
 
 
-def cmd_artin_schreier(args, cfg, out):
+def cmd_artin_schreier(args, out):
+    _at_least("--precision", args.precision, 16)
     with _domain("--u", NotInDomain):
-        res = mahler.artin_schreier_check(args.u, cfg.precision)
+        res = mahler.artin_schreier_check(args.u, args.precision)
     rows = [
         ("b = -log(u)/log(81)", f"{res['b'].value} mod 2^{res['b'].precision}"),
         ("-log(u/81)/log(81)", f"{res['lhs'].value} mod 2^{res['lhs'].precision}"),
         ("b + 1", f"{res['rhs'].value} mod 2^{res['rhs'].precision}"),
         ("verified", str(res["verified"]).lower()),
     ]
-    _emit(rows, ["quantity", "value"], cfg, out)
+    _emit(rows, ["quantity", "value"], args.fmt, out)
     return 0 if res["verified"] else 1
 
 
-def cmd_reproduce(args, cfg, out):
+def cmd_reproduce(args, out):
     tables = golden_data.all_tables()
     any_diff = False
     unexpected = False
@@ -334,39 +336,45 @@ def cmd_reproduce(args, cfg, out):
 # -- argument parsing --------------------------------------------------------------
 
 
-def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=12, help="series truncation bound")
-    common.add_argument("--precision", type=int, default=64, help="2-adic precision (bits)")
-    common.add_argument("--mode", default="paper-box", choices=["paper-box", "residue-exact"])
-    common.add_argument("--nki", default="auto", choices=["paper", "extended-gcd", "auto"])
-    common.add_argument("--format", dest="fmt", default="text", choices=["text", "csv", "json"])
-    common.add_argument("--out", default=None, help="write output to FILE")
+# flags that more than one subcommand reads; each subcommand takes only its own
+SHARED_FLAGS = {
+    "--format": dict(dest="fmt", default="text", choices=["text", "csv", "json"]),
+    "--out": dict(default=None, help="write output to FILE"),
+    "--bound": dict(type=int, default=12, help="series truncation bound"),
+    "--precision": dict(type=int, default=64, help="2-adic precision (bits)"),
+}
 
+
+def build_parser():
     p = argparse.ArgumentParser(prog="fglab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def sub_add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def sub_add(name, *flags, help):
+        s = sub.add_parser(name, help=help)
+        for flag in flags:
+            s.add_argument(flag, **SHARED_FLAGS[flag])
+        return s
 
-    s = sub_add("series", help="inverse-series coefficients")
+    s = sub_add("series", "--format", "--out", help="inverse-series coefficients")
     s.add_argument("action", choices=["invert", "residue"])
     s.add_argument("--order", type=int, default=4)
 
-    s = sub_add("fgl", help="formal group law computations")
+    s = sub_add("fgl", "--format", "--out", "--bound", help="formal group law computations")
     s.add_argument("action", choices=["twist", "cpn", "box-diff", "miscenko"])
+    s.add_argument("--mode", default="paper-box", choices=["paper-box", "residue-exact"])
     s.add_argument("--nb", type=int, default=5, help="number of b_i symbols")
     s.add_argument("--n", type=int, default=4)
     s.add_argument("--expr", default="1/4*K3SQ + 12*N")
 
-    s = sub_add("chern", help="Chern classes and the SU constraint system")
+    s = sub_add("chern", "--format", "--out", help="Chern classes and the SU constraint system")
     s.add_argument("action", choices=["total", "system", "reduce", "nullspace", "todd"])
     s.add_argument("--dims", default="1,3")
     s.add_argument("--dim", type=int, default=4)
     s.add_argument("--inputs", default="625,50,250,100,5")
 
-    s = sub_add("adams", help="Adams operations on K-homology")
+    s = sub_add("adams", "--format", "--out", help="Adams operations on K-homology")
     s.add_argument("action", choices=["beta", "beta-table", "nki", "relations", "psi-dk", "spherical"])
+    s.add_argument("--nki", default="auto", choices=["paper", "extended-gcd", "auto"])
     s.add_argument("--k", type=int, default=3)
     s.add_argument("--i", type=int, default=3)
     s.add_argument("--imax", type=int, default=10)
@@ -375,22 +383,23 @@ def build_parser():
     s.add_argument("--level", default="base", choices=["base", "thom"])
     s.add_argument("--max-weight", type=int, default=20)
 
-    s = sub_add("cannibal", help="cannibalistic class tables")
+    s = sub_add("cannibal", "--format", "--out", "--bound", help="cannibalistic class tables")
     s.add_argument("action", choices=["table", "closed", "tseq"])
     s.add_argument("--m", type=int, default=2)
     s.add_argument("--n", type=int, default=2)
 
-    s = sub_add("mahler", help="binomial-basis dilation")
+    s = sub_add("mahler", "--format", "--out", "--precision", help="binomial-basis dilation")
     s.add_argument("action", choices=["dilate", "matrix", "vs-adams"])
     s.add_argument("--k", type=int, default=3)
     s.add_argument("--i", type=int, default=4)
     s.add_argument("--imax", type=int, default=6)
     s.add_argument("--padic", type=int, default=None, help="2-adic unit value instead of integer k")
 
-    s = sub_add("artin-schreier", help="2-adic Artin-Schreier verification")
+    s = sub_add("artin-schreier", "--format", "--out", "--precision",
+                help="2-adic Artin-Schreier verification")
     s.add_argument("--u", type=int, default=17)
 
-    s = sub_add("reproduce-paper", help="recompute and diff all golden tables")
+    s = sub_add("reproduce-paper", "--out", help="recompute and diff all golden tables")
     s.add_argument("--verbose", action="store_true")
     return p
 
@@ -413,14 +422,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    try:
-        cfg = Config(precision=args.precision, mode=args.mode, nki=args.nki, fmt=args.fmt)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 2
     buf = io.StringIO()
     try:
-        code = DISPATCH[args.command](args, cfg, buf)
+        code = DISPATCH[args.command](args, buf)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

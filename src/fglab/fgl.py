@@ -3,7 +3,7 @@ FGL binomial coefficients, and the projective-space substitution into K-theory.
 
 Conventions.  A law lives in a bivariate ambient (x, y) over a coefficient
 ring, possibly with weight-0 bookkeeping symbols (v, b1..) alongside.
-Internal grading used by the homogeneity assertions: b_i has grade 2i,
+The grading under which the tests check homogeneity: b_i has grade 2i,
 v grade +2, x and y grade -2, so a_ij picked out of F = x + y + sum a_ij
 x^i y^j is homogeneous of grade 2(i+j-1).  (v is the *inverse* Bott class,
 of cohomological degree -2; the homological grade that makes the twisted-law
@@ -20,13 +20,6 @@ from .rings import RAT
 from .series import MultiSeries
 
 X, Y = "x", "y"
-
-# grades for homogeneity assertions (b-side symbols)
-def symbol_grades(nb):
-    g = {"x": -2, "y": -2, "z": -2, "v": 2}
-    for i in range(1, nb + 1):
-        g[f"b{i}"] = 2 * i
-    return g
 
 
 class FGL:

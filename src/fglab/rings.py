@@ -18,9 +18,6 @@ from math import lcm
 
 from .errors import DivisionUndefined, NotAUnit, NotInDomain, PrecisionTooLow
 
-Rat = Fraction  # reduced numerator/denominator invariants come for free
-
-
 def val2(n: int) -> int:
     """2-adic valuation of a nonzero integer."""
     if n == 0:
@@ -184,8 +181,8 @@ def gf2_from_rat(q: Fraction) -> GF2Elt:
 # -- ring descriptors ------------------------------------------------------
 #
 # A ring descriptor carries the constants and the few operations that are
-# not expressible through element operators (inversion, conversions,
-# serialization).  Elements themselves implement +, -, *.
+# not expressible through element operators (inversion, conversions).
+# Elements themselves implement +, -, *.
 #
 # ``lift``/``lower`` frame the series product's pair loop.  ``lift`` maps an
 # operand's coefficients to values the loop multiplies and adds (each
@@ -227,12 +224,6 @@ class RatRing:
             return {e: Fraction(s) for e, s in sums.items()}
         return {e: Fraction(s, den) for e, s in sums.items()}
 
-    def coeff_to_json(self, a):
-        return str(a.numerator), str(a.denominator)
-
-    def coeff_from_json(self, num, den):
-        return Fraction(int(num), int(den))
-
     def __eq__(self, other):
         return isinstance(other, RatRing)
 
@@ -268,14 +259,6 @@ class GF2Ring:
 
     def lower(self, sums, scale):
         return sums
-
-    def coeff_to_json(self, a):
-        return str(a.v), "1"
-
-    def coeff_from_json(self, num, den):
-        if int(den) % 2 == 0:
-            raise NotInDomain("even denominator in GF(2) literal")
-        return GF2Elt(int(num) * int(den))  # den odd, acts as 1 mod 2
 
     def __eq__(self, other):
         return isinstance(other, GF2Ring)
@@ -316,12 +299,6 @@ class Padic2Ring:
         """Drop the sums that vanish only at the ring's precision, below their own."""
         return {e: s for e, s in sums.items() if not self.is_zero(s)}
 
-    def coeff_to_json(self, a):
-        return str(a.value), "1"
-
-    def coeff_from_json(self, num, den):
-        return padic_from_rat(Fraction(int(num), int(den)), self.precision)
-
     def __eq__(self, other):
         return isinstance(other, Padic2Ring) and other.precision == self.precision
 
@@ -337,11 +314,6 @@ GF2 = GF2Ring()
 
 
 # -- 2-adic analytic operations --------------------------------------------
-
-
-def padic_inverse(u: Padic2) -> Padic2:
-    """Inverse of a 2-adic unit at the unit's own precision."""
-    return u.inverse()
 
 
 def padic_log(u: Padic2) -> Padic2:

@@ -9,7 +9,7 @@ beyond the bound.
 Variables of weight zero never trigger pruning.  That is how graded
 bookkeeping symbols (v, b_i, a_ij, d_k) and ordinary series variables share
 one engine: series variables get weight 1, symbols get weight 0 and are
-graded externally through ``degree_part``/``grades_present`` grade maps.
+graded externally through ``degree_part`` grade maps.
 (The data model admits negative weights as well; truncation then only
 prunes what provably exceeds the bound.)
 
@@ -19,8 +19,6 @@ deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
-import json
-from fractions import Fraction
 from functools import lru_cache
 from math import inf
 from operator import add, itemgetter, mul
@@ -33,7 +31,6 @@ from .errors import (
     NotStrict,
     VariableMismatch,
 )
-from .rings import RAT
 
 
 @lru_cache(maxsize=256)
@@ -419,10 +416,6 @@ class MultiSeries:
                     if sum(x * g for x, g in zip(e, gvec)) == d}
         return self._bare(keep)
 
-    def grades_present(self, grades):
-        gvec = [grades.get(v, 0) for v in self.vars]
-        return sorted({sum(x * g for x, g in zip(e, gvec)) for e in self.terms})
-
     def map_coefficients(self, fn, ring):
         terms = {}
         for e, c in self.terms.items():
@@ -430,13 +423,6 @@ class MultiSeries:
             if not ring.is_zero(nc):
                 terms[e] = nc
         return MultiSeries(ring, self.vars, terms, self.bound, self.weights)
-
-    def truncate(self, bound):
-        return MultiSeries(self.ring, self.vars, self.terms, bound, self.weights)
-
-    def rename(self, mapping):
-        return MultiSeries(self.ring, [mapping.get(v, v) for v in self.vars],
-                           self.terms, self.bound, self.weights)
 
     def drop_vars(self, names):
         """Remove variables that occur with exponent zero in every term."""
@@ -467,50 +453,6 @@ class MultiSeries:
 
     def __repr__(self):
         return f"MultiSeries({self})"
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_obj(self):
-        obj = {
-            "vars": [{"name": v, "weight": w} for v, w in zip(self.vars, self.weights)],
-            "bound": self.bound,
-            "terms": [],
-        }
-        for e, c in self.sorted_terms():
-            num, den = self.ring.coeff_to_json(c)
-            obj["terms"].append({"exp": list(e), "num": num, "den": den})
-        if self.ring.name != "rat":
-            obj["ring"] = self.ring.name
-            if self.ring.name == "padic2":
-                obj["precision"] = self.ring.precision
-        return obj
-
-    def to_json(self):
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json_obj(cls, obj, ring=None):
-        if ring is None:
-            name = obj.get("ring", "rat")
-            if name == "rat":
-                ring = RAT
-            elif name == "gf2":
-                from .rings import GF2
-                ring = GF2
-            elif name == "padic2":
-                from .rings import Padic2Ring
-                ring = Padic2Ring(obj["precision"])
-            else:
-                raise VariableMismatch(f"unknown ring {name!r}")
-        names = [v["name"] for v in obj["vars"]]
-        weights = [v["weight"] for v in obj["vars"]]
-        terms = {tuple(t["exp"]): ring.coeff_from_json(t["num"], t["den"])
-                 for t in obj["terms"]}
-        return cls(ring, names, terms, obj["bound"], weights)
-
-    @classmethod
-    def from_json(cls, s, ring=None):
-        return cls.from_json_obj(json.loads(s), ring)
 
 
 # -- printing -------------------------------------------------------------------
@@ -546,31 +488,6 @@ def format_sum(parts) -> str:
     return out
 
 
-# -- module-level operation wrappers (CLI-facing names) -----------------------
-
-
-def series_arith(a, b, op):
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise VariableMismatch(f"unknown op {op!r}")
-
-
-def series_reciprocal(a):
-    return a.reciprocal()
-
-
-def series_compose(outer, var, inner):
-    return outer.compose(var, inner)
-
-
-def series_comp_inverse(g, var):
-    return g.comp_inverse(var)
-
-
 def residue_inverse_coeff(g, var, n):
     """Inverse-series coefficient c_n by the residue formula.
 
@@ -579,7 +496,7 @@ def residue_inverse_coeff(g, var, n):
     appear: the power of the reciprocal series realizes the -(n+1).
     Returns the coefficient as a series in g's non-spine variables (a plain
     constant when g is genuinely univariate); it must equal the var^(n+1)
-    slice of ``series_comp_inverse``.
+    slice of ``comp_inverse``.
     """
     idx = g._var_index(var)
     if not g.ring.is_zero(g.constant_term()):
@@ -608,10 +525,6 @@ def residue_inverse_coeff(g, var, n):
     return P.coeff_in_var("#s", n).embed(g.vars, g.weights, g.bound).scale(inv_n1)
 
 
-def degree_part(a, d, grades=None):
-    return a.degree_part(d, grades)
-
-
 # -- classical one-variable series --------------------------------------------
 
 
@@ -625,26 +538,3 @@ def geometric(ring, varnames, var, bound, weights=None):
         if p.is_zero():
             return out
         out = out + p
-
-
-def exp_series(varnames, var, bound, weights=None, rate=Fraction(1)):
-    """exp(rate*x) over Q, truncated."""
-    vs = tuple(varnames)
-    idx = vs.index(var)
-    terms = {}
-    f = Fraction(1)
-    for n in range(0, bound + 1):
-        if n > 0:
-            f = f * rate / n
-        terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = f
-    return MultiSeries(RAT, vs, terms, bound, weights)
-
-
-def log1p_series(varnames, var, bound, weights=None):
-    """log(1+x) over Q, truncated."""
-    vs = tuple(varnames)
-    idx = vs.index(var)
-    terms = {}
-    for n in range(1, bound + 1):
-        terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = Fraction((-1) ** (n + 1), n)
-    return MultiSeries(RAT, vs, terms, bound, weights)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.adams import (APoly, DPoly, DReducer, Relation, RelationSet,
-                         bootstrap_lift, binom_gcd, apoly_eval, coboundary_apoly_values,
+                         bootstrap_lift, binom_gcd,
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          nki_coeffs, psi3_closed_coeff, psi_inv_beta, psi_inv_tensor,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
@@ -18,6 +18,7 @@ from fglab.rings import RAT, rat_val2
 from fglab.series import MultiSeries
 
 from oracle_bu import BUOracle
+from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
 PSI_BETA_ROWS = {
     1: {1: 3},

@@ -3,16 +3,18 @@ from fractions import Fraction
 import pytest
 
 from fglab.adams import DPoly
-from fglab.cannibal import (theta3_bilinear, theta3_closed, theta3_direct, theta_gen,
-                            theta_gen_closed, theta_k_virtual, theta_table_to_series,
-                            orientation_transport, thom_psi_dk)
+from fglab.cannibal import (ThetaGenSeq, theta3_bilinear, theta3_closed, theta3_direct,
+                            theta_gen_closed, theta_k_virtual, orientation_transport,
+                            thom_psi_dk)
 from fglab.errors import EvenK
 from fglab.rings import RAT, padic_from_rat
 from fglab.series import MultiSeries
 
+from helpers import theta_table_to_series
+
 
 def test_tseq_first_values():
-    ts = theta_gen(10)
+    ts = ThetaGenSeq(10)
     assert ts[0] == Fraction(1, 3)
     assert ts[1] == Fraction(1, 3)
     assert ts[2] == Fraction(2, 9)
@@ -21,7 +23,7 @@ def test_tseq_first_values():
 
 
 def test_tseq_closed_forms_to_60():
-    ts = theta_gen(60)
+    ts = ThetaGenSeq(60)
     for k in range(61):
         assert ts[k] == theta_gen_closed(k), k
 
@@ -31,13 +33,13 @@ def test_theta_table_boundary(theta30):
     for n in range(1, 31):
         assert theta30[0, n] == 0
         assert theta30[n, 0] == 0
-    ts = theta_gen(32)
+    ts = ThetaGenSeq(32)
     for n in range(1, 30):
         assert theta30[1, n] == 3 * ts[n + 1], n
 
 
 def test_theta_table_symmetric_and_closed(theta30):
-    ts = theta_gen(62)
+    ts = ThetaGenSeq(62)
     for m in range(31):
         for n in range(31):
             assert theta30[m, n] == theta30[n, m]

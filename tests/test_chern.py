@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.chern import (IntMatrix, ProjProduct, chern_monomials_with_c1,
-                         chern_number, in_span, integer_reduce, matvec, monomial_label,
+                         chern_number, in_span, integer_reduce, monomial_label,
                          nullspace_rational, partitions, paper_dim8_basis, rref, same_row_space,
                          su_constraint_system, todd_t4, total_chern)
 from fglab.config import RANDOM_SEED
 from fglab.errors import DimensionMismatch
 from fglab.rings import RAT
 from fglab.series import MultiSeries
+
+from helpers import matvec
 
 
 def cells(tc):

@@ -108,6 +108,7 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("mahler", "dilate", "--padic", "0"),
     ("artin-schreier", "--u", "2"),
     ("fgl", "miscenko", "--expr", ""),
+    ("adams", "relations", "--degree", "3"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -122,12 +123,32 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("fgl", "miscenko", "--expr", "CP1xCP5"), "--expr"),
     (("mahler", "dilate", "--padic", "2"), "--padic"),
     (("artin-schreier", "--u", "2"), "--u"),
+    (("mahler", "dilate", "--precision", "8"), "--precision"),
+    (("artin-schreier", "--precision", "8"), "--precision"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
-    """The library raises its own error types; the CLI reports them against the flag."""
+    """Out-of-domain values, rejected by the CLI or by the library's own error
+    types, are reported against the flag."""
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(f"usage error: {flag}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("reproduce-paper", "--format", "json"),
+    ("adams", "relations", "--bound", "5"),
+    ("chern", "total", "--precision", "8"),
+    ("series", "invert", "--nki", "paper"),
+    ("fgl", "twist", "--precision", "20"),
+    ("cannibal", "tseq", "--mode", "residue-exact"),
+])
+def test_flag_of_another_subcommand_is_rejected(capsys, argv):
+    """Each subcommand takes only the flags it reads; any other is a usage
+    error, never silently ignored."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("expr", [
@@ -211,7 +232,7 @@ def test_non_integer_dims_is_usage_error(capsys):
 
 
 def test_unexpected_exception_is_one_line_computation_error(capsys, monkeypatch):
-    def boom(args, cfg, out):
+    def boom(args, out):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(cli.DISPATCH, "series", boom)
@@ -262,4 +283,40 @@ def test_chern_and_spherical_match_pinned_output(capsys, argv, digest):
     container and mod-2 d-polynomials their own class."""
     code, out, _ = run(capsys, *argv)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, code, digest", [
+    (("series", "invert"), 0, "ded3249fbe59dfb401963f56795042b9a83ea7d9ef92667bfe75127f2311aa37"),
+    (("series", "residue"), 0, "e521e55ffc4d88525f0d38354bd901fa827ec135025179a577902b73156a53cd"),
+    (("fgl", "twist"), 0, "e781968381662e34fd2125797fc328c1e86e795f24259f4eed88aa89ab6b6bb4"),
+    (("fgl", "cpn"), 0, "1ef4dc2d09bb9fa900d98f9cf2f248387925ccf2789bee3249f7fdb490a9ac6a"),
+    (("fgl", "box-diff"), 0, "e889faf7ca1e1b1be32c6f55f69173db3d31a87e74fac4f6812caa95419010a3"),
+    (("fgl", "miscenko"), 0, "e4b51b350af948b52d722bfd21f71f61046bef3aa674d9330cd164f1822d3b23"),
+    (("chern", "total"), 0, "cc22a2e0867007782189a411cc08a92407de3251c8163ed6cf886ece075c87f4"),
+    (("chern", "system"), 0, "0bbc9da39419750dce5c1d3e272bde0c0061002bf9655300805ec8666eba1de9"),
+    (("chern", "reduce"), 0, "7feb84db7a9d5e64dd5f37e5e1e90fddf7e09e82068e21da27e01c80ee3cc37b"),
+    (("chern", "nullspace"), 0, "2b9594393ec7102bfe5cd105dcd4ea40ff1b298e7c98017c03cba6dc04c333c8"),
+    (("chern", "todd"), 0, "fa0510c4c0d0f4ab2e697ea1978e190cf496a5786a9551b504bd614f31365387"),
+    (("adams", "beta"), 0, "541154781c1ff4a004e0c1164633b225f17b3aea56c93fb7896f554ef50a10d2"),
+    (("adams", "beta-table"), 0, "5d44e9dbb7304a51912b19d02a38702201abb3425301ad43a1395de3660212dd"),
+    (("adams", "nki"), 0, "453242c0ac8011d09e10d5169956470738d59ac6cd200ed346704f65c4ed33de"),
+    (("adams", "relations"), 0, "d8a088e467e22bc557a9497626bd24f99a92b618c2dcd9fa89f188e52875564e"),
+    (("adams", "psi-dk"), 0, "7b8a43ee33083370e6c2c8f51c730d59d517f5978b3b1f330188cf63146715af"),
+    (("adams", "spherical"), 0, "a4ca8bb03414d11c521bf0cd6255cb3f51801e6360fc3937d7f91842d6a7293e"),
+    (("cannibal", "table"), 0, "106763d75844fbd187cbc145c6afbc885b3aa3305d349c9c51247fd704ae3019"),
+    (("cannibal", "closed"), 0, "ca2cd84c15d3d269b1fa5979e4565e8d9f07cb42954262eb8cf41efb36da22fa"),
+    (("cannibal", "tseq"), 0, "c30d3e4e8837fe26af12f611e0f1615f4218d7af6fda84b572c7644775a09162"),
+    (("mahler", "dilate"), 0, "c66489ff7cc246a0043277db18a17d97fe89b92575eed1ccb8260ae319e48f58"),
+    (("mahler", "matrix"), 0, "aa2c0bc76218cb2ea2742e0e868ddce60ae93491b28f5ade7c74f89f1a446faf"),
+    (("mahler", "vs-adams"), 0, "8775500c3ac085858883c464b78e9f41e4300b3e766ad5c85f625024b53a747c"),
+    (("artin-schreier",), 0, "71336876865d3a579a59d3a3d2a317a781ce122a37529e752f34471ae9bd459f"),
+    (("reproduce-paper",), 3, "0e2a52b015bf393255b35d7a67a687a2ab29f721c9df49d56ec397c094051184"),
+])
+def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, digest):
+    """Exit code and stdout of every subcommand action at its default flags,
+    byte for byte as printed when all eight subcommands took all six shared
+    flags."""
+    got, out, _ = run(capsys, *argv)
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

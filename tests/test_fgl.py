@@ -10,9 +10,11 @@ from fglab.errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageE
 from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
                        fgl_binom, fgl_check, fgl_exp, fgl_from_genus, fgl_log,
                        fgl_twist, generic_strict_series, miscenko_image,
-                       multiplicative_law, symbol_grades)
+                       multiplicative_law)
 from fglab.rings import RAT
-from fglab.series import MultiSeries, exp_series
+from fglab.series import MultiSeries
+
+from helpers import exp_series, grades_present, rename, symbol_grades, truncate
 
 
 def rational_strict_g(rng, bound, nb=4):
@@ -135,7 +137,7 @@ def test_twisted_law_images_homogeneous(twisted6):
     grade 2(i+j-1)."""
     grades = {k: v for k, v in symbol_grades(5).items() if k not in ("x", "y", "z")}
     for (i, j), poly in FGL(twisted6).coeff_table().items():
-        assert poly.grades_present(grades) == [2 * (i + j - 1)], (i, j)
+        assert grades_present(poly, grades) == [2 * (i + j - 1)], (i, j)
 
 
 def test_coeff_table_rebuilds_the_law(twisted6):
@@ -199,7 +201,7 @@ def test_fgl_log_of_twist_is_log_after_inverse():
     g = rational_strict_g(rng, 8)
     F = multiplicative_law(RAT, 8)
     tw = fgl_twist(F, g)
-    ginv = g.comp_inverse("t").rename({"t": "x"})
+    ginv = rename(g.comp_inverse("t"), {"t": "x"})
     assert fgl_log(tw) == fgl_log(F).compose("x", ginv)
 
 
@@ -210,8 +212,8 @@ def test_fgl_log_linearizes_the_law():
     lg = fgl_log(tw)
     # compare one order below the bound: substituting the law consumes it
     b = 7
-    tw7 = tw.truncate(b)
-    lg7 = lg.truncate(b)
+    tw7 = truncate(tw, b)
+    lg7 = truncate(lg, b)
     lhs = lg7.compose("x", tw7)
     rhs = (lg7.compose("x", MultiSeries.var(RAT, tw7.vars, "x", b, tw7.weights))
            + lg7.compose("x", MultiSeries.var(RAT, tw7.vars, "y", b, tw7.weights)))

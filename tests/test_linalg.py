@@ -2,8 +2,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.chern import IntMatrix, matvec, nullspace_rational, rref
+from fglab.chern import IntMatrix, nullspace_rational, rref
 from fglab.linalg import Echelon, GF2Echelon
+
+from helpers import matvec
 
 rows = st.lists(
     st.dictionaries(st.integers(0, 7), st.fractions(min_value=-5, max_value=5,
