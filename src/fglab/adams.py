@@ -58,27 +58,10 @@ def psi3_closed_coeff(j: int, i: int) -> int:
 
 
 class BetaElt:
-    """Finitely supported sum over beta_i; index 0 is the unit class.
-
-    ``psi_inv_tensor`` keys the same container by pairs (m, n) for
-    beta_m (x) beta_n; only int-keyed elements print.
-    """
+    """Finitely supported sum over beta_i; index 0 is the unit class."""
 
     def __init__(self, coeffs: dict):
         self.coeffs = {i: c for i, c in coeffs.items() if c}
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i, 0) + c
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return BetaElt(out)
-
-    def scale(self, c):
-        return BetaElt({i: c * v for i, v in self.coeffs.items()})
 
     def __eq__(self, other):
         return isinstance(other, BetaElt) and self.coeffs == other.coeffs
@@ -100,22 +83,9 @@ class BetaElt:
         return BetaElt({i: c % 2 for i, c in self.coeffs.items()})
 
 
-def psi_inv_beta(k: int, i: int, N: int) -> BetaElt:
-    """psi^(k^-1) beta_i = sum_j <psi^k x^j, beta_i> beta_j, indices <= N."""
-    if i > N:
-        raise UsageError(f"index {i} exceeds bound {N}")
+def psi_inv_beta(k: int, i: int) -> BetaElt:
+    """psi^(k^-1) beta_i = sum_j <psi^k x^j, beta_i> beta_j."""
     return BetaElt({j: psi_power_coeff(k, j, i) for j in range(0, i + 1)})
-
-
-def psi_inv_tensor(k: int, i: int, j: int, N: int) -> BetaElt:
-    """Tensor factorization psi^(k^-1)(beta_i (x) beta_j), keyed by (m, n)."""
-    left = psi_inv_beta(k, i, N)
-    right = psi_inv_beta(k, j, N)
-    out = {}
-    for m, cm in left.coeffs.items():
-        for n, cn in right.coeffs.items():
-            out[(m, n)] = out.get((m, n), 0) + cm * cn
-    return BetaElt(out)
 
 
 # -- n_k^i coefficients -------------------------------------------------------
@@ -131,13 +101,6 @@ NKI_PAPER = {
     9: {1: -9, 3: 1},
     10: {1: 1, 2: 11, 5: -2},
 }
-
-
-def binom_gcd(k: int) -> int:
-    g = 0
-    for i in range(1, k):
-        g = gcd(g, comb(k, i))
-    return g
 
 
 def nki_coeffs(k: int, mode: str = "paper") -> dict:
@@ -208,15 +171,14 @@ def _amono_str(mono):
     return format_product(factors)
 
 
-def _amono_mul(p1, p2):
-    """Product of two u-free a-monomials."""
-    acc = dict(p1)
-    for key, e in p2:
-        acc[key] = acc.get(key, 0) + e
-    return tuple(sorted(acc.items()))
-
-
-_ONE_MONO = (0, ())
+def _dmul(p, q):
+    """p * q on {d-monomial: coefficient} dicts; zero sums are kept."""
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = tuple(sorted(m1 + m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
 
 
 class _Poly:
@@ -269,10 +231,6 @@ class APoly(_Poly):
         return cls({})
 
     @classmethod
-    def const(cls, c):
-        return cls({_ONE_MONO: Fraction(c)})
-
-    @classmethod
     def gen(cls, i, j, coeff=1, upow=0):
         """c * u^upow * a_{ij}; returns a constant for (0,0), zero for (0,i)."""
         if i == 0 and j == 0:
@@ -282,20 +240,12 @@ class APoly(_Poly):
         key = (min(i, j), max(i, j))
         return cls({(upow, ((key, 1),)): Fraction(coeff)})
 
-    def __mul__(self, other):
+    def set_u(self):
+        """Specialize u to 1, as the printed forms and the reducer do."""
         out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = (m1[0] + m2[0], _amono_mul(m1[1], m2[1]))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return APoly(out)
-
-    def set_u(self, value=1):
-        """Specialize u (printed forms use u = 1)."""
-        out = {}
-        for (ue, pairs), c in self.terms.items():
+        for (_, pairs), c in self.terms.items():
             m = (0, pairs)
-            out[m] = out.get(m, 0) + (c if value == 1 else c * Fraction(value) ** ue)
+            out[m] = out.get(m, 0) + c
         return APoly(out)
 
     def weights_present(self):
@@ -342,15 +292,7 @@ class DPoly(_Poly):
         self.terms = {m: c for m, c in clean.items() if c}
 
     def __mul__(self, other):
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(sorted(m1 + m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return DPoly(out)
-
-    def weight(self):
-        return max((sum(m) for m in self.terms), default=0)
+        return DPoly(_dmul(self.terms, other.terms))
 
     def mod2(self):
         out = {}
@@ -391,32 +333,7 @@ def dk_as_apoly(k: int, nki=None) -> APoly:
 # -- 2-structure relations ------------------------------------------------------
 
 
-class Relation:
-    __slots__ = ("monomial", "poly")
-
-    def __init__(self, monomial, poly: APoly):
-        self.monomial = monomial  # (a, b, c) exponents of x^a y^b z^c
-        self.poly = poly
-
-    def __repr__(self):
-        return f"Relation(x^{self.monomial[0]} y^{self.monomial[1]} z^{self.monomial[2]}: {self.poly})"
-
-
-class RelationSet:
-    def __init__(self, relations):
-        self.relations = list(relations)
-
-    def __iter__(self):
-        return iter(self.relations)
-
-    def __len__(self):
-        return len(self.relations)
-
-    def by_monomial(self, a, b, c):
-        return next((r for r in self.relations if r.monomial == (a, b, c)), None)
-
-
-def gen_2structure_relations(N: int) -> RelationSet:
+def gen_2structure_relations(N: int) -> dict:
     """Expand the symmetric-cocycle identity and collect coefficient relations.
 
     The identity f(x, y) f(x +. y, z) = f(x, y +. z) f(y, z) with
@@ -427,8 +344,10 @@ def gen_2structure_relations(N: int) -> RelationSet:
     only the left side L is expanded: for every monomial x^a y^b z^c
     (a, b, c >= 1) the relation L[a,b,c] - L[c,b,a] has halved weight a+b+c.
     It vanishes at a = c; otherwise it is built once and listed at both
-    (a, b, c) and (c, b, a).  Relations are content-normalized (coefficient
-    gcd divided out, graded-lex leading sign positive), in monomial order.
+    (a, b, c) and (c, b, a): the result maps each monomial (a, b, c), in
+    sorted order, to its relation, and a mirror pair shares one APoly.
+    Relations are content-normalized (coefficient gcd divided out, graded-lex
+    leading sign positive).
     """
     # in (i, j) order, so the a-monomials read off the exponents are sorted as APoly keys
     pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
@@ -450,7 +369,7 @@ def gen_2structure_relations(N: int) -> RelationSet:
         mono = (exp[3], tuple(zip(compress(pairs, avec), filter(None, avec))))
         groups.setdefault(exp[:3], {})[mono] = c
 
-    rels = []
+    rels = {}
     for key in groups:
         a, b, c = key
         mirror = (c, b, a)
@@ -467,8 +386,8 @@ def gen_2structure_relations(N: int) -> RelationSet:
             raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
         if poly.weights_present() != [a + b + c]:
             raise NotReducible(a + b + c, f"inhomogeneous relation at {key}")
-        rels += [Relation(key, poly), Relation(mirror, poly)]
-    return RelationSet(sorted(rels, key=lambda r: r.monomial))
+        rels[key] = rels[mirror] = poly
+    return dict(sorted(rels.items()))
 
 
 # -- reduction to d-polynomials ---------------------------------------------------
@@ -518,16 +437,22 @@ class DReducer:
     Each distinct u = 1 equation is solved and checked once: a repeat (a
     relation and its x <-> z mirror are one polynomial) would repeat the same
     check, or pass it trivially after its first copy raised the rank.
+
+    ``rels`` maps monomials (a, b, c) to relations of weight a + b + c, as
+    ``gen_2structure_relations`` returns them; a polynomial listed under
+    several keys is specialized to u = 1 once.
     """
 
-    def __init__(self, W: int, rels: RelationSet, nki_mode="auto"):
+    def __init__(self, W: int, rels: dict, nki_mode="auto"):
         self.W = W
         self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
         self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
         self._consistent = True
+        # one entry per relation object, in the order of its first key
+        listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
         eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
-        for poly in dict.fromkeys(rel.poly.set_u(1) for rel in rels):
-            eqs.setdefault(max(poly.weights_present(), default=0), []).append((poly, {}))
+        for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
+            eqs.setdefault(w, []).append((poly, {}))
         for w in range(2, W + 1):
             dw = dk_as_apoly(w, nki_coeffs(w, nki_mode))
             self._solve_weight(w, eqs.get(w, []) + [(dw, {(w,): 1})])
@@ -573,18 +498,14 @@ class DReducer:
             pair, e = mono[-1]
             if pair not in self._gen:
                 raise NotReducible(self.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
-            out = {}
-            for m1, c1 in self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ())).items():
-                for m2, c2 in self._gen[pair].items():
-                    m = tuple(sorted(m1 + m2))
-                    out[m] = out.get(m, 0) + c1 * c2
-            self._phi[mono] = _dpoly_clean(out)
+            prefix = self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ()))
+            self._phi[mono] = _dpoly_clean(_dmul(prefix, self._gen[pair]))
         return self._phi[mono]
 
     def reduce(self, expr: APoly) -> DPoly:
         """Rewrite expr (mod the relation ideal) as a polynomial in the d_k."""
         out = {}
-        for (_, mono), c in expr.set_u(1).terms.items():
+        for (_, mono), c in expr.set_u().terms.items():
             if _amono_weight(mono) > self.W:
                 raise NotReducible(self.W, f"{_amono_str((0, mono))} exceeds weight {self.W}")
             _dpoly_addto(out, self._phi_of(mono), c)
@@ -594,11 +515,19 @@ class DReducer:
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
-    """psi^(k^-1) f_*(beta_i (x) beta_j) as an APoly (beta_0 terms collapse)."""
-    out = APoly.zero()
-    for (m, n), c in psi_inv_tensor(k, i, j, max(i, j, 1)).coeffs.items():
-        out = out + APoly.gen(m, n, c)
-    return out
+    """psi^(k^-1) f_*(beta_i (x) beta_j) as an APoly.
+
+    The sum over m <= i, n <= j of <psi^k x^m, beta_i> <psi^k x^n, beta_j>
+    a_mn, with a_00 = 1, a_0n = a_m0 = 0 and a_mn = a_nm.
+    """
+    left, right = ([psi_power_coeff(k, m, top) for m in range(top + 1)] for top in (i, j))
+    out = {}
+    for m, cm in enumerate(left):
+        for n, cn in enumerate(right):
+            if cm and cn and (m == 0) == (n == 0):
+                key = (0, (((min(m, n), max(m, n)), 1),) if m else ())
+                out[key] = out.get(key, 0) + cm * cn
+    return APoly(out)
 
 
 def psi_on_dk(k_gen: int, reducer: DReducer, k_adams: int = 3, nki_mode="auto") -> DPoly:
@@ -626,23 +555,22 @@ def spherical_search(max_weight: int, psi_table: dict):
     if max_weight % 2 != 0:
         raise UsageError("weights are even")
     W = max_weight // 2
-    # mod-2 d-polynomials as sets of monomials, summed by ^ (the products on
-    # Fraction DPolys alone take longer than the whole search)
-    table = {k: set(p.mod2().terms) for k, p in psi_table.items()}
+    # mod-2 d-polynomials as {monomial: 1} dicts on plain ints (the products
+    # on Fraction DPolys alone take longer than the whole search)
+    table = {k: dict.fromkeys(p.mod2().terms, 1) for k, p in psi_table.items()}
     for k in range(2, W + 1):
         if k not in table:
             raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
-    monos = dmonomials_upto(W, include_const=True)
+    monos = dmonomials_upto(W)
     # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
     # earlier in the weight order, so each image is one product
-    psi = {(): {()}}
-    imgs = []  # columns: (psi - id) images of the monomials
+    psi = {(): {(): 1}}
+    imgs = []  # columns: (psi - id) images of the monomials, as sets
     for m in monos:
         if m:
-            pairs = Counter(tuple(sorted(m1 + m2))
-                            for m1 in psi[m[:-1]] for m2 in table[m[-1]])
-            psi[m] = {mm for mm, n in pairs.items() if n % 2}
-        img = psi[m] ^ {m}
+            prod = _dmul(psi[m[:-1]], table[m[-1]])
+            psi[m] = {mm: 1 for mm, n in prod.items() if n % 2}
+        img = psi[m].keys() ^ {m}
         if any(sum(mm) > W for mm in img):
             raise InsufficientTable(f"psi image of {m} leaves weight {W}")
         imgs.append(img)
@@ -721,7 +649,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
         W = max(psi_table)
     else:
         W = max_weight // 2
-    monos = dmonomials_upto(W, include_const=True)
+    monos = dmonomials_upto(W)
     psi_z = _psi_dpoly(z, psi_table)
     if not all(rat_val2(c) >= 1 for c in (psi_z - z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")

@@ -223,10 +223,8 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer,
     return reducer.reduce(expr)
 
 
-def thom_psi_table(kmax: int, reducer: DReducer, theta: ThetaTable = None,
+def thom_psi_table(kmax: int, reducer: DReducer, theta: ThetaTable,
                    nki_mode: str = "auto") -> dict:
-    if theta is None:
-        theta = theta3_direct(kmax)
     return {k: thom_psi_dk(k, theta, reducer, nki_mode) for k in range(2, kmax + 1)}
 
 

@@ -174,7 +174,7 @@ def cmd_adams(args, out):
         _at_least("--k", args.k, 1)
     if args.action == "beta":
         _at_least("--i", args.i, 0)
-        elt = adams.psi_inv_beta(args.k, args.i, max(args.i, args.imax or args.i))
+        elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
@@ -182,7 +182,7 @@ def cmd_adams(args, out):
         _at_least("--imax", args.imax, 1)
         rows = []
         for i in range(1, args.imax + 1):
-            elt = adams.psi_inv_beta(args.k, i, args.imax)
+            elt = adams.psi_inv_beta(args.k, i)
             if args.mod2:
                 elt = elt.mod2()
             rows.append((f"beta_{i}", str(elt)))
@@ -195,11 +195,9 @@ def cmd_adams(args, out):
     elif args.action == "relations":
         # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
         _at_least("--degree", args.degree, 4)
-        rels = adams.gen_2structure_relations(args.degree)
         rows = []
-        for r in rels:
-            a, b, c = r.monomial
-            rows.append((f"x^{a}*y^{b}*z^{c}", str(r.poly), str(r.poly.set_u(1).content_normalize())))
+        for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
+            rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
         W = max(args.k, 7)

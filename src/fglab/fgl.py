@@ -19,7 +19,7 @@ from .errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
 from .rings import RAT
 from .series import MultiSeries
 
-X, Y = "x", "y"
+X, Y, T = "x", "y", "t"
 
 
 class FGL:
@@ -137,34 +137,34 @@ def generic_strict_series(ring, bound, nb, ambient_extra=("v",)):
     return MultiSeries(ring, vars_, terms, bound, weights)
 
 
-def fgl_twist(F: MultiSeries, g: MultiSeries, spine="t") -> MultiSeries:
+def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
     """Twist: gF(x, y) = g(F(g^{-1}(x), g^{-1}(y))).
 
-    F is bivariate in (x, y); g is a strict series in ``spine`` whose other
+    F is bivariate in (x, y); g is a strict series in t whose other
     variables (symbols) are shared with the target ambient.  The result
     lives in the union ambient of F's and g's variables.
     """
     ring = F.ring
     bound = F.bound
-    unit = tuple(1 if v == spine else 0 for v in g.vars)
+    unit = tuple(1 if v == T else 0 for v in g.vars)
     if not (g.coefficient(unit) == ring.one) or not ring.is_zero(g.constant_term()):
         raise NotStrict("twist requires a strict series g")
     # joint ambient
-    vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != spine)))
+    vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
     wmap = {}
     for v, w in zip(F.vars, F.weights):
         wmap[v] = w
     for v, w in zip(g.vars, g.weights):
-        if v != spine:
+        if v != T:
             wmap.setdefault(v, w)
     weights = tuple(wmap[v] for v in vars_)
-    ginv = g.comp_inverse(spine)
+    ginv = g.comp_inverse(T)
     xv = MultiSeries.var(ring, vars_, X, bound, weights)
     yv = MultiSeries.var(ring, vars_, Y, bound, weights)
-    ginv_x = ginv.substitute({spine: xv})
-    ginv_y = ginv.substitute({spine: yv})
+    ginv_x = ginv.substitute({T: xv})
+    ginv_y = ginv.substitute({T: yv})
     inner = F.substitute({X: ginv_x, Y: ginv_y})
-    return g.substitute({spine: inner})
+    return g.substitute({T: inner})
 
 
 def fgl_log(F: MultiSeries) -> MultiSeries:
@@ -181,7 +181,7 @@ def fgl_exp(F: MultiSeries) -> MultiSeries:
     return fgl_log(F).comp_inverse(X)
 
 
-def fgl_from_genus(P: MultiSeries, spine="x") -> MultiSeries:
+def fgl_from_genus(P: MultiSeries) -> MultiSeries:
     """FGL of the genus with characteristic series P (constant term 1).
 
     g^{-1}(x) = x / P(x) and F(x, y) = g^{-1}(g(x) + g(y)).
@@ -190,15 +190,15 @@ def fgl_from_genus(P: MultiSeries, spine="x") -> MultiSeries:
     if not (P.constant_term() == ring.one):
         raise NotStrict("characteristic series must have constant term 1")
     bound = P.bound
-    xv = MultiSeries.var(ring, P.vars, spine, bound, P.weights)
+    xv = MultiSeries.var(ring, P.vars, X, bound, P.weights)
     ginv = xv * P.reciprocal()
-    g = ginv.comp_inverse(spine)
+    g = ginv.comp_inverse(X)
     # bivariate ambient
-    vars2 = (X, Y) + tuple(v for v in P.vars if v != spine)
-    weights2 = (1, 1) + tuple(w for v, w in zip(P.vars, P.weights) if v != spine)
-    gx = g.substitute({spine: MultiSeries.var(ring, vars2, X, bound, weights2)})
-    gy = g.substitute({spine: MultiSeries.var(ring, vars2, Y, bound, weights2)})
-    return ginv.substitute({spine: gx + gy})
+    vars2 = (X, Y) + tuple(v for v in P.vars if v != X)
+    weights2 = (1, 1) + tuple(w for v, w in zip(P.vars, P.weights) if v != X)
+    gx = g.substitute({X: MultiSeries.var(ring, vars2, X, bound, weights2)})
+    gy = g.substitute({X: MultiSeries.var(ring, vars2, Y, bound, weights2)})
+    return ginv.substitute({X: gx + gy})
 
 
 def fgl_binom(F: MultiSeries, k: int) -> dict:

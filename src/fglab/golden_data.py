@@ -185,7 +185,7 @@ def compute_psi_powers():
 def compute_psi_beta(mod2=False):
     out = {}
     for i in range(1, 11):
-        elt = adams.psi_inv_beta(3, i, 10)
+        elt = adams.psi_inv_beta(3, i)
         for j, c in sorted((elt.mod2() if mod2 else elt).coeffs.items()):
             out[f"beta{i}/b{j}"] = str(c)
     return out
@@ -200,7 +200,7 @@ def compute_nki():
 
 
 def _canon_relation(poly):
-    return str(poly.set_u(1).content_normalize())
+    return str(poly.set_u().content_normalize())
 
 
 def compute_relations():
@@ -208,8 +208,8 @@ def compute_relations():
     out = {}
     for mono, name in [((2, 1, 1), "x2yz"), ((3, 1, 1), "x3yz"), ((2, 2, 1), "x2y2z"),
                        ((3, 1, 2), "x3yz2"), ((4, 1, 1), "x4yz")]:
-        r = rels.by_monomial(*mono)
-        out[name] = _canon_relation(r.poly) if r else "<none>"
+        r = rels.get(mono)
+        out[name] = _canon_relation(r) if r is not None else "<none>"
     return out
 
 

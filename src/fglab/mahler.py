@@ -80,19 +80,6 @@ def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
     return out
 
 
-def mahler_expand_poly(poly_coeffs, N: int) -> NumPoly:
-    """Expand sum_k poly_coeffs[k] T^k (rational coefficients)."""
-    cs = [Fraction(c) for c in poly_coeffs]
-
-    def fn(t):
-        acc = Fraction(0)
-        for k in reversed(range(len(cs))):
-            acc = acc * t + cs[k]
-        return acc
-
-    return mahler_expand(fn, max(N, len(cs) - 1))
-
-
 def dilate(k, i: int, N: int = None) -> NumPoly:
     """C(kT, i) expanded in the C(T, j) basis.
 

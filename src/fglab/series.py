@@ -9,7 +9,7 @@ beyond the bound.
 Variables of weight zero never trigger pruning.  That is how graded
 bookkeeping symbols (v, b_i, a_ij, d_k) and ordinary series variables share
 one engine: series variables get weight 1, symbols get weight 0 and are
-graded externally through ``degree_part`` grade maps.
+graded externally.
 (The data model admits negative weights as well; truncation then only
 prunes what provably exceeds the bound.)
 
@@ -402,19 +402,9 @@ class MultiSeries:
             terms[exp[:idx] + (e + 1,) + exp[idx + 1:]] = c * f
         return MultiSeries(ring, self.vars, terms, self.bound, self.weights)
 
-    def degree_part(self, d, grades=None):
-        """Homogeneous component of weighted degree d.
-
-        ``grades`` (name -> grade) overrides the built-in variable weights,
-        which lets weight-0 bookkeeping symbols be graded after the fact.
-        """
-        if grades is None:
-            keep = {e: c for e, c in self.terms.items() if self._wdeg(e) == d}
-        else:
-            gvec = [grades.get(v, 0) for v in self.vars]
-            keep = {e: c for e, c in self.terms.items()
-                    if sum(x * g for x, g in zip(e, gvec)) == d}
-        return self._bare(keep)
+    def degree_part(self, d):
+        """Homogeneous component of weighted degree d."""
+        return self._bare({e: c for e, c in self.terms.items() if self._wdeg(e) == d})
 
     def map_coefficients(self, fn, ring):
         terms = {}

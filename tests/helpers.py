@@ -1,7 +1,10 @@
-"""Series constructors and views that only the tests use."""
+"""Constructors, views and reference computations that only the tests use."""
 
 from fractions import Fraction
+from math import comb, gcd
 
+from fglab.adams import APoly
+from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
 from fglab.series import MultiSeries
 
@@ -63,3 +66,37 @@ def theta_table_to_series(tab):
 def matvec(m, v):
     """The product of a chern.IntMatrix with a vector, over Q."""
     return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m.rows]
+
+
+def apoly_mul(p, q):
+    """The product of two APolys: u exponents add, a-monomials merge."""
+    out = {}
+    for (u1, m1), c1 in p.terms.items():
+        for (u2, m2), c2 in q.terms.items():
+            acc = dict(m1)
+            for key, e in m2:
+                acc[key] = acc.get(key, 0) + e
+            m = (u1 + u2, tuple(sorted(acc.items())))
+            out[m] = out.get(m, 0) + c1 * c2
+    return APoly(out)
+
+
+def binom_gcd(k):
+    """gcd{C(k, 1), ..., C(k, k - 1)}."""
+    g = 0
+    for i in range(1, k):
+        g = gcd(g, comb(k, i))
+    return g
+
+
+def mahler_expand_poly(poly_coeffs, N) -> NumPoly:
+    """Mahler expansion of sum_k poly_coeffs[k] T^k (rational coefficients)."""
+    cs = [Fraction(c) for c in poly_coeffs]
+
+    def fn(t):
+        acc = Fraction(0)
+        for k in reversed(range(len(cs))):
+            acc = acc * t + cs[k]
+        return acc
+
+    return mahler_expand(fn, max(N, len(cs) - 1))

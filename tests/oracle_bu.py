@@ -82,9 +82,9 @@ class BUOracle:
             total = total + piece
         return total
 
-    def solve_in_d(self, target, weight, include_const=True):
+    def solve_in_d(self, target, weight):
         """Unique coordinates of target in the d-monomial basis, or None."""
-        monos = dmonomials_upto(weight, include_const=include_const)
+        monos = dmonomials_upto(weight)
         polys = []
         for m in monos:
             p = MultiSeries.one(RAT, self.vars, self.W, self.weights)

@@ -320,3 +320,27 @@ def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, 
     got, out, _ = run(capsys, *argv)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("adams", "relations", "--degree", "12"),
+     "5fae36e3fc208a1675260c6ebe38bdd7736523823cada1ba75f5d3d9abe54cb1"),
+    (("adams", "psi-dk", "--level", "base", "--k", "10", "--nki", "extended-gcd",
+      "--format", "json"),
+     "4f7e34e2160efbc67a5f7e68c36d7460c59f6f5b382abf03b03af8c6fbdeb19c"),
+    (("adams", "psi-dk", "--level", "thom", "--k", "9", "--nki", "paper", "--format", "csv"),
+     "887cf2d2bd2f81eba8b12af194aeebd57c147cde3da0bb94d2cecb0324e7e26e"),
+    (("adams", "spherical", "--max-weight", "20", "--nki", "extended-gcd"),
+     "84f28baef088a89a7a9de020f0bd949b67c4b98e706c64395f26fba18b8ab908"),
+    (("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"),
+     "86559402141fcb41083d9da590b1e8eeb71446b3622e7d87248867505db5234e"),
+    (("adams", "beta-table", "--k", "7", "--imax", "12", "--mod2"),
+     "730cd7a728ac342bbbddb0e73d61597fe1eff30e467535d9481fcd4379cdc37e"),
+])
+def test_adams_pipeline_matches_pinned_output(capsys, argv, digest):
+    """Relations, psi on the d_k, the spherical search and the beta rows,
+    byte for byte as printed when relations were a list of (monomial,
+    polynomial) objects and psi of a tensor went through a pair-keyed sum."""
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fglab.adams import APoly, DPoly, nki_coeffs, psi_on_dk, psi_power_coeff
 from fglab.cannibal import theta3_closed
 
+from helpers import apoly_mul
 from oracle_bu import BUOracle
 
 
@@ -64,10 +65,10 @@ def targets_upto_10(draw):
     """A rational combination of a-monomials of halved weight <= 10."""
     total = APoly.zero()
     for _ in range(draw(st.integers(1, 4))):
-        mono, weight = APoly.const(draw(st.fractions(max_denominator=9).filter(bool))), 0
+        mono, weight = APoly.gen(0, 0, draw(st.fractions(max_denominator=9).filter(bool))), 0
         for i, j in draw(st.lists(st.sampled_from(A_GENS), min_size=1, max_size=4)):
             if weight + i + j <= 10:
-                mono, weight = mono * APoly.gen(i, j), weight + i + j
+                mono, weight = apoly_mul(mono, APoly.gen(i, j)), weight + i + j
         total = total + mono
     return total
 
