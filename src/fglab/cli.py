@@ -9,27 +9,25 @@ failure.  Output is deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
-from . import golden_data
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
 from .rings import RAT, Padic2
-from . import adams, cannibal, chern, fgl, mahler
 
 
 def _emit(rows, headers, fmt, out):
     """rows: list of tuples; deterministic ordering supplied by callers."""
     if fmt == "csv":
+        import csv
         w = csv.writer(out, lineterminator="\n")
         w.writerow(headers)
         for r in rows:
             w.writerow([str(c) for c in r])
     elif fmt == "json":
+        import json
         payload = [dict(zip(headers, [str(c) for c in r])) for r in rows]
         json.dump(payload, out, indent=1, sort_keys=True)
         out.write("\n")
@@ -59,6 +57,7 @@ def _domain(flag, error):
 
 
 def cmd_series(args, out):
+    from . import fgl
     _at_least("--order", args.order, 1)
     if args.action == "invert":
         n = args.order
@@ -82,6 +81,7 @@ def cmd_series(args, out):
 
 
 def cmd_fgl(args, out):
+    from . import fgl
     if args.action == "twist":
         _at_least("--bound", args.bound, 2)
         _at_least("--nb", args.nb, 0)
@@ -120,6 +120,7 @@ def cmd_fgl(args, out):
 
 
 def cmd_chern(args, out):
+    from . import chern
     if args.action == "total":
         try:
             dims = [int(d) for d in args.dims.split(",")]
@@ -163,6 +164,7 @@ def cmd_chern(args, out):
 def _dim_basis(dim):
     """The paper's basis in dimension 4, else every product of projective
     spaces of total complex dimension ``dim``."""
+    from . import chern
     _at_least("--dim", dim, 1)
     if dim == 4:
         return chern.paper_dim8_basis()
@@ -170,8 +172,11 @@ def _dim_basis(dim):
 
 
 def cmd_adams(args, out):
+    from . import adams
     if args.action in ("beta", "beta-table"):
         _at_least("--k", args.k, 1)
+    if args.imax is not None and args.action != "beta-table":
+        raise UsageError(f"--imax is read by beta-table only, not by {args.action}")
     if args.action == "beta":
         _at_least("--i", args.i, 0)
         elt = adams.psi_inv_beta(args.k, args.i)
@@ -179,9 +184,10 @@ def cmd_adams(args, out):
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
     elif args.action == "beta-table":
-        _at_least("--imax", args.imax, 1)
+        imax = 10 if args.imax is None else args.imax
+        _at_least("--imax", imax, 1)
         rows = []
-        for i in range(1, args.imax + 1):
+        for i in range(1, imax + 1):
             elt = adams.psi_inv_beta(args.k, i)
             if args.mod2:
                 elt = elt.mod2()
@@ -200,6 +206,7 @@ def cmd_adams(args, out):
             rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
+        from . import cannibal
         W = max(args.k, 7)
         red = _reducer(W, args.nki)
         if args.level == "base":
@@ -207,11 +214,13 @@ def cmd_adams(args, out):
         else:
             p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red, nki_mode=args.nki)
         if args.fmt == "json":
+            import json
             json.dump(p.to_json_obj(), out, indent=1, sort_keys=True)
             out.write("\n")
         else:
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
+        from . import cannibal
         _at_least("--max-weight", args.max_weight, 2)
         W = args.max_weight // 2
         red = _reducer(W, args.nki)
@@ -234,17 +243,20 @@ def cmd_adams(args, out):
 
 def _nki_reaches(nki, k, context):
     """--nki paper has n_k^i only for k in the paper's table."""
-    if nki == "paper" and k > max(adams.NKI_PAPER):
-        raise UsageError(f"--nki paper covers k <= {max(adams.NKI_PAPER)}, {context}")
+    from .adams import NKI_PAPER
+    if nki == "paper" and k > max(NKI_PAPER):
+        raise UsageError(f"--nki paper covers k <= {max(NKI_PAPER)}, {context}")
 
 
 def _reducer(W, nki):
     """The d_k reducer through halved weight W, which needs n_k^i for every k <= W."""
+    from .adams import DReducer, gen_2structure_relations
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
-    return adams.DReducer(W, adams.gen_2structure_relations(W), nki_mode=nki)
+    return DReducer(W, gen_2structure_relations(W), nki_mode=nki)
 
 
 def cmd_cannibal(args, out):
+    from . import cannibal
     if args.action == "table":
         _at_least("--bound", args.bound, 2)
         tab = cannibal.theta3_direct(args.bound)
@@ -266,6 +278,7 @@ def cmd_cannibal(args, out):
 
 
 def cmd_mahler(args, out):
+    from . import mahler
     _at_least("--precision", args.precision, 16)
     if args.action == "dilate":
         _at_least("--i", args.i, 0)
@@ -273,6 +286,7 @@ def cmd_mahler(args, out):
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
         if args.fmt == "json" and args.padic is None:
+            import json
             json.dump(np_.to_json_obj(), out, indent=1, sort_keys=True)
             out.write("\n")
         else:
@@ -292,9 +306,10 @@ def cmd_mahler(args, out):
 
 
 def cmd_artin_schreier(args, out):
+    from .mahler import artin_schreier_check
     _at_least("--precision", args.precision, 16)
     with _domain("--u", NotInDomain):
-        res = mahler.artin_schreier_check(args.u, args.precision)
+        res = artin_schreier_check(args.u, args.precision)
     rows = [
         ("b = -log(u)/log(81)", f"{res['b'].value} mod 2^{res['b'].precision}"),
         ("-log(u/81)/log(81)", f"{res['lhs'].value} mod 2^{res['lhs'].precision}"),
@@ -306,7 +321,8 @@ def cmd_artin_schreier(args, out):
 
 
 def cmd_reproduce(args, out):
-    tables = golden_data.all_tables()
+    from .golden_data import all_tables
+    tables = all_tables()
     any_diff = False
     unexpected = False
     for tab in tables:
@@ -375,7 +391,7 @@ def build_parser():
     s.add_argument("--nki", default="auto", choices=["paper", "extended-gcd", "auto"])
     s.add_argument("--k", type=int, default=3)
     s.add_argument("--i", type=int, default=3)
-    s.add_argument("--imax", type=int, default=10)
+    s.add_argument("--imax", type=int, default=None, help="beta-table only (default 10)")
     s.add_argument("--mod2", action="store_true")
     s.add_argument("--degree", type=int, default=7)
     s.add_argument("--level", default="base", choices=["base", "thom"])

@@ -12,7 +12,7 @@ them as known diffs and anything else as an unexpected diff.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -22,13 +22,7 @@ from .series import MultiSeries
 from . import adams, cannibal, chern, fgl, mahler
 
 
-@dataclass
-class CellDiff:
-    key: str
-    expected: str
-    computed: str
-    known: bool
-    note: str
+CellDiff = namedtuple("CellDiff", "key expected computed known note")
 
 
 class GoldenTable:

@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .adams import psi_power_coeff
 from .errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from .rings import Padic2, padic_from_rat, padic_log
 from .series import format_sum
@@ -136,6 +135,7 @@ def dilation_matrix(k, imax: int):
 
 def adams_matrix(k: int, imax: int, orientation: str = "1-L"):
     """<psi^k x^j, beta_i> for the chosen orientation of the K-theory generator."""
+    from .adams import psi_power_coeff
     rows = []
     for i in range(imax + 1):
         row = []

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fglab
 from fglab import cli
 from fglab.cli import main
 
@@ -109,6 +114,8 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("artin-schreier", "--u", "2"),
     ("fgl", "miscenko", "--expr", ""),
     ("adams", "relations", "--degree", "3"),
+    ("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"),
+    ("adams", "nki", "--imax", "10"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -125,6 +132,7 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("artin-schreier", "--u", "2"), "--u"),
     (("mahler", "dilate", "--precision", "8"), "--precision"),
     (("artin-schreier", "--precision", "8"), "--precision"),
+    (("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"), "--imax"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
@@ -332,7 +340,7 @@ def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, 
      "887cf2d2bd2f81eba8b12af194aeebd57c147cde3da0bb94d2cecb0324e7e26e"),
     (("adams", "spherical", "--max-weight", "20", "--nki", "extended-gcd"),
      "84f28baef088a89a7a9de020f0bd949b67c4b98e706c64395f26fba18b8ab908"),
-    (("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"),
+    (("adams", "beta", "--k", "5", "--i", "7"),
      "86559402141fcb41083d9da590b1e8eeb71446b3622e7d87248867505db5234e"),
     (("adams", "beta-table", "--k", "7", "--imax", "12", "--mod2"),
      "730cd7a728ac342bbbddb0e73d61597fe1eff30e467535d9481fcd4379cdc37e"),
@@ -344,3 +352,83 @@ def test_adams_pipeline_matches_pinned_output(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("series", "invert", "--format", "csv"),
+     "e7465a04853e65a0a5189c723e903cdc6348b5835070c410a3ac123d15340fae"),
+    (("series", "residue", "--format", "json"),
+     "56d6784ada38b5093d1b5d3bcdcc61b8c79c900eb2cfbe00372b381513f4222d"),
+    (("fgl", "twist", "--bound", "5", "--nb", "4", "--format", "csv"),
+     "8ee27bad0d60ffa4a3f02a876684b21ced4466c4d2d9803ea8bc999e06f641b1"),
+    (("fgl", "cpn", "--format", "json"),
+     "d242855f184387f3fd645ba668e22b69399114e57512329bc23a3256428e2edc"),
+    (("chern", "nullspace", "--format", "json"),
+     "5e811edca3c3973082d8b2c7240eeaf77c588bf2d2bc333a29a8d7bf4d93cb6a"),
+    (("chern", "todd", "--format", "csv"),
+     "5dbc606a60e252b2b9feb563ac75e6bf1261f43334cc9c6f08b6c7141bee492c"),
+    (("adams", "beta-table", "--imax", "4", "--format", "csv"),
+     "d37786c6954d83b482fe6399b2b839f0cf94f24f2e9c8b81bb9ef828f7206b56"),
+    (("adams", "psi-dk", "--level", "thom", "--k", "8", "--format", "json"),
+     "9a7fae27969a2070fde2be85e7fbe6b90947a437bede680caa709787a6966e96"),
+    (("adams", "spherical", "--max-weight", "12", "--format", "csv"),
+     "f0de8491800bf26413c769546597acb8aa1da2e711ec4fc9f090b1283bcadb1b"),
+    (("cannibal", "table", "--bound", "4", "--format", "json"),
+     "3149f4f9c54586e9ff21f92a5be33e148343a33013df3913e9674d89f484b5f5"),
+    (("cannibal", "closed", "--format", "csv"),
+     "e2799616331da03e6b5f3136bca0d3727468f9ed8eb3bd03ffa51af6d3dd661a"),
+    (("mahler", "dilate", "--format", "json"),
+     "0e142078be230d1890b2e1b2c2cbddd6aaaa634b269b7bbc936be4b4d3b8462f"),
+    (("mahler", "dilate", "--padic", "5", "--format", "json"),
+     "031ce793d4cf48507b1be3216c69277d2ab41af5d6c5c76950265f867fab5102"),
+    (("mahler", "vs-adams", "--format", "csv"),
+     "e7933587513d0cd760f81cb5c9cb269c1d7719d9ab69403bac76b1084352b0c0"),
+    (("artin-schreier", "--format", "csv"),
+     "4cfa9016a6a33cd7c85bfea256e48bef967adfe56fe8a1c916230c1e7ca6b5b0"),
+])
+def test_format_branches_match_pinned_output(capsys, argv, digest):
+    """csv and json output of every subcommand family, byte for byte as
+    printed when cli.py imported csv and json at module level."""
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# Runs one CLI command in this interpreter and prints its exit code, then
+# every module it loaded beyond a bare start.
+FOOTPRINT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from fglab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+BASE = {"cli", "errors", "rings", "series"}
+
+
+@pytest.mark.parametrize("argv, code, allowed", [
+    (("fgl", "twist", "--bound", "5", "--nb", "4"), 0, BASE | {"fgl"}),
+    (("adams", "psi-dk", "--level", "thom", "--k", "5"), 0, BASE | {"adams", "cannibal", "linalg"}),
+    (("adams", "spherical", "--level", "thom", "--max-weight", "10"), 0,
+     BASE | {"adams", "cannibal", "linalg"}),
+    (("mahler", "dilate"), 0, BASE | {"mahler"}),
+    (("artin-schreier",), 0, BASE | {"mahler"}),
+    (("reproduce-paper",), 3, None),
+])
+def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
+    """A fresh interpreter running one command imports only the fglab
+    modules that command calls, golden_data only for reproduce-paper, and
+    never dataclasses."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.stderr == ""
+    got, *loaded = proc.stdout.split()
+    assert int(got) == code
+    ours = {m.removeprefix("fglab.") for m in loaded if m.startswith("fglab.")}
+    if allowed is not None:
+        assert ours == allowed
+    assert ("golden_data" in ours) == (argv[0] == "reproduce-paper")
+    assert "dataclasses" not in loaded
