@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .linalg import Echelon, GF2Echelon
 from .rings import RAT, rat_val2
-from .series import MultiSeries, format_product, format_sum, format_term
+from .series import format_product, format_sum, format_term
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -241,15 +240,13 @@ class APoly(_Poly):
         return cls({(upow, ((key, 1),)): Fraction(coeff)})
 
     def set_u(self):
-        """Specialize u to 1, as the printed forms and the reducer do."""
+        """Specialize u to 1, as the printed forms and the reducer do; the
+        numerators are summed over one common denominator."""
+        nums, den = RAT.lift(self.terms.values())
         out = {}
-        for (_, pairs), c in self.terms.items():
-            m = (0, pairs)
-            out[m] = out.get(m, 0) + c
-        return APoly(out)
-
-    def weights_present(self):
-        return sorted({_apoly_weight(m) for m in self.terms})
+        for (_, pairs), n in zip(self.terms, nums):
+            out[0, pairs] = out.get((0, pairs), 0) + n
+        return APoly(RAT.lower(out, den))
 
     def content_normalize(self):
         """Scale to coprime integer coefficients with a positive graded-lex lead."""
@@ -337,57 +334,53 @@ def gen_2structure_relations(N: int) -> dict:
     """Expand the symmetric-cocycle identity and collect coefficient relations.
 
     The identity f(x, y) f(x +. y, z) = f(x, y +. z) f(y, z) with
-    f = 1 + sum a_ij x^i y^j and x +. y = x + y - u x y is expanded as one
-    series in x, y, z (weight 1, truncated at total degree N) whose weight-0
-    symbols u and a_ij ride along as coefficients.  As f(a, b) = f(b, a) and
-    x +. y = y +. x, the right side is the left side with x and z swapped, so
-    only the left side L is expanded: for every monomial x^a y^b z^c
-    (a, b, c >= 1) the relation L[a,b,c] - L[c,b,a] has halved weight a+b+c.
-    It vanishes at a = c; otherwise it is built once and listed at both
-    (a, b, c) and (c, b, a): the result maps each monomial (a, b, c), in
-    sorted order, to its relation, and a mirror pair shares one APoly.
-    Relations are content-normalized (coefficient gcd divided out, graded-lex
-    leading sign positive).
+    f = 1 + sum a_ij x^i y^j and x +. y = x + y - u x y is read off through
+    total degree N in x, y and z.  As f(a, b) = f(b, a) and x +. y = y +. x,
+    the right side is the left side with x and z swapped, so only the left
+    side L is expanded, in closed form on integers: by
+    (x +. y)^i = sum_{p+q+r=i} i!/(p! q! r!) (-u)^r x^(p+r) y^(q+r), L[a,b,c]
+    (c >= 1) sums i!/(p! q! r!) (-1)^r u^r a_ic g_kl over k = a-p-r,
+    l = b-q-r, where g_00 = 1, g_kl = a_kl for k, l >= 1, and g_k0 = g_0l = 0.
+    Every term has halved weight a+b+c.  For every monomial x^a y^b z^c
+    (a, b, c >= 1) the relation L[a,b,c] - L[c,b,a] vanishes at a = c;
+    otherwise it is built once and listed at both (a, b, c) and (c, b, a): the
+    result maps each monomial (a, b, c), in sorted order, to its relation, and
+    a mirror pair shares one APoly.  Relations are content-normalized
+    (coefficient gcd divided out, graded-lex leading sign positive).
     """
-    # in (i, j) order, so the a-monomials read off the exponents are sorted as APoly keys
-    pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
-    names = ("x", "y", "z", "u") + tuple(f"a{i}_{j}" for i, j in pairs)
-    weights = (1, 1, 1) + (0,) * (len(names) - 3)
-    f_terms = {(0,) * len(names): Fraction(1)}
-    for i in range(1, N):
-        for j in range(1, N + 1 - i):
-            exp = [0] * len(names)
-            exp[0], exp[1] = i, j
-            exp[names.index(f"a{min(i, j)}_{max(i, j)}")] = 1
-            f_terms[tuple(exp)] = Fraction(1)
-    f = MultiSeries(RAT, names, f_terms, N, weights)
-    x, y, z, u = (MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu")
-    left = f * f.substitute({"x": x + y - u * x * y, "y": z})
-    groups = {}
-    for exp, c in left.terms.items():
-        avec = exp[4:]  # each term has at most two nonzero a-exponents
-        mono = (exp[3], tuple(zip(compress(pairs, avec), filter(None, avec))))
-        groups.setdefault(exp[:3], {})[mono] = c
-
+    left = {}  # (a, b, c) -> {(u-power, a-monomial): int}, in sorted order
+    for a in range(1, N - 1):
+        for b in range(1, N - a):
+            shape = {}  # L[a, b, c] for any c: {(r, i, (k, l) or None for g_00): int}
+            for r in range(min(a, b) + 1):
+                for k in range(a - r + 1):
+                    for l in range(1, b - r + 1) if k else (0,):
+                        p, q = a - r - k, b - r - l
+                        if p + q + r:
+                            key = (r, p + q + r, (min(k, l), max(k, l)) if k else None)
+                            shape[key] = shape.get(key, 0) + (-1) ** r * comb(p + q + r, r) * comb(p + q, p)
+            room = N - a - b  # the largest c with a + b + c <= N
+            for c in range(1, room + 1):
+                terms = left[a, b, c] = {}
+                for (r, i, kl), v in shape.items():
+                    ic = (i, c) if i <= c else (c, i)
+                    mono = (r, ((ic, 1),) if kl is None else ((ic, 2),) if kl == ic
+                            else ((ic, 1), (kl, 1)) if ic < kl else ((kl, 1), (ic, 1)))
+                    terms[mono] = terms.get(mono, 0) + v
     rels = {}
-    for key in groups:
-        a, b, c = key
-        mirror = (c, b, a)
-        if a == c or (a > c and mirror in groups):
+    for (a, b, c), terms in left.items():
+        if a > c and (c, b, a) in rels:
+            rels[a, b, c] = rels[c, b, a]
+        if a >= c:
             continue  # zero, or built at its mirror
-        diff = dict(groups[key])
-        for mono, v in groups.get(mirror, {}).items():
+        diff = dict(terms)
+        for mono, v in left[c, b, a].items():
             diff[mono] = diff.get(mono, 0) - v
-        poly = APoly(diff).content_normalize()
-        if poly.is_zero():
-            continue
-        if not (a and b and c):
-            # f(x,0) = 1 makes these vanish identically; enforce that here
-            raise NotReducible(sum(key), f"unexpected boundary relation at {key}")
-        if poly.weights_present() != [a + b + c]:
-            raise NotReducible(a + b + c, f"inhomogeneous relation at {key}")
-        rels[key] = rels[mirror] = poly
-    return dict(sorted(rels.items()))
+        diff = {mono: v for mono, v in diff.items() if v}
+        if diff:  # every term has weight a+b+c, so the graded-lex lead is the largest key
+            g = gcd(*diff.values()) if diff[max(diff)] > 0 else -gcd(*diff.values())
+            rels[a, b, c] = APoly({mono: v // g for mono, v in diff.items()})
+    return rels
 
 
 # -- reduction to d-polynomials ---------------------------------------------------

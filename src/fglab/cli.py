@@ -83,8 +83,6 @@ def cmd_series(args, out):
 def cmd_fgl(args, out):
     from . import fgl
     if args.action == "twist":
-        _at_least("--bound", args.bound, 2)
-        _at_least("--nb", args.nb, 0)
         nb = args.nb
         F = fgl.multiplicative_law(RAT, args.bound, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
                                    extra_weights=(0,) * nb)
@@ -96,7 +94,6 @@ def cmd_fgl(args, out):
                 rows.append((f"a{i}{j}", str(c)))
         _emit(rows, ["coefficient", "image"], args.fmt, out)
     elif args.action == "cpn":
-        _at_least("--n", args.n, 1)
         with _domain("--n", UnsupportedDimension):
             poly = fgl.cpn_in_a(args.n, args.mode)
         _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], args.fmt, out)
@@ -165,7 +162,6 @@ def _dim_basis(dim):
     """The paper's basis in dimension 4, else every product of projective
     spaces of total complex dimension ``dim``."""
     from . import chern
-    _at_least("--dim", dim, 1)
     if dim == 4:
         return chern.paper_dim8_basis()
     return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]
@@ -173,21 +169,14 @@ def _dim_basis(dim):
 
 def cmd_adams(args, out):
     from . import adams
-    if args.action in ("beta", "beta-table"):
-        _at_least("--k", args.k, 1)
-    if args.imax is not None and args.action != "beta-table":
-        raise UsageError(f"--imax is read by beta-table only, not by {args.action}")
     if args.action == "beta":
-        _at_least("--i", args.i, 0)
         elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
     elif args.action == "beta-table":
-        imax = 10 if args.imax is None else args.imax
-        _at_least("--imax", imax, 1)
         rows = []
-        for i in range(1, imax + 1):
+        for i in range(1, args.imax + 1):
             elt = adams.psi_inv_beta(args.k, i)
             if args.mod2:
                 elt = elt.mod2()
@@ -200,7 +189,6 @@ def cmd_adams(args, out):
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "relations":
         # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
-        _at_least("--degree", args.degree, 4)
         rows = []
         for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
             rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
@@ -221,7 +209,6 @@ def cmd_adams(args, out):
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
         from . import cannibal
-        _at_least("--max-weight", args.max_weight, 2)
         W = args.max_weight // 2
         red = _reducer(W, args.nki)
         if args.level == "thom":
@@ -258,19 +245,15 @@ def _reducer(W, nki):
 def cmd_cannibal(args, out):
     from . import cannibal
     if args.action == "table":
-        _at_least("--bound", args.bound, 2)
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
             rows.append((m, *[str(tab[m, n]) for n in range(args.bound + 1)]))
         _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], args.fmt, out)
     elif args.action == "closed":
-        _at_least("--m", args.m, 0)
-        _at_least("--n", args.n, 0)
         _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
               ["m", "n", "c_mn"], args.fmt, out)
     elif args.action == "tseq":
-        _at_least("--n", args.n, 0)
         ts = cannibal.ThetaGenSeq(args.n)
         rows = [(k, str(ts[k]), str(cannibal.theta_gen_closed(k))) for k in range(args.n + 1)]
         _emit(rows, ["k", "recurrence", "closed_form"], args.fmt, out)
@@ -279,9 +262,7 @@ def cmd_cannibal(args, out):
 
 def cmd_mahler(args, out):
     from . import mahler
-    _at_least("--precision", args.precision, 16)
     if args.action == "dilate":
-        _at_least("--i", args.i, 0)
         k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
@@ -293,12 +274,10 @@ def cmd_mahler(args, out):
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", str(np_))],
                   ["dilation", "expansion"], args.fmt, out)
     elif args.action == "matrix":
-        _at_least("--imax", args.imax, 0)
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
         _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], args.fmt, out)
     elif args.action == "vs-adams":
-        _at_least("--imax", args.imax, 0)
         res = mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
               ["check", "result"], args.fmt, out)
@@ -359,63 +338,92 @@ SHARED_FLAGS = {
 }
 
 
+# each subcommand's flags that only some of its actions read: flag -> (those
+# actions, the least value or None, options); a flag given to any other action
+# is a usage error
+ACTION_FLAGS = {
+    "fgl": {
+        "--bound": ("twist", 2, SHARED_FLAGS["--bound"]),
+        "--mode": ("cpn miscenko", None, dict(default="paper-box", choices=["paper-box", "residue-exact"])),
+        "--nb": ("twist", 0, dict(type=int, default=5, help="number of b_i symbols")),
+        "--n": ("cpn", 1, dict(type=int, default=4)),
+        "--expr": ("miscenko", None, dict(default="1/4*K3SQ + 12*N")),
+    },
+    "chern": {
+        "--dims": ("total", None, dict(default="1,3")),
+        "--dim": ("system reduce nullspace", 1, dict(type=int, default=4)),
+        "--inputs": ("todd", None, dict(default="625,50,250,100,5")),
+    },
+    "adams": {
+        "--nki": ("nki psi-dk spherical", None,
+                  dict(default="auto", choices=["paper", "extended-gcd", "auto"])),
+        "--k": ("beta beta-table nki psi-dk", 1, dict(type=int, default=3)),
+        "--i": ("beta", 0, dict(type=int, default=3)),
+        "--imax": ("beta-table", 1, dict(type=int, default=10, help="beta-table only (default 10)")),
+        "--mod2": ("beta beta-table", None, dict(action="store_true", default=False)),
+        "--degree": ("relations", 4, dict(type=int, default=7)),
+        "--level": ("psi-dk spherical", None, dict(default="base", choices=["base", "thom"])),
+        "--max-weight": ("spherical", 2, dict(type=int, default=20)),
+    },
+    "cannibal": {
+        "--bound": ("table", 2, SHARED_FLAGS["--bound"]),
+        "--m": ("closed", 0, dict(type=int, default=2)),
+        "--n": ("closed tseq", 0, dict(type=int, default=2)),
+    },
+    "mahler": {
+        "--precision": ("dilate", 16, SHARED_FLAGS["--precision"]),
+        "--k": ("dilate matrix", None, dict(type=int, default=3)),
+        "--i": ("dilate", 0, dict(type=int, default=4)),
+        "--imax": ("matrix vs-adams", 0, dict(type=int, default=6)),
+        "--padic": ("dilate", None, dict(type=int, help="2-adic unit value instead of integer k")),
+    },
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="fglab", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def sub_add(name, *flags, help):
+    def sub_add(name, *flags, actions=None, help):
         s = sub.add_parser(name, help=help)
         for flag in flags:
             s.add_argument(flag, **SHARED_FLAGS[flag])
+        if actions:
+            s.add_argument("action", choices=actions.split())
+        for flag, (*_, opts) in ACTION_FLAGS.get(name, {}).items():
+            s.add_argument(flag, **{**opts, "default": None})  # None: not given
         return s
 
-    s = sub_add("series", "--format", "--out", help="inverse-series coefficients")
-    s.add_argument("action", choices=["invert", "residue"])
+    fmt_out = ("--format", "--out")
+    s = sub_add("series", *fmt_out, actions="invert residue", help="inverse-series coefficients")
     s.add_argument("--order", type=int, default=4)
-
-    s = sub_add("fgl", "--format", "--out", "--bound", help="formal group law computations")
-    s.add_argument("action", choices=["twist", "cpn", "box-diff", "miscenko"])
-    s.add_argument("--mode", default="paper-box", choices=["paper-box", "residue-exact"])
-    s.add_argument("--nb", type=int, default=5, help="number of b_i symbols")
-    s.add_argument("--n", type=int, default=4)
-    s.add_argument("--expr", default="1/4*K3SQ + 12*N")
-
-    s = sub_add("chern", "--format", "--out", help="Chern classes and the SU constraint system")
-    s.add_argument("action", choices=["total", "system", "reduce", "nullspace", "todd"])
-    s.add_argument("--dims", default="1,3")
-    s.add_argument("--dim", type=int, default=4)
-    s.add_argument("--inputs", default="625,50,250,100,5")
-
-    s = sub_add("adams", "--format", "--out", help="Adams operations on K-homology")
-    s.add_argument("action", choices=["beta", "beta-table", "nki", "relations", "psi-dk", "spherical"])
-    s.add_argument("--nki", default="auto", choices=["paper", "extended-gcd", "auto"])
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--i", type=int, default=3)
-    s.add_argument("--imax", type=int, default=None, help="beta-table only (default 10)")
-    s.add_argument("--mod2", action="store_true")
-    s.add_argument("--degree", type=int, default=7)
-    s.add_argument("--level", default="base", choices=["base", "thom"])
-    s.add_argument("--max-weight", type=int, default=20)
-
-    s = sub_add("cannibal", "--format", "--out", "--bound", help="cannibalistic class tables")
-    s.add_argument("action", choices=["table", "closed", "tseq"])
-    s.add_argument("--m", type=int, default=2)
-    s.add_argument("--n", type=int, default=2)
-
-    s = sub_add("mahler", "--format", "--out", "--precision", help="binomial-basis dilation")
-    s.add_argument("action", choices=["dilate", "matrix", "vs-adams"])
-    s.add_argument("--k", type=int, default=3)
-    s.add_argument("--i", type=int, default=4)
-    s.add_argument("--imax", type=int, default=6)
-    s.add_argument("--padic", type=int, default=None, help="2-adic unit value instead of integer k")
-
-    s = sub_add("artin-schreier", "--format", "--out", "--precision",
-                help="2-adic Artin-Schreier verification")
+    sub_add("fgl", *fmt_out, actions="twist cpn box-diff miscenko", help="formal group law computations")
+    sub_add("chern", *fmt_out, actions="total system reduce nullspace todd",
+            help="Chern classes and the SU constraint system")
+    sub_add("adams", *fmt_out, actions="beta beta-table nki relations psi-dk spherical",
+            help="Adams operations on K-homology")
+    sub_add("cannibal", *fmt_out, actions="table closed tseq", help="cannibalistic class tables")
+    sub_add("mahler", *fmt_out, actions="dilate matrix vs-adams", help="binomial-basis dilation")
+    s = sub_add("artin-schreier", *fmt_out, "--precision", help="2-adic Artin-Schreier verification")
     s.add_argument("--u", type=int, default=17)
-
     s = sub_add("reproduce-paper", "--out", help="recompute and diff all golden tables")
     s.add_argument("--verbose", action="store_true")
     return p
+
+
+def _scope_action_flags(args):
+    """Set the default of each action-specific flag that was not given.  A
+    given one is a usage error if the chosen action does not read it or if it
+    is below its least value."""
+    for flag, (readers, low, opts) in ACTION_FLAGS.get(args.command, {}).items():
+        dest, readers = flag[2:].replace("-", "_"), readers.split()
+        if getattr(args, dest) is None:
+            setattr(args, dest, opts.get("default"))
+        elif args.action not in readers:
+            names = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
+            raise UsageError(f"{flag} is read by {names} only, not by {args.action}")
+        elif low is not None:
+            _at_least(flag, getattr(args, dest), low)
 
 
 DISPATCH = {
@@ -438,6 +446,7 @@ def main(argv=None):
         return 2 if e.code not in (0, None) else 0
     buf = io.StringIO()
     try:
+        _scope_action_flags(args)
         code = DISPATCH[args.command](args, buf)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)

@@ -19,14 +19,13 @@ from fglab.cannibal import ThetaGenSeq, theta3_bilinear, theta3_closed, theta_ge
 from fglab.chern import (in_span, integer_reduce,
                          nullspace_rational, paper_dim8_basis, same_row_space,
                          su_constraint_system, todd_t4)
-from fglab.config import RANDOM_SEED
 from fglab.fgl import (BordismExpr, FGL, fgl_check, fgl_from_genus, fgl_twist,
                        generic_strict_series, miscenko_image, multiplicative_law)
 from fglab.mahler import artin_schreier_check, dilate, dilation_matrix, dilation_vs_adams
 from fglab.rings import GF2, RAT, gf2_from_rat, padic_log, Padic2
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import exp_series, matvec
+from helpers import RANDOM_SEED, exp_series, matvec
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 

@@ -11,12 +11,11 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift,
                          nki_coeffs, psi3_closed_coeff, psi_inv_beta,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_dpoly)
-from fglab.config import RANDOM_SEED
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
-from fglab.rings import RAT, rat_val2
-from fglab.series import MultiSeries
+from fglab.rings import rat_val2
 
-from helpers import apoly_mul, binom_gcd
+from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
+                     series_relations, xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -132,7 +131,7 @@ def rels7():
 def test_relations_homogeneous_and_tagged(rels7):
     for (a, b, c), poly in rels7.items():
         assert a >= 1 and b >= 1 and c >= 1
-        assert poly.weights_present() == [a + b + c], (a, b, c)
+        assert apoly_weights(poly) == {a + b + c}, (a, b, c)
 
 
 def canon(p):
@@ -161,6 +160,19 @@ def test_content_normalize_is_canonical(terms, rnd):
     assert coeffs[-1] > 0
     # a rational multiple of p, scaled back to it
     assert (p.scale(Fraction(-7, 3))).content_normalize() == p
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(A_MONOS), st.fractions()))
+def test_set_u_adds_terms_equal_but_for_u(terms):
+    """Setting u = 1 adds the coefficients of monomials that differ only in
+    u, over mixed denominators; a sum that cancels leaves no term."""
+    want = {}
+    for (_, pairs), c in terms.items():
+        want[0, pairs] = want.get((0, pairs), 0) + c
+    got = APoly(terms).set_u().terms
+    assert got == {m: c for m, c in want.items() if c}
+    assert all(type(c) is Fraction for c in got.values())
 
 
 def test_relation_x2yz_generated(rels7):
@@ -216,28 +228,14 @@ def test_relation_counts():
 def _two_sided_relations(N):
     """The relations from expanding both sides of the cocycle identity, each
     monomial's difference normalized on its own."""
-    pairs = [(i, j) for i in range(1, N) for j in range(i, N + 1 - i)]
-    names = ("x", "y", "z", "u") + tuple(f"a{i}_{j}" for i, j in pairs)
-    weights = (1, 1, 1) + (0,) * (len(names) - 3)
-    f_terms = {(0,) * len(names): 1}
-    for i in range(1, N):
-        for j in range(1, N + 1 - i):
-            exp = [0] * len(names)
-            exp[0], exp[1] = i, j
-            exp[4 + pairs.index((min(i, j), max(i, j)))] = 1
-            f_terms[tuple(exp)] = 1
-    f = MultiSeries(RAT, names, f_terms, N, weights)
-    x, y, z, u = (MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu")
+    f, x, y, z, u = cocycle_series(N)
 
     def f_at(A, B):
         return f.substitute({"x": A, "y": B})
 
     diff = (f_at(x, y) * f_at(x + y - u * x * y, z)
             - f_at(x, y + z - u * y * z) * f_at(y, z))
-    groups = {}
-    for exp, c in diff.terms.items():
-        mono = (exp[3], tuple((p, e) for p, e in zip(pairs, exp[4:]) if e))
-        groups.setdefault(exp[:3], {})[mono] = c
+    groups = xyz_coefficients(diff)
     out = [(key, APoly(groups[key]).content_normalize()) for key in sorted(groups)]
     return [(key, str(poly)) for key, poly in out if not poly.is_zero()]
 
@@ -248,6 +246,19 @@ def test_relations_match_two_sided_expansion(N):
     the same order, as expanding both sides."""
     got = [(mono, str(poly)) for mono, poly in gen_2structure_relations(N).items()]
     assert got == _two_sided_relations(N)
+
+
+@pytest.mark.parametrize("N", range(3, 15))
+def test_relations_match_series_expansion(N):
+    """The closed-form integer expansion gives the series engine's relations:
+    the same keys in the same order, equal and equally printed polynomials,
+    and one object shared by each mirror pair."""
+    got, want = gen_2structure_relations(N), series_relations(N)
+    assert list(got) == list(want)
+    for (a, b, c), poly in got.items():
+        assert poly == want[a, b, c], (a, b, c)
+        assert str(poly) == str(want[a, b, c]), (a, b, c)
+        assert got[c, b, a] is poly, (a, b, c)
 
 
 @pytest.mark.parametrize("N", range(4, 13))

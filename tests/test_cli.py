@@ -116,6 +116,11 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("adams", "relations", "--degree", "3"),
     ("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"),
     ("adams", "nki", "--imax", "10"),
+    ("adams", "psi-dk", "--k", "7", "--max-weight", "30"),
+    ("adams", "beta", "--degree", "5", "--level", "thom"),
+    ("mahler", "dilate", "--imax", "3"),
+    ("chern", "total", "--dim", "6"),
+    ("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -133,10 +138,16 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("mahler", "dilate", "--precision", "8"), "--precision"),
     (("artin-schreier", "--precision", "8"), "--precision"),
     (("adams", "beta", "--k", "5", "--i", "7", "--imax", "2"), "--imax"),
+    (("adams", "psi-dk", "--k", "7", "--max-weight", "30"), "--max-weight"),
+    (("adams", "beta", "--degree", "5", "--level", "thom"), "--degree"),
+    (("mahler", "dilate", "--imax", "3"), "--imax"),
+    (("chern", "total", "--dim", "6"), "--dim"),
+    (("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"), "--expr"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
-    types, are reported against the flag."""
+    types, and flags the chosen action does not read are reported against the
+    flag."""
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(f"usage error: {flag}")

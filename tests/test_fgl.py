@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.chern import partitions
-from fglab.config import RANDOM_SEED
 from fglab.errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
 from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
                        fgl_binom, fgl_check, fgl_exp, fgl_from_genus, fgl_log,
@@ -14,7 +13,7 @@ from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
 from fglab.rings import RAT
 from fglab.series import MultiSeries
 
-from helpers import exp_series, grades_present, rename, symbol_grades, truncate
+from helpers import RANDOM_SEED, exp_series, grades_present, rename, symbol_grades, truncate
 
 
 def rational_strict_g(rng, bound, nb=4):

@@ -4,13 +4,12 @@ from math import comb
 
 import pytest
 
-from fglab.config import RANDOM_SEED
 from fglab.errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from fglab.mahler import (adams_matrix, artin_schreier_check, binom, dilate,
                           dilation_matrix, dilation_vs_adams, mahler_expand)
 from fglab.rings import Padic2
 
-from helpers import mahler_expand_poly
+from helpers import RANDOM_SEED, mahler_expand_poly
 
 
 def test_mahler_expand_square():

@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglab.config import RANDOM_SEED
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
 from fglab.rings import (GF2, GF2Elt, Padic2, Padic2Ring, gf2_from_rat, padic_from_rat,
                          padic_log, val2)
+
+from helpers import RANDOM_SEED
 
 
 def test_rat_agrees_with_integers():

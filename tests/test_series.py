@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglab.config import RANDOM_SEED
 from fglab.errors import (BoundMismatch, NonUnitConstantTerm, NonzeroConstantTerm,
                           NotStrict, VariableMismatch)
 from fglab.rings import GF2, RAT, GF2Elt, Padic2, Padic2Ring, gf2_from_rat
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import exp_series, log1p_series
+from helpers import RANDOM_SEED, exp_series, log1p_series
 
 
 def uni(terms, bound=8):
