@@ -433,11 +433,14 @@ class DReducer:
 
     ``rels`` maps monomials (a, b, c) to relations of weight a + b + c, as
     ``gen_2structure_relations`` returns them; a polynomial listed under
-    several keys is specialized to u = 1 once.
+    several keys is specialized to u = 1 once.  ``nki_mode`` chooses the
+    n_k^i that define the d_k (see ``nki_coeffs``); ``nki`` hands the same
+    choice to every psi on d_k reduced here.
     """
 
     def __init__(self, W: int, rels: dict, nki_mode="auto"):
         self.W = W
+        self.nki_mode = nki_mode
         self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
         self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
         self._consistent = True
@@ -447,8 +450,13 @@ class DReducer:
         for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
             eqs.setdefault(w, []).append((poly, {}))
         for w in range(2, W + 1):
-            dw = dk_as_apoly(w, nki_coeffs(w, nki_mode))
-            self._solve_weight(w, eqs.get(w, []) + [(dw, {(w,): 1})])
+            self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), {(w,): 1})])
+
+    def nki(self, k):
+        """The n_k^i that define d_k here; d_k above weight W is NotReducible."""
+        if k > self.W:
+            raise NotReducible(self.W, f"d{k} exceeds weight {self.W}")
+        return nki_coeffs(k, self.nki_mode)
 
     def _solve_weight(self, w, eqs):
         """Set phi(a_{i,w-i}) for each i the weight-w equations determine."""
@@ -523,11 +531,11 @@ def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
     return APoly(out)
 
 
-def psi_on_dk(k_gen: int, reducer: DReducer, k_adams: int = 3, nki_mode="auto") -> DPoly:
-    """psi^(k^-1) d_{k_gen} reduced to a d-polynomial (BSU base level)."""
-    nki = nki_coeffs(k_gen, nki_mode)
+def psi_on_dk(k_gen: int, reducer: DReducer, k_adams: int = 3) -> DPoly:
+    """psi^(k^-1) d_{k_gen} reduced to a d-polynomial (BSU base level), with
+    d_{k_gen} as the reducer defines it."""
     expr = APoly.zero()
-    for i, c in nki.items():
+    for i, c in reducer.nki(k_gen).items():
         expr = expr + psi_tensor_apoly(i, k_gen - i, k_adams).scale(c)
     return reducer.reduce(expr)
 
@@ -547,26 +555,7 @@ def spherical_search(max_weight: int, psi_table: dict):
     """
     if max_weight % 2 != 0:
         raise UsageError("weights are even")
-    W = max_weight // 2
-    # mod-2 d-polynomials as {monomial: 1} dicts on plain ints (the products
-    # on Fraction DPolys alone take longer than the whole search)
-    table = {k: dict.fromkeys(p.mod2().terms, 1) for k, p in psi_table.items()}
-    for k in range(2, W + 1):
-        if k not in table:
-            raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
-    monos = dmonomials_upto(W)
-    # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
-    # earlier in the weight order, so each image is one product
-    psi = {(): {(): 1}}
-    imgs = []  # columns: (psi - id) images of the monomials, as sets
-    for m in monos:
-        if m:
-            prod = _dmul(psi[m[:-1]], table[m[-1]])
-            psi[m] = {mm: 1 for mm, n in prod.items() if n % 2}
-        img = psi[m].keys() ^ {m}
-        if any(sum(mm) > W for mm in img):
-            raise InsufficientTable(f"psi image of {m} leaves weight {W}")
-        imgs.append(img)
+    monos, imgs = _psi_minus_id_mod2(max_weight // 2, psi_table)
     # each column dependent on the earlier ones gives one kernel element
     ech = GF2Echelon()
     kernel = []
@@ -584,6 +573,31 @@ def spherical_search(max_weight: int, psi_table: dict):
         top = max(sum(m) for m in elt.terms)
         new_by_weight.setdefault(2 * top, []).append(elt)
     return kernel, new_by_weight
+
+
+def _psi_minus_id_mod2(W, psi_table):
+    """The d-monomials of halved weight <= W (constant first), and the mod-2
+    images of (psi - id) on them, as monomial sets."""
+    # mod-2 d-polynomials as {monomial: 1} dicts on plain ints (the products
+    # on Fraction DPolys alone take longer than the whole search)
+    table = {k: dict.fromkeys(p.mod2().terms, 1) for k, p in psi_table.items()}
+    for k in range(2, W + 1):
+        if k not in table:
+            raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
+    monos = dmonomials_upto(W)
+    # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
+    # earlier in the weight order, so each image is one product
+    psi = {(): {(): 1}}
+    imgs = []
+    for m in monos:
+        if m:
+            prod = _dmul(psi[m[:-1]], table[m[-1]])
+            psi[m] = {mm: 1 for mm, n in prod.items() if n % 2}
+        img = psi[m].keys() ^ {m}
+        if any(sum(mm) > W for mm in img):
+            raise InsufficientTable(f"psi image of {m} leaves weight {W}")
+        imgs.append(img)
+    return monos, imgs
 
 
 def _gf2_vectors(supports):
@@ -638,16 +652,12 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     (default: the table's full range); an unsolvable stage raises
     LiftObstruction with the stage index.
     """
-    if max_weight is None:
-        W = max(psi_table)
-    else:
-        W = max_weight // 2
-    monos = dmonomials_upto(W)
     psi_z = _psi_dpoly(z, psi_table)
     if not all(rat_val2(c) >= 1 for c in (psi_z - z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
     # mod-2 images of (psi - 1) on the correction space
-    imgs = [(_psi_dpoly(DPoly({m: 1}), psi_table) - DPoly({m: 1})).mod2().terms for m in monos]
+    W = max(psi_table) if max_weight is None else max_weight // 2
+    monos, imgs = _psi_minus_id_mod2(W, psi_table)
     b = z
     for m_stage in range(1, target_precision):
         defect = _psi_dpoly(b, psi_table) - b

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .adams import APoly, DPoly, DReducer, nki_coeffs, psi_tensor_apoly
+from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
 from .rings import RAT
 from .series import MultiSeries, geometric
@@ -200,34 +200,24 @@ def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
 # -- Thom-level Adams operation ---------------------------------------------------
 
 
-def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer,
-                nki_mode: str = "auto") -> DPoly:
-    """psi_M^(3^-1) d_k at the Thom level.
+def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer) -> DPoly:
+    """psi_M^(3^-1) d_k at the Thom level, with d_k as the reducer defines it.
 
     Sum over m <= i, n <= k-i of c_mn n_k^i psi_B^(3^-1) f_*(beta_{i-m} (x)
     beta_{k-i-n}); negative-index betas vanish, beta_0 is the unit.  The
     (0,0) cell reproduces the base-level operation; every other cell is a
     cannibalistic correction.
     """
-    nki = nki_coeffs(k_gen, nki_mode)
+    nki = reducer.nki(k_gen)
     if theta.bound < k_gen:
         raise IndexOutOfRange(f"theta table bound {theta.bound} < {k_gen}")
-    expr = APoly.zero()
+    expr = {}
     for i, cnk in nki.items():
         for m in range(0, i + 1):
             for n in range(0, k_gen - i + 1):
-                c = theta[m, n]
+                c = cnk * theta[m, n]
                 if not c:
                     continue
-                expr = expr + psi_tensor_apoly(i - m, k_gen - i - n).scale(Fraction(cnk) * c)
-    return reducer.reduce(expr)
-
-
-def thom_psi_table(kmax: int, reducer: DReducer, theta: ThetaTable,
-                   nki_mode: str = "auto") -> dict:
-    return {k: thom_psi_dk(k, theta, reducer, nki_mode) for k in range(2, kmax + 1)}
-
-
-def base_psi_table(kmax: int, reducer: DReducer, nki_mode: str = "auto") -> dict:
-    from .adams import psi_on_dk
-    return {k: psi_on_dk(k, reducer, nki_mode=nki_mode) for k in range(2, kmax + 1)}
+                for mono, v in psi_tensor_apoly(i - m, k_gen - i - n).terms.items():
+                    expr[mono] = expr.get(mono, 0) + c * v
+    return reducer.reduce(APoly(expr))

@@ -61,7 +61,7 @@ def cmd_series(args, out):
     _at_least("--order", args.order, 1)
     if args.action == "invert":
         n = args.order
-        g = fgl.generic_strict_series(RAT, n + 1, n, ambient_extra=())
+        g = fgl.generic_strict_series(RAT, n + 1, n)
         inv = g.comp_inverse("t")
         rows = []
         for k in range(1, n + 1):
@@ -69,7 +69,7 @@ def cmd_series(args, out):
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "residue":
         n = args.order
-        g = fgl.generic_strict_series(RAT, n + 1, n, ambient_extra=())
+        g = fgl.generic_strict_series(RAT, n + 1, n)
         from .series import residue_inverse_coeff
         inv = g.comp_inverse("t")
         rows = []
@@ -83,11 +83,8 @@ def cmd_series(args, out):
 def cmd_fgl(args, out):
     from . import fgl
     if args.action == "twist":
-        nb = args.nb
-        F = fgl.multiplicative_law(RAT, args.bound, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
-                                   extra_weights=(0,) * nb)
-        g = fgl.generic_strict_series(RAT, args.bound, nb)
-        law = fgl.FGL(fgl.fgl_twist(F, g))
+        g = fgl.generic_strict_series(RAT, args.bound, args.nb)
+        law = fgl.FGL(fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g))
         rows = []
         for (i, j), c in sorted(law.coeff_table().items()):
             if i <= j:
@@ -106,10 +103,7 @@ def cmd_fgl(args, out):
     elif args.action == "miscenko":
         expr = fgl.BordismExpr.parse(args.expr)
         nb = expr.dimension()
-        F = fgl.multiplicative_law(RAT, nb + 2, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
-                                   extra_weights=(0,) * nb)
-        g = fgl.generic_strict_series(RAT, nb + 2, nb)
-        tw = fgl.fgl_twist(F, g)
+        tw = fgl.fgl_twist(fgl.multiplicative_law(RAT, nb + 2), fgl.generic_strict_series(RAT, nb + 2, nb))
         with _domain("--expr", UnsupportedDimension):
             img = fgl.miscenko_image(expr, tw, args.mode)
         _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
@@ -194,13 +188,13 @@ def cmd_adams(args, out):
             rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
-        from . import cannibal
         W = max(args.k, 7)
         red = _reducer(W, args.nki)
         if args.level == "base":
-            p = adams.psi_on_dk(args.k, red, nki_mode=args.nki)
+            p = adams.psi_on_dk(args.k, red)
         else:
-            p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red, nki_mode=args.nki)
+            from . import cannibal
+            p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red)
         if args.fmt == "json":
             import json
             json.dump(p.to_json_obj(), out, indent=1, sort_keys=True)
@@ -208,14 +202,14 @@ def cmd_adams(args, out):
         else:
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
-        from . import cannibal
         W = args.max_weight // 2
         red = _reducer(W, args.nki)
         if args.level == "thom":
-            table = cannibal.thom_psi_table(W, red, theta=cannibal.theta3_direct(W),
-                                            nki_mode=args.nki)
+            from . import cannibal
+            theta = cannibal.theta3_direct(W)
+            table = {k: cannibal.thom_psi_dk(k, theta, red) for k in range(2, W + 1)}
         else:
-            table = cannibal.base_psi_table(W, red, nki_mode=args.nki)
+            table = {k: adams.psi_on_dk(k, red) for k in range(2, W + 1)}
         kern, new = adams.spherical_search(args.max_weight, table)
         rows = []
         for w in range(2, args.max_weight + 1, 2):
@@ -236,7 +230,8 @@ def _nki_reaches(nki, k, context):
 
 
 def _reducer(W, nki):
-    """The d_k reducer through halved weight W, which needs n_k^i for every k <= W."""
+    """The d_k reducer through halved weight W, which needs n_k^i for every
+    k <= W; psi on the d_k reads that --nki choice from it."""
     from .adams import DReducer, gen_2structure_relations
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
     return DReducer(W, gen_2structure_relations(W), nki_mode=nki)
@@ -263,6 +258,10 @@ def cmd_cannibal(args, out):
 def cmd_mahler(args, out):
     from . import mahler
     if args.action == "dilate":
+        # --padic replaces the integer --k, and only it reads --precision
+        unread, when = ("--k", "with") if args.padic is not None else ("--precision", "without")
+        if unread in args.given:
+            raise UsageError(f"{unread} is not read by dilate {when} --padic")
         k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
@@ -412,14 +411,17 @@ def build_parser():
 
 
 def _scope_action_flags(args):
-    """Set the default of each action-specific flag that was not given.  A
-    given one is a usage error if the chosen action does not read it or if it
-    is below its least value."""
+    """Set the default of each action-specific flag that was not given, and
+    record the given ones in ``args.given``.  A given one is a usage error if
+    the chosen action does not read it or if it is below its least value."""
+    args.given = set()
     for flag, (readers, low, opts) in ACTION_FLAGS.get(args.command, {}).items():
         dest, readers = flag[2:].replace("-", "_"), readers.split()
         if getattr(args, dest) is None:
             setattr(args, dest, opts.get("default"))
-        elif args.action not in readers:
+            continue
+        args.given.add(flag)
+        if args.action not in readers:
             names = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
             raise UsageError(f"{flag} is read by {names} only, not by {args.action}")
         elif low is not None:

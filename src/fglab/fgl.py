@@ -93,46 +93,29 @@ def fgl_check(F: MultiSeries) -> FGL:
     return FGL(F)
 
 
-def multiplicative_law(ring, bound, vcoeff=None, extra_vars=(), extra_weights=()):
+def multiplicative_law(ring, bound, vcoeff=None):
     """F_K(x, y) = x + y + v x y; v defaults to the symbol 'v'."""
     if vcoeff is None:
-        vars_ = (X, Y, "v") + tuple(extra_vars)
-        weights = (1, 1, 0) + tuple(extra_weights)
-        terms = {
-            (1, 0, 0) + (0,) * len(extra_vars): ring.one,
-            (0, 1, 0) + (0,) * len(extra_vars): ring.one,
-            (1, 1, 1) + (0,) * len(extra_vars): ring.one,
-        }
-        return MultiSeries(ring, vars_, terms, bound, weights)
-    vars_ = (X, Y) + tuple(extra_vars)
-    weights = (1, 1) + tuple(extra_weights)
-    terms = {
-        (1, 0) + (0,) * len(extra_vars): ring.one,
-        (0, 1) + (0,) * len(extra_vars): ring.one,
-        (1, 1) + (0,) * len(extra_vars): vcoeff,
-    }
-    return MultiSeries(ring, vars_, terms, bound, weights)
+        terms = {(1, 0, 0): ring.one, (0, 1, 0): ring.one, (1, 1, 1): ring.one}
+        return MultiSeries(ring, (X, Y, "v"), terms, bound, (1, 1, 0))
+    terms = {(1, 0): ring.one, (0, 1): ring.one, (1, 1): vcoeff}
+    return MultiSeries(ring, (X, Y), terms, bound)
 
 
-def additive_law(ring, bound, extra_vars=(), extra_weights=()):
-    vars_ = (X, Y) + tuple(extra_vars)
-    weights = (1, 1) + tuple(extra_weights)
-    terms = {
-        (1, 0) + (0,) * len(extra_vars): ring.one,
-        (0, 1) + (0,) * len(extra_vars): ring.one,
-    }
-    return MultiSeries(ring, vars_, terms, bound, weights)
+def additive_law(ring, bound):
+    return MultiSeries(ring, (X, Y), {(1, 0): ring.one, (0, 1): ring.one}, bound)
 
 
-def generic_strict_series(ring, bound, nb, ambient_extra=("v",)):
-    """g(t) = t + b1 t^2 + ... + b_nb t^(nb+1) over symbols b_i (weight 0)."""
-    vars_ = ("t",) + tuple(ambient_extra) + tuple(f"b{i}" for i in range(1, nb + 1))
-    weights = (1,) + (0,) * (len(vars_) - 1)
-    terms = {(1,) + (0,) * (len(vars_) - 1): ring.one}
+def generic_strict_series(ring, bound, nb):
+    """g(t) = t + b1 t^2 + ... + b_nb t^(nb+1) over symbols b_i (weight 0),
+    in the ambient (t, b1, ..., b_nb)."""
+    vars_ = ("t",) + tuple(f"b{i}" for i in range(1, nb + 1))
+    weights = (1,) + (0,) * nb
+    terms = {(1,) + (0,) * nb: ring.one}
     for i in range(1, nb + 1):
         exp = [0] * len(vars_)
         exp[0] = i + 1
-        exp[vars_.index(f"b{i}")] = 1
+        exp[i] = 1
         terms[tuple(exp)] = ring.one
     return MultiSeries(ring, vars_, terms, bound, weights)
 
@@ -225,7 +208,7 @@ def _a_ambient(n):
     return vars_, (0,) * len(vars_)
 
 
-def cpn_in_a(n: int, mode: str = "paper-box", bound=None):
+def cpn_in_a(n: int, mode: str = "paper-box"):
     """[CP^n] as a polynomial in the first-row FGL coefficients a_{1,i}.
 
     ``residue-exact`` computes the degree-n coefficient of
@@ -235,7 +218,6 @@ def cpn_in_a(n: int, mode: str = "paper-box", bound=None):
     """
     if n < 1:
         raise UnsupportedDimension("n must be >= 1")
-    vars_, weights = _a_ambient(max(n, 4) if mode == "paper-box" else n)
     ring = RAT
     if mode == "paper-box":
         if n > 4:
@@ -254,9 +236,10 @@ def cpn_in_a(n: int, mode: str = "paper-box", bound=None):
             4: {e(**{a4: 1}): Fraction(-1), e(**{a1: 4}): Fraction(1),
                 e(**{a2: 2}): Fraction(1), e(**{a1: 1, a3: 1}): Fraction(2)},
         }
-        return MultiSeries(ring, vars_, table[n], bound, weights)
+        return MultiSeries(ring, vars_, table[n], None, weights)
     if mode != "residue-exact":
         raise UsageError(f"unknown mode {mode!r}")
+    vars_, weights = _a_ambient(n)
     # (1 + sum a_{1,i} s^i)^{-1}, degree-n coefficient in s
     svars = ("#s",) + vars_
     sweights = (1,) + weights
@@ -267,7 +250,7 @@ def cpn_in_a(n: int, mode: str = "paper-box", bound=None):
         exp[svars.index(a_var(1, i))] = 1
         terms[tuple(exp)] = ring.one
     R = MultiSeries(ring, svars, terms, n, sweights).reciprocal()
-    return R.coeff_in_var("#s", n).embed(vars_, weights, bound)
+    return R.coeff_in_var("#s", n).embed(vars_, weights, None)
 
 
 def cpn_box_diff(n: int):

@@ -59,11 +59,8 @@ _CACHE = {}
 
 def _twisted_law():
     if "twist" not in _CACHE:
-        nb = 5
-        F = fgl.multiplicative_law(RAT, 6, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
-                                   extra_weights=(0,) * nb)
-        g = fgl.generic_strict_series(RAT, 6, nb)
-        _CACHE["twist"] = fgl.fgl_twist(F, g)
+        _CACHE["twist"] = fgl.fgl_twist(fgl.multiplicative_law(RAT, 6),
+                                        fgl.generic_strict_series(RAT, 6, 5))
     return _CACHE["twist"]
 
 
@@ -76,8 +73,8 @@ def _reducer(W=10):
 
 def _thom_table():
     if "thom" not in _CACHE:
-        _CACHE["thom"] = cannibal.thom_psi_table(10, _reducer(10),
-                                                 theta=cannibal.theta3_direct(10))
+        theta = cannibal.theta3_direct(10)
+        _CACHE["thom"] = {k: cannibal.thom_psi_dk(k, theta, _reducer(10)) for k in range(2, 11)}
     return _CACHE["thom"]
 
 
@@ -90,7 +87,7 @@ def _cells(prefix, poly):
 
 
 def compute_inverse_series():
-    g = fgl.generic_strict_series(RAT, 6, 4, ambient_extra=())
+    g = fgl.generic_strict_series(RAT, 6, 4)
     inv = g.comp_inverse("t")
     return {f"c{n}": str(inv.coeff_in_var("t", n + 1)) for n in range(1, 5)}
 

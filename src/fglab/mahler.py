@@ -79,7 +79,7 @@ def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
     return out
 
 
-def dilate(k, i: int, N: int = None) -> NumPoly:
+def dilate(k, i: int) -> NumPoly:
     """C(kT, i) expanded in the C(T, j) basis.
 
     Integer k of either sign: exact finite differences.  2-adic k: the
@@ -87,8 +87,6 @@ def dilate(k, i: int, N: int = None) -> NumPoly:
     evaluated as the integer-valued polynomial at the 2-adic argument,
     truncated at k's working precision.
     """
-    if N is not None and i > N:
-        raise NotInDomain(f"index {i} exceeds basis bound {N}")
     if isinstance(k, Padic2):
         if k.value % 2 == 0:
             raise NotAUnit("2-adic dilation needs a unit scale")

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from fglab.adams import DReducer, gen_2structure_relations  # noqa: E402
-from fglab.cannibal import theta3_direct, thom_psi_table  # noqa: E402
+from fglab.cannibal import theta3_direct, thom_psi_dk  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -26,4 +26,4 @@ def theta30():
 
 @pytest.fixture(scope="session")
 def thom_table10(reducer10, theta30):
-    return thom_psi_table(10, reducer10, theta=theta30)
+    return {k: thom_psi_dk(k, theta30, reducer10) for k in range(2, 11)}

@@ -36,13 +36,11 @@ def ok(n, msg):
 
 @pytest.fixture(scope="module")
 def twisted():
-    F = multiplicative_law(RAT, 6, extra_vars=tuple(f"b{i}" for i in range(1, 6)),
-                           extra_weights=(0,) * 5)
-    return fgl_twist(F, generic_strict_series(RAT, 6, 5))
+    return fgl_twist(multiplicative_law(RAT, 6), generic_strict_series(RAT, 6, 5))
 
 
 def test_criterion_1_inverse_series_formulas():
-    g = generic_strict_series(RAT, 6, 4, ambient_extra=())
+    g = generic_strict_series(RAT, 6, 4)
     inv = g.comp_inverse("t")
 
     def poly(d):
@@ -63,7 +61,7 @@ def test_criterion_1_inverse_series_formulas():
 
 
 def test_criterion_2_residue_formula_equivalence():
-    g = generic_strict_series(RAT, 12, 10, ambient_extra=())
+    g = generic_strict_series(RAT, 12, 10)
     inv = g.comp_inverse("t")
     for n in range(1, 11):
         assert residue_inverse_coeff(g, "t", n) == inv.coeff_in_var("t", n + 1), n

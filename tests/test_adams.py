@@ -356,6 +356,11 @@ PSI_DK_PRINTED = {
 }
 
 
+def test_psi_on_dk_above_the_reducer_weight_is_not_reducible(reducer7):
+    with pytest.raises(NotReducible):
+        psi_on_dk(reducer7.W + 1, reducer7)
+
+
 def test_psi_on_dk_computed_values(reducer7):
     """d2, d3 equal the printed values; d4..d6 are pinned at the values forced
     by the printed beta table (independently confirmed by the BU oracle)."""

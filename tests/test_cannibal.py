@@ -160,6 +160,45 @@ def test_thom_d5_coincides_with_base_level(reducer10, thom_table10):
     assert thom_table10[5] == psi_on_dk(5, reducer10)
 
 
+# psi on d_6, d_8 and d_10 with the extended-gcd n_k^i defining the d_k, at
+# the base and the Thom level
+EXTENDED_GCD_PSI_DK = {
+    6: ("-d2 + 1836*d3 - 1863*d2^2 + 4347*d4 - 4131*d2*d3 + 3645*d5 + 729*d6",
+        "19/27 - 3*d2 + 1989*d3 - 2187*d2^2 + 4941*d4 - 4131*d2*d3 + 3645*d5 + 729*d6"),
+    8: ("-273576*d3 + 273627*d2^2 - 547182*d4 + 4752594*d2*d3 - 6228414*d5 - 4477518*d2^3"
+        " + 8689923*d2*d4 + 2126736*d3^2 - 801900*d6 - 159651*d2^2*d3 + 159651*d2*d5"
+        " + 306180*d3*d4 - 139968*d7 + 6561*d8",
+        "-83/81 - 288483*d3 + 288585*d2^2 - 576972*d4 + 4991706*d2*d3 - 6533217*d5"
+        " - 4703994*d2^3 + 9129753*d2*d4 + 2226852*d3^2 - 841752*d6 - 159651*d2^2*d3"
+        " + 159651*d2*d5 + 306180*d3*d4 - 139968*d7 + 6561*d8"),
+    10: ("-11329479492*d3 + 11329479492*d2^2 - 22658959056*d4 + 244878767622*d2*d3"
+         " - 265865164785*d5 - 233549286687*d2^3 + 455769086850*d2*d4 + 98364234384*d3^2"
+         " - 33988436244*d6 - 770139652626*d2^2*d3 + 978144175053*d2*d5 + 46504194498*d3*d4"
+         " - 47342653848*d7 + 715420894401*d2^4 - 1408856236470*d2^2*d4 - 308074462506*d2*d3^2"
+         " + 124355273814*d2*d6 + 13910385069*d3*d5 + 38680487037*d4^2 + 1511335098*d8"
+         " - 4083435180*d2^3*d3 + 105697710*d2^2*d5 + 7924985973*d2*d3*d4 - 105697710*d2*d7"
+         " + 1809891216*d3^3 - 725968089*d3*d6 - 241884387*d4*d5 + 31118823*d9 + 59049*d10",
+         "22/27 - 11339781756*d3 + 11339781756*d2^2 - 22679563668*d4 + 245103550830*d2*d3"
+         " - 266106919923*d5 - 233763765291*d2^3 + 456187740858*d2*d4 + 98454667806*d3^2"
+         " - 34019339688*d6 - 770880768606*d2^2*d3 + 979085147841*d2*d5 + 46549529550*d3*d4"
+         " - 47388946077*d7 + 716109077691*d2^4 - 1410211441638*d2^2*d4 - 308374982550*d2*d3^2"
+         " + 124474893966*d2*d6 + 13929341985*d3*d5 + 38717666037*d4^2 + 1512796014*d8"
+         " - 4083435180*d2^3*d3 + 105697710*d2^2*d5 + 7924985973*d2*d3*d4 - 105697710*d2*d7"
+         " + 1809891216*d3^3 - 725968089*d3*d6 - 241884387*d4*d5 + 31118823*d9 + 59049*d10"),
+}
+
+
+def test_psi_on_dk_uses_the_reducer_nki(theta30):
+    """psi on d_k reads the n_k^i from the reducer that defines the d_k, so
+    the extended-gcd choice, not the auto one, gives both levels at k = 6, 8
+    and 10, where the two choices differ."""
+    from fglab.adams import DReducer, gen_2structure_relations, psi_on_dk
+    red = DReducer(10, gen_2structure_relations(10), nki_mode="extended-gcd")
+    for k, (base, thom) in EXTENDED_GCD_PSI_DK.items():
+        assert str(psi_on_dk(k, red)) == base, k
+        assert str(thom_psi_dk(k, theta30, red)) == thom, k
+
+
 def test_bott_correction_structure(reducer10, thom_table10):
     """Thom level minus base level is exactly the (m,n) != (0,0) part of the
     cannibalistic pairing; for d4 that is 6d2 + 2/9 - 1/9 = 6d2 + 1/9."""

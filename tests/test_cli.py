@@ -143,6 +143,8 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("mahler", "dilate", "--imax", "3"), "--imax"),
     (("chern", "total", "--dim", "6"), "--dim"),
     (("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"), "--expr"),
+    (("mahler", "dilate", "--padic", "5", "--i", "3", "--k", "7"), "--k"),
+    (("mahler", "dilate", "--i", "3", "--precision", "20"), "--precision"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
@@ -427,6 +429,7 @@ BASE = {"cli", "errors", "rings", "series"}
     (("mahler", "dilate"), 0, BASE | {"mahler"}),
     (("artin-schreier",), 0, BASE | {"mahler"}),
     (("reproduce-paper",), 3, None),
+    (("adams", "spherical", "--max-weight", "10"), 0, BASE | {"adams", "linalg"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     """A fresh interpreter running one command imports only the fglab

@@ -42,11 +42,7 @@ def embed(series, like):
 
 @pytest.fixture(scope="module")
 def twisted6():
-    nb = 5
-    F = multiplicative_law(RAT, 6, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
-                           extra_weights=(0,) * nb)
-    g = generic_strict_series(RAT, 6, nb)
-    return fgl_twist(F, g)
+    return fgl_twist(multiplicative_law(RAT, 6), generic_strict_series(RAT, 6, 5))
 
 
 def test_fgl_check_valid_laws():
@@ -97,7 +93,9 @@ def poly_in(ambient, d):
 def test_twisted_law_images(twisted6):
     """Five printed coefficient images match the source exactly; a32 is
     asserted at its computed value (three of its printed cells are
-    transcription errors, see the xfail below and notes/decisions.md)."""
+    transcription errors, see the xfail below and notes/decisions.md).  The
+    law lives in the joint ambient of F = x + y + vxy and g(t) in b1..b5."""
+    assert twisted6.vars == ("x", "y", "v", "b1", "b2", "b3", "b4", "b5")
     law = FGL(twisted6)
     assert law.a(1, 1) == poly_in(twisted6, {(("v", 1),): 1, (("b1", 1),): 2})
     assert law.a(2, 1) == poly_in(twisted6, {(("v", 1), ("b1", 1)): 1, (("b1", 2),): -2,
@@ -282,8 +280,7 @@ def test_cpn_boxes_and_modes():
 def test_cpn_residue_matches_log_derivative():
     """residue-exact [CP^n] = x^n coefficient of 1/(dF/dy)(x, 0), n <= 8."""
     nb = 8
-    F = multiplicative_law(RAT, 9, extra_vars=tuple(f"b{i}" for i in range(1, nb + 1)),
-                           extra_weights=(0,) * nb)
+    F = multiplicative_law(RAT, 9)
     g = generic_strict_series(RAT, 9, nb)
     tw = fgl_twist(F, g)
     rec = tw.partial("y").coeff_in_var("y", 0).reciprocal()
