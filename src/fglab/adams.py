@@ -319,8 +319,9 @@ class DPoly(_Poly):
         return {"terms": out}
 
 
-def dk_as_apoly(k: int, nki=None) -> APoly:
-    nki = nki or nki_coeffs(k, "auto")
+def dk_as_apoly(k: int, nki: dict) -> APoly:
+    """d_k = sum_i n_k^i a_{i,k-i} for the rows ``nki`` = {i: n_k^i}, which
+    callers take from their reducer (``DReducer.nki(k)``)."""
     out = APoly.zero()
     for i, c in nki.items():
         out = out + APoly.gen(i, k - i, c)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add
 
-from .errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
+from .errors import AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension, UsageError
 from .rings import RAT
 from .series import MultiSeries
 
@@ -120,34 +121,101 @@ def generic_strict_series(ring, bound, nb):
     return MultiSeries(ring, vars_, terms, bound, weights)
 
 
+def _plain(terms):
+    """The terms with each integral Fraction as a Python int, which the twist's
+    solve multiplies far faster; other coefficients are kept as they are."""
+    return {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
+            for e, c in terms.items()}
+
+
+def _addmul(acc, p, q, neg=False):
+    """acc += p*q (acc -= p*q when ``neg``) for polynomials {exponents: coefficient}."""
+    get = acc.get
+    for e1, c1 in p.items():
+        if neg:
+            c1 = -c1
+        for e2, c2 in q.items():
+            e = tuple(map(add, e1, e2))
+            s = get(e)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                acc[e] = s
+            else:
+                del acc[e]
+
+
 def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
-    """Twist: gF(x, y) = g(F(g^{-1}(x), g^{-1}(y))).
+    """Twist: the law gF(x, y) = g(F(g^{-1}(x), g^{-1}(y))), for which g is a
+    strict isomorphism F -> gF.
 
     F is bivariate in (x, y); g is a strict series in t whose other
     variables (symbols) are shared with the target ambient.  The result
     lives in the union ambient of F's and g's variables.
+
+    No g^{-1} is formed: H = gF is solved from H(g(x), g(y)) = g(F(x, y)).
+    With P_a[i] = [t^i] g(t)^a (so P_a[a] = 1) and R_ij = [x^i y^j] g(F(x, y)),
+    comparing coefficients gives, by increasing i + j,
+        h_ij = R_ij - sum_{a<i} P_a[i] Q[a, j] - sum_{b<j} h_ib P_b[j],
+    where Q[a, j] = sum_{b<=j} h_ab P_b[j] is formed once per (a, j), which
+    makes the solve cubic in the bound.  Coefficients are polynomials in the
+    symbols, kept as dicts.  F must be commutative: R is symmetric exactly
+    when F is (g is invertible), and then only i <= j is solved and mirrored.
+    A non-symmetric F raises AxiomViolation("commutativity", ...).
     """
     ring = F.ring
     bound = F.bound
-    unit = tuple(1 if v == T else 0 for v in g.vars)
-    if not (g.coefficient(unit) == ring.one) or not ring.is_zero(g.constant_term()):
-        raise NotStrict("twist requires a strict series g")
-    # joint ambient
+    # the joint ambient; a symbol in both F and g takes F's weight
     vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
-    wmap = {}
-    for v, w in zip(F.vars, F.weights):
-        wmap[v] = w
-    for v, w in zip(g.vars, g.weights):
-        if v != T:
-            wmap.setdefault(v, w)
+    wmap = dict(zip(g.vars, g.weights))
+    wmap.update(zip(F.vars, F.weights))
     weights = tuple(wmap[v] for v in vars_)
-    ginv = g.comp_inverse(T)
-    xv = MultiSeries.var(ring, vars_, X, bound, weights)
-    yv = MultiSeries.var(ring, vars_, Y, bound, weights)
-    ginv_x = ginv.substitute({T: xv})
-    ginv_y = ginv.substitute({T: yv})
-    inner = F.substitute({X: ginv_x, Y: ginv_y})
-    return g.substitute({T: inner})
+    # [t^k] g, and below R = [x^i y^j] g(F), as polynomials in the joint
+    # ambient with t, x and y at 0
+    G = {k: _plain(part.embed(vars_, weights, None).terms)
+         for (k,), part in g.split((T,)).items()}
+    one_key = (0,) * len(vars_)
+    one = _plain({one_key: ring.one})
+    if 0 in G or G.get(1) != one:
+        raise NotStrict("twist requires a strict series g")
+    if bound is None or (g.bound is not None and g.bound < bound):
+        raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
+    gF = g.substitute({T: F.embed(vars_, weights, bound)})
+    R = {ij: _plain(part.terms) for ij, part in gF.split((X, Y)).items()}
+    ix, iy = vars_.index(X), vars_.index(Y)
+
+    def at(e, i, j):
+        e = list(e)
+        e[ix], e[iy] = i, j
+        return tuple(e)
+
+    for (i, j), r in sorted(R.items()):
+        if r != R.get((j, i)):
+            raise AxiomViolation("commutativity", gF.monomial_str(at(one_key, i, j)))
+    # P[a][i] = [t^i] g^a for a <= i <= bound
+    P = [[one] + [{}] * bound]
+    for a in range(1, bound + 1):
+        row = [{} for _ in range(bound + 1)]
+        for i in range(a, bound + 1):
+            for k in range(1, i - a + 2):
+                if k in G:
+                    _addmul(row[i], G[k], P[a - 1][i - k])
+        P.append(row)
+    h, Q = {}, {}
+    for n in range(bound + 1):
+        for i in range(n // 2 + 1):
+            j = n - i
+            acc = dict(R.get((i, j), {}))
+            for a in range(i):
+                if (a, j) not in Q:
+                    Q[a, j] = q = {}
+                    for b in range(j + 1):
+                        _addmul(q, h[a, b], P[b][j])
+                _addmul(acc, P[a][i], Q[a, j], neg=True)
+            for b in range(j):
+                _addmul(acc, h[i, b], P[b][j], neg=True)
+            h[i, j] = h[j, i] = acc
+    terms = {at(e, i, j): c for (i, j), poly in h.items() for e, c in poly.items()}
+    return MultiSeries(ring, vars_, ring.lower(terms, 1), bound, weights)
 
 
 def fgl_log(F: MultiSeries) -> MultiSeries:

@@ -27,7 +27,6 @@ from .errors import (
     BoundMismatch,
     DivisionUndefined,
     NonUnitConstantTerm,
-    NonzeroConstantTerm,
     NotStrict,
     VariableMismatch,
 )
@@ -318,24 +317,6 @@ class MultiSeries:
                     mono[carry[i]] = e
             base = MultiSeries(ring, target.vars, {tuple(mono): c}, target.bound, target.weights)
             out = out + (base if piece is None else base * piece)
-        return out
-
-    def compose(self, var, inner):
-        """Substitute ``inner`` for ``var`` by Horner iteration.
-
-        ``inner`` must have zero constant term (composition of formal power
-        series); per-step truncation keeps the cost polynomial in the bound
-        and the term count.
-        """
-        if not inner.ring.is_zero(inner.constant_term()):
-            raise NonzeroConstantTerm("inner series has nonzero constant term")
-        layers = self.split((var,))
-        out = MultiSeries.zero(inner.ring, inner.vars, inner.bound, inner.weights)
-        for k in range(max((k for (k,) in layers), default=0), -1, -1):
-            out = out * inner
-            layer = layers.get((k,))
-            if layer is not None:
-                out = out + layer.embed(inner.vars, inner.weights, inner.bound)
         return out
 
     def comp_inverse(self, var):

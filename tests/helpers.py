@@ -5,6 +5,7 @@ from itertools import compress
 from math import comb, gcd
 
 from fglab.adams import APoly
+from fglab.errors import NonzeroConstantTerm, NotStrict
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
 from fglab.series import MultiSeries
@@ -34,6 +35,53 @@ def log1p_series(varnames, var, bound, weights=None):
     for n in range(1, bound + 1):
         terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = Fraction((-1) ** (n + 1), n)
     return MultiSeries(RAT, vs, terms, bound, weights)
+
+
+def compose(outer, var, inner):
+    """Substitute ``inner`` for ``var`` in ``outer`` by Horner iteration.
+
+    ``inner`` must have zero constant term (composition of formal power
+    series); per-step truncation keeps the cost polynomial in the bound
+    and the term count.
+    """
+    if not inner.ring.is_zero(inner.constant_term()):
+        raise NonzeroConstantTerm("inner series has nonzero constant term")
+    layers = outer.split((var,))
+    out = MultiSeries.zero(inner.ring, inner.vars, inner.bound, inner.weights)
+    for k in range(max((k for (k,) in layers), default=0), -1, -1):
+        out = out * inner
+        layer = layers.get((k,))
+        if layer is not None:
+            out = out + layer.embed(inner.vars, inner.weights, inner.bound)
+    return out
+
+
+def twist_by_substitution(F, g):
+    """The twisted law g(F(g^-1(x), g^-1(y))) by direct substitution, the
+    reference for ``fgl_twist``: F is bivariate in (x, y), g a strict series
+    in t, and the result lives in the union ambient of their variables."""
+    X, Y, T = "x", "y", "t"
+    ring = F.ring
+    bound = F.bound
+    unit = tuple(1 if v == T else 0 for v in g.vars)
+    if not (g.coefficient(unit) == ring.one) or not ring.is_zero(g.constant_term()):
+        raise NotStrict("twist requires a strict series g")
+    # joint ambient
+    vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
+    wmap = {}
+    for v, w in zip(F.vars, F.weights):
+        wmap[v] = w
+    for v, w in zip(g.vars, g.weights):
+        if v != T:
+            wmap.setdefault(v, w)
+    weights = tuple(wmap[v] for v in vars_)
+    ginv = g.comp_inverse(T)
+    xv = MultiSeries.var(ring, vars_, X, bound, weights)
+    yv = MultiSeries.var(ring, vars_, Y, bound, weights)
+    ginv_x = ginv.substitute({T: xv})
+    ginv_y = ginv.substitute({T: yv})
+    inner = F.substitute({X: ginv_x, Y: ginv_y})
+    return g.substitute({T: inner})
 
 
 def truncate(s, bound):

@@ -16,6 +16,8 @@ from fglab.adams import dmonomials_upto, nki_coeffs, psi_power_coeff
 from fglab.rings import RAT
 from fglab.series import MultiSeries
 
+from helpers import compose
+
 
 class BUOracle:
     def __init__(self, W: int):
@@ -33,9 +35,9 @@ class BUOracle:
         bt = MultiSeries(RAT, tvars, terms, W, (1,) + (0,) * W)
         x = self._var("x")
         y = self._var("y")
-        self.S = (bt.compose("t", x + y - x * y)
-                  * bt.compose("t", x).reciprocal()
-                  * bt.compose("t", y).reciprocal())
+        self.S = (compose(bt, "t", x + y - x * y)
+                  * compose(bt, "t", x).reciprocal()
+                  * compose(bt, "t", y).reciprocal())
         self._psi_subs = None
         self._dval = {}
 

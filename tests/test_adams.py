@@ -203,7 +203,7 @@ def test_relation_x4yz_matches_paper(rels7):
 @pytest.mark.xfail(strict=True,
                    reason="paper misprint: the printed x^2y^2z and x^3yz^2 rows are not "
                           "valid 2-structure relations (they fail on coboundaries); see "
-                          "notes/decisions.md for the generated rows")
+                          "README's Known source errata for the generated rows")
 def test_relations_x2y2z_x3yz2_as_printed(rels7):
     assert canon(rels7[(2, 2, 1)]) == "-a11 - a11^2 - 6*a13 + 2*a22 + 6*a14"
     assert canon(rels7[(3, 1, 2)]) == "-2*a23 + a11*a13 - a11*a22 - a12^2 + 3*a33"
@@ -297,7 +297,7 @@ def reducer7(rels7):
 
 def test_reduce_roundtrip(reducer7):
     for k in range(2, 8):
-        assert reducer7.reduce(dk_as_apoly(k)) == DPoly({(k,): 1}), k
+        assert reducer7.reduce(dk_as_apoly(k, reducer7.nki(k))) == DPoly({(k,): 1}), k
 
 
 @pytest.fixture(scope="module", params=[10, 11, 12])
@@ -311,7 +311,7 @@ def test_reduce_dmonomial_images_to_themselves(reducer_at):
     for dm in dmonomials_upto(reducer_at.W):
         poly = APoly.gen(0, 0)
         for k in dm:
-            poly = apoly_mul(poly, dk_as_apoly(k))
+            poly = apoly_mul(poly, dk_as_apoly(k, reducer_at.nki(k)))
         assert reducer_at.reduce(poly) == DPoly({dm: 1}), dm
 
 
@@ -334,7 +334,7 @@ def test_reduce_checks_span_before_dependence():
     assert (1, 2, 1) not in rels
     red = DReducer(5, {**rels, (1, 2, 1): APoly.gen(1, 3)})
     with pytest.raises(UsageError):
-        red.reduce(dk_as_apoly(2))
+        red.reduce(dk_as_apoly(2, red.nki(2)))
     with pytest.raises(NotReducible):
         red.reduce(APoly.gen(2, 3))
 

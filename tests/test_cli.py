@@ -231,7 +231,7 @@ def test_reproduce_paper_exit_and_known_diffs(capsys):
 
 @pytest.mark.xfail(strict=True,
                    reason="the source publication contains 21 documented transcription "
-                          "errors (see notes/decisions.md), so a faithful recomputation "
+                          "errors (see README's Known source errata), so a faithful recomputation "
                           "can never match every printed table; reproduce-paper exits 3 "
                           "with each discrepancy itemized")
 def test_reproduce_paper_fully_matches(capsys):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.chern import partitions
-from fglab.errors import AxiomViolation, NotStrict, UnsupportedDimension, UsageError
+from fglab.errors import (AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension,
+                          UsageError)
 from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
                        fgl_binom, fgl_check, fgl_exp, fgl_from_genus, fgl_log,
                        fgl_twist, generic_strict_series, miscenko_image,
@@ -13,7 +14,8 @@ from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
 from fglab.rings import RAT
 from fglab.series import MultiSeries
 
-from helpers import RANDOM_SEED, exp_series, grades_present, rename, symbol_grades, truncate
+from helpers import (RANDOM_SEED, compose, exp_series, grades_present, rename, symbol_grades,
+                     truncate, twist_by_substitution)
 
 
 def rational_strict_g(rng, bound, nb=4):
@@ -78,6 +80,67 @@ def test_twist_requires_strict():
     g = MultiSeries(RAT, ("t",), {(1,): Fraction(2)}, 6)
     with pytest.raises(NotStrict):
         fgl_twist(F, g)
+    # the whole t-coefficient must be 1, not 1 plus a symbol multiple
+    g = MultiSeries(RAT, ("t", "v"), {(1, 0): Fraction(1), (1, 1): Fraction(1)}, 6, (1, 0))
+    with pytest.raises(NotStrict):
+        fgl_twist(multiplicative_law(RAT, 6), g)
+
+
+def test_twist_needs_g_to_the_bound_of_f():
+    F = multiplicative_law(RAT, 6)
+    with pytest.raises(BoundMismatch):
+        fgl_twist(F, generic_strict_series(RAT, 5, 3))
+    assert fgl_twist(F, generic_strict_series(RAT, 8, 3)) == fgl_twist(
+        F, generic_strict_series(RAT, 6, 3))
+
+
+@pytest.mark.parametrize("bound, nb", [(2, 0), (3, 5), (6, 5), (9, 8), (12, 11)])
+def test_twist_equals_substitution_generic(bound, nb):
+    F = multiplicative_law(RAT, bound)
+    g = generic_strict_series(RAT, bound, nb)
+    assert fgl_twist(F, g) == twist_by_substitution(F, g)
+
+
+def test_twist_equals_substitution_rational_and_twisted():
+    """Rational g, and a law that is not multiplicative: a twisted law twisted
+    again by g^-1 (giving back x + y + vxy) and by a second g."""
+    rng = random.Random(RANDOM_SEED)
+    for bound in (5, 8, 10):
+        F = multiplicative_law(RAT, bound)
+        g = rational_strict_g(rng, bound)
+        tw = fgl_twist(F, g)
+        assert tw == twist_by_substitution(F, g)
+        ginv = g.comp_inverse("t")
+        assert fgl_twist(tw, ginv) == twist_by_substitution(tw, ginv) == F
+        for g2 in (rational_strict_g(rng, bound, nb=bound - 1), generic_strict_series(RAT, bound, 3)):
+            assert fgl_twist(tw, g2) == twist_by_substitution(tw, g2)
+
+
+@st.composite
+def small_strict_g(draw):
+    """A strict g(t) = t + sum c t^k v^e over (t, v), 2 <= k <= bound <= 7."""
+    bound = draw(st.integers(1, 7))
+    terms = draw(st.dictionaries(st.tuples(st.integers(2, 7), st.integers(0, 2)),
+                                 st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                                 max_size=5))
+    terms[(1, 0)] = Fraction(1)
+    return MultiSeries(RAT, ("t", "v"), terms, bound, (1, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_strict_g(), st.sampled_from([None, Fraction(1), Fraction(-2, 3)]))
+def test_twist_equals_substitution_property(g, vcoeff):
+    F = multiplicative_law(RAT, g.bound, vcoeff)
+    assert fgl_twist(F, g) == twist_by_substitution(F, g)
+
+
+def test_twist_rejects_non_commutative_law():
+    """g(F) is symmetric exactly when F is; x + y + x^2 y is not."""
+    F = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                      (2, 1): Fraction(1)}, 6)
+    with pytest.raises(AxiomViolation) as ei:
+        fgl_twist(F, generic_strict_series(RAT, 6, 5))
+    assert ei.value.axiom == "commutativity" and ei.value.monomial == "x*y^2"
 
 
 def poly_in(ambient, d):
@@ -93,8 +156,9 @@ def poly_in(ambient, d):
 def test_twisted_law_images(twisted6):
     """Five printed coefficient images match the source exactly; a32 is
     asserted at its computed value (three of its printed cells are
-    transcription errors, see the xfail below and notes/decisions.md).  The
-    law lives in the joint ambient of F = x + y + vxy and g(t) in b1..b5."""
+    transcription errors, see the xfail below and README's "Known source
+    errata").  The law lives in the joint ambient of F = x + y + vxy and g(t)
+    in b1..b5."""
     assert twisted6.vars == ("x", "y", "v", "b1", "b2", "b3", "b4", "b5")
     law = FGL(twisted6)
     assert law.a(1, 1) == poly_in(twisted6, {(("v", 1),): 1, (("b1", 1),): 2})
@@ -190,7 +254,7 @@ def test_log_exp_roundtrip():
     tw = fgl_twist(multiplicative_law(RAT, 9), g)
     lg = fgl_log(tw)
     ex = fgl_exp(tw)
-    assert lg.compose("x", ex) == MultiSeries.var(RAT, lg.vars, "x", 9, lg.weights)
+    assert compose(lg, "x", ex) == MultiSeries.var(RAT, lg.vars, "x", 9, lg.weights)
 
 
 def test_fgl_log_of_twist_is_log_after_inverse():
@@ -199,7 +263,7 @@ def test_fgl_log_of_twist_is_log_after_inverse():
     F = multiplicative_law(RAT, 8)
     tw = fgl_twist(F, g)
     ginv = rename(g.comp_inverse("t"), {"t": "x"})
-    assert fgl_log(tw) == fgl_log(F).compose("x", ginv)
+    assert fgl_log(tw) == compose(fgl_log(F), "x", ginv)
 
 
 def test_fgl_log_linearizes_the_law():
@@ -211,9 +275,9 @@ def test_fgl_log_linearizes_the_law():
     b = 7
     tw7 = truncate(tw, b)
     lg7 = truncate(lg, b)
-    lhs = lg7.compose("x", tw7)
-    rhs = (lg7.compose("x", MultiSeries.var(RAT, tw7.vars, "x", b, tw7.weights))
-           + lg7.compose("x", MultiSeries.var(RAT, tw7.vars, "y", b, tw7.weights)))
+    lhs = compose(lg7, "x", tw7)
+    rhs = (compose(lg7, "x", MultiSeries.var(RAT, tw7.vars, "x", b, tw7.weights))
+           + compose(lg7, "x", MultiSeries.var(RAT, tw7.vars, "y", b, tw7.weights)))
     assert lhs == rhs
 
 
