@@ -384,6 +384,83 @@ def gen_2structure_relations(N: int) -> dict:
     return rels
 
 
+def code_places(W: int) -> dict:
+    """The code of each generator index 2..W in a monomial code of weight <= W.
+
+    Index k has the place value prod_{2 <= l < k} (W // l + 1), which exceeds
+    any sum of lower places times exponents of weight <= W, so a monomial's
+    code, the sum of its indices' places, tells it apart from every other, and
+    the code of a product of weight <= W is the sum of the factors' codes.  The
+    b-monomials of ``coboundary_coeffs`` and the d-monomials of
+    ``DReducer.universal`` share these codes.
+    """
+    place, p = {}, 1
+    for k in range(2, W + 1):
+        place[k] = p
+        p *= W // k + 1
+    return place
+
+
+def monomial_codes(W: int) -> dict:
+    """Each monomial in generators indexed 2..W, of weight <= W, as a sorted
+    index tuple keyed by its code; the empty monomial has code 0."""
+    place = code_places(W)
+    return {sum(place[k] for k in m): m for m in dmonomials_upto(W)}
+
+
+def coboundary_coeffs(W: int) -> dict:
+    """The a_ij of the universal 2-structure at u = 1, as polynomials in b.
+
+    At u = 1 every symmetric 2-cocycle is a coboundary h(x) h(y) / h(x +. y),
+    x +. y = x + y - xy, with h = 1 + b_2 t^2 + b_3 t^3 + ... (Lazard; Ando,
+    Hopkins and Strickland, Invent. Math. 146 (2001), where 2-structures are
+    these cocycles).  A b_1 term would be redundant: the coboundary of
+    (1 - t)^c is 1, as 1 - (x +. y) = (1 - x)(1 - y).  So modulo the
+    relations, a_ij is A_ij(b) = [x^i y^j] h(x) h(y) (1/h)(x + y - xy).
+
+    Returns {(i, j): {b-monomial code: int}} for 1 <= i <= j, i + j <= W,
+    with the codes of ``code_places(W)``.  The part of A_{i,k-i} linear in
+    b_k is -C(k, i) b_k; its other terms have lower b-indices.
+    """
+    shift = {0: 0, **code_places(W)}  # h_p = b_p, so multiplying by h_p adds a code
+    # c_n = [t^n] 1/h: c_0 = 1 and c_n = -sum_p b_p c_{n-p}
+    inv = [{0: 1}, {}]
+    for n in range(2, W + 1):
+        cn = {}
+        for p in range(2, n + 1):
+            for m, v in inv[n - p].items():
+                cn[m + shift[p]] = cn.get(m + shift[p], 0) - v
+        inv.append(cn)
+    # G[a, b] = [x^a y^b] (1/h)(x + y - xy), by
+    # [x^a y^b] (x + y - xy)^m = (-1)^r m!/((a-r)! (b-r)! r!), m = a + b - r
+    G = {}
+    for a in range(W + 1):
+        for b in range(a, W + 1 - a):
+            terms = {}
+            for r in range(a + 1):
+                k = (-1) ** r * comb(a + b - r, r) * comb(a + b - 2 * r, a - r)
+                for m, v in inv[a + b - r].items():
+                    terms[m] = terms.get(m, 0) + k * v
+            G[a, b] = G[b, a] = terms
+    # times h(y), then times h(x)
+    Gh = {}
+    for a in range(W):
+        for j in range(1, W + 1 - a):
+            terms = Gh[a, j] = {}
+            for q in (0, *range(2, j + 1)):
+                for m, v in G[a, j - q].items():
+                    terms[m + shift[q]] = terms.get(m + shift[q], 0) + v
+    A = {}
+    for i in range(1, W // 2 + 1):
+        for j in range(i, W + 1 - i):
+            terms = {}
+            for p in (0, *range(2, i + 1)):
+                for m, v in Gh[i - p, j].items():
+                    terms[m + shift[p]] = terms.get(m + shift[p], 0) + v
+            A[i, j] = {m: v for m, v in terms.items() if v}
+    return A
+
+
 # -- reduction to d-polynomials ---------------------------------------------------
 
 
@@ -408,43 +485,55 @@ def _dpoly_addto(acc, p, c):
         acc[m] = acc.get(m, 0) + c * v
 
 
+def _lowest_terms(nums, den):
+    """Integer numerators over a positive denominator, zeros dropped and
+    their common factor divided out."""
+    g = gcd(den, *nums.values())
+    return {m: v // g for m, v in nums.items() if v}, den // g
+
+
 def _dpoly_clean(p):
     """Drop zero coefficients; one whose denominator is 1 becomes an int."""
     return {m: c.numerator if c.denominator == 1 else c for m, c in p.items() if c}
 
 
 class DReducer:
-    """a-polynomials modulo the relation ideal as polynomials in the d_k, by
-    substitution (sec. 4.2.3 of the source).
+    """a-polynomials modulo the relation ideal as polynomials in the d_k
+    (sec. 4.2.3 of the source).
 
     Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
-    is a ring map phi: a_ij -> D_ij, solved one halved weight w <= W at a time
-    at u = 1.  The unknowns a_{i,w-i} (i <= w/2) appear linearly in each
-    relation of weight w, whose other terms are products of lower a's with phi
-    known; d_w = sum_i n_w^i a_{i,w-i} is one more equation.  A target that
-    needs an a_ij left undetermined is NotReducible (relations insufficient).
+    is a ring map phi: a_ij -> D_ij at u = 1, with d_k = sum_i n_k^i a_{i,k-i}.
+    Since Q[a]/I -> Q[d_2, ..., d_W] is an isomorphism, phi depends only on W
+    and the n_k^i; the two constructors derive it two ways.
 
-    Guard: every equation that adds no rank is checked exactly, its right-hand
-    side against the same combination of the rank-raising ones.  If any check
-    fails, the d-monomials are dependent modulo the relations, and ``reduce``
-    raises UsageError (the quotient is not polynomial, a real inconsistency).
-    Each distinct u = 1 equation is solved and checked once: a repeat (a
-    relation and its x <-> z mirror are one polynomial) would repeat the same
-    check, or pass it trivially after its first copy raised the rank.
+    ``DReducer.universal(W, nki_mode)`` is the closed form that the CLI and
+    the golden tables use: a_ij -> A_ij(b), the coefficients of the universal
+    coboundary (``coboundary_coeffs``), then b_k -> d-polynomials weight by
+    weight.  It needs no relations and no elimination.
 
-    ``rels`` maps monomials (a, b, c) to relations of weight a + b + c, as
-    ``gen_2structure_relations`` returns them; a polynomial listed under
-    several keys is specialized to u = 1 once.  ``nki_mode`` chooses the
-    n_k^i that define the d_k (see ``nki_coeffs``); ``nki`` hands the same
-    choice to every psi on d_k reduced here.
+    ``DReducer(W, rels, nki_mode)`` solves a given relation set by
+    substitution, one halved weight w <= W at a time.  The unknowns
+    a_{i,w-i} (i <= w/2) appear linearly in each relation of weight w, whose
+    other terms are products of lower a's with phi known; d_w is one more
+    equation.  A target that needs an a_ij left undetermined is NotReducible
+    (relations insufficient).  Guard: every equation that adds no rank is
+    checked exactly, its right-hand side against the same combination of the
+    rank-raising ones.  If any check fails, the d-monomials are dependent
+    modulo the relations, and ``reduce`` raises UsageError (the quotient is
+    not polynomial, a real inconsistency).  Each distinct u = 1 equation is
+    solved and checked once: a repeat (a relation and its x <-> z mirror are
+    one polynomial) would repeat the same check, or pass it trivially after
+    its first copy raised the rank.  ``rels`` maps monomials (a, b, c) to
+    relations of weight a + b + c, as ``gen_2structure_relations`` returns
+    them; a polynomial listed under several keys is specialized to u = 1
+    once.  The tests judge the closed form against this solve.
+
+    ``nki_mode`` chooses the n_k^i that define the d_k (see ``nki_coeffs``);
+    ``nki`` hands the same choice to every psi on d_k reduced here.
     """
 
     def __init__(self, W: int, rels: dict, nki_mode="auto"):
-        self.W = W
-        self.nki_mode = nki_mode
-        self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
-        self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
-        self._consistent = True
+        self._start(W, nki_mode)
         # one entry per relation object, in the order of its first key
         listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
         eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
@@ -452,6 +541,70 @@ class DReducer:
             eqs.setdefault(w, []).append((poly, {}))
         for w in range(2, W + 1):
             self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), {(w,): 1})])
+
+    def _start(self, W, nki_mode):
+        self.W = W
+        self.nki_mode = nki_mode
+        self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
+        self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
+        self._consistent = True
+
+    @classmethod
+    def universal(cls, W: int, nki_mode="auto"):
+        """The reducer through weight W from the universal coboundary.
+
+        With A_{i,k-i} = -C(k, i) b_k + R_{i,k-i}(b_2, ..., b_{k-1}), d_k is
+        -gamma_k b_k + sum_i n_k^i R_{i,k-i}, where gamma_k = sum_i n_k^i
+        C(k, i) = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
+        beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and then
+        phi(a_ij) = beta(A_ij).  beta of a b-monomial is memoised as beta of
+        its prefix times beta of its last b_k.  Each beta is kept as integer
+        numerators over one denominator, keyed by the codes of
+        ``code_places``, so a product of monomials is a sum of ints.
+        """
+        red = cls.__new__(cls)
+        red._start(W, nki_mode)
+        codes, place = monomial_codes(W), code_places(W)
+        A = coboundary_coeffs(W)
+        beta = {0: ({0: 1}, 1)}  # b-monomial code -> (numerators by d-monomial code, denominator)
+
+        def beta_of(m):
+            if m not in beta:
+                last = place[codes[m][-1]]
+                (pn, pd), (ln, ld) = beta_of(m - last), beta[last]
+                nums = {}
+                for m1, c1 in pn.items():
+                    for m2, c2 in ln.items():
+                        nums[m1 + m2] = nums.get(m1 + m2, 0) + c1 * c2
+                beta[m] = _lowest_terms(nums, pd * ld)
+            return beta[m]
+
+        def combine(bpoly):
+            """sum c * beta(m) over bpoly = {m: c}, as numerators over one denominator."""
+            parts = [(c, beta_of(m)) for m, c in bpoly.items()]
+            den = lcm(*(d for _, (_, d) in parts))
+            acc = {}
+            for c, (nums, d) in parts:
+                s = c * (den // d)
+                for dm, v in nums.items():
+                    acc[dm] = acc.get(dm, 0) + s * v
+            return acc, den
+
+        for k in range(2, W + 1):
+            bk = place[k]
+            dk = {}  # sum_i n_k^i A_{i,k-i}
+            for i, n in red.nki(k).items():
+                for m, v in A[min(i, k - i), max(i, k - i)].items():
+                    dk[m] = dk.get(m, 0) + n * v
+            gamma = -dk.pop(bk)
+            nums, den = combine(dk)
+            nums[bk] = nums.get(bk, 0) - den
+            beta[bk] = _lowest_terms(nums, den * gamma)
+        for pair, bpoly in A.items():
+            nums, den = combine(bpoly)
+            red._gen[pair] = {codes[m]: v // den if v % den == 0 else Fraction(v, den)
+                              for m, v in nums.items() if v}
+        return red
 
     def nki(self, k):
         """The n_k^i that define d_k here; d_k above weight W is NotReducible."""

@@ -232,9 +232,9 @@ def _nki_reaches(nki, k, context):
 def _reducer(W, nki):
     """The d_k reducer through halved weight W, which needs n_k^i for every
     k <= W; psi on the d_k reads that --nki choice from it."""
-    from .adams import DReducer, gen_2structure_relations
+    from .adams import DReducer
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
-    return DReducer(W, gen_2structure_relations(W), nki_mode=nki)
+    return DReducer.universal(W, nki_mode=nki)
 
 
 def cmd_cannibal(args, out):

@@ -37,10 +37,6 @@ class NonUnitConstantTerm(FglabError):
     pass
 
 
-class NonzeroConstantTerm(FglabError):
-    pass
-
-
 class NotStrict(FglabError):
     """Series is not a strict isomorphism (leading coefficient != 1)."""
 

@@ -67,7 +67,7 @@ def _twisted_law():
 def _reducer(W=10):
     key = ("reducer", W)
     if key not in _CACHE:
-        _CACHE[key] = adams.DReducer(W, adams.gen_2structure_relations(W))
+        _CACHE[key] = adams.DReducer.universal(W)
     return _CACHE[key]
 
 

@@ -5,18 +5,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from fglab.adams import DReducer, gen_2structure_relations  # noqa: E402
+from fglab.adams import DReducer  # noqa: E402
 from fglab.cannibal import theta3_direct, thom_psi_dk  # noqa: E402
 
 
+# the reducers are built as the CLI and the golden tables build them
 @pytest.fixture(scope="session")
 def reducer10():
-    return DReducer(10, gen_2structure_relations(10))
+    return DReducer.universal(10)
 
 
 @pytest.fixture(scope="session")
 def reducer11():
-    return DReducer(11, gen_2structure_relations(11))
+    return DReducer.universal(11)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from itertools import compress
 from math import comb, gcd
 
 from fglab.adams import APoly
-from fglab.errors import NonzeroConstantTerm, NotStrict
+from fglab.errors import FglabError, NotStrict
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
 from fglab.series import MultiSeries
@@ -35,6 +35,10 @@ def log1p_series(varnames, var, bound, weights=None):
     for n in range(1, bound + 1):
         terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = Fraction((-1) ** (n + 1), n)
     return MultiSeries(RAT, vs, terms, bound, weights)
+
+
+class NonzeroConstantTerm(FglabError):
+    """``compose`` was given an inner series with a nonzero constant term."""
 
 
 def compose(outer, var, inner):

@@ -6,8 +6,9 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift,
+from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coeffs,
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
+                         monomial_codes,
                          nki_coeffs, psi3_closed_coeff, psi_inv_beta,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_dpoly)
@@ -303,7 +304,7 @@ def test_reduce_roundtrip(reducer7):
 @pytest.fixture(scope="module", params=[10, 11, 12])
 def reducer_at(request, reducer10, reducer11):
     W = request.param
-    return {10: reducer10, 11: reducer11}.get(W) or DReducer(W, gen_2structure_relations(W))
+    return {10: reducer10, 11: reducer11}.get(W) or DReducer.universal(W)
 
 
 def test_reduce_dmonomial_images_to_themselves(reducer_at):
@@ -337,6 +338,53 @@ def test_reduce_checks_span_before_dependence():
         red.reduce(dk_as_apoly(2, red.nki(2)))
     with pytest.raises(NotReducible):
         red.reduce(APoly.gen(2, 3))
+
+
+@pytest.mark.parametrize("W", [2, 6, 9])
+def test_coboundary_coeffs_evaluate_to_the_coboundary(W):
+    """A_ij(b) at rational b_2..b_W is the (i, j) coefficient of the series
+    h(x) h(y) / h(x + y - xy), h = 1 + b_2 t^2 + ..., from the series engine."""
+    codes = monomial_codes(W)
+    rng = random.Random(RANDOM_SEED)
+    for _ in range(5):
+        b = {k: Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7])) for k in range(2, W + 1)}
+        want = coboundary_apoly_values([0] + [b[k] for k in range(2, W + 1)], W)
+        for (i, j), poly in coboundary_coeffs(W).items():
+            got = Fraction(0)
+            for code, c in poly.items():
+                term = Fraction(c)
+                for k in codes[code]:
+                    term *= b[k]
+                got += term
+            assert got == want.get((i, j), 0), (i, j, b)
+
+
+SOLVE_CASES = ([(W, mode) for mode in ("auto", "extended-gcd") for W in range(3, 17)]
+               + [(W, "paper") for W in range(3, 11)])
+
+
+@pytest.mark.parametrize("W, mode", SOLVE_CASES)
+def test_universal_reducer_equals_relation_solve(W, mode):
+    """The closed form from the coboundary gives exactly the phi(a_ij) of the
+    relation solve, for every i + j <= W."""
+    solved = DReducer(W, gen_2structure_relations(W), nki_mode=mode)
+    closed = DReducer.universal(W, nki_mode=mode)
+    assert len(solved._gen) == (W // 2) * ((W + 1) // 2)
+    assert closed._gen == solved._gen
+
+
+@pytest.mark.parametrize("W", range(3, 15))
+def test_relations_reduce_to_zero_under_universal_reducer(W):
+    red = DReducer.universal(W)
+    for mono, poly in gen_2structure_relations(W).items():
+        assert red.reduce(poly).is_zero(), mono
+
+
+def test_universal_reducer_small_weights():
+    assert DReducer.universal(1)._gen == {}
+    assert DReducer.universal(2)._gen == {(1, 1): {(2,): 1}}
+    with pytest.raises(NotReducible):
+        DReducer.universal(4).reduce(APoly.gen(2, 3))
 
 
 PSI_DK_COMPUTED = {
@@ -486,3 +534,31 @@ def test_dpoly_product_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert (p * q).mod2() == (p.mod2() * q.mod2()).mod2()
+
+
+@pytest.fixture(scope="module")
+def reducer14():
+    return DReducer.universal(14)
+
+
+@pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7)])
+def test_psi_on_dk_composes(reducer14, k, l):
+    """psi^(1/l) applied to the d-polynomial psi^(1/k) d_n is psi^(1/kl) d_n."""
+    table_l = {n: psi_on_dk(n, reducer14, k_adams=l) for n in range(2, 15)}
+    for n in range(2, 15):
+        composed = _psi_dpoly(psi_on_dk(n, reducer14, k_adams=k), table_l)
+        assert composed == psi_on_dk(n, reducer14, k_adams=k * l), n
+
+
+@pytest.fixture(scope="module")
+def reducer8():
+    return DReducer.universal(8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.sampled_from((1, 3, 5, 7, 9)), l=st.sampled_from((1, 3, 5, 7, 9)),
+       n=st.integers(2, 8))
+def test_psi_on_dk_composes_for_odd_k_l(reducer8, k, l, n):
+    table_l = {m: psi_on_dk(m, reducer8, k_adams=l) for m in range(2, 9)}
+    composed = _psi_dpoly(psi_on_dk(n, reducer8, k_adams=k), table_l)
+    assert composed == psi_on_dk(n, reducer8, k_adams=k * l)

@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglab.errors import (BoundMismatch, NonUnitConstantTerm, NonzeroConstantTerm,
-                          NotStrict, VariableMismatch)
+from fglab.errors import BoundMismatch, NonUnitConstantTerm, NotStrict, VariableMismatch
 from fglab.rings import GF2, RAT, GF2Elt, Padic2, Padic2Ring, gf2_from_rat
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import RANDOM_SEED, compose, exp_series, log1p_series
+from helpers import RANDOM_SEED, NonzeroConstantTerm, compose, exp_series, log1p_series
 
 
 def uni(terms, bound=8):
