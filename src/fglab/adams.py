@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -43,17 +44,6 @@ def psi_power_coeff(k: int, j: int, i: int) -> int:
             continue
         total += comb(j, s) * (-1) ** s * comb(k * s, i) * (-1) ** i
     return total
-
-
-def psi3_closed_coeff(j: int, i: int) -> int:
-    """Closed form for k = 3: (-1)^(i-j) sum_{s+t=i-j} C(j,s) C(s,t) 3^(j-t)."""
-    total = 0
-    for s in range(0, i - j + 1):
-        t = i - j - s
-        if t > s:
-            continue
-        total += comb(j, s) * comb(s, t) * 3 ** (j - t)
-    return (-1) ** (i - j) * total
 
 
 class BetaElt:
@@ -546,7 +536,7 @@ class DReducer:
         self.W = W
         self.nki_mode = nki_mode
         self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
-        self._phi = {(): {(): 1}}  # u-free a-monomial -> phi of it, memoised
+        self._phi = {(): ({(): 1}, 1)}  # u-free a-monomial -> phi as (numerators, denominator)
         self._consistent = True
 
     @classmethod
@@ -601,9 +591,11 @@ class DReducer:
             nums[bk] = nums.get(bk, 0) - den
             beta[bk] = _lowest_terms(nums, den * gamma)
         for pair, bpoly in A.items():
-            nums, den = combine(bpoly)
-            red._gen[pair] = {codes[m]: v // den if v % den == 0 else Fraction(v, den)
-                              for m, v in nums.items() if v}
+            nums, den = _lowest_terms(*combine(bpoly))
+            nums = {codes[m]: v for m, v in nums.items()}
+            red._phi[((pair, 1),)] = nums, den  # reduce's memo, seeded on ints
+            red._gen[pair] = {m: v // den if v % den == 0 else Fraction(v, den)
+                              for m, v in nums.items()}
         return red
 
     def nki(self, k):
@@ -624,7 +616,8 @@ class DReducer:
                     if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
                         vec[mono[0][0][0]] = c
                     else:
-                        _dpoly_addto(rest, self._phi_of(mono), -c)
+                        nums, den = self._phi_of(mono)
+                        _dpoly_addto(rest, nums, -c if den == 1 else Fraction(-c, den))
             except NotReducible:
                 continue  # needs an undetermined lower a_ij: neither solvable nor checkable
             rhs.append(_dpoly_clean(rest))
@@ -648,25 +641,55 @@ class DReducer:
         return {m: v // den if v % den == 0 else Fraction(v, den) for m, v in out.items() if v}
 
     def _phi_of(self, mono):
-        """phi of a u-free a-monomial, memoised as phi(prefix) * phi(last generator)."""
+        """phi of a u-free a-monomial as integer numerators over a positive
+        denominator, memoised as phi(prefix) * phi(last generator)."""
         if mono not in self._phi:
             pair, e = mono[-1]
             if pair not in self._gen:
                 raise NotReducible(self.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
-            prefix = self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ()))
-            self._phi[mono] = _dpoly_clean(_dmul(prefix, self._gen[pair]))
+            gen = ((pair, 1),)
+            if gen not in self._phi:
+                nums, den = RAT.lift(self._gen[pair].values())
+                self._phi[gen] = dict(zip(self._gen[pair], nums)), den
+            if mono != gen:
+                pn, pd = self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ()))
+                gn, gd = self._phi[gen]
+                self._phi[mono] = _lowest_terms(_dmul(pn, gn), pd * gd)
         return self._phi[mono]
 
     def reduce(self, expr: APoly) -> DPoly:
-        """Rewrite expr (mod the relation ideal) as a polynomial in the d_k."""
-        out = {}
-        for (_, mono), c in expr.set_u().terms.items():
+        """Rewrite expr (mod the relation ideal) as a polynomial in the d_k.
+
+        The sum of c * phi(m) runs on Python ints: expr's coefficients are
+        lifted to numerators over one denominator and summed at u = 1, each
+        phi(m) is memoised as numerators over its own denominator, the
+        multiply-add runs over the common denominator D of those, and one
+        Fraction is built per output term.
+        """
+        nums, den = RAT.lift(expr.terms.values())
+        flat = {}  # u = 1
+        for (_, mono), n in zip(expr.terms, nums):
+            flat[mono] = flat.get(mono, 0) + n
+        parts = []
+        for mono, n in flat.items():
+            if not n:
+                continue
             if _amono_weight(mono) > self.W:
                 raise NotReducible(self.W, f"{_amono_str((0, mono))} exceeds weight {self.W}")
-            _dpoly_addto(out, self._phi_of(mono), c)
+            parts.append((n, self._phi_of(mono)))
         if not self._consistent:
             raise UsageError("a relation contradicts the d_k; quotient not polynomial")
-        return DPoly(out)
+        D = lcm(*(d for _, (_, d) in parts))
+        out = {}
+        for n, (pn, d) in parts:
+            _dpoly_addto(out, pn, n * (D // d))
+        return DPoly(RAT.lower({m: v for m, v in out.items() if v}, D * den))
+
+
+@lru_cache(maxsize=None)
+def _psi_row(k, top):
+    """<psi^k x^m, beta_top> for m = 0..top."""
+    return tuple(psi_power_coeff(k, m, top) for m in range(top + 1))
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
@@ -675,7 +698,7 @@ def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
     The sum over m <= i, n <= j of <psi^k x^m, beta_i> <psi^k x^n, beta_j>
     a_mn, with a_00 = 1, a_0n = a_m0 = 0 and a_mn = a_nm.
     """
-    left, right = ([psi_power_coeff(k, m, top) for m in range(top + 1)] for top in (i, j))
+    left, right = _psi_row(k, i), _psi_row(k, j)
     out = {}
     for m, cm in enumerate(left):
         for n, cn in enumerate(right):

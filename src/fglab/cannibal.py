@@ -70,28 +70,30 @@ class ThetaTable:
 
 
 def theta3_direct(N: int) -> ThetaTable:
-    """Bivariate series division, no closed forms involved."""
-    vars_ = ("x", "y")
-    ring = RAT
-    bound = 2 * N
+    """The table c_mn, m, n <= N, by series division in one variable.
 
-    def low(var):
-        # 3 - 3 t + t^2
-        x = MultiSeries.var(ring, vars_, var, bound)
-        three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
-        return three - x.scale(Fraction(3)) + x * x
-
-    x = MultiSeries.var(ring, vars_, "x", bound)
-    y = MultiSeries.var(ring, vars_, "y", bound)
-    one = MultiSeries.one(ring, vars_, bound)
-    omx = one - x
-    omy = one - y
-    num = one + omx * omy + (omx * omx) * (omy * omy)
-    f = num.scale(Fraction(3)) * low("x").reciprocal() * low("y").reciprocal()
+    The numerator 1 + (1-x)(1-y) + (1-x)^2 (1-y)^2 is a sum of three products
+    of one-variable factors, so c_mn = 3 sum_e s_e[m] s_e[n] over e = 0, 1, 2,
+    with s_e = (1-t)^e / (3 - 3t + t^2): s_0 by the series engine's
+    reciprocal, s_1 and s_2 by multiplying with 1 - t.  Each s_e[n] 3^(n+1)
+    is an integer S_e[n], so c_mn = 3 sum_e S_e[m] S_e[n] / 3^(m+n+2) is
+    summed on Python ints, with one Fraction per nonzero cell.
+    """
+    vars_ = ("t",)
+    t = MultiSeries.var(RAT, vars_, "t", N)
+    omt = MultiSeries.one(RAT, vars_, N) - t
+    s0 = MultiSeries(RAT, vars_, {(0,): Fraction(3), (1,): Fraction(-3), (2,): Fraction(1)},
+                     N).reciprocal()
+    s1 = omt * s0
+    s2 = omt * s1
+    S = [[(c := s.coefficient((n,))).numerator * (3 ** (n + 1) // c.denominator)
+          for n in range(N + 1)] for s in (s0, s1, s2)]
     table = {}
-    for (i, j), c in f.terms.items():
-        if i <= N and j <= N:
-            table[(i, j)] = c
+    for m in range(N + 1):
+        for n in range(m, N + 1):
+            c = 3 * sum(Se[m] * Se[n] for Se in S)
+            if c:
+                table[m, n] = table[n, m] = Fraction(c, 3 ** (m + n + 2))
     return ThetaTable(N, table)
 
 
@@ -117,42 +119,6 @@ def theta3_closed(m: int, n: int) -> Fraction:
     if r in (1, 2, 10, 11):
         return p
     return -p
-
-
-def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:
-    """Nine-term bilinear form in the t-sequence (the intermediate closed form)."""
-    def t(k):
-        return tseq[k] if k >= 0 else Fraction(0)
-    return (9 * t(m) * t(n) - 9 * t(m - 1) * t(n) - 9 * t(m) * t(n - 1)
-            + 3 * t(m - 2) * t(n) + 15 * t(m - 1) * t(n - 1) + 3 * t(m) * t(n - 2)
-            - 6 * t(m - 2) * t(n - 1) - 6 * t(m - 1) * t(n - 2) + 3 * t(m - 2) * t(n - 2))
-
-
-def theta3_one_bundle(var: str, vars_, bound: int) -> MultiSeries:
-    """theta^3(1 - L) = 3 (1-x)^2 / (3 - 3x + x^2) in the x = 1 - L orientation
-    (from theta(1) = 3, theta(-L) = 1/theta(L) and L^* = (1-x)^{-1})."""
-    ring = RAT
-    t = MultiSeries.var(ring, vars_, var, bound)
-    one = MultiSeries.one(ring, vars_, bound)
-    three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
-    omt = one - t
-    return (omt * omt).scale(Fraction(3)) * (three - t.scale(Fraction(3)) + t * t).reciprocal()
-
-
-def theta3_sum_of_two(N: int) -> MultiSeries:
-    """theta^3((1-L1) + (1-L2)) = 9 / (theta(L1) theta(L2)), computed through
-    geometric expansions of the dual line bundles (independent route)."""
-    ring = RAT
-    vars_ = ("x", "y")
-    bound = 2 * N
-
-    def theta_L(var):
-        # 1 + L^* + (L^*)^2 with L^* = 1/(1 - t) = sum t^n
-        dual = geometric(ring, vars_, var, bound)
-        return MultiSeries.one(ring, vars_, bound) + dual + dual * dual
-
-    nine = MultiSeries.constant(ring, vars_, Fraction(9), bound)
-    return nine * (theta_L("x") * theta_L("y")).reciprocal()
 
 
 def theta_k_virtual(k: int, N: int) -> MultiSeries:
@@ -206,18 +172,27 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer) -> DPoly:
     Sum over m <= i, n <= k-i of c_mn n_k^i psi_B^(3^-1) f_*(beta_{i-m} (x)
     beta_{k-i-n}); negative-index betas vanish, beta_0 is the unit.  The
     (0,0) cell reproduces the base-level operation; every other cell is a
-    cannibalistic correction.
+    cannibalistic correction.  The sum runs on Python ints: the cells c_mn,
+    m + n <= k, are lifted to numerators over one denominator, the weight of
+    each psi_B f_*(beta_p (x) beta_q) is summed over the cells that reach it,
+    and the a-coefficients are summed as ints; one APoly goes to the reducer.
     """
     nki = reducer.nki(k_gen)
     if theta.bound < k_gen:
         raise IndexOutOfRange(f"theta table bound {theta.bound} < {k_gen}")
-    expr = {}
+    cells = [(m, n) for m in range(k_gen + 1) for n in range(k_gen + 1 - m)]
+    nums, den = RAT.lift([theta[cell] for cell in cells])
+    cell = dict(zip(cells, nums))
+    weight = {}  # (p, q) -> sum of n_k^i c_mn over p = i - m, q = k - i - n
     for i, cnk in nki.items():
         for m in range(0, i + 1):
             for n in range(0, k_gen - i + 1):
-                c = cnk * theta[m, n]
-                if not c:
-                    continue
-                for mono, v in psi_tensor_apoly(i - m, k_gen - i - n).terms.items():
-                    expr[mono] = expr.get(mono, 0) + c * v
-    return reducer.reduce(APoly(expr))
+                if cell[m, n]:
+                    pq = (i - m, k_gen - i - n)
+                    weight[pq] = weight.get(pq, 0) + cnk * cell[m, n]
+    expr = {}
+    for (p, q), w in weight.items():
+        if w:
+            for mono, v in psi_tensor_apoly(p, q).terms.items():
+                expr[mono] = expr.get(mono, 0) + w * v.numerator
+    return reducer.reduce(APoly(RAT.lower({m: v for m, v in expr.items() if v}, den)))

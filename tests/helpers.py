@@ -4,11 +4,12 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import APoly
-from fglab.errors import FglabError, NotStrict
+from fglab.adams import APoly, DPoly, _amono_str, _amono_weight, _dmul, psi_tensor_apoly
+from fglab.cannibal import ThetaGenSeq, ThetaTable
+from fglab.errors import FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
-from fglab.series import MultiSeries
+from fglab.series import MultiSeries, geometric
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -219,3 +220,121 @@ def mahler_expand_poly(poly_coeffs, N) -> NumPoly:
         return acc
 
     return mahler_expand(fn, max(N, len(cs) - 1))
+
+
+# -- reference computations for the Adams operations and cannibalistic classes
+
+
+def psi3_closed_coeff(j: int, i: int) -> int:
+    """Closed form for k = 3: (-1)^(i-j) sum_{s+t=i-j} C(j,s) C(s,t) 3^(j-t)."""
+    total = 0
+    for s in range(0, i - j + 1):
+        t = i - j - s
+        if t > s:
+            continue
+        total += comb(j, s) * comb(s, t) * 3 ** (j - t)
+    return (-1) ** (i - j) * total
+
+
+def theta3_bivariate(N: int) -> ThetaTable:
+    """The theta^3 table by bivariate series division, no closed forms
+    involved: the reference for ``cannibal.theta3_direct``."""
+    vars_ = ("x", "y")
+    ring = RAT
+    bound = 2 * N
+
+    def low(var):
+        # 3 - 3 t + t^2
+        x = MultiSeries.var(ring, vars_, var, bound)
+        three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
+        return three - x.scale(Fraction(3)) + x * x
+
+    x = MultiSeries.var(ring, vars_, "x", bound)
+    y = MultiSeries.var(ring, vars_, "y", bound)
+    one = MultiSeries.one(ring, vars_, bound)
+    omx = one - x
+    omy = one - y
+    num = one + omx * omy + (omx * omx) * (omy * omy)
+    f = num.scale(Fraction(3)) * low("x").reciprocal() * low("y").reciprocal()
+    table = {}
+    for (i, j), c in f.terms.items():
+        if i <= N and j <= N:
+            table[(i, j)] = c
+    return ThetaTable(N, table)
+
+
+def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:
+    """Nine-term bilinear form in the t-sequence (the intermediate closed form)."""
+    def t(k):
+        return tseq[k] if k >= 0 else Fraction(0)
+    return (9 * t(m) * t(n) - 9 * t(m - 1) * t(n) - 9 * t(m) * t(n - 1)
+            + 3 * t(m - 2) * t(n) + 15 * t(m - 1) * t(n - 1) + 3 * t(m) * t(n - 2)
+            - 6 * t(m - 2) * t(n - 1) - 6 * t(m - 1) * t(n - 2) + 3 * t(m - 2) * t(n - 2))
+
+
+def theta3_one_bundle(var: str, vars_, bound: int) -> MultiSeries:
+    """theta^3(1 - L) = 3 (1-x)^2 / (3 - 3x + x^2) in the x = 1 - L orientation
+    (from theta(1) = 3, theta(-L) = 1/theta(L) and L^* = (1-x)^{-1})."""
+    ring = RAT
+    t = MultiSeries.var(ring, vars_, var, bound)
+    one = MultiSeries.one(ring, vars_, bound)
+    three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
+    omt = one - t
+    return (omt * omt).scale(Fraction(3)) * (three - t.scale(Fraction(3)) + t * t).reciprocal()
+
+
+def theta3_sum_of_two(N: int) -> MultiSeries:
+    """theta^3((1-L1) + (1-L2)) = 9 / (theta(L1) theta(L2)), computed through
+    geometric expansions of the dual line bundles (independent route)."""
+    ring = RAT
+    vars_ = ("x", "y")
+    bound = 2 * N
+
+    def theta_L(var):
+        # 1 + L^* + (L^*)^2 with L^* = 1/(1 - t) = sum t^n
+        dual = geometric(ring, vars_, var, bound)
+        return MultiSeries.one(ring, vars_, bound) + dual + dual * dual
+
+    nine = MultiSeries.constant(ring, vars_, Fraction(9), bound)
+    return nine * (theta_L("x") * theta_L("y")).reciprocal()
+
+
+def reduce_by_fractions(red, expr):
+    """``DReducer.reduce`` as a loop on Fractions, the reference for its
+    integer multiply-add: phi of each a-monomial is the product of the
+    phi(a_ij) of its factors, and the same errors are raised in the same
+    order (a term above the weight, then an undetermined a_ij, last factor
+    first, term by term; then a contradicting relation)."""
+    out = {}
+    for (_, mono), c in expr.set_u().terms.items():
+        if _amono_weight(mono) > red.W:
+            raise NotReducible(red.W, f"{_amono_str((0, mono))} exceeds weight {red.W}")
+        phi = {(): 1}
+        for pair, e in reversed(mono):
+            if pair not in red._gen:
+                raise NotReducible(red.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
+            for _ in range(e):
+                phi = _dmul(phi, red._gen[pair])
+        for m, v in phi.items():
+            out[m] = out.get(m, 0) + c * v
+    if not red._consistent:
+        raise UsageError("a relation contradicts the d_k; quotient not polynomial")
+    return DPoly(out)
+
+
+def thom_psi_dk_by_fractions(k_gen, theta, reducer):
+    """``cannibal.thom_psi_dk`` as a sum of Fractions, cell by cell, reduced
+    by ``reduce_by_fractions``: the reference for the integer sum."""
+    nki = reducer.nki(k_gen)
+    if theta.bound < k_gen:
+        raise IndexOutOfRange(f"theta table bound {theta.bound} < {k_gen}")
+    expr = {}
+    for i, cnk in nki.items():
+        for m in range(0, i + 1):
+            for n in range(0, k_gen - i + 1):
+                c = cnk * theta[m, n]
+                if not c:
+                    continue
+                for mono, v in psi_tensor_apoly(i - m, k_gen - i - n).terms.items():
+                    expr[mono] = expr.get(mono, 0) + c * v
+    return reduce_by_fractions(reducer, APoly(expr))

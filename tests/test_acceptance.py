@@ -15,7 +15,7 @@ import pytest
 
 from fglab.adams import (DPoly, dk_as_apoly, gen_2structure_relations, in_gf2_span,
                          nki_coeffs, psi_inv_beta, psi_on_dk, spherical_search)
-from fglab.cannibal import ThetaGenSeq, theta3_bilinear, theta3_closed, theta_gen_closed
+from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed
 from fglab.chern import (in_span, integer_reduce,
                          nullspace_rational, paper_dim8_basis, same_row_space,
                          su_constraint_system, todd_t4)
@@ -25,7 +25,7 @@ from fglab.mahler import artin_schreier_check, dilate, dilation_matrix, dilation
 from fglab.rings import GF2, RAT, gf2_from_rat, padic_log, Padic2
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import RANDOM_SEED, compose, exp_series, matvec
+from helpers import RANDOM_SEED, compose, exp_series, matvec, theta3_bilinear
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 

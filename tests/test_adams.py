@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import comb, gcd
 
@@ -9,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coeffs,
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          monomial_codes,
-                         nki_coeffs, psi3_closed_coeff, psi_inv_beta,
+                         nki_coeffs, psi_inv_beta,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_dpoly)
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
 from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
-                     series_relations, xyz_coefficients)
+                     psi3_closed_coeff, reduce_by_fractions, series_relations,
+                     xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -562,3 +564,70 @@ def test_psi_on_dk_composes_for_odd_k_l(reducer8, k, l, n):
     table_l = {m: psi_on_dk(m, reducer8, k_adams=l) for m in range(2, 9)}
     composed = _psi_dpoly(psi_on_dk(n, reducer8, k_adams=k), table_l)
     assert composed == psi_on_dk(n, reducer8, k_adams=k * l)
+
+
+@pytest.fixture(scope="module")
+def reducers_for_reduce():
+    """Both constructors, a partial relation set that leaves a_ij of weight
+    6 to 8 undetermined, the same set completed by invented relations
+    n a_ij = (a product of lower a's), and a false relation a13 = 0.  The
+    invented set is consistent and gives phi(a_ij) denominators 2 to 36;
+    the 2-structure relations give an integral phi in every n_k^i mode, so
+    without it the rescale of each phi to the common denominator would go
+    untested."""
+    rels4, rels5 = gen_2structure_relations(4), gen_2structure_relations(5)
+
+    def invent(n, pair, *factors):
+        return APoly({(0, ((pair, 1),)): n, (0, tuple(sorted(Counter(factors).items()))): -1})
+
+    invented = {(1, 1, 4): invent(2, (2, 4), (1, 1), (1, 1), (1, 1)),
+                (1, 2, 3): invent(3, (3, 3), (1, 2), (1, 2)),
+                (1, 1, 5): invent(5, (2, 5), (1, 2), (2, 2)),
+                (1, 2, 4): invent(7, (3, 4), (1, 1), (1, 1), (1, 2)),
+                (1, 1, 6): invent(2, (2, 6), (1, 1), (1, 1), (1, 1), (1, 1)),
+                (1, 2, 5): invent(9, (3, 5), (1, 3), (1, 3)),
+                (1, 3, 4): invent(4, (4, 4), (2, 2), (2, 2))}
+    return {
+        "universal": DReducer.universal(7),
+        "universal extended-gcd": DReducer.universal(8, nki_mode="extended-gcd"),
+        "solve": DReducer(7, gen_2structure_relations(7)),
+        "partial": DReducer(8, rels5),
+        "invented": DReducer(8, {**rels5, **invented}),
+        "false": DReducer(5, {**rels4, (1, 2, 1): APoly.gen(1, 3)}),
+    }
+
+
+A_PAIRS = [(i, j) for i in range(1, 5) for j in range(i, 9 - i)]
+A_TERMS = st.tuples(
+    st.integers(0, 2),                                # u power
+    st.lists(st.sampled_from(A_PAIRS), max_size=2),   # a product of a_ij
+    st.integers(-50, 50),                             # numerator
+    st.sampled_from((1, 2, 3, 5, 9, 27, 49)),         # denominator
+    st.booleans(),                                    # cancel at u = 1 by a u-shifted copy
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(("universal", "universal extended-gcd", "solve", "partial",
+                             "invented", "false")),
+       terms=st.lists(A_TERMS, max_size=4))
+def test_reduce_equals_the_fraction_loop(reducers_for_reduce, name, terms):
+    """The integer multiply-add of ``reduce`` gives the term-by-term Fraction
+    sum, or raises the same error with the same message: NotReducible above
+    the weight or for an undetermined a_ij, UsageError for a false relation."""
+    red = reducers_for_reduce[name]
+    expr = {}
+    for u, pairs, num, den, cancel in terms:
+        mono = tuple(sorted(Counter(pairs).items()))
+        expr[u, mono] = expr.get((u, mono), 0) + Fraction(num, den)
+        if cancel:
+            expr[u + 3, mono] = expr.get((u + 3, mono), 0) - Fraction(num, den)
+    expr = APoly(expr)
+
+    def outcome(reduce):
+        try:
+            return reduce(expr)
+        except (NotReducible, UsageError) as e:
+            return type(e), str(e)
+
+    assert outcome(red.reduce) == outcome(lambda e: reduce_by_fractions(red, e))

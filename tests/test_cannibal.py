@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.adams import DPoly
-from fglab.cannibal import (ThetaGenSeq, theta3_bilinear, theta3_closed, theta3_direct,
-                            theta_gen_closed, theta_k_virtual, orientation_transport,
-                            thom_psi_dk)
-from fglab.errors import EvenK
+from fglab.adams import DPoly, DReducer, gen_2structure_relations
+from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
+                            theta_k_virtual, orientation_transport, thom_psi_dk)
+from fglab.errors import EvenK, NotReducible
 from fglab.rings import RAT, padic_from_rat
 from fglab.series import MultiSeries
 
-from helpers import theta_table_to_series
+from helpers import (theta3_bilinear, theta3_bivariate, theta3_one_bundle, theta3_sum_of_two,
+                     theta_table_to_series, thom_psi_dk_by_fractions)
 
 
 def test_tseq_first_values():
@@ -26,6 +26,16 @@ def test_tseq_closed_forms_to_60():
     ts = ThetaGenSeq(60)
     for k in range(61):
         assert ts[k] == theta_gen_closed(k), k
+
+
+@pytest.mark.parametrize("N", range(31))
+def test_theta3_direct_equals_bivariate_division(N):
+    """The separable one-variable route gives the bivariate division's table,
+    cell for cell, as Fractions."""
+    got = theta3_direct(N)
+    assert got.bound == N
+    assert got.table == theta3_bivariate(N).table
+    assert all(type(c) is Fraction for c in got.table.values())
 
 
 def test_theta_table_boundary(theta30):
@@ -84,7 +94,6 @@ def test_theta_denominators_are_3_powers(theta30):
 def test_theta_multiplicativity_on_line_bundle_sums():
     """theta of the sum (1-L1) + (1-L2) equals the product of the one-bundle
     factors; the two sides go through independent series routes."""
-    from fglab.cannibal import theta3_one_bundle, theta3_sum_of_two
     N = 8
     vars_ = ("x", "y")
     prod = theta3_one_bundle("x", vars_, 2 * N) * theta3_one_bundle("y", vars_, 2 * N)
@@ -206,3 +215,30 @@ def test_bott_correction_structure(reducer10, thom_table10):
     base = psi_on_dk(4, reducer10)
     corr = thom_table10[4] - base
     assert corr == DPoly({(2,): 6, (): Fraction(1, 9)})
+
+
+THOM_CASES = ([(W, mode) for mode in ("auto", "extended-gcd") for W in range(2, 15)]
+              + [(W, "paper") for W in range(2, 11)])
+
+
+@pytest.mark.parametrize("W, mode", THOM_CASES)
+def test_thom_psi_dk_equals_fraction_sum(W, mode):
+    """The integer Thom sum and reduction give the cell-by-cell Fraction sum,
+    reduced term by term on Fractions, for every d_k the reducer reaches;
+    the reference also takes its theta from the bivariate division."""
+    red = DReducer.universal(W, nki_mode=mode)
+    theta, ref_theta = theta3_direct(W), theta3_bivariate(W)
+    for k in range(2, W + 1):
+        got = thom_psi_dk(k, theta, red)
+        assert all(type(c) is Fraction for c in got.terms.values())
+        assert got == thom_psi_dk_by_fractions(k, ref_theta, red), k
+    with pytest.raises(NotReducible):
+        thom_psi_dk(W + 1, theta3_direct(W + 1), red)
+
+
+@pytest.mark.parametrize("W", range(2, 9))
+def test_thom_psi_dk_on_the_relation_solve(W):
+    red = DReducer(W, gen_2structure_relations(W))
+    theta = theta3_direct(W)
+    for k in range(2, W + 1):
+        assert thom_psi_dk(k, theta, red) == thom_psi_dk_by_fractions(k, theta, red), k
