@@ -469,22 +469,42 @@ def dmonomials_upto(w, include_const=True):
     return sorted(out, key=lambda m: (sum(m), m))
 
 
-def _dpoly_addto(acc, p, c):
-    """acc += c * p, on plain {d-monomial: coefficient} dicts."""
-    for m, v in p.items():
-        acc[m] = acc.get(m, 0) + c * v
+# Inside DReducer a polynomial in the d_k (and, in ``universal``, in the b_k)
+# has one form, a pair (numerators, den): integer numerators keyed by the
+# monomial codes of ``code_places(W)`` over one positive denominator, in
+# lowest terms, so equal polynomials are equal pairs.  ``_product`` and
+# ``_lincomb`` are the only arithmetic on them.
 
 
 def _lowest_terms(nums, den):
-    """Integer numerators over a positive denominator, zeros dropped and
-    their common factor divided out."""
+    """The pair of numerators over a positive denominator in lowest terms:
+    zeros dropped and the common factor divided out, so zero is ({}, 1)."""
     g = gcd(den, *nums.values())
     return {m: v // g for m, v in nums.items() if v}, den // g
 
 
-def _dpoly_clean(p):
-    """Drop zero coefficients; one whose denominator is 1 becomes an int."""
-    return {m: c.numerator if c.denominator == 1 else c for m, c in p.items() if c}
+def _product(p, q):
+    """p * q of two pairs, in lowest terms; the code of a product of weight
+    <= W is the sum of its factors' codes."""
+    (pn, pd), (qn, qd) = p, q
+    nums = {}
+    for m1, c1 in pn.items():
+        for m2, c2 in qn.items():
+            nums[m1 + m2] = nums.get(m1 + m2, 0) + c1 * c2
+    return _lowest_terms(nums, pd * qd)
+
+
+def _lincomb(parts):
+    """sum c * p over parts = [(c, p)], c an int or Fraction and p a pair, as
+    numerators over the lcm of the denominators; zero sums are kept."""
+    parts = [(c.numerator, c.denominator * d, nums) for c, (nums, d) in parts]
+    den = lcm(*(d for _, d, _ in parts))
+    acc = {}
+    for n, d, nums in parts:
+        s = n * (den // d)
+        for m, v in nums.items():
+            acc[m] = acc.get(m, 0) + s * v
+    return acc, den
 
 
 class DReducer:
@@ -494,7 +514,9 @@ class DReducer:
     Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
     is a ring map phi: a_ij -> D_ij at u = 1, with d_k = sum_i n_k^i a_{i,k-i}.
     Since Q[a]/I -> Q[d_2, ..., d_W] is an isomorphism, phi depends only on W
-    and the n_k^i; the two constructors derive it two ways.
+    and the n_k^i; the two constructors derive it two ways.  Either way phi
+    of each a-monomial, the generators a_ij first, is memoised as a pair
+    (see ``_product``) keyed by the u-free a-monomial.
 
     ``DReducer.universal(W, nki_mode)`` is the closed form that the CLI and
     the golden tables use: a_ij -> A_ij(b), the coefficients of the universal
@@ -528,15 +550,17 @@ class DReducer:
         listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
         eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
         for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
-            eqs.setdefault(w, []).append((poly, {}))
+            eqs.setdefault(w, []).append((poly, ({}, 1)))
         for w in range(2, W + 1):
-            self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), {(w,): 1})])
+            dw = ({self._place[w]: 1}, 1)
+            self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), dw)])
 
     def _start(self, W, nki_mode):
         self.W = W
         self.nki_mode = nki_mode
-        self._gen = {}             # (i, j) -> phi(a_ij), as {d-monomial: coefficient}
-        self._phi = {(): ({(): 1}, 1)}  # u-free a-monomial -> phi as (numerators, denominator)
+        self._place = code_places(W)
+        self._codes = monomial_codes(W)  # code -> d-monomial, for what reduce returns
+        self._phi = {(): ({0: 1}, 1)}    # u-free a-monomial -> phi, as a pair
         self._consistent = True
 
     @classmethod
@@ -548,37 +572,20 @@ class DReducer:
         C(k, i) = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
         beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and then
         phi(a_ij) = beta(A_ij).  beta of a b-monomial is memoised as beta of
-        its prefix times beta of its last b_k.  Each beta is kept as integer
-        numerators over one denominator, keyed by the codes of
-        ``code_places``, so a product of monomials is a sum of ints.
+        its prefix times beta of its last b_k.  The b-monomials share their
+        codes with the d-monomials, so beta maps pairs to pairs.
         """
         red = cls.__new__(cls)
         red._start(W, nki_mode)
-        codes, place = monomial_codes(W), code_places(W)
+        codes, place = red._codes, red._place
         A = coboundary_coeffs(W)
-        beta = {0: ({0: 1}, 1)}  # b-monomial code -> (numerators by d-monomial code, denominator)
+        beta = {0: ({0: 1}, 1)}  # b-monomial code -> its d-polynomial, as a pair
 
         def beta_of(m):
             if m not in beta:
                 last = place[codes[m][-1]]
-                (pn, pd), (ln, ld) = beta_of(m - last), beta[last]
-                nums = {}
-                for m1, c1 in pn.items():
-                    for m2, c2 in ln.items():
-                        nums[m1 + m2] = nums.get(m1 + m2, 0) + c1 * c2
-                beta[m] = _lowest_terms(nums, pd * ld)
+                beta[m] = _product(beta_of(m - last), beta[last])
             return beta[m]
-
-        def combine(bpoly):
-            """sum c * beta(m) over bpoly = {m: c}, as numerators over one denominator."""
-            parts = [(c, beta_of(m)) for m, c in bpoly.items()]
-            den = lcm(*(d for _, (_, d) in parts))
-            acc = {}
-            for c, (nums, d) in parts:
-                s = c * (den // d)
-                for dm, v in nums.items():
-                    acc[dm] = acc.get(dm, 0) + s * v
-            return acc, den
 
         for k in range(2, W + 1):
             bk = place[k]
@@ -587,15 +594,11 @@ class DReducer:
                 for m, v in A[min(i, k - i), max(i, k - i)].items():
                     dk[m] = dk.get(m, 0) + n * v
             gamma = -dk.pop(bk)
-            nums, den = combine(dk)
-            nums[bk] = nums.get(bk, 0) - den
+            nums, den = _lincomb([(c, beta_of(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
             beta[bk] = _lowest_terms(nums, den * gamma)
         for pair, bpoly in A.items():
-            nums, den = _lowest_terms(*combine(bpoly))
-            nums = {codes[m]: v for m, v in nums.items()}
-            red._phi[((pair, 1),)] = nums, den  # reduce's memo, seeded on ints
-            red._gen[pair] = {m: v // den if v % den == 0 else Fraction(v, den)
-                              for m, v in nums.items()}
+            parts = [(c, beta_of(m)) for m, c in bpoly.items()]
+            red._phi[((pair, 1),)] = _lowest_terms(*_lincomb(parts))
         return red
 
     def nki(self, k):
@@ -609,18 +612,17 @@ class DReducer:
         ech = Echelon()
         rhs = []
         for poly, target in eqs:
-            vec, rest = {}, dict(target)
+            vec, parts = {}, [(1, target)]
             try:
                 for (_, mono), c in poly.terms.items():
                     c = c.numerator if c.denominator == 1 else c
                     if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
                         vec[mono[0][0][0]] = c
                     else:
-                        nums, den = self._phi_of(mono)
-                        _dpoly_addto(rest, nums, -c if den == 1 else Fraction(-c, den))
+                        parts.append((-c, self._phi_of(mono)))
             except NotReducible:
                 continue  # needs an undetermined lower a_ij: neither solvable nor checkable
-            rhs.append(_dpoly_clean(rest))
+            rhs.append(_lowest_terms(*_lincomb(parts)))
             left, used = ech.reduce(vec)
             if left:
                 ech.add(vec, key=len(rhs) - 1)
@@ -629,42 +631,31 @@ class DReducer:
         for i in range(1, w // 2 + 1):
             left, used = ech.reduce({i: 1})
             if not left:
-                self._gen[(i, w - i)] = self._combine(rhs, ech.combination(used))
+                self._phi[(((i, w - i), 1),)] = self._combine(rhs, ech.combination(used))
 
     @staticmethod
     def _combine(rhs, combo):
-        """sum(combo[key] * rhs[key]), summed with the denominators cleared."""
-        den = lcm(*(c.denominator for c in combo.values()))
-        out = {}
-        for key, c in combo.items():
-            _dpoly_addto(out, rhs[key], int(c * den))
-        return {m: v // den if v % den == 0 else Fraction(v, den) for m, v in out.items() if v}
+        """sum(combo[key] * rhs[key]) as a pair in lowest terms."""
+        return _lowest_terms(*_lincomb([(c, rhs[key]) for key, c in combo.items()]))
 
     def _phi_of(self, mono):
-        """phi of a u-free a-monomial as integer numerators over a positive
-        denominator, memoised as phi(prefix) * phi(last generator)."""
+        """phi of a u-free a-monomial, memoised as phi(prefix) * phi(last generator)."""
         if mono not in self._phi:
             pair, e = mono[-1]
-            if pair not in self._gen:
-                raise NotReducible(self.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
             gen = ((pair, 1),)
             if gen not in self._phi:
-                nums, den = RAT.lift(self._gen[pair].values())
-                self._phi[gen] = dict(zip(self._gen[pair], nums)), den
-            if mono != gen:
-                pn, pd = self._phi_of(mono[:-1] + (((pair, e - 1),) if e > 1 else ()))
-                gn, gd = self._phi[gen]
-                self._phi[mono] = _lowest_terms(_dmul(pn, gn), pd * gd)
+                raise NotReducible(self.W, f"{_amono_str((0, gen))} is not determined")
+            prefix = mono[:-1] + (((pair, e - 1),) if e > 1 else ())
+            self._phi[mono] = _product(self._phi_of(prefix), self._phi[gen])
         return self._phi[mono]
 
     def reduce(self, expr: APoly) -> DPoly:
         """Rewrite expr (mod the relation ideal) as a polynomial in the d_k.
 
         The sum of c * phi(m) runs on Python ints: expr's coefficients are
-        lifted to numerators over one denominator and summed at u = 1, each
-        phi(m) is memoised as numerators over its own denominator, the
-        multiply-add runs over the common denominator D of those, and one
-        Fraction is built per output term.
+        lifted to numerators over one denominator and summed at u = 1, the
+        phi(m) are combined by ``_lincomb``, and one Fraction is built per
+        output term.
         """
         nums, den = RAT.lift(expr.terms.values())
         flat = {}  # u = 1
@@ -679,11 +670,9 @@ class DReducer:
             parts.append((n, self._phi_of(mono)))
         if not self._consistent:
             raise UsageError("a relation contradicts the d_k; quotient not polynomial")
-        D = lcm(*(d for _, (_, d) in parts))
-        out = {}
-        for n, (pn, d) in parts:
-            _dpoly_addto(out, pn, n * (D // d))
-        return DPoly(RAT.lower({m: v for m, v in out.items() if v}, D * den))
+        out, D = _lincomb(parts)
+        codes = self._codes
+        return DPoly(RAT.lower({codes[m]: v for m, v in out.items() if v}, D * den))
 
 
 @lru_cache(maxsize=None)

@@ -103,8 +103,10 @@ def cmd_fgl(args, out):
     elif args.action == "miscenko":
         expr = fgl.BordismExpr.parse(args.expr)
         nb = expr.dimension()
-        tw = fgl.fgl_twist(fgl.multiplicative_law(RAT, nb + 2), fgl.generic_strict_series(RAT, nb + 2, nb))
         with _domain("--expr", UnsupportedDimension):
+            if expr.terms:  # a factor the mode cannot tabulate is rejected before the twist
+                fgl.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
+            tw = fgl.fgl_twist(fgl.multiplicative_law(RAT, nb + 2), fgl.generic_strict_series(RAT, nb + 2, nb))
             img = fgl.miscenko_image(expr, tw, args.mode)
         _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
     return 0

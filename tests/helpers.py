@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import APoly, DPoly, _amono_str, _amono_weight, _dmul, psi_tensor_apoly
+from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dmul, monomial_codes,
+                         psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable
 from fglab.errors import FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
@@ -299,22 +300,31 @@ def theta3_sum_of_two(N: int) -> MultiSeries:
     return nine * (theta_L("x") * theta_L("y")).reciprocal()
 
 
+def generator_images(red):
+    """The phi(a_ij) a ``DReducer`` has determined, read off the generator
+    entries of its phi memo, as {(i, j): {d-monomial: Fraction}}."""
+    codes = monomial_codes(red.W)
+    return {mono[0][0]: {codes[m]: Fraction(v, den) for m, v in nums.items()}
+            for mono, (nums, den) in red._phi.items() if len(mono) == 1 and mono[0][1] == 1}
+
+
 def reduce_by_fractions(red, expr):
     """``DReducer.reduce`` as a loop on Fractions, the reference for its
     integer multiply-add: phi of each a-monomial is the product of the
     phi(a_ij) of its factors, and the same errors are raised in the same
     order (a term above the weight, then an undetermined a_ij, last factor
     first, term by term; then a contradicting relation)."""
+    gens = generator_images(red)
     out = {}
     for (_, mono), c in expr.set_u().terms.items():
         if _amono_weight(mono) > red.W:
             raise NotReducible(red.W, f"{_amono_str((0, mono))} exceeds weight {red.W}")
         phi = {(): 1}
         for pair, e in reversed(mono):
-            if pair not in red._gen:
+            if pair not in gens:
                 raise NotReducible(red.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
             for _ in range(e):
-                phi = _dmul(phi, red._gen[pair])
+                phi = _dmul(phi, gens[pair])
         for m, v in phi.items():
             out[m] = out.get(m, 0) + c * v
     if not red._consistent:

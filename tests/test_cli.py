@@ -155,6 +155,25 @@ def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     assert err.startswith(f"usage error: {flag}")
 
 
+@pytest.mark.parametrize("expr", ["CP20", "CP1xCP5", "CP2xCP4 - 3*CP6"])
+def test_miscenko_rejects_a_paper_box_factor_before_the_twist(capsys, monkeypatch, expr):
+    """A factor above the paper-box table is the same usage error, raised
+    before the twisted law (whose cost grows with the dimension) is built."""
+    def no_twist(*args):
+        raise AssertionError("fgl_twist called")
+
+    monkeypatch.setattr("fglab.fgl.fgl_twist", no_twist)
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr)
+    assert (code, out) == (2, "")
+    assert err == "usage error: --expr: paper-box mode tabulates only n <= 4\n"
+
+
+def test_miscenko_of_a_cancelling_expression(capsys):
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", "CP1 - CP1")
+    assert (code, err) == (0, "")
+    assert out.split() == ["expression", "mode", "image", "CP1", "-", "CP1", "paper-box", "0"]
+
+
 @pytest.mark.parametrize("argv", [
     ("reproduce-paper", "--format", "json"),
     ("adams", "relations", "--bound", "5"),
