@@ -2,14 +2,17 @@
 constraint system, exact integer/rational linear algebra, and the degree-8
 Todd coefficient.
 
-Cohomology of CP^(n1) x ... x CP^(nr) is Z[x1..xr]/(x_i^(n_i+1)); classes
-are MultiSeries over Q in x1..xr, truncated at the complex dimension.
+Cohomology of CP^(n1) x ... x CP^(nr) is Z[x1..xr]/(x_i^(n_i+1)); the total
+Chern class is expanded once per ordered dims on Python ints, and read as a
+MultiSeries over Q in x1..xr, truncated at the complex dimension, or as Chern
+numbers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 from .errors import DimensionMismatch, UsageError
@@ -49,31 +52,69 @@ class ProjProduct:
         return hash(tuple(sorted(self.dims)))
 
 
+def _width(dims):
+    """Bits b per variable of the monomial code sum_i e_i << (b*i), with
+    2^(b-1) > max(dims): two codes with exponents <= dims add without carry."""
+    return max(dims).bit_length() + 1
+
+
+def _exponents(dims, code):
+    b = _width(dims)
+    return tuple((code >> (b * i)) & ((1 << b) - 1) for i in range(len(dims)))
+
+
+@cache
+def _expansion(dims):
+    """c(CP^n1 x ... x CP^nr) = prod_i (1 + x_i)^(n_i + 1), each factor stopping
+    at x_i^(n_i), as {degree: {code: int}}, once per ordered ``dims``; every
+    caller shares it and only reads it."""
+    b = _width(dims)
+    terms = [(0, 0, 1)]
+    for i, n in enumerate(dims):
+        terms = [(code + (k << (b * i)), deg + k, c * comb(n + 1, k))
+                 for code, deg, c in terms for k in range(n + 1)]
+    out = {}
+    for code, deg, c in terms:
+        out.setdefault(deg, {})[code] = c
+    return out
+
+
 def total_chern(p: ProjProduct) -> MultiSeries:
     """c(T(CP^n1 x ...)) = prod_i sum_{k <= n_i} C(n_i + 1, k) x_i^k, over Q in
     x1..xr, truncated at the complex dimension."""
     names = tuple(f"x{i + 1}" for i in range(len(p.dims)))
-    out = MultiSeries.one(RAT, names, p.complex_dim)
-    for i, n in enumerate(p.dims):
-        factor = {tuple(k if j == i else 0 for j in range(len(names))): Fraction(comb(n + 1, k))
-                  for k in range(n + 1)}
-        out = out * MultiSeries(RAT, names, factor, p.complex_dim)
-    return out
+    terms = {_exponents(p.dims, code): Fraction(c)
+             for part in _expansion(p.dims).values() for code, c in part.items()}
+    return MultiSeries(RAT, names, terms, p.complex_dim)
 
 
 def chern_number(p: ProjProduct, monomial) -> int:
     """Evaluate a Chern monomial (partition of indices) on the fundamental class.
 
-    No quotient by x_i^(n_i+1) is needed: exponents only add, so the
-    coefficient at x^dims is fed only by terms with exponents <= dims."""
+    Each product is taken in Z[x1..xr]/(x_i^(n_i+1)), dropping every code with
+    an exponent above dims.  The top degree of that ring is spanned by x^dims
+    alone, so the number is the sum of what the last product keeps."""
     if sum(monomial) != p.complex_dim:
         raise DimensionMismatch(
             f"monomial {monomial} has degree {sum(monomial)}, manifold has {p.complex_dim}")
-    tc = total_chern(p)
-    acc = MultiSeries.one(RAT, tc.vars, tc.bound)
+    dims = p.dims
+    by_degree = _expansion(dims)
+    b = _width(dims)
+    half = 1 << (b - 1)
+    # adding 2^(b-1) - 1 - n_i to field i sets its top bit iff e_i > n_i, again without carry
+    bias = sum((half - 1 - n) << (b * i) for i, n in enumerate(dims))
+    mask = sum(half << (b * i) for i in range(len(dims)))
+    acc = {0: 1}
     for idx in monomial:
-        acc = acc * tc.degree_part(idx)
-    return int(acc.coefficient(p.dims))
+        part = by_degree.get(idx, {})
+        nxt = {}
+        for k1, c1 in acc.items():
+            for k2, c2 in part.items():
+                k = k1 + k2
+                if not (k + bias) & mask:
+                    nxt[k] = nxt.get(k, 0) + c1 * c2
+        acc = nxt
+    return sum(acc.values())
 
 
 def partitions(dim: int):
@@ -219,17 +260,27 @@ def nullspace_rational(m: IntMatrix):
     return basis
 
 
+def span_test(vectors):
+    """Exact membership in the rational span of ``vectors``, from one RREF."""
+    red, pivots = rref(vectors)
+
+    def contains(v):
+        # the only candidate is the RREF combination with v's own pivot entries
+        w = [Fraction(a) for a in v]
+        return all(sum(w[pc] * row[c] for row, pc in zip(red, pivots)) == a
+                   for c, a in enumerate(w))
+
+    return contains
+
+
 def in_span(vectors, v):
     """Exact membership of v in the rational span of ``vectors``."""
-    red, pivots = rref(vectors)
-    # the only candidate is the RREF combination with v's own pivot entries
-    w = [Fraction(a) for a in v]
-    return all(sum(w[pc] * row[c] for row, pc in zip(red, pivots)) == a
-               for c, a in enumerate(w))
+    return span_test(vectors)(v)
 
 
 def same_row_space(a_rows, b_rows) -> bool:
-    return all(in_span(b_rows, r) for r in a_rows) and all(in_span(a_rows, r) for r in b_rows)
+    in_a, in_b = span_test(a_rows), span_test(b_rows)
+    return all(map(in_b, a_rows)) and all(map(in_a, b_rows))
 
 
 def todd_t4(c1_4, c1_c3, c1sq_c2, c2_sq, c4) -> Fraction:

@@ -71,6 +71,13 @@ def _reducer(W=10):
     return _CACHE[key]
 
 
+def _su_system():
+    """The paper's dimension-4 SU constraint system, shared by the Chern tables."""
+    if "su" not in _CACHE:
+        _CACHE["su"] = chern.su_constraint_system(chern.paper_dim8_basis(), 4)
+    return _CACHE["su"]
+
+
 def _thom_table():
     if "thom" not in _CACHE:
         theta = cannibal.theta3_direct(10)
@@ -125,17 +132,15 @@ def compute_chern_classes():
 
 def compute_chern_numbers():
     out = {}
-    basis = chern.paper_dim8_basis()
-    for mono in chern.chern_monomials_with_c1(4):
-        for p in basis:
-            out[f"{chern.monomial_label(mono)}/{p.label()}"] = str(chern.chern_number(p, mono))
+    labels = [p.label() for p in chern.paper_dim8_basis()]
+    for mono, row in zip(chern.chern_monomials_with_c1(4), _su_system().rows):
+        for label, value in zip(labels, row):
+            out[f"{chern.monomial_label(mono)}/{label}"] = str(value)
     return out
 
 
 def compute_chern_reduced():
-    basis = chern.paper_dim8_basis()
-    m = chern.su_constraint_system(basis, 4)
-    red = chern.integer_reduce(m)
+    red = chern.integer_reduce(_su_system())
     paper_rows = [[25, 8, 0, 0, 0], [0, 4, 0, 16, 9], [0, 0, -27, 48, 15]]
     if chern.same_row_space(red.rows, paper_rows):
         return {"rowspace": "25A+8B ; 4B+16D+9E ; -27C+48D+15E"}
@@ -143,15 +148,14 @@ def compute_chern_reduced():
 
 
 def compute_chern_nullspace():
-    basis = chern.paper_dim8_basis()
-    m = chern.su_constraint_system(basis, 4)
-    ns = chern.nullspace_rational(m)
+    ns = chern.nullspace_rational(_su_system())
+    in_ns = chern.span_test(ns)
     k3 = [0, 0, 256, 324, -576]
     nv = [8, -25, -12, -23, 52]
     return {
         "dimension": str(len(ns)),
-        "contains_K3SQ": "yes" if chern.in_span(ns, k3) else "no",
-        "contains_N": "yes" if chern.in_span(ns, nv) else "no",
+        "contains_K3SQ": "yes" if in_ns(k3) else "no",
+        "contains_N": "yes" if in_ns(nv) else "no",
     }
 
 

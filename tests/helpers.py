@@ -121,6 +121,31 @@ def theta_table_to_series(tab):
     return MultiSeries(RAT, ("x", "y"), terms, 2 * tab.bound)
 
 
+def total_chern_by_series(dims):
+    """c(CP^n1 x ... x CP^nr) as the product of the factors
+    sum_{k <= n_i} C(n_i + 1, k) x_i^k, each a MultiSeries over Q in x1..xr
+    truncated at the complex dimension, the reference for ``chern.total_chern``."""
+    names = tuple(f"x{i + 1}" for i in range(len(dims)))
+    bound = sum(dims)
+    out = MultiSeries.one(RAT, names, bound)
+    for i, n in enumerate(dims):
+        factor = {tuple(k if j == i else 0 for j in range(len(names))): Fraction(comb(n + 1, k))
+                  for k in range(n + 1)}
+        out = out * MultiSeries(RAT, names, factor, bound)
+    return out
+
+
+def chern_number_by_series(dims, monomial):
+    """The Chern number c_monomial[CP^n1 x ... x CP^nr] as the coefficient at
+    x^dims of the product of degree parts of ``total_chern_by_series``, the
+    reference for ``chern.chern_number``."""
+    tc = total_chern_by_series(dims)
+    acc = MultiSeries.one(RAT, tc.vars, tc.bound)
+    for idx in monomial:
+        acc = acc * tc.degree_part(idx)
+    return int(acc.coefficient(dims))
+
+
 def matvec(m, v):
     """The product of a chern.IntMatrix with a vector, over Q."""
     return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m.rows]

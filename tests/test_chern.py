@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from operator import add
 
 import pytest
@@ -10,10 +11,8 @@ from fglab.chern import (IntMatrix, ProjProduct, chern_monomials_with_c1,
                          nullspace_rational, partitions, paper_dim8_basis, rref, same_row_space,
                          su_constraint_system, todd_t4, total_chern)
 from fglab.errors import DimensionMismatch
-from fglab.rings import RAT
-from fglab.series import MultiSeries
 
-from helpers import RANDOM_SEED, matvec
+from helpers import RANDOM_SEED, chern_number_by_series, matvec, total_chern_by_series
 
 
 def cells(tc):
@@ -99,11 +98,7 @@ def test_chern_number_multiplicative_under_products():
         lhs = chern_number(prod, tuple(sorted(m1 + m2, reverse=True)))
         # c_top(p1 x p2) in split form: sum over splittings; compare the
         # simplest instance via the Whitney product on disjoint variables
-        tc = total_chern(prod)
-        acc = MultiSeries.one(RAT, tc.vars, tc.bound)
-        for idx in sorted(m1 + m2, reverse=True):
-            acc = acc * tc.degree_part(idx)
-        assert lhs == acc.coefficient(prod.dims)
+        assert lhs == chern_number_by_series(prod.dims, sorted(m1 + m2, reverse=True))
 
 
 def _truncated_chern_number(dims, monomial):
@@ -136,6 +131,37 @@ def test_chern_number_matches_truncated_brute_force(dims):
     p = ProjProduct(dims)
     for mono in partitions(p.complex_dim):
         assert chern_number(p, mono) == _truncated_chern_number(p.dims, mono), mono
+
+
+def ordered_dims(dim):
+    """Every ordered dims tuple of complex dimension ``dim``."""
+    return sorted({q for p in partitions(dim) for q in permutations(p)})
+
+
+def test_chern_number_equals_series_oracle():
+    for dim in range(1, 8):
+        for dims in ordered_dims(dim):
+            p = ProjProduct(dims)
+            for mono in partitions(dim):
+                got = chern_number(p, mono)
+                assert type(got) is int and got == chern_number_by_series(dims, mono), (dims, mono)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 5), min_size=2, max_size=4), st.data())
+def test_chern_numbers_do_not_depend_on_the_order_of_dims(dims, data):
+    shuffled = data.draw(st.permutations(dims))
+    p, q = ProjProduct(dims), ProjProduct(shuffled)
+    for mono in partitions(p.complex_dim):
+        assert chern_number(q, mono) == chern_number(p, mono), (shuffled, mono)
+
+
+def test_total_chern_matches_the_series_product_on_the_paper_basis():
+    for p in paper_dim8_basis():
+        for dims in sorted(set(permutations(p.dims))):
+            tc = total_chern(ProjProduct(dims))
+            assert tc == total_chern_by_series(dims), dims
+            assert all(type(c) is Fraction for c in tc.terms.values())
 
 
 def test_constraint_monomials():
