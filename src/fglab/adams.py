@@ -29,7 +29,8 @@ from .errors import (
 )
 from .linalg import Echelon, GF2Echelon
 from .rings import RAT, rat_val2
-from .series import format_product, format_sum, format_term
+from .series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
+                     format_product, format_sum, format_term)
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -160,16 +161,6 @@ def _amono_str(mono):
     return format_product(factors)
 
 
-def _dmul(p, q):
-    """p * q on {d-monomial: coefficient} dicts; zero sums are kept."""
-    out = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            m = tuple(sorted(m1 + m2))
-            out[m] = out.get(m, 0) + c1 * c2
-    return out
-
-
 class _Poly:
     """What APoly and DPoly share: ``terms`` maps monomials to nonzero
     Fractions, and the subclass constructor drops zeros and normalizes."""
@@ -279,7 +270,13 @@ class DPoly(_Poly):
         self.terms = {m: c for m, c in clean.items() if c}
 
     def __mul__(self, other):
-        return DPoly(_dmul(self.terms, other.terms))
+        """The series product of exponent vectors over d_0..d_K, K the largest index."""
+        K = max((m[-1] for m in (*self.terms, *other.terms) if m), default=0)
+        p, q = (MultiSeries(RAT, range(K + 1), {tuple(map(m.count, range(K + 1))): c
+                                                 for m, c in t.items()})
+                for t in (self.terms, other.terms))
+        return DPoly({tuple(k for k, e in enumerate(exps) for _ in range(e)): c
+                      for exps, c in (p * q).terms.items()})
 
     def mod2(self):
         out = {}
@@ -375,20 +372,17 @@ def gen_2structure_relations(N: int) -> dict:
 
 
 def code_places(W: int) -> dict:
-    """The code of each generator index 2..W in a monomial code of weight <= W.
+    """The code of each generator index 2..W in the kernel's monomial code
+    (``series.MonomialCode``) for weight <= W.
 
-    Index k has the place value prod_{2 <= l < k} (W // l + 1), which exceeds
-    any sum of lower places times exponents of weight <= W, so a monomial's
-    code, the sum of its indices' places, tells it apart from every other, and
-    the code of a product of weight <= W is the sum of the factors' codes.  The
-    b-monomials of ``coboundary_coeffs`` and the d-monomials of
-    ``DReducer.universal`` share these codes.
+    Index k has a field wide enough for W // k, its largest exponent in
+    weight <= W, so a monomial's code, the sum of its indices' places, tells
+    it apart from every other, and the code of a product of weight <= W is
+    the sum of the factors' codes.  The b-monomials of ``coboundary_coeffs``
+    and the d-monomials of ``DReducer.universal`` share these codes.
     """
-    place, p = {}, 1
-    for k in range(2, W + 1):
-        place[k] = p
-        p *= W // k + 1
-    return place
+    code = MonomialCode([W // k for k in range(2, W + 1)])
+    return {k: 1 << s for k, s in enumerate(code.shifts, 2)}
 
 
 def monomial_codes(W: int) -> dict:
@@ -470,41 +464,8 @@ def dmonomials_upto(w, include_const=True):
 
 
 # Inside DReducer a polynomial in the d_k (and, in ``universal``, in the b_k)
-# has one form, a pair (numerators, den): integer numerators keyed by the
-# monomial codes of ``code_places(W)`` over one positive denominator, in
-# lowest terms, so equal polynomials are equal pairs.  ``_product`` and
-# ``_lincomb`` are the only arithmetic on them.
-
-
-def _lowest_terms(nums, den):
-    """The pair of numerators over a positive denominator in lowest terms:
-    zeros dropped and the common factor divided out, so zero is ({}, 1)."""
-    g = gcd(den, *nums.values())
-    return {m: v // g for m, v in nums.items() if v}, den // g
-
-
-def _product(p, q):
-    """p * q of two pairs, in lowest terms; the code of a product of weight
-    <= W is the sum of its factors' codes."""
-    (pn, pd), (qn, qd) = p, q
-    nums = {}
-    for m1, c1 in pn.items():
-        for m2, c2 in qn.items():
-            nums[m1 + m2] = nums.get(m1 + m2, 0) + c1 * c2
-    return _lowest_terms(nums, pd * qd)
-
-
-def _lincomb(parts):
-    """sum c * p over parts = [(c, p)], c an int or Fraction and p a pair, as
-    numerators over the lcm of the denominators; zero sums are kept."""
-    parts = [(c.numerator, c.denominator * d, nums) for c, (nums, d) in parts]
-    den = lcm(*(d for _, d, _ in parts))
-    acc = {}
-    for n, d, nums in parts:
-        s = n * (den // d)
-        for m, v in nums.items():
-            acc[m] = acc.get(m, 0) + s * v
-    return acc, den
+# is one of the kernel's pairs (numerators, den) (see ``series._product``),
+# keyed by the codes of ``code_places(W)``.
 
 
 class DReducer:
@@ -744,25 +705,27 @@ def spherical_search(max_weight: int, psi_table: dict):
 def _psi_minus_id_mod2(W, psi_table):
     """The d-monomials of halved weight <= W (constant first), and the mod-2
     images of (psi - id) on them, as monomial sets."""
-    # mod-2 d-polynomials as {monomial: 1} dicts on plain ints (the products
-    # on Fraction DPolys alone take longer than the whole search)
-    table = {k: dict.fromkeys(p.mod2().terms, 1) for k, p in psi_table.items()}
+    # mod-2 d-polynomials as {code: 1} dicts on the kernel, in the codes of
+    # code_places(W): psi never raises the weight, so no product leaves it
+    place, codes = code_places(W), monomial_codes(W)
+    table = {}
     for k in range(2, W + 1):
-        if k not in table:
+        if k not in psi_table:
             raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
-    monos = dmonomials_upto(W)
+        support = psi_table[k].mod2().terms
+        if any(sum(m) > k for m in support):
+            raise InsufficientTable(f"psi image of d_{k} has weight above {k}")
+        table[k] = {sum(place[i] for i in m): 1 for m in support}
+    monos = list(codes.values())  # dmonomials_upto(W), in its order
     # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
     # earlier in the weight order, so each image is one product
-    psi = {(): {(): 1}}
+    psi = {(): {0: 1}}
     imgs = []
     for m in monos:
         if m:
-            prod = _dmul(psi[m[:-1]], table[m[-1]])
-            psi[m] = {mm: 1 for mm, n in prod.items() if n % 2}
-        img = psi[m].keys() ^ {m}
-        if any(sum(mm) > W for mm in img):
-            raise InsufficientTable(f"psi image of {m} leaves weight {W}")
-        imgs.append(img)
+            prod = _addmul({}, psi[m[:-1]], table[m[-1]])
+            psi[m] = {c: 1 for c, n in prod.items() if n % 2}
+        imgs.append({codes[c] for c in psi[m]} ^ {m})
     return monos, imgs
 
 

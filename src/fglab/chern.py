@@ -18,7 +18,7 @@ from math import comb
 from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
 from .rings import RAT
-from .series import MultiSeries, format_product
+from .series import MonomialCode, MultiSeries, _addmul, format_product
 
 
 class ProjProduct:
@@ -52,15 +52,17 @@ class ProjProduct:
         return hash(tuple(sorted(self.dims)))
 
 
-def _width(dims):
-    """Bits b per variable of the monomial code sum_i e_i << (b*i), with
-    2^(b-1) > max(dims): two codes with exponents <= dims add without carry."""
-    return max(dims).bit_length() + 1
+# the most terms c(M) may have, prod_i (n_i + 1) for M = CP^n1 x ... x CP^nr;
+# the CLI refuses larger inputs (chern system --dim 12, 2^12 terms, takes ~6 s)
+MAX_TERMS = 2 ** 12
 
 
-def _exponents(dims, code):
-    b = _width(dims)
-    return tuple((code >> (b * i)) & ((1 << b) - 1) for i in range(len(dims)))
+@cache
+def _code(dims):
+    """The monomial code of x1..xr in Z[x1..xr]/(x_i^(n_i+1)): field i has
+    room for 2 n_i, the exponent of a product of two reduced terms, and is
+    capped at n_i."""
+    return MonomialCode([2 * n for n in dims], enumerate(dims))
 
 
 @cache
@@ -68,14 +70,13 @@ def _expansion(dims):
     """c(CP^n1 x ... x CP^nr) = prod_i (1 + x_i)^(n_i + 1), each factor stopping
     at x_i^(n_i), as {degree: {code: int}}, once per ordered ``dims``; every
     caller shares it and only reads it."""
-    b = _width(dims)
-    terms = [(0, 0, 1)]
-    for i, n in enumerate(dims):
-        terms = [(code + (k << (b * i)), deg + k, c * comb(n + 1, k))
-                 for code, deg, c in terms for k in range(n + 1)]
+    code = _code(dims)
+    acc = {0: 1}
+    for n, s in zip(dims, code.shifts):
+        acc = _addmul({}, acc, {k << s: comb(n + 1, k) for k in range(n + 1)})
     out = {}
-    for code, deg, c in terms:
-        out.setdefault(deg, {})[code] = c
+    for k, c in acc.items():
+        out.setdefault(sum(code.decode(k)), {})[k] = c
     return out
 
 
@@ -83,37 +84,25 @@ def total_chern(p: ProjProduct) -> MultiSeries:
     """c(T(CP^n1 x ...)) = prod_i sum_{k <= n_i} C(n_i + 1, k) x_i^k, over Q in
     x1..xr, truncated at the complex dimension."""
     names = tuple(f"x{i + 1}" for i in range(len(p.dims)))
-    terms = {_exponents(p.dims, code): Fraction(c)
-             for part in _expansion(p.dims).values() for code, c in part.items()}
+    dec = _code(p.dims).decode
+    terms = {dec(k): Fraction(c) for part in _expansion(p.dims).values() for k, c in part.items()}
     return MultiSeries(RAT, names, terms, p.complex_dim)
 
 
 def chern_number(p: ProjProduct, monomial) -> int:
     """Evaluate a Chern monomial (partition of indices) on the fundamental class.
 
-    Each product is taken in Z[x1..xr]/(x_i^(n_i+1)), dropping every code with
-    an exponent above dims.  The top degree of that ring is spanned by x^dims
-    alone, so the number is the sum of what the last product keeps."""
+    Each product is taken in Z[x1..xr]/(x_i^(n_i+1)): the code's cap drops
+    every term with an exponent above dims.  The top degree of that ring is
+    spanned by x^dims alone, so the number is the sum of what the last
+    product keeps."""
     if sum(monomial) != p.complex_dim:
         raise DimensionMismatch(
             f"monomial {monomial} has degree {sum(monomial)}, manifold has {p.complex_dim}")
-    dims = p.dims
-    by_degree = _expansion(dims)
-    b = _width(dims)
-    half = 1 << (b - 1)
-    # adding 2^(b-1) - 1 - n_i to field i sets its top bit iff e_i > n_i, again without carry
-    bias = sum((half - 1 - n) << (b * i) for i, n in enumerate(dims))
-    mask = sum(half << (b * i) for i in range(len(dims)))
+    by_degree, cap = _expansion(p.dims), _code(p.dims).cap
     acc = {0: 1}
     for idx in monomial:
-        part = by_degree.get(idx, {})
-        nxt = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in part.items():
-                k = k1 + k2
-                if not (k + bias) & mask:
-                    nxt[k] = nxt.get(k, 0) + c1 * c2
-        acc = nxt
+        acc = _addmul({}, acc, by_degree.get(idx, {}), cap=cap)
     return sum(acc.values())
 
 

@@ -13,6 +13,7 @@ import io
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
 from .rings import RAT, Padic2
@@ -120,6 +121,7 @@ def cmd_chern(args, out):
         except ValueError:
             raise UsageError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
         p = chern.ProjProduct(dims)
+        _chern_size("--dims", p.dims)
         tc = chern.total_chern(p)
         rows = [(tc.monomial_str(exp) or "1", c) for exp, c in tc.sorted_terms()]
         _emit(rows, ["monomial", "coefficient"], args.fmt, out)
@@ -154,10 +156,19 @@ def cmd_chern(args, out):
     return 0
 
 
+def _chern_size(flag, dims):
+    """c(M) has prod (n_i + 1) terms; more than chern.MAX_TERMS is a usage error."""
+    from .chern import MAX_TERMS
+    if (terms := prod(n + 1 for n in dims)) > MAX_TERMS:
+        raise UsageError(f"{flag}: c(M) would have {terms} terms, above the cap of {MAX_TERMS}")
+
+
 def _dim_basis(dim):
     """The paper's basis in dimension 4, else every product of projective
-    spaces of total complex dimension ``dim``."""
+    spaces of total complex dimension ``dim``, whose largest c(M), at
+    CP^1 x ... x CP^1, has 2^dim terms."""
     from . import chern
+    _chern_size("--dim", (1,) * dim)
     if dim == 4:
         return chern.paper_dim8_basis()
     return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]

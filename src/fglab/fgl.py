@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
 
 from .errors import AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension, UsageError
 from .rings import RAT
-from .series import MultiSeries
+from .series import MonomialCode, MultiSeries, _addmul
 
 X, Y, T = "x", "y", "t"
 
@@ -121,34 +120,12 @@ def generic_strict_series(ring, bound, nb):
     return MultiSeries(ring, vars_, terms, bound, weights)
 
 
-def _plain(terms):
-    """The terms with each integral Fraction as a Python int, which the twist's
-    solve multiplies far faster; other coefficients are kept as they are."""
-    return {e: c.numerator if type(c) is Fraction and c.denominator == 1 else c
-            for e, c in terms.items()}
-
-
-def _addmul(acc, p, q, neg=False):
-    """acc += p*q (acc -= p*q when ``neg``) for polynomials {exponents: coefficient}."""
-    get = acc.get
-    for e1, c1 in p.items():
-        if neg:
-            c1 = -c1
-        for e2, c2 in q.items():
-            e = tuple(map(add, e1, e2))
-            s = get(e)
-            s = c1 * c2 if s is None else s + c1 * c2
-            if s:
-                acc[e] = s
-            else:
-                del acc[e]
-
-
 def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
     """Twist: the law gF(x, y) = g(F(g^{-1}(x), g^{-1}(y))), for which g is a
     strict isomorphism F -> gF.
 
-    F is bivariate in (x, y); g is a strict series in t whose other
+    F is a law in (x, y): its terms of degree below 2 in x and y are x + y,
+    else AxiomViolation("unit", ...).  g is a strict series in t whose other
     variables (symbols) are shared with the target ambient.  The result
     lives in the union ambient of F's and g's variables.
 
@@ -158,41 +135,50 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
         h_ij = R_ij - sum_{a<i} P_a[i] Q[a, j] - sum_{b<j} h_ib P_b[j],
     where Q[a, j] = sum_{b<=j} h_ab P_b[j] is formed once per (a, j), which
     makes the solve cubic in the bound.  Coefficients are polynomials in the
-    symbols, kept as dicts.  F must be commutative: R is symmetric exactly
-    when F is (g is invertible), and then only i <= j is solved and mirrored.
-    A non-symmetric F raises AxiomViolation("commutativity", ...).
+    symbols on the kernel: with s the largest symbol exponent in F or g, one
+    in P_a[i] is at most s (i - a), and in R_ij, h_ij and every product the
+    solve forms at most s (i + j - 1), so fields for s * bound never carry;
+    x and y, at most the bound, share the code.
+    F must be commutative: R is symmetric exactly when F is (g is
+    invertible), and then only i <= j is solved and mirrored.  A
+    non-symmetric F raises AxiomViolation("commutativity", ...).
     """
     ring = F.ring
     bound = F.bound
+    parts = g.split((T,))
+    if (0,) in parts or parts.get((1,)) != MultiSeries.one(ring, g.vars, g.bound, g.weights):
+        raise NotStrict("twist requires a strict series g")
+    if bound is None or (g.bound is not None and g.bound < bound):
+        raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
+    ix, iy = F._var_index(X), F._var_index(Y)  # the same in the joint ambient, where F's come first
+    unit = F._bare({e: c for e, c in F.terms.items() if e[ix] + e[iy] < 2}) - MultiSeries.var(
+        ring, F.vars, X, bound, F.weights) - MultiSeries.var(ring, F.vars, Y, bound, F.weights)
+    if not unit.is_zero():
+        raise AxiomViolation("unit", unit.monomial_str(unit.sorted_terms()[0][0]) or "1")
     # the joint ambient; a symbol in both F and g takes F's weight
     vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
     wmap = dict(zip(g.vars, g.weights))
     wmap.update(zip(F.vars, F.weights))
     weights = tuple(wmap[v] for v in vars_)
+    s = max((e[i] for h in (F, g) for e in h.terms
+             for i, v in enumerate(h.vars) if v not in (X, Y, T)), default=0)
+    code = MonomialCode([bound if v in (X, Y) else s * bound for v in vars_])
+    sx, sy = code.shifts[ix], code.shifts[iy]  # x^i y^j has the code (i << sx) + (j << sy)
+
+    def coded(terms):  # keyed by code; integers as Python ints, which multiply far faster
+        vals, den = ring.lift(terms.values())
+        return dict(zip(map(code.encode, terms), vals if den == 1 else terms.values()))
+
     # [t^k] g, and below R = [x^i y^j] g(F), as polynomials in the joint
     # ambient with t, x and y at 0
-    G = {k: _plain(part.embed(vars_, weights, None).terms)
-         for (k,), part in g.split((T,)).items()}
-    one_key = (0,) * len(vars_)
-    one = _plain({one_key: ring.one})
-    if 0 in G or G.get(1) != one:
-        raise NotStrict("twist requires a strict series g")
-    if bound is None or (g.bound is not None and g.bound < bound):
-        raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
+    G = {k: coded(part.embed(vars_, weights, None).terms) for (k,), part in parts.items()}
     gF = g.substitute({T: F.embed(vars_, weights, bound)})
-    R = {ij: _plain(part.terms) for ij, part in gF.split((X, Y)).items()}
-    ix, iy = vars_.index(X), vars_.index(Y)
-
-    def at(e, i, j):
-        e = list(e)
-        e[ix], e[iy] = i, j
-        return tuple(e)
-
+    R = {ij: coded(part.terms) for ij, part in gF.split((X, Y)).items()}
     for (i, j), r in sorted(R.items()):
         if r != R.get((j, i)):
-            raise AxiomViolation("commutativity", gF.monomial_str(at(one_key, i, j)))
+            raise AxiomViolation("commutativity", gF.monomial_str(code.decode((i << sx) + (j << sy))))
     # P[a][i] = [t^i] g^a for a <= i <= bound
-    P = [[one] + [{}] * bound]
+    P = [[G[1]] + [{}] * bound]  # g^0 = 1 = [t] g
     for a in range(1, bound + 1):
         row = [{} for _ in range(bound + 1)]
         for i in range(a, bound + 1):
@@ -214,7 +200,8 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
             for b in range(j):
                 _addmul(acc, h[i, b], P[b][j], neg=True)
             h[i, j] = h[j, i] = acc
-    terms = {at(e, i, j): c for (i, j), poly in h.items() for e, c in poly.items()}
+    terms = {code.decode(k + (i << sx) + (j << sy)): c
+             for (i, j), poly in h.items() for k, c in poly.items()}
     return MultiSeries(ring, vars_, ring.lower(terms, 1), bound, weights)
 
 
@@ -488,9 +475,8 @@ def miscenko_image(expr: BordismExpr, twisted: MultiSeries, mode="paper-box") ->
 
     out = target
     for key, w in expr.terms.items():
-        piece = MultiSeries.constant(ring, target.vars, ring.from_rat(w),
-                                     target.bound, target.weights)
-        for n in key:
+        piece = cp(key[0]).scale(ring.from_rat(w))
+        for n in key[1:]:
             piece = piece * cp(n)
         out = out + piece
     return out

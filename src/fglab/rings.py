@@ -184,11 +184,12 @@ def gf2_from_rat(q: Fraction) -> GF2Elt:
 # not expressible through element operators (inversion, conversions).
 # Elements themselves implement +, -, *.
 #
-# ``lift``/``lower`` frame the series product's pair loop.  ``lift`` maps an
-# operand's coefficients to values the loop multiplies and adds (each
-# coefficient is value/scale, one scale per operand); a value of truth
-# False must be a zero.  ``lower`` turns the loop's sums back into nonzero
-# coefficients, given the product of the two scales.
+# ``lift``/``lower`` frame the series product on the kernel's pair loop
+# (``series._addmul``).  ``lift`` maps an operand's coefficients to values
+# the loop multiplies and adds (each coefficient is value/scale, one scale
+# per operand); a value of truth False must be a zero.  ``lower`` turns the
+# loop's sums back into nonzero coefficients, given the product of the two
+# scales.
 
 
 class RatRing:

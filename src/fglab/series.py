@@ -20,8 +20,8 @@ deterministic regardless of evaluation order.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import inf
-from operator import add, itemgetter, mul
+from math import gcd, lcm
+from operator import add, itemgetter, lshift, mul
 
 from .errors import (
     BoundMismatch,
@@ -30,6 +30,102 @@ from .errors import (
     NotStrict,
     VariableMismatch,
 )
+
+
+# -- the monomial code and the product kernel ----------------------------------
+#
+# Every sparse product in fglab runs on dicts {code: value}: a monomial's code
+# packs its exponents into bit fields of one int (Kronecker's substitution:
+# L. Kronecker 1882; D. Harvey, J. Symbolic Comput. 44 (2009)), each as wide as
+# the largest exponent the caller can form there, so codes add without carry.
+
+
+class MonomialCode:
+    """Bit fields from bit 0 up, field i wide enough for ``tops[i]``.  A field
+    in ``caps``, (field, the largest exponent a product keeps there) pairs,
+    has one spare top bit, and ``cap`` = (bias, mask) makes (code + bias) &
+    mask nonzero exactly when some capped exponent exceeds its cap."""
+
+    __slots__ = ("shifts", "masks", "cap")
+
+    def __init__(self, tops, caps=()):
+        caps = dict(caps)
+        self.shifts, self.masks = [], []
+        bias = mask = shift = 0
+        for i, top in enumerate(tops):
+            width = top.bit_length()
+            if i in caps:
+                width = max(top, caps[i]).bit_length() + 1
+                bias += ((1 << width - 1) - 1 - caps[i]) << shift
+                mask += 1 << width - 1 + shift
+            self.shifts.append(shift)
+            self.masks.append((1 << width) - 1)
+            shift += width
+        self.cap = (bias, mask)
+
+    def encode(self, exps):
+        """The code of exponents that fill the first len(exps) fields."""
+        return sum(map(lshift, exps, self.shifts))
+
+    def decode(self, code):
+        return tuple([code >> s & m for s, m in zip(self.shifts, self.masks)])
+
+
+_cached_code = lru_cache(maxsize=1024)(MonomialCode)  # for layouts given as tuples, made once each
+
+
+def _addmul(acc, p, q, neg=False, cap=(0, 0)):
+    """acc += p*q, or acc -= p*q when ``neg``, on {code: value} dicts; returns
+    acc.  A product whose code k has (k + bias) & mask, for a
+    ``MonomialCode.cap`` = (bias, mask), is skipped; a sum that vanishes
+    leaves acc."""
+    bias, mask = cap
+    get, pop = acc.get, acc.pop
+    for k1, c1 in p.items():
+        if neg:
+            c1 = -c1
+        for k2, c2 in q.items():
+            k = k1 + k2
+            if (k + bias) & mask:
+                continue
+            s = get(k)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s:
+                acc[k] = s
+            else:
+                pop(k, None)
+    return acc
+
+
+# Exact polynomials over Q on the kernel are pairs (numerators, den): integer
+# numerators keyed by code over one positive denominator, in lowest terms, so
+# equal polynomials are equal pairs.
+
+
+def _lowest_terms(nums, den):
+    """The pair of numerators over a positive denominator in lowest terms:
+    zeros dropped and the common factor divided out, so zero is ({}, 1)."""
+    g = gcd(den, *nums.values())
+    return {m: v // g for m, v in nums.items() if v}, den // g
+
+
+def _product(p, q):
+    """p * q of two pairs, whose codes leave room for the product's exponents."""
+    (pn, pd), (qn, qd) = p, q
+    return _lowest_terms(_addmul({}, pn, qn), pd * qd)
+
+
+def _lincomb(parts):
+    """sum c * p over parts = [(c, p)], c an int or Fraction and p a pair, as
+    numerators over the lcm of the denominators; zero sums are kept."""
+    parts = [(c.numerator, c.denominator * d, nums) for c, (nums, d) in parts]
+    den = lcm(*(d for _, d, _ in parts))
+    acc = {}
+    for n, d, nums in parts:
+        s = n * (den // d)
+        for m, v in nums.items():
+            acc[m] = acc.get(m, 0) + s * v
+    return acc, den
 
 
 @lru_cache(maxsize=256)
@@ -156,34 +252,34 @@ class MultiSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        """Truncated product.  The pair loop runs on the ring's lifted values
-        (Python ints over Q: each operand scaled once by the lcm of its
-        denominators), and each surviving sum is lowered back once."""
+        """Truncated product on the kernel, with a field per variable for the
+        sum of the operands' largest exponents there and, if the bound can
+        be exceeded, a last field for the weighted degree above the least,
+        capped at the bound.  The loop runs on the ring's lifted values (over
+        Q, ints: each operand scaled once by the lcm of its denominators)."""
         self._check_compat(other)
-        ring = self.ring
-        left, right = (other, self) if len(self.terms) > len(other.terms) else (self, other)
-        wd = self._wdeg
-        lvals, lscale = ring.lift(left.terms.values())
-        rvals, rscale = ring.lift(right.terms.values())
-        # Right-hand terms by ascending weighted degree: a left term of degree
-        # d1 pairs only with a prefix of them, the ones of degree <= bound - d1.
-        by_degree = sorted(zip(map(wd, right.terms), right.terms, rvals), key=itemgetter(0))
-        bound = inf if self.bound is None else self.bound
-        terms = {}
-        get = terms.get
-        for e1, c1 in zip(left.terms, lvals):
-            room = bound - wd(e1)
-            for d2, e2, c2 in by_degree:
-                if d2 > room:
-                    break
-                exp = tuple(map(add, e1, e2))
-                s = get(exp)
-                s = c1 * c2 if s is None else s + c1 * c2
-                if s:
-                    terms[exp] = s
-                else:
-                    terms.pop(exp, None)
-        return self._bare(ring.lower(terms, lscale * rscale))
+        ring, p, q = self.ring, self.terms, other.terms
+        if not (p and q):
+            return self._bare({})
+        tops = tuple(map(add, map(max, zip(*p)), map(max, zip(*q))))
+        n, caps = len(tops), ()
+        if self.bound is not None:
+            dp, dq = list(map(self._wdeg, p)), list(map(self._wdeg, q))
+            lo_p, lo_q = min(dp), min(dq)
+            if lo_p + lo_q > self.bound:
+                return self._bare({})
+            if max(dp) + max(dq) > self.bound:
+                caps = ((n, self.bound - lo_p - lo_q),)
+                tops += (max(dp) + max(dq) - lo_p - lo_q,)
+        code = _cached_code(tops, caps)
+        pk, qk = list(map(code.encode, p)), list(map(code.encode, q))
+        if caps:
+            s = code.shifts[n]
+            pk = [k + (d - lo_p << s) for k, d in zip(pk, dp)]
+            qk = [k + (d - lo_q << s) for k, d in zip(qk, dq)]
+        (pv, ps), (qv, qs) = ring.lift(p.values()), ring.lift(q.values())
+        acc = _addmul({}, dict(zip(pk, pv)), dict(zip(qk, qv)), cap=code.cap)
+        return self._bare(ring.lower({code.decode(k)[:n]: c for k, c in acc.items()}, ps * qs))
 
     def scale(self, c):
         ring = self.ring
@@ -315,6 +411,9 @@ class MultiSeries:
                     piece = cache[e] if piece is None else piece * cache[e]
                 else:
                     mono[carry[i]] = e
+            if piece is not None and not any(mono):
+                out = out + piece.scale(c)  # a constant times piece: no product to form
+                continue
             base = MultiSeries(ring, target.vars, {tuple(mono): c}, target.bound, target.weights)
             out = out + (base if piece is None else base * piece)
         return out

@@ -4,13 +4,13 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dmul, monomial_codes,
+from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, monomial_codes,
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable
 from fglab.errors import FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
-from fglab.series import MultiSeries, geometric
+from fglab.series import MultiSeries, _addmul, geometric
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -339,19 +339,21 @@ def reduce_by_fractions(red, expr):
     phi(a_ij) of its factors, and the same errors are raised in the same
     order (a term above the weight, then an undetermined a_ij, last factor
     first, term by term; then a contradicting relation)."""
-    gens = generator_images(red)
+    codes = monomial_codes(red.W)
+    index = {m: code for code, m in codes.items()}  # products are formed on the codes
+    gens = {pair: {index[m]: v for m, v in img.items()} for pair, img in generator_images(red).items()}
     out = {}
     for (_, mono), c in expr.set_u().terms.items():
         if _amono_weight(mono) > red.W:
             raise NotReducible(red.W, f"{_amono_str((0, mono))} exceeds weight {red.W}")
-        phi = {(): 1}
+        phi = {0: 1}
         for pair, e in reversed(mono):
             if pair not in gens:
                 raise NotReducible(red.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
             for _ in range(e):
-                phi = _dmul(phi, gens[pair])
+                phi = _addmul({}, phi, gens[pair])
         for m, v in phi.items():
-            out[m] = out.get(m, 0) + c * v
+            out[codes[m]] = out.get(codes[m], 0) + c * v
     if not red._consistent:
         raise UsageError("a relation contradicts the d_k; quotient not polynomial")
     return DPoly(out)

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 import pytest
 
@@ -12,7 +12,7 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coef
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
                          psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
-                         _lincomb, _lowest_terms, _product, _psi_dpoly)
+                         _psi_dpoly)
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
@@ -480,10 +480,14 @@ def test_spherical_kernel_is_fixed_pointwise(thom_table10):
 
 
 def test_spherical_requires_full_table(thom_table10):
+    """Every d_k up to the weight, each with a psi image of weight <= k."""
     partial = {k: thom_table10[k] for k in (2, 3)}
     from fglab.errors import InsufficientTable
-    with pytest.raises(InsufficientTable):
+    with pytest.raises(InsufficientTable, match="lacks d_4"):
         spherical_search(12, partial)
+    raising = {**thom_table10, 3: thom_table10[3] + DPoly({(2, 2): 1})}
+    with pytest.raises(InsufficientTable, match="psi image of d_3 has weight above 3"):
+        spherical_search(12, raising)
 
 
 def test_bootstrap_zero_and_idempotence(thom_table10):
@@ -632,67 +636,3 @@ def test_reduce_equals_the_fraction_loop(reducers_for_reduce, name, terms):
             return type(e), str(e)
 
     assert outcome(red.reduce) == outcome(lambda e: reduce_by_fractions(red, e))
-
-
-# -- the reducer's pairs: integer numerators by monomial code over one denominator
-
-PAIRS = st.builds(_lowest_terms,
-                  st.dictionaries(st.integers(0, 12), st.integers(-40, 40), max_size=5),
-                  st.integers(1, 60))
-WEIGHTS = st.one_of(st.integers(-9, 9),
-                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
-
-
-def as_fractions(pair):
-    nums, den = pair
-    return {m: Fraction(v, den) for m, v in nums.items() if v}
-
-
-def canonical(pair):
-    nums, den = pair
-    return den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
-
-
-@settings(max_examples=300, deadline=None)
-@given(nums=st.dictionaries(st.integers(0, 12), st.integers(-40, 40), max_size=5),
-       den=st.integers(1, 60), k=st.integers(1, 30))
-def test_lowest_terms_is_canonical(nums, den, k):
-    """Positive denominator, gcd 1, no zero numerator, zero as ({}, 1), and
-    one pair per value: the guard in the relation solve compares pairs."""
-    pair = _lowest_terms(nums, den)
-    assert canonical(pair)
-    assert as_fractions(pair) == as_fractions((nums, den))
-    assert _lowest_terms({m: k * v for m, v in nums.items()}, k * den) == pair
-    if not any(nums.values()):
-        assert pair == ({}, 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(p=PAIRS, q=PAIRS)
-def test_product_is_the_fraction_product(p, q):
-    want = {}
-    for m1, c1 in as_fractions(p).items():
-        for m2, c2 in as_fractions(q).items():
-            want[m1 + m2] = want.get(m1 + m2, 0) + c1 * c2
-    got = _product(p, q)
-    assert canonical(got)
-    assert as_fractions(got) == {m: c for m, c in want.items() if c}
-
-
-@settings(max_examples=300, deadline=None)
-@given(parts=st.lists(st.tuples(WEIGHTS, PAIRS), max_size=5), cancel=st.booleans())
-def test_lincomb_is_the_fraction_sum(parts, cancel):
-    """Integer and Fraction weights, negative coefficients, the empty list,
-    and with ``cancel`` every part again with its weight negated, a sum that
-    cancels to zero."""
-    if cancel:
-        parts += [(-c, p) for c, p in parts]
-    want = {}
-    for c, p in parts:
-        for m, v in as_fractions(p).items():
-            want[m] = want.get(m, 0) + c * v
-    nums, den = _lincomb(parts)
-    assert den == lcm(*(Fraction(c).denominator * p[1] for c, p in parts))
-    assert as_fractions((nums, den)) == {m: v for m, v in want.items() if v}
-    if cancel or not parts:
-        assert _lowest_terms(nums, den) == ({}, 1)

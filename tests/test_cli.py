@@ -168,6 +168,39 @@ def test_miscenko_rejects_a_paper_box_factor_before_the_twist(capsys, monkeypatc
     assert err == "usage error: --expr: paper-box mode tabulates only n <= 4\n"
 
 
+@pytest.mark.parametrize("argv, flag, terms", [
+    (("chern", "total", "--dims", ",".join(["1"] * 30)), "--dims", 2 ** 30),
+    (("chern", "total", "--dims", "4096"), "--dims", 4097),
+    (("chern", "system", "--dim", "30"), "--dim", 2 ** 30),
+    (("chern", "reduce", "--dim", "13"), "--dim", 2 ** 13),
+    (("chern", "nullspace", "--dim", "13"), "--dim", 2 ** 13),
+])
+def test_chern_refuses_more_terms_than_the_cap(capsys, monkeypatch, argv, flag, terms):
+    """c(M) has prod (n_i + 1) terms, 2^d at CP^1 x ... x CP^1 for --dim d;
+    above chern.MAX_TERMS the command is refused from that count alone,
+    before any expansion or basis is built."""
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    from fglab import chern
+    monkeypatch.setattr(chern, "_expansion", unbuilt)
+    monkeypatch.setattr(chern, "partitions", unbuilt)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag}: c(M) would have {terms} terms, above the cap of 4096\n"
+
+
+def test_chern_cap_admits_the_largest_inputs_it_allows(capsys):
+    """2^12 terms, the cap: CP^63 x CP^63, and CP^1^12, where --dim 12 has
+    its largest c(M)."""
+    from fglab import chern
+    assert chern.MAX_TERMS == 2 ** 12
+    for dims in ("63,63", ",".join(["1"] * 12)):
+        code, out, err = run(capsys, "chern", "total", "--dims", dims)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 2 ** 12 + 1
+
+
 def test_miscenko_of_a_cancelling_expression(capsys):
     code, out, err = run(capsys, "fgl", "miscenko", "--expr", "CP1 - CP1")
     assert (code, err) == (0, "")

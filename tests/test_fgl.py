@@ -118,9 +118,10 @@ def test_twist_equals_substitution_rational_and_twisted():
 
 @st.composite
 def small_strict_g(draw):
-    """A strict g(t) = t + sum c t^k v^e over (t, v), 2 <= k <= bound <= 7."""
+    """A strict g(t) = t + sum c t^k v^e over (t, v), 2 <= k <= bound <= 7,
+    e <= 6, so symbol exponents in the solve reach 6 * (bound - 1)."""
     bound = draw(st.integers(1, 7))
-    terms = draw(st.dictionaries(st.tuples(st.integers(2, 7), st.integers(0, 2)),
+    terms = draw(st.dictionaries(st.tuples(st.integers(2, 7), st.integers(0, 6)),
                                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
                                  max_size=5))
     terms[(1, 0)] = Fraction(1)
@@ -128,10 +129,26 @@ def small_strict_g(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_strict_g(), st.sampled_from([None, Fraction(1), Fraction(-2, 3)]))
+@given(small_strict_g(), st.sampled_from([None, Fraction(1), Fraction(-2, 3), "v^3"]))
 def test_twist_equals_substitution_property(g, vcoeff):
-    F = multiplicative_law(RAT, g.bound, vcoeff)
+    """F = x + y + vxy (symbolic or a number), and x + y + v^3 xy."""
+    if vcoeff == "v^3":
+        F = MultiSeries(RAT, ("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+                                               (1, 1, 3): Fraction(1)}, g.bound, (1, 1, 0))
+    else:
+        F = multiplicative_law(RAT, g.bound, vcoeff)
     assert fgl_twist(F, g) == twist_by_substitution(F, g)
+
+
+def test_twist_rejects_a_law_without_unit():
+    """The degree-1 part of F must be x + y: the solve's fields are sized
+    for a law."""
+    for extra, monomial in (((1, 0, 1), "x*v"), ((0, 0, 1), "v"), ((0, 1, 0), "y")):
+        F = multiplicative_law(RAT, 6)
+        F = F + MultiSeries(RAT, F.vars, {extra: Fraction(1)}, 6, F.weights)
+        with pytest.raises(AxiomViolation) as ei:
+            fgl_twist(F, generic_strict_series(RAT, 6, 5))
+        assert ei.value.axiom == "unit" and ei.value.monomial == monomial
 
 
 def test_twist_rejects_non_commutative_law():

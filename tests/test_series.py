@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import BoundMismatch, NonUnitConstantTerm, NotStrict, VariableMismatch
 from fglab.rings import GF2, RAT, GF2Elt, Padic2, Padic2Ring, gf2_from_rat
-from fglab.series import MultiSeries, residue_inverse_coeff
+from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
+                          residue_inverse_coeff)
 
 from helpers import RANDOM_SEED, NonzeroConstantTerm, compose, exp_series, log1p_series
 
@@ -486,3 +488,112 @@ def test_series_ring_axioms(triple):
     assert exact_terms((a + b) + c) == exact_terms(a + (b + c))
     assert exact_terms((a * b) * c) == exact_terms(a * (b * c))
     assert exact_terms(a * (b + c)) == exact_terms(a * b + a * c)
+
+
+# -- the monomial code and the kernel's product loop --------------------------
+
+
+@st.composite
+def coded_polys(draw):
+    """acc, p and q as {exponents: int} in 1-5 variables, with exponents that
+    fill a field to its top (2^k - 1) or need one more bit (2^k), a cap on
+    some fields, and the sign of p*q."""
+    n = draw(st.integers(1, 5))
+    exps = st.tuples(*[st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63])] * n)
+    acc, p, q = (draw(st.dictionaries(exps, st.integers(-9, 9).filter(bool), max_size=6))
+                 for _ in range(3))
+    caps = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, 130), max_size=n))
+    return n, acc, p, q, caps, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None)
+@given(coded_polys())
+def test_code_round_trips_and_addmul_is_the_tuple_product(case):
+    """Fields sized for the largest exponent sum round-trip every exponent,
+    each field at its top included, and acc +- p*q on codes, capped, equals
+    the product on exponent tuples with the capped exponents filtered."""
+    n, acc, p, q, caps, neg = case
+
+    def top(poly, i):
+        return max((e[i] for e in poly), default=0)
+
+    tops = [max(top(p, i) + top(q, i), top(acc, i)) for i in range(n)]
+    code = MonomialCode(tops, caps)
+    for e in (*acc, *p, *q, tuple(tops)):
+        assert code.decode(code.encode(e)) == e
+    want = dict(acc)
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(e[i] <= c for i, c in caps.items()):
+                want[e] = want.get(e, 0) + (-c1 if neg else c1) * c2
+
+    def coded(poly):
+        return {code.encode(e): c for e, c in poly.items()}
+
+    got = _addmul(coded(acc), coded(p), coded(q), neg, code.cap)
+    assert {code.decode(k): c for k, c in got.items()} == {e: c for e, c in want.items() if c}
+
+
+# -- the kernel's pairs: integer numerators by monomial code over one denominator
+
+PAIRS = st.builds(_lowest_terms,
+                  st.dictionaries(st.integers(0, 12), st.integers(-40, 40), max_size=5),
+                  st.integers(1, 60))
+WEIGHTS = st.one_of(st.integers(-9, 9),
+                    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+def as_fractions(pair):
+    nums, den = pair
+    return {m: Fraction(v, den) for m, v in nums.items() if v}
+
+
+def canonical(pair):
+    nums, den = pair
+    return den > 0 and gcd(den, *nums.values()) == 1 and all(nums.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(nums=st.dictionaries(st.integers(0, 12), st.integers(-40, 40), max_size=5),
+       den=st.integers(1, 60), k=st.integers(1, 30))
+def test_lowest_terms_is_canonical(nums, den, k):
+    """Positive denominator, gcd 1, no zero numerator, zero as ({}, 1), and
+    one pair per value: the guard in the relation solve compares pairs."""
+    pair = _lowest_terms(nums, den)
+    assert canonical(pair)
+    assert as_fractions(pair) == as_fractions((nums, den))
+    assert _lowest_terms({m: k * v for m, v in nums.items()}, k * den) == pair
+    if not any(nums.values()):
+        assert pair == ({}, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PAIRS, q=PAIRS)
+def test_product_is_the_fraction_product(p, q):
+    want = {}
+    for m1, c1 in as_fractions(p).items():
+        for m2, c2 in as_fractions(q).items():
+            want[m1 + m2] = want.get(m1 + m2, 0) + c1 * c2
+    got = _product(p, q)
+    assert canonical(got)
+    assert as_fractions(got) == {m: c for m, c in want.items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(WEIGHTS, PAIRS), max_size=5), cancel=st.booleans())
+def test_lincomb_is_the_fraction_sum(parts, cancel):
+    """Integer and Fraction weights, negative coefficients, the empty list,
+    and with ``cancel`` every part again with its weight negated, a sum that
+    cancels to zero."""
+    if cancel:
+        parts += [(-c, p) for c, p in parts]
+    want = {}
+    for c, p in parts:
+        for m, v in as_fractions(p).items():
+            want[m] = want.get(m, 0) + c * v
+    nums, den = _lincomb(parts)
+    assert den == lcm(*(Fraction(c).denominator * p[1] for c, p in parts))
+    assert as_fractions((nums, den)) == {m: v for m, v in want.items() if v}
+    if cancel or not parts:
+        assert _lowest_terms(nums, den) == ({}, 1)
