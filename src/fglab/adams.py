@@ -211,14 +211,14 @@ class APoly(_Poly):
         return cls({})
 
     @classmethod
-    def gen(cls, i, j, coeff=1, upow=0):
-        """c * u^upow * a_{ij}; returns a constant for (0,0), zero for (0,i)."""
+    def gen(cls, i, j, coeff=1):
+        """c * a_{ij}; returns a constant for (0,0), zero for (0,i)."""
         if i == 0 and j == 0:
-            return cls({(upow, ()): Fraction(coeff)})
+            return cls({(0, ()): Fraction(coeff)})
         if i == 0 or j == 0:
             return cls.zero()
         key = (min(i, j), max(i, j))
-        return cls({(upow, ((key, 1),)): Fraction(coeff)})
+        return cls({(0, ((key, 1),)): Fraction(coeff)})
 
     def set_u(self):
         """Specialize u to 1, as the printed forms and the reducer do; the
@@ -463,6 +463,12 @@ def dmonomials_upto(w, include_const=True):
     return sorted(out, key=lambda m: (sum(m), m))
 
 
+# the largest halved weight W the CLI builds a reducer for: at W = 29,
+# spherical --max-weight 58 --level thom takes ~17 s and ~410 MB, and at
+# W = 30 its --max-weight 60 takes ~24 s and ~600 MB, growing ~1.5x per weight
+MAX_WEIGHT = 29
+
+
 # Inside DReducer a polynomial in the d_k (and, in ``universal``, in the b_k)
 # is one of the kernel's pairs (numerators, den) (see ``series._product``),
 # keyed by the codes of ``code_places(W)``.
@@ -475,14 +481,15 @@ class DReducer:
     Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
     is a ring map phi: a_ij -> D_ij at u = 1, with d_k = sum_i n_k^i a_{i,k-i}.
     Since Q[a]/I -> Q[d_2, ..., d_W] is an isomorphism, phi depends only on W
-    and the n_k^i; the two constructors derive it two ways.  Either way phi
-    of each a-monomial, the generators a_ij first, is memoised as a pair
-    (see ``_product``) keyed by the u-free a-monomial.
+    and the n_k^i; the two constructors derive it two ways.  Either way the
+    image of each a-monomial, the generators a_ij first, is memoised as a
+    pair (see ``_product``) keyed by the u-free a-monomial.
 
     ``DReducer.universal(W, nki_mode)`` is the closed form that the CLI and
     the golden tables use: a_ij -> A_ij(b), the coefficients of the universal
     coboundary (``coboundary_coeffs``), then b_k -> d-polynomials weight by
-    weight.  It needs no relations and no elimination.
+    weight.  It needs no relations and no elimination.  Its memo holds the
+    images in b, and ``reduce`` applies b -> d once to their sum.
 
     ``DReducer(W, rels, nki_mode)`` solves a given relation set by
     substitution, one halved weight w <= W at a time.  The unknowns
@@ -522,6 +529,7 @@ class DReducer:
         self._place = code_places(W)
         self._codes = monomial_codes(W)  # code -> d-monomial, for what reduce returns
         self._phi = {(): ({0: 1}, 1)}    # u-free a-monomial -> phi, as a pair
+        self._beta = None                # universal: b-monomial code -> d-polynomial
         self._consistent = True
 
     @classmethod
@@ -531,10 +539,11 @@ class DReducer:
         With A_{i,k-i} = -C(k, i) b_k + R_{i,k-i}(b_2, ..., b_{k-1}), d_k is
         -gamma_k b_k + sum_i n_k^i R_{i,k-i}, where gamma_k = sum_i n_k^i
         C(k, i) = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
-        beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and then
-        phi(a_ij) = beta(A_ij).  beta of a b-monomial is memoised as beta of
-        its prefix times beta of its last b_k.  The b-monomials share their
-        codes with the d-monomials, so beta maps pairs to pairs.
+        beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and
+        phi(a_ij) = beta(A_ij), which ``reduce`` forms only for the sum it is
+        given.  beta of a b-monomial is memoised as beta of its prefix times
+        beta of its last b_k.  The b-monomials share their codes with the
+        d-monomials, so beta maps pairs to pairs.
         """
         red = cls.__new__(cls)
         red._start(W, nki_mode)
@@ -558,8 +567,8 @@ class DReducer:
             nums, den = _lincomb([(c, beta_of(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
             beta[bk] = _lowest_terms(nums, den * gamma)
         for pair, bpoly in A.items():
-            parts = [(c, beta_of(m)) for m, c in bpoly.items()]
-            red._phi[((pair, 1),)] = _lowest_terms(*_lincomb(parts))
+            red._phi[((pair, 1),)] = (bpoly, 1)
+        red._beta = beta_of
         return red
 
     def nki(self, k):
@@ -615,8 +624,9 @@ class DReducer:
 
         The sum of c * phi(m) runs on Python ints: expr's coefficients are
         lifted to numerators over one denominator and summed at u = 1, the
-        phi(m) are combined by ``_lincomb``, and one Fraction is built per
-        output term.
+        memoised images are combined by ``_lincomb`` and, when they are in b,
+        mapped to d by one more ``_lincomb`` over beta, and one Fraction is
+        built per output term.
         """
         nums, den = RAT.lift(expr.terms.values())
         flat = {}  # u = 1
@@ -632,6 +642,9 @@ class DReducer:
         if not self._consistent:
             raise UsageError("a relation contradicts the d_k; quotient not polynomial")
         out, D = _lincomb(parts)
+        if self._beta is not None:
+            out, Dd = _lincomb([(v, self._beta(m)) for m, v in out.items() if v])
+            D *= Dd
         codes = self._codes
         return DPoly(RAT.lower({codes[m]: v for m, v in out.items() if v}, D * den))
 

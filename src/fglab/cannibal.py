@@ -70,20 +70,18 @@ class ThetaTable:
 
 
 def theta3_direct(N: int) -> ThetaTable:
-    """The table c_mn, m, n <= N, by series division in one variable.
+    """The table c_mn, m, n <= N, from three series in one variable.
 
     The numerator 1 + (1-x)(1-y) + (1-x)^2 (1-y)^2 is a sum of three products
     of one-variable factors, so c_mn = 3 sum_e s_e[m] s_e[n] over e = 0, 1, 2,
-    with s_e = (1-t)^e / (3 - 3t + t^2): s_0 by the series engine's
-    reciprocal, s_1 and s_2 by multiplying with 1 - t.  Each s_e[n] 3^(n+1)
+    with s_e = (1-t)^e / (3 - 3t + t^2): s_0 is the t_k of ``ThetaGenSeq``,
+    s_1 and s_2 come by multiplying with 1 - t.  Each s_e[n] 3^(n+1)
     is an integer S_e[n], so c_mn = 3 sum_e S_e[m] S_e[n] / 3^(m+n+2) is
     summed on Python ints, with one Fraction per nonzero cell.
     """
     vars_ = ("t",)
-    t = MultiSeries.var(RAT, vars_, "t", N)
-    omt = MultiSeries.one(RAT, vars_, N) - t
-    s0 = MultiSeries(RAT, vars_, {(0,): Fraction(3), (1,): Fraction(-3), (2,): Fraction(1)},
-                     N).reciprocal()
+    omt = MultiSeries.one(RAT, vars_, N) - MultiSeries.var(RAT, vars_, "t", N)
+    s0 = MultiSeries(RAT, vars_, {(n,): c for n, c in enumerate(ThetaGenSeq(N).t)}, N)
     s1 = omt * s0
     s2 = omt * s1
     S = [[(c := s.coefficient((n,))).numerator * (3 ** (n + 1) // c.denominator)

@@ -60,19 +60,16 @@ def _domain(flag, error):
 def cmd_series(args, out):
     from . import fgl
     _at_least("--order", args.order, 1)
+    n = args.order
+    g = fgl.generic_strict_series(RAT, n + 1, n)
+    inv = g.comp_inverse("t")
     if args.action == "invert":
-        n = args.order
-        g = fgl.generic_strict_series(RAT, n + 1, n)
-        inv = g.comp_inverse("t")
         rows = []
         for k in range(1, n + 1):
             rows.append((f"c{k}", str(inv.coeff_in_var("t", k + 1))))
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "residue":
-        n = args.order
-        g = fgl.generic_strict_series(RAT, n + 1, n)
         from .series import residue_inverse_coeff
-        inv = g.comp_inverse("t")
         rows = []
         for k in range(1, n + 1):
             r = residue_inverse_coeff(g, "t", k)
@@ -202,7 +199,7 @@ def cmd_adams(args, out):
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
         W = max(args.k, 7)
-        red = _reducer(W, args.nki)
+        red = _reducer(W, args.nki, "--k")
         if args.level == "base":
             p = adams.psi_on_dk(args.k, red)
         else:
@@ -216,7 +213,7 @@ def cmd_adams(args, out):
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
         W = args.max_weight // 2
-        red = _reducer(W, args.nki)
+        red = _reducer(W, args.nki, "--max-weight")
         if args.level == "thom":
             from . import cannibal
             theta = cannibal.theta3_direct(W)
@@ -242,10 +239,13 @@ def _nki_reaches(nki, k, context):
         raise UsageError(f"--nki paper covers k <= {max(NKI_PAPER)}, {context}")
 
 
-def _reducer(W, nki):
+def _reducer(W, nki, flag):
     """The d_k reducer through halved weight W, which needs n_k^i for every
-    k <= W; psi on the d_k reads that --nki choice from it."""
-    from .adams import DReducer
+    k <= W; psi on the d_k reads that --nki choice from it.  A W above
+    adams.MAX_WEIGHT, which ``flag`` sets, is refused before anything is built."""
+    from .adams import MAX_WEIGHT, DReducer
+    if W > MAX_WEIGHT:
+        raise UsageError(f"{flag}: the reducer through weight {W} is above the cap of {MAX_WEIGHT}")
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
     return DReducer.universal(W, nki_mode=nki)
 

@@ -48,32 +48,17 @@ def fgl_check(F: MultiSeries) -> FGL:
     determined and are excluded from the comparison.
     """
     ring = F.ring
-    if not ring.is_zero(F.constant_term()):
-        raise AxiomViolation("unit", "1")
     ix, iy = F._var_index(X), F._var_index(Y)
-    # F(x, 0) = x
-    fx0 = F.coeff_in_var(Y, 0)
-    xvar = MultiSeries.var(ring, F.vars, X, F.bound, F.weights)
-    diff = fx0 - xvar
-    if not diff.is_zero():
-        exp, _ = diff.sorted_terms()[0]
-        raise AxiomViolation("unit", diff.monomial_str(exp) or "1")
-    f0y = F.coeff_in_var(X, 0)
-    yvar = MultiSeries.var(ring, F.vars, Y, F.bound, F.weights)
-    diff = f0y - yvar
-    if not diff.is_zero():
-        exp, _ = diff.sorted_terms()[0]
-        raise AxiomViolation("unit", diff.monomial_str(exp) or "1")
+    for v, other in ((X, Y), (Y, X)):  # F(x, 0) = x, then F(0, y) = y
+        _require_zero(F.coeff_in_var(other, 0) - MultiSeries.var(ring, F.vars, v, F.bound, F.weights),
+                      "unit")
     # symmetry
     swapped = {}
     for exp, c in F.terms.items():
         e = list(exp)
         e[ix], e[iy] = e[iy], e[ix]
         swapped[tuple(e)] = c
-    diff = F - MultiSeries(ring, F.vars, swapped, F.bound, F.weights)
-    if not diff.is_zero():
-        exp, _ = diff.sorted_terms()[0]
-        raise AxiomViolation("commutativity", diff.monomial_str(exp))
+    _require_zero(F - MultiSeries(ring, F.vars, swapped, F.bound, F.weights), "commutativity")
     # associativity, in the ambient (x, y, z, symbols...) one order below the bound
     bound3 = None if F.bound is None else F.bound - 1
     symbols = [(v, w) for v, w in zip(F.vars, F.weights) if v not in (X, Y)]
@@ -86,11 +71,14 @@ def fgl_check(F: MultiSeries) -> FGL:
     Fyz = F3.substitute({"x": yv, "y": zv})
     left = F3.substitute({"x": Fxy, "y": zv})
     right = F3.substitute({"x": xv, "y": Fyz})
-    diff = left - right
-    if not diff.is_zero():
-        exp, _ = diff.sorted_terms()[0]
-        raise AxiomViolation("associativity", diff.monomial_str(exp))
+    _require_zero(left - right, "associativity")
     return FGL(F)
+
+
+def _require_zero(diff: MultiSeries, axiom: str):
+    """AxiomViolation(axiom, the first monomial of diff) unless diff is zero."""
+    if not diff.is_zero():
+        raise AxiomViolation(axiom, diff.monomial_str(diff.sorted_terms()[0][0]) or "1")
 
 
 def multiplicative_law(ring, bound, vcoeff=None):
@@ -151,10 +139,9 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> MultiSeries:
     if bound is None or (g.bound is not None and g.bound < bound):
         raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
     ix, iy = F._var_index(X), F._var_index(Y)  # the same in the joint ambient, where F's come first
-    unit = F._bare({e: c for e, c in F.terms.items() if e[ix] + e[iy] < 2}) - MultiSeries.var(
-        ring, F.vars, X, bound, F.weights) - MultiSeries.var(ring, F.vars, Y, bound, F.weights)
-    if not unit.is_zero():
-        raise AxiomViolation("unit", unit.monomial_str(unit.sorted_terms()[0][0]) or "1")
+    unit = F._bare({e: c for e, c in F.terms.items() if e[ix] + e[iy] < 2})
+    _require_zero(unit - MultiSeries.var(ring, F.vars, X, bound, F.weights)
+                  - MultiSeries.var(ring, F.vars, Y, bound, F.weights), "unit")
     # the joint ambient; a symbol in both F and g takes F's weight
     vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
     wmap = dict(zip(g.vars, g.weights))

@@ -12,7 +12,7 @@ x = 1 - L matrix after conjugation by diag((-1)^i).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from .rings import Padic2, padic_from_rat, padic_log
@@ -63,10 +63,11 @@ class NumPoly:
 def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
     """Binomial-basis coefficients a_i = (iterated difference)^i at 0.
 
-    ``values_fn`` supplies exact values at the integers 0..N; a polynomial of
-    degree <= N is recovered exactly (the expansion terminates).
+    ``values_fn`` supplies exact values at the integers 0..N (Fractions,
+    ints or ``Padic2``: the table only subtracts and tests for zero); a
+    polynomial of degree <= N is recovered exactly (the expansion terminates).
     """
-    row = [Fraction(values_fn(t)) for t in range(N + 1)]
+    row = [values_fn(t) for t in range(N + 1)]
     coeffs = {}
     for i in range(N + 1):
         if row[0]:
@@ -80,32 +81,19 @@ def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
 
 
 def dilate(k, i: int) -> NumPoly:
-    """C(kT, i) expanded in the C(T, j) basis.
+    """C(kT, i) expanded in the C(T, j) basis, by the difference table of
+    its values at T = 0..i.
 
-    Integer k of either sign: exact finite differences.  2-adic k: the
-    coefficient a_j = sum over the difference formula with C(k m, i)
-    evaluated as the integer-valued polynomial at the 2-adic argument,
-    truncated at k's working precision.
+    Integer k of either sign: exact Fraction values.  2-adic k: C(k t, i)
+    evaluated as the integer-valued polynomial at the 2-adic argument, so
+    the coefficients are truncated at k's working precision.
     """
     if isinstance(k, Padic2):
         if k.value % 2 == 0:
             raise NotAUnit("2-adic dilation needs a unit scale")
-        coeffs = {}
-        for j in range(0, i + 1):
-            # a_j = sum_{m<=j} (-1)^(j-m) C(j,m) C(km, i)
-            acc = None
-            for m in range(0, j + 1):
-                km = k * Padic2(m, k.precision)
-                term = _binom_padic(km, i)
-                if (j - m) % 2:
-                    term = -term
-                term = Padic2(term.value * comb(j, m), term.precision)
-                acc = term if acc is None else acc + term
-            if acc is not None and acc.value:
-                coeffs[j] = acc
-        return NumPoly(coeffs)
+        return mahler_expand(lambda t: _binom_padic(k * Padic2(t, k.precision), i), i)
     k = int(k)
-    return mahler_expand(lambda t: binom(k * t, i), i)
+    return mahler_expand(lambda t: Fraction(binom(k * t, i)), i)
 
 
 def binom(n: int, i: int) -> int:
@@ -118,7 +106,6 @@ def _binom_padic(x: Padic2, i: int) -> Padic2:
     num = Padic2(1, x.precision)
     for s in range(i):
         num = num * (x - Padic2(s, x.precision))
-    from math import factorial
     return num.div_int(factorial(i))
 
 

@@ -326,11 +326,20 @@ def theta3_sum_of_two(N: int) -> MultiSeries:
 
 
 def generator_images(red):
-    """The phi(a_ij) a ``DReducer`` has determined, read off the generator
-    entries of its phi memo, as {(i, j): {d-monomial: Fraction}}."""
-    codes = monomial_codes(red.W)
-    return {mono[0][0]: {codes[m]: Fraction(v, den) for m, v in nums.items()}
-            for mono, (nums, den) in red._phi.items() if len(mono) == 1 and mono[0][1] == 1}
+    """phi(a_ij) = reduce(a_ij) for each i <= j, i + j <= W, that a
+    ``DReducer`` determines, as {(i, j): {d-monomial: Fraction}}.  A reducer
+    whose relations contradict the d_k reduces nothing: its determined a_ij
+    map to None."""
+    out = {}
+    for i in range(1, red.W // 2 + 1):
+        for j in range(i, red.W + 1 - i):
+            try:
+                out[i, j] = red.reduce(APoly.gen(i, j)).terms
+            except NotReducible:
+                pass
+            except UsageError:
+                out[i, j] = None
+    return out
 
 
 def reduce_by_fractions(red, expr):
@@ -341,7 +350,8 @@ def reduce_by_fractions(red, expr):
     first, term by term; then a contradicting relation)."""
     codes = monomial_codes(red.W)
     index = {m: code for code, m in codes.items()}  # products are formed on the codes
-    gens = {pair: {index[m]: v for m, v in img.items()} for pair, img in generator_images(red).items()}
+    gens = {pair: {index[m]: v for m, v in (img or {}).items()}  # None: UsageError below
+            for pair, img in generator_images(red).items()}
     out = {}
     for (_, mono), c in expr.set_u().terms.items():
         if _amono_weight(mono) > red.W:

@@ -201,6 +201,29 @@ def test_chern_cap_admits_the_largest_inputs_it_allows(capsys):
         assert len(out.splitlines()) == 2 ** 12 + 1
 
 
+@pytest.mark.parametrize("level", ["base", "thom"])
+@pytest.mark.parametrize("action, flag, per_weight", [("psi-dk", "--k", 1),
+                                                      ("spherical", "--max-weight", 2)])
+def test_adams_refuses_reducers_above_the_weight_cap(capsys, monkeypatch, level, action, flag,
+                                                     per_weight):
+    """psi-dk --k k builds the reducer through halved weight k, spherical
+    --max-weight w through w // 2; above adams.MAX_WEIGHT the command is
+    refused with the flag's name before the reducer is built, and at the cap
+    it goes on to build it."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built")
+
+    from fglab import adams
+    monkeypatch.setattr(adams.DReducer, "universal", staticmethod(unbuilt))
+    cap = adams.MAX_WEIGHT
+    assert cap == 29
+    code, out, err = run(capsys, "adams", action, flag, str(per_weight * (cap + 1)), "--level", level)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag}: the reducer through weight {cap + 1} is above the cap of {cap}\n"
+    code, out, err = run(capsys, "adams", action, flag, str(per_weight * cap), "--level", level)
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 def test_miscenko_of_a_cancelling_expression(capsys):
     code, out, err = run(capsys, "fgl", "miscenko", "--expr", "CP1 - CP1")
     assert (code, err) == (0, "")

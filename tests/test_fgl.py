@@ -66,7 +66,19 @@ def test_fgl_check_associativity_violation():
                                         (2, 1): Fraction(1), (1, 2): Fraction(1)}, 6)
     with pytest.raises(AxiomViolation) as ei:
         fgl_check(bad)
-    assert ei.value.axiom == "associativity"
+    assert ei.value.axiom == "associativity" and ei.value.monomial == "x*y*z^3"
+
+
+@pytest.mark.parametrize("terms, axiom, monomial", [
+    ({(1, 0): 1, (0, 1): 1, (0, 2): 1}, "unit", "y^2"),            # F(0, y) = y + y^2
+    ({(0, 0): 1, (1, 0): 1, (0, 1): 1}, "unit", "1"),              # a constant term
+    ({(1, 0): 1, (0, 1): 1, (2, 1): 1}, "commutativity", "x*y^2"),  # F(x, y) - F(y, x)
+])
+def test_fgl_check_names_the_first_failing_monomial(terms, axiom, monomial):
+    bad = MultiSeries(RAT, ("x", "y"), {e: Fraction(c) for e, c in terms.items()}, 8)
+    with pytest.raises(AxiomViolation) as ei:
+        fgl_check(bad)
+    assert (ei.value.axiom, ei.value.monomial) == (axiom, monomial)
 
 
 def test_twist_by_identity_is_identity():
@@ -143,7 +155,7 @@ def test_twist_equals_substitution_property(g, vcoeff):
 def test_twist_rejects_a_law_without_unit():
     """The degree-1 part of F must be x + y: the solve's fields are sized
     for a law."""
-    for extra, monomial in (((1, 0, 1), "x*v"), ((0, 0, 1), "v"), ((0, 1, 0), "y")):
+    for extra, monomial in (((1, 0, 1), "x*v"), ((0, 0, 1), "v"), ((0, 1, 0), "y"), ((0, 0, 0), "1")):
         F = multiplicative_law(RAT, 6)
         F = F + MultiSeries(RAT, F.vars, {extra: Fraction(1)}, 6, F.weights)
         with pytest.raises(AxiomViolation) as ei:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fglab.errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
 from fglab.mahler import (adams_matrix, artin_schreier_check, binom, dilate,
@@ -96,17 +97,21 @@ def test_dilate_semigroup_3_5():
     assert prod == D15
 
 
-def test_dilate_2adic_matches_integer():
-    k = Padic2(3, 48)
-    for i in range(0, 7):
-        got = dilate(k, i)
-        want = dilate(3, i)
-        for j in set(got.coeffs) | set(want.coeffs):
-            g = got.coeffs.get(j)
-            w = want.coeffs.get(j, 0)
-            assert g is not None and g == Padic2(int(w), g.precision), (i, j)
-    with pytest.raises(NotAUnit):
-        dilate(Padic2(2, 16), 3)
+@settings(max_examples=200, deadline=None)
+@given(k=st.integers(-16, 15).map(lambda n: 2 * n + 1), i=st.integers(0, 10),
+       precision=st.integers(24, 64))
+def test_dilate_2adic_matches_integer(k, i, precision):
+    """For odd k of either sign, the 2-adic dilation at k is the integer one
+    modulo its precision, with the same support; the integer expansion
+    (the generalized binomial for k < 0) evaluates to C(kt, i)."""
+    got = dilate(Padic2(k, precision), i)
+    want = dilate(k, i)
+    assert set(got.coeffs) == set(want.coeffs)
+    for j, w in want.coeffs.items():
+        g = got.coeffs[j]
+        assert g == Padic2(int(w), g.precision), j
+    for t in range(-4, 5):
+        assert want.eval_at(t) == binom(k * t, i), t
 
 
 @pytest.mark.parametrize("k", [-1, -3, -5])
@@ -122,6 +127,11 @@ def test_dilate_negative_k_matches_2adic(k):
             assert g == Padic2(int(w), g.precision), (i, j)
         for t in range(-4, 5):
             assert want.eval_at(t) == binom(k * t, i), (i, t)
+
+
+def test_dilate_2adic_needs_a_unit():
+    with pytest.raises(NotAUnit):
+        dilate(Padic2(2, 16), 3)
 
 
 def test_binom_generalized():
