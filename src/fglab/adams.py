@@ -379,7 +379,7 @@ def code_places(W: int) -> dict:
     weight <= W, so a monomial's code, the sum of its indices' places, tells
     it apart from every other, and the code of a product of weight <= W is
     the sum of the factors' codes.  The b-monomials of ``coboundary_coeffs``
-    and the d-monomials of ``DReducer.universal`` share these codes.
+    and the d-monomials of the closed-form ``DReducer`` share these codes.
     """
     code = MonomialCode([W // k for k in range(2, W + 1)])
     return {k: 1 << s for k, s in enumerate(code.shifts, 2)}
@@ -469,7 +469,7 @@ def dmonomials_upto(w, include_const=True):
 MAX_WEIGHT = 29
 
 
-# Inside DReducer a polynomial in the d_k (and, in ``universal``, in the b_k)
+# Inside DReducer a polynomial in the d_k (and, in the closed form, in the b_k)
 # is one of the kernel's pairs (numerators, den) (see ``series._product``),
 # keyed by the codes of ``code_places(W)``.
 
@@ -481,73 +481,64 @@ class DReducer:
     Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
     is a ring map phi: a_ij -> D_ij at u = 1, with d_k = sum_i n_k^i a_{i,k-i}.
     Since Q[a]/I -> Q[d_2, ..., d_W] is an isomorphism, phi depends only on W
-    and the n_k^i; the two constructors derive it two ways.  Either way the
-    image of each a-monomial, the generators a_ij first, is memoised as a
-    pair (see ``_product``) keyed by the u-free a-monomial.
+    and the n_k^i, and ``DReducer(W, rels=None, nki_mode)`` derives it from
+    either of two inputs.  Either way the image of each a-monomial, the
+    generators a_ij first, is memoised as a pair (see ``_product``) keyed by
+    the u-free a-monomial.
 
-    ``DReducer.universal(W, nki_mode)`` is the closed form that the CLI and
-    the golden tables use: a_ij -> A_ij(b), the coefficients of the universal
-    coboundary (``coboundary_coeffs``), then b_k -> d-polynomials weight by
-    weight.  It needs no relations and no elimination.  Its memo holds the
-    images in b, and ``reduce`` applies b -> d once to their sum.
+    With no ``rels`` it builds the closed form that the CLI and the golden
+    tables use: a_ij -> A_ij(b), the coefficients of the universal coboundary
+    (``coboundary_coeffs``), then b_k -> d-polynomials weight by weight.  It
+    needs no relations and no elimination.  Its memo holds the images in b,
+    and ``reduce`` applies b -> d once to their sum.  With
+    A_{i,k-i} = -C(k, i) b_k + R_{i,k-i}(b_2, ..., b_{k-1}), d_k is
+    -gamma_k b_k + sum_i n_k^i R_{i,k-i}, where gamma_k = sum_i n_k^i C(k, i)
+    = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
+    beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and
+    phi(a_ij) = beta(A_ij), which ``reduce`` forms only for the sum it is
+    given.  beta of a b-monomial is memoised as beta of its prefix times beta
+    of its last b_k.  The b-monomials share their codes with the d-monomials,
+    so beta maps pairs to pairs.
 
-    ``DReducer(W, rels, nki_mode)`` solves a given relation set by
-    substitution, one halved weight w <= W at a time.  The unknowns
-    a_{i,w-i} (i <= w/2) appear linearly in each relation of weight w, whose
-    other terms are products of lower a's with phi known; d_w is one more
-    equation.  A target that needs an a_ij left undetermined is NotReducible
-    (relations insufficient).  Guard: every equation that adds no rank is
-    checked exactly, its right-hand side against the same combination of the
-    rank-raising ones.  If any check fails, the d-monomials are dependent
-    modulo the relations, and ``reduce`` raises UsageError (the quotient is
-    not polynomial, a real inconsistency).  Each distinct u = 1 equation is
-    solved and checked once: a repeat (a relation and its x <-> z mirror are
-    one polynomial) would repeat the same check, or pass it trivially after
-    its first copy raised the rank.  ``rels`` maps monomials (a, b, c) to
-    relations of weight a + b + c, as ``gen_2structure_relations`` returns
-    them; a polynomial listed under several keys is specialized to u = 1
-    once.  The tests judge the closed form against this solve.
+    Given ``rels`` it solves that relation set by substitution, one halved
+    weight w <= W at a time.  The unknowns a_{i,w-i} (i <= w/2) appear
+    linearly in each relation of weight w, whose other terms are products of
+    lower a's with phi known; d_w is one more equation.  A target that needs
+    an a_ij left undetermined is NotReducible (relations insufficient).
+    Guard: every equation that adds no rank is checked exactly, its
+    right-hand side against the same combination of the rank-raising ones.
+    If any check fails, the d-monomials are dependent modulo the relations,
+    and ``reduce`` raises UsageError (the quotient is not polynomial, a real
+    inconsistency).  Each distinct u = 1 equation is solved and checked once:
+    a repeat (a relation and its x <-> z mirror are one polynomial) would
+    repeat the same check, or pass it trivially after its first copy raised
+    the rank.  ``rels`` maps monomials (a, b, c) to relations of weight
+    a + b + c, as ``gen_2structure_relations`` returns them; a polynomial
+    listed under several keys is specialized to u = 1 once.  The tests judge
+    the closed form against this solve.
 
     ``nki_mode`` chooses the n_k^i that define the d_k (see ``nki_coeffs``);
     ``nki`` hands the same choice to every psi on d_k reduced here.
     """
 
-    def __init__(self, W: int, rels: dict, nki_mode="auto"):
-        self._start(W, nki_mode)
-        # one entry per relation object, in the order of its first key
-        listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
-        eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
-        for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
-            eqs.setdefault(w, []).append((poly, ({}, 1)))
-        for w in range(2, W + 1):
-            dw = ({self._place[w]: 1}, 1)
-            self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), dw)])
-
-    def _start(self, W, nki_mode):
+    def __init__(self, W: int, rels=None, nki_mode="auto"):
         self.W = W
         self.nki_mode = nki_mode
-        self._place = code_places(W)
-        self._codes = monomial_codes(W)  # code -> d-monomial, for what reduce returns
+        place = code_places(W)
+        self._codes = codes = monomial_codes(W)  # code -> d-monomial, for what reduce returns
         self._phi = {(): ({0: 1}, 1)}    # u-free a-monomial -> phi, as a pair
-        self._beta = None                # universal: b-monomial code -> d-polynomial
+        self._beta = None                # closed form: b-monomial code -> d-polynomial
         self._consistent = True
-
-    @classmethod
-    def universal(cls, W: int, nki_mode="auto"):
-        """The reducer through weight W from the universal coboundary.
-
-        With A_{i,k-i} = -C(k, i) b_k + R_{i,k-i}(b_2, ..., b_{k-1}), d_k is
-        -gamma_k b_k + sum_i n_k^i R_{i,k-i}, where gamma_k = sum_i n_k^i
-        C(k, i) = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
-        beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and
-        phi(a_ij) = beta(A_ij), which ``reduce`` forms only for the sum it is
-        given.  beta of a b-monomial is memoised as beta of its prefix times
-        beta of its last b_k.  The b-monomials share their codes with the
-        d-monomials, so beta maps pairs to pairs.
-        """
-        red = cls.__new__(cls)
-        red._start(W, nki_mode)
-        codes, place = red._codes, red._place
+        if rels is not None:
+            # one entry per relation object, in the order of its first key
+            listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
+            eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
+            for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
+                eqs.setdefault(w, []).append((poly, ({}, 1)))
+            for w in range(2, W + 1):
+                dw = ({place[w]: 1}, 1)
+                self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), dw)])
+            return
         A = coboundary_coeffs(W)
         beta = {0: ({0: 1}, 1)}  # b-monomial code -> its d-polynomial, as a pair
 
@@ -560,16 +551,15 @@ class DReducer:
         for k in range(2, W + 1):
             bk = place[k]
             dk = {}  # sum_i n_k^i A_{i,k-i}
-            for i, n in red.nki(k).items():
+            for i, n in self.nki(k).items():
                 for m, v in A[min(i, k - i), max(i, k - i)].items():
                     dk[m] = dk.get(m, 0) + n * v
             gamma = -dk.pop(bk)
             nums, den = _lincomb([(c, beta_of(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
             beta[bk] = _lowest_terms(nums, den * gamma)
         for pair, bpoly in A.items():
-            red._phi[((pair, 1),)] = (bpoly, 1)
-        red._beta = beta_of
-        return red
+            self._phi[((pair, 1),)] = (bpoly, 1)
+        self._beta = beta_of
 
     def nki(self, k):
         """The n_k^i that define d_k here; d_k above weight W is NotReducible."""

@@ -81,6 +81,10 @@ def cmd_series(args, out):
 def cmd_fgl(args, out):
     from . import fgl
     if args.action == "twist":
+        for flag, value, cap in (("--bound", args.bound, fgl.MAX_TWIST_BOUND),
+                                 ("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1)):
+            if value > cap:
+                raise UsageError(f"{flag}: {value} is above the twist cap of {cap}")
         g = fgl.generic_strict_series(RAT, args.bound, args.nb)
         law = fgl.FGL(fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g))
         rows = []
@@ -247,7 +251,7 @@ def _reducer(W, nki, flag):
     if W > MAX_WEIGHT:
         raise UsageError(f"{flag}: the reducer through weight {W} is above the cap of {MAX_WEIGHT}")
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
-    return DReducer.universal(W, nki_mode=nki)
+    return DReducer(W, nki_mode=nki)
 
 
 def cmd_cannibal(args, out):

@@ -21,6 +21,12 @@ from .series import MonomialCode, MultiSeries, _addmul
 
 X, Y, T = "x", "y", "t"
 
+# the largest --bound the CLI twists at; --nb is capped one below it, as no
+# b_i with i >= bound reaches the law.  Fresh process, unscaled: --bound 24
+# --nb 23 takes ~7-8 s and ~270 MB, 26/25 ~16 s and ~475 MB, and 40/5 more
+# than 90 s, growing ~1.4x per step of the bound
+MAX_TWIST_BOUND = 24
+
 
 class FGL:
     """A validated formal group law F(x, y) with its coefficient table."""

@@ -67,7 +67,7 @@ def _twisted_law():
 def _reducer(W=10):
     key = ("reducer", W)
     if key not in _CACHE:
-        _CACHE[key] = adams.DReducer.universal(W)
+        _CACHE[key] = adams.DReducer(W)
     return _CACHE[key]
 
 

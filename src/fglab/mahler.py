@@ -20,13 +20,10 @@ from .series import format_sum
 
 
 class NumPoly:
-    """Finite coefficient vector in the binomial basis C(T, i)."""
+    """Finite sum over the binomial basis C(T, i), as {i: coefficient}."""
 
-    def __init__(self, coeffs):
-        if isinstance(coeffs, dict):
-            self.coeffs = {i: c for i, c in coeffs.items() if c}
-        else:
-            self.coeffs = {i: c for i, c in enumerate(coeffs) if c}
+    def __init__(self, coeffs: dict):
+        self.coeffs = {i: c for i, c in coeffs.items() if c}
 
     def degree(self):
         return max(self.coeffs, default=-1)

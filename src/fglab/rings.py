@@ -139,11 +139,6 @@ class Padic2:
             return None
         return val2(self.value)
 
-    def truncate(self, precision: int) -> "Padic2":
-        if precision > self.precision:
-            raise PrecisionTooLow(f"cannot raise precision {self.precision} -> {precision}")
-        return Padic2(self.value, precision)
-
     def __eq__(self, other):
         if not isinstance(other, Padic2):
             return NotImplemented

@@ -12,12 +12,12 @@ from fglab.cannibal import theta3_direct, thom_psi_dk  # noqa: E402
 # the reducers are built as the CLI and the golden tables build them
 @pytest.fixture(scope="session")
 def reducer10():
-    return DReducer.universal(10)
+    return DReducer(10)
 
 
 @pytest.fixture(scope="session")
 def reducer11():
-    return DReducer.universal(11)
+    return DReducer(11)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ from fglab.cannibal import ThetaGenSeq, ThetaTable
 from fglab.errors import FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
-from fglab.series import MultiSeries, _addmul, geometric
+from fglab.series import MultiSeries, _addmul, _lincomb, geometric
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -326,19 +326,26 @@ def theta3_sum_of_two(N: int) -> MultiSeries:
 
 
 def generator_images(red):
-    """phi(a_ij) = reduce(a_ij) for each i <= j, i + j <= W, that a
-    ``DReducer`` determines, as {(i, j): {d-monomial: Fraction}}.  A reducer
-    whose relations contradict the d_k reduces nothing: its determined a_ij
-    map to None."""
+    """phi(a_ij) for each i <= j, i + j <= W, that a ``DReducer`` determines,
+    as {(i, j): {d-monomial: Fraction}}, read off its memo and not through
+    ``reduce``, so that the tests which compare against these images see a
+    fault in ``reduce`` itself.  The relation solve memoises each image as a
+    pair in d; the closed form memoises A_ij as a pair in b, which one
+    ``_lincomb`` over ``red._beta`` maps to d.  A reducer whose relations
+    contradict the d_k reduces nothing: its determined a_ij map to None."""
     out = {}
     for i in range(1, red.W // 2 + 1):
         for j in range(i, red.W + 1 - i):
-            try:
-                out[i, j] = red.reduce(APoly.gen(i, j)).terms
-            except NotReducible:
-                pass
-            except UsageError:
+            img = red._phi.get((((i, j), 1),))
+            if img is None:
+                continue
+            if not red._consistent:
                 out[i, j] = None
+                continue
+            if red._beta is not None:
+                img = _lincomb([(v, red._beta(m)) for m, v in img[0].items()])
+            nums, den = img
+            out[i, j] = {red._codes[m]: Fraction(v, den) for m, v in nums.items() if v}
     return out
 
 

@@ -306,7 +306,7 @@ def test_reduce_roundtrip(reducer7):
 @pytest.fixture(scope="module", params=[10, 11, 12])
 def reducer_at(request, reducer10, reducer11):
     W = request.param
-    return {10: reducer10, 11: reducer11}.get(W) or DReducer.universal(W)
+    return {10: reducer10, 11: reducer11}.get(W) or DReducer(W)
 
 
 def test_reduce_dmonomial_images_to_themselves(reducer_at):
@@ -370,7 +370,7 @@ def test_universal_reducer_equals_relation_solve(W, mode):
     """The closed form from the coboundary gives exactly the phi(a_ij) of the
     relation solve, for every i + j <= W, and the solve's exact guard passes."""
     solved = DReducer(W, gen_2structure_relations(W), nki_mode=mode)
-    closed = DReducer.universal(W, nki_mode=mode)
+    closed = DReducer(W, nki_mode=mode)
     assert solved._consistent
     assert len(generator_images(solved)) == (W // 2) * ((W + 1) // 2)
     assert generator_images(closed) == generator_images(solved)
@@ -378,16 +378,16 @@ def test_universal_reducer_equals_relation_solve(W, mode):
 
 @pytest.mark.parametrize("W", range(3, 15))
 def test_relations_reduce_to_zero_under_universal_reducer(W):
-    red = DReducer.universal(W)
+    red = DReducer(W)
     for mono, poly in gen_2structure_relations(W).items():
         assert red.reduce(poly).is_zero(), mono
 
 
 def test_universal_reducer_small_weights():
-    assert generator_images(DReducer.universal(1)) == {}
-    assert generator_images(DReducer.universal(2)) == {(1, 1): {(2,): 1}}
+    assert generator_images(DReducer(1)) == {}
+    assert generator_images(DReducer(2)) == {(1, 1): {(2,): 1}}
     with pytest.raises(NotReducible):
-        DReducer.universal(4).reduce(APoly.gen(2, 3))
+        DReducer(4).reduce(APoly.gen(2, 3))
 
 
 PSI_DK_COMPUTED = {
@@ -545,7 +545,7 @@ def test_dpoly_product_ring_laws(p, q, r):
 
 @pytest.fixture(scope="module")
 def reducer14():
-    return DReducer.universal(14)
+    return DReducer(14)
 
 
 @pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7)])
@@ -559,7 +559,7 @@ def test_psi_on_dk_composes(reducer14, k, l):
 
 @pytest.fixture(scope="module")
 def reducer8():
-    return DReducer.universal(8)
+    return DReducer(8)
 
 
 @settings(max_examples=40, deadline=None)
@@ -593,8 +593,8 @@ def reducers_for_reduce():
                 (1, 2, 5): invent(9, (3, 5), (1, 3), (1, 3)),
                 (1, 3, 4): invent(4, (4, 4), (2, 2), (2, 2))}
     return {
-        "universal": DReducer.universal(7),
-        "universal extended-gcd": DReducer.universal(8, nki_mode="extended-gcd"),
+        "universal": DReducer(7),
+        "universal extended-gcd": DReducer(8, nki_mode="extended-gcd"),
         "solve": DReducer(7, gen_2structure_relations(7)),
         "partial": DReducer(8, rels5),
         "invented": DReducer(8, {**rels5, **invented}),

@@ -226,7 +226,7 @@ def test_thom_psi_dk_equals_fraction_sum(W, mode):
     """The integer Thom sum and reduction give the cell-by-cell Fraction sum,
     reduced term by term on Fractions, for every d_k the reducer reaches;
     the reference also takes its theta from the bivariate division."""
-    red = DReducer.universal(W, nki_mode=mode)
+    red = DReducer(W, nki_mode=mode)
     theta, ref_theta = theta3_direct(W), theta3_bivariate(W)
     for k in range(2, W + 1):
         got = thom_psi_dk(k, theta, red)

@@ -214,13 +214,34 @@ def test_adams_refuses_reducers_above_the_weight_cap(capsys, monkeypatch, level,
         raise AssertionError("built")
 
     from fglab import adams
-    monkeypatch.setattr(adams.DReducer, "universal", staticmethod(unbuilt))
+    monkeypatch.setattr(adams, "DReducer", unbuilt)
     cap = adams.MAX_WEIGHT
     assert cap == 29
     code, out, err = run(capsys, "adams", action, flag, str(per_weight * (cap + 1)), "--level", level)
     assert (code, out) == (2, "")
     assert err == f"usage error: {flag}: the reducer through weight {cap + 1} is above the cap of {cap}\n"
     code, out, err = run(capsys, "adams", action, flag, str(per_weight * cap), "--level", level)
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
+@pytest.mark.parametrize("bound, nb, flag, value, limit", [(25, 23, "--bound", 25, 24),
+                                                          (24, 24, "--nb", 24, 23)])
+def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, flag, value, limit):
+    """fgl twist takes --bound up to fgl.MAX_TWIST_BOUND and --nb one below
+    it; the first size above either is refused with the flag's name before
+    any series is built, and the largest size at the cap goes on to build."""
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    from fglab import fgl
+    for name in ("generic_strict_series", "multiplicative_law", "fgl_twist"):
+        monkeypatch.setattr(fgl, name, unbuilt)
+    cap = fgl.MAX_TWIST_BOUND
+    assert cap == 24
+    code, out, err = run(capsys, "fgl", "twist", "--bound", str(bound), "--nb", str(nb))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag}: {value} is above the twist cap of {limit}\n"
+    code, out, err = run(capsys, "fgl", "twist", "--bound", str(cap), "--nb", str(cap - 1))
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
