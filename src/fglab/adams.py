@@ -73,9 +73,15 @@ class BetaElt:
         return BetaElt({i: c % 2 for i, c in self.coeffs.items()})
 
 
+@lru_cache(maxsize=None)
+def _psi_row(k, top):
+    """<psi^k x^m, beta_top> for m = 0..top."""
+    return tuple(psi_power_coeff(k, m, top) for m in range(top + 1))
+
+
 def psi_inv_beta(k: int, i: int) -> BetaElt:
     """psi^(k^-1) beta_i = sum_j <psi^k x^j, beta_i> beta_j."""
-    return BetaElt({j: psi_power_coeff(k, j, i) for j in range(0, i + 1)})
+    return BetaElt(dict(enumerate(_psi_row(k, i))))
 
 
 # -- n_k^i coefficients -------------------------------------------------------
@@ -639,12 +645,6 @@ class DReducer:
         return DPoly(RAT.lower({codes[m]: v for m, v in out.items() if v}, D * den))
 
 
-@lru_cache(maxsize=None)
-def _psi_row(k, top):
-    """<psi^k x^m, beta_top> for m = 0..top."""
-    return tuple(psi_power_coeff(k, m, top) for m in range(top + 1))
-
-
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
     """psi^(k^-1) f_*(beta_i (x) beta_j) as an APoly.
 
@@ -659,15 +659,6 @@ def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
                 key = (0, (((min(m, n), max(m, n)), 1),) if m else ())
                 out[key] = out.get(key, 0) + cm * cn
     return APoly(out)
-
-
-def psi_on_dk(k_gen: int, reducer: DReducer, k_adams: int = 3) -> DPoly:
-    """psi^(k^-1) d_{k_gen} reduced to a d-polynomial (BSU base level), with
-    d_{k_gen} as the reducer defines it."""
-    expr = APoly.zero()
-    for i, c in reducer.nki(k_gen).items():
-        expr = expr + psi_tensor_apoly(i, k_gen - i, k_adams).scale(c)
-    return reducer.reduce(expr)
 
 
 # -- spherical classes ----------------------------------------------------------

@@ -54,7 +54,8 @@ def theta_gen_closed(k: int) -> Fraction:
 
 
 class ThetaTable:
-    """Coefficients c_mn of the theta^3 expansion, m, n <= bound."""
+    """Coefficients c_mn of a cannibalistic class, m, n <= bound; ``table``
+    holds the nonzero cells."""
 
     def __init__(self, bound: int, table: dict):
         self.bound = bound
@@ -67,6 +68,12 @@ class ThetaTable:
         if m > self.bound or n > self.bound:
             raise IndexOutOfRange(f"c[{m},{n}] beyond bound {self.bound}")
         return self.table.get((m, n), Fraction(0))
+
+
+def theta_unit(N: int) -> ThetaTable:
+    """The unit class: c_00 = 1 and no other cell, m, n <= N.  At it
+    ``thom_psi_dk`` is the base-level (BSU) operation."""
+    return ThetaTable(N, {(0, 0): Fraction(1)})
 
 
 def theta3_direct(N: int) -> ThetaTable:
@@ -164,33 +171,35 @@ def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
 # -- Thom-level Adams operation ---------------------------------------------------
 
 
-def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer) -> DPoly:
-    """psi_M^(3^-1) d_k at the Thom level, with d_k as the reducer defines it.
+def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer, k_adams: int = 3) -> DPoly:
+    """psi_M^(k^-1) d_k, k = ``k_adams``, at the Thom level, with d_k as the
+    reducer defines it.
 
-    Sum over m <= i, n <= k-i of c_mn n_k^i psi_B^(3^-1) f_*(beta_{i-m} (x)
-    beta_{k-i-n}); negative-index betas vanish, beta_0 is the unit.  The
-    (0,0) cell reproduces the base-level operation; every other cell is a
-    cannibalistic correction.  The sum runs on Python ints: the cells c_mn,
-    m + n <= k, are lifted to numerators over one denominator, the weight of
-    each psi_B f_*(beta_p (x) beta_q) is summed over the cells that reach it,
-    and the a-coefficients are summed as ints; one APoly goes to the reducer.
+    Bott's psi_M^k = theta^k psi_B^k, so ``theta`` must be theta^(k_adams)
+    (``theta3_direct`` for k = 3) or the unit class (``theta_unit``), at which
+    this is the base-level psi_B.  Sum over the nonzero cells c_mn, m + n <= k,
+    and i with m <= i, n <= k-i, of c_mn n_k^i psi_B^(k^-1) f_*(beta_{i-m} (x)
+    beta_{k-i-n}); beta_0 is the unit.  The (0,0) cell is the base-level
+    operation; every other cell is a cannibalistic correction.  The sum runs
+    on Python ints: the cells are lifted to numerators over one denominator,
+    the weight of each psi_B f_*(beta_p (x) beta_q) is summed over the cells
+    that reach it, and the a-coefficients are summed as ints; one APoly goes
+    to the reducer.
     """
     nki = reducer.nki(k_gen)
     if theta.bound < k_gen:
         raise IndexOutOfRange(f"theta table bound {theta.bound} < {k_gen}")
-    cells = [(m, n) for m in range(k_gen + 1) for n in range(k_gen + 1 - m)]
-    nums, den = RAT.lift([theta[cell] for cell in cells])
-    cell = dict(zip(cells, nums))
+    cells = {(m, n): c for (m, n), c in theta.table.items() if m + n <= k_gen}
+    nums, den = RAT.lift(cells.values())
     weight = {}  # (p, q) -> sum of n_k^i c_mn over p = i - m, q = k - i - n
     for i, cnk in nki.items():
-        for m in range(0, i + 1):
-            for n in range(0, k_gen - i + 1):
-                if cell[m, n]:
-                    pq = (i - m, k_gen - i - n)
-                    weight[pq] = weight.get(pq, 0) + cnk * cell[m, n]
+        for (m, n), c in zip(cells, nums):
+            if m <= i and n <= k_gen - i:
+                pq = (i - m, k_gen - i - n)
+                weight[pq] = weight.get(pq, 0) + cnk * c
     expr = {}
     for (p, q), w in weight.items():
         if w:
-            for mono, v in psi_tensor_apoly(p, q).terms.items():
+            for mono, v in psi_tensor_apoly(p, q, k_adams).terms.items():
                 expr[mono] = expr.get(mono, 0) + w * v.numerator
     return reducer.reduce(APoly(RAT.lower({m: v for m, v in expr.items() if v}, den)))

@@ -105,6 +105,9 @@ def cmd_fgl(args, out):
     elif args.action == "miscenko":
         expr = fgl.BordismExpr.parse(args.expr)
         nb = expr.dimension()
+        if nb + 2 > fgl.MAX_TWIST_BOUND:
+            raise UsageError(f"--expr: dimension {nb} needs the twist at bound {nb + 2}, "
+                             f"above the twist cap of {fgl.MAX_TWIST_BOUND}")
         with _domain("--expr", UnsupportedDimension):
             if expr.terms:  # a factor the mode cannot tabulate is rejected before the twist
                 fgl.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
@@ -203,12 +206,7 @@ def cmd_adams(args, out):
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
         W = max(args.k, 7)
-        red = _reducer(W, args.nki, "--k")
-        if args.level == "base":
-            p = adams.psi_on_dk(args.k, red)
-        else:
-            from . import cannibal
-            p = cannibal.thom_psi_dk(args.k, cannibal.theta3_direct(W), red)
+        p = _psi_dk(args.level, _reducer(W, args.nki, "--k"), [args.k])[args.k]
         if args.fmt == "json":
             import json
             json.dump(p.to_json_obj(), out, indent=1, sort_keys=True)
@@ -217,13 +215,7 @@ def cmd_adams(args, out):
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
         W = args.max_weight // 2
-        red = _reducer(W, args.nki, "--max-weight")
-        if args.level == "thom":
-            from . import cannibal
-            theta = cannibal.theta3_direct(W)
-            table = {k: cannibal.thom_psi_dk(k, theta, red) for k in range(2, W + 1)}
-        else:
-            table = {k: adams.psi_on_dk(k, red) for k in range(2, W + 1)}
+        table = _psi_dk(args.level, _reducer(W, args.nki, "--max-weight"), range(2, W + 1))
         kern, new = adams.spherical_search(args.max_weight, table)
         rows = []
         for w in range(2, args.max_weight + 1, 2):
@@ -241,6 +233,14 @@ def _nki_reaches(nki, k, context):
     from .adams import NKI_PAPER
     if nki == "paper" and k > max(NKI_PAPER):
         raise UsageError(f"--nki paper covers k <= {max(NKI_PAPER)}, {context}")
+
+
+def _psi_dk(level, red, ks):
+    """psi on d_k for each k in ks at --level, through the reducer's weight:
+    thom_psi_dk at theta^3 for the Thom level, at the unit class for the base."""
+    from . import cannibal
+    theta = (cannibal.theta3_direct if level == "thom" else cannibal.theta_unit)(red.W)
+    return {k: cannibal.thom_psi_dk(k, theta, red) for k in ks}
 
 
 def _reducer(W, nki, flag):

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from fractions import Fraction
 from functools import partial
 from importlib import resources
 
 from .rings import RAT
-from .series import MultiSeries
 from . import adams, cannibal, chern, fgl, mahler
 
 
@@ -167,13 +165,12 @@ def compute_todd():
 
 
 def compute_psi_powers():
+    """(3x - 3x^2 + x^3)^j = (1 - (1-x)^3)^j, whose x^e coefficient is <psi^3 x^j, beta_e>."""
     out = {}
-    base = MultiSeries(RAT, ("x",), {(1,): Fraction(3), (2,): Fraction(-3), (3,): Fraction(1)}, 30)
-    p = base
     for j in range(2, 11):
-        p = p * base
-        for (e,), c in p.sorted_terms():
-            out[f"j{j}/x^{e}"] = str(c)
+        for e in range(j, 3 * j + 1):
+            if c := adams.psi_power_coeff(3, j, e):
+                out[f"j{j}/x^{e}"] = str(c)
     return out
 
 
@@ -209,10 +206,10 @@ def compute_relations():
 
 
 def compute_psi_dk_base():
-    red = _reducer(10)
+    red, theta = _reducer(10), cannibal.theta_unit(10)
     out = {}
     for k in range(2, 7):
-        out.update(_cells(f"d{k}", adams.psi_on_dk(k, red)))
+        out.update(_cells(f"d{k}", cannibal.thom_psi_dk(k, theta, red)))
     return out
 
 

@@ -115,41 +115,28 @@ def dilation_matrix(k, imax: int):
     return rows
 
 
-def adams_matrix(k: int, imax: int, orientation: str = "1-L"):
-    """<psi^k x^j, beta_i> for the chosen orientation of the K-theory generator."""
+def adams_matrix(k: int, imax: int):
+    """<psi^k x^j, beta_i> in the orientation x = 1 - L of the K-theory generator."""
     from .adams import psi_power_coeff
-    rows = []
-    for i in range(imax + 1):
-        row = []
-        for j in range(imax + 1):
-            c = psi_power_coeff(k, j, i)
-            if orientation == "L-1":
-                c = c * (-1) ** (i - j)
-            elif orientation != "1-L":
-                raise NotInDomain(f"unknown orientation {orientation!r}")
-            row.append(c)
-        rows.append(row)
-    return rows
+    return [[psi_power_coeff(k, j, i) for j in range(imax + 1)] for i in range(imax + 1)]
 
 
 def dilation_vs_adams(imax: int, k: int = 3) -> dict:
-    """Assert D = S A S^{-1} (S = diag((-1)^i)) and D = A' exactly.
+    """Assert D = S A S^{-1} (S = diag((-1)^i)) exactly.
 
-    A is the x = 1 - L inverse Adams matrix, A' its L - 1 counterpart, D the
-    integer dilation matrix.  Returns the three matrices; raises MismatchAt
-    pinpointing the first differing entry otherwise.
+    A is the x = 1 - L inverse Adams matrix, D the integer dilation matrix;
+    S A S^{-1} is A's x = L - 1 counterpart, returned as ``adams_dual``.
+    Returns the three matrices; raises MismatchAt pinpointing the first
+    differing entry otherwise.
     """
     D = dilation_matrix(k, imax)
     A = adams_matrix(k, imax)
-    Aprime = adams_matrix(k, imax, orientation="L-1")
+    dual = [[c * (-1) ** (i - j) for j, c in enumerate(row)] for i, row in enumerate(A)]
     for i in range(imax + 1):
         for j in range(imax + 1):
-            conj = A[i][j] * (-1) ** (i - j)
-            if D[i][j] != conj:
-                raise MismatchAt(i, j, D[i][j], conj)
-            if D[i][j] != Aprime[i][j]:
-                raise MismatchAt(i, j, D[i][j], Aprime[i][j])
-    return {"dilation": D, "adams": A, "adams_dual": Aprime}
+            if D[i][j] != dual[i][j]:
+                raise MismatchAt(i, j, D[i][j], dual[i][j])
+    return {"dilation": D, "adams": A, "adams_dual": dual}
 
 
 def artin_schreier_check(u, precision: int = 48) -> dict:

@@ -392,3 +392,13 @@ def thom_psi_dk_by_fractions(k_gen, theta, reducer):
                 for mono, v in psi_tensor_apoly(i - m, k_gen - i - n).terms.items():
                     expr[mono] = expr.get(mono, 0) + c * v
     return reduce_by_fractions(reducer, APoly(expr))
+
+
+def psi_on_dk_by_apoly(k_gen, reducer, k_adams=3):
+    """The base-level psi^(k^-1) d_k as the APoly sum over n_k^i of
+    psi f_*(beta_i (x) beta_{k-i}), reduced: the reference for
+    ``cannibal.thom_psi_dk`` at the unit class."""
+    expr = APoly.zero()
+    for i, c in reducer.nki(k_gen).items():
+        expr = expr + psi_tensor_apoly(i, k_gen - i, k_adams).scale(c)
+    return reducer.reduce(expr)

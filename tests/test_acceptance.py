@@ -14,8 +14,8 @@ from fractions import Fraction
 import pytest
 
 from fglab.adams import (DPoly, dk_as_apoly, gen_2structure_relations, in_gf2_span,
-                         nki_coeffs, psi_inv_beta, psi_on_dk, spherical_search)
-from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed
+                         nki_coeffs, psi_inv_beta, spherical_search)
+from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed, theta_unit, thom_psi_dk
 from fglab.chern import (in_span, integer_reduce,
                          nullspace_rational, paper_dim8_basis, same_row_space,
                          su_constraint_system, todd_t4)
@@ -214,7 +214,7 @@ def test_criterion_8_two_structure_machinery(reducer10):
     }
     oracle = BUOracle(6)
     for k, w in want.items():
-        p = psi_on_dk(k, reducer10)
+        p = thom_psi_dk(k, theta_unit(10), reducer10)
         assert p == DPoly(w), k
         assert oracle.psi_dk_coords(k) == {m: c for m, c in DPoly(w).terms.items()}, k
     ok(8, "relations at x^3yz/x^4yz match; 20 coboundaries annihilated; "

@@ -11,8 +11,8 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coef
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
-                         psi_on_dk, psi_power_coeff, psi_tensor_apoly, spherical_search,
-                         _psi_dpoly)
+                         psi_power_coeff, psi_tensor_apoly, spherical_search, _psi_dpoly)
+from fglab.cannibal import theta_unit, thom_psi_dk
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
@@ -409,14 +409,14 @@ PSI_DK_PRINTED = {
 
 def test_psi_on_dk_above_the_reducer_weight_is_not_reducible(reducer7):
     with pytest.raises(NotReducible):
-        psi_on_dk(reducer7.W + 1, reducer7)
+        thom_psi_dk(reducer7.W + 1, theta_unit(reducer7.W), reducer7)
 
 
 def test_psi_on_dk_computed_values(reducer7):
     """d2, d3 equal the printed values; d4..d6 are pinned at the values forced
     by the printed beta table (independently confirmed by the BU oracle)."""
     for k, want in PSI_DK_COMPUTED.items():
-        assert psi_on_dk(k, reducer7) == DPoly(want), k
+        assert thom_psi_dk(k, theta_unit(7), reducer7) == DPoly(want), k
 
 
 @pytest.mark.xfail(strict=True,
@@ -426,7 +426,7 @@ def test_psi_on_dk_computed_values(reducer7):
                           "confirmed by the independent BU-model oracle")
 def test_psi_on_dk_as_printed(reducer7):
     for k in (4, 5, 6):
-        assert psi_on_dk(k, reducer7) == DPoly(PSI_DK_PRINTED[k]), k
+        assert thom_psi_dk(k, theta_unit(7), reducer7) == DPoly(PSI_DK_PRINTED[k]), k
 
 
 def test_psi_on_dk_agrees_with_bu_oracle(reducer7):
@@ -434,7 +434,7 @@ def test_psi_on_dk_agrees_with_bu_oracle(reducer7):
     for k in range(2, 8):
         coords = oracle.psi_dk_coords(k)
         assert coords is not None, k
-        assert DPoly(coords) == psi_on_dk(k, reducer7), k
+        assert DPoly(coords) == thom_psi_dk(k, theta_unit(7), reducer7), k
 
 
 def test_psi_d7_intermediate_matches_paper():
@@ -447,7 +447,7 @@ def test_psi_d7_intermediate_matches_paper():
 
 def test_reduce_mod2_after_rational_reduction(reducer7):
     # section 4.4.1 mod-2 rows follow from the exact values
-    mod2 = {k: psi_on_dk(k, reducer7).mod2() for k in (2, 3, 4, 5)}
+    mod2 = {k: thom_psi_dk(k, theta_unit(7), reducer7).mod2() for k in (2, 3, 4, 5)}
     assert mod2[2] == DPoly({(2,): 1})
     assert mod2[3] == DPoly({(3,): 1, (2,): 1})
     assert mod2[4] == DPoly({(4,): 1})
@@ -551,10 +551,11 @@ def reducer14():
 @pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7)])
 def test_psi_on_dk_composes(reducer14, k, l):
     """psi^(1/l) applied to the d-polynomial psi^(1/k) d_n is psi^(1/kl) d_n."""
-    table_l = {n: psi_on_dk(n, reducer14, k_adams=l) for n in range(2, 15)}
+    one = theta_unit(14)
+    table_l = {n: thom_psi_dk(n, one, reducer14, k_adams=l) for n in range(2, 15)}
     for n in range(2, 15):
-        composed = _psi_dpoly(psi_on_dk(n, reducer14, k_adams=k), table_l)
-        assert composed == psi_on_dk(n, reducer14, k_adams=k * l), n
+        composed = _psi_dpoly(thom_psi_dk(n, one, reducer14, k_adams=k), table_l)
+        assert composed == thom_psi_dk(n, one, reducer14, k_adams=k * l), n
 
 
 @pytest.fixture(scope="module")
@@ -566,9 +567,10 @@ def reducer8():
 @given(k=st.sampled_from((1, 3, 5, 7, 9)), l=st.sampled_from((1, 3, 5, 7, 9)),
        n=st.integers(2, 8))
 def test_psi_on_dk_composes_for_odd_k_l(reducer8, k, l, n):
-    table_l = {m: psi_on_dk(m, reducer8, k_adams=l) for m in range(2, 9)}
-    composed = _psi_dpoly(psi_on_dk(n, reducer8, k_adams=k), table_l)
-    assert composed == psi_on_dk(n, reducer8, k_adams=k * l)
+    one = theta_unit(8)
+    table_l = {m: thom_psi_dk(m, one, reducer8, k_adams=l) for m in range(2, 9)}
+    composed = _psi_dpoly(thom_psi_dk(n, one, reducer8, k_adams=k), table_l)
+    assert composed == thom_psi_dk(n, one, reducer8, k_adams=k * l)
 
 
 @pytest.fixture(scope="module")

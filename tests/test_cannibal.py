@@ -2,15 +2,17 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings, strategies as st
+
 from fglab.adams import DPoly, DReducer, gen_2structure_relations
 from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
-                            theta_k_virtual, orientation_transport, thom_psi_dk)
+                            theta_k_virtual, theta_unit, orientation_transport, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
 from fglab.rings import RAT, padic_from_rat
 from fglab.series import MultiSeries
 
-from helpers import (theta3_bilinear, theta3_bivariate, theta3_one_bundle, theta3_sum_of_two,
-                     theta_table_to_series, thom_psi_dk_by_fractions)
+from helpers import (psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate, theta3_one_bundle,
+                     theta3_sum_of_two, theta_table_to_series, thom_psi_dk_by_fractions)
 
 
 def test_tseq_first_values():
@@ -165,8 +167,7 @@ def test_thom_mod2_rows_match_paper(thom_table10):
 
 def test_thom_d5_coincides_with_base_level(reducer10, thom_table10):
     """The t-sequence zero t_5 = 0 kills every cannibalistic correction."""
-    from fglab.adams import psi_on_dk
-    assert thom_table10[5] == psi_on_dk(5, reducer10)
+    assert thom_table10[5] == thom_psi_dk(5, theta_unit(10), reducer10)
 
 
 # psi on d_6, d_8 and d_10 with the extended-gcd n_k^i defining the d_k, at
@@ -201,18 +202,16 @@ def test_psi_on_dk_uses_the_reducer_nki(theta30):
     """psi on d_k reads the n_k^i from the reducer that defines the d_k, so
     the extended-gcd choice, not the auto one, gives both levels at k = 6, 8
     and 10, where the two choices differ."""
-    from fglab.adams import DReducer, gen_2structure_relations, psi_on_dk
     red = DReducer(10, gen_2structure_relations(10), nki_mode="extended-gcd")
     for k, (base, thom) in EXTENDED_GCD_PSI_DK.items():
-        assert str(psi_on_dk(k, red)) == base, k
+        assert str(thom_psi_dk(k, theta_unit(10), red)) == base, k
         assert str(thom_psi_dk(k, theta30, red)) == thom, k
 
 
 def test_bott_correction_structure(reducer10, thom_table10):
     """Thom level minus base level is exactly the (m,n) != (0,0) part of the
     cannibalistic pairing; for d4 that is 6d2 + 2/9 - 1/9 = 6d2 + 1/9."""
-    from fglab.adams import psi_on_dk
-    base = psi_on_dk(4, reducer10)
+    base = thom_psi_dk(4, theta_unit(10), reducer10)
     corr = thom_table10[4] - base
     assert corr == DPoly({(2,): 6, (): Fraction(1, 9)})
 
@@ -242,3 +241,27 @@ def test_thom_psi_dk_on_the_relation_solve(W):
     theta = theta3_direct(W)
     for k in range(2, W + 1):
         assert thom_psi_dk(k, theta, red) == thom_psi_dk_by_fractions(k, theta, red), k
+
+
+@pytest.mark.parametrize("mode", ["auto", "extended-gcd"])
+@pytest.mark.parametrize("k_adams", [3, 5, 7])
+def test_thom_psi_dk_at_the_unit_class_is_the_base_sum(mode, k_adams):
+    """At theta = 1 the Thom sum has the (0,0) cell only, so it is the
+    base-level sum of psi f_*(beta_i (x) beta_{k-i}) over the n_k^i, for every
+    d_k the reducer reaches and any odd Adams index."""
+    red = DReducer(14, nki_mode=mode)
+    one = theta_unit(14)
+    for k in range(2, 15):
+        assert thom_psi_dk(k, one, red, k_adams) == psi_on_dk_by_apoly(k, red, k_adams), k
+
+
+@pytest.fixture(scope="module")
+def reducer8():
+    return DReducer(8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k_adams=st.sampled_from((1, 3, 5, 7, 9)), k=st.integers(2, 8))
+def test_thom_psi_dk_at_the_unit_class_for_odd_k_adams(reducer8, k_adams, k):
+    assert (thom_psi_dk(k, theta_unit(8), reducer8, k_adams)
+            == psi_on_dk_by_apoly(k, reducer8, k_adams))

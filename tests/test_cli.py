@@ -245,6 +245,26 @@ def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, f
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+@pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])
+def test_miscenko_refuses_dimensions_above_the_twist_cap(capsys, monkeypatch, expr, mode):
+    """fgl miscenko twists at bound dimension + 2 with one b-symbol per
+    dimension, so an --expr of dimension above fgl.MAX_TWIST_BOUND - 2 is
+    refused before any series is built, in either mode; dimension 22 goes on
+    to build."""
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    from fglab import fgl
+    for name in ("generic_strict_series", "multiplicative_law", "fgl_twist"):
+        monkeypatch.setattr(fgl, name, unbuilt)
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr, "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err == ("usage error: --expr: dimension 23 needs the twist at bound 25, "
+                   "above the twist cap of 24\n")
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr.replace("23", "22"), "--mode", mode)
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 def test_miscenko_of_a_cancelling_expression(capsys):
     code, out, err = run(capsys, "fgl", "miscenko", "--expr", "CP1 - CP1")
     assert (code, err) == (0, "")
@@ -525,7 +545,7 @@ BASE = {"cli", "errors", "rings", "series"}
     (("mahler", "dilate"), 0, BASE | {"mahler"}),
     (("artin-schreier",), 0, BASE | {"mahler"}),
     (("reproduce-paper",), 3, None),
-    (("adams", "spherical", "--max-weight", "10"), 0, BASE | {"adams", "linalg"}),
+    (("adams", "spherical", "--max-weight", "10"), 0, BASE | {"adams", "cannibal", "linalg"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     """A fresh interpreter running one command imports only the fglab

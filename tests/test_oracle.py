@@ -7,8 +7,8 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.adams import APoly, DPoly, nki_coeffs, psi_on_dk, psi_power_coeff
-from fglab.cannibal import theta3_closed
+from fglab.adams import APoly, DPoly, nki_coeffs, psi_power_coeff
+from fglab.cannibal import theta3_closed, theta_unit, thom_psi_dk
 
 from helpers import apoly_mul
 from oracle_bu import BUOracle
@@ -54,7 +54,7 @@ def test_reducer_matches_oracle_through_weight_10(reducer10, oracle10):
     for k in range(2, 11):
         want = oracle10.psi_dk_coords(k)
         assert want is not None, k
-        assert psi_on_dk(k, reducer10) == DPoly(want), k
+        assert thom_psi_dk(k, theta_unit(10), reducer10) == DPoly(want), k
 
 
 A_GENS = [(i, j) for i in range(1, 6) for j in range(i, 11 - i)]
@@ -105,4 +105,4 @@ def test_thom_matches_oracle(reducer10, thom_table10, oracle10):
 def test_reducer_matches_oracle_at_weight_11(reducer11):
     """One cross-check above the paper's range, where n_11^i come from the
     extended-gcd rows."""
-    assert psi_on_dk(11, reducer11) == DPoly(BUOracle(11).psi_dk_coords(11))
+    assert thom_psi_dk(11, theta_unit(11), reducer11) == DPoly(BUOracle(11).psi_dk_coords(11))
