@@ -1,21 +1,30 @@
 """Cannibalistic classes of the universal virtual SU-bundle.
 
-The degree-3 class has the rational expansion
-3 (1 + (1-x)(1-y) + (1-x)^2 (1-y)^2) / ((3 - 3x + x^2)(3 - 3y + y^2))
-in the orientation x = 1 - L; all coefficients have 3-power denominators,
-hence reduce to Z_2 and to GF(2).  The generator sequence t_k (the paper's
-one-variable expansion coefficients, renamed to avoid clashing with a_ij)
-satisfies t_0 = t_1 = 1/3 and t_{k+2} = t_{k+1} - t_k / 3.
+In the orientation x = 1 - L, Bott's class theta^k for odd k is
+k q_k(x + y - xy) / (q_k(x) q_k(y)) with q_k(t) = (1 - (1-t)^k)/t;
+``theta3_direct`` builds its table for every odd k, k = 3 by default.  The
+degree-3 class is
+3 (1 + (1-x)(1-y) + (1-x)^2 (1-y)^2) / ((3 - 3x + x^2)(3 - 3y + y^2));
+all coefficients of theta^k have k-power denominators, hence reduce to Z_2
+and to GF(2).  The generator sequence t_k (the paper's one-variable
+expansion coefficients of 1/(3 - 3t + t^2), renamed to avoid clashing with
+a_ij) satisfies t_0 = t_1 = 1/3 and t_{k+2} = t_{k+1} - t_k / 3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
 from .rings import RAT
-from .series import MultiSeries, geometric
+
+# the largest --bound ``cannibal table`` prints; its output is (bound + 1)^2
+# cells.  Fresh process, stdout to /dev/null, unscaled: --bound 300 takes
+# ~0.5 s and ~47 MB, 600 ~2.4 s and ~209 MB, 700 ~4-5 s and ~260-315 MB in
+# any --format, memory growing ~4.5x per doubling of the bound
+MAX_TABLE_BOUND = 700
 
 
 class ThetaGenSeq:
@@ -76,29 +85,35 @@ def theta_unit(N: int) -> ThetaTable:
     return ThetaTable(N, {(0, 0): Fraction(1)})
 
 
-def theta3_direct(N: int) -> ThetaTable:
-    """The table c_mn, m, n <= N, from three series in one variable.
+def theta3_direct(N: int, k: int = 3) -> ThetaTable:
+    """The table c_mn, m, n <= N, of theta^k for odd k, by a split into
+    one-variable series on Python ints; k = 3 is the paper's theta^3.
 
-    The numerator 1 + (1-x)(1-y) + (1-x)^2 (1-y)^2 is a sum of three products
-    of one-variable factors, so c_mn = 3 sum_e s_e[m] s_e[n] over e = 0, 1, 2,
-    with s_e = (1-t)^e / (3 - 3t + t^2): s_0 is the t_k of ``ThetaGenSeq``,
-    s_1 and s_2 come by multiplying with 1 - t.  Each s_e[n] 3^(n+1)
-    is an integer S_e[n], so c_mn = 3 sum_e S_e[m] S_e[n] / 3^(m+n+2) is
-    summed on Python ints, with one Fraction per nonzero cell.
+    With q_k(t) = (1 - (1-t)^k)/t = sum_i q_i t^i, of degree k - 1 and
+    q_k(0) = k, theta^k = k q_k(x + y - xy) / (q_k(x) q_k(y)).  Since
+    1 - (x + y - xy) = (1-x)(1-y), the numerator q_k(x + y - xy) is
+    sum_{e<k} (1-x)^e (1-y)^e, so c_mn = k sum_e s_e[m] s_e[n] with
+    s_e = (1-t)^e / q_k(t).  Each S_e[n] = k^(n+1) s_e[n] is an integer:
+    S_0[n] = -sum_{1<=i<k} q_i k^(i-1) S_0[n-i] from S_0[0] = 1, and
+    S_e[n] = sum_j (-1)^j C(e, j) k^j S_0[n-j].  So c_mn =
+    k sum_e S_e[m] S_e[n] / k^(m+n+2) needs no division, with one Fraction
+    per nonzero cell.  At k = 3, S_0[n] = 3^(n+1) t_n with t_n of
+    ``ThetaGenSeq``; at k = 1 the table is ``theta_unit``'s.
     """
-    vars_ = ("t",)
-    omt = MultiSeries.one(RAT, vars_, N) - MultiSeries.var(RAT, vars_, "t", N)
-    s0 = MultiSeries(RAT, vars_, {(n,): c for n, c in enumerate(ThetaGenSeq(N).t)}, N)
-    s1 = omt * s0
-    s2 = omt * s1
-    S = [[(c := s.coefficient((n,))).numerator * (3 ** (n + 1) // c.denominator)
-          for n in range(N + 1)] for s in (s0, s1, s2)]
+    if k < 1 or k % 2 == 0:
+        raise EvenK(f"stable normalization requires an odd k >= 1, got {k}")
+    q = [(-1) ** i * comb(k, i + 1) * k ** (i - 1) for i in range(1, k)]  # q_i k^(i-1)
+    S0 = [1]
+    for n in range(1, N + 1):
+        S0.append(-sum(c * S0[n - i] for i, c in enumerate(q[:n], 1)))
+    S = [[sum((-1) ** j * comb(e, j) * k ** j * S0[n - j] for j in range(min(e, n) + 1))
+          for n in range(N + 1)] for e in range(k)]
     table = {}
     for m in range(N + 1):
         for n in range(m, N + 1):
-            c = 3 * sum(Se[m] * Se[n] for Se in S)
+            c = k * sum(Se[m] * Se[n] for Se in S)
             if c:
-                table[m, n] = table[n, m] = Fraction(c, 3 ** (m + n + 2))
+                table[m, n] = table[n, m] = Fraction(c, k ** (m + n + 2))
     return ThetaTable(N, table)
 
 
@@ -126,48 +141,6 @@ def theta3_closed(m: int, n: int) -> Fraction:
     return -p
 
 
-def theta_k_virtual(k: int, N: int) -> MultiSeries:
-    """Stable class in the dual orientation x' = 1 - L^*:
-    k q_k(x' + y' - x'y') / (q_k(x') q_k(y')), q_k(s) = (1 - (1-s)^k)/s."""
-    if k % 2 == 0:
-        raise EvenK("stable normalization requires odd k")
-    vars_ = ("x", "y")
-    ring = RAT
-    bound = 2 * N
-
-    def qk(series):
-        # q_k(s) = (1 - (1-s)^k)/s = sum_{i>=0} (-1)^i C(k, i+1) s^i, degree k-1
-        from math import comb
-        coeffs = [Fraction((-1) ** i * comb(k, i + 1)) for i in range(0, k)]
-        out = MultiSeries.zero(ring, vars_, bound)
-        p = MultiSeries.one(ring, vars_, bound)
-        for i, c in enumerate(coeffs):
-            if i > 0:
-                p = p * series
-            out = out + p.scale(c)
-        return out
-
-    x = MultiSeries.var(ring, vars_, "x", bound)
-    y = MultiSeries.var(ring, vars_, "y", bound)
-    s = x + y - x * y
-    return qk(s).scale(Fraction(k)) * qk(x).reciprocal() * qk(y).reciprocal()
-
-
-def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
-    """Substitute x -> -x/(1-x), y -> -y/(1-y) (the L -> L^* change)."""
-    ring = series.ring
-    vars_ = series.vars
-    bound = series.bound
-
-    def inner(var):
-        # -t/(1-t) = -(t + t^2 + ...)
-        g = geometric(ring, vars_, var, bound)
-        t = MultiSeries.var(ring, vars_, var, bound)
-        return (g * t).scale(Fraction(-1))
-
-    return series.substitute({"x": inner("x"), "y": inner("y")})
-
-
 # -- Thom-level Adams operation ---------------------------------------------------
 
 
@@ -175,11 +148,15 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer, k_adams: int =
     """psi_M^(k^-1) d_k, k = ``k_adams``, at the Thom level, with d_k as the
     reducer defines it.
 
-    Bott's psi_M^k = theta^k psi_B^k, so ``theta`` must be theta^(k_adams)
-    (``theta3_direct`` for k = 3) or the unit class (``theta_unit``), at which
-    this is the base-level psi_B.  Sum over the nonzero cells c_mn, m + n <= k,
-    and i with m <= i, n <= k-i, of c_mn n_k^i psi_B^(k^-1) f_*(beta_{i-m} (x)
-    beta_{k-i-n}); beta_0 is the unit.  The (0,0) cell is the base-level
+    Bott's psi_M^k = theta^k psi_B^k, so ``theta`` must be theta^(k_adams),
+    ``theta3_direct(W, k_adams)``, or the unit class ``theta_unit``, at which
+    this is the base-level psi_B.  With theta^k for each odd index, these
+    operations compose, psi_M^k psi_M^l = psi_M^(kl), exactly when Bott's
+    cocycle identity theta^(kl) = theta^k psi^k(theta^l) holds.
+
+    Sum over the nonzero cells c_mn, m + n <= k, and i with m <= i,
+    n <= k-i, of c_mn n_k^i psi_B^(k^-1) f_*(beta_{i-m} (x) beta_{k-i-n});
+    beta_0 is the unit.  The (0,0) cell is the base-level
     operation; every other cell is a cannibalistic correction.  The sum runs
     on Python ints: the cells are lifted to numerators over one denominator,
     the weight of each psi_B f_*(beta_p (x) beta_q) is summed over the cells

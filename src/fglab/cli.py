@@ -257,6 +257,9 @@ def _reducer(W, nki, flag):
 def cmd_cannibal(args, out):
     from . import cannibal
     if args.action == "table":
+        if args.bound > cannibal.MAX_TABLE_BOUND:
+            raise UsageError(f"--bound: {args.bound} is above the table cap of "
+                             f"{cannibal.MAX_TABLE_BOUND}")
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):

@@ -94,10 +94,6 @@ class EvenK(FglabError):
 
 # -- mahler ---------------------------------------------------------------
 
-class NotNumerical(FglabError):
-    pass
-
-
 class MismatchAt(FglabError):
     def __init__(self, i, j, left, right):
         self.i = i

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import MismatchAt, NotAUnit, NotInDomain, NotNumerical
+from .errors import MismatchAt, NotAUnit, NotInDomain
 from .rings import Padic2, padic_from_rat, padic_log
 from .series import format_sum
 
@@ -57,7 +57,7 @@ class NumPoly:
         return {"coeffs": [str(self.coeffs.get(i, 0)) for i in range(deg + 1)]}
 
 
-def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
+def mahler_expand(values_fn, N: int) -> NumPoly:
     """Binomial-basis coefficients a_i = (iterated difference)^i at 0.
 
     ``values_fn`` supplies exact values at the integers 0..N (Fractions,
@@ -70,11 +70,7 @@ def mahler_expand(values_fn, N: int, integral: bool = False) -> NumPoly:
         if row[0]:
             coeffs[i] = row[0]
         row = [b - a for a, b in zip(row, row[1:])]
-    out = NumPoly(coeffs)
-    if integral and not out.is_integral():
-        bad = {i: c for i, c in out.coeffs.items() if Fraction(c).denominator != 1}
-        raise NotNumerical(f"non-integral Mahler coefficients {bad}")
-    return out
+    return NumPoly(coeffs)
 
 
 def dilate(k, i: int) -> NumPoly:

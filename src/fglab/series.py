@@ -593,18 +593,3 @@ def residue_inverse_coeff(g, var, n):
         b_terms[(k - 1,) + rest] = c
     P = MultiSeries(ring, svars, b_terms, n, sweights).reciprocal() ** (n + 1)
     return P.coeff_in_var("#s", n).embed(g.vars, g.weights, g.bound).scale(inv_n1)
-
-
-# -- classical one-variable series --------------------------------------------
-
-
-def geometric(ring, varnames, var, bound, weights=None):
-    """1/(1-x) = sum x^n up to the bound."""
-    x = MultiSeries.var(ring, varnames, var, bound, weights)
-    out = MultiSeries.one(ring, varnames, bound, weights)
-    p = out
-    while True:
-        p = p * x
-        if p.is_zero():
-            return out
-        out = out + p

@@ -7,13 +7,25 @@ from math import comb, gcd
 from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, monomial_codes,
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable
-from fglab.errors import FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
+from fglab.errors import EvenK, FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
-from fglab.series import MultiSeries, _addmul, _lincomb, geometric
+from fglab.series import MultiSeries, _addmul, _lincomb
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
+
+
+def geometric(ring, varnames, var, bound, weights=None):
+    """1/(1-x) = sum x^n up to the bound."""
+    x = MultiSeries.var(ring, varnames, var, bound, weights)
+    out = MultiSeries.one(ring, varnames, bound, weights)
+    p = out
+    while True:
+        p = p * x
+        if p.is_zero():
+            return out
+        out = out + p
 
 
 def exp_series(varnames, var, bound, weights=None, rate=Fraction(1)):
@@ -287,6 +299,48 @@ def theta3_bivariate(N: int) -> ThetaTable:
         if i <= N and j <= N:
             table[(i, j)] = c
     return ThetaTable(N, table)
+
+
+def theta_k_virtual(k: int, N: int) -> MultiSeries:
+    """Stable class in the dual orientation x' = 1 - L^*:
+    k q_k(x' + y' - x'y') / (q_k(x') q_k(y')), q_k(s) = (1 - (1-s)^k)/s,
+    by bivariate reciprocals; with ``orientation_transport``, the reference
+    for ``cannibal.theta3_direct(N, k)``."""
+    if k % 2 == 0:
+        raise EvenK("stable normalization requires odd k")
+    vars_ = ("x", "y")
+    ring = RAT
+    bound = 2 * N
+
+    def qk(series):
+        # q_k(s) = (1 - (1-s)^k)/s = sum_{i>=0} (-1)^i C(k, i+1) s^i, degree k-1
+        out = MultiSeries.zero(ring, vars_, bound)
+        p = MultiSeries.one(ring, vars_, bound)
+        for i in range(k):
+            if i > 0:
+                p = p * series
+            out = out + p.scale(Fraction((-1) ** i * comb(k, i + 1)))
+        return out
+
+    x = MultiSeries.var(ring, vars_, "x", bound)
+    y = MultiSeries.var(ring, vars_, "y", bound)
+    s = x + y - x * y
+    return qk(s).scale(Fraction(k)) * qk(x).reciprocal() * qk(y).reciprocal()
+
+
+def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
+    """Substitute x -> -x/(1-x), y -> -y/(1-y) (the L -> L^* change)."""
+    ring = series.ring
+    vars_ = series.vars
+    bound = series.bound
+
+    def inner(var):
+        # -t/(1-t) = -(t + t^2 + ...)
+        g = geometric(ring, vars_, var, bound)
+        t = MultiSeries.var(ring, vars_, var, bound)
+        return (g * t).scale(Fraction(-1))
+
+    return series.substitute({"x": inner("x"), "y": inner("y")})
 
 
 def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:

@@ -4,15 +4,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.adams import DPoly, DReducer, gen_2structure_relations
+from fglab.adams import DPoly, DReducer, _psi_dpoly, gen_2structure_relations
 from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
-                            theta_k_virtual, theta_unit, orientation_transport, thom_psi_dk)
+                            theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
 from fglab.rings import RAT, padic_from_rat
 from fglab.series import MultiSeries
 
-from helpers import (psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate, theta3_one_bundle,
-                     theta3_sum_of_two, theta_table_to_series, thom_psi_dk_by_fractions)
+from helpers import (orientation_transport, psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate,
+                     theta3_one_bundle, theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
+                     thom_psi_dk_by_fractions)
 
 
 def test_tseq_first_values():
@@ -132,6 +133,72 @@ def test_theta3_invariant_under_dual_orientation(theta30):
         for n in range(N + 1):
             if m + n <= N:
                 assert moved.coefficient((m, n)) == tab[m, n], (m, n)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5, 7, 9])
+def test_theta_k_direct_equals_bivariate_oracle(k):
+    """The one-variable split on ints gives, for every odd k, the table of the
+    dual-orientation bivariate division transported to x = 1 - L, in every
+    cell m, n <= N, as Fractions with k-power denominators."""
+    N = 8
+    got = theta3_direct(N, k)
+    oracle = orientation_transport(theta_k_virtual(k, N), N)
+    for m in range(N + 1):
+        for n in range(N + 1):
+            assert got[m, n] == oracle.coefficient((m, n)), (k, m, n)
+    for (m, n), c in got.table.items():
+        assert type(c) is Fraction
+        assert k ** (m + n + 2) % c.denominator == 0, (k, m, n)
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 12])
+def test_theta_k1_is_the_unit_class(N):
+    assert theta3_direct(N, 1).table == theta_unit(N).table
+
+
+@pytest.mark.parametrize("k", [0, 2, 4, -1])
+def test_theta_k_direct_refuses_even_or_nonpositive_k(k):
+    with pytest.raises(EvenK):
+        theta3_direct(4, k)
+
+
+def _thom_composes(W, k, l, red, theta_k=theta3_direct):
+    """The d_n, n <= W, on which psi_M^k o psi_M^l = psi_M^(kl) fails, with
+    each theta^j from ``theta_k(W, j)``.  None fails exactly when Bott's
+    cocycle identity theta^(kl) = theta^k psi^k(theta^l) holds on them."""
+    theta = {j: theta_k(W, j) for j in (k, l, k * l)}
+    table_l = {n: thom_psi_dk(n, theta[l], red, l) for n in range(2, W + 1)}
+    return [n for n in range(2, W + 1)
+            if _psi_dpoly(thom_psi_dk(n, theta[k], red, k), table_l)
+            != thom_psi_dk(n, theta[k * l], red, k * l)]
+
+
+@pytest.fixture(scope="module")
+def reducer12():
+    return DReducer(12)
+
+
+@pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7), (7, 5)])
+def test_thom_psi_composes_at_weight_12(reducer12, k, l):
+    assert _thom_composes(12, k, l, reducer12) == []
+
+
+def test_thom_psi_composition_sees_a_wrong_theta3_cell(reducer12):
+    """One wrong cell of theta^3 breaks the composition: c_12 = c_21 raised
+    by 1/9 fails (3, 5) at n = 3, 6, 8, 9, 10 and 12."""
+    def wrong(N, k):
+        tab = theta3_direct(N, k)
+        if k == 3:
+            tab.table[1, 2] = tab.table[2, 1] = tab[1, 2] + Fraction(1, 9)
+        return tab
+
+    assert _thom_composes(12, 3, 5, reducer12, wrong) == [3, 6, 8, 9, 10, 12]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.sampled_from((1, 3, 5, 7, 9)), l=st.sampled_from((1, 3, 5, 7, 9)))
+def test_thom_psi_composes_for_odd_k_and_l(reducer8, k, l):
+    assert _thom_composes(8, k, l, reducer8) == []
 
 
 THOM_COMPUTED = {

@@ -245,6 +245,24 @@ def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, f
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+def test_cannibal_table_refuses_bounds_above_the_cap(capsys, monkeypatch):
+    """cannibal table takes --bound up to cannibal.MAX_TABLE_BOUND; the first
+    bound above it is refused with the flag's name before the table is
+    built, and the bound at the cap goes on to build."""
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    from fglab import cannibal
+    monkeypatch.setattr(cannibal, "theta3_direct", unbuilt)
+    cap = cannibal.MAX_TABLE_BOUND
+    assert cap == 700
+    code, out, err = run(capsys, "cannibal", "table", "--bound", str(cap + 1))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --bound: {cap + 1} is above the table cap of {cap}\n"
+    code, out, err = run(capsys, "cannibal", "table", "--bound", str(cap))
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 @pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])
 def test_miscenko_refuses_dimensions_above_the_twist_cap(capsys, monkeypatch, expr, mode):
     """fgl miscenko twists at bound dimension + 2 with one b-symbol per
