@@ -19,6 +19,7 @@ from math import comb
 from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
 from .rings import RAT
+from .series import MultiSeries
 
 # the largest --bound ``cannibal table`` prints; its output is (bound + 1)^2
 # cells.  Fresh process, stdout to /dev/null, unscaled: --bound 300 takes
@@ -87,17 +88,17 @@ def theta_unit(N: int) -> ThetaTable:
 
 def theta3_direct(N: int, k: int = 3) -> ThetaTable:
     """The table c_mn, m, n <= N, of theta^k for odd k, by a split into
-    one-variable series on Python ints; k = 3 is the paper's theta^3.
+    one-variable series; k = 3 is the paper's theta^3.
 
     With q_k(t) = (1 - (1-t)^k)/t = sum_i q_i t^i, of degree k - 1 and
     q_k(0) = k, theta^k = k q_k(x + y - xy) / (q_k(x) q_k(y)).  Since
     1 - (x + y - xy) = (1-x)(1-y), the numerator q_k(x + y - xy) is
     sum_{e<k} (1-x)^e (1-y)^e, so c_mn = k sum_e s_e[m] s_e[n] with
     s_e = (1-t)^e / q_k(t).  Each S_e[n] = k^(n+1) s_e[n] is an integer:
-    S_0[n] = -sum_{1<=i<k} q_i k^(i-1) S_0[n-i] from S_0[0] = 1, and
-    S_e[n] = sum_j (-1)^j C(e, j) k^j S_0[n-j].  So c_mn =
-    k sum_e S_e[m] S_e[n] / k^(m+n+2) needs no division, with one Fraction
-    per nonzero cell.  At k = 3, S_0[n] = 3^(n+1) t_n with t_n of
+    S_0[n] = -sum_{1<=i<k} q_i k^(i-1) S_0[n-i] from S_0[0] = 1, and s_e
+    comes from s_(e-1) by one series product with 1 - t.  So c_mn =
+    k sum_e S_e[m] S_e[n] / k^(m+n+2) is summed on Python ints, with one
+    Fraction per nonzero cell.  At k = 3, S_0[n] = 3^(n+1) t_n with t_n of
     ``ThetaGenSeq``; at k = 1 the table is ``theta_unit``'s.
     """
     if k < 1 or k % 2 == 0:
@@ -106,8 +107,13 @@ def theta3_direct(N: int, k: int = 3) -> ThetaTable:
     S0 = [1]
     for n in range(1, N + 1):
         S0.append(-sum(c * S0[n - i] for i, c in enumerate(q[:n], 1)))
-    S = [[sum((-1) ** j * comb(e, j) * k ** j * S0[n - j] for j in range(min(e, n) + 1))
-          for n in range(N + 1)] for e in range(k)]
+    vars_ = ("t",)
+    omt = MultiSeries.one(RAT, vars_, N) - MultiSeries.var(RAT, vars_, "t", N)
+    s = [MultiSeries(RAT, vars_, {(n,): Fraction(c, k ** (n + 1)) for n, c in enumerate(S0)}, N)]
+    for _ in range(1, k):
+        s.append(omt * s[-1])
+    S = [[(c := se.coefficient((n,))).numerator * (k ** (n + 1) // c.denominator)
+          for n in range(N + 1)] for se in s]
     table = {}
     for m in range(N + 1):
         for n in range(m, N + 1):

@@ -11,6 +11,11 @@ from fglab.cannibal import theta3_direct, thom_psi_dk  # noqa: E402
 
 # the reducers are built as the CLI and the golden tables build them
 @pytest.fixture(scope="session")
+def reducer8():
+    return DReducer(8)
+
+
+@pytest.fixture(scope="session")
 def reducer10():
     return DReducer(10)
 
@@ -18,6 +23,11 @@ def reducer10():
 @pytest.fixture(scope="session")
 def reducer11():
     return DReducer(11)
+
+
+@pytest.fixture(scope="session")
+def reducer14():
+    return DReducer(14)
 
 
 @pytest.fixture(scope="session")

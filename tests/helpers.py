@@ -4,9 +4,9 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, monomial_codes,
+from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, monomial_codes,
                          psi_tensor_apoly)
-from fglab.cannibal import ThetaGenSeq, ThetaTable
+from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.errors import EvenK, FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
 from fglab.mahler import NumPoly, mahler_expand
 from fglab.rings import RAT
@@ -341,6 +341,25 @@ def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
         return (g * t).scale(Fraction(-1))
 
     return series.substitute({"x": inner("x"), "y": inner("y")})
+
+
+def unit_class(N: int, k: int) -> ThetaTable:
+    """theta^k replaced by the unit class for every k: ``thom_psi_dk`` is then psi_B."""
+    return theta_unit(N)
+
+
+def composition_failures(red, k: int, l: int, theta_of) -> list:
+    """The n in 2..W, W = ``red.W``, at which psi^k o psi^l d_n != psi^(kl) d_n,
+    with ``thom_psi_dk`` at theta^j = ``theta_of(W, j)`` for each index j.
+    At ``unit_class`` this is the base level; at ``cannibal.theta3_direct``
+    it is the Thom level, where none fails exactly when Bott's cocycle
+    identity theta^(kl) = theta^k psi^k(theta^l) holds on these d_n."""
+    W = red.W
+    theta = {j: theta_of(W, j) for j in (k, l, k * l)}
+    table_l = {n: thom_psi_dk(n, theta[l], red, l) for n in range(2, W + 1)}
+    return [n for n in range(2, W + 1)
+            if _psi_dpoly(thom_psi_dk(n, theta[k], red, k), table_l)
+            != thom_psi_dk(n, theta[k * l], red, k * l)]
 
 
 def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:

@@ -12,13 +12,13 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coef
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
                          psi_power_coeff, psi_tensor_apoly, spherical_search, _psi_dpoly)
-from fglab.cannibal import theta_unit, thom_psi_dk
+from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
 from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
 from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
-                     generator_images, psi3_closed_coeff, reduce_by_fractions,
-                     series_relations, xyz_coefficients)
+                     composition_failures, generator_images, psi3_closed_coeff,
+                     reduce_by_fractions, series_relations, unit_class, xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -543,34 +543,22 @@ def test_dpoly_product_ring_laws(p, q, r):
     assert (p * q).mod2() == (p.mod2() * q.mod2()).mod2()
 
 
-@pytest.fixture(scope="module")
-def reducer14():
-    return DReducer(14)
+THETA_SOURCES = (unit_class, theta3_direct)
 
 
-@pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7)])
+@pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7), (7, 5)])
 def test_psi_on_dk_composes(reducer14, k, l):
-    """psi^(1/l) applied to the d-polynomial psi^(1/k) d_n is psi^(1/kl) d_n."""
-    one = theta_unit(14)
-    table_l = {n: thom_psi_dk(n, one, reducer14, k_adams=l) for n in range(2, 15)}
-    for n in range(2, 15):
-        composed = _psi_dpoly(thom_psi_dk(n, one, reducer14, k_adams=k), table_l)
-        assert composed == thom_psi_dk(n, one, reducer14, k_adams=k * l), n
-
-
-@pytest.fixture(scope="module")
-def reducer8():
-    return DReducer(8)
+    """psi^(1/l) applied to the d-polynomial psi^(1/k) d_n is psi^(1/kl) d_n,
+    at the base level (the unit class) and at the Thom level (theta^k)."""
+    for theta_of in THETA_SOURCES:
+        assert composition_failures(reducer14, k, l, theta_of) == [], theta_of.__name__
 
 
 @settings(max_examples=40, deadline=None)
 @given(k=st.sampled_from((1, 3, 5, 7, 9)), l=st.sampled_from((1, 3, 5, 7, 9)),
-       n=st.integers(2, 8))
-def test_psi_on_dk_composes_for_odd_k_l(reducer8, k, l, n):
-    one = theta_unit(8)
-    table_l = {m: thom_psi_dk(m, one, reducer8, k_adams=l) for m in range(2, 9)}
-    composed = _psi_dpoly(thom_psi_dk(n, one, reducer8, k_adams=k), table_l)
-    assert composed == thom_psi_dk(n, one, reducer8, k_adams=k * l)
+       theta_of=st.sampled_from(THETA_SOURCES))
+def test_psi_on_dk_composes_for_odd_k_l(reducer8, k, l, theta_of):
+    assert composition_failures(reducer8, k, l, theta_of) == []
 
 
 @pytest.fixture(scope="module")

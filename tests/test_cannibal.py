@@ -4,16 +4,16 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.adams import DPoly, DReducer, _psi_dpoly, gen_2structure_relations
+from fglab.adams import DPoly, DReducer, gen_2structure_relations
 from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
                             theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
 from fglab.rings import RAT, padic_from_rat
 from fglab.series import MultiSeries
 
-from helpers import (orientation_transport, psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate,
-                     theta3_one_bundle, theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
-                     thom_psi_dk_by_fractions)
+from helpers import (composition_failures, orientation_transport, psi_on_dk_by_apoly,
+                     theta3_bilinear, theta3_bivariate, theta3_one_bundle, theta3_sum_of_two,
+                     theta_k_virtual, theta_table_to_series, thom_psi_dk_by_fractions)
 
 
 def test_tseq_first_values():
@@ -162,43 +162,16 @@ def test_theta_k_direct_refuses_even_or_nonpositive_k(k):
         theta3_direct(4, k)
 
 
-def _thom_composes(W, k, l, red, theta_k=theta3_direct):
-    """The d_n, n <= W, on which psi_M^k o psi_M^l = psi_M^(kl) fails, with
-    each theta^j from ``theta_k(W, j)``.  None fails exactly when Bott's
-    cocycle identity theta^(kl) = theta^k psi^k(theta^l) holds on them."""
-    theta = {j: theta_k(W, j) for j in (k, l, k * l)}
-    table_l = {n: thom_psi_dk(n, theta[l], red, l) for n in range(2, W + 1)}
-    return [n for n in range(2, W + 1)
-            if _psi_dpoly(thom_psi_dk(n, theta[k], red, k), table_l)
-            != thom_psi_dk(n, theta[k * l], red, k * l)]
-
-
-@pytest.fixture(scope="module")
-def reducer12():
-    return DReducer(12)
-
-
-@pytest.mark.parametrize("k, l", [(3, 5), (5, 3), (3, 7), (5, 7), (7, 5)])
-def test_thom_psi_composes_at_weight_12(reducer12, k, l):
-    assert _thom_composes(12, k, l, reducer12) == []
-
-
-def test_thom_psi_composition_sees_a_wrong_theta3_cell(reducer12):
-    """One wrong cell of theta^3 breaks the composition: c_12 = c_21 raised
-    by 1/9 fails (3, 5) at n = 3, 6, 8, 9, 10 and 12."""
+def test_thom_psi_composition_sees_a_wrong_theta3_cell(reducer14):
+    """One wrong cell of theta^3 breaks the Thom-level composition: c_12 = c_21
+    raised by 1/9 fails (3, 5) at n = 3, 6, 8, 9, 10, 12 and 14."""
     def wrong(N, k):
         tab = theta3_direct(N, k)
         if k == 3:
             tab.table[1, 2] = tab.table[2, 1] = tab[1, 2] + Fraction(1, 9)
         return tab
 
-    assert _thom_composes(12, 3, 5, reducer12, wrong) == [3, 6, 8, 9, 10, 12]
-
-
-@settings(max_examples=30, deadline=None)
-@given(k=st.sampled_from((1, 3, 5, 7, 9)), l=st.sampled_from((1, 3, 5, 7, 9)))
-def test_thom_psi_composes_for_odd_k_and_l(reducer8, k, l):
-    assert _thom_composes(8, k, l, reducer8) == []
+    assert composition_failures(reducer14, 3, 5, wrong) == [3, 6, 8, 9, 10, 12, 14]
 
 
 THOM_COMPUTED = {
@@ -320,11 +293,6 @@ def test_thom_psi_dk_at_the_unit_class_is_the_base_sum(mode, k_adams):
     one = theta_unit(14)
     for k in range(2, 15):
         assert thom_psi_dk(k, one, red, k_adams) == psi_on_dk_by_apoly(k, red, k_adams), k
-
-
-@pytest.fixture(scope="module")
-def reducer8():
-    return DReducer(8)
 
 
 @settings(max_examples=40, deadline=None)
