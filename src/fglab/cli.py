@@ -45,6 +45,11 @@ def _at_least(flag, value, low):
         raise UsageError(f"{flag} must be >= {low}, got {value}")
 
 
+def _at_most(flag, value, cap, what):
+    if value > cap:
+        raise UsageError(f"{flag}: {value} is above the {what} cap of {cap}")
+
+
 @contextmanager
 def _domain(flag, error):
     """The library's out-of-domain ``error`` for the value of ``flag`` is a usage error."""
@@ -81,10 +86,8 @@ def cmd_series(args, out):
 def cmd_fgl(args, out):
     from . import fgl
     if args.action == "twist":
-        for flag, value, cap in (("--bound", args.bound, fgl.MAX_TWIST_BOUND),
-                                 ("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1)):
-            if value > cap:
-                raise UsageError(f"{flag}: {value} is above the twist cap of {cap}")
+        _at_most("--bound", args.bound, fgl.MAX_TWIST_BOUND, "twist")
+        _at_most("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1, "twist")
         g = fgl.generic_strict_series(RAT, args.bound, args.nb)
         law = fgl.FGL(fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g))
         rows = []
@@ -257,18 +260,19 @@ def _reducer(W, nki, flag):
 def cmd_cannibal(args, out):
     from . import cannibal
     if args.action == "table":
-        if args.bound > cannibal.MAX_TABLE_BOUND:
-            raise UsageError(f"--bound: {args.bound} is above the table cap of "
-                             f"{cannibal.MAX_TABLE_BOUND}")
+        _at_most("--bound", args.bound, cannibal.MAX_TABLE_BOUND, "table")
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
             rows.append((m, *[str(tab[m, n]) for n in range(args.bound + 1)]))
         _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], args.fmt, out)
     elif args.action == "closed":
+        _at_most("--m", args.m, cannibal.MAX_CLOSED_INDEX, "closed")
+        _at_most("--n", args.n, cannibal.MAX_CLOSED_INDEX, "closed")
         _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
               ["m", "n", "c_mn"], args.fmt, out)
     elif args.action == "tseq":
+        _at_most("--n", args.n, cannibal.MAX_TSEQ_N, "tseq")
         ts = cannibal.ThetaGenSeq(args.n)
         rows = [(k, str(ts[k]), str(cannibal.theta_gen_closed(k))) for k in range(args.n + 1)]
         _emit(rows, ["k", "recurrence", "closed_form"], args.fmt, out)

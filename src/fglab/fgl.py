@@ -317,7 +317,13 @@ BUILTINS = {
     "N": (Fraction(8), Fraction(-25), Fraction(-12), Fraction(-23), Fraction(52)),
 }
 
-_TOKEN = re.compile(r"\s*(CP\d+|[+-]|\d+/\d+|\d+|x|[A-Z][A-Z0-9]*|\^|\*)\s*")
+# one term: a sign, optional before the first term only; an optional weight
+# n or n/d (d >= 1) with an optional '*'; then a built-in, or CPn factors,
+# each with an optional ^k (k >= 1), joined by single x's
+_POWER = r"(?:\s*\^\s*0*[1-9]\d*)?"
+_TERM = re.compile(rf"""\s*(?P<sign>[+-]?)\s*(?:(?P<weight>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?
+    (?:(?P<builtin>K3SQ|N)|(?P<product>CP\d+{_POWER}(?:\s*x\s*CP\d+{_POWER})*))(?![\w^])\s*""", re.X)
+_FACTOR = re.compile(r"CP(\d+)(?:\s*\^\s*(\d+))?")
 
 
 class BordismExpr:
@@ -355,90 +361,27 @@ class BordismExpr:
 
     @classmethod
     def parse(cls, text: str) -> "BordismExpr":
-        """Grammar: terms like ``8*CP4 - 25*CP1xCP3 + 1/4*K3SQ - 23*CP1^4``."""
-        pos = 0
-        out = {}
-        sign = 1
-        coeff = None
-        factors = []
-        expect_factor = False
-
-        def flush():
-            nonlocal coeff, factors, sign, out, expect_factor
-            if coeff is None and not factors:
-                return
-            if expect_factor or not factors:
-                raise UsageError(f"dangling operator or bare coefficient in {text!r}")
-            if len(factors) > 1 and any(isinstance(f, str) for f in factors):
-                raise UsageError(f"a built-in cannot appear in a product ({text!r})")
-            c = Fraction(sign) * (coeff if coeff is not None else Fraction(1))
-            if len(factors) == 1 and isinstance(factors[0], str):
-                name = factors[0]
-                vec = BUILTINS[name]
-                for key, w in zip(DIM8_BASIS, vec):
-                    if w:
-                        out[key] = out.get(key, Fraction(0)) + c * w
-            else:
-                dims = []
-                for f in factors:
-                    dims.extend(f)
-                key = tuple(sorted(dims))
-                out[key] = out.get(key, Fraction(0)) + c
-            coeff, factors, sign = None, [], 1
-
-        tokens = []
+        """Read ``text``, e.g. ``8*CP4 - 25*CP1xCP3 + 1/4*K3SQ - 23*CP1^4``,
+        term by term with ``_TERM``."""
+        if not text.strip():
+            raise UsageError(f"empty bordism expression {text!r}")
+        out, pos = {}, 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m:
-                raise UsageError(f"cannot tokenize {text!r} at position {pos}")
-            tokens.append(m.group(1))
+            m = _TERM.match(text, pos)
+            if not m or (pos and not m["sign"]):
+                raise UsageError(
+                    f"cannot read a term at position {pos} of {text!r}: a term is [sign] "
+                    "[n or n/d[*]] then K3SQ, N or CPa[^i]x...xCPb[^j] with i, j >= 1, "
+                    "and every term after the first needs its sign")
             pos = m.end()
-        if not tokens:
-            raise UsageError("empty bordism expression")
-        if tokens[-1] in "+-":
-            raise UsageError(f"trailing operator {tokens[-1]!r} in {text!r}")
-        i = 0
-        while i < len(tokens):
-            t = tokens[i]
-            if t in "+-":
-                flush()
-                sign = 1 if t == "+" else -1
-            elif re.fullmatch(r"\d+/\d+|\d+", t):
-                if coeff is not None or factors:
-                    raise UsageError(f"unexpected number {t} in {text!r}")
-                try:
-                    coeff = Fraction(t)
-                except ZeroDivisionError:
-                    raise UsageError(f"zero denominator in {t} ({text!r})") from None
-                if i + 1 < len(tokens) and tokens[i + 1] == "*":
-                    i += 1
-            elif t == "x":
-                if not factors:
-                    raise UsageError(f"stray 'x' in {text!r}")
-                expect_factor = True
-            elif t.startswith("CP"):
-                if factors and not expect_factor:
-                    raise UsageError(f"missing 'x' before {t} in {text!r}")
-                n = int(t[2:])
-                power = 1
-                if i + 2 < len(tokens) and tokens[i + 1] == "^":
-                    if not tokens[i + 2].isdigit() or int(tokens[i + 2]) < 1:
-                        raise UsageError(f"exponent of {t} must be a whole number >= 1 in {text!r}")
-                    power = int(tokens[i + 2])
-                    i += 2
-                factors.append((n,) * power)
-                expect_factor = False
-            elif t in BUILTINS:
-                if factors:
-                    raise UsageError(f"built-in {t} cannot appear in a product ({text!r})")
-                factors.append(t)
-                expect_factor = False
-            elif t in ("*", "^"):
-                raise UsageError(f"misplaced {t!r} in {text!r}")
+            c = Fraction(m["weight"] or 1) * (-1 if m["sign"] == "-" else 1)
+            if m["builtin"]:
+                pieces = zip(DIM8_BASIS, BUILTINS[m["builtin"]])
             else:
-                raise UsageError(f"unknown name {t!r} in {text!r}")
-            i += 1
-        flush()
+                dims = [int(n) for n, k in _FACTOR.findall(m["product"]) for _ in range(int(k or 1))]
+                pieces = [(tuple(sorted(dims)), 1)]
+            for key, w in pieces:
+                out[key] = out.get(key, Fraction(0)) + c * w
         return cls(out)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from collections import namedtuple
-from functools import partial
+from functools import cache, partial
 from importlib import resources
 
 from .rings import RAT
@@ -52,35 +52,26 @@ class GoldenTable:
 
 # -- shared expensive state ---------------------------------------------------------
 
-_CACHE = {}
-
-
+@cache
 def _twisted_law():
-    if "twist" not in _CACHE:
-        _CACHE["twist"] = fgl.fgl_twist(fgl.multiplicative_law(RAT, 6),
-                                        fgl.generic_strict_series(RAT, 6, 5))
-    return _CACHE["twist"]
+    return fgl.fgl_twist(fgl.multiplicative_law(RAT, 6), fgl.generic_strict_series(RAT, 6, 5))
 
 
-def _reducer(W=10):
-    key = ("reducer", W)
-    if key not in _CACHE:
-        _CACHE[key] = adams.DReducer(W)
-    return _CACHE[key]
+@cache
+def _reducer(W):
+    return adams.DReducer(W)
 
 
+@cache
 def _su_system():
     """The paper's dimension-4 SU constraint system, shared by the Chern tables."""
-    if "su" not in _CACHE:
-        _CACHE["su"] = chern.su_constraint_system(chern.paper_dim8_basis(), 4)
-    return _CACHE["su"]
+    return chern.su_constraint_system(chern.paper_dim8_basis(), 4)
 
 
+@cache
 def _thom_table():
-    if "thom" not in _CACHE:
-        theta = cannibal.theta3_direct(10)
-        _CACHE["thom"] = {k: cannibal.thom_psi_dk(k, theta, _reducer(10)) for k in range(2, 11)}
-    return _CACHE["thom"]
+    theta = cannibal.theta3_direct(10)
+    return {k: cannibal.thom_psi_dk(k, theta, _reducer(10)) for k in range(2, 11)}
 
 
 def _cells(prefix, poly):

@@ -121,6 +121,10 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("mahler", "dilate", "--imax", "3"),
     ("chern", "total", "--dim", "6"),
     ("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"),
+    ("fgl", "miscenko", "--expr", "CP2 - +CP2"),
+    ("fgl", "miscenko", "--expr=--CP1"),  # argparse reads a value that starts with - only after =
+    ("fgl", "miscenko", "--expr", "CP1xxCP2"),
+    ("fgl", "miscenko", "--expr", "CP1 x x CP2"),
 ])
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -261,6 +265,36 @@ def test_cannibal_table_refuses_bounds_above_the_cap(capsys, monkeypatch):
     assert err == f"usage error: --bound: {cap + 1} is above the table cap of {cap}\n"
     code, out, err = run(capsys, "cannibal", "table", "--bound", str(cap))
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
+@pytest.mark.parametrize("argv, flag, cap", [
+    (("cannibal", "closed", "--n", "9012", "--m"), "--m", "MAX_CLOSED_INDEX"),
+    (("cannibal", "closed", "--m", "9012", "--n"), "--n", "MAX_CLOSED_INDEX"),
+    (("cannibal", "tseq", "--n"), "--n", "MAX_TSEQ_N"),
+])
+def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypatch, argv, flag, cap):
+    """c_mn has denominator 3^((m + n) // 2), whose 4300 digits at m = n = 9012
+    are the most Python prints by default, and tseq prints n + 1 rows of
+    growing t_k.  At its cap a flag prints; the first value above it is
+    refused with the flag's name before anything is computed."""
+    from fglab import cannibal
+    value = getattr(cannibal, cap)
+    assert value == {"MAX_CLOSED_INDEX": 9012, "MAX_TSEQ_N": 4000}[cap]
+    code, out, err = run(capsys, *argv, str(value))
+    assert (code, err) == (0, "")
+    if argv[1] == "closed":
+        assert len(out.split()[-1].split("/")[1]) == len(str(3 ** 9012)) == 4300
+    else:
+        assert len(out.splitlines()) == value + 2
+
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cannibal, "theta3_closed", unbuilt)
+    monkeypatch.setattr(cannibal, "ThetaGenSeq", unbuilt)
+    code, out, err = run(capsys, *argv, str(value + 1))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag}: {value + 1} is above the {argv[1]} cap of {value}\n"
 
 
 @pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])

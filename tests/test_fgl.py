@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fglab.chern import partitions
 from fglab.errors import (AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension,
                           UsageError)
-from fglab.fgl import (BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
+from fglab.fgl import (BUILTINS, DIM8_BASIS, BordismExpr, FGL, additive_law, cpn_box_diff, cpn_in_a,
                        fgl_binom, fgl_check, fgl_exp, fgl_from_genus, fgl_log,
                        fgl_twist, generic_strict_series, miscenko_image,
                        multiplicative_law)
@@ -438,6 +438,45 @@ def rendered_bordism_combinations(draw):
 def test_bordism_parse_reads_back_a_rendered_combination(case):
     terms, text = case
     assert BordismExpr.parse(text) == BordismExpr(terms), text
+
+
+@st.composite
+def signed_sums(draw):
+    """A sum of terms of one dimension, each ``[sign][n or n/d[*]]`` then a
+    built-in or a product, with any spacing between tokens and a sign
+    before the first term or not, and the Fraction sum of its terms."""
+    dim = draw(st.integers(1, 6))
+    bodies = partitions(dim) + (list(BUILTINS) if dim == 4 else [])
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    want, text = {}, ""
+    for i in range(draw(st.integers(1, 5))):
+        sign = draw(st.sampled_from(["+", "-"] + ([""] if i == 0 else [])))
+        num, den = draw(st.integers(0, 40)), draw(st.integers(1, 9))
+        weight = draw(st.sampled_from(["", str(num), f"{num}/{den}"]))
+        star = draw(st.sampled_from(["", "*"])) if weight else ""
+        c = Fraction(weight or 1) * (-1 if sign == "-" else 1)
+        body = draw(st.sampled_from(bodies))
+        if body in BUILTINS:
+            for key, w in zip(DIM8_BASIS, BUILTINS[body]):
+                want[key] = want.get(key, 0) + c * w
+        else:
+            want[body] = want.get(body, 0) + c
+            factors = []
+            for n in draw(st.permutations(sorted(set(body)))):
+                k = body.count(n)
+                for p in draw(st.sampled_from([[k], [1] * k])):
+                    power = f"{draw(space)}^{draw(space)}{p}" if p > 1 or draw(st.booleans()) else ""
+                    factors.append(f"CP{n}{power}")
+            body = f"{draw(space)}x{draw(space)}".join(factors)
+        text += "".join(f"{draw(space)}{tok}" for tok in (sign, weight, star, body))
+    return want, text + draw(space)
+
+
+@settings(max_examples=200, deadline=None)
+@given(signed_sums())
+def test_bordism_parse_sums_signed_terms(case):
+    want, text = case
+    assert BordismExpr.parse(text) == BordismExpr(want), text
 
 
 def test_miscenko_cp1(twisted6):
