@@ -35,6 +35,12 @@ from .series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms
 
 # -- psi on beta ------------------------------------------------------------
 
+# the largest --i of `adams beta` and --imax of `adams beta-table`; fresh
+# process at --k 3, unscaled: beta --i 500 takes ~2.2 s and --i 600 ~4.5 s,
+# beta-table --imax 200 ~3.5 s and --imax 250 ~10 s, both cubic in the index
+MAX_BETA_INDEX = 500
+MAX_BETA_TABLE = 200
+
 
 def psi_power_coeff(k: int, j: int, i: int) -> int:
     """<psi^k x^j, beta_i> = coefficient of x^i in (1 - (1-x)^k)^j."""

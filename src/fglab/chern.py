@@ -262,11 +262,6 @@ def span_test(vectors):
     return contains
 
 
-def in_span(vectors, v):
-    """Exact membership of v in the rational span of ``vectors``."""
-    return span_test(vectors)(v)
-
-
 def same_row_space(a_rows, b_rows) -> bool:
     in_a, in_b = span_test(a_rows), span_test(b_rows)
     return all(map(in_b, a_rows)) and all(map(in_a, b_rows))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import prod
 
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
-from .rings import RAT, Padic2
+from .rings import RAT
 
 
 def _emit(rows, headers, fmt, out):
@@ -63,8 +63,10 @@ def _domain(flag, error):
 
 
 def cmd_series(args, out):
-    from . import fgl
+    from . import fgl, series
     _at_least("--order", args.order, 1)
+    cap = series.MAX_INVERT_ORDER if args.action == "invert" else series.MAX_RESIDUE_ORDER
+    _at_most("--order", args.order, cap, args.action)
     n = args.order
     g = fgl.generic_strict_series(RAT, n + 1, n)
     inv = g.comp_inverse("t")
@@ -74,10 +76,9 @@ def cmd_series(args, out):
             rows.append((f"c{k}", str(inv.coeff_in_var("t", k + 1))))
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "residue":
-        from .series import residue_inverse_coeff
         rows = []
         for k in range(1, n + 1):
-            r = residue_inverse_coeff(g, "t", k)
+            r = series.residue_inverse_coeff(g, "t", k)
             rows.append((f"c{k}", str(r), "agree" if r == inv.coeff_in_var("t", k + 1) else "DIFFER"))
         _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], args.fmt, out)
     return 0
@@ -89,33 +90,31 @@ def cmd_fgl(args, out):
         _at_most("--bound", args.bound, fgl.MAX_TWIST_BOUND, "twist")
         _at_most("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1, "twist")
         g = fgl.generic_strict_series(RAT, args.bound, args.nb)
-        law = fgl.FGL(fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g))
-        rows = []
-        for (i, j), c in sorted(law.coeff_table().items()):
-            if i <= j:
-                rows.append((f"a{i}{j}", str(c)))
+        law = fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g)
+        rows = [(f"a{i}{j}", str(c)) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
         _emit(rows, ["coefficient", "image"], args.fmt, out)
-    elif args.action == "cpn":
+        return 0
+    from . import bordism
+    if args.action == "cpn":
         with _domain("--n", UnsupportedDimension):
-            poly = fgl.cpn_in_a(args.n, args.mode)
+            poly = bordism.cpn_in_a(args.n, args.mode)
         _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], args.fmt, out)
     elif args.action == "box-diff":
         rows = []
         for n in range(1, 5):
-            d = fgl.cpn_box_diff(n)
+            d = bordism.cpn_box_diff(n)
             rows.append((f"CP{n}", "match" if d.is_zero() else f"box - residue = {d}"))
         _emit(rows, ["class", "paper_box_vs_residue_exact"], args.fmt, out)
     elif args.action == "miscenko":
-        expr = fgl.BordismExpr.parse(args.expr)
-        nb = expr.dimension()
-        if nb + 2 > fgl.MAX_TWIST_BOUND:
-            raise UsageError(f"--expr: dimension {nb} needs the twist at bound {nb + 2}, "
-                             f"above the twist cap of {fgl.MAX_TWIST_BOUND}")
         with _domain("--expr", UnsupportedDimension):
-            if expr.terms:  # a factor the mode cannot tabulate is rejected before the twist
-                fgl.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
+            # a dimension beyond the twist cap, or a factor the mode cannot
+            # tabulate, is refused before the twist
+            expr = bordism.BordismExpr.parse(args.expr)
+            if expr.terms:
+                bordism.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
+            nb = expr.dimension()
             tw = fgl.fgl_twist(fgl.multiplicative_law(RAT, nb + 2), fgl.generic_strict_series(RAT, nb + 2, nb))
-            img = fgl.miscenko_image(expr, tw, args.mode)
+            img = bordism.miscenko_image(expr, tw, args.mode)
         _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
     return 0
 
@@ -184,11 +183,13 @@ def _dim_basis(dim):
 def cmd_adams(args, out):
     from . import adams
     if args.action == "beta":
+        _at_most("--i", args.i, adams.MAX_BETA_INDEX, "beta")
         elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
     elif args.action == "beta-table":
+        _at_most("--imax", args.imax, adams.MAX_BETA_TABLE, "beta-table")
         rows = []
         for i in range(1, args.imax + 1):
             elt = adams.psi_inv_beta(args.k, i)
@@ -281,11 +282,13 @@ def cmd_cannibal(args, out):
 
 def cmd_mahler(args, out):
     from . import mahler
+    from .padic import Padic2
     if args.action == "dilate":
         # --padic replaces the integer --k, and only it reads --precision
         unread, when = ("--k", "with") if args.padic is not None else ("--precision", "without")
         if unread in args.given:
             raise UsageError(f"{unread} is not read by dilate {when} --padic")
+        _at_most("--i", args.i, mahler.MAX_DILATE_INDEX, "dilate")
         k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
@@ -297,11 +300,13 @@ def cmd_mahler(args, out):
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", str(np_))],
                   ["dilation", "expansion"], args.fmt, out)
     elif args.action == "matrix":
+        _at_most("--imax", args.imax, mahler.MAX_MATRIX_INDEX, "matrix")
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
         _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], args.fmt, out)
     elif args.action == "vs-adams":
-        res = mahler.dilation_vs_adams(args.imax)
+        _at_most("--imax", args.imax, mahler.MAX_VS_ADAMS_INDEX, "vs-adams")
+        mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
               ["check", "result"], args.fmt, out)
     return 0

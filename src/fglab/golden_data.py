@@ -17,7 +17,7 @@ from functools import cache, partial
 from importlib import resources
 
 from .rings import RAT
-from . import adams, cannibal, chern, fgl, mahler
+from . import adams, bordism, cannibal, chern, fgl, mahler
 
 
 CellDiff = namedtuple("CellDiff", "key expected computed known note")
@@ -89,7 +89,7 @@ def compute_inverse_series():
 
 
 def compute_twist_images():
-    law = fgl.FGL(_twisted_law())
+    law = _twisted_law()
     out = {}
     for (i, j) in [(1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]:
         out.update(_cells(f"a{i}{j}", law.a(i, j).drop_vars(("x", "y"))))
@@ -99,7 +99,7 @@ def compute_twist_images():
 def compute_cpn_box():
     out = {}
     for n in range(1, 5):
-        out.update(_cells(f"CP{n}", fgl.cpn_in_a(n, "paper-box")))
+        out.update(_cells(f"CP{n}", bordism.cpn_in_a(n, "paper-box")))
     return out
 
 
@@ -107,7 +107,7 @@ def compute_miscenko():
     tw = _twisted_law()
     out = {}
     for name, text in [("N", "N"), ("K3SQ4", "1/4*K3SQ"), ("M", "1/4*K3SQ + 12*N")]:
-        img = fgl.miscenko_image(fgl.BordismExpr.parse(text), tw, "paper-box")
+        img = bordism.miscenko_image(bordism.BordismExpr.parse(text), tw, "paper-box")
         out.update(_cells(name, img))
     return out
 

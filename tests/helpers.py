@@ -7,8 +7,11 @@ from math import comb, gcd
 from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, monomial_codes,
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
-from fglab.errors import EvenK, FglabError, IndexOutOfRange, NotReducible, NotStrict, UsageError
-from fglab.mahler import NumPoly, mahler_expand
+from fglab.chern import span_test
+from fglab.errors import (DivisionUndefined, EvenK, FglabError, IndexOutOfRange, NotReducible,
+                          NotStrict, UsageError)
+from fglab.fgl import FGL, X, Y, _require_zero
+from fglab.mahler import NumPoly, binom, mahler_expand
 from fglab.rings import RAT
 from fglab.series import MultiSeries, _addmul, _lincomb
 
@@ -102,6 +105,132 @@ def twist_by_substitution(F, g):
     return g.substitute({T: inner})
 
 
+# -- series views and formal group law oracles ---------------------------------
+
+
+def coeff_of(s, **powers):
+    """The coefficient of s at the monomial given by name=exponent."""
+    return s.coefficient(tuple(powers.get(v, 0) for v in s.vars))
+
+
+def degree_part(s, d):
+    """The homogeneous component of s of weighted degree d."""
+    return s._bare({e: c for e, c in s.terms.items() if s._wdeg(e) == d})
+
+
+def integrate_strict(s, var):
+    """Term-wise integral sum c x^n -> sum c/(n+1) x^(n+1); needs a Q-algebra."""
+    idx = s._var_index(var)
+    ring = s.ring
+    terms = {}
+    for exp, c in s.terms.items():
+        e = exp[idx]
+        try:
+            f = ring.invert(ring.from_int(e + 1))
+        except DivisionUndefined:
+            raise DivisionUndefined(f"1/{e + 1} undefined in {ring}") from None
+        terms[exp[:idx] + (e + 1,) + exp[idx + 1:]] = c * f
+    return MultiSeries(ring, s.vars, terms, s.bound, s.weights)
+
+
+def fgl_of(F):
+    """The FGL whose parts are F's (i, j) split."""
+    return FGL(F._bare({}), F.split((X, Y)))
+
+
+def fgl_check(F: MultiSeries) -> FGL:
+    """Validate the unit, commutativity and associativity axioms up to the bound.
+
+    Associativity is compared at truncation bound-1: substituting a
+    second law eats one order, so monomials at the top bound are not fully
+    determined and are excluded from the comparison.
+    """
+    ring = F.ring
+    ix, iy = F._var_index(X), F._var_index(Y)
+    for v, other in ((X, Y), (Y, X)):  # F(x, 0) = x, then F(0, y) = y
+        _require_zero(F.coeff_in_var(other, 0) - MultiSeries.var(ring, F.vars, v, F.bound, F.weights),
+                      "unit")
+    # symmetry
+    swapped = {}
+    for exp, c in F.terms.items():
+        e = list(exp)
+        e[ix], e[iy] = e[iy], e[ix]
+        swapped[tuple(e)] = c
+    _require_zero(F - MultiSeries(ring, F.vars, swapped, F.bound, F.weights), "commutativity")
+    # associativity, in the ambient (x, y, z, symbols...) one order below the bound
+    bound3 = None if F.bound is None else F.bound - 1
+    symbols = [(v, w) for v, w in zip(F.vars, F.weights) if v not in (X, Y)]
+    F3 = F.embed((X, Y, "z") + tuple(v for v, _ in symbols),
+                 (1, 1, 1) + tuple(w for _, w in symbols), bound3)
+    xv = MultiSeries.var(ring, F3.vars, "x", bound3, F3.weights)
+    yv = MultiSeries.var(ring, F3.vars, "y", bound3, F3.weights)
+    zv = MultiSeries.var(ring, F3.vars, "z", bound3, F3.weights)
+    Fxy = F3.substitute({"x": xv, "y": yv})
+    Fyz = F3.substitute({"x": yv, "y": zv})
+    left = F3.substitute({"x": Fxy, "y": zv})
+    right = F3.substitute({"x": xv, "y": Fyz})
+    _require_zero(left - right, "associativity")
+    return fgl_of(F)
+
+
+def additive_law(ring, bound):
+    return MultiSeries(ring, (X, Y), {(1, 0): ring.one, (0, 1): ring.one}, bound)
+
+
+def fgl_log(F: MultiSeries) -> MultiSeries:
+    """Logarithm: the strict series l with l(F(x,y)) = l(x) + l(y).
+
+    Computed from l'(x) = 1/(dF/dy)(x, 0), integrated term-wise; requires a
+    Q-algebra coefficient ring.
+    """
+    dFdy = F.partial(Y).coeff_in_var(Y, 0).drop_vars((Y,))
+    return integrate_strict(dFdy.reciprocal(), X)
+
+
+def fgl_exp(F: MultiSeries) -> MultiSeries:
+    return fgl_log(F).comp_inverse(X)
+
+
+def fgl_from_genus(P: MultiSeries) -> MultiSeries:
+    """FGL of the genus with characteristic series P (constant term 1).
+
+    g^{-1}(x) = x / P(x) and F(x, y) = g^{-1}(g(x) + g(y)).
+    """
+    ring = P.ring
+    if not (P.constant_term() == ring.one):
+        raise NotStrict("characteristic series must have constant term 1")
+    bound = P.bound
+    xv = MultiSeries.var(ring, P.vars, X, bound, P.weights)
+    ginv = xv * P.reciprocal()
+    g = ginv.comp_inverse(X)
+    # bivariate ambient
+    vars2 = (X, Y) + tuple(v for v in P.vars if v != X)
+    weights2 = (1, 1) + tuple(w for v, w in zip(P.vars, P.weights) if v != X)
+    gx = g.substitute({X: MultiSeries.var(ring, vars2, X, bound, weights2)})
+    gy = g.substitute({X: MultiSeries.var(ring, vars2, Y, bound, weights2)})
+    return ginv.substitute({X: gx + gy})
+
+
+def fgl_binom(F: MultiSeries, k: int) -> dict:
+    """FGL binomial coefficients <k; i, j>_F from (x +_F y)^k.
+
+    Returns {(i, j): coefficient-series in the symbol variables}.
+    """
+    if k < 0:
+        raise UsageError("k must be >= 0")
+    return (F ** k).split((X, Y))
+
+
+def in_span(vectors, v):
+    """Exact membership of v in the rational span of ``vectors``."""
+    return span_test(vectors)(v)
+
+
+def eval_at(np_: NumPoly, t: int):
+    """The value at the integer t of a binomial-basis expansion."""
+    return sum(c * binom(t, i) for i, c in np_.coeffs.items()) if np_.coeffs else 0
+
+
 def truncate(s, bound):
     """The terms of s in the same variables, truncated at ``bound``."""
     return MultiSeries(s.ring, s.vars, s.terms, bound, s.weights)
@@ -154,7 +283,7 @@ def chern_number_by_series(dims, monomial):
     tc = total_chern_by_series(dims)
     acc = MultiSeries.one(RAT, tc.vars, tc.bound)
     for idx in monomial:
-        acc = acc * tc.degree_part(idx)
+        acc = acc * degree_part(tc, idx)
     return int(acc.coefficient(dims))
 
 

@@ -8,7 +8,8 @@ from fglab.adams import DPoly, DReducer, gen_2structure_relations
 from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
                             theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
-from fglab.rings import RAT, padic_from_rat
+from fglab.padic import padic_from_rat
+from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 from helpers import (composition_failures, orientation_transport, psi_on_dk_by_apoly,

@@ -297,6 +297,51 @@ def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypa
     assert err == f"usage error: {flag}: {value + 1} is above the {argv[1]} cap of {value}\n"
 
 
+@pytest.mark.parametrize("argv, flag, module, cap, value, computes", [
+    (("adams", "beta"), "--i", "adams", "MAX_BETA_INDEX", 500, ("psi_inv_beta",)),
+    (("adams", "beta-table"), "--imax", "adams", "MAX_BETA_TABLE", 200, ("psi_inv_beta",)),
+    (("mahler", "dilate"), "--i", "mahler", "MAX_DILATE_INDEX", 1000, ("dilate",)),
+    (("mahler", "matrix"), "--imax", "mahler", "MAX_MATRIX_INDEX", 200, ("dilation_matrix",)),
+    (("mahler", "vs-adams"), "--imax", "mahler", "MAX_VS_ADAMS_INDEX", 100, ("dilation_vs_adams",)),
+    (("series", "invert"), "--order", "series", "MAX_INVERT_ORDER", 24, ()),
+    (("series", "residue"), "--order", "series", "MAX_RESIDUE_ORDER", 16, ()),
+])
+def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, flag, module, cap,
+                                                   value, computes):
+    """Each index or order flag has a module constant as its cap: at the cap
+    the command goes on to compute, and the first value above it is refused
+    with the flag's name before anything is computed.  The computation is
+    replaced by a stub, so the at-cap run costs nothing."""
+    import importlib
+    from fglab import fgl
+
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    mod = importlib.import_module(f"fglab.{module}")
+    assert getattr(mod, cap) == value
+    for name in computes:
+        monkeypatch.setattr(mod, name, unbuilt)
+    monkeypatch.setattr(fgl, "generic_strict_series", unbuilt)  # the series actions' first step
+    code, out, err = run(capsys, *argv, flag, str(value + 1))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: {flag}: {value + 1} is above the {argv[1]} cap of {value}\n"
+    code, out, err = run(capsys, *argv, flag, str(value))
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
+@pytest.mark.parametrize("expr, dim", [("CP1^999999999999", 999999999999),
+                                       ("CP2xCP1^100000000000 - CP3", 100000000002)])
+def test_miscenko_refuses_a_huge_exponent_before_expanding_it(capsys, expr, dim):
+    """A product's dimension, sum n*k over its factors CPn^k, is checked
+    against the twist cap before the k factors are spelled out, so a
+    12-digit exponent is refused at once."""
+    code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr, "--mode", "residue-exact")
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: --expr: dimension {dim} needs the twist at bound {dim + 2}, "
+                   "above the twist cap of 24\n")
+
+
 @pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])
 def test_miscenko_refuses_dimensions_above_the_twist_cap(capsys, monkeypatch, expr, mode):
     """fgl miscenko twists at bound dimension + 2 with one b-symbol per
@@ -575,34 +620,38 @@ def test_format_branches_match_pinned_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# Runs one CLI command in this interpreter and prints its exit code, then
-# every module it loaded beyond a bare start.
+# Runs one CLI command in this interpreter (none for a bare import) and
+# prints its exit code, then every module it loaded beyond a bare start.
 FOOTPRINT = """
 import contextlib, io, sys
 before = set(sys.modules)
 from fglab.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
-    code = main(sys.argv[1:])
+    code = main(sys.argv[1:]) if sys.argv[1:] else 0
 print(code, *sorted(set(sys.modules) - before))
 """
 
-BASE = {"cli", "errors", "rings", "series"}
+BASE = {"cli", "errors", "rings"}
+ENGINE = BASE | {"series"}
 
 
 @pytest.mark.parametrize("argv, code, allowed", [
-    (("fgl", "twist", "--bound", "5", "--nb", "4"), 0, BASE | {"fgl"}),
-    (("adams", "psi-dk", "--level", "thom", "--k", "5"), 0, BASE | {"adams", "cannibal", "linalg"}),
+    (("fgl", "twist", "--bound", "5", "--nb", "4"), 0, ENGINE | {"fgl"}),
+    (("adams", "psi-dk", "--level", "thom", "--k", "5"), 0, ENGINE | {"adams", "cannibal", "linalg"}),
     (("adams", "spherical", "--level", "thom", "--max-weight", "10"), 0,
-     BASE | {"adams", "cannibal", "linalg"}),
-    (("mahler", "dilate"), 0, BASE | {"mahler"}),
-    (("artin-schreier",), 0, BASE | {"mahler"}),
+     ENGINE | {"adams", "cannibal", "linalg"}),
+    (("mahler", "dilate"), 0, ENGINE | {"mahler", "padic"}),
+    (("artin-schreier",), 0, ENGINE | {"mahler", "padic"}),
     (("reproduce-paper",), 3, None),
-    (("adams", "spherical", "--max-weight", "10"), 0, BASE | {"adams", "cannibal", "linalg"}),
+    (("adams", "spherical", "--max-weight", "10"), 0, ENGINE | {"adams", "cannibal", "linalg"}),
+    (("fgl", "miscenko"), 0, ENGINE | {"fgl", "bordism"}),
+    ((), 0, BASE),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     """A fresh interpreter running one command imports only the fglab
     modules that command calls, golden_data only for reproduce-paper, and
-    never dataclasses."""
+    never dataclasses: neither padic nor bordism for fgl twist, and no series
+    engine for a bare import of the CLI."""
     env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -612,5 +661,5 @@ def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     ours = {m.removeprefix("fglab.") for m in loaded if m.startswith("fglab.")}
     if allowed is not None:
         assert ours == allowed
-    assert ("golden_data" in ours) == (argv[0] == "reproduce-paper")
+    assert ("golden_data" in ours) == (argv[:1] == ("reproduce-paper",))
     assert "dataclasses" not in loaded

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from fglab.errors import MismatchAt, NotAUnit, NotInDomain
 from fglab.mahler import (adams_matrix, artin_schreier_check, binom, dilate,
                           dilation_matrix, dilation_vs_adams, mahler_expand)
-from fglab.rings import Padic2
+from fglab.padic import Padic2
 
-from helpers import RANDOM_SEED, mahler_expand_poly
+from helpers import RANDOM_SEED, eval_at, mahler_expand_poly
 
 
 def test_mahler_expand_square():
@@ -18,7 +18,7 @@ def test_mahler_expand_square():
     np_ = mahler_expand_poly([0, 0, 1], 4)
     assert np_.coeffs == {1: 1, 2: 2}
     for t in range(5):
-        assert np_.eval_at(t) == t * t
+        assert eval_at(np_, t) == t * t
 
 
 def test_mahler_expand_c3t_3():
@@ -45,7 +45,7 @@ def test_mahler_roundtrip_random_polynomials():
 
         np_ = mahler_expand(fn, deg + 2)
         for t in range(deg + 3):
-            assert np_.eval_at(t) == fn(t)
+            assert eval_at(np_, t) == fn(t)
 
 
 def test_mahler_integrality_newton_basis():
@@ -109,7 +109,7 @@ def test_dilate_2adic_matches_integer(k, i, precision):
         g = got.coeffs[j]
         assert g == Padic2(int(w), g.precision), j
     for t in range(-4, 5):
-        assert want.eval_at(t) == binom(k * t, i), t
+        assert eval_at(want, t) == binom(k * t, i), t
 
 
 @pytest.mark.parametrize("k", [-1, -3, -5])
@@ -124,7 +124,7 @@ def test_dilate_negative_k_matches_2adic(k):
             g = got.coeffs[j]
             assert g == Padic2(int(w), g.precision), (i, j)
         for t in range(-4, 5):
-            assert want.eval_at(t) == binom(k * t, i), (i, t)
+            assert eval_at(want, t) == binom(k * t, i), (i, t)
 
 
 def test_dilate_2adic_needs_a_unit():

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
-from fglab.rings import (GF2, GF2Elt, Padic2, Padic2Ring, gf2_from_rat, padic_from_rat,
-                         padic_log, val2)
+from fglab.padic import Padic2, Padic2Ring, padic_from_rat, padic_log
+from fglab.rings import GF2, GF2Elt, gf2_from_rat, val2
 
 from helpers import RANDOM_SEED
 
