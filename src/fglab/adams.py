@@ -29,8 +29,8 @@ from .errors import (
 )
 from .linalg import Echelon, GF2Echelon
 from .rings import RAT, rat_val2
-from .series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
-                     format_product, format_sum, format_term)
+from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _product, format_product,
+                     format_sum, format_term)
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -40,17 +40,16 @@ from .series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms
 # beta-table --imax 200 ~3.5 s and --imax 250 ~10 s, both cubic in the index
 MAX_BETA_INDEX = 500
 MAX_BETA_TABLE = 200
+# the largest --k of both, at those index caps: beta --i 500 takes ~5.4 s at
+# --k 10 and ~10 s at 100, beta-table --imax 200 ~8.5-11 s at 10, ~15 s at
+# 100 and more than 40 s at 10^5
+MAX_BETA_K = 10
 
 
 def psi_power_coeff(k: int, j: int, i: int) -> int:
     """<psi^k x^j, beta_i> = coefficient of x^i in (1 - (1-x)^k)^j."""
-    # (1-(1-x)^k)^j = sum_s C(j,s) (-1)^s (1-x)^(ks); expand directly
-    total = 0
-    for s in range(0, j + 1):
-        if k * s < i:
-            continue
-        total += comb(j, s) * (-1) ** s * comb(k * s, i) * (-1) ** i
-    return total
+    # (1-(1-x)^k)^j = sum_s C(j,s) (-1)^s (1-x)^(ks); C(ks, i) = 0 for ks < i
+    return sum(comb(j, s) * (-1) ** s * comb(k * s, i) * (-1) ** i for s in range(j + 1) if k * s >= i)
 
 
 class BetaElt:
@@ -282,13 +281,10 @@ class DPoly(_Poly):
         self.terms = {m: c for m, c in clean.items() if c}
 
     def __mul__(self, other):
-        """The series product of exponent vectors over d_0..d_K, K the largest index."""
-        K = max((m[-1] for m in (*self.terms, *other.terms) if m), default=0)
-        p, q = (MultiSeries(RAT, range(K + 1), {tuple(map(m.count, range(K + 1))): c
-                                                 for m, c in t.items()})
-                for t in (self.terms, other.terms))
-        return DPoly({tuple(k for k, e in enumerate(exps) for _ in range(e)): c
-                      for exps, c in (p * q).terms.items()})
+        """One ``_product`` in the codes of the product's weight."""
+        W = sum(max(map(sum, t), default=0) for t in (self.terms, other.terms))
+        place = code_places(W)
+        return _dpoly(_product(_pair(self, place), _pair(other, place)), W)
 
     def mod2(self):
         out = {}
@@ -393,15 +389,48 @@ def code_places(W: int) -> dict:
     the sum of the factors' codes.  The b-monomials of ``coboundary_coeffs``
     and the d-monomials of the closed-form ``DReducer`` share these codes.
     """
-    code = MonomialCode([W // k for k in range(2, W + 1)])
-    return {k: 1 << s for k, s in enumerate(code.shifts, 2)}
+    return {k: 1 << s for k, s in enumerate(_code(W).shifts, 2)}
 
 
+def _code(W):
+    return _cached_code(tuple(W // k for k in range(2, W + 1)))
+
+
+@lru_cache(maxsize=32)
 def monomial_codes(W: int) -> dict:
-    """Each monomial in generators indexed 2..W, of weight <= W, as a sorted
-    index tuple keyed by its code; the empty monomial has code 0."""
+    """Each monomial in generators indexed 2..W, of weight <= W, as a sorted index
+    tuple keyed by its code, 0 for the empty one; cached, so no caller may change it."""
     place = code_places(W)
     return {sum(place[k] for k in m): m for m in dmonomials_upto(W)}
+
+
+def _pair(p: DPoly, place) -> tuple:
+    """A DPoly as a pair (see ``_product``) on the codes ``place`` gives its indices."""
+    nums, den = RAT.lift(p.terms.values())
+    return {sum(place[k] for k in m): n for m, n in zip(p.terms, nums)}, den
+
+
+def _dpoly(pair, W) -> DPoly:
+    """The DPoly of a pair on the codes of ``code_places(W)``."""
+    nums, den = pair
+    codes = monomial_codes(W)
+    return DPoly(RAT.lower({codes[m]: v for m, v in nums.items() if v}, den))
+
+
+def _multiplicative(W, memo, product):
+    """The map on the codes of ``code_places(W)``, multiplicative for ``product``, whose
+    ``memo`` holds the unit at code 0 and each generator's image at its place: a monomial's
+    image, memoised there, is product(image of its prefix, image of its last generator)."""
+    code = _code(W)
+    lead = [1 << s for s, mask in zip(code.shifts, code.masks) for _ in range(mask.bit_length())]
+
+    def image(m):
+        if m not in memo:
+            last = lead[m.bit_length() - 1]  # the last generator's field holds the top bit
+            memo[m] = product(image(m - last), memo[last])
+        return memo[m]
+
+    return image
 
 
 def coboundary_coeffs(W: int) -> dict:
@@ -418,42 +447,36 @@ def coboundary_coeffs(W: int) -> dict:
     with the codes of ``code_places(W)``.  The part of A_{i,k-i} linear in
     b_k is -C(k, i) b_k; its other terms have lower b-indices.
     """
-    shift = {0: 0, **code_places(W)}  # h_p = b_p, so multiplying by h_p adds a code
+    h = {0: {0: 1}, **{p: {place: 1} for p, place in code_places(W).items()}}  # h_p = b_p
     # c_n = [t^n] 1/h: c_0 = 1 and c_n = -sum_p b_p c_{n-p}
     inv = [{0: 1}, {}]
     for n in range(2, W + 1):
         cn = {}
         for p in range(2, n + 1):
-            for m, v in inv[n - p].items():
-                cn[m + shift[p]] = cn.get(m + shift[p], 0) - v
+            _addmul(cn, h[p], inv[n - p], neg=True)
         inv.append(cn)
     # G[a, b] = [x^a y^b] (1/h)(x + y - xy), by
     # [x^a y^b] (x + y - xy)^m = (-1)^r m!/((a-r)! (b-r)! r!), m = a + b - r
     G = {}
     for a in range(W + 1):
         for b in range(a, W + 1 - a):
-            terms = {}
+            terms = G[a, b] = G[b, a] = {}
             for r in range(a + 1):
                 k = (-1) ** r * comb(a + b - r, r) * comb(a + b - 2 * r, a - r)
-                for m, v in inv[a + b - r].items():
-                    terms[m] = terms.get(m, 0) + k * v
-            G[a, b] = G[b, a] = terms
+                _addmul(terms, {0: k}, inv[a + b - r])
     # times h(y), then times h(x)
     Gh = {}
     for a in range(W):
         for j in range(1, W + 1 - a):
             terms = Gh[a, j] = {}
             for q in (0, *range(2, j + 1)):
-                for m, v in G[a, j - q].items():
-                    terms[m + shift[q]] = terms.get(m + shift[q], 0) + v
+                _addmul(terms, h[q], G[a, j - q])
     A = {}
     for i in range(1, W // 2 + 1):
         for j in range(i, W + 1 - i):
-            terms = {}
+            terms = A[i, j] = {}
             for p in (0, *range(2, i + 1)):
-                for m, v in Gh[i - p, j].items():
-                    terms[m + shift[p]] = terms.get(m + shift[p], 0) + v
-            A[i, j] = {m: v for m, v in terms.items() if v}
+                _addmul(terms, h[p], Gh[i - p, j])
     return A
 
 
@@ -508,9 +531,8 @@ class DReducer:
     = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
     beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and
     phi(a_ij) = beta(A_ij), which ``reduce`` forms only for the sum it is
-    given.  beta of a b-monomial is memoised as beta of its prefix times beta
-    of its last b_k.  The b-monomials share their codes with the d-monomials,
-    so beta maps pairs to pairs.
+    given.  beta is ``_multiplicative`` on b-monomials, whose codes are the
+    d-monomials', so it maps pairs to pairs.
 
     Given ``rels`` it solves that relation set by substitution, one halved
     weight w <= W at a time.  The unknowns a_{i,w-i} (i <= w/2) appear
@@ -537,7 +559,6 @@ class DReducer:
         self.W = W
         self.nki_mode = nki_mode
         place = code_places(W)
-        self._codes = codes = monomial_codes(W)  # code -> d-monomial, for what reduce returns
         self._phi = {(): ({0: 1}, 1)}    # u-free a-monomial -> phi, as a pair
         self._beta = None                # closed form: b-monomial code -> d-polynomial
         self._consistent = True
@@ -553,25 +574,17 @@ class DReducer:
             return
         A = coboundary_coeffs(W)
         beta = {0: ({0: 1}, 1)}  # b-monomial code -> its d-polynomial, as a pair
-
-        def beta_of(m):
-            if m not in beta:
-                last = place[codes[m][-1]]
-                beta[m] = _product(beta_of(m - last), beta[last])
-            return beta[m]
-
+        self._beta = _multiplicative(W, beta, _product)
         for k in range(2, W + 1):
             bk = place[k]
             dk = {}  # sum_i n_k^i A_{i,k-i}
             for i, n in self.nki(k).items():
-                for m, v in A[min(i, k - i), max(i, k - i)].items():
-                    dk[m] = dk.get(m, 0) + n * v
+                _addmul(dk, {0: n}, A[min(i, k - i), max(i, k - i)])
             gamma = -dk.pop(bk)
-            nums, den = _lincomb([(c, beta_of(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
+            nums, den = _lincomb([(c, self._beta(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
             beta[bk] = _lowest_terms(nums, den * gamma)
         for pair, bpoly in A.items():
             self._phi[((pair, 1),)] = (bpoly, 1)
-        self._beta = beta_of
 
     def nki(self, k):
         """The n_k^i that define d_k here; d_k above weight W is NotReducible."""
@@ -647,8 +660,7 @@ class DReducer:
         if self._beta is not None:
             out, Dd = _lincomb([(v, self._beta(m)) for m, v in out.items() if v])
             D *= Dd
-        codes = self._codes
-        return DPoly(RAT.lower({codes[m]: v for m, v in out.items() if v}, D * den))
+        return _dpoly((out, D * den), self.W)
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:
@@ -695,38 +707,27 @@ def spherical_search(max_weight: int, psi_table: dict):
             kernel.append(DPoly({m: 1 for j, m in enumerate(monos) if combo >> j & 1}))
     new_by_weight = {}
     for elt in kernel:
-        if all(m == () for m in elt.terms):
-            continue  # constants excluded
-        top = max(sum(m) for m in elt.terms)
-        new_by_weight.setdefault(2 * top, []).append(elt)
+        if any(elt.terms):  # constants excluded
+            new_by_weight.setdefault(2 * max(map(sum, elt.terms)), []).append(elt)
     return kernel, new_by_weight
 
 
 def _psi_minus_id_mod2(W, psi_table):
-    """The d-monomials of halved weight <= W (constant first), and the mod-2
-    images of (psi - id) on them, as monomial sets."""
+    """The d-monomials of halved weight <= W (``dmonomials_upto(W)``), and
+    the mod-2 images of (psi - id) on them, as monomial sets."""
     # mod-2 d-polynomials as {code: 1} dicts on the kernel, in the codes of
     # code_places(W): psi never raises the weight, so no product leaves it
     place, codes = code_places(W), monomial_codes(W)
-    table = {}
+    memo = {0: {0: 1}}
     for k in range(2, W + 1):
         if k not in psi_table:
             raise InsufficientTable(f"psi table lacks d_{k} (needed up to {W})")
         support = psi_table[k].mod2().terms
         if any(sum(m) > k for m in support):
             raise InsufficientTable(f"psi image of d_{k} has weight above {k}")
-        table[k] = {sum(place[i] for i in m): 1 for m in support}
-    monos = list(codes.values())  # dmonomials_upto(W), in its order
-    # psi(m) = psi(m without its last index) * psi(d_last); the prefix comes
-    # earlier in the weight order, so each image is one product
-    psi = {(): {0: 1}}
-    imgs = []
-    for m in monos:
-        if m:
-            prod = _addmul({}, psi[m[:-1]], table[m[-1]])
-            psi[m] = {c: 1 for c, n in prod.items() if n % 2}
-        imgs.append({codes[c] for c in psi[m]} ^ {m})
-    return monos, imgs
+        memo[place[k]] = {sum(place[i] for i in m): 1 for m in support}
+    psi = _multiplicative(W, memo, lambda p, q: {c: 1 for c, n in _addmul({}, p, q).items() if n % 2})
+    return list(codes.values()), [{codes[c] for c in psi(m)} ^ {mono} for m, mono in codes.items()]
 
 
 def _gf2_vectors(supports):
@@ -744,9 +745,7 @@ def _gf2_solve(imgs, target):
     for i, v in enumerate(vecs):
         ech.add(v, key=i)
     rest, combo = ech.reduce(vt)
-    if rest:
-        return None
-    return [i for i in range(len(imgs)) if combo >> i & 1]
+    return None if rest else [i for i in range(len(imgs)) if combo >> i & 1]
 
 
 def in_gf2_span(candidates, target: DPoly) -> bool:
@@ -758,16 +757,19 @@ def in_gf2_span(candidates, target: DPoly) -> bool:
 
 
 def _psi_dpoly(p: DPoly, psi_table: dict) -> DPoly:
-    """Apply psi multiplicatively to a d-polynomial via the rational table."""
-    out = DPoly()
-    for m, c in p.terms.items():
-        acc = DPoly({(): 1})
-        for k in m:
-            if k not in psi_table:
-                raise InsufficientTable(f"psi table lacks d_{k}")
-            acc = acc * psi_table[k]
-        out = out + acc.scale(c)
-    return out
+    """Apply psi multiplicatively to a d-polynomial via the rational table, in
+    the codes of W = max over p's monomials of sum_k max(k, weight of
+    psi(d_k)), which hold each monomial and the image of each prefix."""
+    weight = {}  # k -> max(k, weight of psi(d_k)) for each d_k that p uses
+    for k in (k for m in p.terms for k in m):
+        if k not in psi_table:
+            raise InsufficientTable(f"psi table lacks d_{k}")
+        weight[k] = max(k, *map(sum, psi_table[k].terms))
+    W = max((sum(map(weight.get, m)) for m in p.terms), default=0)
+    place = code_places(W)
+    psi = _multiplicative(W, {0: ({0: 1}, 1), **{place[k]: _pair(psi_table[k], place) for k in weight}},
+                          _product)
+    return _dpoly(_lincomb([(c, psi(sum(place[k] for k in m))) for m, c in p.terms.items()]), W)
 
 
 def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
@@ -781,8 +783,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     (default: the table's full range); an unsolvable stage raises
     LiftObstruction with the stage index.
     """
-    psi_z = _psi_dpoly(z, psi_table)
-    if not all(rat_val2(c) >= 1 for c in (psi_z - z).terms.values()):
+    if not all(rat_val2(c) >= 1 for c in (_psi_dpoly(z, psi_table) - z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
     # mod-2 images of (psi - 1) on the correction space
     W = max(psi_table) if max_weight is None else max_weight // 2
@@ -804,6 +805,5 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
         sol = _gf2_solve(imgs, resid)
         if sol is None:
             raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
-        corr = DPoly({monos[i]: Fraction(2) ** m_stage for i in sol})
-        b = b + corr
+        b = b + DPoly({monos[i]: Fraction(2) ** m_stage for i in sol})
     return b

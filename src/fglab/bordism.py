@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import UnsupportedDimension, UsageError
+from .errors import NotInDomain, UnsupportedDimension, UsageError
 from .fgl import FGL, MAX_TWIST_BOUND, X, Y
 from .rings import RAT
 from .series import MultiSeries
@@ -97,6 +97,10 @@ _POWER = r"(?:\s*\^\s*0*[1-9]\d*)?"
 _TERM = re.compile(rf"""\s*(?P<sign>[+-]?)\s*(?:(?P<weight>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?
     (?:(?P<builtin>K3SQ|N)|(?P<product>CP\d+{_POWER}(?:\s*x\s*CP\d+{_POWER})*))(?![\w^])\s*""", re.X)
 _FACTOR = re.compile(r"CP(\d+)(?:\s*\^\s*(\d+))?")
+# the most digits a weight, a dimension or an exponent may have: far more
+# than any twist or weight needs, and well below the 4300 digits that Python
+# converts between int and str
+MAX_DIGITS = 100
 
 
 class BordismExpr:
@@ -135,8 +139,9 @@ class BordismExpr:
     @classmethod
     def parse(cls, text: str) -> "BordismExpr":
         """Read ``text``, e.g. ``8*CP4 - 25*CP1xCP3 + 1/4*K3SQ - 23*CP1^4``,
-        term by term with ``_TERM``.  A product beyond the twist cap's reach
-        is refused before its factors are spelled out."""
+        term by term with ``_TERM``.  A number of more than MAX_DIGITS digits
+        is NotInDomain, and a product beyond the twist cap's reach is refused
+        before its factors are spelled out."""
         if not text.strip():
             raise UsageError(f"empty bordism expression {text!r}")
         out, pos = {}, 0
@@ -147,6 +152,9 @@ class BordismExpr:
                     f"cannot read a term at position {pos} of {text!r}: a term is [sign] "
                     "[n or n/d[*]] then K3SQ, N or CPa[^i]x...xCPb[^j] with i, j >= 1, "
                     "and every term after the first needs its sign")
+            if (n := max(map(len, re.findall(r"\d+", m[0])), default=0)) > MAX_DIGITS:
+                raise NotInDomain(f"the term at position {pos} has a number of {n} digits, "
+                                  f"above the cap of {MAX_DIGITS}")
             pos = m.end()
             c = Fraction(m["weight"] or 1) * (-1 if m["sign"] == "-" else 1)
             if m["builtin"]:

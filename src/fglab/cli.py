@@ -106,9 +106,9 @@ def cmd_fgl(args, out):
             rows.append((f"CP{n}", "match" if d.is_zero() else f"box - residue = {d}"))
         _emit(rows, ["class", "paper_box_vs_residue_exact"], args.fmt, out)
     elif args.action == "miscenko":
-        with _domain("--expr", UnsupportedDimension):
-            # a dimension beyond the twist cap, or a factor the mode cannot
-            # tabulate, is refused before the twist
+        with _domain("--expr", (UnsupportedDimension, NotInDomain)):
+            # a number of too many digits, a dimension beyond the twist cap,
+            # or a factor the mode cannot tabulate, is refused before the twist
             expr = bordism.BordismExpr.parse(args.expr)
             if expr.terms:
                 bordism.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
@@ -182,6 +182,8 @@ def _dim_basis(dim):
 
 def cmd_adams(args, out):
     from . import adams
+    if args.action in ("beta", "beta-table"):
+        _at_most("--k", args.k, adams.MAX_BETA_K, args.action)
     if args.action == "beta":
         _at_most("--i", args.i, adams.MAX_BETA_INDEX, "beta")
         elt = adams.psi_inv_beta(args.k, args.i)
@@ -283,12 +285,16 @@ def cmd_cannibal(args, out):
 def cmd_mahler(args, out):
     from . import mahler
     from .padic import Padic2
+    if args.action != "vs-adams" and args.padic is None:  # the integer --k of dilate and matrix
+        _at_least("--k", args.k, -mahler.MAX_DILATION_K)
+        _at_most("--k", args.k, mahler.MAX_DILATION_K, args.action)
     if args.action == "dilate":
         # --padic replaces the integer --k, and only it reads --precision
         unread, when = ("--k", "with") if args.padic is not None else ("--precision", "without")
         if unread in args.given:
             raise UsageError(f"{unread} is not read by dilate {when} --padic")
         _at_most("--i", args.i, mahler.MAX_DILATE_INDEX, "dilate")
+        _at_most("--precision", args.precision, mahler.MAX_PRECISION, "dilate")
         k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
@@ -313,8 +319,9 @@ def cmd_mahler(args, out):
 
 
 def cmd_artin_schreier(args, out):
-    from .mahler import artin_schreier_check
+    from .mahler import MAX_PRECISION, artin_schreier_check
     _at_least("--precision", args.precision, 16)
+    _at_most("--precision", args.precision, MAX_PRECISION, "artin-schreier")
     with _domain("--u", NotInDomain):
         res = artin_schreier_check(args.u, args.precision)
     rows = [

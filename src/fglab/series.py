@@ -455,22 +455,6 @@ class MultiSeries:
             acc = acc + cn * powers[n + 1]
         return inv
 
-    def partial(self, var):
-        """Formal partial derivative with respect to ``var``."""
-        idx = self._var_index(var)
-        ring = self.ring
-        terms = {}
-        for exp, c in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            s = c
-            for _ in range(e - 1):
-                s = s + c
-            if not ring.is_zero(s):
-                terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = s
-        return MultiSeries(ring, self.vars, terms, self.bound, self.weights)
-
     def map_coefficients(self, fn, ring):
         terms = {}
         for e, c in self.terms.items():

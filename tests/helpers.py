@@ -8,8 +8,8 @@ from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, mo
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
-from fglab.errors import (DivisionUndefined, EvenK, FglabError, IndexOutOfRange, NotReducible,
-                          NotStrict, UsageError)
+from fglab.errors import (DivisionUndefined, EvenK, FglabError, IndexOutOfRange, InsufficientTable,
+                          NotReducible, NotStrict, UsageError)
 from fglab.fgl import FGL, X, Y, _require_zero
 from fglab.mahler import NumPoly, binom, mahler_expand
 from fglab.rings import RAT
@@ -177,13 +177,29 @@ def additive_law(ring, bound):
     return MultiSeries(ring, (X, Y), {(1, 0): ring.one, (0, 1): ring.one}, bound)
 
 
+def partial(s, var):
+    """The formal partial derivative of the series s with respect to ``var``."""
+    idx = s._var_index(var)
+    terms = {}
+    for exp, c in s.terms.items():
+        e = exp[idx]
+        if e == 0:
+            continue
+        d = c
+        for _ in range(e - 1):
+            d = d + c
+        if not s.ring.is_zero(d):
+            terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = d
+    return MultiSeries(s.ring, s.vars, terms, s.bound, s.weights)
+
+
 def fgl_log(F: MultiSeries) -> MultiSeries:
     """Logarithm: the strict series l with l(F(x,y)) = l(x) + l(y).
 
     Computed from l'(x) = 1/(dF/dy)(x, 0), integrated term-wise; requires a
     Q-algebra coefficient ring.
     """
-    dFdy = F.partial(Y).coeff_in_var(Y, 0).drop_vars((Y,))
+    dFdy = partial(F, Y).coeff_in_var(Y, 0).drop_vars((Y,))
     return integrate_strict(dFdy.reciprocal(), X)
 
 
@@ -491,6 +507,32 @@ def composition_failures(red, k: int, l: int, theta_of) -> list:
             != thom_psi_dk(n, theta[k * l], red, k * l)]
 
 
+def dpoly_product_by_series(p, q):
+    """The product of two DPolys as the series product of their exponent
+    vectors over d_0..d_K, K the largest index: the reference for
+    ``DPoly.__mul__``."""
+    K = max((m[-1] for m in (*p.terms, *q.terms) if m), default=0)
+    s, t = (MultiSeries(RAT, range(K + 1), {tuple(map(m.count, range(K + 1))): c for m, c in f.terms.items()})
+            for f in (p, q))
+    return DPoly({tuple(k for k, e in enumerate(exps) for _ in range(e)): c
+                  for exps, c in (s * t).terms.items()})
+
+
+def psi_dpoly_by_monomials(p, psi_table):
+    """psi on a d-polynomial monomial by monomial, each image the product of
+    the table's entries by ``dpoly_product_by_series``: the reference for
+    ``adams._psi_dpoly``, with the same error for a d_k the table lacks."""
+    out = DPoly()
+    for m, c in p.terms.items():
+        acc = DPoly({(): 1})
+        for k in m:
+            if k not in psi_table:
+                raise InsufficientTable(f"psi table lacks d_{k}")
+            acc = dpoly_product_by_series(acc, psi_table[k])
+        out = out + acc.scale(c)
+    return out
+
+
 def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:
     """Nine-term bilinear form in the t-sequence (the intermediate closed form)."""
     def t(k):
@@ -535,7 +577,7 @@ def generator_images(red):
     pair in d; the closed form memoises A_ij as a pair in b, which one
     ``_lincomb`` over ``red._beta`` maps to d.  A reducer whose relations
     contradict the d_k reduces nothing: its determined a_ij map to None."""
-    out = {}
+    out, codes = {}, monomial_codes(red.W)
     for i in range(1, red.W // 2 + 1):
         for j in range(i, red.W + 1 - i):
             img = red._phi.get((((i, j), 1),))
@@ -547,7 +589,7 @@ def generator_images(red):
             if red._beta is not None:
                 img = _lincomb([(v, red._beta(m)) for m, v in img[0].items()])
             nums, den = img
-            out[i, j] = {red._codes[m]: Fraction(v, den) for m, v in nums.items() if v}
+            out[i, j] = {codes[m]: Fraction(v, den) for m, v in nums.items() if v}
     return out
 
 

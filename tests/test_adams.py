@@ -11,14 +11,16 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coef
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
-                         psi_power_coeff, psi_tensor_apoly, spherical_search, _psi_dpoly)
+                         psi_power_coeff, psi_tensor_apoly, spherical_search, _psi_dpoly,
+                         _psi_minus_id_mod2)
 from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
-from fglab.errors import LiftObstruction, NotReducible, UnsupportedK, UsageError
+from fglab.errors import InsufficientTable, LiftObstruction, NotReducible, UnsupportedK, UsageError
 from fglab.rings import rat_val2
 
 from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
-                     composition_failures, generator_images, psi3_closed_coeff,
-                     reduce_by_fractions, series_relations, unit_class, xyz_coefficients)
+                     composition_failures, dpoly_product_by_series, generator_images,
+                     psi3_closed_coeff, psi_dpoly_by_monomials, reduce_by_fractions,
+                     series_relations, unit_class, xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -541,6 +543,53 @@ def test_dpoly_product_ring_laws(p, q, r):
     assert (p * q) * r == p * (q * r)
     assert p * (q + r) == p * q + p * r
     assert (p * q).mod2() == (p.mod2() * q.mod2()).mod2()
+
+
+@settings(max_examples=200, deadline=None)
+@given(DPOLYS, DPOLYS)
+def test_dpoly_product_matches_the_series_product(p, q):
+    assert p * q == dpoly_product_by_series(p, q)
+
+
+# psi tables at weight 10: the Thom level, the base level (the unit class),
+# and the Thom table with psi(d_3) raised to weight 7, which the exact psi
+# on d-polynomials accepts although the mod-2 kernel search refuses it
+PSI_TABLES = ("thom", "unit", "heavy d3")
+
+
+@pytest.fixture(scope="module")
+def psi_tables(thom_table10, reducer10):
+    theta = theta_unit(10)
+    return {"thom": thom_table10,
+            "unit": {k: thom_psi_dk(k, theta, reducer10) for k in range(2, 11)},
+            "heavy d3": {**thom_table10, 3: thom_table10[3] + DPoly({(2, 5): Fraction(1, 3)})}}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(PSI_TABLES),
+       p=st.dictionaries(st.sampled_from(dmonomials_upto(10)), st.fractions(max_denominator=9),
+                         max_size=4).map(DPoly))
+def test_psi_dpoly_matches_the_monomial_loop(psi_tables, name, p):
+    """psi on a d-polynomial, one memoised map on the codes of its own
+    weight, equals the per-monomial product of the table's entries."""
+    assert _psi_dpoly(p, psi_tables[name]) == psi_dpoly_by_monomials(p, psi_tables[name])
+
+
+def test_psi_dpoly_names_the_missing_d_k(thom_table10):
+    p = DPoly({(2, 3): 1, (11,): 1, (2, 12): 1})
+    for psi in (_psi_dpoly, psi_dpoly_by_monomials):
+        with pytest.raises(InsufficientTable, match="^psi table lacks d_11$"):
+            psi(p, thom_table10)
+
+
+def test_psi_minus_id_mod2_is_the_support_of_exact_psi(thom_table10):
+    """Each mod-2 image of (psi - id) on the d-monomials of weight <= 10 is
+    the support of the odd coefficients of the exact psi(m) - m."""
+    monos, imgs = _psi_minus_id_mod2(10, thom_table10)
+    assert monos == dmonomials_upto(10)
+    for m, img in zip(monos, imgs):
+        exact = psi_dpoly_by_monomials(DPoly({m: 1}), thom_table10) - DPoly({m: 1})
+        assert img == set(exact.mod2().terms), m
 
 
 THETA_SOURCES = (unit_class, theta3_direct)

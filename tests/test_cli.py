@@ -5,11 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import fglab
 from fglab import cli
 from fglab.cli import main
+from fglab.errors import NotInDomain
 
 
 def run(capsys, *argv):
@@ -149,6 +152,8 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"), "--expr"),
     (("mahler", "dilate", "--padic", "5", "--i", "3", "--k", "7"), "--k"),
     (("mahler", "dilate", "--i", "3", "--precision", "20"), "--precision"),
+    (("fgl", "miscenko", "--expr", "CP1^" + "9" * 5000), "--expr"),
+    (("fgl", "miscenko", "--expr", "9" * 5000 + "*CP2"), "--expr"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
@@ -305,6 +310,13 @@ def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypa
     (("mahler", "vs-adams"), "--imax", "mahler", "MAX_VS_ADAMS_INDEX", 100, ("dilation_vs_adams",)),
     (("series", "invert"), "--order", "series", "MAX_INVERT_ORDER", 24, ()),
     (("series", "residue"), "--order", "series", "MAX_RESIDUE_ORDER", 16, ()),
+    (("adams", "beta", "--i", "500"), "--k", "adams", "MAX_BETA_K", 10, ("psi_inv_beta",)),
+    (("adams", "beta-table", "--imax", "200"), "--k", "adams", "MAX_BETA_K", 10, ("psi_inv_beta",)),
+    (("mahler", "dilate", "--i", "1000"), "--k", "mahler", "MAX_DILATION_K", 10000, ("dilate",)),
+    (("mahler", "matrix", "--imax", "200"), "--k", "mahler", "MAX_DILATION_K", 10000,
+     ("dilation_matrix",)),
+    (("mahler", "dilate", "--padic", "3", "--i", "1000"), "--precision", "mahler", "MAX_PRECISION", 5000,
+     ("dilate",)),
 ])
 def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, flag, module, cap,
                                                    value, computes):
@@ -330,6 +342,28 @@ def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, fl
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+def test_precision_and_dilation_k_caps(capsys, monkeypatch):
+    """artin-schreier shares mahler.MAX_PRECISION with mahler dilate --padic,
+    and the integer --k of mahler dilate and matrix is refused below
+    -MAX_DILATION_K as well as above it, before anything is computed."""
+    from fglab import mahler
+
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    for name in ("artin_schreier_check", "dilate", "dilation_matrix"):
+        monkeypatch.setattr(mahler, name, unbuilt)
+    code, out, err = run(capsys, "artin-schreier", "--precision", "5001")
+    assert (code, out, err) == (2, "", "usage error: --precision: 5001 is above the artin-schreier cap of 5000\n")
+    code, out, err = run(capsys, "artin-schreier", "--precision", "5000")
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+    for action in ("dilate", "matrix"):
+        code, out, err = run(capsys, "mahler", action, "--k", "-10001")
+        assert (code, out, err) == (2, "", "usage error: --k must be >= -10000, got -10001\n")
+        code, out, err = run(capsys, "mahler", action, "--k", "-10000")
+        assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 @pytest.mark.parametrize("expr, dim", [("CP1^999999999999", 999999999999),
                                        ("CP2xCP1^100000000000 - CP3", 100000000002)])
 def test_miscenko_refuses_a_huge_exponent_before_expanding_it(capsys, expr, dim):
@@ -340,6 +374,17 @@ def test_miscenko_refuses_a_huge_exponent_before_expanding_it(capsys, expr, dim)
     assert (code, out) == (2, "")
     assert err == (f"usage error: --expr: dimension {dim} needs the twist at bound {dim + 2}, "
                    "above the twist cap of 24\n")
+
+
+def test_bordism_expr_numbers_have_at_most_max_digits():
+    """A weight, dimension or exponent of more than bordism.MAX_DIGITS digits
+    is NotInDomain, raised before Python's limit on converting long digit
+    strings to int would raise a ValueError; MAX_DIGITS digits are read."""
+    from fglab import bordism
+    assert bordism.MAX_DIGITS == 100
+    assert bordism.BordismExpr.parse("9" * 100 + "*CP1").terms == {(1,): Fraction(10 ** 100 - 1)}
+    with pytest.raises(NotInDomain, match="number of 101 digits"):
+        bordism.BordismExpr.parse("CP1 - " + "9" * 101 + "*CP1")
 
 
 @pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])

@@ -14,7 +14,7 @@ from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 from helpers import (RANDOM_SEED, additive_law, coeff_of, compose, exp_series, fgl_binom, fgl_check,
-                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, rename,
+                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, partial, rename,
                      symbol_grades, truncate, twist_by_substitution)
 
 
@@ -402,7 +402,7 @@ def test_cpn_residue_matches_log_derivative():
     F = multiplicative_law(RAT, 9)
     g = generic_strict_series(RAT, 9, nb)
     law = fgl_twist(F, g)
-    rec = law.law.partial("y").coeff_in_var("y", 0).reciprocal()
+    rec = partial(law.law, "y").coeff_in_var("y", 0).reciprocal()
     for n in range(1, 9):
         want = rec.coeff_in_var("x", n)
         poly = cpn_in_a(n, "residue-exact")
