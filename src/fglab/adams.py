@@ -325,6 +325,11 @@ def dk_as_apoly(k: int, nki: dict) -> APoly:
 
 # -- 2-structure relations ------------------------------------------------------
 
+# the largest --degree of `adams relations`; fresh process, unscaled: 2.0 s
+# (94 MB) at 24, 4.4-5.8 s (205 MB) at 28, 10.5-11.4 s (359 MB) at 32 and
+# 38 s (1.3 GB) at 40
+MAX_RELATIONS_DEGREE = 28
+
 
 def gen_2structure_relations(N: int) -> dict:
     """Expand the symmetric-cocycle identity and collect coefficient relations.
@@ -694,16 +699,13 @@ def spherical_search(max_weight: int, psi_table: dict):
     """
     if max_weight % 2 != 0:
         raise UsageError("weights are even")
-    monos, imgs = _psi_minus_id_mod2(max_weight // 2, psi_table)
+    monos, _, cols = _psi_minus_id_mod2(max_weight // 2, psi_table)
     # each column dependent on the earlier ones gives one kernel element
     ech = GF2Echelon()
     kernel = []
-    for i, col in enumerate(_gf2_vectors(imgs)):
-        rem, combo = ech.reduce(col)
-        combo ^= 1 << i
-        if rem:
-            ech.keep(rem, combo)
-        else:
+    for i, col in enumerate(cols):
+        rem, combo = ech.add(col, i)
+        if not rem:
             kernel.append(DPoly({m: 1 for j, m in enumerate(monos) if combo >> j & 1}))
     new_by_weight = {}
     for elt in kernel:
@@ -713,8 +715,9 @@ def spherical_search(max_weight: int, psi_table: dict):
 
 
 def _psi_minus_id_mod2(W, psi_table):
-    """The d-monomials of halved weight <= W (``dmonomials_upto(W)``), and
-    the mod-2 images of (psi - id) on them, as monomial sets."""
+    """The d-monomials of halved weight <= W (``dmonomials_upto(W)``), the bit
+    of each in a mod-2 d-polynomial as a bitset (its place in sorted-tuple
+    order), and the images of (psi - id) on them as such bitsets."""
     # mod-2 d-polynomials as {code: 1} dicts on the kernel, in the codes of
     # code_places(W): psi never raises the weight, so no product leaves it
     place, codes = code_places(W), monomial_codes(W)
@@ -727,30 +730,19 @@ def _psi_minus_id_mod2(W, psi_table):
             raise InsufficientTable(f"psi image of d_{k} has weight above {k}")
         memo[place[k]] = {sum(place[i] for i in m): 1 for m in support}
     psi = _multiplicative(W, memo, lambda p, q: {c: 1 for c, n in _addmul({}, p, q).items() if n % 2})
-    return list(codes.values()), [{codes[c] for c in psi(m)} ^ {mono} for m, mono in codes.items()]
-
-
-def _gf2_vectors(supports):
-    """GF(2) d-polynomials, given by their monomial supports, as bitsets over
-    the sorted monomials they use."""
-    index = {m: i for i, m in enumerate(sorted(set().union(*supports)))}
-    return [sum(1 << index[m] for m in s) for s in supports]
-
-
-def _gf2_solve(imgs, target):
-    """Solve sum_{i in S} imgs[i] = target over GF(2), all given by their
-    monomial supports; returns the index set or None."""
-    *vecs, vt = _gf2_vectors([*imgs, target])
-    ech = GF2Echelon()
-    for i, v in enumerate(vecs):
-        ech.add(v, key=i)
-    rest, combo = ech.reduce(vt)
-    return None if rest else [i for i in range(len(imgs)) if combo >> i & 1]
+    bit = {m: 1 << i for i, m in enumerate(sorted(codes.values()))}
+    by_code = {c: bit[m] for c, m in codes.items()}
+    return list(codes.values()), bit, [sum(map(by_code.get, psi(c))) ^ by_code[c] for c in codes]
 
 
 def in_gf2_span(candidates, target: DPoly) -> bool:
     """Membership of target in the GF(2) span of candidate d-polynomials."""
-    return _gf2_solve([c.mod2().terms for c in candidates], target.mod2().terms) is not None
+    *supports, goal = [p.mod2().terms for p in (*candidates, target)]
+    bit = {m: 1 << i for i, m in enumerate(sorted(set().union(*supports, goal)))}
+    ech = GF2Echelon()
+    for i, s in enumerate(supports):
+        ech.add(sum(map(bit.get, s)), i)
+    return not ech.reduce(sum(map(bit.get, goal)))[0]
 
 
 # -- bootstrap lifting ------------------------------------------------------------
@@ -785,25 +777,28 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     """
     if not all(rat_val2(c) >= 1 for c in (_psi_dpoly(z, psi_table) - z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
-    # mod-2 images of (psi - 1) on the correction space
+    # (psi - 1) on the correction space, mod 2, eliminated once
     W = max(psi_table) if max_weight is None else max_weight // 2
-    monos, imgs = _psi_minus_id_mod2(W, psi_table)
+    monos, bit, cols = _psi_minus_id_mod2(W, psi_table)
+    ech = GF2Echelon()
+    for i, col in enumerate(cols):
+        ech.add(col, i)
     b = z
     for m_stage in range(1, target_precision):
         defect = _psi_dpoly(b, psi_table) - b
         # defect = 2^m_stage * (unit part); need correction with
         # (psi-1)c = -defect/2^m_stage  mod 2
-        resid = {}
+        resid = []
         for mono, c in defect.terms.items():
             v = rat_val2(c)
             if v < m_stage:
                 raise LiftObstruction(m_stage, f"defect valuation {v} at {mono}")
             if v == m_stage:
-                resid[mono] = 1
+                resid.append(mono)
         if not resid:
             continue
-        sol = _gf2_solve(imgs, resid)
-        if sol is None:
+        rest, combo = ech.reduce(sum(bit.get(m, 0) for m in resid))
+        if rest or any(m not in bit for m in resid):
             raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
-        b = b + DPoly({monos[i]: Fraction(2) ** m_stage for i in sol})
+        b = b + DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1})
     return b

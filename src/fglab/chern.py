@@ -139,48 +139,24 @@ def monomial_label(mono) -> str:
     return format_product((f"c{idx}", mult) for idx, mult in sorted(Counter(mono).items()))
 
 
-class IntMatrix:
-    """Dense arbitrary-precision integer matrix."""
-
-    def __init__(self, rows):
-        self.rows = [list(map(int, r)) for r in rows]
-        if self.rows:
-            w = len(self.rows[0])
-            if any(len(r) != w for r in self.rows):
-                raise UsageError("ragged matrix")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def __eq__(self, other):
-        return isinstance(other, IntMatrix) and self.rows == other.rows
-
-    def __repr__(self):
-        return f"IntMatrix({self.rows})"
-
-
-def su_constraint_system(basis, dim) -> IntMatrix:
-    """One row per Chern monomial divisible by c1, one column per basis manifold."""
+def su_constraint_system(basis, dim) -> list:
+    """One int row per Chern monomial divisible by c1, one column per basis manifold."""
     for p in basis:
         if p.complex_dim != dim:
             raise DimensionMismatch(f"{p} has dimension {p.complex_dim}, expected {dim}")
-    rows = []
-    for mono in chern_monomials_with_c1(dim):
-        rows.append([chern_number(p, mono) for p in basis])
-    return IntMatrix(rows)
+    return [[chern_number(p, mono) for p in basis] for mono in chern_monomials_with_c1(dim)]
 
 
-def integer_reduce(m: IntMatrix) -> IntMatrix:
+def integer_reduce(m: list) -> list:
     """Hermite-style row echelon form over Z (unimodular row operations only).
 
     Canonical: positive pivots, entries above a pivot reduced into
     [0, pivot); zero rows dropped.  Row space (over Q and over Z) is
     preserved, which is what the golden comparison asserts.
     """
-    rows = [r[:] for r in m.rows]
+    rows = [r[:] for r in m]
     nrows = len(rows)
-    ncols = m.shape[1]
+    ncols = len(rows[0]) if rows else 0
     r = 0
     for c in range(ncols):
         # find pivot: gcd-reduce column c below row r
@@ -208,8 +184,7 @@ def integer_reduce(m: IntMatrix) -> IntMatrix:
             r += 1
             if r == nrows:
                 break
-    out = [row for row in rows[:r] if any(row)]
-    return IntMatrix(out)
+    return [row for row in rows[:r] if any(row)]
 
 
 def rref(rows):
@@ -232,12 +207,13 @@ def rref(rows):
     return red, pivots
 
 
-def nullspace_rational(m: IntMatrix):
-    """Basis of the rational kernel {v : m v = 0}, from the RREF free columns."""
-    if not m.rows:
+def nullspace_rational(m: list):
+    """Basis of the rational kernel {v : m v = 0} of the rows m, from the RREF
+    free columns."""
+    if not m:
         raise UsageError("empty matrix")
-    ncols = m.shape[1]
-    red, pivots = rref(m.rows)
+    ncols = len(m[0])
+    red, pivots = rref(m)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
@@ -250,16 +226,15 @@ def nullspace_rational(m: IntMatrix):
 
 
 def span_test(vectors):
-    """Exact membership in the rational span of ``vectors``, from one RREF."""
-    red, pivots = rref(vectors)
+    """Exact membership in the rational span of ``vectors``: one echelon of
+    them, then any number of tests, each an empty remainder."""
+    def sparse(v):
+        return {c: a for c, a in enumerate(v) if a}
 
-    def contains(v):
-        # the only candidate is the RREF combination with v's own pivot entries
-        w = [Fraction(a) for a in v]
-        return all(sum(w[pc] * row[c] for row, pc in zip(red, pivots)) == a
-                   for c, a in enumerate(w))
-
-    return contains
+    ech = Echelon()
+    for v in vectors:
+        ech.add(sparse(v))
+    return lambda v: not ech.reduce(sparse(v))[0]
 
 
 def same_row_space(a_rows, b_rows) -> bool:

@@ -96,6 +96,7 @@ def cmd_fgl(args, out):
         return 0
     from . import bordism
     if args.action == "cpn":
+        _at_most("--n", args.n, bordism.MAX_CPN_N, "cpn")
         with _domain("--n", UnsupportedDimension):
             poly = bordism.cpn_in_a(args.n, args.mode)
         _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], args.fmt, out)
@@ -133,21 +134,18 @@ def cmd_chern(args, out):
         _emit(rows, ["monomial", "coefficient"], args.fmt, out)
     elif args.action == "system":
         basis = _dim_basis(args.dim)
-        m = chern.su_constraint_system(basis, args.dim)
         monos = chern.chern_monomials_with_c1(args.dim)
-        rows = []
-        for mono, row in zip(monos, m.rows):
-            rows.append((chern.monomial_label(mono), *row))
+        rows = [(chern.monomial_label(mono), *row)
+                for mono, row in zip(monos, chern.su_constraint_system(basis, args.dim))]
         _emit(rows, ["constraint"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "reduce":
         basis = _dim_basis(args.dim)
-        m = chern.integer_reduce(chern.su_constraint_system(basis, args.dim))
-        rows = [(f"row{i+1}", *r) for i, r in enumerate(m.rows)]
+        red = chern.integer_reduce(chern.su_constraint_system(basis, args.dim))
+        rows = [(f"row{i+1}", *r) for i, r in enumerate(red)]
         _emit(rows, ["row"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "nullspace":
         basis = _dim_basis(args.dim)
-        m = chern.su_constraint_system(basis, args.dim)
-        ns = chern.nullspace_rational(m)
+        ns = chern.nullspace_rational(chern.su_constraint_system(basis, args.dim))
         rows = [(f"v{i+1}", *[str(x) for x in v]) for i, v in enumerate(ns)]
         _emit(rows, ["vector"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "todd":
@@ -206,6 +204,7 @@ def cmd_adams(args, out):
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "relations":
         # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
+        _at_most("--degree", args.degree, adams.MAX_RELATIONS_DEGREE, "relations")
         rows = []
         for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
             rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
@@ -295,6 +294,10 @@ def cmd_mahler(args, out):
             raise UsageError(f"{unread} is not read by dilate {when} --padic")
         _at_most("--i", args.i, mahler.MAX_DILATE_INDEX, "dilate")
         _at_most("--precision", args.precision, mahler.MAX_PRECISION, "dilate")
+        # C(kT, i) divides by i!, whose 2-adic valuation is i - popcount(i) (Legendre)
+        if args.padic is not None and args.precision <= (v := args.i - args.i.bit_count()):
+            raise UsageError(f"--precision must be > {v} to divide by {args.i}!, "
+                             f"a multiple of 2^{v}, got {args.precision}")
         k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)

@@ -122,7 +122,7 @@ def compute_chern_classes():
 def compute_chern_numbers():
     out = {}
     labels = [p.label() for p in chern.paper_dim8_basis()]
-    for mono, row in zip(chern.chern_monomials_with_c1(4), _su_system().rows):
+    for mono, row in zip(chern.chern_monomials_with_c1(4), _su_system()):
         for label, value in zip(labels, row):
             out[f"{chern.monomial_label(mono)}/{label}"] = str(value)
     return out
@@ -131,9 +131,9 @@ def compute_chern_numbers():
 def compute_chern_reduced():
     red = chern.integer_reduce(_su_system())
     paper_rows = [[25, 8, 0, 0, 0], [0, 4, 0, 16, 9], [0, 0, -27, 48, 15]]
-    if chern.same_row_space(red.rows, paper_rows):
+    if chern.same_row_space(red, paper_rows):
         return {"rowspace": "25A+8B ; 4B+16D+9E ; -27C+48D+15E"}
-    return {"rowspace": "; ".join(str(r) for r in red.rows)}
+    return {"rowspace": "; ".join(str(r) for r in red)}
 
 
 def compute_chern_nullspace():

@@ -101,19 +101,17 @@ class GF2Echelon:
         return row, combo
 
     def add(self, row, key):
-        """Reduce row and keep what is left as a new echelon row, whose
-        combination of added rows includes this one as bit `key`.
+        """Reduce row and return (remainder, combo), remainder being the XOR
+        of the added rows in combo, this one as bit `key` included.
 
-        Returns False when row already lies in the span."""
+        A nonzero remainder is kept as a new echelon row; it is 0 exactly when
+        row lies in the span of the rows added before, and combo is then a
+        dependency among them."""
         rem, combo = self.reduce(row)
+        combo ^= 1 << key
         if rem:
-            self.keep(rem, combo ^ (1 << key))
-        return bool(rem)
-
-    def keep(self, rem, combo):
-        """Keep a nonzero remainder of `reduce` as a new echelon row, the XOR
-        of the added rows in combo."""
-        piv = rem.bit_length() - 1
-        self.rows[piv] = rem
-        self.combos[piv] = combo
-        insort(self._order, piv, key=neg)
+            piv = rem.bit_length() - 1
+            self.rows[piv] = rem
+            self.combos[piv] = combo
+            insort(self._order, piv, key=neg)
+        return rem, combo

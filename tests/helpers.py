@@ -304,8 +304,8 @@ def chern_number_by_series(dims, monomial):
 
 
 def matvec(m, v):
-    """The product of a chern.IntMatrix with a vector, over Q."""
-    return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m.rows]
+    """The product of a matrix, given by its rows, with a vector, over Q."""
+    return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m]
 
 
 def apoly_mul(p, q):

@@ -584,12 +584,14 @@ def test_psi_dpoly_names_the_missing_d_k(thom_table10):
 
 def test_psi_minus_id_mod2_is_the_support_of_exact_psi(thom_table10):
     """Each mod-2 image of (psi - id) on the d-monomials of weight <= 10 is
-    the support of the odd coefficients of the exact psi(m) - m."""
-    monos, imgs = _psi_minus_id_mod2(10, thom_table10)
+    the support of the odd coefficients of the exact psi(m) - m, as a bitset
+    whose bits are the monomials in sorted-tuple order."""
+    monos, bit, cols = _psi_minus_id_mod2(10, thom_table10)
     assert monos == dmonomials_upto(10)
-    for m, img in zip(monos, imgs):
+    assert bit == {m: 1 << i for i, m in enumerate(sorted(monos))}
+    for m, col in zip(monos, cols):
         exact = psi_dpoly_by_monomials(DPoly({m: 1}), thom_table10) - DPoly({m: 1})
-        assert img == set(exact.mod2().terms), m
+        assert col == sum(bit[t] for t in exact.mod2().terms), m
 
 
 THETA_SOURCES = (unit_class, theta3_direct)

@@ -6,7 +6,7 @@ from operator import add
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglab.chern import (IntMatrix, ProjProduct, chern_monomials_with_c1,
+from fglab.chern import (ProjProduct, chern_monomials_with_c1,
                          chern_number, integer_reduce, monomial_label,
                          nullspace_rational, partitions, paper_dim8_basis, rref, same_row_space,
                          su_constraint_system, todd_t4, total_chern)
@@ -174,14 +174,14 @@ def test_constraint_monomials():
 
 def test_su_constraint_system_paper():
     m = su_constraint_system(paper_dim8_basis(), 4)
-    assert m.rows == [[625, 512, 486, 384, 432],
-                      [50, 56, 54, 64, 60],
-                      [250, 224, 216, 192, 204]]
+    assert m == [[625, 512, 486, 384, 432],
+                 [50, 56, 54, 64, 60],
+                 [250, 224, 216, 192, 204]]
 
 
 def test_su_constraint_system_dim2():
     m = su_constraint_system([ProjProduct([1, 1]), ProjProduct([2])], 2)
-    assert m.rows == [[8, 9]]
+    assert m == [[8, 9]]
     ns = nullspace_rational(m)
     assert len(ns) == 1
     assert in_span(ns, [9, -8])
@@ -190,41 +190,40 @@ def test_su_constraint_system_dim2():
 
 
 def test_integer_reduce_identity():
-    m = IntMatrix([[1, 0], [0, 1]])
-    assert integer_reduce(m).rows == [[1, 0], [0, 1]]
+    m = [[1, 0], [0, 1]]
+    assert integer_reduce(m) == [[1, 0], [0, 1]]
 
 
 def test_integer_reduce_paper_system():
     m = su_constraint_system(paper_dim8_basis(), 4)
     red = integer_reduce(m)
     paper = [[25, 8, 0, 0, 0], [0, 4, 0, 16, 9], [0, 0, -27, 48, 15]]
-    assert same_row_space(red.rows, paper)
+    assert same_row_space(red, paper)
 
 
 def test_integer_reduce_preserves_row_space_random():
     rng = random.Random(RANDOM_SEED)
     for _ in range(20):
         rows = [[rng.randint(-30, 30) for _ in range(5)] for _ in range(rng.randint(1, 4))]
-        m = IntMatrix(rows)
-        red = integer_reduce(m)
-        assert same_row_space(red.rows, rows) or (not red.rows and all(not any(r) for r in rows))
+        red = integer_reduce(rows)
+        assert same_row_space(red, rows) or (not red and all(not any(r) for r in rows))
         # rank agreement
-        assert len(rref(rows)[1]) == len(red.rows)
+        assert len(rref(rows)[1]) == len(red)
 
 
 def test_integer_reduce_unimodular_entries():
     # canonical form: positive pivots, entries above reduced into [0, pivot)
-    m = IntMatrix([[4, 2, 8], [2, 2, 2]])
+    m = [[4, 2, 8], [2, 2, 2]]
     red = integer_reduce(m)
-    for i, row in enumerate(red.rows):
+    for i, row in enumerate(red):
         piv_col = next(j for j, a in enumerate(row) if a)
         assert row[piv_col] > 0
-        for above in red.rows[:i]:
+        for above in red[:i]:
             assert 0 <= above[piv_col] < row[piv_col]
 
 
 def test_nullspace_trivial():
-    ns = nullspace_rational(IntMatrix([[0, 0, 0]]))
+    ns = nullspace_rational([[0, 0, 0]])
     assert len(ns) == 3
 
 
@@ -244,9 +243,8 @@ def test_nullspace_exactness_random():
     rng = random.Random(RANDOM_SEED)
     for _ in range(20):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(3)]
-        m = IntMatrix(rows)
-        for v in nullspace_rational(m):
-            assert all(x == 0 for x in matvec(m, v))
+        for v in nullspace_rational(rows):
+            assert all(x == 0 for x in matvec(rows, v))
 
 
 def test_todd_t4_values():

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -52,12 +53,16 @@ def test_usage_error_exit_2(capsys):
     assert "usage error" in err
 
 
-def test_computation_error_exit_1(capsys):
-    # C(3T, 40) divides by 40!, which needs 38 bits of 2-adic precision
-    code, _, err = run(capsys, "mahler", "dilate", "--padic", "3", "--i", "40",
-                       "--precision", "16")
+def test_computation_error_exit_1(capsys, monkeypatch):
+    # the CLI refuses a --precision too low for i! as a usage error, so the
+    # library's own PrecisionTooLow is reached through a dilate that divides
+    # by 40!, a multiple of 2^38, at 16 bits
+    from fglab import mahler
+    from fglab.padic import Padic2
+    monkeypatch.setattr(mahler, "dilate", lambda k, i: Padic2(1, 16).div_int(factorial(40)))
+    code, _, err = run(capsys, "mahler", "dilate", "--padic", "3")
     assert code == 1
-    assert "computation error" in err
+    assert err == "computation error: cannot divide by 2^38 at precision 16\n"
 
 
 def test_out_file(tmp_path, capsys):
@@ -317,6 +322,8 @@ def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypa
      ("dilation_matrix",)),
     (("mahler", "dilate", "--padic", "3", "--i", "1000"), "--precision", "mahler", "MAX_PRECISION", 5000,
      ("dilate",)),
+    (("fgl", "cpn", "--mode", "residue-exact"), "--n", "bordism", "MAX_CPN_N", 40, ("cpn_in_a",)),
+    (("adams", "relations"), "--degree", "adams", "MAX_RELATIONS_DEGREE", 28, ("gen_2structure_relations",)),
 ])
 def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, flag, module, cap,
                                                    value, computes):
@@ -340,6 +347,26 @@ def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, fl
     assert err == f"usage error: {flag}: {value + 1} is above the {argv[1]} cap of {value}\n"
     code, out, err = run(capsys, *argv, flag, str(value))
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
+@pytest.mark.parametrize("given, i, precision", [((), 65, 64), (("--precision", "16"), 17, 16)])
+def test_dilate_padic_precision_must_exceed_v2_of_i_factorial(capsys, monkeypatch, given, i, precision):
+    """C(kT, i) divides by i!, whose 2-adic valuation is i - popcount(i): 63 at
+    --i 65 and 64 at --i 66, 15 at --i 17 and 16 at --i 18.  Below the
+    precision the dilation runs; at it, --precision is refused before it runs."""
+    from fglab import mahler
+    argv = ("mahler", "dilate", "--padic", "3", *given, "--i")
+    code, out, err = run(capsys, *argv, str(i))
+    assert (code, err) == (0, "") and out.startswith("dilation")
+
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(mahler, "dilate", unbuilt)
+    code, out, err = run(capsys, *argv, str(i + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"usage error: --precision must be > {precision} to divide by {i + 1}!, "
+                   f"a multiple of 2^{precision}, got {precision}\n")
 
 
 def test_precision_and_dilation_k_caps(capsys, monkeypatch):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.chern import IntMatrix, nullspace_rational, rref
+from fglab.chern import nullspace_rational, rref, span_test
 from fglab.linalg import Echelon, GF2Echelon
 
 from helpers import matvec
@@ -56,11 +56,16 @@ bitsets = st.integers(0, (1 << 12) - 1)
 @given(st.lists(bitsets, max_size=8), bitsets)
 def test_gf2_reduce_and_combinations(inputs, target):
     ech = GF2Echelon()
-    independent = [ech.add(r, key=i) for i, r in enumerate(inputs)]
+    added = [ech.add(r, key=i) for i, r in enumerate(inputs)]
+    for i, (rem, combo) in enumerate(added):
+        # the remainder is the XOR of the inputs in combo, this one included
+        assert combo >> i == 1 and _xor(inputs, combo) == rem
+        # brute force: it is 0 iff some subset of the earlier inputs XORs to this one
+        assert (rem == 0) == any(_xor(inputs[:i], s) == inputs[i] for s in range(1 << i))
     for p, r in ech.rows.items():
         assert r.bit_length() - 1 == p
         assert _xor(inputs, ech.combos[p]) == r
-    assert sum(independent) == len(ech.rows)
+    assert sum(rem != 0 for rem, _ in added) == len(ech.rows)
     rem, combo = ech.reduce(target)
     assert not any(rem >> p & 1 for p in ech.rows)
     assert rem ^ _xor(inputs, combo) == target
@@ -83,7 +88,21 @@ def test_rref_and_nullspace(rows):
     # every input row is the RREF combination weighted by its pivot entries
     for r in rows:
         assert [sum(r[pc] * row[c] for row, pc in zip(red, pivots)) for c in range(ncols)] == r
-    ns = nullspace_rational(IntMatrix(rows))
+    ns = nullspace_rational(rows)
     assert len(ns) == ncols - len(pivots)
     for v in ns:
-        assert not any(matvec(IntMatrix(rows), v))
+        assert not any(matvec(rows, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_span_test_is_the_rref_rank_test(data):
+    """v lies in the span of vs exactly when adding it to vs adds no RREF pivot;
+    v is a rational combination of vs, plus a random vector or not."""
+    n = data.draw(st.integers(1, 5))
+    vec = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    vs = data.draw(st.lists(vec, max_size=4))
+    cs = data.draw(st.lists(st.fractions(-2, 2, max_denominator=3), min_size=len(vs), max_size=len(vs)))
+    noise = data.draw(st.one_of(st.just([0] * n), vec))
+    v = [sum(c * r[j] for c, r in zip(cs, vs)) + x for j, x in enumerate(noise)]
+    assert span_test(vs)(v) == (len(rref(vs + [v])[1]) == len(rref(vs)[1]))
