@@ -28,7 +28,7 @@ from .errors import (
     UsageError,
 )
 from .linalg import Echelon, GF2Echelon
-from .rings import RAT, rat_val2
+from .rings import lift, lower, rat_val2
 from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _product, format_product,
                      format_sum, format_term)
 
@@ -102,6 +102,14 @@ NKI_PAPER = {
     9: {1: -9, 3: 1},
     10: {1: 1, 2: 11, 5: -2},
 }
+
+# the largest --k of `adams nki`.  For a prime power k the gcd of the C(k, i)
+# never reaches 1, so extended-gcd runs over every i < k, and at powers of 2
+# its Bezout coefficients grow fastest.  Fresh process, unscaled: 0.45-0.5 s
+# at 4093 (prime) and 4096, whose largest n_k^i has 3847 digits, the most of
+# any k <= 4096; 1.5 s at 6561 = 3^8 and 2.6 s at 8191 (prime); at 8192 the
+# coefficients pass the 4300 digits Python prints, and 16384 takes ~20 s
+MAX_NKI_K = 4096
 
 
 def nki_coeffs(k: int, mode: str = "paper") -> dict:
@@ -234,11 +242,11 @@ class APoly(_Poly):
     def set_u(self):
         """Specialize u to 1, as the printed forms and the reducer do; the
         numerators are summed over one common denominator."""
-        nums, den = RAT.lift(self.terms.values())
+        nums, den = lift(self.terms.values())
         out = {}
         for (_, pairs), n in zip(self.terms, nums):
             out[0, pairs] = out.get((0, pairs), 0) + n
-        return APoly(RAT.lower(out, den))
+        return APoly(lower(out, den))
 
     def content_normalize(self):
         """Scale to coprime integer coefficients with a positive graded-lex lead."""
@@ -411,7 +419,7 @@ def monomial_codes(W: int) -> dict:
 
 def _pair(p: DPoly, place) -> tuple:
     """A DPoly as a pair (see ``_product``) on the codes ``place`` gives its indices."""
-    nums, den = RAT.lift(p.terms.values())
+    nums, den = lift(p.terms.values())
     return {sum(place[k] for k in m): n for m, n in zip(p.terms, nums)}, den
 
 
@@ -419,7 +427,7 @@ def _dpoly(pair, W) -> DPoly:
     """The DPoly of a pair on the codes of ``code_places(W)``."""
     nums, den = pair
     codes = monomial_codes(W)
-    return DPoly(RAT.lower({codes[m]: v for m, v in nums.items() if v}, den))
+    return DPoly(lower({codes[m]: v for m, v in nums.items() if v}, den))
 
 
 def _multiplicative(W, memo, product):
@@ -648,7 +656,7 @@ class DReducer:
         mapped to d by one more ``_lincomb`` over beta, and one Fraction is
         built per output term.
         """
-        nums, den = RAT.lift(expr.terms.values())
+        nums, den = lift(expr.terms.values())
         flat = {}  # u = 1
         for (_, mono), n in zip(expr.terms, nums):
             flat[mono] = flat.get(mono, 0) + n

@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from .errors import NotInDomain, UnsupportedDimension, UsageError
 from .fgl import FGL, MAX_TWIST_BOUND, X, Y
-from .rings import RAT
 from .series import MultiSeries
 
 
@@ -44,7 +43,6 @@ def cpn_in_a(n: int, mode: str = "paper-box"):
     """
     if n < 1:
         raise UnsupportedDimension("n must be >= 1")
-    ring = RAT
     if mode == "paper-box":
         if n > 4:
             raise UnsupportedDimension("paper-box mode tabulates only n <= 4")
@@ -62,20 +60,20 @@ def cpn_in_a(n: int, mode: str = "paper-box"):
             4: {e(**{a4: 1}): Fraction(-1), e(**{a1: 4}): Fraction(1),
                 e(**{a2: 2}): Fraction(1), e(**{a1: 1, a3: 1}): Fraction(2)},
         }
-        return MultiSeries(ring, vars_, table[n], None, weights)
+        return MultiSeries(vars_, table[n], None, weights)
     if mode != "residue-exact":
         raise UsageError(f"unknown mode {mode!r}")
     vars_, weights = _a_ambient(n)
     # (1 + sum a_{1,i} s^i)^{-1}, degree-n coefficient in s
     svars = ("#s",) + vars_
     sweights = (1,) + weights
-    terms = {(0,) * len(svars): ring.one}
+    terms = {(0,) * len(svars): Fraction(1)}
     for i in range(1, n + 1):
         exp = [0] * len(svars)
         exp[0] = i
         exp[svars.index(a_var(1, i))] = 1
-        terms[tuple(exp)] = ring.one
-    R = MultiSeries(ring, svars, terms, n, sweights).reciprocal()
+        terms[tuple(exp)] = Fraction(1)
+    R = MultiSeries(svars, terms, n, sweights).reciprocal()
     return R.coeff_in_var("#s", n).embed(vars_, weights, None)
 
 
@@ -178,12 +176,11 @@ class BordismExpr:
 
 
 def miscenko_image(expr: BordismExpr, law: FGL, mode="paper-box") -> MultiSeries:
-    """Push a bordism expression into the coefficient ring of ``law``.
+    """Push a bordism expression into the coefficients of ``law``.
 
     Each CP^n maps to its a-polynomial with a_{1,i} replaced by the law's
     coefficient of x y^i; products multiply, weights act linearly.
     """
-    ring = law.zero.ring
     # the symbol ambient: the law's variables without x and y
     target = law.zero.drop_vars((X, Y))
     cache = {}
@@ -198,7 +195,7 @@ def miscenko_image(expr: BordismExpr, law: FGL, mode="paper-box") -> MultiSeries
 
     out = target
     for key, w in expr.terms.items():
-        piece = cp(key[0]).scale(ring.from_rat(w))
+        piece = cp(key[0]).scale(w)
         for n in key[1:]:
             piece = piece * cp(n)
         out = out + piece

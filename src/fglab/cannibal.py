@@ -18,7 +18,7 @@ from math import comb
 
 from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
-from .rings import RAT
+from .rings import lift, lower
 from .series import MultiSeries
 
 # the largest --bound ``cannibal table`` prints; its output is (bound + 1)^2
@@ -119,8 +119,8 @@ def theta3_direct(N: int, k: int = 3) -> ThetaTable:
     for n in range(1, N + 1):
         S0.append(-sum(c * S0[n - i] for i, c in enumerate(q[:n], 1)))
     vars_ = ("t",)
-    omt = MultiSeries.one(RAT, vars_, N) - MultiSeries.var(RAT, vars_, "t", N)
-    s = [MultiSeries(RAT, vars_, {(n,): Fraction(c, k ** (n + 1)) for n, c in enumerate(S0)}, N)]
+    omt = MultiSeries.one(vars_, N) - MultiSeries.var(vars_, "t", N)
+    s = [MultiSeries(vars_, {(n,): Fraction(c, k ** (n + 1)) for n, c in enumerate(S0)}, N)]
     for _ in range(1, k):
         s.append(omt * s[-1])
     S = [[(c := se.coefficient((n,))).numerator * (k ** (n + 1) // c.denominator)
@@ -184,7 +184,7 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer, k_adams: int =
     if theta.bound < k_gen:
         raise IndexOutOfRange(f"theta table bound {theta.bound} < {k_gen}")
     cells = {(m, n): c for (m, n), c in theta.table.items() if m + n <= k_gen}
-    nums, den = RAT.lift(cells.values())
+    nums, den = lift(cells.values())
     weight = {}  # (p, q) -> sum of n_k^i c_mn over p = i - m, q = k - i - n
     for i, cnk in nki.items():
         for (m, n), c in zip(cells, nums):
@@ -196,4 +196,4 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer, k_adams: int =
         if w:
             for mono, v in psi_tensor_apoly(p, q, k_adams).terms.items():
                 expr[mono] = expr.get(mono, 0) + w * v.numerator
-    return reducer.reduce(APoly(RAT.lower({m: v for m, v in expr.items() if v}, den)))
+    return reducer.reduce(APoly(lower({m: v for m, v in expr.items() if v}, den)))

@@ -17,7 +17,6 @@ from math import comb
 
 from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
-from .rings import RAT
 from .series import MonomialCode, MultiSeries, _addmul, format_product
 
 
@@ -86,7 +85,7 @@ def total_chern(p: ProjProduct) -> MultiSeries:
     names = tuple(f"x{i + 1}" for i in range(len(p.dims)))
     dec = _code(p.dims).decode
     terms = {dec(k): Fraction(c) for part in _expansion(p.dims).values() for k, c in part.items()}
-    return MultiSeries(RAT, names, terms, p.complex_dim)
+    return MultiSeries(names, terms, p.complex_dim)
 
 
 def chern_number(p: ProjProduct, monomial) -> int:

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import prod
 
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
-from .rings import RAT
 
 
 def _emit(rows, headers, fmt, out):
@@ -68,7 +67,7 @@ def cmd_series(args, out):
     cap = series.MAX_INVERT_ORDER if args.action == "invert" else series.MAX_RESIDUE_ORDER
     _at_most("--order", args.order, cap, args.action)
     n = args.order
-    g = fgl.generic_strict_series(RAT, n + 1, n)
+    g = fgl.generic_strict_series(n + 1, n)
     inv = g.comp_inverse("t")
     if args.action == "invert":
         rows = []
@@ -89,8 +88,8 @@ def cmd_fgl(args, out):
     if args.action == "twist":
         _at_most("--bound", args.bound, fgl.MAX_TWIST_BOUND, "twist")
         _at_most("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1, "twist")
-        g = fgl.generic_strict_series(RAT, args.bound, args.nb)
-        law = fgl.fgl_twist(fgl.multiplicative_law(RAT, args.bound), g)
+        g = fgl.generic_strict_series(args.bound, args.nb)
+        law = fgl.fgl_twist(fgl.multiplicative_law(args.bound), g)
         rows = [(f"a{i}{j}", str(c)) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
         _emit(rows, ["coefficient", "image"], args.fmt, out)
         return 0
@@ -114,7 +113,7 @@ def cmd_fgl(args, out):
             if expr.terms:
                 bordism.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
             nb = expr.dimension()
-            tw = fgl.fgl_twist(fgl.multiplicative_law(RAT, nb + 2), fgl.generic_strict_series(RAT, nb + 2, nb))
+            tw = fgl.fgl_twist(fgl.multiplicative_law(nb + 2), fgl.generic_strict_series(nb + 2, nb))
             img = bordism.miscenko_image(expr, tw, args.mode)
         _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
     return 0
@@ -198,6 +197,7 @@ def cmd_adams(args, out):
             rows.append((f"beta_{i}", str(elt)))
         _emit(rows, ["generator", "image"], args.fmt, out)
     elif args.action == "nki":
+        _at_most("--k", args.k, adams.MAX_NKI_K, "nki")
         _nki_reaches(args.nki, args.k, f"got --k {args.k}")
         table = adams.nki_coeffs(args.k, args.nki)
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
@@ -219,6 +219,8 @@ def cmd_adams(args, out):
         else:
             _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
+        if args.max_weight % 2:
+            raise UsageError(f"--max-weight must be even, got {args.max_weight}")
         W = args.max_weight // 2
         table = _psi_dk(args.level, _reducer(W, args.nki, "--max-weight"), range(2, W + 1))
         kern, new = adams.spherical_search(args.max_weight, table)

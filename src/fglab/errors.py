@@ -20,7 +20,7 @@ class NotAUnit(FglabError):
 
 
 class DivisionUndefined(FglabError):
-    """Division requested in a ring where the divisor is not invertible."""
+    """A division the operation cannot perform, such as a negative power of a series."""
 
 
 # -- series ---------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Formal group laws: the multiplicative law, the generic strict series, and
 the twist of a law by a strict series, kept as its coefficient table.
 
-Conventions.  A law lives in a bivariate ambient (x, y) over a coefficient
-ring, possibly with weight-0 bookkeeping symbols (v, b1..) alongside.
+Conventions.  A law lives in a bivariate ambient (x, y) over Q, possibly
+with weight-0 bookkeeping symbols (v, b1..) alongside.
 The grading under which the tests check homogeneity: b_i has grade 2i,
 v grade +2, x and y grade -2, so a_ij picked out of F = x + y + sum a_ij
 x^i y^j is homogeneous of grade 2(i+j-1).  (v is the *inverse* Bott class,
@@ -12,7 +12,10 @@ coefficients homogeneous is +2, which is what the checks use.)
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import AxiomViolation, BoundMismatch, NotStrict
+from .rings import lift, lower
 from .series import MonomialCode, MultiSeries, _addmul, _degree_fn
 
 X, Y, T = "x", "y", "t"
@@ -62,27 +65,28 @@ def _require_zero(diff: MultiSeries, axiom: str):
         raise AxiomViolation(axiom, diff.monomial_str(diff.sorted_terms()[0][0]) or "1")
 
 
-def multiplicative_law(ring, bound, vcoeff=None):
+def multiplicative_law(bound, vcoeff=None):
     """F_K(x, y) = x + y + v x y; v defaults to the symbol 'v'."""
+    one = Fraction(1)
     if vcoeff is None:
-        terms = {(1, 0, 0): ring.one, (0, 1, 0): ring.one, (1, 1, 1): ring.one}
-        return MultiSeries(ring, (X, Y, "v"), terms, bound, (1, 1, 0))
-    terms = {(1, 0): ring.one, (0, 1): ring.one, (1, 1): vcoeff}
-    return MultiSeries(ring, (X, Y), terms, bound)
+        terms = {(1, 0, 0): one, (0, 1, 0): one, (1, 1, 1): one}
+        return MultiSeries((X, Y, "v"), terms, bound, (1, 1, 0))
+    terms = {(1, 0): one, (0, 1): one, (1, 1): vcoeff}
+    return MultiSeries((X, Y), terms, bound)
 
 
-def generic_strict_series(ring, bound, nb):
+def generic_strict_series(bound, nb):
     """g(t) = t + b1 t^2 + ... + b_nb t^(nb+1) over symbols b_i (weight 0),
     in the ambient (t, b1, ..., b_nb)."""
     vars_ = ("t",) + tuple(f"b{i}" for i in range(1, nb + 1))
     weights = (1,) + (0,) * nb
-    terms = {(1,) + (0,) * nb: ring.one}
+    terms = {(1,) + (0,) * nb: Fraction(1)}
     for i in range(1, nb + 1):
         exp = [0] * len(vars_)
         exp[0] = i + 1
         exp[i] = 1
-        terms[tuple(exp)] = ring.one
-    return MultiSeries(ring, vars_, terms, bound, weights)
+        terms[tuple(exp)] = Fraction(1)
+    return MultiSeries(vars_, terms, bound, weights)
 
 
 def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
@@ -108,17 +112,16 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
     invertible), and then only i <= j is solved, decoded once, and shared
     with (j, i).  A non-symmetric F raises AxiomViolation("commutativity", ...).
     """
-    ring = F.ring
     bound = F.bound
     parts = g.split((T,))
-    if (0,) in parts or parts.get((1,)) != MultiSeries.one(ring, g.vars, g.bound, g.weights):
+    if (0,) in parts or parts.get((1,)) != MultiSeries.one(g.vars, g.bound, g.weights):
         raise NotStrict("twist requires a strict series g")
     if bound is None or (g.bound is not None and g.bound < bound):
         raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
     ix, iy = F._var_index(X), F._var_index(Y)  # the same in the joint ambient, where F's come first
     unit = F._bare({e: c for e, c in F.terms.items() if e[ix] + e[iy] < 2})
-    _require_zero(unit - MultiSeries.var(ring, F.vars, X, bound, F.weights)
-                  - MultiSeries.var(ring, F.vars, Y, bound, F.weights), "unit")
+    _require_zero(unit - MultiSeries.var(F.vars, X, bound, F.weights)
+                  - MultiSeries.var(F.vars, Y, bound, F.weights), "unit")
     # the joint ambient; a symbol in both F and g takes F's weight
     vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
     wmap = dict(zip(g.vars, g.weights))
@@ -130,7 +133,7 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
     sx, sy = code.shifts[ix], code.shifts[iy]  # x^i y^j has the code (i << sx) + (j << sy)
 
     def coded(terms):  # keyed by code; integers as Python ints, which multiply far faster
-        vals, den = ring.lift(terms.values())
+        vals, den = lift(terms.values())
         return dict(zip(map(code.encode, terms), vals if den == 1 else terms.values()))
 
     # [t^k] g, and below R = [x^i y^j] g(F), as polynomials in the joint
@@ -165,13 +168,13 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
                 _addmul(acc, h[i, b], P[b][j], neg=True)
             h[i, j] = h[j, i] = acc
     # h_ij's codes carry no x or y; a term of x^i y^j h_ij above the bound is dropped
-    zero, wdeg = MultiSeries.zero(ring, vars_, bound, weights), _degree_fn(weights)
+    zero, wdeg = MultiSeries.zero(vars_, bound, weights), _degree_fn(weights)
     table = {}
     for (i, j), poly in h.items():
         if i > j:
             continue
         top = bound - i * weights[ix] - j * weights[iy]
         terms = {e: c for e, c in zip(map(code.decode, poly), poly.values()) if wdeg(e) <= top}
-        if part := ring.lower(terms, 1):
+        if part := lower(terms, 1):
             table[i, j] = table[j, i] = zero._bare(part)
     return FGL(zero, table)

@@ -16,7 +16,6 @@ from collections import namedtuple
 from functools import cache, partial
 from importlib import resources
 
-from .rings import RAT
 from . import adams, bordism, cannibal, chern, fgl, mahler
 
 
@@ -54,7 +53,7 @@ class GoldenTable:
 
 @cache
 def _twisted_law():
-    return fgl.fgl_twist(fgl.multiplicative_law(RAT, 6), fgl.generic_strict_series(RAT, 6, 5))
+    return fgl.fgl_twist(fgl.multiplicative_law(6), fgl.generic_strict_series(6, 5))
 
 
 @cache
@@ -83,7 +82,7 @@ def _cells(prefix, poly):
 
 
 def compute_inverse_series():
-    g = fgl.generic_strict_series(RAT, 6, 4)
+    g = fgl.generic_strict_series(6, 4)
     inv = g.comp_inverse("t")
     return {f"c{n}": str(inv.coeff_in_var("t", n + 1)) for n in range(1, 5)}
 

@@ -1,5 +1,5 @@
-"""Truncated 2-adic integers: the scalar ``Padic2``, its ring descriptor
-``Padic2Ring(precision)`` for the series engine, and the 2-adic logarithm.
+"""Truncated 2-adic integers: the scalar ``Padic2``, the embedding of
+rationals with odd denominator, and the 2-adic logarithm.
 
 Binary operations carry the minimum precision of their operands, so
 precision loss is explicit in the result rather than silent.
@@ -111,48 +111,6 @@ def padic_from_rat(q: Fraction, precision: int) -> Padic2:
         raise NotInDomain(f"denominator of {q} is even; not a 2-adic integer")
     inv = pow(q.denominator, -1, 1 << precision)
     return Padic2(q.numerator * inv, precision)
-
-
-class Padic2Ring:
-    """The ring descriptor of ``Padic2`` at one precision (the protocol is in
-    ``fglab.rings``)."""
-
-    name = "padic2"
-
-    def __init__(self, precision: int):
-        if precision < 1:
-            raise PrecisionTooLow("precision must be >= 1")
-        self.precision = precision
-        self.zero = Padic2(0, precision)
-        self.one = Padic2(1, precision)
-
-    def from_int(self, n):
-        return Padic2(n, self.precision)
-
-    def from_rat(self, q):
-        return padic_from_rat(Fraction(q), self.precision)
-
-    def is_zero(self, a):
-        return a.value % (1 << min(a.precision, self.precision)) == 0
-
-    def invert(self, a):
-        return a.inverse()
-
-    def lift(self, coeffs):
-        return coeffs, 1
-
-    def lower(self, sums, scale):
-        """Drop the sums that vanish only at the ring's precision, below their own."""
-        return {e: s for e, s in sums.items() if not self.is_zero(s)}
-
-    def __eq__(self, other):
-        return isinstance(other, Padic2Ring) and other.precision == self.precision
-
-    def __hash__(self):
-        return hash(("Padic2Ring", self.precision))
-
-    def __repr__(self):
-        return f"PADIC2({self.precision})"
 
 
 def padic_log(u: Padic2) -> Padic2:

@@ -1,7 +1,7 @@
 """Sparse multivariate power series truncated by weighted total degree.
 
 A :class:`MultiSeries` stores a map from exponent vectors to nonzero
-coefficients in a pluggable coefficient ring.  Every variable carries an
+rational coefficients (``Fraction``).  Every variable carries an
 integer weight; terms whose weighted total degree exceeds the truncation
 bound are pruned on construction, so arithmetic never fabricates terms
 beyond the bound.
@@ -19,6 +19,7 @@ deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter, lshift, mul
@@ -30,6 +31,7 @@ from .errors import (
     NotStrict,
     VariableMismatch,
 )
+from .rings import lift, lower
 
 
 # the largest --order of `series invert` and `series residue`; fresh process,
@@ -153,10 +155,9 @@ def _degree_fn(weights):
 
 
 class MultiSeries:
-    __slots__ = ("ring", "vars", "weights", "bound", "terms", "_wdeg")
+    __slots__ = ("vars", "weights", "bound", "terms", "_wdeg")
 
-    def __init__(self, ring, varnames, terms=None, bound=None, weights=None):
-        self.ring = ring
+    def __init__(self, varnames, terms=None, bound=None, weights=None):
         self.vars = tuple(varnames)
         if len(set(self.vars)) != len(self.vars):
             raise VariableMismatch(f"duplicate variable in {self.vars}")
@@ -170,7 +171,7 @@ class MultiSeries:
             exp = tuple(exp)
             if len(exp) != len(self.vars):
                 raise VariableMismatch(f"exponent {exp} has wrong arity for {self.vars}")
-            if ring.is_zero(c):
+            if not c:
                 continue
             if bound is not None and deg(exp) > bound:
                 continue
@@ -180,8 +181,6 @@ class MultiSeries:
     # -- basics --------------------------------------------------------------
 
     def _check_compat(self, other):
-        if self.ring != other.ring:
-            raise VariableMismatch(f"coefficient rings differ: {self.ring} vs {other.ring}")
         if self.vars != other.vars or self.weights != other.weights:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
         if self.bound != other.bound:
@@ -195,34 +194,34 @@ class MultiSeries:
 
     def _bare(self, terms):
         out = MultiSeries.__new__(MultiSeries)
-        out.ring, out.vars, out.weights, out.bound = self.ring, self.vars, self.weights, self.bound
+        out.vars, out.weights, out.bound = self.vars, self.weights, self.bound
         out._wdeg = self._wdeg
         out.terms = terms
         return out
 
     @classmethod
-    def zero(cls, ring, varnames, bound=None, weights=None):
-        return cls(ring, varnames, {}, bound, weights)
+    def zero(cls, varnames, bound=None, weights=None):
+        return cls(varnames, {}, bound, weights)
 
     @classmethod
-    def constant(cls, ring, varnames, c, bound=None, weights=None):
+    def constant(cls, varnames, c, bound=None, weights=None):
         vs = tuple(varnames)
-        return cls(ring, vs, {(0,) * len(vs): c}, bound, weights)
+        return cls(vs, {(0,) * len(vs): c}, bound, weights)
 
     @classmethod
-    def one(cls, ring, varnames, bound=None, weights=None):
-        return cls.constant(ring, varnames, ring.one, bound, weights)
+    def one(cls, varnames, bound=None, weights=None):
+        return cls.constant(varnames, Fraction(1), bound, weights)
 
     @classmethod
-    def var(cls, ring, varnames, name, bound=None, weights=None, power=1):
+    def var(cls, varnames, name, bound=None, weights=None, power=1):
         vs = tuple(varnames)
         if name not in vs:
             raise VariableMismatch(f"no variable {name!r} in {vs}")
         exp = tuple(power if v == name else 0 for v in vs)
-        return cls(ring, vs, {exp: ring.one}, bound, weights)
+        return cls(vs, {exp: Fraction(1)}, bound, weights)
 
     def coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.ring.zero)
+        return self.terms.get(tuple(exp), Fraction(0))
 
     def constant_term(self):
         return self.coefficient((0,) * len(self.vars))
@@ -237,15 +236,14 @@ class MultiSeries:
 
     def __add__(self, other):
         self._check_compat(other)
-        ring = self.ring
         terms = dict(self.terms)
         for exp, c in other.terms.items():
             s = terms.get(exp)
             s = c if s is None else s + c
-            if ring.is_zero(s):
-                terms.pop(exp, None)
-            else:
+            if s:
                 terms[exp] = s
+            else:
+                terms.pop(exp, None)
         return self._bare(terms)
 
     def __neg__(self):
@@ -258,10 +256,10 @@ class MultiSeries:
         """Truncated product on the kernel, with a field per variable for the
         sum of the operands' largest exponents there and, if the bound can
         be exceeded, a last field for the weighted degree above the least,
-        capped at the bound.  The loop runs on the ring's lifted values (over
-        Q, ints: each operand scaled once by the lcm of its denominators)."""
+        capped at the bound.  The loop runs on Python ints: each operand is
+        scaled once by the lcm of its denominators (``rings.lift``)."""
         self._check_compat(other)
-        ring, p, q = self.ring, self.terms, other.terms
+        p, q = self.terms, other.terms
         if not (p and q):
             return self._bare({})
         tops = tuple(map(add, map(max, zip(*p)), map(max, zip(*q))))
@@ -280,25 +278,19 @@ class MultiSeries:
             s = code.shifts[n]
             pk = [k + (d - lo_p << s) for k, d in zip(pk, dp)]
             qk = [k + (d - lo_q << s) for k, d in zip(qk, dq)]
-        (pv, ps), (qv, qs) = ring.lift(p.values()), ring.lift(q.values())
+        (pv, ps), (qv, qs) = lift(p.values()), lift(q.values())
         acc = _addmul({}, dict(zip(pk, pv)), dict(zip(qk, qv)), cap=code.cap)
-        return self._bare(ring.lower({code.decode(k)[:n]: c for k, c in acc.items()}, ps * qs))
+        return self._bare(lower({code.decode(k)[:n]: c for k, c in acc.items()}, ps * qs))
 
     def scale(self, c):
-        ring = self.ring
-        if ring.is_zero(c):
+        if not c:
             return self._bare({})
-        terms = {}
-        for e, v in self.terms.items():
-            s = c * v
-            if not ring.is_zero(s):
-                terms[e] = s
-        return self._bare(terms)
+        return self._bare({e: c * v for e, v in self.terms.items()})
 
     def __pow__(self, n):
         if n < 0:
             raise DivisionUndefined("negative powers: use reciprocal()")
-        acc = MultiSeries.one(self.ring, self.vars, self.bound, self.weights)
+        acc = MultiSeries.one(self.vars, self.bound, self.weights)
         base = self
         while n:
             if n & 1:
@@ -319,13 +311,12 @@ class MultiSeries:
         finite bound.
         """
         c0 = self.constant_term()
-        try:
-            c0inv = self.ring.invert(c0)
-        except DivisionUndefined:
-            raise NonUnitConstantTerm(f"constant term {c0!r} not invertible") from None
+        if not c0:
+            raise NonUnitConstantTerm(f"constant term {c0!r} not invertible")
+        c0inv = 1 / Fraction(c0)
         if self.bound is None:
             raise NonUnitConstantTerm("reciprocal needs a finite truncation bound")
-        one = MultiSeries.one(self.ring, self.vars, self.bound, self.weights)
+        one = MultiSeries.one(self.vars, self.bound, self.weights)
         r = one - self.scale(c0inv)
         if not r.min_pos_wdeg_ok():
             raise NonUnitConstantTerm("non-constant weight-zero terms make the inverse infinite")
@@ -376,29 +367,26 @@ class MultiSeries:
                         raise VariableMismatch(f"variable {v!r} occurs in {exp}")
                     t[index[v]] = e
             terms[tuple(t)] = c
-        return MultiSeries(self.ring, varnames, terms, bound, weights)
+        return MultiSeries(varnames, terms, bound, weights)
 
     def substitute(self, replacements: dict):
         """Simultaneous substitution var -> series, all over one target ambient.
 
         The replacement series fix the target ambient (they must agree among
         themselves); variables of self not being replaced are carried over by
-        name.  Coefficient rings must match.
+        name.
         """
         if not replacements:
             return self
         target = next(iter(replacements.values()))
         for s in replacements.values():
             target._check_compat(s)
-        if self.ring != target.ring:
-            raise VariableMismatch("substitute: map coefficients to the target ring first")
-        ring = target.ring
         carry = {}
         for i, v in enumerate(self.vars):
             if v not in replacements:
                 carry[i] = target._var_index(v)
-        out = MultiSeries.zero(ring, target.vars, target.bound, target.weights)
-        pow_cache = {v: [MultiSeries.one(ring, target.vars, target.bound, target.weights)]
+        out = MultiSeries.zero(target.vars, target.bound, target.weights)
+        pow_cache = {v: [MultiSeries.one(target.vars, target.bound, target.weights)]
                      for v in replacements}
         for exp, c in sorted(self.terms.items()):
             mono = [0] * len(target.vars)
@@ -417,7 +405,7 @@ class MultiSeries:
             if piece is not None and not any(mono):
                 out = out + piece.scale(c)  # a constant times piece: no product to form
                 continue
-            base = MultiSeries(ring, target.vars, {tuple(mono): c}, target.bound, target.weights)
+            base = MultiSeries(target.vars, {tuple(mono): c}, target.bound, target.weights)
             out = out + (base if piece is None else base * piece)
         return out
 
@@ -430,19 +418,18 @@ class MultiSeries:
         partial sum determines c_n (a polynomial in any symbol variables).
         """
         idx = self._var_index(var)
-        if not self.ring.is_zero(self.constant_term()):
+        if self.constant_term():
             raise NotStrict("nonzero constant term")
         unit = tuple(1 if i == idx else 0 for i in range(len(self.vars)))
-        if not (self.coefficient(unit) == self.ring.one):
+        if self.coefficient(unit) != 1:
             raise NotStrict(f"leading coefficient {self.coefficient(unit)!r} != 1")
         if self.bound is None:
             raise NotStrict("compositional inverse needs a finite bound")
-        ring = self.ring
         n_max = self.bound
         powers = [None, self]
         for _ in range(2, n_max + 1):
             powers.append(powers[-1] * self)
-        xvar = MultiSeries.var(ring, self.vars, var, self.bound, self.weights)
+        xvar = MultiSeries.var(self.vars, var, self.bound, self.weights)
         inv = xvar
         acc = self  # running sum over c_i g^(i+1)
         for n in range(1, n_max):
@@ -450,18 +437,10 @@ class MultiSeries:
             if cn.is_zero():
                 continue
             cn = -cn
-            spine = MultiSeries.var(ring, self.vars, var, self.bound, self.weights, power=n + 1)
+            spine = MultiSeries.var(self.vars, var, self.bound, self.weights, power=n + 1)
             inv = inv + cn * spine
             acc = acc + cn * powers[n + 1]
         return inv
-
-    def map_coefficients(self, fn, ring):
-        terms = {}
-        for e, c in self.terms.items():
-            nc = fn(c)
-            if not ring.is_zero(nc):
-                terms[e] = nc
-        return MultiSeries(ring, self.vars, terms, self.bound, self.weights)
 
     def drop_vars(self, names):
         """Remove variables that occur with exponent zero in every term."""
@@ -474,8 +453,7 @@ class MultiSeries:
         if not isinstance(other, MultiSeries):
             return NotImplemented
         return (self.vars == other.vars and self.bound == other.bound
-                and self.weights == other.weights and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.weights == other.weights and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.vars, self.bound, frozenset(self.terms)))
@@ -538,18 +516,13 @@ def residue_inverse_coeff(g, var, n):
     slice of ``comp_inverse``.
     """
     idx = g._var_index(var)
-    if not g.ring.is_zero(g.constant_term()):
+    if g.constant_term():
         raise NotStrict("nonzero constant term")
     unit = tuple(1 if i == idx else 0 for i in range(len(g.vars)))
-    if not (g.coefficient(unit) == g.ring.one):
+    if g.coefficient(unit) != 1:
         raise NotStrict("leading coefficient != 1")
-    ring = g.ring
-    try:
-        inv_n1 = ring.invert(ring.from_int(n + 1))
-    except DivisionUndefined:
-        raise DivisionUndefined(f"1/{n + 1} not available in {ring}") from None
     if n == 0:
-        return MultiSeries.one(ring, g.vars, g.bound, g.weights)
+        return MultiSeries.one(g.vars, g.bound, g.weights)
     # B(s) = sum b_i s^i in a slack variable s of weight 1; symbol variables
     # keep weight 0 so the bound n counts pure s-degree, which coincides with
     # the weighted grading |b_i| = i of the residue formula.
@@ -560,5 +533,5 @@ def residue_inverse_coeff(g, var, n):
         k = exp[idx]
         rest = exp[:idx] + (0,) + exp[idx + 1:]
         b_terms[(k - 1,) + rest] = c
-    P = MultiSeries(ring, svars, b_terms, n, sweights).reciprocal() ** (n + 1)
-    return P.coeff_in_var("#s", n).embed(g.vars, g.weights, g.bound).scale(inv_n1)
+    P = MultiSeries(svars, b_terms, n, sweights).reciprocal() ** (n + 1)
+    return P.coeff_in_var("#s", n).embed(g.vars, g.weights, g.bound).scale(Fraction(1, n + 1))

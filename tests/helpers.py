@@ -8,21 +8,20 @@ from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, mo
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
-from fglab.errors import (DivisionUndefined, EvenK, FglabError, IndexOutOfRange, InsufficientTable,
-                          NotReducible, NotStrict, UsageError)
+from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotReducible,
+                          NotStrict, UsageError)
 from fglab.fgl import FGL, X, Y, _require_zero
 from fglab.mahler import NumPoly, binom, mahler_expand
-from fglab.rings import RAT
 from fglab.series import MultiSeries, _addmul, _lincomb
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
 
 
-def geometric(ring, varnames, var, bound, weights=None):
+def geometric(varnames, var, bound, weights=None):
     """1/(1-x) = sum x^n up to the bound."""
-    x = MultiSeries.var(ring, varnames, var, bound, weights)
-    out = MultiSeries.one(ring, varnames, bound, weights)
+    x = MultiSeries.var(varnames, var, bound, weights)
+    out = MultiSeries.one(varnames, bound, weights)
     p = out
     while True:
         p = p * x
@@ -41,7 +40,7 @@ def exp_series(varnames, var, bound, weights=None, rate=Fraction(1)):
         if n > 0:
             f = f * rate / n
         terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = f
-    return MultiSeries(RAT, vs, terms, bound, weights)
+    return MultiSeries(vs, terms, bound, weights)
 
 
 def log1p_series(varnames, var, bound, weights=None):
@@ -51,7 +50,7 @@ def log1p_series(varnames, var, bound, weights=None):
     terms = {}
     for n in range(1, bound + 1):
         terms[tuple(n if i == idx else 0 for i in range(len(vs)))] = Fraction((-1) ** (n + 1), n)
-    return MultiSeries(RAT, vs, terms, bound, weights)
+    return MultiSeries(vs, terms, bound, weights)
 
 
 class NonzeroConstantTerm(FglabError):
@@ -65,10 +64,10 @@ def compose(outer, var, inner):
     series); per-step truncation keeps the cost polynomial in the bound
     and the term count.
     """
-    if not inner.ring.is_zero(inner.constant_term()):
+    if inner.constant_term():
         raise NonzeroConstantTerm("inner series has nonzero constant term")
     layers = outer.split((var,))
-    out = MultiSeries.zero(inner.ring, inner.vars, inner.bound, inner.weights)
+    out = MultiSeries.zero(inner.vars, inner.bound, inner.weights)
     for k in range(max((k for (k,) in layers), default=0), -1, -1):
         out = out * inner
         layer = layers.get((k,))
@@ -82,10 +81,9 @@ def twist_by_substitution(F, g):
     reference for ``fgl_twist``: F is bivariate in (x, y), g a strict series
     in t, and the result lives in the union ambient of their variables."""
     X, Y, T = "x", "y", "t"
-    ring = F.ring
     bound = F.bound
     unit = tuple(1 if v == T else 0 for v in g.vars)
-    if not (g.coefficient(unit) == ring.one) or not ring.is_zero(g.constant_term()):
+    if g.coefficient(unit) != 1 or g.constant_term():
         raise NotStrict("twist requires a strict series g")
     # joint ambient
     vars_ = tuple(dict.fromkeys(F.vars + tuple(v for v in g.vars if v != T)))
@@ -97,8 +95,8 @@ def twist_by_substitution(F, g):
             wmap.setdefault(v, w)
     weights = tuple(wmap[v] for v in vars_)
     ginv = g.comp_inverse(T)
-    xv = MultiSeries.var(ring, vars_, X, bound, weights)
-    yv = MultiSeries.var(ring, vars_, Y, bound, weights)
+    xv = MultiSeries.var(vars_, X, bound, weights)
+    yv = MultiSeries.var(vars_, Y, bound, weights)
     ginv_x = ginv.substitute({T: xv})
     ginv_y = ginv.substitute({T: yv})
     inner = F.substitute({X: ginv_x, Y: ginv_y})
@@ -119,18 +117,13 @@ def degree_part(s, d):
 
 
 def integrate_strict(s, var):
-    """Term-wise integral sum c x^n -> sum c/(n+1) x^(n+1); needs a Q-algebra."""
+    """Term-wise integral sum c x^n -> sum c/(n+1) x^(n+1)."""
     idx = s._var_index(var)
-    ring = s.ring
     terms = {}
     for exp, c in s.terms.items():
         e = exp[idx]
-        try:
-            f = ring.invert(ring.from_int(e + 1))
-        except DivisionUndefined:
-            raise DivisionUndefined(f"1/{e + 1} undefined in {ring}") from None
-        terms[exp[:idx] + (e + 1,) + exp[idx + 1:]] = c * f
-    return MultiSeries(ring, s.vars, terms, s.bound, s.weights)
+        terms[exp[:idx] + (e + 1,) + exp[idx + 1:]] = c * Fraction(1, e + 1)
+    return MultiSeries(s.vars, terms, s.bound, s.weights)
 
 
 def fgl_of(F):
@@ -145,10 +138,9 @@ def fgl_check(F: MultiSeries) -> FGL:
     second law eats one order, so monomials at the top bound are not fully
     determined and are excluded from the comparison.
     """
-    ring = F.ring
     ix, iy = F._var_index(X), F._var_index(Y)
     for v, other in ((X, Y), (Y, X)):  # F(x, 0) = x, then F(0, y) = y
-        _require_zero(F.coeff_in_var(other, 0) - MultiSeries.var(ring, F.vars, v, F.bound, F.weights),
+        _require_zero(F.coeff_in_var(other, 0) - MultiSeries.var(F.vars, v, F.bound, F.weights),
                       "unit")
     # symmetry
     swapped = {}
@@ -156,15 +148,15 @@ def fgl_check(F: MultiSeries) -> FGL:
         e = list(exp)
         e[ix], e[iy] = e[iy], e[ix]
         swapped[tuple(e)] = c
-    _require_zero(F - MultiSeries(ring, F.vars, swapped, F.bound, F.weights), "commutativity")
+    _require_zero(F - MultiSeries(F.vars, swapped, F.bound, F.weights), "commutativity")
     # associativity, in the ambient (x, y, z, symbols...) one order below the bound
     bound3 = None if F.bound is None else F.bound - 1
     symbols = [(v, w) for v, w in zip(F.vars, F.weights) if v not in (X, Y)]
     F3 = F.embed((X, Y, "z") + tuple(v for v, _ in symbols),
                  (1, 1, 1) + tuple(w for _, w in symbols), bound3)
-    xv = MultiSeries.var(ring, F3.vars, "x", bound3, F3.weights)
-    yv = MultiSeries.var(ring, F3.vars, "y", bound3, F3.weights)
-    zv = MultiSeries.var(ring, F3.vars, "z", bound3, F3.weights)
+    xv = MultiSeries.var(F3.vars, "x", bound3, F3.weights)
+    yv = MultiSeries.var(F3.vars, "y", bound3, F3.weights)
+    zv = MultiSeries.var(F3.vars, "z", bound3, F3.weights)
     Fxy = F3.substitute({"x": xv, "y": yv})
     Fyz = F3.substitute({"x": yv, "y": zv})
     left = F3.substitute({"x": Fxy, "y": zv})
@@ -173,8 +165,8 @@ def fgl_check(F: MultiSeries) -> FGL:
     return fgl_of(F)
 
 
-def additive_law(ring, bound):
-    return MultiSeries(ring, (X, Y), {(1, 0): ring.one, (0, 1): ring.one}, bound)
+def additive_law(bound):
+    return MultiSeries((X, Y), {(1, 0): Fraction(1), (0, 1): Fraction(1)}, bound)
 
 
 def partial(s, var):
@@ -183,21 +175,15 @@ def partial(s, var):
     terms = {}
     for exp, c in s.terms.items():
         e = exp[idx]
-        if e == 0:
-            continue
-        d = c
-        for _ in range(e - 1):
-            d = d + c
-        if not s.ring.is_zero(d):
-            terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = d
-    return MultiSeries(s.ring, s.vars, terms, s.bound, s.weights)
+        if e:
+            terms[exp[:idx] + (e - 1,) + exp[idx + 1:]] = c * e
+    return MultiSeries(s.vars, terms, s.bound, s.weights)
 
 
 def fgl_log(F: MultiSeries) -> MultiSeries:
     """Logarithm: the strict series l with l(F(x,y)) = l(x) + l(y).
 
-    Computed from l'(x) = 1/(dF/dy)(x, 0), integrated term-wise; requires a
-    Q-algebra coefficient ring.
+    Computed from l'(x) = 1/(dF/dy)(x, 0), integrated term-wise.
     """
     dFdy = partial(F, Y).coeff_in_var(Y, 0).drop_vars((Y,))
     return integrate_strict(dFdy.reciprocal(), X)
@@ -212,18 +198,17 @@ def fgl_from_genus(P: MultiSeries) -> MultiSeries:
 
     g^{-1}(x) = x / P(x) and F(x, y) = g^{-1}(g(x) + g(y)).
     """
-    ring = P.ring
-    if not (P.constant_term() == ring.one):
+    if P.constant_term() != 1:
         raise NotStrict("characteristic series must have constant term 1")
     bound = P.bound
-    xv = MultiSeries.var(ring, P.vars, X, bound, P.weights)
+    xv = MultiSeries.var(P.vars, X, bound, P.weights)
     ginv = xv * P.reciprocal()
     g = ginv.comp_inverse(X)
     # bivariate ambient
     vars2 = (X, Y) + tuple(v for v in P.vars if v != X)
     weights2 = (1, 1) + tuple(w for v, w in zip(P.vars, P.weights) if v != X)
-    gx = g.substitute({X: MultiSeries.var(ring, vars2, X, bound, weights2)})
-    gy = g.substitute({X: MultiSeries.var(ring, vars2, Y, bound, weights2)})
+    gx = g.substitute({X: MultiSeries.var(vars2, X, bound, weights2)})
+    gy = g.substitute({X: MultiSeries.var(vars2, Y, bound, weights2)})
     return ginv.substitute({X: gx + gy})
 
 
@@ -249,12 +234,12 @@ def eval_at(np_: NumPoly, t: int):
 
 def truncate(s, bound):
     """The terms of s in the same variables, truncated at ``bound``."""
-    return MultiSeries(s.ring, s.vars, s.terms, bound, s.weights)
+    return MultiSeries(s.vars, s.terms, bound, s.weights)
 
 
 def rename(s, mapping):
     """s with its variables renamed by ``mapping`` (name -> new name)."""
-    return MultiSeries(s.ring, [mapping.get(v, v) for v in s.vars], s.terms, s.bound, s.weights)
+    return MultiSeries([mapping.get(v, v) for v in s.vars], s.terms, s.bound, s.weights)
 
 
 def grades_present(s, grades):
@@ -275,7 +260,7 @@ def symbol_grades(nb):
 def theta_table_to_series(tab):
     """A cannibal.ThetaTable as the series sum c_mn x^m y^n."""
     terms = {(m, n): c for (m, n), c in tab.table.items()}
-    return MultiSeries(RAT, ("x", "y"), terms, 2 * tab.bound)
+    return MultiSeries(("x", "y"), terms, 2 * tab.bound)
 
 
 def total_chern_by_series(dims):
@@ -284,11 +269,11 @@ def total_chern_by_series(dims):
     truncated at the complex dimension, the reference for ``chern.total_chern``."""
     names = tuple(f"x{i + 1}" for i in range(len(dims)))
     bound = sum(dims)
-    out = MultiSeries.one(RAT, names, bound)
+    out = MultiSeries.one(names, bound)
     for i, n in enumerate(dims):
         factor = {tuple(k if j == i else 0 for j in range(len(names))): Fraction(comb(n + 1, k))
                   for k in range(n + 1)}
-        out = out * MultiSeries(RAT, names, factor, bound)
+        out = out * MultiSeries(names, factor, bound)
     return out
 
 
@@ -297,7 +282,7 @@ def chern_number_by_series(dims, monomial):
     x^dims of the product of degree parts of ``total_chern_by_series``, the
     reference for ``chern.chern_number``."""
     tc = total_chern_by_series(dims)
-    acc = MultiSeries.one(RAT, tc.vars, tc.bound)
+    acc = MultiSeries.one(tc.vars, tc.bound)
     for idx in monomial:
         acc = acc * degree_part(tc, idx)
     return int(acc.coefficient(dims))
@@ -336,8 +321,8 @@ def cocycle_series(N):
             exp[0], exp[1] = i, j
             exp[names.index(f"a{min(i, j)}_{max(i, j)}")] = 1
             f_terms[tuple(exp)] = Fraction(1)
-    f = MultiSeries(RAT, names, f_terms, N, weights)
-    return (f, *(MultiSeries.var(RAT, names, v, N, weights) for v in "xyzu"))
+    f = MultiSeries(names, f_terms, N, weights)
+    return (f, *(MultiSeries.var(names, v, N, weights) for v in "xyzu"))
 
 
 def xyz_coefficients(s):
@@ -423,18 +408,17 @@ def theta3_bivariate(N: int) -> ThetaTable:
     """The theta^3 table by bivariate series division, no closed forms
     involved: the reference for ``cannibal.theta3_direct``."""
     vars_ = ("x", "y")
-    ring = RAT
     bound = 2 * N
 
     def low(var):
         # 3 - 3 t + t^2
-        x = MultiSeries.var(ring, vars_, var, bound)
-        three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
+        x = MultiSeries.var(vars_, var, bound)
+        three = MultiSeries.constant(vars_, Fraction(3), bound)
         return three - x.scale(Fraction(3)) + x * x
 
-    x = MultiSeries.var(ring, vars_, "x", bound)
-    y = MultiSeries.var(ring, vars_, "y", bound)
-    one = MultiSeries.one(ring, vars_, bound)
+    x = MultiSeries.var(vars_, "x", bound)
+    y = MultiSeries.var(vars_, "y", bound)
+    one = MultiSeries.one(vars_, bound)
     omx = one - x
     omy = one - y
     num = one + omx * omy + (omx * omx) * (omy * omy)
@@ -454,35 +438,33 @@ def theta_k_virtual(k: int, N: int) -> MultiSeries:
     if k % 2 == 0:
         raise EvenK("stable normalization requires odd k")
     vars_ = ("x", "y")
-    ring = RAT
     bound = 2 * N
 
     def qk(series):
         # q_k(s) = (1 - (1-s)^k)/s = sum_{i>=0} (-1)^i C(k, i+1) s^i, degree k-1
-        out = MultiSeries.zero(ring, vars_, bound)
-        p = MultiSeries.one(ring, vars_, bound)
+        out = MultiSeries.zero(vars_, bound)
+        p = MultiSeries.one(vars_, bound)
         for i in range(k):
             if i > 0:
                 p = p * series
             out = out + p.scale(Fraction((-1) ** i * comb(k, i + 1)))
         return out
 
-    x = MultiSeries.var(ring, vars_, "x", bound)
-    y = MultiSeries.var(ring, vars_, "y", bound)
+    x = MultiSeries.var(vars_, "x", bound)
+    y = MultiSeries.var(vars_, "y", bound)
     s = x + y - x * y
     return qk(s).scale(Fraction(k)) * qk(x).reciprocal() * qk(y).reciprocal()
 
 
 def orientation_transport(series: MultiSeries, N: int) -> MultiSeries:
     """Substitute x -> -x/(1-x), y -> -y/(1-y) (the L -> L^* change)."""
-    ring = series.ring
     vars_ = series.vars
     bound = series.bound
 
     def inner(var):
         # -t/(1-t) = -(t + t^2 + ...)
-        g = geometric(ring, vars_, var, bound)
-        t = MultiSeries.var(ring, vars_, var, bound)
+        g = geometric(vars_, var, bound)
+        t = MultiSeries.var(vars_, var, bound)
         return (g * t).scale(Fraction(-1))
 
     return series.substitute({"x": inner("x"), "y": inner("y")})
@@ -512,7 +494,7 @@ def dpoly_product_by_series(p, q):
     vectors over d_0..d_K, K the largest index: the reference for
     ``DPoly.__mul__``."""
     K = max((m[-1] for m in (*p.terms, *q.terms) if m), default=0)
-    s, t = (MultiSeries(RAT, range(K + 1), {tuple(map(m.count, range(K + 1))): c for m, c in f.terms.items()})
+    s, t = (MultiSeries(range(K + 1), {tuple(map(m.count, range(K + 1))): c for m, c in f.terms.items()})
             for f in (p, q))
     return DPoly({tuple(k for k, e in enumerate(exps) for _ in range(e)): c
                   for exps, c in (s * t).terms.items()})
@@ -545,10 +527,9 @@ def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:
 def theta3_one_bundle(var: str, vars_, bound: int) -> MultiSeries:
     """theta^3(1 - L) = 3 (1-x)^2 / (3 - 3x + x^2) in the x = 1 - L orientation
     (from theta(1) = 3, theta(-L) = 1/theta(L) and L^* = (1-x)^{-1})."""
-    ring = RAT
-    t = MultiSeries.var(ring, vars_, var, bound)
-    one = MultiSeries.one(ring, vars_, bound)
-    three = MultiSeries.constant(ring, vars_, Fraction(3), bound)
+    t = MultiSeries.var(vars_, var, bound)
+    one = MultiSeries.one(vars_, bound)
+    three = MultiSeries.constant(vars_, Fraction(3), bound)
     omt = one - t
     return (omt * omt).scale(Fraction(3)) * (three - t.scale(Fraction(3)) + t * t).reciprocal()
 
@@ -556,16 +537,15 @@ def theta3_one_bundle(var: str, vars_, bound: int) -> MultiSeries:
 def theta3_sum_of_two(N: int) -> MultiSeries:
     """theta^3((1-L1) + (1-L2)) = 9 / (theta(L1) theta(L2)), computed through
     geometric expansions of the dual line bundles (independent route)."""
-    ring = RAT
     vars_ = ("x", "y")
     bound = 2 * N
 
     def theta_L(var):
         # 1 + L^* + (L^*)^2 with L^* = 1/(1 - t) = sum t^n
-        dual = geometric(ring, vars_, var, bound)
-        return MultiSeries.one(ring, vars_, bound) + dual + dual * dual
+        dual = geometric(vars_, var, bound)
+        return MultiSeries.one(vars_, bound) + dual + dual * dual
 
-    nine = MultiSeries.constant(ring, vars_, Fraction(9), bound)
+    nine = MultiSeries.constant(vars_, Fraction(9), bound)
     return nine * (theta_L("x") * theta_L("y")).reciprocal()
 
 

@@ -13,7 +13,6 @@ independent of the 2-structure relation machinery.
 from fractions import Fraction
 
 from fglab.adams import dmonomials_upto, nki_coeffs, psi_power_coeff
-from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 from helpers import compose
@@ -32,7 +31,7 @@ class BUOracle:
             e[0] = i
             e[i] = 1
             terms[tuple(e)] = Fraction(1)
-        bt = MultiSeries(RAT, tvars, terms, W, (1,) + (0,) * W)
+        bt = MultiSeries(tvars, terms, W, (1,) + (0,) * W)
         x = self._var("x")
         y = self._var("y")
         self.S = (compose(bt, "t", x + y - x * y)
@@ -42,20 +41,20 @@ class BUOracle:
         self._dval = {}
 
     def _var(self, n, p=1):
-        return MultiSeries.var(RAT, self.vars, n, self.W, self.weights, power=p)
+        return MultiSeries.var(self.vars, n, self.W, self.weights, power=p)
 
     def a(self, i, j):
         if i == 0 and j == 0:
-            return MultiSeries.one(RAT, self.vars, self.W, self.weights)
+            return MultiSeries.one(self.vars, self.W, self.weights)
         if i == 0 or j == 0:
-            return MultiSeries.zero(RAT, self.vars, self.W, self.weights)
+            return MultiSeries.zero(self.vars, self.W, self.weights)
         return self.S.coeff_in_var("x", i).coeff_in_var("y", j)
 
     def psi(self, series):
         if self._psi_subs is None:
             subs = {}
             for i in range(1, self.W + 1):
-                s = MultiSeries.zero(RAT, self.vars, self.W, self.weights)
+                s = MultiSeries.zero(self.vars, self.W, self.weights)
                 for j in range(1, i + 1):
                     c = psi_power_coeff(3, j, i)
                     if c:
@@ -66,16 +65,16 @@ class BUOracle:
 
     def d(self, k):
         if k not in self._dval:
-            acc = MultiSeries.zero(RAT, self.vars, self.W, self.weights)
+            acc = MultiSeries.zero(self.vars, self.W, self.weights)
             for i, c in nki_coeffs(k, "auto").items():
                 acc = acc + self.a(i, k - i).scale(Fraction(c))
             self._dval[k] = acc
         return self._dval[k]
 
     def eval_apoly(self, poly, u=Fraction(1)):
-        total = MultiSeries.zero(RAT, self.vars, self.W, self.weights)
+        total = MultiSeries.zero(self.vars, self.W, self.weights)
         for (ue, pairs), c in poly.terms.items():
-            piece = MultiSeries.constant(RAT, self.vars, c * Fraction(u) ** ue,
+            piece = MultiSeries.constant(self.vars, c * Fraction(u) ** ue,
                                          self.W, self.weights)
             for (i, j), e in pairs:
                 aij = self.a(i, j)
@@ -89,7 +88,7 @@ class BUOracle:
         monos = dmonomials_upto(weight)
         polys = []
         for m in monos:
-            p = MultiSeries.one(RAT, self.vars, self.W, self.weights)
+            p = MultiSeries.one(self.vars, self.W, self.weights)
             for k in m:
                 p = p * self.d(k)
             polys.append(p)

@@ -7,7 +7,6 @@ coefficients.
 
 from fractions import Fraction
 
-from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 
@@ -17,7 +16,6 @@ def coboundary_apoly_values(g_coeffs, wmax):
     ``g_coeffs``: rational coefficients (g_1, g_2, ...) of g = 1 + g_1 x + ...
     Returns {(i,j): Fraction} for i+j <= wmax.
     """
-    ring = RAT
     vars_ = ("x", "y")
     bound = wmax
     g = [Fraction(1)] + [Fraction(c) for c in g_coeffs]
@@ -25,15 +23,15 @@ def coboundary_apoly_values(g_coeffs, wmax):
         g.append(Fraction(0))
 
     def gx(var):
-        return MultiSeries(ring, vars_, {tuple(n if v == var else 0 for v in vars_): g[n]
-                                         for n in range(0, bound + 1)}, bound)
+        return MultiSeries(vars_, {tuple(n if v == var else 0 for v in vars_): g[n]
+                                   for n in range(0, bound + 1)}, bound)
 
-    xv = MultiSeries.var(ring, vars_, "x", bound)
-    yv = MultiSeries.var(ring, vars_, "y", bound)
+    xv = MultiSeries.var(vars_, "x", bound)
+    yv = MultiSeries.var(vars_, "y", bound)
     s = xv + yv - xv * yv  # u = 1
     # g(s)
-    gs = MultiSeries.zero(ring, vars_, bound)
-    p = MultiSeries.one(ring, vars_, bound)
+    gs = MultiSeries.zero(vars_, bound)
+    p = MultiSeries.one(vars_, bound)
     for n in range(0, bound + 1):
         if n > 0:
             p = p * s

@@ -9,7 +9,6 @@ from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen
                             theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
 from fglab.padic import padic_from_rat
-from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 from helpers import (composition_failures, orientation_transport, psi_on_dk_by_apoly,
@@ -106,7 +105,7 @@ def test_theta_multiplicativity_on_line_bundle_sums():
 
 def test_theta_k_virtual_unit():
     one = theta_k_virtual(1, 8)
-    assert one == MultiSeries.one(RAT, ("x", "y"), 16)
+    assert one == MultiSeries.one(("x", "y"), 16)
     with pytest.raises(EvenK):
         theta_k_virtual(2, 8)
 

@@ -238,6 +238,24 @@ def test_adams_refuses_reducers_above_the_weight_cap(capsys, monkeypatch, level,
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+@pytest.mark.parametrize("level", ["base", "thom"])
+def test_adams_spherical_refuses_an_odd_max_weight_before_the_build(capsys, monkeypatch, level):
+    """Weights are even: an odd --max-weight is refused with the flag's name
+    before the reducer is built, and the even weight below it goes on to
+    build it."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built")
+
+    from fglab import adams
+    monkeypatch.setattr(adams, "DReducer", unbuilt)
+    for odd in (3, 57):
+        code, out, err = run(capsys, "adams", "spherical", "--max-weight", str(odd), "--level", level)
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --max-weight must be even, got {odd}\n"
+    code, out, err = run(capsys, "adams", "spherical", "--max-weight", "56", "--level", level)
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 @pytest.mark.parametrize("bound, nb, flag, value, limit", [(25, 23, "--bound", 25, 24),
                                                           (24, 24, "--nb", 24, 23)])
 def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, flag, value, limit):
@@ -324,6 +342,7 @@ def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypa
      ("dilate",)),
     (("fgl", "cpn", "--mode", "residue-exact"), "--n", "bordism", "MAX_CPN_N", 40, ("cpn_in_a",)),
     (("adams", "relations"), "--degree", "adams", "MAX_RELATIONS_DEGREE", 28, ("gen_2structure_relations",)),
+    (("adams", "nki"), "--k", "adams", "MAX_NKI_K", 4096, ("nki_coeffs",)),
 ])
 def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, flag, module, cap,
                                                    value, computes):
@@ -703,8 +722,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(code, *sorted(set(sys.modules) - before))
 """
 
-BASE = {"cli", "errors", "rings"}
-ENGINE = BASE | {"series"}
+BASE = {"cli", "errors"}
+ENGINE = BASE | {"series", "rings"}
 
 
 @pytest.mark.parametrize("argv, code, allowed", [

@@ -10,7 +10,6 @@ from fglab.chern import partitions
 from fglab.errors import (AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension,
                           UsageError)
 from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
-from fglab.rings import RAT
 from fglab.series import MultiSeries
 
 from helpers import (RANDOM_SEED, additive_law, coeff_of, compose, exp_series, fgl_binom, fgl_check,
@@ -25,7 +24,7 @@ def rational_strict_g(rng, bound, nb=4):
     terms = {(1, 0): Fraction(1)}
     for i in range(1, nb + 1):
         terms[(i + 1, 0)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-    return MultiSeries(RAT, vars_, terms, bound, (1, 0))
+    return MultiSeries(vars_, terms, bound, (1, 0))
 
 
 def embed(series, like):
@@ -39,31 +38,31 @@ def embed(series, like):
         for p, e in zip(pos, exp):
             t[p] = e
         terms[tuple(t)] = c
-    return MultiSeries(like.ring, like.vars, terms, like.bound, like.weights)
+    return MultiSeries(like.vars, terms, like.bound, like.weights)
 
 
 @pytest.fixture(scope="module")
 def twisted6():
-    return fgl_twist(multiplicative_law(RAT, 6), generic_strict_series(RAT, 6, 5))
+    return fgl_twist(multiplicative_law(6), generic_strict_series(6, 5))
 
 
 def test_fgl_check_valid_laws():
-    fgl_check(additive_law(RAT, 8))
-    fgl_check(multiplicative_law(RAT, 8, vcoeff=Fraction(1)))
-    fgl_check(multiplicative_law(RAT, 8))  # symbolic v
+    fgl_check(additive_law(8))
+    fgl_check(multiplicative_law(8, vcoeff=Fraction(1)))
+    fgl_check(multiplicative_law(8))  # symbolic v
 
 
 def test_fgl_check_unit_violation():
-    bad = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                        (2, 0): Fraction(1)}, 8)
+    bad = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                   (2, 0): Fraction(1)}, 8)
     with pytest.raises(AxiomViolation) as ei:
         fgl_check(bad)
     assert ei.value.axiom == "unit" and ei.value.monomial == "x^2"
 
 
 def test_fgl_check_associativity_violation():
-    bad = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                        (2, 1): Fraction(1), (1, 2): Fraction(1)}, 6)
+    bad = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                   (2, 1): Fraction(1), (1, 2): Fraction(1)}, 6)
     with pytest.raises(AxiomViolation) as ei:
         fgl_check(bad)
     assert ei.value.axiom == "associativity" and ei.value.monomial == "x*y*z^3"
@@ -75,41 +74,41 @@ def test_fgl_check_associativity_violation():
     ({(1, 0): 1, (0, 1): 1, (2, 1): 1}, "commutativity", "x*y^2"),  # F(x, y) - F(y, x)
 ])
 def test_fgl_check_names_the_first_failing_monomial(terms, axiom, monomial):
-    bad = MultiSeries(RAT, ("x", "y"), {e: Fraction(c) for e, c in terms.items()}, 8)
+    bad = MultiSeries(("x", "y"), {e: Fraction(c) for e, c in terms.items()}, 8)
     with pytest.raises(AxiomViolation) as ei:
         fgl_check(bad)
     assert (ei.value.axiom, ei.value.monomial) == (axiom, monomial)
 
 
 def test_twist_by_identity_is_identity():
-    F = multiplicative_law(RAT, 8, vcoeff=Fraction(1))
-    g = MultiSeries(RAT, ("t",), {(1,): Fraction(1)}, 8)
+    F = multiplicative_law(8, vcoeff=Fraction(1))
+    g = MultiSeries(("t",), {(1,): Fraction(1)}, 8)
     assert fgl_twist(F, g).law == F
 
 
 def test_twist_requires_strict():
-    F = multiplicative_law(RAT, 6, vcoeff=Fraction(1))
-    g = MultiSeries(RAT, ("t",), {(1,): Fraction(2)}, 6)
+    F = multiplicative_law(6, vcoeff=Fraction(1))
+    g = MultiSeries(("t",), {(1,): Fraction(2)}, 6)
     with pytest.raises(NotStrict):
         fgl_twist(F, g)
     # the whole t-coefficient must be 1, not 1 plus a symbol multiple
-    g = MultiSeries(RAT, ("t", "v"), {(1, 0): Fraction(1), (1, 1): Fraction(1)}, 6, (1, 0))
+    g = MultiSeries(("t", "v"), {(1, 0): Fraction(1), (1, 1): Fraction(1)}, 6, (1, 0))
     with pytest.raises(NotStrict):
-        fgl_twist(multiplicative_law(RAT, 6), g)
+        fgl_twist(multiplicative_law(6), g)
 
 
 def test_twist_needs_g_to_the_bound_of_f():
-    F = multiplicative_law(RAT, 6)
+    F = multiplicative_law(6)
     with pytest.raises(BoundMismatch):
-        fgl_twist(F, generic_strict_series(RAT, 5, 3))
-    assert fgl_twist(F, generic_strict_series(RAT, 8, 3)).law == fgl_twist(
-        F, generic_strict_series(RAT, 6, 3)).law
+        fgl_twist(F, generic_strict_series(5, 3))
+    assert fgl_twist(F, generic_strict_series(8, 3)).law == fgl_twist(
+        F, generic_strict_series(6, 3)).law
 
 
 @pytest.mark.parametrize("bound, nb", [(2, 0), (3, 5), (6, 5), (9, 8), (12, 11)])
 def test_twist_equals_substitution_generic(bound, nb):
-    F = multiplicative_law(RAT, bound)
-    g = generic_strict_series(RAT, bound, nb)
+    F = multiplicative_law(bound)
+    g = generic_strict_series(bound, nb)
     assert fgl_twist(F, g).law == twist_by_substitution(F, g)
 
 
@@ -118,13 +117,13 @@ def test_twist_equals_substitution_rational_and_twisted():
     again by g^-1 (giving back x + y + vxy) and by a second g."""
     rng = random.Random(RANDOM_SEED)
     for bound in (5, 8, 10):
-        F = multiplicative_law(RAT, bound)
+        F = multiplicative_law(bound)
         g = rational_strict_g(rng, bound)
         tw = fgl_twist(F, g).law
         assert tw == twist_by_substitution(F, g)
         ginv = g.comp_inverse("t")
         assert fgl_twist(tw, ginv).law == twist_by_substitution(tw, ginv) == F
-        for g2 in (rational_strict_g(rng, bound, nb=bound - 1), generic_strict_series(RAT, bound, 3)):
+        for g2 in (rational_strict_g(rng, bound, nb=bound - 1), generic_strict_series(bound, 3)):
             assert fgl_twist(tw, g2).law == twist_by_substitution(tw, g2)
 
 
@@ -137,7 +136,7 @@ def small_strict_g(draw):
                                  st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
                                  max_size=5))
     terms[(1, 0)] = Fraction(1)
-    return MultiSeries(RAT, ("t", "v"), terms, bound, (1, 0))
+    return MultiSeries(("t", "v"), terms, bound, (1, 0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,10 +144,10 @@ def small_strict_g(draw):
 def test_twist_equals_substitution_property(g, vcoeff):
     """F = x + y + vxy (symbolic or a number), and x + y + v^3 xy."""
     if vcoeff == "v^3":
-        F = MultiSeries(RAT, ("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-                                               (1, 1, 3): Fraction(1)}, g.bound, (1, 1, 0))
+        F = MultiSeries(("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+                                          (1, 1, 3): Fraction(1)}, g.bound, (1, 1, 0))
     else:
-        F = multiplicative_law(RAT, g.bound, vcoeff)
+        F = multiplicative_law(g.bound, vcoeff)
     assert fgl_twist(F, g).law == twist_by_substitution(F, g)
 
 
@@ -156,10 +155,10 @@ def test_twist_truncates_a_symbol_of_positive_weight():
     """A symbol of weight 1 counts towards the bound: the law keeps only the
     terms x^i y^j * (symbols) of weighted degree at most the bound, as the
     substitution does."""
-    F = MultiSeries(RAT, ("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-                                           (1, 1, 1): Fraction(1)}, 7, (1, 1, 1))
-    g = MultiSeries(RAT, ("t", "v", "b1"), {(1, 0, 0): Fraction(1), (2, 1, 1): Fraction(1),
-                                            (3, 2, 0): Fraction(2)}, 7, (1, 1, 0))
+    F = MultiSeries(("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+                                      (1, 1, 1): Fraction(1)}, 7, (1, 1, 1))
+    g = MultiSeries(("t", "v", "b1"), {(1, 0, 0): Fraction(1), (2, 1, 1): Fraction(1),
+                                       (3, 2, 0): Fraction(2)}, 7, (1, 1, 0))
     assert fgl_twist(F, g).law == twist_by_substitution(F, g)
 
 
@@ -167,19 +166,19 @@ def test_twist_rejects_a_law_without_unit():
     """The degree-1 part of F must be x + y: the solve's fields are sized
     for a law."""
     for extra, monomial in (((1, 0, 1), "x*v"), ((0, 0, 1), "v"), ((0, 1, 0), "y"), ((0, 0, 0), "1")):
-        F = multiplicative_law(RAT, 6)
-        F = F + MultiSeries(RAT, F.vars, {extra: Fraction(1)}, 6, F.weights)
+        F = multiplicative_law(6)
+        F = F + MultiSeries(F.vars, {extra: Fraction(1)}, 6, F.weights)
         with pytest.raises(AxiomViolation) as ei:
-            fgl_twist(F, generic_strict_series(RAT, 6, 5))
+            fgl_twist(F, generic_strict_series(6, 5))
         assert ei.value.axiom == "unit" and ei.value.monomial == monomial
 
 
 def test_twist_rejects_non_commutative_law():
     """g(F) is symmetric exactly when F is; x + y + x^2 y is not."""
-    F = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                      (2, 1): Fraction(1)}, 6)
+    F = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                 (2, 1): Fraction(1)}, 6)
     with pytest.raises(AxiomViolation) as ei:
-        fgl_twist(F, generic_strict_series(RAT, 6, 5))
+        fgl_twist(F, generic_strict_series(6, 5))
     assert ei.value.axiom == "commutativity" and ei.value.monomial == "x*y^2"
 
 
@@ -190,7 +189,7 @@ def poly_in(ambient, d):
         for name, p in mono:
             e[ambient.vars.index(name)] = p
         terms[tuple(e)] = Fraction(c)
-    return MultiSeries(RAT, ambient.vars, terms, ambient.bound, ambient.weights)
+    return MultiSeries(ambient.vars, terms, ambient.bound, ambient.weights)
 
 
 def test_twisted_law_images(twisted6):
@@ -249,7 +248,7 @@ def test_coeff_table_rebuilds_the_law(twisted6):
     F = law.law
 
     def mono(name, k):
-        return MultiSeries.var(RAT, F.vars, name, F.bound, F.weights, power=k)
+        return MultiSeries.var(F.vars, name, F.bound, F.weights, power=k)
 
     rebuilt = mono("x", 1) + mono("y", 1)
     for (i, j), aij in table.items():
@@ -257,7 +256,7 @@ def test_coeff_table_rebuilds_the_law(twisted6):
         rebuilt = rebuilt + aij * mono("x", i) * mono("y", j)
         assert law.a(i, j) == aij
     assert rebuilt == F
-    zero = MultiSeries.zero(RAT, F.vars, F.bound, F.weights)
+    zero = MultiSeries.zero(F.vars, F.bound, F.weights)
     assert (1, 0) not in table and law.a(1, 0) == zero
     assert (F.bound, F.bound) not in table and law.a(F.bound, F.bound) == zero
     table.clear()
@@ -271,7 +270,7 @@ def test_twist_table_is_the_split_of_its_law(size):
     (i, j) split of the assembled law and of the law by substitution, and
     entry (j, i) is entry (i, j)."""
     bound, nb = size
-    F, g = multiplicative_law(RAT, bound), generic_strict_series(RAT, bound, nb)
+    F, g = multiplicative_law(bound), generic_strict_series(bound, nb)
     law = fgl_twist(F, g)
     table = law.coeff_table()
     assert table == fgl_of(law.law).coeff_table() == fgl_of(twist_by_substitution(F, g)).coeff_table()
@@ -283,39 +282,39 @@ def test_twisted_law_passes_axioms_random_rationals():
     rng = random.Random(RANDOM_SEED)
     for _ in range(5):
         g = rational_strict_g(rng, 10)
-        fgl_check(fgl_twist(multiplicative_law(RAT, 10), g).law)
+        fgl_check(fgl_twist(multiplicative_law(10), g).law)
 
 
 def test_twist_group_action_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    F = multiplicative_law(RAT, 8)
+    F = multiplicative_law(8)
     tw = fgl_twist(F, g).law
     assert fgl_twist(tw, g.comp_inverse("t")).law == F
 
 
 def test_fgl_log_additive_and_multiplicative():
-    assert fgl_log(additive_law(RAT, 8)) == MultiSeries.var(RAT, ("x",), "x", 8)
-    Fm = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                       (1, 1): Fraction(-1)}, 8)
+    assert fgl_log(additive_law(8)) == MultiSeries.var(("x",), "x", 8)
+    Fm = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                  (1, 1): Fraction(-1)}, 8)
     # log of x + y - xy is -ln(1-x) = sum x^n / n
-    assert fgl_log(Fm) == MultiSeries(RAT, ("x",),
+    assert fgl_log(Fm) == MultiSeries(("x",),
                                       {(n,): Fraction(1, n) for n in range(1, 9)}, 8)
 
 
 def test_log_exp_roundtrip():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 9)
-    tw = fgl_twist(multiplicative_law(RAT, 9), g).law
+    tw = fgl_twist(multiplicative_law(9), g).law
     lg = fgl_log(tw)
     ex = fgl_exp(tw)
-    assert compose(lg, "x", ex) == MultiSeries.var(RAT, lg.vars, "x", 9, lg.weights)
+    assert compose(lg, "x", ex) == MultiSeries.var(lg.vars, "x", 9, lg.weights)
 
 
 def test_fgl_log_of_twist_is_log_after_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    F = multiplicative_law(RAT, 8)
+    F = multiplicative_law(8)
     tw = fgl_twist(F, g).law
     ginv = rename(g.comp_inverse("t"), {"t": "x"})
     assert fgl_log(tw) == compose(fgl_log(F), "x", ginv)
@@ -324,29 +323,29 @@ def test_fgl_log_of_twist_is_log_after_inverse():
 def test_fgl_log_linearizes_the_law():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    tw = fgl_twist(multiplicative_law(RAT, 8), g).law
+    tw = fgl_twist(multiplicative_law(8), g).law
     lg = fgl_log(tw)
     # compare one order below the bound: substituting the law consumes it
     b = 7
     tw7 = truncate(tw, b)
     lg7 = truncate(lg, b)
     lhs = compose(lg7, "x", tw7)
-    rhs = (compose(lg7, "x", MultiSeries.var(RAT, tw7.vars, "x", b, tw7.weights))
-           + compose(lg7, "x", MultiSeries.var(RAT, tw7.vars, "y", b, tw7.weights)))
+    rhs = (compose(lg7, "x", MultiSeries.var(tw7.vars, "x", b, tw7.weights))
+           + compose(lg7, "x", MultiSeries.var(tw7.vars, "y", b, tw7.weights)))
     assert lhs == rhs
 
 
 def test_from_genus_trivial_and_todd():
-    one = MultiSeries.one(RAT, ("x",), 10)
-    assert fgl_from_genus(one) == additive_law(RAT, 10)
+    one = MultiSeries.one(("x",), 10)
+    assert fgl_from_genus(one) == additive_law(10)
     # Todd characteristic series x/(1 - e^-x) gives the multiplicative law
     emx = exp_series(("x",), "x", 10, rate=Fraction(-1))
     den = one - emx
-    den_shift = MultiSeries(RAT, ("x",), {(e[0] - 1,): c for e, c in den.terms.items()
-                                          if e[0] >= 1}, 10)
+    den_shift = MultiSeries(("x",), {(e[0] - 1,): c for e, c in den.terms.items()
+                                     if e[0] >= 1}, 10)
     P = den_shift.reciprocal()
-    want = MultiSeries(RAT, ("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                         (1, 1): Fraction(-1)}, 10)
+    want = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
+                                    (1, 1): Fraction(-1)}, 10)
     assert fgl_from_genus(P) == want
 
 
@@ -356,13 +355,13 @@ def test_from_genus_random_gives_fgl():
         terms = {(0,): Fraction(1)}
         for k in range(1, 8):
             terms[(k,)] = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-        fgl_check(fgl_from_genus(MultiSeries(RAT, ("x",), terms, 8)))
+        fgl_check(fgl_from_genus(MultiSeries(("x",), terms, 8)))
 
 
 def test_fgl_binom_trivial_and_closed_form():
     from math import comb
-    F = MultiSeries(RAT, ("x", "y", "u"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-                                           (1, 1, 1): Fraction(-1)}, 10, (1, 1, 0))
+    F = MultiSeries(("x", "y", "u"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
+                                      (1, 1, 1): Fraction(-1)}, 10, (1, 1, 0))
     t0 = fgl_binom(F, 0)
     assert list(t0) == [(0, 0)] and t0[(0, 0)].constant_term() == 1
     # <k; i,j> = C(k, 2k-i-j) C(2k-i-j, k-j) (-v)^(k-i-j), v^-1 = u as a symbol
@@ -376,13 +375,13 @@ def test_fgl_binom_trivial_and_closed_form():
 def test_fgl_binom_matches_direct_power_random():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    F = fgl_twist(multiplicative_law(RAT, 8), g).law
+    F = fgl_twist(multiplicative_law(8), g).law
     for k in range(0, 6):
-        acc = MultiSeries.zero(RAT, F.vars, 8, F.weights)
+        acc = MultiSeries.zero(F.vars, 8, F.weights)
         for (i, j), val in fgl_binom(F, k).items():
             mono = {F.vars.index("x"): i, F.vars.index("y"): j}
             exp = tuple(mono.get(t, 0) for t in range(len(F.vars)))
-            acc = acc + val * MultiSeries(RAT, F.vars, {exp: Fraction(1)}, 8, F.weights)
+            acc = acc + val * MultiSeries(F.vars, {exp: Fraction(1)}, 8, F.weights)
         assert acc == F ** k, k
 
 
@@ -399,8 +398,8 @@ def test_cpn_boxes_and_modes():
 def test_cpn_residue_matches_log_derivative():
     """residue-exact [CP^n] = x^n coefficient of 1/(dF/dy)(x, 0), n <= 8."""
     nb = 8
-    F = multiplicative_law(RAT, 9)
-    g = generic_strict_series(RAT, 9, nb)
+    F = multiplicative_law(9)
+    g = generic_strict_series(9, nb)
     law = fgl_twist(F, g)
     rec = partial(law.law, "y").coeff_in_var("y", 0).reciprocal()
     for n in range(1, 9):
@@ -417,7 +416,7 @@ def _xyfree(series):
     for exp, c in series.terms.items():
         terms[tuple(e for v, e in zip(series.vars, exp) if v not in ("x", "y"))] = c
     weights = tuple(w for v, w in zip(series.vars, series.weights) if v not in ("x", "y"))
-    return MultiSeries(series.ring, names, terms, series.bound, weights)
+    return MultiSeries(names, terms, series.bound, weights)
 
 
 def test_bordism_grammar():

@@ -29,8 +29,7 @@ def test_oracle_self_consistency(oracle10):
             lhs = oracle10.psi(oracle10.a(i, j))
             rhs_terms = None
             from fglab.series import MultiSeries
-            from fglab.rings import RAT
-            rhs = MultiSeries.zero(RAT, oracle10.vars, oracle10.W, oracle10.weights)
+            rhs = MultiSeries.zero(oracle10.vars, oracle10.W, oracle10.weights)
             for m in range(0, i + 1):
                 cm = psi_power_coeff(3, m, i)
                 if not cm:
@@ -86,9 +85,8 @@ def test_reduce_matches_oracle_on_random_targets(reducer10, oracle10, target):
 def test_thom_matches_oracle(reducer10, thom_table10, oracle10):
     """Lemma-7-style pairing evaluated wholly inside the model."""
     from fglab.series import MultiSeries
-    from fglab.rings import RAT
     for k in range(2, 11):
-        total = MultiSeries.zero(RAT, oracle10.vars, oracle10.W, oracle10.weights)
+        total = MultiSeries.zero(oracle10.vars, oracle10.W, oracle10.weights)
         for i, cnk in nki_coeffs(k, "auto").items():
             for m in range(0, i + 1):
                 for n in range(0, k - i + 1):

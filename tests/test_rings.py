@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
-from fglab.padic import Padic2, Padic2Ring, padic_from_rat, padic_log
-from fglab.rings import GF2, GF2Elt, gf2_from_rat, val2
+from fglab.padic import Padic2, padic_from_rat, padic_log
+from fglab.rings import val2
 
 from helpers import RANDOM_SEED
 
@@ -98,23 +98,16 @@ def test_padic_log_doubling_at_81():
     assert l.val2() == 4
 
 
-def test_gf2_reduction_is_parity():
-    assert gf2_from_rat(Fraction(7, 3)) == GF2.one
-    assert gf2_from_rat(Fraction(-4, 5)) == GF2.zero
-    with pytest.raises(NotInDomain):
-        gf2_from_rat(Fraction(1, 2))
-
-
 def test_reduction_maps_are_homomorphisms():
+    """Q -> Z_2 at 48 bits, and at 1 bit, where it is the reduction to GF(2)."""
     rng = random.Random(RANDOM_SEED)
-    ring = Padic2Ring(48)
     for _ in range(50):
         a = Fraction(rng.randint(-999, 999), rng.choice([1, 3, 5, 7]))
         b = Fraction(rng.randint(-999, 999), rng.choice([1, 3, 5, 7]))
-        assert ring.from_rat(a + b) == ring.from_rat(a) + ring.from_rat(b)
-        assert ring.from_rat(a * b) == ring.from_rat(a) * ring.from_rat(b)
-        assert gf2_from_rat(a + b) == gf2_from_rat(a) + gf2_from_rat(b)
-        assert gf2_from_rat(a * b) == gf2_from_rat(a) * gf2_from_rat(b)
+        for prec in (48, 1):
+            ra, rb = padic_from_rat(a, prec), padic_from_rat(b, prec)
+            assert padic_from_rat(a + b, prec) == ra + rb
+            assert padic_from_rat(a * b, prec) == ra * rb
 
 
 def test_padic_shift_and_div():
@@ -127,16 +120,6 @@ def test_padic_shift_and_div():
         Padic2(3, 16).shift_down(1)
 
 
-def test_gf2_equals_int_of_same_value():
-    assert GF2Elt(0) == 0 and GF2Elt(1) == 1
-    assert 0 == GF2Elt(0) and 1 == GF2Elt(1)
-    assert GF2Elt(1) != 0 and GF2Elt(0) != 1
-    assert GF2Elt(1) != 3 and GF2Elt(0) != 2 and GF2Elt(1) != -1
-    assert GF2Elt(1) != "1"
-    assert {GF2Elt(1), 1, GF2Elt(3)} == {1}
-    assert hash(GF2Elt(5)) == hash(1)
-
-
 def test_padic_congruent_values_share_a_hash():
     assert Padic2(1, 8) == Padic2(257, 16)
     assert len({Padic2(1, 8), Padic2(257, 16)}) == 1
@@ -144,12 +127,13 @@ def test_padic_congruent_values_share_a_hash():
     assert len({Padic2(1, 16), Padic2(257, 16)}) == 2
 
 
-gf2_or_int = st.one_of(st.integers(-4, 4), st.integers(-4, 4).map(GF2Elt))
+rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
+int_or_rat = st.one_of(st.integers(-4, 4), rats)
 padics = st.builds(Padic2, st.integers(-600, 600), st.integers(1, 10))
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(gf2_or_int, gf2_or_int), st.tuples(padics, padics)))
+@given(st.one_of(st.tuples(int_or_rat, int_or_rat), st.tuples(padics, padics)))
 def test_equal_values_have_equal_hashes(pair):
     a, b = pair
     assert (a == b) == (b == a)
@@ -159,9 +143,6 @@ def test_equal_values_have_equal_hashes(pair):
 
 # -- ring axioms ----------------------------------------------------------------
 
-rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
-gf2s = st.integers(0, 1).map(GF2Elt)
-
 
 def exact(v):
     """A Padic2 as (value, precision): its == is congruence at the lower precision."""
@@ -169,8 +150,7 @@ def exact(v):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(rats, rats, rats), st.tuples(gf2s, gf2s, gf2s),
-                 st.tuples(padics, padics, padics)))
+@given(st.one_of(st.tuples(rats, rats, rats), st.tuples(padics, padics, padics)))
 def test_scalar_ring_axioms(triple):
     a, b, c = triple
     assert exact(a + b) == exact(b + a)
