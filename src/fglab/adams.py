@@ -15,7 +15,6 @@ deterministic in that order.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
@@ -29,8 +28,8 @@ from .errors import (
 )
 from .linalg import Echelon, GF2Echelon
 from .rings import lift, lower, rat_val2
-from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _product, format_product,
-                     format_sum, format_term)
+from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _multiplicities, _product,
+                     format_multiset, format_product, format_sum, format_term, partitions)
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -312,14 +311,11 @@ class DPoly(_Poly):
     @staticmethod
     def monomial_str(m) -> str:
         """A d-monomial (sorted index tuple) as d2^2*d5; the empty one prints ''."""
-        return format_product((f"d{k}", e) for k, e in sorted(Counter(m).items()))
+        return format_multiset("d", m)
 
     def to_json_obj(self):
-        out = []
-        for m, c in self.sorted_terms():
-            mono = {f"d{k}": e for k, e in sorted(Counter(m).items())}
-            out.append({"mono": mono, "num": str(c.numerator), "den": str(c.denominator)})
-        return {"terms": out}
+        return {"terms": [{"mono": dict(_multiplicities("d", m)), "num": str(c.numerator),
+                           "den": str(c.denominator)} for m, c in self.sorted_terms()]}
 
 
 def dk_as_apoly(k: int, nki: dict) -> APoly:
@@ -367,7 +363,7 @@ def gen_2structure_relations(N: int) -> dict:
                         p, q = a - r - k, b - r - l
                         if p + q + r:
                             key = (r, p + q + r, (min(k, l), max(k, l)) if k else None)
-                            shape[key] = shape.get(key, 0) + (-1) ** r * comb(p + q + r, r) * comb(p + q, p)
+                            shape[key] = shape.get(key, 0) + _plus_power_coeff(p, q, r)
             room = N - a - b  # the largest c with a + b + c <= N
             for c in range(1, room + 1):
                 terms = left[a, b, c] = {}
@@ -390,6 +386,12 @@ def gen_2structure_relations(N: int) -> dict:
             g = gcd(*diff.values()) if diff[max(diff)] > 0 else -gcd(*diff.values())
             rels[a, b, c] = APoly({mono: v // g for mono, v in diff.items()})
     return rels
+
+
+def _plus_power_coeff(p, q, r):
+    """(-1)^r (p+q+r)!/(p! q! r!), the coefficient of x^(p+r) y^(q+r) in
+    (x + y - xy)^(p+q+r)."""
+    return (-1) ** r * comb(p + q + r, r) * comb(p + q, p)
 
 
 def code_places(W: int) -> dict:
@@ -469,14 +471,13 @@ def coboundary_coeffs(W: int) -> dict:
             _addmul(cn, h[p], inv[n - p], neg=True)
         inv.append(cn)
     # G[a, b] = [x^a y^b] (1/h)(x + y - xy), by
-    # [x^a y^b] (x + y - xy)^m = (-1)^r m!/((a-r)! (b-r)! r!), m = a + b - r
+    # [x^a y^b] (x + y - xy)^m = _plus_power_coeff(a - r, b - r, r), m = a + b - r
     G = {}
     for a in range(W + 1):
         for b in range(a, W + 1 - a):
             terms = G[a, b] = G[b, a] = {}
             for r in range(a + 1):
-                k = (-1) ** r * comb(a + b - r, r) * comb(a + b - 2 * r, a - r)
-                _addmul(terms, {0: k}, inv[a + b - r])
+                _addmul(terms, {0: _plus_power_coeff(a - r, b - r, r)}, inv[a + b - r])
     # times h(y), then times h(x)
     Gh = {}
     for a in range(W):
@@ -497,18 +498,8 @@ def coboundary_coeffs(W: int) -> dict:
 
 
 def dmonomials_upto(w, include_const=True):
-    out = []
-
-    def rec(kmin, rem, cur):
-        if cur or include_const:
-            out.append(tuple(cur))
-        for k in range(kmin, rem + 1):
-            cur.append(k)
-            rec(k, rem - k, cur)
-            cur.pop()
-
-    rec(2, w, [])
-    return sorted(out, key=lambda m: (sum(m), m))
+    """The d-monomials of halved weight <= w, by weight and then as tuples."""
+    return [m for n in range(0 if include_const else 1, w + 1) for m in partitions(n, 2)]
 
 
 # the largest halved weight W the CLI builds a reducer for: at W = 29,

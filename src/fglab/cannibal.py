@@ -39,14 +39,23 @@ MAX_CLOSED_INDEX = 9012
 MAX_TSEQ_N = 4000
 
 
+def _q_inverse(k: int, N: int) -> list:
+    """S_0[n] = k^(n+1) [t^n] 1/q_k(t), n <= N, with q_k(t) = (1 - (1-t)^k)/t
+    = sum_i q_i t^i, on Python ints: S_0[0] = 1 and
+    S_0[n] = -sum_{1<=i<k} q_i k^(i-1) S_0[n-i]."""
+    q = [(-1) ** i * comb(k, i + 1) * k ** (i - 1) for i in range(1, k)]  # q_i k^(i-1)
+    S0 = [1]
+    for n in range(1, N + 1):
+        S0.append(-sum(c * S0[n - i] for i, c in enumerate(q[:n], 1)))
+    return S0
+
+
 class ThetaGenSeq:
-    """t_k coefficients of 1/(3 - 3x + x^2), by the recurrence."""
+    """t_k coefficients of 1/(3 - 3x + x^2) = 1/(3 q_3(x)), k <= N: the k = 3
+    case of ``_q_inverse``, t_k = S_0[k] / 3^(k+1)."""
 
     def __init__(self, N: int):
-        t = [Fraction(1, 3), Fraction(1, 3)]
-        while len(t) < N + 1:
-            t.append(t[-1] - t[-2] / 3)
-        self.t = t[:N + 1]
+        self.t = [Fraction(s, 3 ** (n + 1)) for n, s in enumerate(_q_inverse(3, N))]
 
     def __getitem__(self, k):
         if k < 0:
@@ -54,9 +63,6 @@ class ThetaGenSeq:
         if k >= len(self.t):
             raise IndexOutOfRange(f"t_{k} beyond computed bound {len(self.t) - 1}")
         return self.t[k]
-
-    def __len__(self):
-        return len(self.t)
 
 
 def theta_gen_closed(k: int) -> Fraction:
@@ -106,20 +112,16 @@ def theta3_direct(N: int, k: int = 3) -> ThetaTable:
     1 - (x + y - xy) = (1-x)(1-y), the numerator q_k(x + y - xy) is
     sum_{e<k} (1-x)^e (1-y)^e, so c_mn = k sum_e s_e[m] s_e[n] with
     s_e = (1-t)^e / q_k(t).  Each S_e[n] = k^(n+1) s_e[n] is an integer:
-    S_0[n] = -sum_{1<=i<k} q_i k^(i-1) S_0[n-i] from S_0[0] = 1, and s_e
-    comes from s_(e-1) by one series product with 1 - t.  So c_mn =
-    k sum_e S_e[m] S_e[n] / k^(m+n+2) is summed on Python ints, with one
-    Fraction per nonzero cell.  At k = 3, S_0[n] = 3^(n+1) t_n with t_n of
-    ``ThetaGenSeq``; at k = 1 the table is ``theta_unit``'s.
+    S_0 is ``_q_inverse(k, N)``, and s_e comes from s_(e-1) by one series
+    product with 1 - t.  So c_mn = k sum_e S_e[m] S_e[n] / k^(m+n+2) is
+    summed on Python ints, with one Fraction per nonzero cell.  At k = 1 the
+    table is ``theta_unit``'s.
     """
     if k < 1 or k % 2 == 0:
         raise EvenK(f"stable normalization requires an odd k >= 1, got {k}")
-    q = [(-1) ** i * comb(k, i + 1) * k ** (i - 1) for i in range(1, k)]  # q_i k^(i-1)
-    S0 = [1]
-    for n in range(1, N + 1):
-        S0.append(-sum(c * S0[n - i] for i, c in enumerate(q[:n], 1)))
     vars_ = ("t",)
     omt = MultiSeries.one(vars_, N) - MultiSeries.var(vars_, "t", N)
+    S0 = _q_inverse(k, N)
     s = [MultiSeries(vars_, {(n,): Fraction(c, k ** (n + 1)) for n, c in enumerate(S0)}, N)]
     for _ in range(1, k):
         s.append(omt * s[-1])
@@ -197,3 +199,10 @@ def thom_psi_dk(k_gen: int, theta: ThetaTable, reducer: DReducer, k_adams: int =
             for mono, v in psi_tensor_apoly(p, q, k_adams).terms.items():
                 expr[mono] = expr.get(mono, 0) + w * v.numerator
     return reducer.reduce(APoly(lower({m: v for m, v in expr.items() if v}, den)))
+
+
+def psi_dk_table(level: str, reducer: DReducer, ks) -> dict:
+    """psi on d_k for each k in ``ks`` at ``level``, through the reducer's
+    weight: ``thom_psi_dk`` at theta^3 for "thom", at the unit class for "base"."""
+    theta = (theta3_direct if level == "thom" else theta_unit)(reducer.W)
+    return {k: thom_psi_dk(k, theta, reducer) for k in ks}

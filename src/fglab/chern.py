@@ -10,14 +10,13 @@ numbers.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import comb
 
 from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
-from .series import MonomialCode, MultiSeries, _addmul, format_product
+from .series import MonomialCode, MultiSeries, _addmul, format_multiset, partitions as _partitions
 
 
 class ProjProduct:
@@ -36,10 +35,7 @@ class ProjProduct:
         return sum(self.dims)
 
     def label(self):
-        parts = []
-        for n, mult in sorted(Counter(self.dims).items()):
-            parts.append(f"CP{n}" + (f"^{mult}" if mult > 1 else ""))
-        return "x".join(parts)
+        return format_multiset("CP", self.dims, "x")
 
     def __repr__(self):
         return f"ProjProduct{self.dims}"
@@ -106,20 +102,8 @@ def chern_number(p: ProjProduct, monomial) -> int:
 
 
 def partitions(dim: int):
-    """Partitions of ``dim`` as non-increasing tuples."""
-    parts = []
-
-    def rec(rem, mx, cur):
-        if rem == 0:
-            parts.append(tuple(cur))
-            return
-        for p in range(min(rem, mx), 0, -1):
-            cur.append(p)
-            rec(rem - p, p, cur)
-            cur.pop()
-
-    rec(dim, dim, [])
-    return parts
+    """Partitions of ``dim`` as non-increasing tuples, in decreasing order."""
+    return sorted((p[::-1] for p in _partitions(dim)), reverse=True)
 
 
 def chern_monomials_with_c1(dim: int):
@@ -135,7 +119,7 @@ def chern_monomials_with_c1(dim: int):
 
 
 def monomial_label(mono) -> str:
-    return format_product((f"c{idx}", mult) for idx, mult in sorted(Counter(mono).items()))
+    return format_multiset("c", mono)
 
 
 def su_constraint_system(basis, dim) -> list:

@@ -19,24 +19,29 @@ from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, Usa
 
 
 def _emit(rows, headers, fmt, out):
-    """rows: list of tuples; deterministic ordering supplied by callers."""
+    """rows: tuples of values, in the order callers give; each header and
+    cell is printed as its str(), here and nowhere else."""
+    headers = [str(h) for h in headers]
+    rows = [[str(c) for c in r] for r in rows]
     if fmt == "csv":
         import csv
         w = csv.writer(out, lineterminator="\n")
         w.writerow(headers)
-        for r in rows:
-            w.writerow([str(c) for c in r])
+        w.writerows(rows)
     elif fmt == "json":
-        import json
-        payload = [dict(zip(headers, [str(c) for c in r])) for r in rows]
-        json.dump(payload, out, indent=1, sort_keys=True)
-        out.write("\n")
+        _json([dict(zip(headers, r)) for r in rows], out)
     else:
-        widths = [max(len(str(h)), *(len(str(r[i])) for r in rows)) if rows else len(str(h))
-                  for i, h in enumerate(headers)]
+        widths = [max([len(h), *(len(r[i]) for r in rows)]) for i, h in enumerate(headers)]
         out.write("  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip() + "\n")
         for r in rows:
-            out.write("  ".join(str(c).ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+            out.write("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+
+
+def _json(obj, out):
+    """Write a JSON value with sorted keys, one space of indent and a final newline."""
+    import json
+    json.dump(obj, out, indent=1, sort_keys=True)
+    out.write("\n")
 
 
 def _at_least(flag, value, low):
@@ -72,13 +77,13 @@ def cmd_series(args, out):
     if args.action == "invert":
         rows = []
         for k in range(1, n + 1):
-            rows.append((f"c{k}", str(inv.coeff_in_var("t", k + 1))))
+            rows.append((f"c{k}", inv.coeff_in_var("t", k + 1)))
         _emit(rows, ["coefficient", "value"], args.fmt, out)
     elif args.action == "residue":
         rows = []
         for k in range(1, n + 1):
             r = series.residue_inverse_coeff(g, "t", k)
-            rows.append((f"c{k}", str(r), "agree" if r == inv.coeff_in_var("t", k + 1) else "DIFFER"))
+            rows.append((f"c{k}", r, "agree" if r == inv.coeff_in_var("t", k + 1) else "DIFFER"))
         _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], args.fmt, out)
     return 0
 
@@ -90,7 +95,7 @@ def cmd_fgl(args, out):
         _at_most("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1, "twist")
         g = fgl.generic_strict_series(args.bound, args.nb)
         law = fgl.fgl_twist(fgl.multiplicative_law(args.bound), g)
-        rows = [(f"a{i}{j}", str(c)) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
+        rows = [(f"a{i}{j}", c) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
         _emit(rows, ["coefficient", "image"], args.fmt, out)
         return 0
     from . import bordism
@@ -98,7 +103,7 @@ def cmd_fgl(args, out):
         _at_most("--n", args.n, bordism.MAX_CPN_N, "cpn")
         with _domain("--n", UnsupportedDimension):
             poly = bordism.cpn_in_a(args.n, args.mode)
-        _emit([(f"CP{args.n}", str(poly))], ["class", "polynomial"], args.fmt, out)
+        _emit([(f"CP{args.n}", poly)], ["class", "polynomial"], args.fmt, out)
     elif args.action == "box-diff":
         rows = []
         for n in range(1, 5):
@@ -115,7 +120,7 @@ def cmd_fgl(args, out):
             nb = expr.dimension()
             tw = fgl.fgl_twist(fgl.multiplicative_law(nb + 2), fgl.generic_strict_series(nb + 2, nb))
             img = bordism.miscenko_image(expr, tw, args.mode)
-        _emit([(args.expr, args.mode, str(img))], ["expression", "mode", "image"], args.fmt, out)
+        _emit([(args.expr, args.mode, img)], ["expression", "mode", "image"], args.fmt, out)
     return 0
 
 
@@ -145,7 +150,7 @@ def cmd_chern(args, out):
     elif args.action == "nullspace":
         basis = _dim_basis(args.dim)
         ns = chern.nullspace_rational(chern.su_constraint_system(basis, args.dim))
-        rows = [(f"v{i+1}", *[str(x) for x in v]) for i, v in enumerate(ns)]
+        rows = [(f"v{i+1}", *v) for i, v in enumerate(ns)]
         _emit(rows, ["vector"] + [b.label() for b in basis], args.fmt, out)
     elif args.action == "todd":
         try:
@@ -155,7 +160,7 @@ def cmd_chern(args, out):
         if len(vals) != 5:
             raise UsageError("todd expects c1^4,c1c3,c1^2c2,c2^2,c4")
         t4 = chern.todd_t4(*vals)
-        _emit([(args.inputs, str(t4))], ["chern_numbers", "T4"], args.fmt, out)
+        _emit([(args.inputs, t4)], ["chern_numbers", "T4"], args.fmt, out)
     return 0
 
 
@@ -179,6 +184,8 @@ def _dim_basis(dim):
 
 def cmd_adams(args, out):
     from . import adams
+    if args.action in ("psi-dk", "spherical"):
+        from . import cannibal
     if args.action in ("beta", "beta-table"):
         _at_most("--k", args.k, adams.MAX_BETA_K, args.action)
     if args.action == "beta":
@@ -186,7 +193,7 @@ def cmd_adams(args, out):
         elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
-        _emit([(f"psi^(1/{args.k}) beta_{args.i}", str(elt))], ["operation", "value"], args.fmt, out)
+        _emit([(f"psi^(1/{args.k}) beta_{args.i}", elt)], ["operation", "value"], args.fmt, out)
     elif args.action == "beta-table":
         _at_most("--imax", args.imax, adams.MAX_BETA_TABLE, "beta-table")
         rows = []
@@ -194,9 +201,10 @@ def cmd_adams(args, out):
             elt = adams.psi_inv_beta(args.k, i)
             if args.mod2:
                 elt = elt.mod2()
-            rows.append((f"beta_{i}", str(elt)))
+            rows.append((f"beta_{i}", elt))
         _emit(rows, ["generator", "image"], args.fmt, out)
     elif args.action == "nki":
+        _at_least("--k", args.k, 2)
         _at_most("--k", args.k, adams.MAX_NKI_K, "nki")
         _nki_reaches(args.nki, args.k, f"got --k {args.k}")
         table = adams.nki_coeffs(args.k, args.nki)
@@ -207,22 +215,21 @@ def cmd_adams(args, out):
         _at_most("--degree", args.degree, adams.MAX_RELATIONS_DEGREE, "relations")
         rows = []
         for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
-            rows.append((f"x^{a}*y^{b}*z^{c}", str(poly), str(poly.set_u().content_normalize())))
+            rows.append((f"x^{a}*y^{b}*z^{c}", poly, poly.set_u().content_normalize()))
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
     elif args.action == "psi-dk":
+        _at_least("--k", args.k, 2)
         W = max(args.k, 7)
-        p = _psi_dk(args.level, _reducer(W, args.nki, "--k"), [args.k])[args.k]
+        p = cannibal.psi_dk_table(args.level, _reducer(W, args.nki, "--k"), [args.k])[args.k]
         if args.fmt == "json":
-            import json
-            json.dump(p.to_json_obj(), out, indent=1, sort_keys=True)
-            out.write("\n")
+            _json(p.to_json_obj(), out)
         else:
-            _emit([(f"d{args.k}", args.level, str(p))], ["generator", "level", "psi_image"], args.fmt, out)
+            _emit([(f"d{args.k}", args.level, p)], ["generator", "level", "psi_image"], args.fmt, out)
     elif args.action == "spherical":
         if args.max_weight % 2:
             raise UsageError(f"--max-weight must be even, got {args.max_weight}")
         W = args.max_weight // 2
-        table = _psi_dk(args.level, _reducer(W, args.nki, "--max-weight"), range(2, W + 1))
+        table = cannibal.psi_dk_table(args.level, _reducer(W, args.nki, "--max-weight"), range(2, W + 1))
         kern, new = adams.spherical_search(args.max_weight, table)
         rows = []
         for w in range(2, args.max_weight + 1, 2):
@@ -230,7 +237,7 @@ def cmd_adams(args, out):
             if not elts:
                 rows.append((w, "-"))
             for e in elts:
-                rows.append((w, str(e)))
+                rows.append((w, e))
         _emit(rows, ["weight", "kernel_class_mod2"], args.fmt, out)
     return 0
 
@@ -240,14 +247,6 @@ def _nki_reaches(nki, k, context):
     from .adams import NKI_PAPER
     if nki == "paper" and k > max(NKI_PAPER):
         raise UsageError(f"--nki paper covers k <= {max(NKI_PAPER)}, {context}")
-
-
-def _psi_dk(level, red, ks):
-    """psi on d_k for each k in ks at --level, through the reducer's weight:
-    thom_psi_dk at theta^3 for the Thom level, at the unit class for the base."""
-    from . import cannibal
-    theta = (cannibal.theta3_direct if level == "thom" else cannibal.theta_unit)(red.W)
-    return {k: cannibal.thom_psi_dk(k, theta, red) for k in ks}
 
 
 def _reducer(W, nki, flag):
@@ -268,17 +267,17 @@ def cmd_cannibal(args, out):
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
-            rows.append((m, *[str(tab[m, n]) for n in range(args.bound + 1)]))
-        _emit(rows, ["m\\n"] + [str(n) for n in range(args.bound + 1)], args.fmt, out)
+            rows.append((m, *[tab[m, n] for n in range(args.bound + 1)]))
+        _emit(rows, ["m\\n", *range(args.bound + 1)], args.fmt, out)
     elif args.action == "closed":
         _at_most("--m", args.m, cannibal.MAX_CLOSED_INDEX, "closed")
         _at_most("--n", args.n, cannibal.MAX_CLOSED_INDEX, "closed")
-        _emit([(args.m, args.n, str(cannibal.theta3_closed(args.m, args.n)))],
+        _emit([(args.m, args.n, cannibal.theta3_closed(args.m, args.n))],
               ["m", "n", "c_mn"], args.fmt, out)
     elif args.action == "tseq":
         _at_most("--n", args.n, cannibal.MAX_TSEQ_N, "tseq")
         ts = cannibal.ThetaGenSeq(args.n)
-        rows = [(k, str(ts[k]), str(cannibal.theta_gen_closed(k))) for k in range(args.n + 1)]
+        rows = [(k, ts[k], cannibal.theta_gen_closed(k)) for k in range(args.n + 1)]
         _emit(rows, ["k", "recurrence", "closed_form"], args.fmt, out)
     return 0
 
@@ -304,17 +303,15 @@ def cmd_mahler(args, out):
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
         if args.fmt == "json" and args.padic is None:
-            import json
-            json.dump(np_.to_json_obj(), out, indent=1, sort_keys=True)
-            out.write("\n")
+            _json(np_.to_json_obj(), out)
         else:
-            _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", str(np_))],
+            _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", np_)],
                   ["dilation", "expansion"], args.fmt, out)
     elif args.action == "matrix":
         _at_most("--imax", args.imax, mahler.MAX_MATRIX_INDEX, "matrix")
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
-        _emit(rows, ["i\\j"] + [str(j) for j in range(args.imax + 1)], args.fmt, out)
+        _emit(rows, ["i\\j", *range(args.imax + 1)], args.fmt, out)
     elif args.action == "vs-adams":
         _at_most("--imax", args.imax, mahler.MAX_VS_ADAMS_INDEX, "vs-adams")
         mahler.dilation_vs_adams(args.imax)
@@ -333,7 +330,7 @@ def cmd_artin_schreier(args, out):
         ("b = -log(u)/log(81)", f"{res['b'].value} mod 2^{res['b'].precision}"),
         ("-log(u/81)/log(81)", f"{res['lhs'].value} mod 2^{res['lhs'].precision}"),
         ("b + 1", f"{res['rhs'].value} mod 2^{res['rhs'].precision}"),
-        ("verified", str(res["verified"]).lower()),
+        ("verified", "true" if res["verified"] else "false"),
     ]
     _emit(rows, ["quantity", "value"], args.fmt, out)
     return 0 if res["verified"] else 1

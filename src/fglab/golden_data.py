@@ -69,8 +69,7 @@ def _su_system():
 
 @cache
 def _thom_table():
-    theta = cannibal.theta3_direct(10)
-    return {k: cannibal.thom_psi_dk(k, theta, _reducer(10)) for k in range(2, 11)}
+    return cannibal.psi_dk_table("thom", _reducer(10), range(2, 11))
 
 
 def _cells(prefix, poly):
@@ -137,14 +136,11 @@ def compute_chern_reduced():
 
 def compute_chern_nullspace():
     ns = chern.nullspace_rational(_su_system())
-    in_ns = chern.span_test(ns)
-    k3 = [0, 0, 256, 324, -576]
-    nv = [8, -25, -12, -23, 52]
-    return {
-        "dimension": str(len(ns)),
-        "contains_K3SQ": "yes" if in_ns(k3) else "no",
-        "contains_N": "yes" if in_ns(nv) else "no",
-    }
+    in_ns = chern.span_test(ns)  # the built-ins' columns are the paper's basis, in its order
+    out = {"dimension": str(len(ns))}
+    for name, v in bordism.BUILTINS.items():
+        out[f"contains_{name}"] = "yes" if in_ns(v) else "no"
+    return out
 
 
 def compute_todd():
@@ -196,10 +192,9 @@ def compute_relations():
 
 
 def compute_psi_dk_base():
-    red, theta = _reducer(10), cannibal.theta_unit(10)
     out = {}
-    for k in range(2, 7):
-        out.update(_cells(f"d{k}", cannibal.thom_psi_dk(k, theta, red)))
+    for k, p in cannibal.psi_dk_table("base", _reducer(10), range(2, 7)).items():
+        out.update(_cells(f"d{k}", p))
     return out
 
 

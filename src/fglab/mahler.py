@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .errors import MismatchAt, NotAUnit, NotInDomain
-from .padic import Padic2, padic_from_rat, padic_log
+from .padic import Padic2, padic_log
 from .series import format_sum
 
 
@@ -149,17 +149,15 @@ def dilation_vs_adams(imax: int, k: int = 3) -> dict:
     return {"dilation": D, "adams": A, "adams_dual": dual}
 
 
-def artin_schreier_check(u, precision: int = 48) -> dict:
-    """b = -log(u)/log(81) and the defining shift identity.
+def artin_schreier_check(u: int, precision: int = 48) -> dict:
+    """b = -log(u)/log(81) and the defining shift identity, for the integer
+    u taken at ``precision`` bits.
 
     Requires u = 1 mod 16 (the Bott-class congruence at v = 1).  Verifies
     -log(u/81)/log(81) = b + 1 at the working precision left after the
     logarithm and the division by log(81) (which has 2-adic valuation 4).
     """
-    if isinstance(u, int):
-        u = Padic2(u, precision)
-    elif isinstance(u, Fraction):
-        u = padic_from_rat(u, precision)
+    u = Padic2(u, precision)
     if u.value % 16 != 1:
         raise NotInDomain(f"u must be 1 mod 16, got {u.value % 16}")
     log81 = padic_log(Padic2(81, u.precision))
@@ -170,5 +168,4 @@ def artin_schreier_check(u, precision: int = 48) -> dict:
     log_shift = padic_log(u * Padic2(81, u.precision).inverse())
     lhs = -(log_shift.shift_down(v) * unit_inv)
     rhs = b + Padic2(1, b.precision)
-    return {"b": b, "lhs": lhs, "rhs": rhs, "verified": lhs == rhs,
-            "precision": min(lhs.precision, rhs.precision)}
+    return {"b": b, "lhs": lhs, "rhs": rhs, "verified": lhs == rhs}

@@ -1,13 +1,10 @@
-"""Truncated 2-adic integers: the scalar ``Padic2``, the embedding of
-rationals with odd denominator, and the 2-adic logarithm.
+"""Truncated 2-adic integers: the scalar ``Padic2`` and the 2-adic logarithm.
 
 Binary operations carry the minimum precision of their operands, so
 precision loss is explicit in the result rather than silent.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import NotAUnit, NotInDomain, PrecisionTooLow
 from .rings import val2
@@ -52,9 +49,6 @@ class Padic2:
         if self.value % 2 == 0:
             raise NotAUnit(f"{self.value} is even, not a 2-adic unit")
         return Padic2(pow(self.value, -1, 1 << self.precision), self.precision)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def shift_down(self, s: int) -> "Padic2":
         """Exact division by 2**s; costs s bits of precision."""
@@ -103,14 +97,6 @@ class Padic2:
 
     def __repr__(self):
         return f"Padic2({self.value} mod 2^{self.precision})"
-
-
-def padic_from_rat(q: Fraction, precision: int) -> Padic2:
-    """Embed a rational with odd denominator into Z_2 at the given precision."""
-    if q.denominator % 2 == 0:
-        raise NotInDomain(f"denominator of {q} is even; not a 2-adic integer")
-    inv = pow(q.denominator, -1, 1 << precision)
-    return Padic2(q.numerator * inv, precision)
 
 
 def padic_log(u: Padic2) -> Padic2:

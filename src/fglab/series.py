@@ -19,8 +19,9 @@ deterministic regardless of evaluation order.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, lcm
 from operator import add, itemgetter, lshift, mul
 
@@ -81,6 +82,16 @@ class MonomialCode:
 
 
 _cached_code = lru_cache(maxsize=1024)(MonomialCode)  # for layouts given as tuples, made once each
+
+
+@cache
+def partitions(n, least=1):
+    """The partitions of n into parts >= least as non-decreasing tuples, in
+    lexicographic order; () is the one partition of 0.  Chern monomials
+    (parts >= 1) and d-monomials (parts >= 2) are both these."""
+    if n == 0:
+        return ((),)
+    return tuple((k, *rest) for k in range(least, n + 1) for rest in partitions(n - k, k))
 
 
 def _addmul(acc, p, q, neg=False, cap=(0, 0)):
@@ -478,9 +489,20 @@ class MultiSeries:
 # order its sorted_terms() gives.
 
 
-def format_product(factors) -> str:
+def format_product(factors, sep="*") -> str:
     """Monomial from (name, exponent) pairs: x*y^2; exponent 1 is left bare."""
-    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in factors)
+    return sep.join(name if e == 1 else f"{name}^{e}" for name, e in factors)
+
+
+def _multiplicities(name, indices):
+    """(name + index, multiplicity) for each distinct index, in increasing order."""
+    return [(f"{name}{k}", e) for k, e in sorted(Counter(indices).items())]
+
+
+def format_multiset(name, indices, sep="*") -> str:
+    """A multiset of indices as a monomial: ("c", (2, 1, 1)) is c1^2*c2, and
+    ("CP", (1, 2, 1), "x") is CP1^2xCP2; the empty one prints ''."""
+    return format_product(_multiplicities(name, indices), sep)
 
 
 def format_term(c, mono: str) -> str:

@@ -8,10 +8,11 @@ from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, mo
                          psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
-from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotReducible,
-                          NotStrict, UsageError)
+from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotInDomain,
+                          NotReducible, NotStrict, UsageError)
 from fglab.fgl import FGL, X, Y, _require_zero
 from fglab.mahler import NumPoly, binom, mahler_expand
+from fglab.padic import Padic2
 from fglab.series import MultiSeries, _addmul, _lincomb
 
 # seed for every randomized property check; recorded here so runs reproduce
@@ -230,6 +231,15 @@ def in_span(vectors, v):
 def eval_at(np_: NumPoly, t: int):
     """The value at the integer t of a binomial-basis expansion."""
     return sum(c * binom(t, i) for i, c in np_.coeffs.items()) if np_.coeffs else 0
+
+
+def padic_from_rat(q: Fraction, precision: int) -> Padic2:
+    """Embed a rational with odd denominator into Z_2 at the given precision:
+    the reference embedding Q -> Z_2 the scalar checks compare against."""
+    if q.denominator % 2 == 0:
+        raise NotInDomain(f"denominator of {q} is even; not a 2-adic integer")
+    inv = pow(q.denominator, -1, 1 << precision)
+    return Padic2(q.numerator * inv, precision)
 
 
 def truncate(s, bound):

@@ -8,12 +8,12 @@ from fglab.adams import DPoly, DReducer, gen_2structure_relations
 from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
                             theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
-from fglab.padic import padic_from_rat
 from fglab.series import MultiSeries
 
-from helpers import (composition_failures, orientation_transport, psi_on_dk_by_apoly,
-                     theta3_bilinear, theta3_bivariate, theta3_one_bundle, theta3_sum_of_two,
-                     theta_k_virtual, theta_table_to_series, thom_psi_dk_by_fractions)
+from helpers import (composition_failures, orientation_transport, padic_from_rat,
+                     psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate, theta3_one_bundle,
+                     theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
+                     thom_psi_dk_by_fractions)
 
 
 def test_tseq_first_values():

@@ -256,6 +256,23 @@ def test_adams_spherical_refuses_an_odd_max_weight_before_the_build(capsys, monk
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+@pytest.mark.parametrize("action", ["nki", "psi-dk"])
+def test_adams_k_below_2_names_the_flag_before_the_build(capsys, monkeypatch, action):
+    """n_k^i and psi on d_k start at k = 2, while --k's floor of 1 serves beta
+    and beta-table: nki and psi-dk refuse --k 1 with the flag's name before
+    any n_k^i or reducer is built, and go on to build at --k 2."""
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built")
+
+    from fglab import adams
+    monkeypatch.setattr(adams, "DReducer", unbuilt)
+    monkeypatch.setattr(adams, "nki_coeffs", unbuilt)
+    code, out, err = run(capsys, "adams", action, "--k", "1")
+    assert (code, out, err) == (2, "", "usage error: --k must be >= 2, got 1\n")
+    code, out, err = run(capsys, "adams", action, "--k", "2")
+    assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
 @pytest.mark.parametrize("bound, nb, flag, value, limit", [(25, 23, "--bound", 25, 24),
                                                           (24, 24, "--nb", 24, 23)])
 def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, flag, value, limit):

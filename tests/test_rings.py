@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
-from fglab.padic import Padic2, padic_from_rat, padic_log
+from fglab.padic import Padic2, padic_log
 from fglab.rings import val2
 
-from helpers import RANDOM_SEED
+from helpers import RANDOM_SEED, padic_from_rat
 
 
 def test_rat_agrees_with_integers():

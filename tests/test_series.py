@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fglab.errors import BoundMismatch, NonUnitConstantTerm, NotStrict, VariableMismatch
 from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
-                          residue_inverse_coeff)
+                          partitions, residue_inverse_coeff)
 
 from helpers import RANDOM_SEED, NonzeroConstantTerm, compose, degree_part, exp_series, log1p_series
 
@@ -257,6 +257,26 @@ def test_degree_part_partition_and_grading():
     P = B.reciprocal() ** 2
     part = degree_part(P, 1)
     assert part == MultiSeries(vars_, {(1, 0): Fraction(-2)}, 4, (1, 2))
+
+
+def test_partitions_are_every_partition_once_in_order():
+    """len(partitions(n)) is p(n), from the generating function
+    prod_k 1/(1 - x^k), for n <= 20, and parts >= 2 leave p(n) - p(n-1), the
+    partitions without a part 1; each is listed once, as a non-decreasing
+    tuple of parts >= least summing to n, in lexicographic order."""
+    N = 20
+    p = [1] + [0] * N
+    for k in range(1, N + 1):
+        for n in range(k, N + 1):
+            p[n] += p[n - k]
+    assert p[:8] == [1, 1, 2, 3, 5, 7, 11, 15] and p[20] == 627
+    for n in range(N + 1):
+        for least, count in ((1, p[n]), (2, p[n] - (p[n - 1] if n else 0))):
+            parts = partitions(n, least)
+            assert len(parts) == count, (n, least)
+            assert list(parts) == sorted(set(parts))
+            assert all(sum(q) == n and list(q) == sorted(q) and all(k >= least for k in q)
+                       for q in parts)
 
 
 def test_series_arith_dispatch():
