@@ -27,9 +27,9 @@ from .errors import (
     UsageError,
 )
 from .linalg import Echelon, GF2Echelon
-from .rings import lift, lower, rat_val2
 from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _multiplicities, _product,
-                     format_multiset, format_product, format_sum, format_term, partitions)
+                     format_multiset, format_product, format_sum, format_term, lift, lower,
+                     partitions, rat_val2)
 
 
 # -- psi on beta ------------------------------------------------------------

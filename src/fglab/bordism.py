@@ -86,11 +86,11 @@ def cpn_box_diff(n: int):
 
 # -- bordism expressions --------------------------------------------------------
 
-DIM8_BASIS = [(4,), (1, 3), (2, 2), (1, 1, 1, 1), (1, 1, 2)]
-
+# the built-in classes of dimension 8, keyed like ``BordismExpr.terms`` by
+# the sorted dims of each product of projective spaces
 BUILTINS = {
-    "K3SQ": (Fraction(0), Fraction(0), Fraction(256), Fraction(324), Fraction(-576)),
-    "N": (Fraction(8), Fraction(-25), Fraction(-12), Fraction(-23), Fraction(52)),
+    "K3SQ": {(2, 2): 256, (1, 1, 1, 1): 324, (1, 1, 2): -576},
+    "N": {(4,): 8, (1, 3): -25, (2, 2): -12, (1, 1, 1, 1): -23, (1, 1, 2): 52},
 }
 
 # one term: a sign, optional before the first term only; an optional weight
@@ -161,7 +161,7 @@ class BordismExpr:
             pos = m.end()
             c = Fraction(m["weight"] or 1) * (-1 if m["sign"] == "-" else 1)
             if m["builtin"]:
-                pieces = zip(DIM8_BASIS, BUILTINS[m["builtin"]])
+                pieces = BUILTINS[m["builtin"]].items()
             else:
                 factors = [(int(n), int(k or 1)) for n, k in _FACTOR.findall(m["product"])]
                 # the image needs the twist at bound dim + 2, with dim b-symbols

@@ -14,12 +14,11 @@ a_ij) satisfies t_0 = t_1 = 1/3 and t_{k+2} = t_{k+1} - t_k / 3.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, log
 
 from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
-from .rings import lift, lower
-from .series import MultiSeries
+from .series import MultiSeries, lift, lower
 
 # the largest --bound ``cannibal table`` prints; its output is (bound + 1)^2
 # cells.  Fresh process, stdout to /dev/null, unscaled: --bound 300 takes
@@ -38,6 +37,8 @@ MAX_CLOSED_INDEX = 9012
 # most whose t_k Python prints by default, ~4.5 s, ~310 MB and 110 MB
 MAX_TSEQ_N = 4000
 
+_LOG3_2 = log(2, 3)  # 3^m divides s only if m <= log_3 |s| < bit_length(s) * log_3 2
+
 
 def _q_inverse(k: int, N: int) -> list:
     """S_0[n] = k^(n+1) [t^n] 1/q_k(t), n <= N, with q_k(t) = (1 - (1-t)^k)/t
@@ -52,10 +53,21 @@ def _q_inverse(k: int, N: int) -> list:
 
 class ThetaGenSeq:
     """t_k coefficients of 1/(3 - 3x + x^2) = 1/(3 q_3(x)), k <= N: the k = 3
-    case of ``_q_inverse``, t_k = S_0[k] / 3^(k+1)."""
+    case of ``_q_inverse``, t_k = S_0[k] / 3^(k+1).
+
+    The largest 3^m, m <= k + 1, that divides S_0[k] is divided out first,
+    so the Fraction's gcd runs on a small numerator."""
 
     def __init__(self, N: int):
-        self.t = [Fraction(s, 3 ** (n + 1)) for n, s in enumerate(_q_inverse(3, N))]
+        pow3 = [1]
+        for _ in range(N + 1):
+            pow3.append(3 * pow3[-1])
+        self.t = []
+        for n, s in enumerate(_q_inverse(3, N)):
+            m = min(n + 1, int(s.bit_length() * _LOG3_2))
+            while s % pow3[m]:
+                m -= 1
+            self.t.append(Fraction(s // pow3[m], pow3[n + 1 - m]))
 
     def __getitem__(self, k):
         if k < 0:

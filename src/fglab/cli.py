@@ -173,13 +173,14 @@ def _chern_size(flag, dims):
 
 def _dim_basis(dim):
     """The paper's basis in dimension 4, else every product of projective
-    spaces of total complex dimension ``dim``, whose largest c(M), at
-    CP^1 x ... x CP^1, has 2^dim terms."""
-    from . import chern
+    spaces of total complex dimension ``dim``, one per partition in
+    lexicographic order, whose largest c(M), at CP^1 x ... x CP^1, has 2^dim
+    terms."""
+    from . import chern, series
     _chern_size("--dim", (1,) * dim)
     if dim == 4:
         return chern.paper_dim8_basis()
-    return [chern.ProjProduct(p) for p in sorted(p[::-1] for p in chern.partitions(dim))]
+    return [chern.ProjProduct(p) for p in series.partitions(dim)]
 
 
 def cmd_adams(args, out):
@@ -284,7 +285,6 @@ def cmd_cannibal(args, out):
 
 def cmd_mahler(args, out):
     from . import mahler
-    from .padic import Padic2
     if args.action != "vs-adams" and args.padic is None:  # the integer --k of dilate and matrix
         _at_least("--k", args.k, -mahler.MAX_DILATION_K)
         _at_most("--k", args.k, mahler.MAX_DILATION_K, args.action)
@@ -299,7 +299,7 @@ def cmd_mahler(args, out):
         if args.padic is not None and args.precision <= (v := args.i - args.i.bit_count()):
             raise UsageError(f"--precision must be > {v} to divide by {args.i}!, "
                              f"a multiple of 2^{v}, got {args.precision}")
-        k = Padic2(args.padic, args.precision) if args.padic is not None else args.k
+        k = mahler.Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
         if args.fmt == "json" and args.padic is None:

@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import AxiomViolation, BoundMismatch, NotStrict
-from .rings import lift, lower
-from .series import MonomialCode, MultiSeries, _addmul, _degree_fn
+from .series import MonomialCode, MultiSeries, _addmul, _degree_fn, lift, lower
 
 X, Y, T = "x", "y", "t"
 

@@ -136,9 +136,14 @@ def compute_chern_reduced():
 
 def compute_chern_nullspace():
     ns = chern.nullspace_rational(_su_system())
-    in_ns = chern.span_test(ns)  # the built-ins' columns are the paper's basis, in its order
+    in_ns = chern.span_test(ns)
+    # the nullspace's columns are the paper's basis; a built-in key outside it raises
+    cols = [tuple(sorted(p.dims)) for p in chern.paper_dim8_basis()]
     out = {"dimension": str(len(ns))}
-    for name, v in bordism.BUILTINS.items():
+    for name, terms in bordism.BUILTINS.items():
+        v = [0] * len(cols)
+        for key, w in terms.items():
+            v[cols.index(key)] = w
         out[f"contains_{name}"] = "yes" if in_ns(v) else "no"
     return out
 

@@ -32,7 +32,6 @@ from .errors import (
     NotStrict,
     VariableMismatch,
 )
-from .rings import lift, lower
 
 
 # the largest --order of `series invert` and `series residue`; fresh process,
@@ -119,7 +118,36 @@ def _addmul(acc, p, q, neg=False, cap=(0, 0)):
 
 # Exact polynomials over Q on the kernel are pairs (numerators, den): integer
 # numerators keyed by code over one positive denominator, in lowest terms, so
-# equal polynomials are equal pairs.
+# equal polynomials are equal pairs.  Every coefficient fglab exposes is a
+# ``Fraction``: ``lift`` puts an operand's coefficients over their common
+# denominator for the pair loop, and ``lower`` turns its sums back.
+
+
+def val2(n: int) -> int:
+    """2-adic valuation of a nonzero integer."""
+    if n == 0:
+        raise ValueError("valuation of zero is infinite")
+    return (n & -n).bit_length() - 1
+
+
+def rat_val2(q: Fraction) -> int:
+    return val2(q.numerator) - val2(q.denominator)
+
+
+def lift(coeffs):
+    """(numerators, den): Python ints over one common denominator, the lcm of
+    the coefficients'."""
+    den = lcm(*(c.denominator for c in coeffs))
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def lower(sums, den):
+    """{key: Fraction(sum, den)}; the loop has already dropped the zero sums."""
+    if den == 1:
+        return {e: Fraction(s) for e, s in sums.items()}
+    return {e: Fraction(s, den) for e, s in sums.items()}
 
 
 def _lowest_terms(nums, den):
@@ -268,7 +296,7 @@ class MultiSeries:
         sum of the operands' largest exponents there and, if the bound can
         be exceeded, a last field for the weighted degree above the least,
         capped at the bound.  The loop runs on Python ints: each operand is
-        scaled once by the lcm of its denominators (``rings.lift``)."""
+        scaled once by the lcm of its denominators (``lift``)."""
         self._check_compat(other)
         p, q = self.terms, other.terms
         if not (p and q):

@@ -11,8 +11,7 @@ from fglab.chern import span_test
 from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotInDomain,
                           NotReducible, NotStrict, UsageError)
 from fglab.fgl import FGL, X, Y, _require_zero
-from fglab.mahler import NumPoly, binom, mahler_expand
-from fglab.padic import Padic2
+from fglab.mahler import NumPoly, Padic2, binom, mahler_expand
 from fglab.series import MultiSeries, _addmul, _lincomb
 
 # seed for every randomized property check; recorded here so runs reproduce

@@ -20,8 +20,8 @@ from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed, theta_u
 from fglab.chern import (integer_reduce, nullspace_rational, paper_dim8_basis, same_row_space,
                          su_constraint_system, todd_t4)
 from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
-from fglab.mahler import artin_schreier_check, dilate, dilation_matrix, dilation_vs_adams
-from fglab.padic import Padic2, padic_log
+from fglab.mahler import (Padic2, artin_schreier_check, dilate, dilation_matrix, dilation_vs_adams,
+                          padic_log)
 from fglab.series import MultiSeries, residue_inverse_coeff
 
 from helpers import (RANDOM_SEED, coeff_of, compose, exp_series, fgl_check, fgl_from_genus, in_span,

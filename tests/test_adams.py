@@ -15,7 +15,7 @@ from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coef
                          _psi_minus_id_mod2)
 from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
 from fglab.errors import InsufficientTable, LiftObstruction, NotReducible, UnsupportedK, UsageError
-from fglab.rings import rat_val2
+from fglab.series import rat_val2
 
 from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
                      composition_failures, dpoly_product_by_series, generator_images,

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.adams import DPoly, DReducer, gen_2structure_relations
-from fglab.cannibal import (ThetaGenSeq, theta3_closed, theta3_direct, theta_gen_closed,
-                            theta_unit, thom_psi_dk)
+from fglab.cannibal import (ThetaGenSeq, _q_inverse, theta3_closed, theta3_direct,
+                            theta_gen_closed, theta_unit, thom_psi_dk)
 from fglab.errors import EvenK, NotReducible
 from fglab.series import MultiSeries
 
@@ -29,6 +29,12 @@ def test_tseq_closed_forms_to_60():
     ts = ThetaGenSeq(60)
     for k in range(61):
         assert ts[k] == theta_gen_closed(k), k
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 5, 6, 11, 60, 300])
+def test_tseq_is_the_q_inverse_over_powers_of_3(N):
+    """Dividing out the power of 3 in S_0[n] first leaves every t_n exact."""
+    assert ThetaGenSeq(N).t == [Fraction(s, 3 ** (n + 1)) for n, s in enumerate(_q_inverse(3, N))]
 
 
 @pytest.mark.parametrize("N", range(31))

@@ -239,6 +239,18 @@ def test_nullspace_paper_solutions():
         assert all(x == 0 for x in matvec(m, v))
 
 
+def test_nullspace_table_reads_the_builtins_in_the_basis_columns(monkeypatch):
+    """The built-ins are keyed by sorted dims and placed in the columns of
+    paper_dim8_basis(); a key outside the basis raises instead of being dropped."""
+    from fglab import bordism, golden_data
+    assert golden_data.compute_chern_nullspace() == {
+        "dimension": "2", "contains_K3SQ": "yes", "contains_N": "yes"}
+    # N plus a product of dimension 3: dropping that key would read "yes"
+    monkeypatch.setitem(bordism.BUILTINS, "X", {**bordism.BUILTINS["N"], (1, 2): 1})
+    with pytest.raises(ValueError):
+        golden_data.compute_chern_nullspace()
+
+
 def test_nullspace_exactness_random():
     rng = random.Random(RANDOM_SEED)
     for _ in range(20):

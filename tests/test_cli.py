@@ -58,7 +58,7 @@ def test_computation_error_exit_1(capsys, monkeypatch):
     # library's own PrecisionTooLow is reached through a dilate that divides
     # by 40!, a multiple of 2^38, at 16 bits
     from fglab import mahler
-    from fglab.padic import Padic2
+    from fglab.mahler import Padic2
     monkeypatch.setattr(mahler, "dilate", lambda k, i: Padic2(1, 16).div_int(factorial(40)))
     code, _, err = run(capsys, "mahler", "dilate", "--padic", "3")
     assert code == 1
@@ -196,9 +196,9 @@ def test_chern_refuses_more_terms_than_the_cap(capsys, monkeypatch, argv, flag, 
     def unbuilt(*args):
         raise AssertionError("built")
 
-    from fglab import chern
+    from fglab import chern, series
     monkeypatch.setattr(chern, "_expansion", unbuilt)
-    monkeypatch.setattr(chern, "partitions", unbuilt)
+    monkeypatch.setattr(series, "partitions", unbuilt)  # what cli._dim_basis reads
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"usage error: {flag}: c(M) would have {terms} terms, above the cap of 4096\n"
@@ -740,7 +740,7 @@ print(code, *sorted(set(sys.modules) - before))
 """
 
 BASE = {"cli", "errors"}
-ENGINE = BASE | {"series", "rings"}
+ENGINE = BASE | {"series"}
 
 
 @pytest.mark.parametrize("argv, code, allowed", [
@@ -748,8 +748,8 @@ ENGINE = BASE | {"series", "rings"}
     (("adams", "psi-dk", "--level", "thom", "--k", "5"), 0, ENGINE | {"adams", "cannibal", "linalg"}),
     (("adams", "spherical", "--level", "thom", "--max-weight", "10"), 0,
      ENGINE | {"adams", "cannibal", "linalg"}),
-    (("mahler", "dilate"), 0, ENGINE | {"mahler", "padic"}),
-    (("artin-schreier",), 0, ENGINE | {"mahler", "padic"}),
+    (("mahler", "dilate"), 0, ENGINE | {"mahler"}),
+    (("artin-schreier",), 0, ENGINE | {"mahler"}),
     (("reproduce-paper",), 3, None),
     (("adams", "spherical", "--max-weight", "10"), 0, ENGINE | {"adams", "cannibal", "linalg"}),
     (("fgl", "miscenko"), 0, ENGINE | {"fgl", "bordism"}),
@@ -758,7 +758,7 @@ ENGINE = BASE | {"series", "rings"}
 def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     """A fresh interpreter running one command imports only the fglab
     modules that command calls, golden_data only for reproduce-paper, and
-    never dataclasses: neither padic nor bordism for fgl twist, and no series
+    never dataclasses: neither mahler nor bordism for fgl twist, and no series
     engine for a bare import of the CLI."""
     env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,

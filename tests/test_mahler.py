@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import MismatchAt, NotAUnit, NotInDomain
-from fglab.mahler import (adams_matrix, artin_schreier_check, binom, dilate,
+from fglab.mahler import (Padic2, adams_matrix, artin_schreier_check, binom, dilate,
                           dilation_matrix, dilation_vs_adams, mahler_expand)
-from fglab.padic import Padic2
 
 from helpers import RANDOM_SEED, eval_at, mahler_expand_poly
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
-from fglab.padic import Padic2, padic_log
-from fglab.rings import val2
+from fglab.mahler import Padic2, padic_log
+from fglab.series import val2
 
 from helpers import RANDOM_SEED, padic_from_rat
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fglab.errors import BoundMismatch, NonUnitConstantTerm, NotStrict, VariableMismatch
 from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
-                          partitions, residue_inverse_coeff)
+                          lift, lower, partitions, residue_inverse_coeff)
 
 from helpers import RANDOM_SEED, NonzeroConstantTerm, compose, degree_part, exp_series, log1p_series
 
@@ -561,3 +561,19 @@ def test_lincomb_is_the_fraction_sum(parts, cancel):
     assert as_fractions((nums, den)) == {m: v for m, v in want.items() if v}
     if cancel or not parts:
         assert _lowest_terms(nums, den) == ({}, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cs=st.lists(WEIGHTS, max_size=6), integral=st.booleans())
+def test_lift_and_lower_are_one_frame(cs, integral):
+    """lift puts the coefficients over the lcm of their denominators, with
+    integer numerators n_i = c_i * den exactly, over 1 when every coefficient
+    is an integer; lower of those numerators over den gives them back."""
+    cs = [Fraction(c.numerator if integral else c) for c in cs]
+    nums, den = lift(cs)
+    assert den == lcm(*(c.denominator for c in cs))
+    assert all(type(n) is int for n in nums) and nums == [c * den for c in cs]
+    if integral:
+        assert den == 1
+    back = lower(dict(enumerate(nums)), den)
+    assert back == dict(enumerate(cs)) and all(type(c) is Fraction for c in back.values())
