@@ -2,7 +2,7 @@
 
 The pairing matrix, tensor factorization, the d_k generators of K_*BSU,
 2-structure relation generation, exact reduction of psi-images to
-d-polynomials, mod-2 spherical-class search and 2-adic bootstrap lifting.
+d-polynomials and mod-2 spherical-class search.
 
 Index conventions.  ``a(i, j)`` denotes f_*(beta_i (x) beta_j), symmetrized
 so i <= j; halved weights are used throughout: a_ij has weight i+j, d_k has
@@ -21,15 +21,13 @@ from math import comb, gcd, lcm
 
 from .errors import (
     InsufficientTable,
-    LiftObstruction,
     NotReducible,
     UnsupportedK,
     UsageError,
 )
-from .linalg import Echelon, GF2Echelon
 from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _multiplicities, _product,
                      format_multiset, format_product, format_sum, format_term, lift, lower,
-                     partitions, rat_val2)
+                     partitions)
 
 
 # -- psi on beta ------------------------------------------------------------
@@ -598,6 +596,7 @@ class DReducer:
 
     def _solve_weight(self, w, eqs):
         """Set phi(a_{i,w-i}) for each i the weight-w equations determine."""
+        from .linalg import Echelon
         ech = Echelon()
         rhs = []
         for poly, target in eqs:
@@ -698,6 +697,7 @@ def spherical_search(max_weight: int, psi_table: dict):
     """
     if max_weight % 2 != 0:
         raise UsageError("weights are even")
+    from .linalg import GF2Echelon
     monos, _, cols = _psi_minus_id_mod2(max_weight // 2, psi_table)
     # each column dependent on the earlier ones gives one kernel element
     ech = GF2Echelon()
@@ -736,68 +736,10 @@ def _psi_minus_id_mod2(W, psi_table):
 
 def in_gf2_span(candidates, target: DPoly) -> bool:
     """Membership of target in the GF(2) span of candidate d-polynomials."""
+    from .linalg import GF2Echelon
     *supports, goal = [p.mod2().terms for p in (*candidates, target)]
     bit = {m: 1 << i for i, m in enumerate(sorted(set().union(*supports, goal)))}
     ech = GF2Echelon()
     for i, s in enumerate(supports):
         ech.add(sum(map(bit.get, s)), i)
     return not ech.reduce(sum(map(bit.get, goal)))[0]
-
-
-# -- bootstrap lifting ------------------------------------------------------------
-
-
-def _psi_dpoly(p: DPoly, psi_table: dict) -> DPoly:
-    """Apply psi multiplicatively to a d-polynomial via the rational table, in
-    the codes of W = max over p's monomials of sum_k max(k, weight of
-    psi(d_k)), which hold each monomial and the image of each prefix."""
-    weight = {}  # k -> max(k, weight of psi(d_k)) for each d_k that p uses
-    for k in (k for m in p.terms for k in m):
-        if k not in psi_table:
-            raise InsufficientTable(f"psi table lacks d_{k}")
-        weight[k] = max(k, *map(sum, psi_table[k].terms))
-    W = max((sum(map(weight.get, m)) for m in p.terms), default=0)
-    place = code_places(W)
-    psi = _multiplicative(W, {0: ({0: 1}, 1), **{place[k]: _pair(psi_table[k], place) for k in weight}},
-                          _product)
-    return _dpoly(_lincomb([(c, psi(sum(place[k] for k in m))) for m, c in p.terms.items()]), W)
-
-
-def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
-                   max_weight=None) -> DPoly:
-    """Lift a mod-2 fixed element to one fixed mod 2^target_precision.
-
-    Iteratively corrects: given b_m with (psi - 1) b_m = 0 mod 2^m, solves
-    the GF(2) linear system for a correction 2^m c with
-    (psi - 1)(b_m + 2^m c) = 0 mod 2^(m+1).  The correction space is the
-    span of d-monomials (constants allowed) of halved weight <= max_weight
-    (default: the table's full range); an unsolvable stage raises
-    LiftObstruction with the stage index.
-    """
-    if not all(rat_val2(c) >= 1 for c in (_psi_dpoly(z, psi_table) - z).terms.values()):
-        raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
-    # (psi - 1) on the correction space, mod 2, eliminated once
-    W = max(psi_table) if max_weight is None else max_weight // 2
-    monos, bit, cols = _psi_minus_id_mod2(W, psi_table)
-    ech = GF2Echelon()
-    for i, col in enumerate(cols):
-        ech.add(col, i)
-    b = z
-    for m_stage in range(1, target_precision):
-        defect = _psi_dpoly(b, psi_table) - b
-        # defect = 2^m_stage * (unit part); need correction with
-        # (psi-1)c = -defect/2^m_stage  mod 2
-        resid = []
-        for mono, c in defect.terms.items():
-            v = rat_val2(c)
-            if v < m_stage:
-                raise LiftObstruction(m_stage, f"defect valuation {v} at {mono}")
-            if v == m_stage:
-                resid.append(mono)
-        if not resid:
-            continue
-        rest, combo = ech.reduce(sum(bit.get(m, 0) for m in resid))
-        if rest or any(m not in bit for m in resid):
-            raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
-        b = b + DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1})
-    return b

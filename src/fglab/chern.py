@@ -16,7 +16,7 @@ from math import comb
 
 from .errors import DimensionMismatch, UsageError
 from .linalg import Echelon
-from .series import MonomialCode, MultiSeries, _addmul, format_multiset, partitions as _partitions
+from .series import MonomialCode, MultiSeries, _addmul, format_multiset, partitions
 
 
 class ProjProduct:
@@ -101,18 +101,13 @@ def chern_number(p: ProjProduct, monomial) -> int:
     return sum(acc.values())
 
 
-def partitions(dim: int):
-    """Partitions of ``dim`` as non-increasing tuples, in decreasing order."""
-    return sorted((p[::-1] for p in _partitions(dim)), reverse=True)
-
-
 def chern_monomials_with_c1(dim: int):
     """Partitions of ``dim`` containing a part 1, in the paper's display order.
 
     Order: c1^dim first, then by decreasing largest part (c1*c3 before
     c1^2*c2 in dimension 4, matching the constraint-system rows).
     """
-    keep = [p for p in partitions(dim) if 1 in p]
+    keep = [p[::-1] for p in partitions(dim) if 1 in p]
     keep.sort(key=lambda p: (len([x for x in p if x == 1]) != len(p), -max(p), p))
     # c1^dim (all ones) sorts first, then larger top parts
     return keep

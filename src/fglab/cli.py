@@ -1,6 +1,7 @@
-"""Command-line surface: one subcommand per computation family, table
-emission in text/csv/json, and a reproduce-paper mode that recomputes every
-embedded golden table and diffs it cell by cell.
+"""Command-line surface of fglab: one command per computation family.
+
+Each command prints a table as text, csv or json, and reproduce-paper
+recomputes every embedded golden table and diffs it cell by cell.
 
 Exit codes: 0 success, 1 computation error, 2 usage error, 3 golden-diff
 failure.  Output is deterministic for a fixed configuration.
@@ -68,7 +69,6 @@ def _domain(flag, error):
 
 def cmd_series(args, out):
     from . import fgl, series
-    _at_least("--order", args.order, 1)
     cap = series.MAX_INVERT_ORDER if args.action == "invert" else series.MAX_RESIDUE_ORDER
     _at_most("--order", args.order, cap, args.action)
     n = args.order
@@ -78,13 +78,13 @@ def cmd_series(args, out):
         rows = []
         for k in range(1, n + 1):
             rows.append((f"c{k}", inv.coeff_in_var("t", k + 1)))
-        _emit(rows, ["coefficient", "value"], args.fmt, out)
+        _emit(rows, ["coefficient", "value"], args.format, out)
     elif args.action == "residue":
         rows = []
         for k in range(1, n + 1):
             r = series.residue_inverse_coeff(g, "t", k)
             rows.append((f"c{k}", r, "agree" if r == inv.coeff_in_var("t", k + 1) else "DIFFER"))
-        _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], args.fmt, out)
+        _emit(rows, ["coefficient", "residue_formula", "vs_recursive"], args.format, out)
     return 0
 
 
@@ -96,20 +96,20 @@ def cmd_fgl(args, out):
         g = fgl.generic_strict_series(args.bound, args.nb)
         law = fgl.fgl_twist(fgl.multiplicative_law(args.bound), g)
         rows = [(f"a{i}{j}", c) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
-        _emit(rows, ["coefficient", "image"], args.fmt, out)
+        _emit(rows, ["coefficient", "image"], args.format, out)
         return 0
     from . import bordism
     if args.action == "cpn":
         _at_most("--n", args.n, bordism.MAX_CPN_N, "cpn")
         with _domain("--n", UnsupportedDimension):
             poly = bordism.cpn_in_a(args.n, args.mode)
-        _emit([(f"CP{args.n}", poly)], ["class", "polynomial"], args.fmt, out)
+        _emit([(f"CP{args.n}", poly)], ["class", "polynomial"], args.format, out)
     elif args.action == "box-diff":
         rows = []
         for n in range(1, 5):
             d = bordism.cpn_box_diff(n)
             rows.append((f"CP{n}", "match" if d.is_zero() else f"box - residue = {d}"))
-        _emit(rows, ["class", "paper_box_vs_residue_exact"], args.fmt, out)
+        _emit(rows, ["class", "paper_box_vs_residue_exact"], args.format, out)
     elif args.action == "miscenko":
         with _domain("--expr", (UnsupportedDimension, NotInDomain)):
             # a number of too many digits, a dimension beyond the twist cap,
@@ -120,7 +120,7 @@ def cmd_fgl(args, out):
             nb = expr.dimension()
             tw = fgl.fgl_twist(fgl.multiplicative_law(nb + 2), fgl.generic_strict_series(nb + 2, nb))
             img = bordism.miscenko_image(expr, tw, args.mode)
-        _emit([(args.expr, args.mode, img)], ["expression", "mode", "image"], args.fmt, out)
+        _emit([(args.expr, args.mode, img)], ["expression", "mode", "image"], args.format, out)
     return 0
 
 
@@ -135,23 +135,23 @@ def cmd_chern(args, out):
         _chern_size("--dims", p.dims)
         tc = chern.total_chern(p)
         rows = [(tc.monomial_str(exp) or "1", c) for exp, c in tc.sorted_terms()]
-        _emit(rows, ["monomial", "coefficient"], args.fmt, out)
+        _emit(rows, ["monomial", "coefficient"], args.format, out)
     elif args.action == "system":
         basis = _dim_basis(args.dim)
         monos = chern.chern_monomials_with_c1(args.dim)
         rows = [(chern.monomial_label(mono), *row)
                 for mono, row in zip(monos, chern.su_constraint_system(basis, args.dim))]
-        _emit(rows, ["constraint"] + [b.label() for b in basis], args.fmt, out)
+        _emit(rows, ["constraint"] + [b.label() for b in basis], args.format, out)
     elif args.action == "reduce":
         basis = _dim_basis(args.dim)
         red = chern.integer_reduce(chern.su_constraint_system(basis, args.dim))
         rows = [(f"row{i+1}", *r) for i, r in enumerate(red)]
-        _emit(rows, ["row"] + [b.label() for b in basis], args.fmt, out)
+        _emit(rows, ["row"] + [b.label() for b in basis], args.format, out)
     elif args.action == "nullspace":
         basis = _dim_basis(args.dim)
         ns = chern.nullspace_rational(chern.su_constraint_system(basis, args.dim))
         rows = [(f"v{i+1}", *v) for i, v in enumerate(ns)]
-        _emit(rows, ["vector"] + [b.label() for b in basis], args.fmt, out)
+        _emit(rows, ["vector"] + [b.label() for b in basis], args.format, out)
     elif args.action == "todd":
         try:
             vals = [Fraction(v) for v in args.inputs.split(",")]
@@ -160,7 +160,7 @@ def cmd_chern(args, out):
         if len(vals) != 5:
             raise UsageError("todd expects c1^4,c1c3,c1^2c2,c2^2,c4")
         t4 = chern.todd_t4(*vals)
-        _emit([(args.inputs, t4)], ["chern_numbers", "T4"], args.fmt, out)
+        _emit([(args.inputs, t4)], ["chern_numbers", "T4"], args.format, out)
     return 0
 
 
@@ -194,7 +194,7 @@ def cmd_adams(args, out):
         elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
-        _emit([(f"psi^(1/{args.k}) beta_{args.i}", elt)], ["operation", "value"], args.fmt, out)
+        _emit([(f"psi^(1/{args.k}) beta_{args.i}", elt)], ["operation", "value"], args.format, out)
     elif args.action == "beta-table":
         _at_most("--imax", args.imax, adams.MAX_BETA_TABLE, "beta-table")
         rows = []
@@ -203,29 +203,27 @@ def cmd_adams(args, out):
             if args.mod2:
                 elt = elt.mod2()
             rows.append((f"beta_{i}", elt))
-        _emit(rows, ["generator", "image"], args.fmt, out)
+        _emit(rows, ["generator", "image"], args.format, out)
     elif args.action == "nki":
-        _at_least("--k", args.k, 2)
         _at_most("--k", args.k, adams.MAX_NKI_K, "nki")
         _nki_reaches(args.nki, args.k, f"got --k {args.k}")
         table = adams.nki_coeffs(args.k, args.nki)
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
-        _emit(rows, ["coefficient", "value"], args.fmt, out)
+        _emit(rows, ["coefficient", "value"], args.format, out)
     elif args.action == "relations":
         # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
         _at_most("--degree", args.degree, adams.MAX_RELATIONS_DEGREE, "relations")
         rows = []
         for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
             rows.append((f"x^{a}*y^{b}*z^{c}", poly, poly.set_u().content_normalize()))
-        _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.fmt, out)
+        _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.format, out)
     elif args.action == "psi-dk":
-        _at_least("--k", args.k, 2)
         W = max(args.k, 7)
         p = cannibal.psi_dk_table(args.level, _reducer(W, args.nki, "--k"), [args.k])[args.k]
-        if args.fmt == "json":
+        if args.format == "json":
             _json(p.to_json_obj(), out)
         else:
-            _emit([(f"d{args.k}", args.level, p)], ["generator", "level", "psi_image"], args.fmt, out)
+            _emit([(f"d{args.k}", args.level, p)], ["generator", "level", "psi_image"], args.format, out)
     elif args.action == "spherical":
         if args.max_weight % 2:
             raise UsageError(f"--max-weight must be even, got {args.max_weight}")
@@ -239,7 +237,7 @@ def cmd_adams(args, out):
                 rows.append((w, "-"))
             for e in elts:
                 rows.append((w, e))
-        _emit(rows, ["weight", "kernel_class_mod2"], args.fmt, out)
+        _emit(rows, ["weight", "kernel_class_mod2"], args.format, out)
     return 0
 
 
@@ -269,17 +267,17 @@ def cmd_cannibal(args, out):
         rows = []
         for m in range(args.bound + 1):
             rows.append((m, *[tab[m, n] for n in range(args.bound + 1)]))
-        _emit(rows, ["m\\n", *range(args.bound + 1)], args.fmt, out)
+        _emit(rows, ["m\\n", *range(args.bound + 1)], args.format, out)
     elif args.action == "closed":
         _at_most("--m", args.m, cannibal.MAX_CLOSED_INDEX, "closed")
         _at_most("--n", args.n, cannibal.MAX_CLOSED_INDEX, "closed")
         _emit([(args.m, args.n, cannibal.theta3_closed(args.m, args.n))],
-              ["m", "n", "c_mn"], args.fmt, out)
+              ["m", "n", "c_mn"], args.format, out)
     elif args.action == "tseq":
         _at_most("--n", args.n, cannibal.MAX_TSEQ_N, "tseq")
         ts = cannibal.ThetaGenSeq(args.n)
         rows = [(k, ts[k], cannibal.theta_gen_closed(k)) for k in range(args.n + 1)]
-        _emit(rows, ["k", "recurrence", "closed_form"], args.fmt, out)
+        _emit(rows, ["k", "recurrence", "closed_form"], args.format, out)
     return 0
 
 
@@ -302,27 +300,26 @@ def cmd_mahler(args, out):
         k = mahler.Padic2(args.padic, args.precision) if args.padic is not None else args.k
         with _domain("--padic", NotAUnit):
             np_ = mahler.dilate(k, args.i)
-        if args.fmt == "json" and args.padic is None:
+        if args.format == "json" and args.padic is None:
             _json(np_.to_json_obj(), out)
         else:
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", np_)],
-                  ["dilation", "expansion"], args.fmt, out)
+                  ["dilation", "expansion"], args.format, out)
     elif args.action == "matrix":
         _at_most("--imax", args.imax, mahler.MAX_MATRIX_INDEX, "matrix")
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
-        _emit(rows, ["i\\j", *range(args.imax + 1)], args.fmt, out)
+        _emit(rows, ["i\\j", *range(args.imax + 1)], args.format, out)
     elif args.action == "vs-adams":
         _at_most("--imax", args.imax, mahler.MAX_VS_ADAMS_INDEX, "vs-adams")
         mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
-              ["check", "result"], args.fmt, out)
+              ["check", "result"], args.format, out)
     return 0
 
 
 def cmd_artin_schreier(args, out):
     from .mahler import MAX_PRECISION, artin_schreier_check
-    _at_least("--precision", args.precision, 16)
     _at_most("--precision", args.precision, MAX_PRECISION, "artin-schreier")
     with _domain("--u", NotInDomain):
         res = artin_schreier_check(args.u, args.precision)
@@ -332,7 +329,7 @@ def cmd_artin_schreier(args, out):
         ("b + 1", f"{res['rhs'].value} mod 2^{res['rhs'].precision}"),
         ("verified", "true" if res["verified"] else "false"),
     ]
-    _emit(rows, ["quantity", "value"], args.fmt, out)
+    _emit(rows, ["quantity", "value"], args.format, out)
     return 0 if res["verified"] else 1
 
 
@@ -366,103 +363,132 @@ def cmd_reproduce(args, out):
 # -- argument parsing --------------------------------------------------------------
 
 
-# flags that more than one subcommand reads; each subcommand takes only its own
-SHARED_FLAGS = {
-    "--format": dict(dest="fmt", default="text", choices=["text", "csv", "json"]),
-    "--out": dict(default=None, help="write output to FILE"),
-    "--bound": dict(type=int, default=12, help="series truncation bound"),
-    "--precision": dict(type=int, default=64, help="2-adic precision (bits)"),
-}
-
-
-# each subcommand's flags that only some of its actions read: flag -> (those
-# actions, the least value or None, options); a flag given to any other action
-# is a usage error
-ACTION_FLAGS = {
-    "fgl": {
-        "--bound": ("twist", 2, SHARED_FLAGS["--bound"]),
+# command -> (what it computes, its actions, {flag: (the actions that read it,
+# None for all of them; the least value, None for none, or {action: least
+# value}; argparse options with this command's default)}).  The parser takes
+# each flag once, with no default; _scope_action_flags checks what was given
+# against this table and sets the defaults.
+OUT = {"--out": (None, None, dict(metavar="FILE"))}
+FORMAT_OUT = {"--format": (None, None, dict(default="text", choices=["text", "csv", "json"])), **OUT}
+COMMANDS = {
+    "series": ("inverse-series coefficients", "invert residue", {
+        **FORMAT_OUT,
+        "--order": (None, 1, dict(type=int, default=4)),
+    }),
+    "fgl": ("formal group law computations", "twist cpn box-diff miscenko", {
+        **FORMAT_OUT,
+        "--bound": ("twist", 2, dict(type=int, default=12)),
         "--mode": ("cpn miscenko", None, dict(default="paper-box", choices=["paper-box", "residue-exact"])),
-        "--nb": ("twist", 0, dict(type=int, default=5, help="number of b_i symbols")),
+        "--nb": ("twist", 0, dict(type=int, default=5)),
         "--n": ("cpn", 1, dict(type=int, default=4)),
         "--expr": ("miscenko", None, dict(default="1/4*K3SQ + 12*N")),
-    },
-    "chern": {
+    }),
+    "chern": ("Chern classes and the SU constraint system", "total system reduce nullspace todd", {
+        **FORMAT_OUT,
         "--dims": ("total", None, dict(default="1,3")),
         "--dim": ("system reduce nullspace", 1, dict(type=int, default=4)),
         "--inputs": ("todd", None, dict(default="625,50,250,100,5")),
-    },
-    "adams": {
+    }),
+    "adams": ("Adams operations on K-homology", "beta beta-table nki relations psi-dk spherical", {
+        **FORMAT_OUT,
         "--nki": ("nki psi-dk spherical", None,
                   dict(default="auto", choices=["paper", "extended-gcd", "auto"])),
-        "--k": ("beta beta-table nki psi-dk", 1, dict(type=int, default=3)),
+        # n_k^i and psi on d_k start at k = 2
+        "--k": ("beta beta-table nki psi-dk", {"beta": 1, "beta-table": 1, "nki": 2, "psi-dk": 2},
+                dict(type=int, default=3)),
         "--i": ("beta", 0, dict(type=int, default=3)),
-        "--imax": ("beta-table", 1, dict(type=int, default=10, help="beta-table only (default 10)")),
+        "--imax": ("beta-table", 1, dict(type=int, default=10)),
         "--mod2": ("beta beta-table", None, dict(action="store_true", default=False)),
         "--degree": ("relations", 4, dict(type=int, default=7)),
         "--level": ("psi-dk spherical", None, dict(default="base", choices=["base", "thom"])),
         "--max-weight": ("spherical", 2, dict(type=int, default=20)),
-    },
-    "cannibal": {
-        "--bound": ("table", 2, SHARED_FLAGS["--bound"]),
+    }),
+    "cannibal": ("cannibalistic class tables", "table closed tseq", {
+        **FORMAT_OUT,
+        "--bound": ("table", 2, dict(type=int, default=12)),
         "--m": ("closed", 0, dict(type=int, default=2)),
         "--n": ("closed tseq", 0, dict(type=int, default=2)),
-    },
-    "mahler": {
-        "--precision": ("dilate", 16, SHARED_FLAGS["--precision"]),
+    }),
+    "mahler": ("binomial-basis dilation", "dilate matrix vs-adams", {
+        **FORMAT_OUT,
+        "--precision": ("dilate", 16, dict(type=int, default=64)),
         "--k": ("dilate matrix", None, dict(type=int, default=3)),
         "--i": ("dilate", 0, dict(type=int, default=4)),
         "--imax": ("matrix vs-adams", 0, dict(type=int, default=6)),
-        "--padic": ("dilate", None, dict(type=int, help="2-adic unit value instead of integer k")),
-    },
+        "--padic": ("dilate", None, dict(type=int)),
+    }),
+    "artin-schreier": ("2-adic Artin-Schreier verification", "", {
+        **FORMAT_OUT,
+        "--precision": (None, 16, dict(type=int, default=64)),
+        "--u": (None, None, dict(type=int, default=17)),
+    }),
+    "reproduce-paper": ("recompute and diff all golden tables", "", {
+        **OUT,
+        "--verbose": (None, None, dict(action="store_true", default=False)),
+    }),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose own errors are usage errors."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(prog="fglab", description=__doc__.splitlines()[0])
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def sub_add(name, *flags, actions=None, help):
-        s = sub.add_parser(name, help=help)
-        for flag in flags:
-            s.add_argument(flag, **SHARED_FLAGS[flag])
-        if actions:
-            s.add_argument("action", choices=actions.split())
-        for flag, (*_, opts) in ACTION_FLAGS.get(name, {}).items():
-            s.add_argument(flag, **{**opts, "default": None})  # None: not given
-        return s
-
-    fmt_out = ("--format", "--out")
-    s = sub_add("series", *fmt_out, actions="invert residue", help="inverse-series coefficients")
-    s.add_argument("--order", type=int, default=4)
-    sub_add("fgl", *fmt_out, actions="twist cpn box-diff miscenko", help="formal group law computations")
-    sub_add("chern", *fmt_out, actions="total system reduce nullspace todd",
-            help="Chern classes and the SU constraint system")
-    sub_add("adams", *fmt_out, actions="beta beta-table nki relations psi-dk spherical",
-            help="Adams operations on K-homology")
-    sub_add("cannibal", *fmt_out, actions="table closed tseq", help="cannibalistic class tables")
-    sub_add("mahler", *fmt_out, actions="dilate matrix vs-adams", help="binomial-basis dilation")
-    s = sub_add("artin-schreier", *fmt_out, "--precision", help="2-adic Artin-Schreier verification")
-    s.add_argument("--u", type=int, default=17)
-    s = sub_add("reproduce-paper", "--out", help="recompute and diff all golden tables")
-    s.add_argument("--verbose", action="store_true")
+    """One parser for every command: the command, an optional action and
+    each flag of COMMANDS once, with no default (None: not given).  Its
+    help lists each command's actions and each flag's readers and defaults."""
+    p = _Parser(prog="fglab", usage="fglab COMMAND [ACTION] [FLAGS]", description=__doc__.splitlines()[0],
+                formatter_class=argparse.RawDescriptionHelpFormatter,
+                epilog="commands and their actions; flags may come before or after the action:\n"
+                       + "\n".join(f"  {c} {a.replace(' ', '|')}".rstrip() + f": {what}"
+                                   for c, (what, a, _) in COMMANDS.items()))
+    p.add_argument("command", choices=list(COMMANDS), metavar="COMMAND")
+    p.add_argument("action", nargs="?", metavar="ACTION")
+    flags = {}  # flag -> (its options, {what some commands' actions read of it: those commands})
+    for command, (_, _, own) in COMMANDS.items():
+        for flag, (readers, low, opts) in own.items():
+            what = f"{readers or 'all'}, default {opts.get('default')}"
+            if low is not None:
+                what += f", at least {low}"
+            flags.setdefault(flag, (opts, {}))[1].setdefault(what, []).append(command)
+    for flag, (opts, reads) in flags.items():
+        p.add_argument(flag, **{**opts, "default": None},
+                       help="; ".join(f"{' '.join(commands)}: {what}" for what, commands in reads.items()))
     return p
 
 
 def _scope_action_flags(args):
-    """Set the default of each action-specific flag that was not given, and
-    record the given ones in ``args.given``.  A given one is a usage error if
-    the chosen action does not read it or if it is below its least value."""
+    """The one check of a parsed command line against COMMANDS: the action
+    is one of the command's, each given flag is read by the command and
+    action and is at least its least value, and each flag of the command
+    that was not given gets the command's default.  The given flags are
+    recorded in ``args.given``; any other case is a usage error that names
+    the action or the flag."""
+    _, actions, own = COMMANDS[args.command]
+    actions = actions.split()
+    if args.action not in (actions or [None]):
+        takes = f"one of {', '.join(actions)}" if actions else "no action"
+        raise UsageError(f"action: {args.command} takes {takes}, got {args.action or 'none'}")
     args.given = set()
-    for flag, (readers, low, opts) in ACTION_FLAGS.get(args.command, {}).items():
-        dest, readers = flag[2:].replace("-", "_"), readers.split()
+    for flag in dict.fromkeys(flag for _, _, flags in COMMANDS.values() for flag in flags):
+        dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
-            setattr(args, dest, opts.get("default"))
+            if flag in own:
+                setattr(args, dest, own[flag][2].get("default"))
             continue
         args.given.add(flag)
-        if args.action not in readers:
-            names = " and ".join(filter(None, (", ".join(readers[:-1]), readers[-1])))
+        if flag not in own:
+            raise UsageError(f"{flag} is not read by {args.command}")
+        readers, low, _ = own[flag]
+        if readers and args.action not in readers.split():
+            *rest, last = readers.split()
+            names = f"{', '.join(rest)} and {last}" if rest else last
             raise UsageError(f"{flag} is read by {names} only, not by {args.action}")
-        elif low is not None:
+        low = low.get(args.action) if isinstance(low, dict) else low
+        if low is not None:
             _at_least(flag, getattr(args, dest), low)
 
 
@@ -479,15 +505,13 @@ DISPATCH = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
     buf = io.StringIO()
     try:
+        args = build_parser().parse_intermixed_args(argv)
         _scope_action_flags(args)
         code = DISPATCH[args.command](args, buf)
+    except SystemExit:  # --help
+        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

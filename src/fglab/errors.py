@@ -72,12 +72,6 @@ class NotReducible(FglabError):
         super().__init__(f"relation set insufficient in degree {degree}" + (f": {msg}" if msg else ""))
 
 
-class LiftObstruction(FglabError):
-    def __init__(self, stage, msg=""):
-        self.stage = stage
-        super().__init__(f"bootstrap lift obstructed at stage {stage}" + (f": {msg}" if msg else ""))
-
-
 class InsufficientTable(FglabError):
     pass
 

@@ -4,15 +4,16 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _psi_dpoly, monomial_codes,
-                         psi_tensor_apoly)
+from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dpoly, _multiplicative, _pair,
+                         _psi_minus_id_mod2, code_places, monomial_codes, psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
 from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotInDomain,
                           NotReducible, NotStrict, UsageError)
 from fglab.fgl import FGL, X, Y, _require_zero
 from fglab.mahler import NumPoly, Padic2, binom, mahler_expand
-from fglab.series import MultiSeries, _addmul, _lincomb
+from fglab.linalg import GF2Echelon
+from fglab.series import MultiSeries, _addmul, _lincomb, _product, partitions, rat_val2
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -286,6 +287,11 @@ def total_chern_by_series(dims):
     return out
 
 
+def nonincreasing_partitions(dim):
+    """Partitions of ``dim`` as non-increasing tuples, in decreasing order."""
+    return sorted((p[::-1] for p in partitions(dim)), reverse=True)
+
+
 def chern_number_by_series(dims, monomial):
     """The Chern number c_monomial[CP^n1 x ... x CP^nr] as the coefficient at
     x^dims of the product of degree parts of ``total_chern_by_series``, the
@@ -512,7 +518,7 @@ def dpoly_product_by_series(p, q):
 def psi_dpoly_by_monomials(p, psi_table):
     """psi on a d-polynomial monomial by monomial, each image the product of
     the table's entries by ``dpoly_product_by_series``: the reference for
-    ``adams._psi_dpoly``, with the same error for a d_k the table lacks."""
+    ``_psi_dpoly``, with the same error for a d_k the table lacks."""
     out = DPoly()
     for m, c in p.terms.items():
         acc = DPoly({(): 1})
@@ -522,6 +528,71 @@ def psi_dpoly_by_monomials(p, psi_table):
             acc = dpoly_product_by_series(acc, psi_table[k])
         out = out + acc.scale(c)
     return out
+
+
+# -- 2-adic bootstrap lifting: the greedy reference ------------------------------
+
+
+def _psi_dpoly(p: DPoly, psi_table: dict) -> DPoly:
+    """Apply psi multiplicatively to a d-polynomial via the rational table, in
+    the codes of W = max over p's monomials of sum_k max(k, weight of
+    psi(d_k)), which hold each monomial and the image of each prefix."""
+    weight = {}  # k -> max(k, weight of psi(d_k)) for each d_k that p uses
+    for k in (k for m in p.terms for k in m):
+        if k not in psi_table:
+            raise InsufficientTable(f"psi table lacks d_{k}")
+        weight[k] = max(k, *map(sum, psi_table[k].terms))
+    W = max((sum(map(weight.get, m)) for m in p.terms), default=0)
+    place = code_places(W)
+    psi = _multiplicative(W, {0: ({0: 1}, 1), **{place[k]: _pair(psi_table[k], place) for k in weight}},
+                          _product)
+    return _dpoly(_lincomb([(c, psi(sum(place[k] for k in m))) for m, c in p.terms.items()]), W)
+
+
+class LiftObstruction(FglabError):
+    def __init__(self, stage, msg=""):
+        self.stage = stage
+        super().__init__(f"bootstrap lift obstructed at stage {stage}" + (f": {msg}" if msg else ""))
+
+
+def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
+                   max_weight=None) -> DPoly:
+    """Lift a mod-2 fixed element to one fixed mod 2^target_precision.
+
+    Iteratively corrects: given b_m with (psi - 1) b_m = 0 mod 2^m, solves
+    the GF(2) linear system for a correction 2^m c with
+    (psi - 1)(b_m + 2^m c) = 0 mod 2^(m+1).  The correction space is the
+    span of d-monomials (constants allowed) of halved weight <= max_weight
+    (default: the table's full range); an unsolvable stage raises
+    LiftObstruction with the stage index.
+    """
+    if not all(rat_val2(c) >= 1 for c in (_psi_dpoly(z, psi_table) - z).terms.values()):
+        raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
+    # (psi - 1) on the correction space, mod 2, eliminated once
+    W = max(psi_table) if max_weight is None else max_weight // 2
+    monos, bit, cols = _psi_minus_id_mod2(W, psi_table)
+    ech = GF2Echelon()
+    for i, col in enumerate(cols):
+        ech.add(col, i)
+    b = z
+    for m_stage in range(1, target_precision):
+        defect = _psi_dpoly(b, psi_table) - b
+        # defect = 2^m_stage * (unit part); need correction with
+        # (psi-1)c = -defect/2^m_stage  mod 2
+        resid = []
+        for mono, c in defect.terms.items():
+            v = rat_val2(c)
+            if v < m_stage:
+                raise LiftObstruction(m_stage, f"defect valuation {v} at {mono}")
+            if v == m_stage:
+                resid.append(mono)
+        if not resid:
+            continue
+        rest, combo = ech.reduce(sum(bit.get(m, 0) for m in resid))
+        if rest or any(m not in bit for m in resid):
+            raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
+        b = b + DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1})
+    return b
 
 
 def theta3_bilinear(m: int, n: int, tseq: ThetaGenSeq) -> Fraction:

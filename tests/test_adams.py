@@ -7,19 +7,19 @@ import pytest
 
 from hypothesis import given, settings, strategies as st
 
-from fglab.adams import (APoly, DPoly, DReducer, bootstrap_lift, coboundary_coeffs,
+from fglab.adams import (APoly, DPoly, DReducer, coboundary_coeffs,
                          dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
-                         psi_power_coeff, psi_tensor_apoly, spherical_search, _psi_dpoly,
+                         psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_minus_id_mod2)
 from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
-from fglab.errors import InsufficientTable, LiftObstruction, NotReducible, UnsupportedK, UsageError
+from fglab.errors import InsufficientTable, NotReducible, UnsupportedK, UsageError
 from fglab.series import rat_val2
 
-from helpers import (RANDOM_SEED, apoly_mul, apoly_weights, binom_gcd, cocycle_series,
-                     composition_failures, dpoly_product_by_series, generator_images,
-                     psi3_closed_coeff, psi_dpoly_by_monomials, reduce_by_fractions,
+from helpers import (RANDOM_SEED, LiftObstruction, _psi_dpoly, apoly_mul, apoly_weights, binom_gcd,
+                     bootstrap_lift, cocycle_series, composition_failures, dpoly_product_by_series,
+                     generator_images, psi3_closed_coeff, psi_dpoly_by_monomials, reduce_by_fractions,
                      series_relations, unit_class, xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values

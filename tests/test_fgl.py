@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from fglab.bordism import (BUILTINS, BordismExpr, cpn_box_diff, cpn_in_a,
                            miscenko_image)
-from fglab.chern import partitions
 from fglab.errors import (AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension,
                           UsageError)
 from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
 from fglab.series import MultiSeries
 
 from helpers import (RANDOM_SEED, additive_law, coeff_of, compose, exp_series, fgl_binom, fgl_check,
-                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, partial, rename,
-                     symbol_grades, truncate, twist_by_substitution)
+                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, nonincreasing_partitions,
+                     partial, rename, symbol_grades, truncate, twist_by_substitution)
 
 
 def rational_strict_g(rng, bound, nb=4):
@@ -441,7 +440,7 @@ def rendered_bordism_combinations(draw):
     factors in any order, repeats as CPn^k or spelled out, a unit weight
     left implicit or not, any spacing."""
     dim = draw(st.integers(1, 6))
-    keys = draw(st.lists(st.sampled_from(partitions(dim)), min_size=1, max_size=4, unique=True))
+    keys = draw(st.lists(st.sampled_from(nonincreasing_partitions(dim)), min_size=1, max_size=4, unique=True))
     space = draw(st.sampled_from(["", " "]))
     terms, text = {}, ""
     for key in keys:
@@ -470,7 +469,7 @@ def signed_sums(draw):
     built-in or a product, with any spacing between tokens and a sign
     before the first term or not, and the Fraction sum of its terms."""
     dim = draw(st.integers(1, 6))
-    bodies = partitions(dim) + (list(BUILTINS) if dim == 4 else [])
+    bodies = nonincreasing_partitions(dim) + (list(BUILTINS) if dim == 4 else [])
     space = st.sampled_from(["", " ", "  ", "\t"])
     want, text = {}, ""
     for i in range(draw(st.integers(1, 5))):
