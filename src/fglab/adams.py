@@ -32,16 +32,6 @@ from .series import (_addmul, _cached_code, _lincomb, _lowest_terms, _multiplici
 
 # -- psi on beta ------------------------------------------------------------
 
-# the largest --i of `adams beta` and --imax of `adams beta-table`; fresh
-# process at --k 3, unscaled: beta --i 500 takes ~2.2 s and --i 600 ~4.5 s,
-# beta-table --imax 200 ~3.5 s and --imax 250 ~10 s, both cubic in the index
-MAX_BETA_INDEX = 500
-MAX_BETA_TABLE = 200
-# the largest --k of both, at those index caps: beta --i 500 takes ~5.4 s at
-# --k 10 and ~10 s at 100, beta-table --imax 200 ~8.5-11 s at 10, ~15 s at
-# 100 and more than 40 s at 10^5
-MAX_BETA_K = 10
-
 
 def psi_power_coeff(k: int, j: int, i: int) -> int:
     """<psi^k x^j, beta_i> = coefficient of x^i in (1 - (1-x)^k)^j."""
@@ -99,15 +89,6 @@ NKI_PAPER = {
     9: {1: -9, 3: 1},
     10: {1: 1, 2: 11, 5: -2},
 }
-
-# the largest --k of `adams nki`.  For a prime power k the gcd of the C(k, i)
-# never reaches 1, so extended-gcd runs over every i < k, and at powers of 2
-# its Bezout coefficients grow fastest.  Fresh process, unscaled: 0.45-0.5 s
-# at 4093 (prime) and 4096, whose largest n_k^i has 3847 digits, the most of
-# any k <= 4096; 1.5 s at 6561 = 3^8 and 2.6 s at 8191 (prime); at 8192 the
-# coefficients pass the 4300 digits Python prints, and 16384 takes ~20 s
-MAX_NKI_K = 4096
-
 
 def nki_coeffs(k: int, mode: str = "paper") -> dict:
     """Integers n_k^i with sum_i n_k^i C(k,i) = gcd{C(k,1..k-1)}.
@@ -327,11 +308,6 @@ def dk_as_apoly(k: int, nki: dict) -> APoly:
 
 # -- 2-structure relations ------------------------------------------------------
 
-# the largest --degree of `adams relations`; fresh process, unscaled: 2.0 s
-# (94 MB) at 24, 4.4-5.8 s (205 MB) at 28, 10.5-11.4 s (359 MB) at 32 and
-# 38 s (1.3 GB) at 40
-MAX_RELATIONS_DEGREE = 28
-
 
 def gen_2structure_relations(N: int) -> dict:
     """Expand the symmetric-cocycle identity and collect coefficient relations.
@@ -498,12 +474,6 @@ def coboundary_coeffs(W: int) -> dict:
 def dmonomials_upto(w, include_const=True):
     """The d-monomials of halved weight <= w, by weight and then as tuples."""
     return [m for n in range(0 if include_const else 1, w + 1) for m in partitions(n, 2)]
-
-
-# the largest halved weight W the CLI builds a reducer for: at W = 29,
-# spherical --max-weight 58 --level thom takes ~17 s and ~410 MB, and at
-# W = 30 its --max-weight 60 takes ~24 s and ~600 MB, growing ~1.5x per weight
-MAX_WEIGHT = 29
 
 
 # Inside DReducer a polynomial in the d_k (and, in the closed form, in the b_k)

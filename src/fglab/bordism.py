@@ -16,11 +16,6 @@ from .series import MultiSeries
 
 # -- projective spaces in the a_ij coordinates ---------------------------------
 
-# the largest --n of `fgl cpn --mode residue-exact`; fresh process, unscaled:
-# 0.4 s (33 MB) at 30, 3.2-3.9 s (166 MB) at 40, 7.1 s (345 MB) at 44 and
-# 23 s (935 MB) at 50
-MAX_CPN_N = 40
-
 
 def a_var(i, j):
     i, j = min(i, j), max(i, j)

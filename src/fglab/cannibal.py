@@ -20,23 +20,6 @@ from .adams import APoly, DPoly, DReducer, psi_tensor_apoly
 from .errors import EvenK, IndexOutOfRange
 from .series import MultiSeries, lift, lower
 
-# the largest --bound ``cannibal table`` prints; its output is (bound + 1)^2
-# cells.  Fresh process, stdout to /dev/null, unscaled: --bound 300 takes
-# ~0.5 s and ~47 MB, 600 ~2.4 s and ~209 MB, 700 ~4-5 s and ~260-315 MB in
-# any --format, memory growing ~4.5x per doubling of the bound
-MAX_TABLE_BOUND = 700
-
-# the largest --m and --n ``cannibal closed`` takes: c_mn has denominator up to
-# 3^((m + n) // 2), whose 4300 digits at m = n = 9012 are the most Python
-# prints by default; the command takes ~0.1 s at any size
-MAX_CLOSED_INDEX = 9012
-
-# the largest --n ``cannibal tseq`` prints; its output grows as n^2 (t_k has
-# about k/4 digits), fresh process, stdout to a pipe: --n 4000 takes ~0.2 s,
-# ~30 MB and prints 5.5 MB, 9000 ~0.7 s, ~90 MB and 27.5 MB; --n 18023, the
-# most whose t_k Python prints by default, ~4.5 s, ~310 MB and 110 MB
-MAX_TSEQ_N = 4000
-
 _LOG3_2 = log(2, 3)  # 3^m divides s only if m <= log_3 |s| < bit_length(s) * log_3 2
 
 

@@ -15,7 +15,6 @@ from functools import cache
 from math import comb
 
 from .errors import DimensionMismatch, UsageError
-from .linalg import Echelon
 from .series import MonomialCode, MultiSeries, _addmul, format_multiset, partitions
 
 
@@ -45,11 +44,6 @@ class ProjProduct:
 
     def __hash__(self):
         return hash(tuple(sorted(self.dims)))
-
-
-# the most terms c(M) may have, prod_i (n_i + 1) for M = CP^n1 x ... x CP^nr;
-# the CLI refuses larger inputs (chern system --dim 12, 2^12 terms, takes ~6 s)
-MAX_TERMS = 2 ** 12
 
 
 @cache
@@ -171,6 +165,7 @@ def rref(rows):
     Column c is stored at Echelon index ncols-1-c, so each echelon row's pivot
     is its leading column.  The RREF row at a pivot is the pivot entry plus the
     remainder of the rest of its echelon row, which has no other pivot entry."""
+    from .linalg import Echelon
     ncols = len(rows[0]) if rows else 0
     ech = Echelon()
     for r in rows:
@@ -206,6 +201,8 @@ def nullspace_rational(m: list):
 def span_test(vectors):
     """Exact membership in the rational span of ``vectors``: one echelon of
     them, then any number of tests, each an empty remainder."""
+    from .linalg import Echelon
+
     def sparse(v):
         return {c: a for c, a in enumerate(v) if a}
 

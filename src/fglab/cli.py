@@ -45,11 +45,6 @@ def _json(obj, out):
     out.write("\n")
 
 
-def _at_least(flag, value, low):
-    if value < low:
-        raise UsageError(f"{flag} must be >= {low}, got {value}")
-
-
 def _at_most(flag, value, cap, what):
     if value > cap:
         raise UsageError(f"{flag}: {value} is above the {what} cap of {cap}")
@@ -69,8 +64,6 @@ def _domain(flag, error):
 
 def cmd_series(args, out):
     from . import fgl, series
-    cap = series.MAX_INVERT_ORDER if args.action == "invert" else series.MAX_RESIDUE_ORDER
-    _at_most("--order", args.order, cap, args.action)
     n = args.order
     g = fgl.generic_strict_series(n + 1, n)
     inv = g.comp_inverse("t")
@@ -100,7 +93,6 @@ def cmd_fgl(args, out):
         return 0
     from . import bordism
     if args.action == "cpn":
-        _at_most("--n", args.n, bordism.MAX_CPN_N, "cpn")
         with _domain("--n", UnsupportedDimension):
             poly = bordism.cpn_in_a(args.n, args.mode)
         _emit([(f"CP{args.n}", poly)], ["class", "polynomial"], args.format, out)
@@ -111,9 +103,10 @@ def cmd_fgl(args, out):
             rows.append((f"CP{n}", "match" if d.is_zero() else f"box - residue = {d}"))
         _emit(rows, ["class", "paper_box_vs_residue_exact"], args.format, out)
     elif args.action == "miscenko":
-        with _domain("--expr", (UnsupportedDimension, NotInDomain)):
-            # a number of too many digits, a dimension beyond the twist cap,
-            # or a factor the mode cannot tabulate, is refused before the twist
+        with _domain("--expr", (UsageError, UnsupportedDimension, NotInDomain)):
+            # text outside the grammar, a number of too many digits, a dimension
+            # beyond the twist cap, or a factor the mode cannot tabulate, is
+            # refused before the twist
             expr = bordism.BordismExpr.parse(args.expr)
             if expr.terms:
                 bordism.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
@@ -131,7 +124,8 @@ def cmd_chern(args, out):
             dims = [int(d) for d in args.dims.split(",")]
         except ValueError:
             raise UsageError(f"--dims expects comma-separated integers, got {args.dims!r}") from None
-        p = chern.ProjProduct(dims)
+        with _domain("--dims", UsageError):
+            p = chern.ProjProduct(dims)
         _chern_size("--dims", p.dims)
         tc = chern.total_chern(p)
         rows = [(tc.monomial_str(exp) or "1", c) for exp, c in tc.sorted_terms()]
@@ -164,9 +158,13 @@ def cmd_chern(args, out):
     return 0
 
 
+# the most terms c(M) may have, prod_i (n_i + 1) for M = CP^n1 x ... x CP^nr:
+# chern system --dim 12, 2^12 terms, takes ~6 s
+MAX_TERMS = 2 ** 12
+
+
 def _chern_size(flag, dims):
-    """c(M) has prod (n_i + 1) terms; more than chern.MAX_TERMS is a usage error."""
-    from .chern import MAX_TERMS
+    """c(M) has prod (n_i + 1) terms; more than MAX_TERMS is a usage error."""
     if (terms := prod(n + 1 for n in dims)) > MAX_TERMS:
         raise UsageError(f"{flag}: c(M) would have {terms} terms, above the cap of {MAX_TERMS}")
 
@@ -187,16 +185,12 @@ def cmd_adams(args, out):
     from . import adams
     if args.action in ("psi-dk", "spherical"):
         from . import cannibal
-    if args.action in ("beta", "beta-table"):
-        _at_most("--k", args.k, adams.MAX_BETA_K, args.action)
     if args.action == "beta":
-        _at_most("--i", args.i, adams.MAX_BETA_INDEX, "beta")
         elt = adams.psi_inv_beta(args.k, args.i)
         if args.mod2:
             elt = elt.mod2()
         _emit([(f"psi^(1/{args.k}) beta_{args.i}", elt)], ["operation", "value"], args.format, out)
     elif args.action == "beta-table":
-        _at_most("--imax", args.imax, adams.MAX_BETA_TABLE, "beta-table")
         rows = []
         for i in range(1, args.imax + 1):
             elt = adams.psi_inv_beta(args.k, i)
@@ -205,14 +199,12 @@ def cmd_adams(args, out):
             rows.append((f"beta_{i}", elt))
         _emit(rows, ["generator", "image"], args.format, out)
     elif args.action == "nki":
-        _at_most("--k", args.k, adams.MAX_NKI_K, "nki")
         _nki_reaches(args.nki, args.k, f"got --k {args.k}")
         table = adams.nki_coeffs(args.k, args.nki)
         rows = [(f"n_{args.k}^{i}", c) for i, c in sorted(table.items())]
         _emit(rows, ["coefficient", "value"], args.format, out)
     elif args.action == "relations":
         # a relation sits at x^a y^b z^c with a, b, c >= 1 and a != c; the first is x^2*y*z
-        _at_most("--degree", args.degree, adams.MAX_RELATIONS_DEGREE, "relations")
         rows = []
         for (a, b, c), poly in adams.gen_2structure_relations(args.degree).items():
             rows.append((f"x^{a}*y^{b}*z^{c}", poly, poly.set_u().content_normalize()))
@@ -248,11 +240,17 @@ def _nki_reaches(nki, k, context):
         raise UsageError(f"--nki paper covers k <= {max(NKI_PAPER)}, {context}")
 
 
+# the largest halved weight W the CLI builds a reducer for: at W = 29,
+# spherical --max-weight 58 --level thom takes ~17 s and ~410 MB, and at
+# W = 30 its --max-weight 60 takes ~24 s and ~600 MB, growing ~1.5x per weight
+MAX_WEIGHT = 29
+
+
 def _reducer(W, nki, flag):
     """The d_k reducer through halved weight W, which needs n_k^i for every
     k <= W; psi on the d_k reads that --nki choice from it.  A W above
-    adams.MAX_WEIGHT, which ``flag`` sets, is refused before anything is built."""
-    from .adams import MAX_WEIGHT, DReducer
+    MAX_WEIGHT, which ``flag`` sets, is refused before anything is built."""
+    from .adams import DReducer
     if W > MAX_WEIGHT:
         raise UsageError(f"{flag}: the reducer through weight {W} is above the cap of {MAX_WEIGHT}")
     _nki_reaches(nki, W, f"but this command needs the reducer through weight {W}")
@@ -262,19 +260,15 @@ def _reducer(W, nki, flag):
 def cmd_cannibal(args, out):
     from . import cannibal
     if args.action == "table":
-        _at_most("--bound", args.bound, cannibal.MAX_TABLE_BOUND, "table")
         tab = cannibal.theta3_direct(args.bound)
         rows = []
         for m in range(args.bound + 1):
             rows.append((m, *[tab[m, n] for n in range(args.bound + 1)]))
         _emit(rows, ["m\\n", *range(args.bound + 1)], args.format, out)
     elif args.action == "closed":
-        _at_most("--m", args.m, cannibal.MAX_CLOSED_INDEX, "closed")
-        _at_most("--n", args.n, cannibal.MAX_CLOSED_INDEX, "closed")
         _emit([(args.m, args.n, cannibal.theta3_closed(args.m, args.n))],
               ["m", "n", "c_mn"], args.format, out)
     elif args.action == "tseq":
-        _at_most("--n", args.n, cannibal.MAX_TSEQ_N, "tseq")
         ts = cannibal.ThetaGenSeq(args.n)
         rows = [(k, ts[k], cannibal.theta_gen_closed(k)) for k in range(args.n + 1)]
         _emit(rows, ["k", "recurrence", "closed_form"], args.format, out)
@@ -283,16 +277,11 @@ def cmd_cannibal(args, out):
 
 def cmd_mahler(args, out):
     from . import mahler
-    if args.action != "vs-adams" and args.padic is None:  # the integer --k of dilate and matrix
-        _at_least("--k", args.k, -mahler.MAX_DILATION_K)
-        _at_most("--k", args.k, mahler.MAX_DILATION_K, args.action)
     if args.action == "dilate":
         # --padic replaces the integer --k, and only it reads --precision
         unread, when = ("--k", "with") if args.padic is not None else ("--precision", "without")
         if unread in args.given:
             raise UsageError(f"{unread} is not read by dilate {when} --padic")
-        _at_most("--i", args.i, mahler.MAX_DILATE_INDEX, "dilate")
-        _at_most("--precision", args.precision, mahler.MAX_PRECISION, "dilate")
         # C(kT, i) divides by i!, whose 2-adic valuation is i - popcount(i) (Legendre)
         if args.padic is not None and args.precision <= (v := args.i - args.i.bit_count()):
             raise UsageError(f"--precision must be > {v} to divide by {args.i}!, "
@@ -306,12 +295,10 @@ def cmd_mahler(args, out):
             _emit([(f"C({args.k if args.padic is None else args.padic}T,{args.i})", np_)],
                   ["dilation", "expansion"], args.format, out)
     elif args.action == "matrix":
-        _at_most("--imax", args.imax, mahler.MAX_MATRIX_INDEX, "matrix")
         rows_ = mahler.dilation_matrix(args.k, args.imax)
         rows = [(i, *row) for i, row in enumerate(rows_)]
         _emit(rows, ["i\\j", *range(args.imax + 1)], args.format, out)
     elif args.action == "vs-adams":
-        _at_most("--imax", args.imax, mahler.MAX_VS_ADAMS_INDEX, "vs-adams")
         mahler.dilation_vs_adams(args.imax)
         _emit([("sign-conjugation identity", f"verified for i,j <= {args.imax}")],
               ["check", "result"], args.format, out)
@@ -319,8 +306,7 @@ def cmd_mahler(args, out):
 
 
 def cmd_artin_schreier(args, out):
-    from .mahler import MAX_PRECISION, artin_schreier_check
-    _at_most("--precision", args.precision, MAX_PRECISION, "artin-schreier")
+    from .mahler import artin_schreier_check
     with _domain("--u", NotInDomain):
         res = artin_schreier_check(args.u, args.precision)
     rows = [
@@ -364,67 +350,107 @@ def cmd_reproduce(args, out):
 
 
 # command -> (what it computes, its actions, {flag: (the actions that read it,
-# None for all of them; the least value, None for none, or {action: least
-# value}; argparse options with this command's default)}).  The parser takes
-# each flag once, with no default; _scope_action_flags checks what was given
-# against this table and sets the defaults.
-OUT = {"--out": (None, None, dict(metavar="FILE"))}
-FORMAT_OUT = {"--format": (None, None, dict(default="text", choices=["text", "csv", "json"])), **OUT}
+# None for all of them; its least value and its most value, each None for
+# none, a number, or {action: number}; argparse options with this command's
+# default)}).  The parser takes each flag once, with no default;
+# _scope_action_flags checks what was given against this table and sets the
+# defaults.  Beside each most value is what a fresh process, unscaled, takes
+# at it and above it.
+OUT = {"--out": (None, None, None, dict(metavar="FILE"))}
+FORMAT_OUT = {"--format": (None, None, None, dict(default="text", choices=["text", "csv", "json"])), **OUT}
+# --precision of mahler dilate --padic and of artin-schreier: dilate --padic 3
+# --precision 5000 takes ~4.5 s and 10000 ~8.6 s, artin-schreier --precision
+# 10000 ~1.6 s and 20000 ~13 s
+PRECISION = (16, 5000, dict(type=int, default=64))
 COMMANDS = {
     "series": ("inverse-series coefficients", "invert residue", {
         **FORMAT_OUT,
-        "--order": (None, 1, dict(type=int, default=4)),
+        # invert --order 24 takes ~1.6 s, 30 ~11 s and 40 ~160 s (390 MB);
+        # residue --order 16 ~2 s, 18 ~5.6 s and 20 ~17 s
+        "--order": (None, 1, {"invert": 24, "residue": 16}, dict(type=int, default=4)),
     }),
     "fgl": ("formal group law computations", "twist cpn box-diff miscenko", {
         **FORMAT_OUT,
-        "--bound": ("twist", 2, dict(type=int, default=12)),
-        "--mode": ("cpn miscenko", None, dict(default="paper-box", choices=["paper-box", "residue-exact"])),
-        "--nb": ("twist", 0, dict(type=int, default=5)),
-        "--n": ("cpn", 1, dict(type=int, default=4)),
-        "--expr": ("miscenko", None, dict(default="1/4*K3SQ + 12*N")),
+        # capped in cmd_fgl at fgl.MAX_TWIST_BOUND, which bordism reads too
+        "--bound": ("twist", 2, None, dict(type=int, default=12)),
+        "--mode": ("cpn miscenko", None, None,
+                   dict(default="paper-box", choices=["paper-box", "residue-exact"])),
+        "--nb": ("twist", 0, None, dict(type=int, default=5)),
+        # cpn --mode residue-exact --n 30 takes 0.4 s (33 MB), 40 3.2-3.9 s
+        # (166 MB), 44 7.1 s (345 MB) and 50 23 s (935 MB)
+        "--n": ("cpn", 1, 40, dict(type=int, default=4)),
+        "--expr": ("miscenko", None, None, dict(default="1/4*K3SQ + 12*N")),
     }),
     "chern": ("Chern classes and the SU constraint system", "total system reduce nullspace todd", {
         **FORMAT_OUT,
-        "--dims": ("total", None, dict(default="1,3")),
-        "--dim": ("system reduce nullspace", 1, dict(type=int, default=4)),
-        "--inputs": ("todd", None, dict(default="625,50,250,100,5")),
+        "--dims": ("total", None, None, dict(default="1,3")),
+        "--dim": ("system reduce nullspace", 1, None, dict(type=int, default=4)),  # capped by MAX_TERMS
+        "--inputs": ("todd", None, None, dict(default="625,50,250,100,5")),
     }),
     "adams": ("Adams operations on K-homology", "beta beta-table nki relations psi-dk spherical", {
         **FORMAT_OUT,
-        "--nki": ("nki psi-dk spherical", None,
+        "--nki": ("nki psi-dk spherical", None, None,
                   dict(default="auto", choices=["paper", "extended-gcd", "auto"])),
-        # n_k^i and psi on d_k start at k = 2
+        # n_k^i and psi on d_k start at k = 2.  At the index caps, beta --i 500
+        # takes ~5.4 s at --k 10 and ~10 s at 100, beta-table --imax 200
+        # ~8.5-11 s at 10, ~15 s at 100 and more than 40 s at 10^5.  For a
+        # prime power k the gcd of the C(k, i) never reaches 1, so nki's
+        # extended-gcd runs over every i < k, and at powers of 2 its Bezout
+        # coefficients grow fastest: 0.45-0.5 s at 4093 (prime) and 4096, whose
+        # largest n_k^i has 3847 digits, the most of any k <= 4096; 1.5 s at
+        # 6561 = 3^8 and 2.6 s at 8191 (prime); at 8192 the coefficients pass
+        # the 4300 digits Python prints, and 16384 takes ~20 s.  psi-dk is
+        # capped by MAX_WEIGHT
         "--k": ("beta beta-table nki psi-dk", {"beta": 1, "beta-table": 1, "nki": 2, "psi-dk": 2},
-                dict(type=int, default=3)),
-        "--i": ("beta", 0, dict(type=int, default=3)),
-        "--imax": ("beta-table", 1, dict(type=int, default=10)),
-        "--mod2": ("beta beta-table", None, dict(action="store_true", default=False)),
-        "--degree": ("relations", 4, dict(type=int, default=7)),
-        "--level": ("psi-dk spherical", None, dict(default="base", choices=["base", "thom"])),
-        "--max-weight": ("spherical", 2, dict(type=int, default=20)),
+                {"beta": 10, "beta-table": 10, "nki": 4096}, dict(type=int, default=3)),
+        # at --k 3, beta --i 500 takes ~2.2 s and --i 600 ~4.5 s, beta-table
+        # --imax 200 ~3.5 s and --imax 250 ~10 s, both cubic in the index
+        "--i": ("beta", 0, 500, dict(type=int, default=3)),
+        "--imax": ("beta-table", 1, 200, dict(type=int, default=10)),
+        "--mod2": ("beta beta-table", None, None, dict(action="store_true", default=False)),
+        # 2.0 s (94 MB) at 24, 4.4-5.8 s (205 MB) at 28, 10.5-11.4 s (359 MB)
+        # at 32 and 38 s (1.3 GB) at 40
+        "--degree": ("relations", 4, 28, dict(type=int, default=7)),
+        "--level": ("psi-dk spherical", None, None, dict(default="base", choices=["base", "thom"])),
+        "--max-weight": ("spherical", 2, None, dict(type=int, default=20)),  # capped by MAX_WEIGHT
     }),
     "cannibal": ("cannibalistic class tables", "table closed tseq", {
         **FORMAT_OUT,
-        "--bound": ("table", 2, dict(type=int, default=12)),
-        "--m": ("closed", 0, dict(type=int, default=2)),
-        "--n": ("closed tseq", 0, dict(type=int, default=2)),
+        # table prints (bound + 1)^2 cells; stdout to /dev/null, --bound 300
+        # takes ~0.5 s and ~47 MB, 600 ~2.4 s and ~209 MB, 700 ~4-5 s and
+        # ~260-315 MB in any --format, memory growing ~4.5x per doubling
+        "--bound": ("table", 2, 700, dict(type=int, default=12)),
+        # closed: c_mn has denominator up to 3^((m + n) // 2), whose 4300
+        # digits at m = n = 9012 are the most Python prints by default; it
+        # takes ~0.1 s at any size.  tseq's output grows as n^2 (t_k has about
+        # k/4 digits); stdout to a pipe, --n 4000 takes ~0.2 s, ~30 MB and
+        # prints 5.5 MB, 9000 ~0.7 s, ~90 MB and 27.5 MB; --n 18023, the most
+        # whose t_k Python prints by default, ~4.5 s, ~310 MB and 110 MB
+        "--m": ("closed", 0, 9012, dict(type=int, default=2)),
+        "--n": ("closed tseq", 0, {"closed": 9012, "tseq": 4000}, dict(type=int, default=2)),
     }),
     "mahler": ("binomial-basis dilation", "dilate matrix vs-adams", {
         **FORMAT_OUT,
-        "--precision": ("dilate", 16, dict(type=int, default=64)),
-        "--k": ("dilate matrix", None, dict(type=int, default=3)),
-        "--i": ("dilate", 0, dict(type=int, default=4)),
-        "--imax": ("matrix vs-adams", 0, dict(type=int, default=6)),
-        "--padic": ("dilate", None, dict(type=int)),
+        "--precision": ("dilate", *PRECISION),
+        # the integer --k, which --padic replaces: at the index caps dilate
+        # --k 10000 takes ~3 s and matrix ~4.5 s, while at --k 10^6 dilate's
+        # x^1000 coefficient has more than the 4300 digits Python prints
+        "--k": ("dilate matrix", -10000, 10000, dict(type=int, default=3)),
+        # at --k 3, dilate --i 1000 takes ~1.8 s and --i 2000 ~7.7 s, matrix
+        # --imax 200 ~3.9 s (3 MB of output) and --imax 300 ~13 s, vs-adams
+        # --imax 100 ~1.5 s and --imax 200 ~17 s
+        "--i": ("dilate", 0, 1000, dict(type=int, default=4)),
+        "--imax": ("matrix vs-adams", 0, {"matrix": 200, "vs-adams": 100}, dict(type=int, default=6)),
+        "--padic": ("dilate", None, None, dict(type=int)),
     }),
     "artin-schreier": ("2-adic Artin-Schreier verification", "", {
         **FORMAT_OUT,
-        "--precision": (None, 16, dict(type=int, default=64)),
-        "--u": (None, None, dict(type=int, default=17)),
+        "--precision": (None, *PRECISION),
+        "--u": (None, None, None, dict(type=int, default=17)),
     }),
     "reproduce-paper": ("recompute and diff all golden tables", "", {
         **OUT,
-        "--verbose": (None, None, dict(action="store_true", default=False)),
+        "--verbose": (None, None, None, dict(action="store_true", default=False)),
     }),
 }
 
@@ -434,6 +460,17 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+
+def _range_help(word, bound):
+    """A least or most value as help prints it: nothing for None, else
+    ``word N``, with ``for ACTIONS`` once per value of an {action: N}."""
+    if not isinstance(bound, dict):
+        return [] if bound is None else [f"{word} {bound}"]
+    by_value = {}
+    for action, n in bound.items():
+        by_value.setdefault(n, []).append(action)
+    return [f"{word} {n} for {' '.join(actions)}" for n, actions in by_value.items()]
 
 
 def build_parser():
@@ -449,10 +486,9 @@ def build_parser():
     p.add_argument("action", nargs="?", metavar="ACTION")
     flags = {}  # flag -> (its options, {what some commands' actions read of it: those commands})
     for command, (_, _, own) in COMMANDS.items():
-        for flag, (readers, low, opts) in own.items():
-            what = f"{readers or 'all'}, default {opts.get('default')}"
-            if low is not None:
-                what += f", at least {low}"
+        for flag, (readers, low, high, opts) in own.items():
+            what = ", ".join([readers or "all", f"default {opts.get('default')}",
+                              *_range_help("at least", low), *_range_help("at most", high)])
             flags.setdefault(flag, (opts, {}))[1].setdefault(what, []).append(command)
     for flag, (opts, reads) in flags.items():
         p.add_argument(flag, **{**opts, "default": None},
@@ -463,8 +499,8 @@ def build_parser():
 def _scope_action_flags(args):
     """The one check of a parsed command line against COMMANDS: the action
     is one of the command's, each given flag is read by the command and
-    action and is at least its least value, and each flag of the command
-    that was not given gets the command's default.  The given flags are
+    action and lies between its least and most values, and each flag of the
+    command that was not given gets the command's default.  The given flags are
     recorded in ``args.given``; any other case is a usage error that names
     the action or the flag."""
     _, actions, own = COMMANDS[args.command]
@@ -477,19 +513,22 @@ def _scope_action_flags(args):
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
             if flag in own:
-                setattr(args, dest, own[flag][2].get("default"))
+                setattr(args, dest, own[flag][3].get("default"))
             continue
         args.given.add(flag)
         if flag not in own:
             raise UsageError(f"{flag} is not read by {args.command}")
-        readers, low, _ = own[flag]
+        readers, low, high, _ = own[flag]
         if readers and args.action not in readers.split():
             *rest, last = readers.split()
             names = f"{', '.join(rest)} and {last}" if rest else last
             raise UsageError(f"{flag} is read by {names} only, not by {args.action}")
-        low = low.get(args.action) if isinstance(low, dict) else low
-        if low is not None:
-            _at_least(flag, getattr(args, dest), low)
+        value = getattr(args, dest)
+        low, high = (b.get(args.action) if isinstance(b, dict) else b for b in (low, high))
+        if low is not None and value < low:
+            raise UsageError(f"{flag} must be >= {low}, got {value}")
+        if high is not None:
+            _at_most(flag, value, high, args.action or args.command)
 
 
 DISPATCH = {

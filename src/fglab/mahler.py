@@ -21,23 +21,6 @@ from .errors import MismatchAt, NotAUnit, NotInDomain, PrecisionTooLow
 from .series import format_sum, val2
 
 
-# the largest --i of `mahler dilate` and --imax of `mahler matrix` and
-# `mahler vs-adams`; fresh process at --k 3, unscaled: dilate --i 1000 takes
-# ~1.8 s and --i 2000 ~7.7 s, matrix --imax 200 ~3.9 s (3 MB of output) and
-# --imax 300 ~13 s, vs-adams --imax 100 ~1.5 s and --imax 200 ~17 s
-MAX_DILATE_INDEX = 1000
-MAX_MATRIX_INDEX = 200
-MAX_VS_ADAMS_INDEX = 100
-# the largest |--k| of `mahler dilate` and `mahler matrix`, and the largest
-# --precision of `mahler dilate --padic` and `artin-schreier`; fresh process
-# at the index caps, unscaled: dilate --k 10000 takes ~3 s and matrix ~4.5 s,
-# while at --k 10^6 dilate's x^1000 coefficient has more than the 4300
-# digits Python prints (exit 1); dilate --padic 3 --precision 5000 ~4.5 s and
-# 10000 ~8.6 s, artin-schreier --precision 10000 ~1.6 s and 20000 ~13 s
-MAX_DILATION_K = 10000
-MAX_PRECISION = 5000
-
-
 class Padic2:
     """Truncated 2-adic integer: a residue known modulo 2**precision.
 

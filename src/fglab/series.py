@@ -34,13 +34,6 @@ from .errors import (
 )
 
 
-# the largest --order of `series invert` and `series residue`; fresh process,
-# unscaled: invert --order 24 takes ~1.6 s, 30 ~11 s and 40 ~160 s (390 MB);
-# residue --order 16 ~2 s, 18 ~5.6 s and 20 ~17 s
-MAX_INVERT_ORDER = 24
-MAX_RESIDUE_ORDER = 16
-
-
 # -- the monomial code and the product kernel ----------------------------------
 #
 # Every sparse product in fglab runs on dicts {code: value}: a monomial's code

@@ -706,3 +706,20 @@ def psi_on_dk_by_apoly(k_gen, reducer, k_adams=3):
     for i, c in reducer.nki(k_gen).items():
         expr = expr + psi_tensor_apoly(i, k_gen - i, k_adams).scale(c)
     return reducer.reduce(expr)
+
+
+def bounded_flags():
+    """(command, action, flag, least, most) for each flag of cli.COMMANDS that
+    has a least or a most value at that action, with {action: value} read at
+    it; the action is None for a command that takes none."""
+    from fglab.cli import COMMANDS
+    out = []
+    for command, (_, actions, flags) in COMMANDS.items():
+        for action in actions.split() or [None]:
+            for flag, (readers, low, high, _) in flags.items():
+                if readers and action not in readers.split():
+                    continue
+                low, high = (b.get(action) if isinstance(b, dict) else b for b in (low, high))
+                if (low, high) != (None, None):
+                    out.append((command, action, flag, low, high))
+    return out

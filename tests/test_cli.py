@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,12 +15,19 @@ import fglab
 from fglab import cli
 from fglab.cli import main
 from fglab.errors import NotInDomain
+from helpers import bounded_flags
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def most(command, action, flag):
+    """The most value of ``flag`` at ``command action`` in cli.COMMANDS."""
+    high = cli.COMMANDS[command][2][flag][2]
+    return high.get(action) if isinstance(high, dict) else high
 
 
 def test_adams_beta_example(capsys):
@@ -171,6 +179,10 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("adams",), "action"),
     (("adams", "bogus"), "action"),
     (("reproduce-paper", "extra"), "action"),
+    (("fgl", "miscenko", "--expr", "CP0"), "--expr"),
+    (("fgl", "miscenko", "--expr", "0"), "--expr"),
+    (("chern", "total", "--dims", "0"), "--dims"),
+    (("chern", "total", "--dims", "1,-2"), "--dims"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
@@ -203,7 +215,7 @@ def test_miscenko_rejects_a_paper_box_factor_before_the_twist(capsys, monkeypatc
 ])
 def test_chern_refuses_more_terms_than_the_cap(capsys, monkeypatch, argv, flag, terms):
     """c(M) has prod (n_i + 1) terms, 2^d at CP^1 x ... x CP^1 for --dim d;
-    above chern.MAX_TERMS the command is refused from that count alone,
+    above cli.MAX_TERMS the command is refused from that count alone,
     before any expansion or basis is built."""
     def unbuilt(*args):
         raise AssertionError("built")
@@ -219,8 +231,7 @@ def test_chern_refuses_more_terms_than_the_cap(capsys, monkeypatch, argv, flag, 
 def test_chern_cap_admits_the_largest_inputs_it_allows(capsys):
     """2^12 terms, the cap: CP^63 x CP^63, and CP^1^12, where --dim 12 has
     its largest c(M)."""
-    from fglab import chern
-    assert chern.MAX_TERMS == 2 ** 12
+    assert cli.MAX_TERMS == 2 ** 12
     for dims in ("63,63", ",".join(["1"] * 12)):
         code, out, err = run(capsys, "chern", "total", "--dims", dims)
         assert (code, err) == (0, "")
@@ -233,7 +244,7 @@ def test_chern_cap_admits_the_largest_inputs_it_allows(capsys):
 def test_adams_refuses_reducers_above_the_weight_cap(capsys, monkeypatch, level, action, flag,
                                                      per_weight):
     """psi-dk --k k builds the reducer through halved weight k, spherical
-    --max-weight w through w // 2; above adams.MAX_WEIGHT the command is
+    --max-weight w through w // 2; above cli.MAX_WEIGHT the command is
     refused with the flag's name before the reducer is built, and at the cap
     it goes on to build it."""
     def unbuilt(*args, **kwargs):
@@ -241,7 +252,7 @@ def test_adams_refuses_reducers_above_the_weight_cap(capsys, monkeypatch, level,
 
     from fglab import adams
     monkeypatch.setattr(adams, "DReducer", unbuilt)
-    cap = adams.MAX_WEIGHT
+    cap = cli.MAX_WEIGHT
     assert cap == 29
     code, out, err = run(capsys, "adams", action, flag, str(per_weight * (cap + 1)), "--level", level)
     assert (code, out) == (2, "")
@@ -307,7 +318,7 @@ def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, f
 
 
 def test_cannibal_table_refuses_bounds_above_the_cap(capsys, monkeypatch):
-    """cannibal table takes --bound up to cannibal.MAX_TABLE_BOUND; the first
+    """cannibal table takes --bound up to its most value in cli.COMMANDS; the first
     bound above it is refused with the flag's name before the table is
     built, and the bound at the cap goes on to build."""
     def unbuilt(*args):
@@ -315,7 +326,7 @@ def test_cannibal_table_refuses_bounds_above_the_cap(capsys, monkeypatch):
 
     from fglab import cannibal
     monkeypatch.setattr(cannibal, "theta3_direct", unbuilt)
-    cap = cannibal.MAX_TABLE_BOUND
+    cap = most("cannibal", "table", "--bound")
     assert cap == 700
     code, out, err = run(capsys, "cannibal", "table", "--bound", str(cap + 1))
     assert (code, out) == (2, "")
@@ -332,10 +343,11 @@ def test_cannibal_table_refuses_bounds_above_the_cap(capsys, monkeypatch):
 def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypatch, argv, flag, cap):
     """c_mn has denominator 3^((m + n) // 2), whose 4300 digits at m = n = 9012
     are the most Python prints by default, and tseq prints n + 1 rows of
-    growing t_k.  At its cap a flag prints; the first value above it is
+    growing t_k.  At its cap, its most value in cli.COMMANDS (``cap`` names
+    the constant it was), a flag prints; the first value above it is
     refused with the flag's name before anything is computed."""
     from fglab import cannibal
-    value = getattr(cannibal, cap)
+    value = most(*argv[:2], flag)
     assert value == {"MAX_CLOSED_INDEX": 9012, "MAX_TSEQ_N": 4000}[cap]
     code, out, err = run(capsys, *argv, str(value))
     assert (code, err) == (0, "")
@@ -375,10 +387,12 @@ def test_cannibal_closed_and_tseq_refuse_sizes_above_their_caps(capsys, monkeypa
 ])
 def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, flag, module, cap,
                                                    value, computes):
-    """Each index or order flag has a module constant as its cap: at the cap
-    the command goes on to compute, and the first value above it is refused
-    with the flag's name before anything is computed.  The computation is
-    replaced by a stub, so the at-cap run costs nothing."""
+    """Each index or order flag has its cap as its most value in
+    cli.COMMANDS (``cap`` is the name it had as a constant of ``module``,
+    kept as a label of the case): at the cap the command goes on to compute,
+    and the first value above it is refused with the flag's name before
+    anything is computed.  The computation is replaced by a stub, so the
+    at-cap run costs nothing."""
     import importlib
     from fglab import fgl
 
@@ -386,7 +400,7 @@ def test_size_flags_refuse_values_above_their_caps(capsys, monkeypatch, argv, fl
         raise AssertionError("built")
 
     mod = importlib.import_module(f"fglab.{module}")
-    assert getattr(mod, cap) == value
+    assert most(*argv[:2], flag) == value, cap
     for name in computes:
         monkeypatch.setattr(mod, name, unbuilt)
     monkeypatch.setattr(fgl, "generic_strict_series", unbuilt)  # the series actions' first step
@@ -418,10 +432,12 @@ def test_dilate_padic_precision_must_exceed_v2_of_i_factorial(capsys, monkeypatc
 
 
 def test_precision_and_dilation_k_caps(capsys, monkeypatch):
-    """artin-schreier shares mahler.MAX_PRECISION with mahler dilate --padic,
-    and the integer --k of mahler dilate and matrix is refused below
-    -MAX_DILATION_K as well as above it, before anything is computed."""
+    """artin-schreier shares its --precision range with mahler dilate --padic,
+    and the integer --k of mahler dilate and matrix is refused below -10000
+    as well as above 10000, before anything is computed."""
     from fglab import mahler
+    assert cli.COMMANDS["artin-schreier"][2]["--precision"][1:3] == (16, 5000)
+    assert cli.COMMANDS["mahler"][2]["--precision"][1:3] == (16, 5000)
 
     def unbuilt(*args):
         raise AssertionError("built")
@@ -437,6 +453,36 @@ def test_precision_and_dilation_k_caps(capsys, monkeypatch):
         assert (code, out, err) == (2, "", "usage error: --k must be >= -10000, got -10001\n")
         code, out, err = run(capsys, "mahler", action, "--k", "-10000")
         assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
+
+
+BOUNDED = bounded_flags()
+
+
+@pytest.mark.parametrize("command, action, flag, low, high", BOUNDED,
+                         ids=[" ".join(filter(None, case[:3])) for case in BOUNDED])
+def test_every_bounded_flag_is_checked_at_both_ends_before_its_handler(capsys, monkeypatch, command,
+                                                                      action, flag, low, high):
+    """Generated from cli.COMMANDS: for each command, action and flag with a
+    least or most value, one below the least and one above the most exit 2
+    with the flag's name and no output, and the least and most themselves
+    pass the range check.  The command's handler is a stub, so every
+    refusal comes before any handler runs."""
+    def unbuilt(args, out):
+        raise AssertionError("built")
+
+    monkeypatch.setitem(cli.DISPATCH, command, unbuilt)
+    argv = (command, action) if action else (command,)
+    if low is not None:
+        code, out, err = run(capsys, *argv, flag, str(low - 1))
+        assert (code, out, err) == (2, "", f"usage error: {flag} must be >= {low}, got {low - 1}\n")
+    if high is not None:
+        code, out, err = run(capsys, *argv, flag, str(high + 1))
+        assert (code, out, err) == (2, "", f"usage error: {flag}: {high + 1} is above the "
+                                           f"{action or command} cap of {high}\n")
+    for value in (low, high):
+        if value is not None:
+            code, out, err = run(capsys, *argv, flag, str(value))
+            assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
 @pytest.mark.parametrize("expr, dim", [("CP1^999999999999", 999999999999),
@@ -517,20 +563,35 @@ def test_flags_may_come_before_the_action(capsys, argv):
 
 
 def test_help_names_every_command_action_and_flag(capsys):
+    """--help names every command, action and flag, and each least and most
+    value of a flag beside it."""
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     words = set(out.replace("|", " ").replace(",", " ").replace(":", " ").split())
     for command, (_, actions, flags) in cli.COMMANDS.items():
         assert {command, *actions.split(), *flags} <= words, command
+    reads = {}  # (flag, command) -> what help says the command reads of the flag
+    for part in re.split(r" (?=--[a-z])", " ".join(out.split()).replace("- ", "-")):
+        flag, _, text = part.partition(" ")
+        for piece in text.split("; "):
+            commands, _, what = piece.partition(": ")
+            reads.update(((flag, command), what) for command in commands.split())
+    for command, action, flag, low, high in BOUNDED:
+        for word, value in (("at least", low), ("at most", high)):
+            if value is not None:
+                # a value kept by action names it: "at most 4096 for nki"
+                named = rf" for [\w -]*?(?<![\w-]){action}(?![\w-])"
+                assert re.search(rf"{word} {value}(,|$|{named})", reads[flag, command]), \
+                    (command, action, flag, word)
 
 
 def test_each_flag_has_one_type_choices_and_action():
     """The parser holds each flag once, so every command that reads a flag
     gives it the same type, choices and argparse action; only the default
-    and the least value are the command's own."""
+    and the least and most values are the command's own."""
     parsed = {a.option_strings[0]: a for a in cli.build_parser()._actions if a.option_strings}
     for _, _, flags in cli.COMMANDS.values():
-        for flag, (_, _, opts) in flags.items():
+        for flag, (*_, opts) in flags.items():
             action = parsed[flag]
             assert (opts.get("type"), opts.get("choices")) == (action.type, action.choices), flag
             assert (opts.get("action") == "store_true") == (action.nargs == 0), flag
@@ -544,7 +605,7 @@ def test_bordism_expr_outside_the_grammar_is_usage_error(capsys, expr):
     code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr)
     assert code == 2
     assert out == ""
-    assert err.startswith("usage error") and "Traceback" not in err
+    assert err.startswith("usage error: --expr: ") and "Traceback" not in err
 
 
 def test_mahler_negative_k(capsys):
@@ -799,13 +860,18 @@ ENGINE = BASE | {"series"}
     ((), 0, BASE),
     (("adams", "psi-dk", "--k", "5"), 0, ENGINE | {"adams", "cannibal"}),
     (("adams", "beta"), 0, ENGINE | {"adams"}),
+    (("chern", "total"), 0, ENGINE | {"chern"}),
+    (("chern", "system"), 0, ENGINE | {"chern"}),
+    (("chern", "reduce"), 0, ENGINE | {"chern"}),
+    (("chern", "todd"), 0, ENGINE | {"chern"}),
+    (("chern", "nullspace"), 0, ENGINE | {"chern", "linalg"}),
 ])
 def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     """A fresh interpreter running one command imports only the fglab
     modules that command calls, golden_data only for reproduce-paper, and
     never dataclasses: neither mahler nor bordism for fgl twist, no linalg
-    for an adams action that eliminates nothing, and no series engine for a
-    bare import of the CLI."""
+    for an adams or chern action that eliminates nothing, and no series
+    engine for a bare import of the CLI."""
     env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
