@@ -164,21 +164,9 @@ class _Poly:
 
     __slots__ = ("terms",)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, 0) + c
-        return type(self)(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
     def scale(self, c):
         c = c if type(c) is Fraction else Fraction(c)
         return type(self)({m: c * v for m, v in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         return isinstance(other, type(self)) and self.terms == other.terms
@@ -202,20 +190,6 @@ class APoly(_Poly):
     def __init__(self, terms=None):
         self.terms = {m: c if type(c) is Fraction else Fraction(c)
                       for m, c in (terms or {}).items() if c}
-
-    @classmethod
-    def zero(cls):
-        return cls({})
-
-    @classmethod
-    def gen(cls, i, j, coeff=1):
-        """c * a_{ij}; returns a constant for (0,0), zero for (0,i)."""
-        if i == 0 and j == 0:
-            return cls({(0, ()): Fraction(coeff)})
-        if i == 0 or j == 0:
-            return cls.zero()
-        key = (min(i, j), max(i, j))
-        return cls({(0, ((key, 1),)): Fraction(coeff)})
 
     def set_u(self):
         """Specialize u to 1, as the printed forms and the reducer do; the
@@ -266,12 +240,6 @@ class DPoly(_Poly):
                 clean[m] = c if s is None else s + c
         self.terms = {m: c for m, c in clean.items() if c}
 
-    def __mul__(self, other):
-        """One ``_product`` in the codes of the product's weight."""
-        W = sum(max(map(sum, t), default=0) for t in (self.terms, other.terms))
-        place = code_places(W)
-        return _dpoly(_product(_pair(self, place), _pair(other, place)), W)
-
     def mod2(self):
         out = {}
         for m, c in self.terms.items():
@@ -300,10 +268,11 @@ class DPoly(_Poly):
 def dk_as_apoly(k: int, nki: dict) -> APoly:
     """d_k = sum_i n_k^i a_{i,k-i} for the rows ``nki`` = {i: n_k^i}, which
     callers take from their reducer (``DReducer.nki(k)``)."""
-    out = APoly.zero()
+    out = {}
     for i, c in nki.items():
-        out = out + APoly.gen(i, k - i, c)
-    return out
+        key = (0, (((min(i, k - i), max(i, k - i)), 1),))
+        out[key] = out.get(key, 0) + c
+    return APoly(out)
 
 
 # -- 2-structure relations ------------------------------------------------------
@@ -391,12 +360,6 @@ def monomial_codes(W: int) -> dict:
     tuple keyed by its code, 0 for the empty one; cached, so no caller may change it."""
     place = code_places(W)
     return {sum(place[k] for k in m): m for m in dmonomials_upto(W)}
-
-
-def _pair(p: DPoly, place) -> tuple:
-    """A DPoly as a pair (see ``_product``) on the codes ``place`` gives its indices."""
-    nums, den = lift(p.terms.values())
-    return {sum(place[k] for k in m): n for m, n in zip(p.terms, nums)}, den
 
 
 def _dpoly(pair, W) -> DPoly:

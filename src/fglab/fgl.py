@@ -28,26 +28,11 @@ MAX_TWIST_BOUND = 24
 
 class FGL:
     """A formal group law F(x, y) kept as its parts {(i, j): [x^i y^j] F}, each
-    a series in ``zero``'s ambient with x and y at 0; F itself is assembled
-    only when ``law`` is read."""
+    a series in ``zero``'s ambient with x and y at 0."""
 
     def __init__(self, zero: MultiSeries, parts: dict):
         self.zero = zero
         self._parts = parts
-        self._law = None
-
-    @property
-    def law(self) -> MultiSeries:
-        if self._law is None:
-            ix, iy = self.zero._var_index(X), self.zero._var_index(Y)
-            terms = {}
-            for (i, j), part in self._parts.items():
-                for exp, c in part.terms.items():
-                    exp = list(exp)
-                    exp[ix], exp[iy] = i, j
-                    terms[tuple(exp)] = c
-            self._law = self.zero._bare(terms)
-        return self._law
 
     def coeff_table(self):
         """a_ij from F = x + y + sum_{i,j>=1} a_ij x^i y^j, as {(i, j): series}."""
@@ -64,14 +49,11 @@ def _require_zero(diff: MultiSeries, axiom: str):
         raise AxiomViolation(axiom, diff.monomial_str(diff.sorted_terms()[0][0]) or "1")
 
 
-def multiplicative_law(bound, vcoeff=None):
-    """F_K(x, y) = x + y + v x y; v defaults to the symbol 'v'."""
+def multiplicative_law(bound):
+    """F_K(x, y) = x + y + v x y over the symbol v."""
     one = Fraction(1)
-    if vcoeff is None:
-        terms = {(1, 0, 0): one, (0, 1, 0): one, (1, 1, 1): one}
-        return MultiSeries((X, Y, "v"), terms, bound, (1, 1, 0))
-    terms = {(1, 0): one, (0, 1): one, (1, 1): vcoeff}
-    return MultiSeries((X, Y), terms, bound)
+    terms = {(1, 0, 0): one, (0, 1, 0): one, (1, 1, 1): one}
+    return MultiSeries((X, Y, "v"), terms, bound, (1, 1, 0))
 
 
 def generic_strict_series(bound, nb):

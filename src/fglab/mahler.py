@@ -178,10 +178,6 @@ class NumPoly:
                 parts.append(f"{c}*{basis}" if i > 0 else f"{c}")
         return format_sum(parts)
 
-    def is_integral(self):
-        return all(isinstance(c, int) or (isinstance(c, Fraction) and c.denominator == 1)
-                   for c in self.coeffs.values())
-
     def to_json_obj(self):
         deg = self.degree()
         return {"coeffs": [str(self.coeffs.get(i, 0)) for i in range(deg + 1)]}

@@ -123,10 +123,6 @@ def val2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-def rat_val2(q: Fraction) -> int:
-    return val2(q.numerator) - val2(q.denominator)
-
-
 def lift(coeffs):
     """(numerators, den): Python ints over one common denominator, the lcm of
     the coefficients'."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd
 
-from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dpoly, _multiplicative, _pair,
+from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dpoly, _multiplicative,
                          _psi_minus_id_mod2, code_places, monomial_codes, psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
@@ -13,7 +13,7 @@ from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable,
 from fglab.fgl import FGL, X, Y, _require_zero
 from fglab.mahler import NumPoly, Padic2, binom, mahler_expand
 from fglab.linalg import GF2Echelon
-from fglab.series import MultiSeries, _addmul, _lincomb, _product, partitions, rat_val2
+from fglab.series import MultiSeries, _addmul, _lincomb, _product, lift, partitions, val2
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -132,6 +132,18 @@ def fgl_of(F):
     return FGL(F._bare({}), F.split((X, Y)))
 
 
+def law_of(fgl: FGL) -> MultiSeries:
+    """The law F(x, y) that an FGL keeps as its parts: the inverse of ``fgl_of``."""
+    ix, iy = fgl.zero._var_index(X), fgl.zero._var_index(Y)
+    terms = {}
+    for (i, j), part in fgl._parts.items():
+        for exp, c in part.terms.items():
+            exp = list(exp)
+            exp[ix], exp[iy] = i, j
+            terms[tuple(exp)] = c
+    return fgl.zero._bare(terms)
+
+
 def fgl_check(F: MultiSeries) -> FGL:
     """Validate the unit, commutativity and associativity axioms up to the bound.
 
@@ -166,8 +178,13 @@ def fgl_check(F: MultiSeries) -> FGL:
     return fgl_of(F)
 
 
+def multiplicative_law_at(bound, v):
+    """x + y + v x y for a number v, in the ambient (x, y)."""
+    return MultiSeries((X, Y), {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(v)}, bound)
+
+
 def additive_law(bound):
-    return MultiSeries((X, Y), {(1, 0): Fraction(1), (0, 1): Fraction(1)}, bound)
+    return multiplicative_law_at(bound, 0)
 
 
 def partial(s, var):
@@ -308,6 +325,26 @@ def matvec(m, v):
     return [sum(Fraction(a) * Fraction(x) for a, x in zip(row, v)) for row in m]
 
 
+def poly_add(p, q):
+    """The sum of two APolys, or of two DPolys."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = out.get(m, 0) + c
+    return type(p)(out)
+
+
+def poly_sub(p, q):
+    """The difference of two APolys, or of two DPolys."""
+    return poly_add(p, q.scale(-1))
+
+
+def agen(i, j, c=1):
+    """c * a_ij as an APoly, with a_00 = 1 and a_0i = a_i0 = 0."""
+    if i == 0 or j == 0:
+        return APoly({(0, ()): c} if i == j else {})
+    return APoly({(0, (((min(i, j), max(i, j)), 1),)): c})
+
+
 def apoly_mul(p, q):
     """The product of two APolys: u exponents add, a-monomials merge."""
     out = {}
@@ -371,7 +408,7 @@ def series_relations(N):
         for mono, v in groups.get(mirror, {}).items():
             diff[mono] = diff.get(mono, 0) - v
         poly = APoly(diff).content_normalize()
-        if poly.is_zero():
+        if not poly.terms:
             continue
         assert a and b and c, f"boundary relation at {key}"
         assert apoly_weights(poly) == {a + b + c}, f"inhomogeneous relation at {key}"
@@ -504,10 +541,23 @@ def composition_failures(red, k: int, l: int, theta_of) -> list:
             != thom_psi_dk(n, theta[k * l], red, k * l)]
 
 
+def _pair(p: DPoly, place) -> tuple:
+    """A DPoly as a pair (see ``series._product``) on the codes ``place`` gives its indices."""
+    nums, den = lift(p.terms.values())
+    return {sum(place[k] for k in m): n for m, n in zip(p.terms, nums)}, den
+
+
+def dpoly_mul(p, q):
+    """The product of two DPolys, one ``_product`` in the codes of the product's weight."""
+    W = sum(max(map(sum, t), default=0) for t in (p.terms, q.terms))
+    place = code_places(W)
+    return _dpoly(_product(_pair(p, place), _pair(q, place)), W)
+
+
 def dpoly_product_by_series(p, q):
     """The product of two DPolys as the series product of their exponent
     vectors over d_0..d_K, K the largest index: the reference for
-    ``DPoly.__mul__``."""
+    ``dpoly_mul``."""
     K = max((m[-1] for m in (*p.terms, *q.terms) if m), default=0)
     s, t = (MultiSeries(range(K + 1), {tuple(map(m.count, range(K + 1))): c for m, c in f.terms.items()})
             for f in (p, q))
@@ -526,11 +576,16 @@ def psi_dpoly_by_monomials(p, psi_table):
             if k not in psi_table:
                 raise InsufficientTable(f"psi table lacks d_{k}")
             acc = dpoly_product_by_series(acc, psi_table[k])
-        out = out + acc.scale(c)
+        out = poly_add(out, acc.scale(c))
     return out
 
 
 # -- 2-adic bootstrap lifting: the greedy reference ------------------------------
+
+
+def rat_val2(q: Fraction) -> int:
+    """2-adic valuation of a nonzero rational."""
+    return val2(q.numerator) - val2(q.denominator)
 
 
 def _psi_dpoly(p: DPoly, psi_table: dict) -> DPoly:
@@ -566,7 +621,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     (default: the table's full range); an unsolvable stage raises
     LiftObstruction with the stage index.
     """
-    if not all(rat_val2(c) >= 1 for c in (_psi_dpoly(z, psi_table) - z).terms.values()):
+    if not all(rat_val2(c) >= 1 for c in poly_sub(_psi_dpoly(z, psi_table), z).terms.values()):
         raise LiftObstruction(0, "(psi - 1)z != 0 mod 2")
     # (psi - 1) on the correction space, mod 2, eliminated once
     W = max(psi_table) if max_weight is None else max_weight // 2
@@ -576,7 +631,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
         ech.add(col, i)
     b = z
     for m_stage in range(1, target_precision):
-        defect = _psi_dpoly(b, psi_table) - b
+        defect = poly_sub(_psi_dpoly(b, psi_table), b)
         # defect = 2^m_stage * (unit part); need correction with
         # (psi-1)c = -defect/2^m_stage  mod 2
         resid = []
@@ -591,7 +646,7 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
         rest, combo = ech.reduce(sum(bit.get(m, 0) for m in resid))
         if rest or any(m not in bit for m in resid):
             raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
-        b = b + DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1})
+        b = poly_add(b, DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1}))
     return b
 
 
@@ -702,9 +757,9 @@ def psi_on_dk_by_apoly(k_gen, reducer, k_adams=3):
     """The base-level psi^(k^-1) d_k as the APoly sum over n_k^i of
     psi f_*(beta_i (x) beta_{k-i}), reduced: the reference for
     ``cannibal.thom_psi_dk`` at the unit class."""
-    expr = APoly.zero()
+    expr = APoly()
     for i, c in reducer.nki(k_gen).items():
-        expr = expr + psi_tensor_apoly(i, k_gen - i, k_adams).scale(c)
+        expr = poly_add(expr, psi_tensor_apoly(i, k_gen - i, k_adams).scale(c))
     return reducer.reduce(expr)
 
 

@@ -24,8 +24,8 @@ from fglab.mahler import (Padic2, artin_schreier_check, dilate, dilation_matrix,
                           padic_log)
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import (RANDOM_SEED, coeff_of, compose, exp_series, fgl_check, fgl_from_genus, in_span,
-                     matvec, theta3_bilinear)
+from helpers import (RANDOM_SEED, coeff_of, compose, dpoly_mul, exp_series, fgl_check, fgl_from_genus,
+                     in_span, law_of, matvec, theta3_bilinear)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -93,7 +93,7 @@ def test_criterion_3_twisted_law(twisted):
     for i in range(1, 5):
         terms[(i + 1, 0)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     g = MultiSeries(("t", "v"), terms, 12, (1, 0))
-    fgl_check(fgl_twist(multiplicative_law(12), g).law)
+    fgl_check(law_of(fgl_twist(multiplicative_law(12), g)))
     ok(3, "twisted-law images exact (a32 modulo documented misprints); axioms pass to bound 12")
 
 
@@ -300,7 +300,7 @@ def test_criterion_14_property_suite():
         for i in range(1, 5):
             terms[(i + 1, 0)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         g = MultiSeries(("t", "v"), terms, 8, (1, 0))
-        fgl_check(fgl_twist(multiplicative_law(8), g).law)
+        fgl_check(law_of(fgl_twist(multiplicative_law(8), g)))
     # inversion round-trips
     for _ in range(20):
         terms = {(1,): Fraction(1)}
@@ -314,7 +314,7 @@ def test_criterion_14_property_suite():
         a, b = (DPoly({tuple(rng.choices(range(2, 7), k=rng.randint(0, 3))):
                        Fraction(rng.randint(-9, 9), rng.choice([1, 3, 5, 7])) for _ in range(6)})
                 for _ in range(2))
-        assert (a * b).mod2() == (a.mod2() * b.mod2()).mod2()
+        assert dpoly_mul(a, b).mod2() == dpoly_mul(a.mod2(), b.mod2()).mod2()
     # 2-adic log homomorphism at the working precision
     for _ in range(10):
         u = Padic2(4 * rng.randrange(0, 1 << 60) + 1, 64)

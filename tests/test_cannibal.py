@@ -10,7 +10,7 @@ from fglab.cannibal import (ThetaGenSeq, _q_inverse, theta3_closed, theta3_direc
 from fglab.errors import EvenK, NotReducible
 from fglab.series import MultiSeries
 
-from helpers import (composition_failures, orientation_transport, padic_from_rat,
+from helpers import (composition_failures, orientation_transport, padic_from_rat, poly_sub,
                      psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate, theta3_one_bundle,
                      theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
                      thom_psi_dk_by_fractions)
@@ -258,7 +258,7 @@ def test_bott_correction_structure(reducer10, thom_table10):
     """Thom level minus base level is exactly the (m,n) != (0,0) part of the
     cannibalistic pairing; for d4 that is 6d2 + 2/9 - 1/9 = 6d2 + 1/9."""
     base = thom_psi_dk(4, theta_unit(10), reducer10)
-    corr = thom_table10[4] - base
+    corr = poly_sub(thom_table10[4], base)
     assert corr == DPoly({(2,): 6, (): Fraction(1, 9)})
 
 

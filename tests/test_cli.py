@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -73,10 +74,12 @@ def test_computation_error_exit_1(capsys, monkeypatch):
     assert err == "computation error: cannot divide by 2^38 at precision 16\n"
 
 
+OUT_FILE = ("cannibal", "tseq", "--n", "6", "--format", "csv", "--out")  # the file name follows
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "t.csv"
-    code, out, _ = run(capsys, "cannibal", "tseq", "--n", "6", "--format", "csv",
-                       "--out", str(target))
+    code, out, _ = run(capsys, *OUT_FILE, str(target))
     assert code == 0
     assert out == ""
     text = target.read_text()
@@ -91,7 +94,8 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: cannot write") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
+# each exits 2 with a one-line usage error and prints nothing
+INVALID_ARGUMENTS = [
     ("adams", "beta", "--k", "0"),
     ("adams", "beta", "--i", "-1"),
     ("adams", "beta-table", "--imax", "-1"),
@@ -147,7 +151,16 @@ def test_out_to_unwritable_path_is_usage_error(tmp_path, capsys):
     ("adams",),
     ("adams", "bogus"),
     ("reproduce-paper", "extra"),
-])
+    # the parser's own errors: a value outside the choices, a value of the wrong
+    # type, an unknown flag and an unknown command
+    ("chern", "system", "--format", "yaml"),
+    ("fgl", "twist", "--bound", "x"),
+    ("adams", "beta", "--bogus", "1"),
+    ("bogus",),
+]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGUMENTS)
 def test_invalid_argument_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -732,7 +745,8 @@ def test_chern_and_spherical_match_pinned_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, code, digest", [
+# every action at its default flags: (argv, exit code, stdout SHA-256)
+DEFAULTS = [
     (("series", "invert"), 0, "ded3249fbe59dfb401963f56795042b9a83ea7d9ef92667bfe75127f2311aa37"),
     (("series", "residue"), 0, "e521e55ffc4d88525f0d38354bd901fa827ec135025179a577902b73156a53cd"),
     (("fgl", "twist"), 0, "e781968381662e34fd2125797fc328c1e86e795f24259f4eed88aa89ab6b6bb4"),
@@ -758,7 +772,10 @@ def test_chern_and_spherical_match_pinned_output(capsys, argv, digest):
     (("mahler", "vs-adams"), 0, "8775500c3ac085858883c464b78e9f41e4300b3e766ad5c85f625024b53a747c"),
     (("artin-schreier",), 0, "71336876865d3a579a59d3a3d2a317a781ce122a37529e752f34471ae9bd459f"),
     (("reproduce-paper",), 3, "0e2a52b015bf393255b35d7a67a687a2ab29f721c9df49d56ec397c094051184"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", DEFAULTS)
 def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, digest):
     """Exit code and stdout of every subcommand action at its default flags,
     byte for byte as printed when all eight subcommands took all six shared
@@ -768,7 +785,8 @@ def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, 
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
+# relations, psi on the d_k, the spherical search and the beta rows: (argv, stdout SHA-256)
+ADAMS_PIPELINE = [
     (("adams", "relations", "--degree", "12"),
      "5fae36e3fc208a1675260c6ebe38bdd7736523823cada1ba75f5d3d9abe54cb1"),
     (("adams", "psi-dk", "--level", "base", "--k", "10", "--nki", "extended-gcd",
@@ -782,7 +800,10 @@ def test_every_action_at_its_defaults_matches_pinned_output(capsys, argv, code, 
      "86559402141fcb41083d9da590b1e8eeb71446b3622e7d87248867505db5234e"),
     (("adams", "beta-table", "--k", "7", "--imax", "12", "--mod2"),
      "730cd7a728ac342bbbddb0e73d61597fe1eff30e467535d9481fcd4379cdc37e"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", ADAMS_PIPELINE)
 def test_adams_pipeline_matches_pinned_output(capsys, argv, digest):
     """Relations, psi on the d_k, the spherical search and the beta rows,
     byte for byte as printed when relations were a list of (monomial,
@@ -792,7 +813,8 @@ def test_adams_pipeline_matches_pinned_output(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
+# csv and json output of every subcommand family: (argv, stdout SHA-256)
+FORMAT_BRANCHES = [
     (("series", "invert", "--format", "csv"),
      "e7465a04853e65a0a5189c723e903cdc6348b5835070c410a3ac123d15340fae"),
     (("series", "residue", "--format", "json"),
@@ -823,7 +845,10 @@ def test_adams_pipeline_matches_pinned_output(capsys, argv, digest):
      "e7933587513d0cd760f81cb5c9cb269c1d7719d9ab69403bac76b1084352b0c0"),
     (("artin-schreier", "--format", "csv"),
      "4cfa9016a6a33cd7c85bfea256e48bef967adfe56fe8a1c916230c1e7ca6b5b0"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", FORMAT_BRANCHES)
 def test_format_branches_match_pinned_output(capsys, argv, digest):
     """csv and json output of every subcommand family, byte for byte as
     printed when cli.py imported csv and json at module level."""
@@ -883,3 +908,78 @@ def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
         assert ours == allowed
     assert ("golden_data" in ours) == (argv[:1] == ("reproduce-paper",))
     assert "dataclasses" not in loaded
+
+
+# Runs each argv of the JSON list on stdin in this interpreter under
+# sys.setprofile and prints the exit codes, then (file, first line) of every
+# function of fglab called, the import included.
+REACH = """
+import contextlib, io, json, os, sys
+argvs, called = json.load(sys.stdin), set()
+sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+from fglab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+sys.setprofile(None)
+root = os.path.dirname(main.__code__.co_filename)
+print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in called
+                                 if os.path.dirname(c.co_filename) == root})]))
+"""
+
+# The functions of fglab that no command runs, each group with its reason.
+RELATION_SOLVE = {"adams.DReducer._solve_weight", "adams.DReducer._combine", "adams.dk_as_apoly",
+                  "linalg.Echelon.combination"}
+NOT_RUN_BY_A_COMMAND = {
+    "the value types' __eq__/__hash__/__repr__ contract":
+        lambda name: name.rpartition(".")[2] in ("__eq__", "__hash__", "__repr__"),
+    "an error's constructor runs only when its check fails":
+        lambda name: name.startswith("errors.") and name.endswith(".__init__"),
+    "the relation solve, kept while bench/tests builds DReducer(4, rels)": RELATION_SOLVE.__contains__,
+}
+
+
+def src_functions():
+    """{(file, first line): module.qualified.name} for every function fglab
+    defines, methods and nested functions too.  A decorated function starts
+    at its first decorator, as its code object does."""
+    out = {}
+
+    def walk(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}."
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                out[str(path), line] = name[:-1]
+            walk(path, child, name)
+
+    for path in sorted(Path(fglab.__file__).resolve().parent.glob("*.py")):
+        walk(path, ast.parse(path.read_text()), f"{path.stem}.")
+    return out
+
+
+def test_every_function_in_src_is_run_by_a_command(tmp_path):
+    """Every function fglab defines is called by some command whose output a
+    test above pins, or is excused by name in NOT_RUN_BY_A_COMMAND, so code
+    that only tests call lives in tests/helpers.py.  The commands run in a
+    fresh interpreter, where no cache filled by an earlier test hides a
+    call."""
+    argvs = [*(a for a, _, _ in DEFAULTS), *(a for a, _ in ADAMS_PIPELINE + FORMAT_BRANCHES),
+             *INVALID_ARGUMENTS, (*OUT_FILE, str(tmp_path / "t.csv")), ("--help",)]
+    env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", REACH], input=json.dumps(argvs), env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.stderr == ""
+    codes, called = json.loads(proc.stdout)
+    assert codes == [c for _, c, _ in DEFAULTS] + [0] * len(ADAMS_PIPELINE + FORMAT_BRANCHES) \
+        + [2] * len(INVALID_ARGUMENTS) + [0, 0]
+    defined = src_functions()
+    names = set(defined.values())
+    assert RELATION_SOLVE <= names
+    for reason, excused in NOT_RUN_BY_A_COMMAND.items():
+        assert any(map(excused, names)), f"nothing left to excuse: {reason}"
+    reached = {defined.get((str(Path(f).resolve()), line)) for f, line in called}
+    unreached = sorted(name for name in names - reached
+                       if not any(excused(name) for excused in NOT_RUN_BY_A_COMMAND.values()))
+    assert unreached == [], "no command runs: " + ", ".join(unreached)

@@ -12,8 +12,9 @@ from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
 from fglab.series import MultiSeries
 
 from helpers import (RANDOM_SEED, additive_law, coeff_of, compose, exp_series, fgl_binom, fgl_check,
-                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, nonincreasing_partitions,
-                     partial, rename, symbol_grades, truncate, twist_by_substitution)
+                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, law_of,
+                     multiplicative_law_at, nonincreasing_partitions, partial, rename, symbol_grades,
+                     truncate, twist_by_substitution)
 
 
 def rational_strict_g(rng, bound, nb=4):
@@ -47,7 +48,7 @@ def twisted6():
 
 def test_fgl_check_valid_laws():
     fgl_check(additive_law(8))
-    fgl_check(multiplicative_law(8, vcoeff=Fraction(1)))
+    fgl_check(multiplicative_law_at(8, 1))
     fgl_check(multiplicative_law(8))  # symbolic v
 
 
@@ -80,13 +81,13 @@ def test_fgl_check_names_the_first_failing_monomial(terms, axiom, monomial):
 
 
 def test_twist_by_identity_is_identity():
-    F = multiplicative_law(8, vcoeff=Fraction(1))
+    F = multiplicative_law_at(8, 1)
     g = MultiSeries(("t",), {(1,): Fraction(1)}, 8)
-    assert fgl_twist(F, g).law == F
+    assert law_of(fgl_twist(F, g)) == F
 
 
 def test_twist_requires_strict():
-    F = multiplicative_law(6, vcoeff=Fraction(1))
+    F = multiplicative_law_at(6, 1)
     g = MultiSeries(("t",), {(1,): Fraction(2)}, 6)
     with pytest.raises(NotStrict):
         fgl_twist(F, g)
@@ -100,15 +101,15 @@ def test_twist_needs_g_to_the_bound_of_f():
     F = multiplicative_law(6)
     with pytest.raises(BoundMismatch):
         fgl_twist(F, generic_strict_series(5, 3))
-    assert fgl_twist(F, generic_strict_series(8, 3)).law == fgl_twist(
-        F, generic_strict_series(6, 3)).law
+    assert law_of(fgl_twist(F, generic_strict_series(8, 3))) == law_of(fgl_twist(
+        F, generic_strict_series(6, 3)))
 
 
 @pytest.mark.parametrize("bound, nb", [(2, 0), (3, 5), (6, 5), (9, 8), (12, 11)])
 def test_twist_equals_substitution_generic(bound, nb):
     F = multiplicative_law(bound)
     g = generic_strict_series(bound, nb)
-    assert fgl_twist(F, g).law == twist_by_substitution(F, g)
+    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
 
 
 def test_twist_equals_substitution_rational_and_twisted():
@@ -118,12 +119,12 @@ def test_twist_equals_substitution_rational_and_twisted():
     for bound in (5, 8, 10):
         F = multiplicative_law(bound)
         g = rational_strict_g(rng, bound)
-        tw = fgl_twist(F, g).law
+        tw = law_of(fgl_twist(F, g))
         assert tw == twist_by_substitution(F, g)
         ginv = g.comp_inverse("t")
-        assert fgl_twist(tw, ginv).law == twist_by_substitution(tw, ginv) == F
+        assert law_of(fgl_twist(tw, ginv)) == twist_by_substitution(tw, ginv) == F
         for g2 in (rational_strict_g(rng, bound, nb=bound - 1), generic_strict_series(bound, 3)):
-            assert fgl_twist(tw, g2).law == twist_by_substitution(tw, g2)
+            assert law_of(fgl_twist(tw, g2)) == twist_by_substitution(tw, g2)
 
 
 @st.composite
@@ -145,9 +146,11 @@ def test_twist_equals_substitution_property(g, vcoeff):
     if vcoeff == "v^3":
         F = MultiSeries(("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
                                           (1, 1, 3): Fraction(1)}, g.bound, (1, 1, 0))
+    elif vcoeff is None:
+        F = multiplicative_law(g.bound)
     else:
-        F = multiplicative_law(g.bound, vcoeff)
-    assert fgl_twist(F, g).law == twist_by_substitution(F, g)
+        F = multiplicative_law_at(g.bound, vcoeff)
+    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
 
 
 def test_twist_truncates_a_symbol_of_positive_weight():
@@ -158,7 +161,7 @@ def test_twist_truncates_a_symbol_of_positive_weight():
                                       (1, 1, 1): Fraction(1)}, 7, (1, 1, 1))
     g = MultiSeries(("t", "v", "b1"), {(1, 0, 0): Fraction(1), (2, 1, 1): Fraction(1),
                                        (3, 2, 0): Fraction(2)}, 7, (1, 1, 0))
-    assert fgl_twist(F, g).law == twist_by_substitution(F, g)
+    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
 
 
 def test_twist_rejects_a_law_without_unit():
@@ -244,7 +247,7 @@ def test_coeff_table_rebuilds_the_law(twisted6):
     table and is zero for a pair the law does not contain."""
     law = twisted6
     table = law.coeff_table()
-    F = law.law
+    F = law_of(law)
 
     def mono(name, k):
         return MultiSeries.var(F.vars, name, F.bound, F.weights, power=k)
@@ -272,7 +275,7 @@ def test_twist_table_is_the_split_of_its_law(size):
     F, g = multiplicative_law(bound), generic_strict_series(bound, nb)
     law = fgl_twist(F, g)
     table = law.coeff_table()
-    assert table == fgl_of(law.law).coeff_table() == fgl_of(twist_by_substitution(F, g)).coeff_table()
+    assert table == fgl_of(law_of(law)).coeff_table() == fgl_of(twist_by_substitution(F, g)).coeff_table()
     for (i, j), part in table.items():
         assert table[j, i] is part and law.a(j, i) is part
 
@@ -281,15 +284,15 @@ def test_twisted_law_passes_axioms_random_rationals():
     rng = random.Random(RANDOM_SEED)
     for _ in range(5):
         g = rational_strict_g(rng, 10)
-        fgl_check(fgl_twist(multiplicative_law(10), g).law)
+        fgl_check(law_of(fgl_twist(multiplicative_law(10), g)))
 
 
 def test_twist_group_action_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
     F = multiplicative_law(8)
-    tw = fgl_twist(F, g).law
-    assert fgl_twist(tw, g.comp_inverse("t")).law == F
+    tw = law_of(fgl_twist(F, g))
+    assert law_of(fgl_twist(tw, g.comp_inverse("t"))) == F
 
 
 def test_fgl_log_additive_and_multiplicative():
@@ -304,7 +307,7 @@ def test_fgl_log_additive_and_multiplicative():
 def test_log_exp_roundtrip():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 9)
-    tw = fgl_twist(multiplicative_law(9), g).law
+    tw = law_of(fgl_twist(multiplicative_law(9), g))
     lg = fgl_log(tw)
     ex = fgl_exp(tw)
     assert compose(lg, "x", ex) == MultiSeries.var(lg.vars, "x", 9, lg.weights)
@@ -314,7 +317,7 @@ def test_fgl_log_of_twist_is_log_after_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
     F = multiplicative_law(8)
-    tw = fgl_twist(F, g).law
+    tw = law_of(fgl_twist(F, g))
     ginv = rename(g.comp_inverse("t"), {"t": "x"})
     assert fgl_log(tw) == compose(fgl_log(F), "x", ginv)
 
@@ -322,7 +325,7 @@ def test_fgl_log_of_twist_is_log_after_inverse():
 def test_fgl_log_linearizes_the_law():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    tw = fgl_twist(multiplicative_law(8), g).law
+    tw = law_of(fgl_twist(multiplicative_law(8), g))
     lg = fgl_log(tw)
     # compare one order below the bound: substituting the law consumes it
     b = 7
@@ -374,7 +377,7 @@ def test_fgl_binom_trivial_and_closed_form():
 def test_fgl_binom_matches_direct_power_random():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    F = fgl_twist(multiplicative_law(8), g).law
+    F = law_of(fgl_twist(multiplicative_law(8), g))
     for k in range(0, 6):
         acc = MultiSeries.zero(F.vars, 8, F.weights)
         for (i, j), val in fgl_binom(F, k).items():
@@ -400,7 +403,7 @@ def test_cpn_residue_matches_log_derivative():
     F = multiplicative_law(9)
     g = generic_strict_series(9, nb)
     law = fgl_twist(F, g)
-    rec = partial(law.law, "y").coeff_in_var("y", 0).reciprocal()
+    rec = partial(law_of(law), "y").coeff_in_var("y", 0).reciprocal()
     for n in range(1, 9):
         want = rec.coeff_in_var("x", n)
         poly = cpn_in_a(n, "residue-exact")

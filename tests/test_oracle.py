@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fglab.adams import APoly, DPoly, nki_coeffs, psi_power_coeff
 from fglab.cannibal import theta3_closed, theta_unit, thom_psi_dk
 
-from helpers import apoly_mul
+from helpers import agen, apoly_mul, poly_add
 from oracle_bu import BUOracle
 
 
@@ -62,13 +62,13 @@ A_GENS = [(i, j) for i in range(1, 6) for j in range(i, 11 - i)]
 @st.composite
 def targets_upto_10(draw):
     """A rational combination of a-monomials of halved weight <= 10."""
-    total = APoly.zero()
+    total = APoly()
     for _ in range(draw(st.integers(1, 4))):
-        mono, weight = APoly.gen(0, 0, draw(st.fractions(max_denominator=9).filter(bool))), 0
+        mono, weight = agen(0, 0, draw(st.fractions(max_denominator=9).filter(bool))), 0
         for i, j in draw(st.lists(st.sampled_from(A_GENS), min_size=1, max_size=4)):
             if weight + i + j <= 10:
-                mono, weight = apoly_mul(mono, APoly.gen(i, j)), weight + i + j
-        total = total + mono
+                mono, weight = apoly_mul(mono, agen(i, j)), weight + i + j
+        total = poly_add(total, mono)
     return total
 
 

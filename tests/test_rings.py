@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fglab.adams import APoly, DPoly
 from fglab.errors import NotAUnit, NotInDomain, PrecisionTooLow
 from fglab.mahler import Padic2, padic_log
-from fglab.series import val2
+from fglab.series import MultiSeries, val2
 
 from helpers import RANDOM_SEED, padic_from_rat
 
@@ -131,9 +132,40 @@ rats = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9))
 int_or_rat = st.one_of(st.integers(-4, 4), rats)
 padics = st.builds(Padic2, st.integers(-600, 600), st.integers(1, 10))
 
+# monomials of each polynomial type: APoly (u-power, a-monomial), DPoly sorted
+# index tuples, and MultiSeries exponents in (x, y) at bound 4
+MONOMIALS = {
+    APoly: [(0, ()), (1, ()), (0, (((1, 1), 1),)), (0, (((1, 2), 2),)), (2, (((1, 1), 1), ((2, 3), 1)))],
+    DPoly: [(), (2,), (2, 3), (2, 2, 5), (3, 3, 4)],
+    MultiSeries: [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3)],
+}
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polynomials of one type built from the same terms: the second takes
+    them in reverse order, with ints for integral Fractions and an extra zero
+    coefficient; a DPoly's index tuples come reversed, and a MultiSeries gets
+    a term above its bound, which truncation drops.  Half the time one
+    coefficient of the second is raised by 1, so the two differ."""
+    kind = draw(st.sampled_from(list(MONOMIALS)))
+    terms = draw(st.dictionaries(st.sampled_from(MONOMIALS[kind]), rats))
+    twin = {m: c.numerator if c.denominator == 1 else c for m, c in reversed(terms.items())}
+    spare = [m for m in MONOMIALS[kind] if m not in terms]
+    if spare:
+        twin[draw(st.sampled_from(spare))] = 0
+    if draw(st.booleans()):
+        m = draw(st.sampled_from(sorted(twin, key=repr)))
+        twin[m] += 1
+    if kind is MultiSeries:
+        return kind(("x", "y"), terms, 4), kind(("x", "y"), {**twin, (5, 0): 1}, 4)
+    if kind is DPoly:
+        twin = {m[::-1]: c for m, c in twin.items()}
+    return kind(terms), kind(twin)
+
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(int_or_rat, int_or_rat), st.tuples(padics, padics)))
+@given(st.one_of(st.tuples(int_or_rat, int_or_rat), st.tuples(padics, padics), poly_pairs()))
 def test_equal_values_have_equal_hashes(pair):
     a, b = pair
     assert (a == b) == (b == a)

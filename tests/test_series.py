@@ -5,7 +5,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fglab.errors import BoundMismatch, NonUnitConstantTerm, NotStrict, VariableMismatch
+from fglab.errors import BoundMismatch, DivisionUndefined, NonUnitConstantTerm, NotStrict, VariableMismatch
 from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
                           lift, lower, partitions, residue_inverse_coeff)
 
@@ -129,6 +129,8 @@ def test_reciprocal_unit_and_errors():
     assert one.reciprocal() == one
     with pytest.raises(NonUnitConstantTerm):
         uni({1: 1}, 7).reciprocal()
+    with pytest.raises(DivisionUndefined):
+        uni({0: 1, 1: 1}, 7) ** -1
 
 
 def test_reciprocal_of_theta_denominator():
