@@ -265,16 +265,6 @@ class DPoly(_Poly):
                            "den": str(c.denominator)} for m, c in self.sorted_terms()]}
 
 
-def dk_as_apoly(k: int, nki: dict) -> APoly:
-    """d_k = sum_i n_k^i a_{i,k-i} for the rows ``nki`` = {i: n_k^i}, which
-    callers take from their reducer (``DReducer.nki(k)``)."""
-    out = {}
-    for i, c in nki.items():
-        key = (0, (((min(i, k - i), max(i, k - i)), 1),))
-        out[key] = out.get(key, 0) + c
-    return APoly(out)
-
-
 # -- 2-structure relations ------------------------------------------------------
 
 
@@ -474,17 +464,17 @@ class DReducer:
     linearly in each relation of weight w, whose other terms are products of
     lower a's with phi known; d_w is one more equation.  A target that needs
     an a_ij left undetermined is NotReducible (relations insufficient).
-    Guard: every equation that adds no rank is checked exactly, its
-    right-hand side against the same combination of the rank-raising ones.
-    If any check fails, the d-monomials are dependent modulo the relations,
-    and ``reduce`` raises UsageError (the quotient is not polynomial, a real
-    inconsistency).  Each distinct u = 1 equation is solved and checked once:
-    a repeat (a relation and its x <-> z mirror are one polynomial) would
-    repeat the same check, or pass it trivially after its first copy raised
-    the rank.  ``rels`` maps monomials (a, b, c) to relations of weight
-    a + b + c, as ``gen_2structure_relations`` returns them; a polynomial
-    listed under several keys is specialized to u = 1 once.  The tests judge
-    the closed form against this solve.
+    Guard: each equation is one exact echelon row (``_solve_weight``), so one
+    that adds no rank in the unknowns must leave an empty remainder.  If one
+    leaves a d-polynomial, the d-monomials are dependent modulo the
+    relations, and ``reduce`` raises UsageError (the quotient is not
+    polynomial, a real inconsistency).  Each distinct u = 1 equation is
+    solved and checked once: a repeat (a relation and its x <-> z mirror are
+    one polynomial) would repeat the same check, or pass it trivially after
+    its first copy raised the rank.  ``rels`` maps monomials (a, b, c) to
+    relations of weight a + b + c, as ``gen_2structure_relations`` returns
+    them; a polynomial listed under several keys is specialized to u = 1
+    once.  The tests judge the closed form against this solve.
 
     ``nki_mode`` chooses the n_k^i that define the d_k (see ``nki_coeffs``);
     ``nki`` hands the same choice to every psi on d_k reduced here.
@@ -500,12 +490,11 @@ class DReducer:
         if rels is not None:
             # one entry per relation object, in the order of its first key
             listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
-            eqs = {}                   # weight -> [(u = 1 polynomial, right-hand side)]
+            eqs = {}                   # weight -> [u = 1 polynomial]
             for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
-                eqs.setdefault(w, []).append((poly, ({}, 1)))
+                eqs.setdefault(w, []).append(poly)
             for w in range(2, W + 1):
-                dw = ({place[w]: 1}, 1)
-                self._solve_weight(w, eqs.get(w, []) + [(dk_as_apoly(w, self.nki(w)), dw)])
+                self._solve_weight(w, eqs.get(w, []))
             return
         A = coboundary_coeffs(W)
         beta = {0: ({0: 1}, 1)}  # b-monomial code -> its d-polynomial, as a pair
@@ -527,37 +516,44 @@ class DReducer:
             raise NotReducible(self.W, f"d{k} exceeds weight {self.W}")
         return nki_coeffs(k, self.nki_mode)
 
-    def _solve_weight(self, w, eqs):
-        """Set phi(a_{i,w-i}) for each i the weight-w equations determine."""
+    def _solve_weight(self, w, polys):
+        """Set phi(a_{i,w-i}) for each i that the weight-w relations ``polys``
+        and the definition of d_w determine.
+
+        Each equation is one echelon row of value 0: the coefficient of
+        a_{i,w-i} at column top + i, above every d-monomial code, and the rest
+        as a d-polynomial at the codes (the lower terms through phi, or -d_w).
+        So the remainder of the unit row at top + i has the value a_{i,w-i},
+        and is phi(a_{i,w-i}) if it has no column >= top; a kept row with no
+        such column says 0 = a nonzero d-polynomial."""
         from .linalg import Echelon
-        ech = Echelon()
-        rhs = []
-        for poly, target in eqs:
-            vec, parts = {}, [(1, target)]
+        top = max(monomial_codes(self.W)) + 1
+        rows = []
+        for poly in polys:
+            lin, parts = {}, []
             try:
                 for (_, mono), c in poly.terms.items():
-                    c = c.numerator if c.denominator == 1 else c
                     if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
-                        vec[mono[0][0][0]] = c
+                        lin[top + mono[0][0][0]] = c
                     else:
-                        parts.append((-c, self._phi_of(mono)))
+                        parts.append((c, self._phi_of(mono)))
             except NotReducible:
                 continue  # needs an undetermined lower a_ij: neither solvable nor checkable
-            rhs.append(_lowest_terms(*_lincomb(parts)))
-            left, used = ech.reduce(vec)
-            if left:
-                ech.add(vec, key=len(rhs) - 1)
-            elif self._combine(rhs, ech.combination(used)) != rhs[-1]:
+            nums, den = _lincomb(parts)  # the row times den, on integers
+            rows.append({m: v for m, v in nums.items() if v} | {j: c * den for j, c in lin.items()})
+        dw = {code_places(self.W)[w]: -1}  # d_w = sum_i n_w^i a_{i,w-i}
+        for i, n in self.nki(w).items():
+            dw[top + min(i, w - i)] = dw.get(top + min(i, w - i), 0) + n
+        ech = Echelon()
+        for row in rows + [{j: c for j, c in dw.items() if c}]:
+            rem = ech.add(row)
+            if rem and max(rem) < top:
                 self._consistent = False
         for i in range(1, w // 2 + 1):
-            left, used = ech.reduce({i: 1})
-            if not left:
-                self._phi[(((i, w - i), 1),)] = self._combine(rhs, ech.combination(used))
-
-    @staticmethod
-    def _combine(rhs, combo):
-        """sum(combo[key] * rhs[key]) as a pair in lowest terms."""
-        return _lowest_terms(*_lincomb([(c, rhs[key]) for key, c in combo.items()]))
+            rem = ech.reduce({top + i: 1})
+            if not rem or max(rem) < top:
+                nums, den = lift(rem.values())
+                self._phi[(((i, w - i), 1),)] = _lowest_terms(dict(zip(rem, nums)), den)
 
     def _phi_of(self, mono):
         """phi of a u-free a-monomial, memoised as phi(prefix) * phi(last generator)."""
@@ -632,13 +628,18 @@ def spherical_search(max_weight: int, psi_table: dict):
         raise UsageError("weights are even")
     from .linalg import GF2Echelon
     monos, _, cols = _psi_minus_id_mod2(max_weight // 2, psi_table)
-    # each column dependent on the earlier ones gives one kernel element
+    # column i moves up by n and carries bit i, so the low n bits of a
+    # remainder, read as binary digits lowest first, name the columns it sums;
+    # one with no higher bit is a dependency on the earlier columns: a kernel element
+    n = len(monos)
     ech = GF2Echelon()
     kernel = []
     for i, col in enumerate(cols):
-        rem, combo = ech.add(col, i)
-        if not rem:
-            kernel.append(DPoly({m: 1 for j, m in enumerate(monos) if combo >> j & 1}))
+        rem = ech.reduce(col << n | 1 << i)
+        if rem >> n:
+            ech.add(rem)
+        else:
+            kernel.append(DPoly({monos[j]: 1 for j, b in enumerate(bin(rem)[:1:-1]) if b == "1"}))
     new_by_weight = {}
     for elt in kernel:
         if any(elt.terms):  # constants excluded
@@ -673,6 +674,6 @@ def in_gf2_span(candidates, target: DPoly) -> bool:
     *supports, goal = [p.mod2().terms for p in (*candidates, target)]
     bit = {m: 1 << i for i, m in enumerate(sorted(set().union(*supports, goal)))}
     ech = GF2Echelon()
-    for i, s in enumerate(supports):
-        ech.add(sum(map(bit.get, s)), i)
-    return not ech.reduce(sum(map(bit.get, goal)))[0]
+    for s in supports:
+        ech.add(sum(map(bit.get, s)))
+    return not ech.reduce(sum(map(bit.get, goal)))

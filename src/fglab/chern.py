@@ -169,13 +169,12 @@ def rref(rows):
     ncols = len(rows[0]) if rows else 0
     ech = Echelon()
     for r in rows:
-        ech.add({ncols - 1 - c: a for c, a in enumerate(map(Fraction, r)) if a})
-    pivots = sorted(ncols - 1 - p for p in ech.rows)
-    red = []
-    for c in pivots:
-        p = ncols - 1 - c
-        rest, _ = ech.reduce({j: a for j, a in ech.rows[p].items() if j != p})
+        ech.add({ncols - 1 - c: a for c, a in enumerate(r) if a})
+    pivots, red = [], []
+    for p, nums, den in reversed(ech.rows):  # pivots descending, so columns ascending
+        rest = ech.reduce({j: Fraction(a, den) for j, a in nums.items() if j != p})
         rest[p] = Fraction(1)
+        pivots.append(ncols - 1 - p)
         red.append([rest.get(ncols - 1 - j, Fraction(0)) for j in range(ncols)])
     return red, pivots
 
@@ -209,7 +208,7 @@ def span_test(vectors):
     ech = Echelon()
     for v in vectors:
         ech.add(sparse(v))
-    return lambda v: not ech.reduce(sparse(v))[0]
+    return lambda v: not ech.reduce(sparse(v))
 
 
 def same_row_space(a_rows, b_rows) -> bool:

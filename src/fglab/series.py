@@ -203,7 +203,7 @@ class MultiSeries:
                 continue
             if bound is not None and deg(exp) > bound:
                 continue
-            clean[exp] = c
+            clean[exp] = c if type(c) is Fraction else Fraction(c)
         self.terms = clean
 
     # -- basics --------------------------------------------------------------

@@ -345,6 +345,16 @@ def agen(i, j, c=1):
     return APoly({(0, (((min(i, j), max(i, j)), 1),)): c})
 
 
+def dk_as_apoly(k: int, nki: dict) -> APoly:
+    """d_k = sum_i n_k^i a_{i,k-i} for the rows ``nki`` = {i: n_k^i}, which
+    callers take from their reducer (``DReducer.nki(k)``)."""
+    out = {}
+    for i, c in nki.items():
+        key = (0, (((min(i, k - i), max(i, k - i)), 1),))
+        out[key] = out.get(key, 0) + c
+    return APoly(out)
+
+
 def apoly_mul(p, q):
     """The product of two APolys: u exponents add, a-monomials merge."""
     out = {}
@@ -626,9 +636,15 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
     # (psi - 1) on the correction space, mod 2, eliminated once
     W = max(psi_table) if max_weight is None else max_weight // 2
     monos, bit, cols = _psi_minus_id_mod2(W, psi_table)
+    # column i moves up by n and carries bit i, so the low n bits of a
+    # remainder name the columns it sums; only a column independent of the
+    # earlier ones is kept
+    n = len(monos)
     ech = GF2Echelon()
     for i, col in enumerate(cols):
-        ech.add(col, i)
+        rem = ech.reduce(col << n | 1 << i)
+        if rem >> n:
+            ech.add(rem)
     b = z
     for m_stage in range(1, target_precision):
         defect = poly_sub(_psi_dpoly(b, psi_table), b)
@@ -643,8 +659,8 @@ def bootstrap_lift(z: DPoly, psi_table: dict, target_precision: int,
                 resid.append(mono)
         if not resid:
             continue
-        rest, combo = ech.reduce(sum(bit.get(m, 0) for m in resid))
-        if rest or any(m not in bit for m in resid):
+        combo = ech.reduce(sum(bit.get(m, 0) for m in resid) << n)
+        if combo >> n or any(m not in bit for m in resid):
             raise LiftObstruction(m_stage, "correction system unsolvable over GF(2)")
         b = poly_add(b, DPoly({m: Fraction(2) ** m_stage for i, m in enumerate(monos) if combo >> i & 1}))
     return b

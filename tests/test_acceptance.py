@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from fglab.adams import (DPoly, dk_as_apoly, gen_2structure_relations, in_gf2_span,
+from fglab.adams import (DPoly, gen_2structure_relations, in_gf2_span,
                          nki_coeffs, psi_inv_beta, spherical_search)
 from fglab.bordism import BordismExpr, miscenko_image
 from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed, theta_unit, thom_psi_dk
@@ -24,8 +24,8 @@ from fglab.mahler import (Padic2, artin_schreier_check, dilate, dilation_matrix,
                           padic_log)
 from fglab.series import MultiSeries, residue_inverse_coeff
 
-from helpers import (RANDOM_SEED, coeff_of, compose, dpoly_mul, exp_series, fgl_check, fgl_from_genus,
-                     in_span, law_of, matvec, theta3_bilinear)
+from helpers import (RANDOM_SEED, coeff_of, compose, dk_as_apoly, dpoly_mul, exp_series, fgl_check,
+                     fgl_from_genus, in_span, law_of, matvec, theta3_bilinear)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 

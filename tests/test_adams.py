@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.adams import (APoly, DPoly, DReducer, coboundary_coeffs,
-                         dk_as_apoly, dmonomials_upto, gen_2structure_relations, in_gf2_span,
+                         dmonomials_upto, gen_2structure_relations, in_gf2_span,
                          monomial_codes,
                          nki_coeffs, psi_inv_beta,
                          psi_power_coeff, psi_tensor_apoly, spherical_search,
@@ -17,9 +17,10 @@ from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
 from fglab.errors import InsufficientTable, NotReducible, UnsupportedK, UsageError
 
 from helpers import (RANDOM_SEED, LiftObstruction, _psi_dpoly, agen, apoly_mul, apoly_weights, binom_gcd,
-                     bootstrap_lift, cocycle_series, composition_failures, dpoly_mul, dpoly_product_by_series,
-                     generator_images, poly_add, poly_sub, psi3_closed_coeff, psi_dpoly_by_monomials,
-                     rat_val2, reduce_by_fractions, series_relations, unit_class, xyz_coefficients)
+                     bootstrap_lift, cocycle_series, composition_failures, dk_as_apoly, dpoly_mul,
+                     dpoly_product_by_series, generator_images, poly_add, poly_sub, psi3_closed_coeff,
+                     psi_dpoly_by_monomials, rat_val2, reduce_by_fractions, series_relations, unit_class,
+                     xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 

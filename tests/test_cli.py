@@ -927,8 +927,7 @@ print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in call
 """
 
 # The functions of fglab that no command runs, each group with its reason.
-RELATION_SOLVE = {"adams.DReducer._solve_weight", "adams.DReducer._combine", "adams.dk_as_apoly",
-                  "linalg.Echelon.combination"}
+RELATION_SOLVE = {"adams.DReducer._solve_weight"}
 NOT_RUN_BY_A_COMMAND = {
     "the value types' __eq__/__hash__/__repr__ contract":
         lambda name: name.rpartition(".")[2] in ("__eq__", "__hash__", "__repr__"),

@@ -20,24 +20,46 @@ def _axpy(acc, f, row):
     return {j: c for j, c in acc.items() if c}
 
 
+def _monic(nums, den):
+    """An `Echelon` row, kept as numerators over den, as {column: Fraction}."""
+    return {j: Fraction(v, den) for j, v in nums.items()}
+
+
+def _split(row, m):
+    """(the data above column m shifted down to 0, the unit columns below m)."""
+    return {j - m: c for j, c in row.items() if j >= m}, {j: c for j, c in row.items() if j < m}
+
+
 @settings(max_examples=200, deadline=None)
 @given(rows, st.dictionaries(st.integers(0, 7), st.integers(-3, 3).filter(bool)))
 def test_reduce_and_combinations(inputs, target):
     ech = Echelon()
-    independent = [ech.add(r, key=i) for i, r in enumerate(inputs)]
-    for p, r in ech.rows.items():
-        assert max(r) == p and r[p] == 1
-        # every echelon row is the combination of inputs it records
+    kept = [ech.add(r) for r in inputs]
+    pivots = [p for p, _, _ in ech.rows]
+    assert pivots == sorted(pivots)
+    for p, nums, den in ech.rows:
+        assert max(nums) == p and nums[p] == den > 0 and 0 not in nums.values()
+    assert sum(map(bool, kept)) == len(ech.rows)
+    rem = ech.reduce(target)
+    assert not set(rem) & set(pivots) and all(type(c) is Fraction and c for c in rem.values())
+    # augmented: input k carries a unit column k below its data, moved up by m
+    m = len(inputs)
+    aug = Echelon()
+    for k, r in enumerate(inputs):
+        aug.add({**{j + m: c for j, c in r.items()}, k: 1})
+    assert sum(p >= m for p, _, _ in aug.rows) == len(ech.rows)
+    for _, nums, den in aug.rows:
+        # every echelon row's data is the combination of inputs its unit columns name
+        data, combo = _split(_monic(nums, den), m)
         acc = {}
-        for k, c in ech.combos[p].items():
+        for k, c in combo.items():
             acc = _axpy(acc, c, inputs[k])
-        assert acc == r
-    assert sum(independent) == len(ech.rows)
-    rem, used = ech.reduce(target)
-    assert not set(rem) & set(ech.rows)
+        assert acc == data
+    data, combo = _split(aug.reduce({j + m: c for j, c in target.items()}), m)
+    assert data == rem
     acc = dict(rem)
-    for k, c in ech.combination(used).items():
-        acc = _axpy(acc, c, inputs[k])
+    for k, c in combo.items():
+        acc = _axpy(acc, -c, inputs[k])
     assert acc == {j: Fraction(c) for j, c in target.items()}
 
 
@@ -56,22 +78,35 @@ bitsets = st.integers(0, (1 << 12) - 1)
 @given(st.lists(bitsets, max_size=8), bitsets)
 def test_gf2_reduce_and_combinations(inputs, target):
     ech = GF2Echelon()
-    added = [ech.add(r, key=i) for i, r in enumerate(inputs)]
-    for i, (rem, combo) in enumerate(added):
-        # the remainder is the XOR of the inputs in combo, this one included
-        assert combo >> i == 1 and _xor(inputs, combo) == rem
-        # brute force: it is 0 iff some subset of the earlier inputs XORs to this one
+    kept = [ech.add(r) for r in inputs]
+    for i, rem in enumerate(kept):
+        # brute force: the remainder is 0 iff some subset of the earlier inputs XORs to this one
         assert (rem == 0) == any(_xor(inputs[:i], s) == inputs[i] for s in range(1 << i))
-    for p, r in ech.rows.items():
+    pivots = [p for p, _ in ech.rows]
+    assert pivots == sorted(pivots)
+    for p, r in ech.rows:
         assert r.bit_length() - 1 == p
-        assert _xor(inputs, ech.combos[p]) == r
-    assert sum(rem != 0 for rem, _ in added) == len(ech.rows)
-    rem, combo = ech.reduce(target)
-    assert not any(rem >> p & 1 for p in ech.rows)
-    assert rem ^ _xor(inputs, combo) == target
+    assert sum(map(bool, kept)) == len(ech.rows)
+    rem = ech.reduce(target)
+    assert not any(rem >> p & 1 for p in pivots)
     # brute force: the target is in the span iff some subset XORs to it
     in_span = any(_xor(inputs, s) == target for s in range(1 << len(inputs)))
     assert (rem == 0) == in_span
+    # augmented: input k carries bit k below its data, moved up by m
+    m = len(inputs)
+    aug = GF2Echelon()
+    for k, r in enumerate(inputs):
+        got = aug.add(r << m | 1 << k)
+        # the remainder is the XOR of the inputs its low bits name, this one included
+        assert (got & ((1 << m) - 1)) >> k == 1
+        assert _xor(inputs, got) == got >> m
+        assert (got >> m == 0) == (kept[k] == 0)
+    assert sum(p >= m for p, _ in aug.rows) == len(ech.rows)
+    for _, r in aug.rows:
+        assert _xor(inputs, r) == r >> m
+    got = aug.reduce(target << m)
+    assert got >> m == rem
+    assert rem ^ _xor(inputs, got) == target
 
 
 @settings(max_examples=200, deadline=None)

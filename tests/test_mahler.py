@@ -47,14 +47,34 @@ def test_mahler_roundtrip_random_polynomials():
             assert eval_at(np_, t) == fn(t)
 
 
+def _binomial_in_powers(i):
+    """The coefficients of C(T, i) = T (T - 1) ... (T - i + 1) / i! in powers of T."""
+    cs = [Fraction(1)]
+    for r in range(i):
+        # times (T - r) / (r + 1)
+        cs = [(lo - r * hi) / (r + 1) for lo, hi in zip([Fraction(0)] + cs, cs + [Fraction(0)])]
+    return cs
+
+
 def test_mahler_integrality_newton_basis():
+    """An integer-valued polynomial sum n_i C(T, i), i <= 6, given by its
+    rational coefficients in powers of T, has the integer Mahler
+    coefficients n_i; T/2, which is not integer-valued, has a non-integral
+    one, so the check can fail."""
     rng = random.Random(RANDOM_SEED)
+    rational = 0
     for _ in range(20):
-        vals = [rng.randint(-50, 50) for _ in range(7)]
-        # interpolate: any integer-valued function on 0..6 has integer Mahler
-        # coefficients up to order 6
-        np_ = mahler_expand(lambda t: vals[t], 6)
+        n = [rng.randint(-50, 50) for _ in range(7)]
+        powers = [Fraction(0)] * 7
+        for i, ni in enumerate(n):
+            for k, c in enumerate(_binomial_in_powers(i)):
+                powers[k] += ni * c
+        rational += any(c.denominator != 1 for c in powers)
+        np_ = mahler_expand_poly(powers, 6)
         assert all(c.denominator == 1 for c in np_.coeffs.values())
+        assert np_.coeffs == {i: ni for i, ni in enumerate(n) if ni}
+    assert rational
+    assert any(c.denominator != 1 for c in mahler_expand_poly([0, Fraction(1, 2)], 6).coeffs.values())
 
 
 def test_dilate_identity():

@@ -430,6 +430,17 @@ def test_rat_results_have_fraction_coefficients(outer, tail, unit, bound):
         assert all(type(c) is Fraction for c in r.terms.values()), r
 
 
+def test_constructor_stores_int_coefficients_as_fractions():
+    """An int coefficient is stored as a Fraction, so that dividing it, or
+    adding two series, does not fall back to a float or an int."""
+    s = MultiSeries(("x",), {(1,): 1}, 4)
+    assert all(type(c) is Fraction for c in s.terms.values())
+    half = s.coefficient((1,)) / 2
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    for r in (s + s, s * s):
+        assert r.terms and all(type(c) is Fraction for c in r.terms.values()), r
+
+
 @st.composite
 def series_triples(draw):
     """Three series in one ambient of 1-3 variables with weights in {0, 1, 2}
