@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .errors import NotInDomain, UnsupportedDimension, UsageError
 from .fgl import FGL, MAX_TWIST_BOUND, X, Y
-from .series import MultiSeries
+from .series import MAX_DIGITS, MultiSeries
 
 
 # -- projective spaces in the a_ij coordinates ---------------------------------
@@ -95,10 +95,6 @@ _POWER = r"(?:\s*\^\s*0*[1-9]\d*)?"
 _TERM = re.compile(rf"""\s*(?P<sign>[+-]?)\s*(?:(?P<weight>\d+(?:/0*[1-9]\d*)?)\s*\*?\s*)?
     (?:(?P<builtin>K3SQ|N)|(?P<product>CP\d+{_POWER}(?:\s*x\s*CP\d+{_POWER})*))(?![\w^])\s*""", re.X)
 _FACTOR = re.compile(r"CP(\d+)(?:\s*\^\s*(\d+))?")
-# the most digits a weight, a dimension or an exponent may have: far more
-# than any twist or weight needs, and well below the 4300 digits that Python
-# converts between int and str
-MAX_DIGITS = 100
 
 
 class BordismExpr:

@@ -147,10 +147,16 @@ def cmd_chern(args, out):
         rows = [(f"v{i+1}", *v) for i, v in enumerate(ns)]
         _emit(rows, ["vector"] + [b.label() for b in basis], args.format, out)
     elif args.action == "todd":
+        from .series import MAX_DIGITS
+        entries = args.inputs.split(",")
         try:
-            vals = [Fraction(v) for v in args.inputs.split(",")]
+            # an exponent or a long number is refused before Fraction builds its integer
+            if any("e" in v.lower() or sum(map(str.isdigit, v)) > MAX_DIGITS for v in entries):
+                raise ValueError
+            vals = [Fraction(v) for v in entries]
         except (ValueError, ZeroDivisionError):
-            raise UsageError(f"--inputs expects comma-separated rationals, got {args.inputs!r}") from None
+            raise UsageError(f"--inputs expects comma-separated rationals of at most {MAX_DIGITS} digits "
+                             f"each and no exponent, got {args.inputs!r}") from None
         if len(vals) != 5:
             raise UsageError("todd expects c1^4,c1c3,c1^2c2,c2^2,c4")
         t4 = chern.todd_t4(*vals)
@@ -210,8 +216,7 @@ def cmd_adams(args, out):
             rows.append((f"x^{a}*y^{b}*z^{c}", poly, poly.set_u().content_normalize()))
         _emit(rows, ["monomial", "relation", "relation_at_u_1"], args.format, out)
     elif args.action == "psi-dk":
-        W = max(args.k, 7)
-        p = cannibal.psi_dk_table(args.level, _reducer(W, args.nki, "--k"), [args.k])[args.k]
+        p = cannibal.psi_dk_table(args.level, _reducer(args.k, args.nki, "--k"), [args.k])[args.k]
         if args.format == "json":
             _json(p.to_json_obj(), out)
         else:
@@ -352,10 +357,10 @@ def cmd_reproduce(args, out):
 # command -> (what it computes, its actions, {flag: (the actions that read it,
 # None for all of them; its least value and its most value, each None for
 # none, a number, or {action: number}; argparse options with this command's
-# default)}).  The parser takes each flag once, with no default;
-# _scope_action_flags checks what was given against this table and sets the
-# defaults.  Beside each most value is what a fresh process, unscaled, takes
-# at it and above it.
+# default)}, the handler main calls).  The parser takes each flag once, with
+# no default; _scope_action_flags checks what was given against this table and
+# sets the defaults.  Beside each most value is what a fresh process, unscaled,
+# takes at it and above it.
 OUT = {"--out": (None, None, None, dict(metavar="FILE"))}
 FORMAT_OUT = {"--format": (None, None, None, dict(default="text", choices=["text", "csv", "json"])), **OUT}
 # --precision of mahler dilate --padic and of artin-schreier: dilate --padic 3
@@ -368,7 +373,7 @@ COMMANDS = {
         # invert --order 24 takes ~1.6 s, 30 ~11 s and 40 ~160 s (390 MB);
         # residue --order 16 ~2 s, 18 ~5.6 s and 20 ~17 s
         "--order": (None, 1, {"invert": 24, "residue": 16}, dict(type=int, default=4)),
-    }),
+    }, cmd_series),
     "fgl": ("formal group law computations", "twist cpn box-diff miscenko", {
         **FORMAT_OUT,
         # capped in cmd_fgl at fgl.MAX_TWIST_BOUND, which bordism reads too
@@ -380,13 +385,13 @@ COMMANDS = {
         # (166 MB), 44 7.1 s (345 MB) and 50 23 s (935 MB)
         "--n": ("cpn", 1, 40, dict(type=int, default=4)),
         "--expr": ("miscenko", None, None, dict(default="1/4*K3SQ + 12*N")),
-    }),
+    }, cmd_fgl),
     "chern": ("Chern classes and the SU constraint system", "total system reduce nullspace todd", {
         **FORMAT_OUT,
         "--dims": ("total", None, None, dict(default="1,3")),
         "--dim": ("system reduce nullspace", 1, None, dict(type=int, default=4)),  # capped by MAX_TERMS
         "--inputs": ("todd", None, None, dict(default="625,50,250,100,5")),
-    }),
+    }, cmd_chern),
     "adams": ("Adams operations on K-homology", "beta beta-table nki relations psi-dk spherical", {
         **FORMAT_OUT,
         "--nki": ("nki psi-dk spherical", None, None,
@@ -413,7 +418,7 @@ COMMANDS = {
         "--degree": ("relations", 4, 28, dict(type=int, default=7)),
         "--level": ("psi-dk spherical", None, None, dict(default="base", choices=["base", "thom"])),
         "--max-weight": ("spherical", 2, None, dict(type=int, default=20)),  # capped by MAX_WEIGHT
-    }),
+    }, cmd_adams),
     "cannibal": ("cannibalistic class tables", "table closed tseq", {
         **FORMAT_OUT,
         # table prints (bound + 1)^2 cells; stdout to /dev/null, --bound 300
@@ -428,7 +433,7 @@ COMMANDS = {
         # whose t_k Python prints by default, ~4.5 s, ~310 MB and 110 MB
         "--m": ("closed", 0, 9012, dict(type=int, default=2)),
         "--n": ("closed tseq", 0, {"closed": 9012, "tseq": 4000}, dict(type=int, default=2)),
-    }),
+    }, cmd_cannibal),
     "mahler": ("binomial-basis dilation", "dilate matrix vs-adams", {
         **FORMAT_OUT,
         "--precision": ("dilate", *PRECISION),
@@ -442,16 +447,16 @@ COMMANDS = {
         "--i": ("dilate", 0, 1000, dict(type=int, default=4)),
         "--imax": ("matrix vs-adams", 0, {"matrix": 200, "vs-adams": 100}, dict(type=int, default=6)),
         "--padic": ("dilate", None, None, dict(type=int)),
-    }),
+    }, cmd_mahler),
     "artin-schreier": ("2-adic Artin-Schreier verification", "", {
         **FORMAT_OUT,
         "--precision": (None, *PRECISION),
         "--u": (None, None, None, dict(type=int, default=17)),
-    }),
+    }, cmd_artin_schreier),
     "reproduce-paper": ("recompute and diff all golden tables", "", {
         **OUT,
         "--verbose": (None, None, None, dict(action="store_true", default=False)),
-    }),
+    }, cmd_reproduce),
 }
 
 
@@ -481,11 +486,11 @@ def build_parser():
                 formatter_class=argparse.RawDescriptionHelpFormatter,
                 epilog="commands and their actions; flags may come before or after the action:\n"
                        + "\n".join(f"  {c} {a.replace(' ', '|')}".rstrip() + f": {what}"
-                                   for c, (what, a, _) in COMMANDS.items()))
+                                   for c, (what, a, _, _) in COMMANDS.items()))
     p.add_argument("command", choices=list(COMMANDS), metavar="COMMAND")
     p.add_argument("action", nargs="?", metavar="ACTION")
     flags = {}  # flag -> (its options, {what some commands' actions read of it: those commands})
-    for command, (_, _, own) in COMMANDS.items():
+    for command, (_, _, own, _) in COMMANDS.items():
         for flag, (readers, low, high, opts) in own.items():
             what = ", ".join([readers or "all", f"default {opts.get('default')}",
                               *_range_help("at least", low), *_range_help("at most", high)])
@@ -503,13 +508,13 @@ def _scope_action_flags(args):
     command that was not given gets the command's default.  The given flags are
     recorded in ``args.given``; any other case is a usage error that names
     the action or the flag."""
-    _, actions, own = COMMANDS[args.command]
+    _, actions, own, _ = COMMANDS[args.command]
     actions = actions.split()
     if args.action not in (actions or [None]):
         takes = f"one of {', '.join(actions)}" if actions else "no action"
         raise UsageError(f"action: {args.command} takes {takes}, got {args.action or 'none'}")
     args.given = set()
-    for flag in dict.fromkeys(flag for _, _, flags in COMMANDS.values() for flag in flags):
+    for flag in dict.fromkeys(flag for _, _, flags, _ in COMMANDS.values() for flag in flags):
         dest = flag[2:].replace("-", "_")
         if getattr(args, dest) is None:
             if flag in own:
@@ -531,24 +536,12 @@ def _scope_action_flags(args):
             _at_most(flag, value, high, args.action or args.command)
 
 
-DISPATCH = {
-    "series": cmd_series,
-    "fgl": cmd_fgl,
-    "chern": cmd_chern,
-    "adams": cmd_adams,
-    "cannibal": cmd_cannibal,
-    "mahler": cmd_mahler,
-    "artin-schreier": cmd_artin_schreier,
-    "reproduce-paper": cmd_reproduce,
-}
-
-
 def main(argv=None):
     buf = io.StringIO()
     try:
         args = build_parser().parse_intermixed_args(argv)
         _scope_action_flags(args)
-        code = DISPATCH[args.command](args, buf)
+        code = COMMANDS[args.command][3](args, buf)
     except SystemExit:  # --help
         return 0
     except UsageError as e:

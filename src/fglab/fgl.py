@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AxiomViolation, BoundMismatch, NotStrict
+from .errors import AxiomViolation, BoundMismatch
 from .series import MonomialCode, MultiSeries, _addmul, _degree_fn, lift, lower
 
 X, Y, T = "x", "y", "t"
@@ -94,9 +94,7 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
     with (j, i).  A non-symmetric F raises AxiomViolation("commutativity", ...).
     """
     bound = F.bound
-    parts = g.split((T,))
-    if (0,) in parts or parts.get((1,)) != MultiSeries.one(g.vars, g.bound, g.weights):
-        raise NotStrict("twist requires a strict series g")
+    g._strict(T)
     if bound is None or (g.bound is not None and g.bound < bound):
         raise BoundMismatch(f"twist needs F's finite bound, at most g's: {bound} vs {g.bound}")
     ix, iy = F._var_index(X), F._var_index(Y)  # the same in the joint ambient, where F's come first
@@ -119,7 +117,7 @@ def fgl_twist(F: MultiSeries, g: MultiSeries) -> FGL:
 
     # [t^k] g, and below R = [x^i y^j] g(F), as polynomials in the joint
     # ambient with t, x and y at 0
-    G = {k: coded(part.embed(vars_, weights, None).terms) for (k,), part in parts.items()}
+    G = {k: coded(part.embed(vars_, weights, None).terms) for (k,), part in g.split((T,)).items()}
     gF = g.substitute({T: F.embed(vars_, weights, bound)})
     R = {ij: coded(part.terms) for ij, part in gF.split((X, Y)).items()}
     for (i, j), r in sorted(R.items()):

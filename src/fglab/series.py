@@ -33,6 +33,11 @@ from .errors import (
     VariableMismatch,
 )
 
+# the most digits a number read from the command line may have, in a bordism
+# expression or in chern todd's inputs: far more than any twist or weight
+# needs, and well below the 4300 digits that Python converts between int and str
+MAX_DIGITS = 100
+
 
 # -- the monomial code and the product kernel ----------------------------------
 #
@@ -219,6 +224,15 @@ class MultiSeries:
             return self.vars.index(name)
         except ValueError:
             raise VariableMismatch(f"no variable {name!r} in {self.vars}") from None
+
+    def _strict(self, var):
+        """The index of ``var``, in which self must be strict: no term is free
+        of var, and the terms linear in var sum to var; else NotStrict."""
+        idx = self._var_index(var)
+        low = {e: c for e, c in self.terms.items() if e[idx] < 2}
+        if low != {tuple(int(i == idx) for i in range(len(self.vars))): 1}:
+            raise NotStrict(f"not strict in {var}: its terms of degree < 2 in {var} are {self._bare(low)}")
+        return idx
 
     def _bare(self, terms):
         out = MultiSeries.__new__(MultiSeries)
@@ -440,17 +454,12 @@ class MultiSeries:
     def comp_inverse(self, var):
         """Compositional inverse h with h(g(x)) = x, for strict g.
 
-        Strictness means zero constant term and coefficient exactly 1 on
-        ``var``.  Coefficients c_n of h are read off the triangular system
-        obtained from x = sum_n c_n g(x)^(n+1): the var^(n+1) slice of the
-        partial sum determines c_n (a polynomial in any symbol variables).
+        ``_strict`` checks g.  Coefficients c_n of h are read off the
+        triangular system obtained from x = sum_n c_n g(x)^(n+1): the
+        var^(n+1) slice of the partial sum determines c_n (a polynomial in
+        any symbol variables).
         """
-        idx = self._var_index(var)
-        if self.constant_term():
-            raise NotStrict("nonzero constant term")
-        unit = tuple(1 if i == idx else 0 for i in range(len(self.vars)))
-        if self.coefficient(unit) != 1:
-            raise NotStrict(f"leading coefficient {self.coefficient(unit)!r} != 1")
+        self._strict(var)
         if self.bound is None:
             raise NotStrict("compositional inverse needs a finite bound")
         n_max = self.bound
@@ -554,12 +563,7 @@ def residue_inverse_coeff(g, var, n):
     constant when g is genuinely univariate); it must equal the var^(n+1)
     slice of ``comp_inverse``.
     """
-    idx = g._var_index(var)
-    if g.constant_term():
-        raise NotStrict("nonzero constant term")
-    unit = tuple(1 if i == idx else 0 for i in range(len(g.vars)))
-    if g.coefficient(unit) != 1:
-        raise NotStrict("leading coefficient != 1")
+    idx = g._strict(var)
     if n == 0:
         return MultiSeries.one(g.vars, g.bound, g.weights)
     # B(s) = sum b_i s^i in a slack variable s of weight 1; symbol variables

@@ -785,7 +785,7 @@ def bounded_flags():
     it; the action is None for a command that takes none."""
     from fglab.cli import COMMANDS
     out = []
-    for command, (_, actions, flags) in COMMANDS.items():
+    for command, (_, actions, flags, _) in COMMANDS.items():
         for action in actions.split() or [None]:
             for flag, (readers, low, high, _) in flags.items():
                 if readers and action not in readers.split():

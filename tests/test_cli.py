@@ -108,6 +108,8 @@ INVALID_ARGUMENTS = [
     ("fgl", "miscenko", "--expr", "K3SQxCP2"),
     ("chern", "todd", "--inputs", "1,2,3,4,x"),
     ("chern", "todd", "--inputs", "1/0,1,1,1,1"),
+    ("chern", "todd", "--inputs", "1,2,3,4,1e5000"),
+    ("chern", "todd", "--inputs", "1,2,3,4,1e20000000"),
     ("adams", "spherical", "--max-weight", "0"),
     ("fgl", "twist", "--nb", "-1"),
     ("cannibal", "closed", "--m", "-1"),
@@ -309,6 +311,35 @@ def test_adams_k_below_2_names_the_flag_before_the_build(capsys, monkeypatch, ac
     assert (code, out, err) == (1, "", "computation error: AssertionError: built\n")
 
 
+@pytest.mark.parametrize("k", [2, 3, 6, 12])
+def test_psi_dk_builds_its_reducer_through_weight_k(capsys, monkeypatch, k):
+    """psi on d_k reads the d_j for j <= k only, so adams psi-dk --k k builds
+    the reducer through weight k and no further, whatever k."""
+    from fglab import adams
+    built, real = [], adams.DReducer
+
+    def spy(W, **kwargs):
+        built.append(W)
+        return real(W, **kwargs)
+
+    monkeypatch.setattr(adams, "DReducer", spy)
+    code, _, err = run(capsys, "adams", "psi-dk", "--k", str(k))
+    assert (code, err, built) == (0, "", [k])
+
+
+@pytest.mark.parametrize("level", ["base", "thom"])
+@pytest.mark.parametrize("nki", ["paper", "extended-gcd", "auto"])
+def test_psi_dk_does_not_depend_on_the_reducer_weight_above_k(level, nki):
+    """psi(d_k) from the reducer through weight k equals psi(d_k) from the
+    reducer through weight 7, for k = 2..6, at either level and with each
+    choice of n_k^i."""
+    from fglab.adams import DReducer
+    from fglab.cannibal import psi_dk_table
+    wide = psi_dk_table(level, DReducer(7, nki_mode=nki), range(2, 7))
+    for k in range(2, 7):
+        assert psi_dk_table(level, DReducer(k, nki_mode=nki), [k])[k].terms == wide[k].terms, k
+
+
 @pytest.mark.parametrize("bound, nb, flag, value, limit", [(25, 23, "--bound", 25, 24),
                                                           (24, 24, "--nb", 24, 23)])
 def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, flag, value, limit):
@@ -483,7 +514,7 @@ def test_every_bounded_flag_is_checked_at_both_ends_before_its_handler(capsys, m
     def unbuilt(args, out):
         raise AssertionError("built")
 
-    monkeypatch.setitem(cli.DISPATCH, command, unbuilt)
+    monkeypatch.setitem(cli.COMMANDS, command, (*cli.COMMANDS[command][:3], unbuilt))
     argv = (command, action) if action else (command,)
     if low is not None:
         code, out, err = run(capsys, *argv, flag, str(low - 1))
@@ -511,14 +542,33 @@ def test_miscenko_refuses_a_huge_exponent_before_expanding_it(capsys, expr, dim)
 
 
 def test_bordism_expr_numbers_have_at_most_max_digits():
-    """A weight, dimension or exponent of more than bordism.MAX_DIGITS digits
+    """A weight, dimension or exponent of more than series.MAX_DIGITS digits
     is NotInDomain, raised before Python's limit on converting long digit
     strings to int would raise a ValueError; MAX_DIGITS digits are read."""
-    from fglab import bordism
-    assert bordism.MAX_DIGITS == 100
+    from fglab import bordism, series
+    assert series.MAX_DIGITS == 100
     assert bordism.BordismExpr.parse("9" * 100 + "*CP1").terms == {(1,): Fraction(10 ** 100 - 1)}
     with pytest.raises(NotInDomain, match="number of 101 digits"):
         bordism.BordismExpr.parse("CP1 - " + "9" * 101 + "*CP1")
+
+
+@pytest.mark.parametrize("inputs", ["1,2,3,4,1e5000", "1,2,3,4,1E2", "1,2,3,4,1e20000000",
+                                    "1,2,3,4," + "9" * 101, "1/" + "9" * 100 + ",2,3,4,5"])
+def test_todd_refuses_exponents_and_long_numbers_before_any_fraction(capsys, monkeypatch, inputs):
+    """chern todd reads an --inputs entry only if it has no exponent and at
+    most series.MAX_DIGITS digits, so no value it takes outgrows what Python
+    prints; any other entry is refused, naming --inputs, before a Fraction is
+    built.  An entry of MAX_DIGITS digits is read."""
+    code, out, err = run(capsys, "chern", "todd", "--inputs", "1,2,3,4," + "9" * 100)
+    assert (code, err) == (0, "")
+
+    def unbuilt(*args):
+        raise AssertionError("built")
+
+    monkeypatch.setattr(cli, "Fraction", unbuilt)
+    code, out, err = run(capsys, "chern", "todd", "--inputs", inputs)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: --inputs expects comma-separated rationals of at most 100 digits")
 
 
 @pytest.mark.parametrize("expr, mode", [("CP23", "residue-exact"), ("CP1^23", "paper-box")])
@@ -581,7 +631,7 @@ def test_help_names_every_command_action_and_flag(capsys):
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
     words = set(out.replace("|", " ").replace(",", " ").replace(":", " ").split())
-    for command, (_, actions, flags) in cli.COMMANDS.items():
+    for command, (_, actions, flags, _) in cli.COMMANDS.items():
         assert {command, *actions.split(), *flags} <= words, command
     reads = {}  # (flag, command) -> what help says the command reads of the flag
     for part in re.split(r" (?=--[a-z])", " ".join(out.split()).replace("- ", "-")):
@@ -603,7 +653,7 @@ def test_each_flag_has_one_type_choices_and_action():
     gives it the same type, choices and argparse action; only the default
     and the least and most values are the command's own."""
     parsed = {a.option_strings[0]: a for a in cli.build_parser()._actions if a.option_strings}
-    for _, _, flags in cli.COMMANDS.values():
+    for _, _, flags, _ in cli.COMMANDS.values():
         for flag, (*_, opts) in flags.items():
             action = parsed[flag]
             assert (opts.get("type"), opts.get("choices")) == (action.type, action.choices), flag
@@ -694,7 +744,7 @@ def test_unexpected_exception_is_one_line_computation_error(capsys, monkeypatch)
     def boom(args, out):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli.DISPATCH, "series", boom)
+    monkeypatch.setitem(cli.COMMANDS, "series", (*cli.COMMANDS["series"][:3], boom))
     code, _, err = run(capsys, "series", "invert")
     assert code == 1
     assert err == "computation error: RuntimeError: boom\n"

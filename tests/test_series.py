@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import BoundMismatch, DivisionUndefined, NonUnitConstantTerm, NotStrict, VariableMismatch
+from fglab.fgl import fgl_twist, multiplicative_law
 from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
                           lift, lower, partitions, residue_inverse_coeff)
 
@@ -184,10 +185,42 @@ def test_comp_inverse_identity():
 
 
 def test_comp_inverse_requires_strict():
+    """g must have no term free of t and terms linear in t that sum to t.
+    Of t + b, t + t*b and t + 2*t*b + t^2, which break it, the recursive
+    inverse made t of the first two, and the residue formula read b as a
+    negative power; it, comp_inverse and the twist each refuse all three."""
     with pytest.raises(NotStrict):
         uni({1: 2}).comp_inverse("x")
     with pytest.raises(NotStrict):
         uni({0: 1, 1: 1}).comp_inverse("x")
+    for terms in ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (1, 1): 1}, {(1, 0): 1, (1, 1): 2, (2, 0): 1}):
+        g = MultiSeries(("t", "b"), terms, 4, (1, 0))
+        with pytest.raises(NotStrict):
+            g.comp_inverse("t")
+        for n in range(4):
+            with pytest.raises(NotStrict):
+                residue_inverse_coeff(g, "t", n)
+        with pytest.raises(NotStrict):
+            fgl_twist(multiplicative_law(4), g)
+
+
+@st.composite
+def strict_with_symbols(draw):
+    """g = t + sum c t^k a^i b^j over (t, a, b), 2 <= k <= bound <= 7,
+    i, j <= 2, with t of weight 1 and a, b symbols of weight 0."""
+    bound = draw(st.integers(1, 7))
+    terms = draw(st.dictionaries(st.tuples(st.integers(2, 7), st.integers(0, 2), st.integers(0, 2)),
+                                 st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
+                                 max_size=5))
+    return MultiSeries(("t", "a", "b"), {**terms, (1, 0, 0): Fraction(1)}, bound, (1, 0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(strict_with_symbols())
+def test_comp_inverse_roundtrip_with_symbols(g):
+    """h = g.comp_inverse("t") satisfies h(g) = t, with coefficients that
+    are polynomials in the symbols."""
+    assert g.comp_inverse("t").substitute({"t": g}) == MultiSeries.var(g.vars, "t", g.bound, g.weights)
 
 
 def test_comp_inverse_generic_coefficients():
@@ -416,16 +449,24 @@ rat_coeffs = st.builds(Fraction, st.integers(-20, 20), st.sampled_from([1, 1, 2,
        st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 3)]),
        st.integers(2, 6))
 def test_rat_results_have_fraction_coefficients(outer, tail, unit, bound):
-    """*, substitute, compose, reciprocal and comp_inverse return
-    Fractions, also where every denominator is 1 and the kernel ran on ints."""
+    """*, substitute, compose, reciprocal, comp_inverse and the residue
+    formula return Fractions, also where every denominator is 1 and the
+    kernel ran on ints.  A tail term x*a^k makes g not strict in x, and then
+    comp_inverse and the residue formula refuse it."""
     def series(terms):
         return MultiSeries(("x", "a"), terms, bound, (1, 0))
 
     s = series(outer)
-    g = series({**tail, (1, 0): Fraction(1)})  # strict in x
+    g = series({**tail, (1, 0): Fraction(1)})
     u = series({**tail, (0, 0): unit})  # a unit
-    results = [s * g, s * s, s.substitute({"x": g}), compose(s, "x", g),
-               u.reciprocal(), g.comp_inverse("x")]
+    results = [s * g, s * s, s.substitute({"x": g}), compose(s, "x", g), u.reciprocal()]
+    if any(c for (i, k), c in tail.items() if i == 1 and k):
+        with pytest.raises(NotStrict):
+            g.comp_inverse("x")
+        with pytest.raises(NotStrict):
+            residue_inverse_coeff(g, "x", bound - 1)
+    else:
+        results += [g.comp_inverse("x"), residue_inverse_coeff(g, "x", bound - 1)]
     for r in results:
         assert all(type(c) is Fraction for c in r.terms.values()), r
 
