@@ -9,12 +9,11 @@ failure.  Output is deterministic for a fixed configuration.
 
 from __future__ import annotations
 
-import argparse
 import io
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 from .errors import FglabError, NotAUnit, NotInDomain, UnsupportedDimension, UsageError
 
@@ -147,6 +146,7 @@ def cmd_chern(args, out):
         rows = [(f"v{i+1}", *v) for i, v in enumerate(ns)]
         _emit(rows, ["vector"] + [b.label() for b in basis], args.format, out)
     elif args.action == "todd":
+        from fractions import Fraction
         from .series import MAX_DIGITS
         entries = args.inputs.split(",")
         try:
@@ -351,17 +351,17 @@ def cmd_reproduce(args, out):
     return 3
 
 
-# -- argument parsing --------------------------------------------------------------
+# -- reading the command line -----------------------------------------------------
 
 
 # command -> (what it computes, its actions, {flag: (the actions that read it,
 # None for all of them; its least value and its most value, each None for
-# none, a number, or {action: number}; argparse options with this command's
-# default)}, the handler main calls).  The parser takes each flag once, with
-# no default; _scope_action_flags checks what was given against this table and
-# sets the defaults.  Beside each most value is what a fresh process, unscaled,
+# none, a number, or {action: number}; its options: a type, choices or the
+# store_true action, the same under every command, and this command's
+# default)}, the handler main calls).  read_argv reads a command line against
+# this table alone.  Beside each most value is what a fresh process, unscaled,
 # takes at it and above it.
-OUT = {"--out": (None, None, None, dict(metavar="FILE"))}
+OUT = {"--out": (None, None, None, {})}
 FORMAT_OUT = {"--format": (None, None, None, dict(default="text", choices=["text", "csv", "json"])), **OUT}
 # --precision of mahler dilate --padic and of artin-schreier: dilate --padic 3
 # --precision 5000 takes ~4.5 s and 10000 ~8.6 s, artin-schreier --precision
@@ -460,13 +460,6 @@ COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose own errors are usage errors."""
-
-    def error(self, message):
-        raise UsageError(message)
-
-
 def _range_help(word, bound):
     """A least or most value as help prints it: nothing for None, else
     ``word N``, with ``for ACTIONS`` once per value of an {action: N}."""
@@ -478,72 +471,138 @@ def _range_help(word, bound):
     return [f"{word} {n} for {' '.join(actions)}" for n, actions in by_value.items()]
 
 
-def build_parser():
-    """One parser for every command: the command, an optional action and
-    each flag of COMMANDS once, with no default (None: not given).  Its
-    help lists each command's actions and each flag's readers and defaults."""
-    p = _Parser(prog="fglab", usage="fglab COMMAND [ACTION] [FLAGS]", description=__doc__.splitlines()[0],
-                formatter_class=argparse.RawDescriptionHelpFormatter,
-                epilog="commands and their actions; flags may come before or after the action:\n"
-                       + "\n".join(f"  {c} {a.replace(' ', '|')}".rstrip() + f": {what}"
-                                   for c, (what, a, _, _) in COMMANDS.items()))
-    p.add_argument("command", choices=list(COMMANDS), metavar="COMMAND")
-    p.add_argument("action", nargs="?", metavar="ACTION")
-    flags = {}  # flag -> (its options, {what some commands' actions read of it: those commands})
+def _help():
+    """--help: each command with its actions, then one line per flag with
+    its choices and, for each group of commands that read it alike, the
+    actions that read it, its default and its least and most values."""
+    lines = ["usage: fglab COMMAND [ACTION] [FLAGS]", "", __doc__.splitlines()[0], "",
+             "commands and their actions:"]
+    lines += [f"  {c} {a.replace(' ', '|')}".rstrip() + f": {what}"
+              for c, (what, a, _, _) in COMMANDS.items()]
+    lines += ["", "flags, before or after the command and the action, each named in full or by",
+              "a prefix of no other flag, its value after = or as the next argument:",
+              "  -h, --help  print this help and exit"]
+    flags = {}  # flag -> (its choices, {what some commands read of it: those commands})
     for command, (_, _, own, _) in COMMANDS.items():
         for flag, (readers, low, high, opts) in own.items():
             what = ", ".join([readers or "all", f"default {opts.get('default')}",
                               *_range_help("at least", low), *_range_help("at most", high)])
-            flags.setdefault(flag, (opts, {}))[1].setdefault(what, []).append(command)
-    for flag, (opts, reads) in flags.items():
-        p.add_argument(flag, **{**opts, "default": None},
-                       help="; ".join(f"{' '.join(commands)}: {what}" for what, commands in reads.items()))
-    return p
+            flags.setdefault(flag, (opts.get("choices"), {}))[1].setdefault(what, []).append(command)
+    for flag, (choices, reads) in flags.items():
+        name = f"{flag} {{{','.join(choices)}}}" if choices else flag
+        lines.append(f"  {name}  " + "; ".join(f"{' '.join(cs)}: {what}" for what, cs in reads.items()))
+    return "\n".join(lines) + "\n"
 
 
-def _scope_action_flags(args):
-    """The one check of a parsed command line against COMMANDS: the action
-    is one of the command's, each given flag is read by the command and
-    action and lies between its least and most values, and each flag of the
-    command that was not given gets the command's default.  The given flags are
-    recorded in ``args.given``; any other case is a usage error that names
-    the action or the flag."""
-    _, actions, own, _ = COMMANDS[args.command]
+def _flag(token, flags):
+    """The flag that ``token`` names, with the value it holds after its
+    first =, else None, as argparse reads a token: a name in ``flags``, or
+    a prefix of exactly one of them, is that flag; a prefix of several is a
+    usage error; a token that does not start with -, is - alone, is a
+    negative number or holds a space is a value (None, None); any other is
+    an unknown flag, returned as it is."""
+    if token[:1] != "-" or token == "-":
+        return None, None
+    name, eq, value = token.partition("=")
+    if name not in flags and token != "--":
+        found = [f for f in flags if f.startswith(name)] if name[:2] == "--" else []
+        if len(found) > 1:
+            raise UsageError(f"{name}: ambiguous, could be {' or '.join(found)}")
+        if found:
+            name, = found
+        elif " " in token or _negative_number(token):
+            return None, None
+    return name, value if eq else None
+
+
+def _negative_number(token):
+    """argparse's negative number: -N, -N.N or -.N, of decimal digits."""
+    whole, dot, frac = token[1:].partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return (whole.isdecimal() or not whole) and frac.isdecimal()
+
+
+def read_argv(argv):
+    """The one reading of a command line against COMMANDS: a namespace of
+    the command, the action (None for none), each flag of the command, given
+    or at the command's default, and the set of given flags as ``given``;
+    None for -h or --help.
+
+    Flags stand before or after the command and the action, the other
+    tokens are the command and then the action, and after -- every token is
+    one of those.  A flag that takes a value reads it after = or as the next
+    token, unless that token reads as a flag (_flag); the last of a repeated
+    flag wins.  The action must be one of the command's, and each given flag
+    read by the command and the action, of its type and choices, and between
+    its least and most values.  Any other line is a usage error that names
+    the flag, or ``command`` or ``action``."""
+    flags = {flag: opts for _, _, own, _ in COMMANDS.values() for flag, (*_, opts) in own.items()}
+    flags["-h"] = flags["--help"] = None
+    words, values, tokens = [], {}, iter(argv)
+    for token in tokens:
+        flag, value = _flag(token, flags)
+        if flag is None:
+            words.append(token)
+        elif flag == "--":
+            words += tokens
+        elif flag not in flags:
+            raise UsageError(f"{flag}: no command reads this flag")
+        elif flags[flag] is None:
+            return None
+        elif flags[flag].get("action") == "store_true":
+            if value is not None:
+                raise UsageError(f"{flag} takes no value, got {value!r}")
+            values[flag] = True
+        else:
+            if value is None and _flag(value := next(tokens, "--"), flags)[0]:
+                value = None  # no next token, or one that reads as a flag
+            if value is None:
+                raise UsageError(f"{flag} expects a value")
+            values[flag] = value
+    command, *rest = words or [None]
+    if command not in COMMANDS:
+        raise UsageError(f"command: expected one of {', '.join(COMMANDS)}, got {command or 'none'}")
+    _, actions, own, _ = COMMANDS[command]
     actions = actions.split()
-    if args.action not in (actions or [None]):
+    action = rest[0] if rest else None
+    if action not in (actions or [None]) or len(rest) > 1:
         takes = f"one of {', '.join(actions)}" if actions else "no action"
-        raise UsageError(f"action: {args.command} takes {takes}, got {args.action or 'none'}")
-    args.given = set()
-    for flag in dict.fromkeys(flag for _, _, flags, _ in COMMANDS.values() for flag in flags):
-        dest = flag[2:].replace("-", "_")
-        if getattr(args, dest) is None:
-            if flag in own:
-                setattr(args, dest, own[flag][3].get("default"))
-            continue
-        args.given.add(flag)
+        raise UsageError(f"action: {command} takes {takes}, got {' '.join(rest) or 'none'}")
+    for flag, value in values.items():
         if flag not in own:
-            raise UsageError(f"{flag} is not read by {args.command}")
-        readers, low, high, _ = own[flag]
-        if readers and args.action not in readers.split():
-            *rest, last = readers.split()
-            names = f"{', '.join(rest)} and {last}" if rest else last
-            raise UsageError(f"{flag} is read by {names} only, not by {args.action}")
-        value = getattr(args, dest)
-        low, high = (b.get(args.action) if isinstance(b, dict) else b for b in (low, high))
+            raise UsageError(f"{flag} is not read by {command}")
+        readers, low, high, opts = own[flag]
+        if readers and action not in readers.split():
+            *others, last = readers.split()
+            names = f"{', '.join(others)} and {last}" if others else last
+            raise UsageError(f"{flag} is read by {names} only, not by {action}")
+        if kind := opts.get("type"):
+            try:
+                value = kind(value)
+            except ValueError:
+                raise UsageError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
+        if value not in opts.get("choices", [value]):
+            raise UsageError(f"{flag} expects one of {', '.join(opts['choices'])}, got {value!r}")
+        low, high = (b.get(action) if isinstance(b, dict) else b for b in (low, high))
         if low is not None and value < low:
             raise UsageError(f"{flag} must be >= {low}, got {value}")
         if high is not None:
-            _at_most(flag, value, high, args.action or args.command)
+            _at_most(flag, value, high, action or command)
+        values[flag] = value
+    return SimpleNamespace(command=command, action=action, given=set(values),
+                           **{flag[2:].replace("-", "_"): values.get(flag, opts.get("default"))
+                              for flag, (*_, opts) in own.items()})
 
 
 def main(argv=None):
     buf = io.StringIO()
     try:
-        args = build_parser().parse_intermixed_args(argv)
-        _scope_action_flags(args)
+        args = read_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_help())
+            return 0
         code = COMMANDS[args.command][3](args, buf)
-    except SystemExit:  # --help
-        return 0
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2

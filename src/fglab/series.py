@@ -357,7 +357,7 @@ class MultiSeries:
             raise NonUnitConstantTerm(f"constant term {c0!r} not invertible")
         c0inv = 1 / Fraction(c0)
         if self.bound is None:
-            raise NonUnitConstantTerm("reciprocal needs a finite truncation bound")
+            raise BoundMismatch("reciprocal needs a finite truncation bound")
         one = MultiSeries.one(self.vars, self.bound, self.weights)
         r = one - self.scale(c0inv)
         if not r.min_pos_wdeg_ok():
@@ -461,7 +461,7 @@ class MultiSeries:
         """
         self._strict(var)
         if self.bound is None:
-            raise NotStrict("compositional inverse needs a finite bound")
+            raise BoundMismatch("compositional inverse needs a finite bound")
         n_max = self.bound
         powers = [None, self]
         for _ in range(2, n_max + 1):

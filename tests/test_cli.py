@@ -11,6 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fglab
 from fglab import cli
@@ -144,7 +145,7 @@ INVALID_ARGUMENTS = [
     ("chern", "total", "--dim", "6"),
     ("fgl", "twist", "--bound", "4", "--nb", "2", "--expr", "CP2"),
     ("fgl", "miscenko", "--expr", "CP2 - +CP2"),
-    ("fgl", "miscenko", "--expr=--CP1"),  # argparse reads a value that starts with - only after =
+    ("fgl", "miscenko", "--expr=--CP1"),  # a value that starts with - is read only after =
     ("fgl", "miscenko", "--expr", "CP1xxCP2"),
     ("fgl", "miscenko", "--expr", "CP1 x x CP2"),
     ("fgl", "twist", "--k", "3"),
@@ -153,12 +154,20 @@ INVALID_ARGUMENTS = [
     ("adams",),
     ("adams", "bogus"),
     ("reproduce-paper", "extra"),
-    # the parser's own errors: a value outside the choices, a value of the wrong
+    # the reader's own errors: a value outside the choices, a value of the wrong
     # type, an unknown flag and an unknown command
     ("chern", "system", "--format", "yaml"),
     ("fgl", "twist", "--bound", "x"),
     ("adams", "beta", "--bogus", "1"),
     ("bogus",),
+    # no value, a value given to a flag that takes none, an ambiguous prefix,
+    # a value that reads as a flag, no command and a third word
+    ("fgl", "twist", "--bound"),
+    ("adams", "beta", "--mod2=1"),
+    ("adams", "spherical", "--mo", "3"),
+    ("fgl", "miscenko", "--expr", "-CP1"),
+    (),
+    ("adams", "beta", "extra"),
 ]
 
 
@@ -198,11 +207,24 @@ def test_invalid_argument_is_usage_error(capsys, argv):
     (("fgl", "miscenko", "--expr", "0"), "--expr"),
     (("chern", "total", "--dims", "0"), "--dims"),
     (("chern", "total", "--dims", "1,-2"), "--dims"),
+    (("chern", "system", "--format", "yaml"), "--format"),
+    (("fgl", "twist", "--bound", "x"), "--bound"),
+    (("fgl", "twist", "--bound"), "--bound"),
+    (("adams", "beta", "--mod2=1"), "--mod2"),
+    (("adams", "spherical", "--mo", "3"), "--mo"),
+    (("adams", "beta", "--bogus", "1"), "--bogus"),
+    (("bogus",), "command"),
+    ((), "command"),
+    (("fgl", "miscenko", "--expr", "-CP1"), "--expr"),
+    (("adams", "beta", "extra"), "action"),
 ])
 def test_out_of_domain_value_names_its_flag(capsys, argv, flag):
     """Out-of-domain values, rejected by the CLI or by the library's own error
-    types, and flags the chosen command or action does not read are reported
-    against the flag; a missing, unknown or extra action against ``action``."""
+    types, flags the chosen command or action does not read, and flags the
+    reader cannot read (of a wrong type or choice, without a value, with a
+    value they do not take, unknown or an ambiguous prefix) are reported
+    against the flag; a missing, unknown or extra action against ``action``;
+    a missing or unknown command against ``command``."""
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith(f"usage error: {flag}")
@@ -565,7 +587,7 @@ def test_todd_refuses_exponents_and_long_numbers_before_any_fraction(capsys, mon
     def unbuilt(*args):
         raise AssertionError("built")
 
-    monkeypatch.setattr(cli, "Fraction", unbuilt)
+    monkeypatch.setattr("fractions.Fraction", unbuilt)  # what cmd_chern imports for todd
     code, out, err = run(capsys, "chern", "todd", "--inputs", inputs)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: --inputs expects comma-separated rationals of at most 100 digits")
@@ -616,10 +638,14 @@ def test_flag_of_another_subcommand_is_rejected(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("adams", "--level", "thom", "--k", "12", "psi-dk", "--nki", "auto"),
     ("--level", "thom", "--k", "12", "--nki", "auto", "adams", "psi-dk"),
+    ("--lev=thom", "adams", "--k=12", "--level", "base", "psi-dk", "--nki", "auto", "--level", "thom"),
+    ("--level", "thom", "--k", "12", "--nki", "auto", "--", "adams", "psi-dk"),
 ])
 def test_flags_may_come_before_the_action(capsys, argv):
-    """One parser reads the flags wherever they stand: before the action or
-    before the command, the psi_dk workload prints the same bytes."""
+    """The reader takes the flags wherever they stand, before the action or
+    before the command, by a unique prefix, with the value after =, the last
+    of a repeated flag, and the command and action after --: the psi_dk
+    workload prints the same bytes."""
     want = run(capsys, "adams", "psi-dk", "--level", "thom", "--k", "12", "--nki", "auto")
     assert want[0] == 0
     assert run(capsys, *argv) == want
@@ -630,6 +656,8 @@ def test_help_names_every_command_action_and_flag(capsys):
     value of a flag beside it."""
     code, out, err = run(capsys, "--help")
     assert (code, err) == (0, "")
+    for argv in (("-h",), ("adams", "--k", "3", "--he"), ("-h", "--bogus=1")):
+        assert run(capsys, *argv) == (0, out, ""), argv  # anywhere, by prefix too
     words = set(out.replace("|", " ").replace(",", " ").replace(":", " ").split())
     for command, (_, actions, flags, _) in cli.COMMANDS.items():
         assert {command, *actions.split(), *flags} <= words, command
@@ -649,15 +677,65 @@ def test_help_names_every_command_action_and_flag(capsys):
 
 
 def test_each_flag_has_one_type_choices_and_action():
-    """The parser holds each flag once, so every command that reads a flag
-    gives it the same type, choices and argparse action; only the default
-    and the least and most values are the command's own."""
-    parsed = {a.option_strings[0]: a for a in cli.build_parser()._actions if a.option_strings}
+    """A flag is named, and its value read, before the command is known, so
+    every command that reads a flag gives it the same type, choices and
+    action; only the default and the least and most values are the
+    command's own.  A store_true flag takes no value, so it has no type and
+    no choices, and it defaults to False."""
+    kinds = {}
     for _, _, flags, _ in cli.COMMANDS.values():
         for flag, (*_, opts) in flags.items():
-            action = parsed[flag]
-            assert (opts.get("type"), opts.get("choices")) == (action.type, action.choices), flag
-            assert (opts.get("action") == "store_true") == (action.nargs == 0), flag
+            assert set(opts) <= {"type", "choices", "action", "default"}, flag
+            kind = (opts.get("type"), opts.get("choices"), opts.get("action"))
+            assert kinds.setdefault(flag, kind) == kind, flag
+            if opts.get("action") is not None:
+                assert (kind, opts["default"]) == ((None, None, "store_true"), False), flag
+
+
+COMMAND_ACTIONS = [(command, action) for command, (_, actions, _, _) in cli.COMMANDS.items()
+                   for action in actions.split() or [None]]
+# text values that are read as the next argument too: none starts with -
+# unless it holds a space or is a negative number
+TEXT = st.text(alphabet="aK3N/*+ ,.=x", max_size=12) | st.sampled_from(["-1/4*K3SQ + 12*N", "-3", "-.5"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_reader_reads_any_order_and_spelling_alike(data):
+    """For any command and action, any subset of the flags it reads at values
+    in range, in any order around the command and the action, each value as
+    --f v or --f=v, read_argv returns each given flag's value converted,
+    every other flag of the command at its default, and the given flags."""
+    command, action = data.draw(st.sampled_from(COMMAND_ACTIONS))
+    own = cli.COMMANDS[command][2]
+    chosen = data.draw(st.lists(st.sampled_from([f for f, (readers, *_) in own.items()
+                                                 if not readers or action in readers.split()]),
+                                unique=True))
+    groups, want = [], {}
+    for flag in chosen:
+        _, low, high, opts = own[flag]
+        low, high = (b.get(action) if isinstance(b, dict) else b for b in (low, high))
+        if opts.get("action") == "store_true":
+            groups.append([flag])
+            want[flag] = True
+            continue
+        if "choices" in opts:
+            value = data.draw(st.sampled_from(opts["choices"]))
+        elif opts.get("type") is int:
+            value = data.draw(st.integers(-10 ** 6 if low is None else low,
+                                          10 ** 6 if high is None else high))
+        else:
+            value = data.draw(TEXT)
+        want[flag] = value
+        groups.append([f"{flag}={value}"] if data.draw(st.booleans()) else [flag, str(value)])
+    words = [[command], *([[action]] if action else [])]
+    order = data.draw(st.permutations(range(len(groups) + len(words))))
+    at = [i for i in order if i >= len(groups)]  # where the command and action go, in order
+    argv = [token for i in order for token in (words[at.index(i)] if i in at else groups[i])]
+    args = cli.read_argv(argv)
+    assert (args.command, args.action, args.given) == (command, action, set(chosen)), argv
+    for flag, (*_, opts) in own.items():
+        assert getattr(args, flag[2:].replace("-", "_")) == want.get(flag, opts.get("default")), (argv, flag)
 
 
 @pytest.mark.parametrize("expr", [
@@ -946,7 +1024,9 @@ def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
     modules that command calls, golden_data only for reproduce-paper, and
     never dataclasses: neither mahler nor bordism for fgl twist, no linalg
     for an adams or chern action that eliminates nothing, and no series
-    engine for a bare import of the CLI."""
+    engine for a bare import of the CLI.  The command line is read off
+    cli.COMMANDS, so no argparse, gettext or locale is ever loaded, and a
+    bare import loads no fractions or decimal either."""
     env = {**os.environ, "PYTHONPATH": str(Path(fglab.__file__).resolve().parents[1])}
     proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -958,6 +1038,9 @@ def test_command_loads_only_the_modules_it_runs(argv, code, allowed):
         assert ours == allowed
     assert ("golden_data" in ours) == (argv[:1] == ("reproduce-paper",))
     assert "dataclasses" not in loaded
+    assert not {"argparse", "gettext", "locale"} & set(loaded)
+    if not argv:
+        assert not {"fractions", "decimal"} & set(loaded)
 
 
 # Runs each argv of the JSON list on stdin in this interpreter under

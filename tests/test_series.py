@@ -134,6 +134,14 @@ def test_reciprocal_unit_and_errors():
         uni({0: 1, 1: 1}, 7) ** -1
 
 
+def test_reciprocal_of_an_unbounded_series_is_a_bound_mismatch():
+    """A unit with no truncation bound has an infinite reciprocal: the
+    missing bound is refused as BoundMismatch, as fgl_twist refuses it, not
+    as a constant term that is not a unit."""
+    with pytest.raises(BoundMismatch, match="finite truncation bound"):
+        (MultiSeries.one(("t",)) + MultiSeries.var(("t",), "t")).reciprocal()
+
+
 def test_reciprocal_of_theta_denominator():
     # 1/(3 - 3x + x^2): t-sequence, including the vanishing x^5 coefficient
     s = uni({0: 3, 1: -3, 2: 1}, 7)
@@ -182,6 +190,14 @@ def test_compose_rejects_constant_term():
 def test_comp_inverse_identity():
     x = MultiSeries.var(("x",), "x", 8)
     assert x.comp_inverse("x") == x
+
+
+def test_comp_inverse_of_an_unbounded_series_is_a_bound_mismatch():
+    """t itself is strict, but with no bound its inverse has no last
+    coefficient: the missing bound is refused as BoundMismatch, as fgl_twist
+    refuses it, not as NotStrict."""
+    with pytest.raises(BoundMismatch, match="finite bound"):
+        MultiSeries.var(("t",), "t").comp_inverse("t")
 
 
 def test_comp_inverse_requires_strict():
