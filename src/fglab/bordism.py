@@ -10,7 +10,7 @@ import re
 from fractions import Fraction
 
 from .errors import NotInDomain, UnsupportedDimension, UsageError
-from .fgl import FGL, MAX_TWIST_BOUND, X, Y
+from .fgl import FGL, MAX_TWIST_BOUND
 from .series import MAX_DIGITS, MultiSeries
 
 
@@ -172,19 +172,16 @@ def miscenko_image(expr: BordismExpr, law: FGL, mode="paper-box") -> MultiSeries
     Each CP^n maps to its a-polynomial with a_{1,i} replaced by the law's
     coefficient of x y^i; products multiply, weights act linearly.
     """
-    # the symbol ambient: the law's variables without x and y
-    target = law.zero.drop_vars((X, Y))
     cache = {}
 
     def cp(n):
         if n not in cache:
             poly = cpn_in_a(n, mode)
-            repl = {a_var(1, i): law.a(1, i).drop_vars((X, Y))
-                    for i in range(1, (4 if mode == "paper-box" else n) + 1)}
+            repl = {a_var(1, i): law.a(1, i) for i in range(1, (4 if mode == "paper-box" else n) + 1)}
             cache[n] = poly.substitute(repl)
         return cache[n]
 
-    out = target
+    out = law.zero
     for key, w in expr.terms.items():
         piece = cp(key[0]).scale(w)
         for n in key[1:]:

@@ -85,8 +85,7 @@ def cmd_fgl(args, out):
     if args.action == "twist":
         _at_most("--bound", args.bound, fgl.MAX_TWIST_BOUND, "twist")
         _at_most("--nb", args.nb, fgl.MAX_TWIST_BOUND - 1, "twist")
-        g = fgl.generic_strict_series(args.bound, args.nb)
-        law = fgl.fgl_twist(fgl.multiplicative_law(args.bound), g)
+        law = fgl.fgl_twist(args.bound, args.nb)
         rows = [(f"a{i}{j}", c) for (i, j), c in sorted(law.coeff_table().items()) if i <= j]
         _emit(rows, ["coefficient", "image"], args.format, out)
         return 0
@@ -110,7 +109,7 @@ def cmd_fgl(args, out):
             if expr.terms:
                 bordism.cpn_in_a(max(max(key) for key in expr.terms), args.mode)
             nb = expr.dimension()
-            tw = fgl.fgl_twist(fgl.multiplicative_law(nb + 2), fgl.generic_strict_series(nb + 2, nb))
+            tw = fgl.fgl_twist(nb + 2, nb)
             img = bordism.miscenko_image(expr, tw, args.mode)
         _emit([(args.expr, args.mode, img)], ["expression", "mode", "image"], args.format, out)
     return 0

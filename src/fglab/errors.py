@@ -43,13 +43,6 @@ class NotStrict(FglabError):
 
 # -- formal group laws ----------------------------------------------------
 
-class AxiomViolation(FglabError):
-    def __init__(self, axiom, monomial):
-        self.axiom = axiom
-        self.monomial = monomial
-        super().__init__(f"FGL axiom '{axiom}' fails at monomial {monomial}")
-
-
 class UnsupportedDimension(FglabError):
     pass
 

@@ -53,7 +53,7 @@ class GoldenTable:
 
 @cache
 def _twisted_law():
-    return fgl.fgl_twist(fgl.multiplicative_law(6), fgl.generic_strict_series(6, 5))
+    return fgl.fgl_twist(6, 5)
 
 
 @cache
@@ -90,7 +90,7 @@ def compute_twist_images():
     law = _twisted_law()
     out = {}
     for (i, j) in [(1, 1), (2, 1), (3, 1), (2, 2), (4, 1), (3, 2)]:
-        out.update(_cells(f"a{i}{j}", law.a(i, j).drop_vars(("x", "y"))))
+        out.update(_cells(f"a{i}{j}", law.a(i, j)))
     return out
 
 

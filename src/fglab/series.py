@@ -380,22 +380,6 @@ class MultiSeries:
                 terms[exp[:idx] + (0,) + exp[idx + 1:]] = c
         return self._bare(terms)
 
-    def split(self, names):
-        """Group the terms by their exponents in the named variables.
-
-        Returns {exponents in ``names``: series of those terms with the named
-        variables zeroed}, all in self's ambient.  The parts are not
-        re-truncated, so the sum of part * prod(name^e) gives back self.
-        """
-        idxs = [self._var_index(v) for v in names]
-        groups = {}
-        for exp, c in self.terms.items():
-            rest = list(exp)
-            for i in idxs:
-                rest[i] = 0
-            groups.setdefault(tuple(exp[i] for i in idxs), {})[tuple(rest)] = c
-        return {key: self._bare(terms) for key, terms in groups.items()}
-
     def embed(self, varnames, weights, bound):
         """The same terms in the ambient (varnames, weights, bound), matching
         variables by name.  A variable the target lacks must not occur."""
@@ -478,11 +462,6 @@ class MultiSeries:
             inv = inv + cn * spine
             acc = acc + cn * powers[n + 1]
         return inv
-
-    def drop_vars(self, names):
-        """Remove variables that occur with exponent zero in every term."""
-        keep = [(v, w) for v, w in zip(self.vars, self.weights) if v not in names]
-        return self.embed([v for v, _ in keep], [w for _, w in keep], self.bound)
 
     # -- equality / display --------------------------------------------------
 

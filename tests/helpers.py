@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import compress
-from math import comb, gcd
+from math import comb, gcd, prod
 
 from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dpoly, _multiplicative,
                          _psi_minus_id_mod2, code_places, monomial_codes, psi_tensor_apoly)
@@ -10,13 +10,59 @@ from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
 from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotInDomain,
                           NotReducible, NotStrict, UsageError)
-from fglab.fgl import FGL, X, Y, _require_zero
+from fglab.fgl import FGL, fgl_twist
 from fglab.mahler import NumPoly, Padic2, binom, mahler_expand
 from fglab.linalg import GF2Echelon
 from fglab.series import MultiSeries, _addmul, _lincomb, _product, lift, partitions, val2
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
+
+X, Y, T = "x", "y", "t"
+
+
+class AxiomViolation(FglabError):
+    """``fgl_check`` found a series that breaks a formal group law axiom."""
+
+    def __init__(self, axiom, monomial):
+        self.axiom = axiom
+        self.monomial = monomial
+        super().__init__(f"FGL axiom '{axiom}' fails at monomial {monomial}")
+
+
+def split(s, names):
+    """Group the terms of s by their exponents in the named variables.
+
+    Returns {exponents in ``names``: series of those terms with the named
+    variables zeroed}, all in s's ambient.  The parts are not re-truncated,
+    so the sum of part * prod(name^e) gives back s.
+    """
+    idxs = [s._var_index(v) for v in names]
+    groups = {}
+    for exp, c in s.terms.items():
+        rest = list(exp)
+        for i in idxs:
+            rest[i] = 0
+        groups.setdefault(tuple(exp[i] for i in idxs), {})[tuple(rest)] = c
+    return {key: s._bare(terms) for key, terms in groups.items()}
+
+
+def drop_vars(s, names):
+    """s without the named variables, which occur with exponent zero in every term."""
+    keep = [(v, w) for v, w in zip(s.vars, s.weights) if v not in names]
+    return s.embed([v for v, _ in keep], [w for _, w in keep], s.bound)
+
+
+def specialise(s, values):
+    """s with each variable named in ``values`` set to that number, in s's
+    ambient without those variables."""
+    keep = [k for k, v in enumerate(s.vars) if v not in values]
+    at = [(k, values[v]) for k, v in enumerate(s.vars) if v in values]
+    terms = {}
+    for exp, c in s.terms.items():
+        key = tuple(exp[k] for k in keep)
+        terms[key] = terms.get(key, 0) + c * prod(x ** exp[k] for k, x in at)
+    return MultiSeries([s.vars[k] for k in keep], terms, s.bound, [s.weights[k] for k in keep])
 
 
 def geometric(varnames, var, bound, weights=None):
@@ -67,7 +113,7 @@ def compose(outer, var, inner):
     """
     if inner.constant_term():
         raise NonzeroConstantTerm("inner series has nonzero constant term")
-    layers = outer.split((var,))
+    layers = split(outer, (var,))
     out = MultiSeries.zero(inner.vars, inner.bound, inner.weights)
     for k in range(max((k for (k,) in layers), default=0), -1, -1):
         out = out * inner
@@ -81,7 +127,6 @@ def twist_by_substitution(F, g):
     """The twisted law g(F(g^-1(x), g^-1(y))) by direct substitution, the
     reference for ``fgl_twist``: F is bivariate in (x, y), g a strict series
     in t, and the result lives in the union ambient of their variables."""
-    X, Y, T = "x", "y", "t"
     bound = F.bound
     unit = tuple(1 if v == T else 0 for v in g.vars)
     if g.coefficient(unit) != 1 or g.constant_term():
@@ -127,21 +172,44 @@ def integrate_strict(s, var):
     return MultiSeries(s.vars, terms, s.bound, s.weights)
 
 
+def multiplicative_law(bound):
+    """F_K(x, y) = x + y + v x y over the symbol v."""
+    one = Fraction(1)
+    terms = {(1, 0, 0): one, (0, 1, 0): one, (1, 1, 1): one}
+    return MultiSeries((X, Y, "v"), terms, bound, (1, 1, 0))
+
+
 def fgl_of(F):
-    """The FGL whose parts are F's (i, j) split."""
-    return FGL(F._bare({}), F.split((X, Y)))
+    """The FGL whose parts are F's (i, j) split for i, j >= 1, with x and y
+    dropped."""
+    return FGL(drop_vars(F._bare({}), (X, Y)),
+               {ij: drop_vars(part, (X, Y)) for ij, part in split(F, (X, Y)).items() if min(ij) >= 1})
 
 
 def law_of(fgl: FGL) -> MultiSeries:
-    """The law F(x, y) that an FGL keeps as its parts: the inverse of ``fgl_of``."""
-    ix, iy = fgl.zero._var_index(X), fgl.zero._var_index(Y)
-    terms = {}
+    """The law F(x, y) = x + y + sum a_ij x^i y^j that an FGL keeps as its
+    parts, in the ambient (x, y, symbols...): the inverse of ``fgl_of``."""
+    zero = fgl.zero
+    terms = {(1, 0) + (0,) * len(zero.vars): Fraction(1), (0, 1) + (0,) * len(zero.vars): Fraction(1)}
     for (i, j), part in fgl._parts.items():
         for exp, c in part.terms.items():
-            exp = list(exp)
-            exp[ix], exp[iy] = i, j
-            terms[tuple(exp)] = c
-    return fgl.zero._bare(terms)
+            terms[(i, j) + exp] = c
+    return MultiSeries((X, Y) + zero.vars, terms, zero.bound, (1, 1) + zero.weights)
+
+
+def twist_by(g):
+    """x + y + vxy twisted by a strict series g in t with rational
+    coefficients, as a law in (x, y, v): the universal twist ``fgl_twist``
+    at g's bound with each b_i set to [t^(i+1)] g."""
+    nb = g.bound - 1
+    values = {f"b{i}": g.coeff_in_var(T, i + 1).constant_term() for i in range(1, nb + 1)}
+    return specialise(law_of(fgl_twist(g.bound, nb)), values)
+
+
+def _require_zero(diff: MultiSeries, axiom: str):
+    """AxiomViolation(axiom, the first monomial of diff) unless diff is zero."""
+    if not diff.is_zero():
+        raise AxiomViolation(axiom, diff.monomial_str(diff.sorted_terms()[0][0]) or "1")
 
 
 def fgl_check(F: MultiSeries) -> FGL:
@@ -203,7 +271,7 @@ def fgl_log(F: MultiSeries) -> MultiSeries:
 
     Computed from l'(x) = 1/(dF/dy)(x, 0), integrated term-wise.
     """
-    dFdy = partial(F, Y).coeff_in_var(Y, 0).drop_vars((Y,))
+    dFdy = drop_vars(partial(F, Y).coeff_in_var(Y, 0), (Y,))
     return integrate_strict(dFdy.reciprocal(), X)
 
 
@@ -237,7 +305,7 @@ def fgl_binom(F: MultiSeries, k: int) -> dict:
     """
     if k < 0:
         raise UsageError("k must be >= 0")
-    return (F ** k).split((X, Y))
+    return split(F ** k, (X, Y))
 
 
 def in_span(vectors, v):

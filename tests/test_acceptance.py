@@ -19,13 +19,13 @@ from fglab.bordism import BordismExpr, miscenko_image
 from fglab.cannibal import ThetaGenSeq, theta3_closed, theta_gen_closed, theta_unit, thom_psi_dk
 from fglab.chern import (integer_reduce, nullspace_rational, paper_dim8_basis, same_row_space,
                          su_constraint_system, todd_t4)
-from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
+from fglab.fgl import fgl_twist, generic_strict_series
 from fglab.mahler import (Padic2, artin_schreier_check, dilate, dilation_matrix, dilation_vs_adams,
                           padic_log)
 from fglab.series import MultiSeries, residue_inverse_coeff
 
 from helpers import (RANDOM_SEED, coeff_of, compose, dk_as_apoly, dpoly_mul, exp_series, fgl_check,
-                     fgl_from_genus, in_span, law_of, matvec, theta3_bilinear)
+                     fgl_from_genus, in_span, matvec, theta3_bilinear, twist_by)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -36,7 +36,7 @@ def ok(n, msg):
 
 @pytest.fixture(scope="module")
 def twisted():
-    return fgl_twist(multiplicative_law(6), generic_strict_series(6, 5))
+    return fgl_twist(6, 5)
 
 
 def test_criterion_1_inverse_series_formulas():
@@ -93,7 +93,7 @@ def test_criterion_3_twisted_law(twisted):
     for i in range(1, 5):
         terms[(i + 1, 0)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     g = MultiSeries(("t", "v"), terms, 12, (1, 0))
-    fgl_check(law_of(fgl_twist(multiplicative_law(12), g)))
+    fgl_check(twist_by(g))
     ok(3, "twisted-law images exact (a32 modulo documented misprints); axioms pass to bound 12")
 
 
@@ -300,7 +300,7 @@ def test_criterion_14_property_suite():
         for i in range(1, 5):
             terms[(i + 1, 0)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         g = MultiSeries(("t", "v"), terms, 8, (1, 0))
-        fgl_check(law_of(fgl_twist(multiplicative_law(8), g)))
+        fgl_check(twist_by(g))
     # inversion round-trips
     for _ in range(20):
         terms = {(1,): Fraction(1)}

@@ -13,7 +13,7 @@ from fglab.adams import (APoly, DPoly, DReducer, coboundary_coeffs,
                          nki_coeffs, psi_inv_beta,
                          psi_power_coeff, psi_tensor_apoly, spherical_search,
                          _psi_minus_id_mod2)
-from fglab.cannibal import theta3_direct, theta_unit, thom_psi_dk
+from fglab.cannibal import psi_dk_table, theta3_direct, theta_unit, thom_psi_dk
 from fglab.errors import InsufficientTable, NotReducible, UnsupportedK, UsageError
 
 from helpers import (RANDOM_SEED, LiftObstruction, _psi_dpoly, agen, apoly_mul, apoly_weights, binom_gcd,
@@ -479,6 +479,34 @@ def test_spherical_kernel_is_fixed_pointwise(thom_table10):
                 acc = dpoly_mul(acc, table[k])
             img = poly_add(img, acc)
         assert img.mod2() == elt, str(elt)
+
+
+# new mod-2 spherical kernel classes per topological weight through 28, the
+# constants excluded: a dimension of the kernel, which no elimination order
+# or choice of representative can change
+NEW_SPHERICAL_CLASSES = {
+    "thom": dict(zip([4, *range(8, 29, 2)], [1, 1, 1, 3, 1, 5, 3, 8, 5, 12, 10, 20])),
+    "base": dict(zip([4, *range(8, 29, 2)], [1, 2, 1, 3, 1, 6, 3, 8, 4, 15, 9, 21])),
+}
+
+
+@pytest.mark.parametrize("level", ["thom", "base"])
+def test_spherical_kernel_dimensions_agree_across_nki_and_weights(level):
+    """The number of new kernel classes per weight is the same for every
+    --nki choice that reaches the weight (paper covers max-weight 20 only),
+    does not change at weights <= 20 as the max-weight grows to 28, and is
+    none at weight 6, which the pins leave out."""
+    def counts(nki, max_weight):
+        W = max_weight // 2
+        table = psi_dk_table(level, DReducer(W, nki_mode=nki), range(2, W + 1))
+        _, new = spherical_search(max_weight, table)
+        return {w: len(elts) for w, elts in new.items()}
+
+    want = NEW_SPHERICAL_CLASSES[level]
+    for nki in ("paper", "extended-gcd", "auto"):
+        assert counts(nki, 20) == {w: n for w, n in want.items() if w <= 20}, nki
+    for nki in ("extended-gcd", "auto"):
+        assert counts(nki, 28) == want, nki
 
 
 def test_spherical_requires_full_table(thom_table10):

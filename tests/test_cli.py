@@ -55,6 +55,16 @@ def test_deterministic_output(capsys):
     json.loads(a[1])
 
 
+def test_fgl_twist_reads_no_b_at_or_above_the_bound(capsys):
+    """No b_i with i >= --bound reaches the law, so --nb 4, 10 and 23 print
+    one table at --bound 5; with --nb 0, g(t) = t and the law is x + y + vxy
+    itself: a11 = v and nothing else."""
+    outs = {nb: run(capsys, "fgl", "twist", "--bound", "5", "--nb", str(nb), "--format", "csv")
+            for nb in (0, 4, 10, 23)}
+    assert outs[4] == outs[10] == outs[23] and outs[4][0] == 0 and "b4" in outs[4][1]
+    assert outs[0] == (0, "coefficient,image\na11,v\n", "")
+
+
 def test_usage_error_exit_2(capsys):
     code, _, _ = run(capsys, "chern", "system", "--dim", "4", "--format", "yaml")
     assert code == 2
@@ -372,8 +382,7 @@ def test_fgl_twist_refuses_sizes_above_the_cap(capsys, monkeypatch, bound, nb, f
         raise AssertionError("built")
 
     from fglab import fgl
-    for name in ("generic_strict_series", "multiplicative_law", "fgl_twist"):
-        monkeypatch.setattr(fgl, name, unbuilt)
+    monkeypatch.setattr(fgl, "fgl_twist", unbuilt)
     cap = fgl.MAX_TWIST_BOUND
     assert cap == 24
     code, out, err = run(capsys, "fgl", "twist", "--bound", str(bound), "--nb", str(nb))
@@ -603,8 +612,7 @@ def test_miscenko_refuses_dimensions_above_the_twist_cap(capsys, monkeypatch, ex
         raise AssertionError("built")
 
     from fglab import fgl
-    for name in ("generic_strict_series", "multiplicative_law", "fgl_twist"):
-        monkeypatch.setattr(fgl, name, unbuilt)
+    monkeypatch.setattr(fgl, "fgl_twist", unbuilt)
     code, out, err = run(capsys, "fgl", "miscenko", "--expr", expr, "--mode", mode)
     assert (code, out) == (2, "")
     assert err == ("usage error: --expr: dimension 23 needs the twist at bound 25, "

@@ -6,15 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from fglab.bordism import (BUILTINS, BordismExpr, cpn_box_diff, cpn_in_a,
                            miscenko_image)
-from fglab.errors import (AxiomViolation, BoundMismatch, NotStrict, UnsupportedDimension,
-                          UsageError)
-from fglab.fgl import fgl_twist, generic_strict_series, multiplicative_law
+from fglab.errors import UnsupportedDimension, UsageError
+from fglab.fgl import fgl_twist, generic_strict_series
 from fglab.series import MultiSeries
 
-from helpers import (RANDOM_SEED, additive_law, coeff_of, compose, exp_series, fgl_binom, fgl_check,
-                     fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present, law_of,
-                     multiplicative_law_at, nonincreasing_partitions, partial, rename, symbol_grades,
-                     truncate, twist_by_substitution)
+from helpers import (RANDOM_SEED, AxiomViolation, additive_law, coeff_of, compose, drop_vars, exp_series,
+                     fgl_binom, fgl_check, fgl_exp, fgl_from_genus, fgl_log, fgl_of, grades_present,
+                     law_of, multiplicative_law, multiplicative_law_at, nonincreasing_partitions,
+                     partial, rename, symbol_grades, truncate, twist_by, twist_by_substitution)
 
 
 def rational_strict_g(rng, bound, nb=4):
@@ -43,7 +42,7 @@ def embed(series, like):
 
 @pytest.fixture(scope="module")
 def twisted6():
-    return fgl_twist(multiplicative_law(6), generic_strict_series(6, 5))
+    return fgl_twist(6, 5)
 
 
 def test_fgl_check_valid_laws():
@@ -81,107 +80,53 @@ def test_fgl_check_names_the_first_failing_monomial(terms, axiom, monomial):
 
 
 def test_twist_by_identity_is_identity():
-    F = multiplicative_law_at(8, 1)
-    g = MultiSeries(("t",), {(1,): Fraction(1)}, 8)
-    assert law_of(fgl_twist(F, g)) == F
-
-
-def test_twist_requires_strict():
-    F = multiplicative_law_at(6, 1)
-    g = MultiSeries(("t",), {(1,): Fraction(2)}, 6)
-    with pytest.raises(NotStrict):
-        fgl_twist(F, g)
-    # the whole t-coefficient must be 1, not 1 plus a symbol multiple
-    g = MultiSeries(("t", "v"), {(1, 0): Fraction(1), (1, 1): Fraction(1)}, 6, (1, 0))
-    with pytest.raises(NotStrict):
-        fgl_twist(multiplicative_law(6), g)
+    """With no b_i, g(t) = t and the twist is x + y + vxy itself: a11 = v
+    and no other coefficient."""
+    for bound in (2, 5, 8):
+        law = fgl_twist(bound, 0)
+        assert law_of(law) == multiplicative_law(bound)
+        assert law.coeff_table() == {(1, 1): MultiSeries.var(("v",), "v", bound, (0,))}
 
 
 def test_twist_needs_g_to_the_bound_of_f():
-    F = multiplicative_law(6)
-    with pytest.raises(BoundMismatch):
-        fgl_twist(F, generic_strict_series(5, 3))
-    assert law_of(fgl_twist(F, generic_strict_series(8, 3))) == law_of(fgl_twist(
-        F, generic_strict_series(6, 3)))
+    """Only g's terms up to t^bound reach the law: no b_i with i >= bound
+    occurs in a coefficient, so every nb >= bound - 1 gives one law."""
+    want = law_of(fgl_twist(6, 5))
+    for nb in (6, 9):
+        assert drop_vars(law_of(fgl_twist(6, nb)), [f"b{i}" for i in range(6, nb + 1)]) == want
 
 
 @pytest.mark.parametrize("bound, nb", [(2, 0), (3, 5), (6, 5), (9, 8), (12, 11)])
 def test_twist_equals_substitution_generic(bound, nb):
-    F = multiplicative_law(bound)
-    g = generic_strict_series(bound, nb)
-    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
+    F, g = multiplicative_law(bound), generic_strict_series(bound, nb)
+    assert law_of(fgl_twist(bound, nb)) == twist_by_substitution(F, g)
 
 
 def test_twist_equals_substitution_rational_and_twisted():
-    """Rational g, and a law that is not multiplicative: a twisted law twisted
-    again by g^-1 (giving back x + y + vxy) and by a second g."""
+    """Rational g: the universal twist at b_i = [t^(i+1)] g is the twist by
+    g; twisting it again by g^-1 gives back x + y + vxy, and by a second g2
+    gives the universal twist at the coefficients of g2(g(t))."""
     rng = random.Random(RANDOM_SEED)
     for bound in (5, 8, 10):
         F = multiplicative_law(bound)
         g = rational_strict_g(rng, bound)
-        tw = law_of(fgl_twist(F, g))
+        tw = twist_by(g)
         assert tw == twist_by_substitution(F, g)
-        ginv = g.comp_inverse("t")
-        assert law_of(fgl_twist(tw, ginv)) == twist_by_substitution(tw, ginv) == F
-        for g2 in (rational_strict_g(rng, bound, nb=bound - 1), generic_strict_series(bound, 3)):
-            assert law_of(fgl_twist(tw, g2)) == twist_by_substitution(tw, g2)
+        assert twist_by_substitution(tw, g.comp_inverse("t")) == F
+        g2 = rational_strict_g(rng, bound, nb=bound - 1)
+        assert twist_by_substitution(tw, g2) == twist_by(g2.substitute({"t": g}))
 
 
-@st.composite
-def small_strict_g(draw):
-    """A strict g(t) = t + sum c t^k v^e over (t, v), 2 <= k <= bound <= 7,
-    e <= 6, so symbol exponents in the solve reach 6 * (bound - 1)."""
-    bound = draw(st.integers(1, 7))
-    terms = draw(st.dictionaries(st.tuples(st.integers(2, 7), st.integers(0, 6)),
-                                 st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)),
-                                 max_size=5))
-    terms[(1, 0)] = Fraction(1)
-    return MultiSeries(("t", "v"), terms, bound, (1, 0))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_strict_g(), st.sampled_from([None, Fraction(1), Fraction(-2, 3), "v^3"]))
-def test_twist_equals_substitution_property(g, vcoeff):
-    """F = x + y + vxy (symbolic or a number), and x + y + v^3 xy."""
-    if vcoeff == "v^3":
-        F = MultiSeries(("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-                                          (1, 1, 3): Fraction(1)}, g.bound, (1, 1, 0))
-    elif vcoeff is None:
-        F = multiplicative_law(g.bound)
-    else:
-        F = multiplicative_law_at(g.bound, vcoeff)
-    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
-
-
-def test_twist_truncates_a_symbol_of_positive_weight():
-    """A symbol of weight 1 counts towards the bound: the law keeps only the
-    terms x^i y^j * (symbols) of weighted degree at most the bound, as the
-    substitution does."""
-    F = MultiSeries(("x", "y", "v"), {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1),
-                                      (1, 1, 1): Fraction(1)}, 7, (1, 1, 1))
-    g = MultiSeries(("t", "v", "b1"), {(1, 0, 0): Fraction(1), (2, 1, 1): Fraction(1),
-                                       (3, 2, 0): Fraction(2)}, 7, (1, 1, 0))
-    assert law_of(fgl_twist(F, g)) == twist_by_substitution(F, g)
-
-
-def test_twist_rejects_a_law_without_unit():
-    """The degree-1 part of F must be x + y: the solve's fields are sized
-    for a law."""
-    for extra, monomial in (((1, 0, 1), "x*v"), ((0, 0, 1), "v"), ((0, 1, 0), "y"), ((0, 0, 0), "1")):
-        F = multiplicative_law(6)
-        F = F + MultiSeries(F.vars, {extra: Fraction(1)}, 6, F.weights)
-        with pytest.raises(AxiomViolation) as ei:
-            fgl_twist(F, generic_strict_series(6, 5))
-        assert ei.value.axiom == "unit" and ei.value.monomial == monomial
-
-
-def test_twist_rejects_non_commutative_law():
-    """g(F) is symmetric exactly when F is; x + y + x^2 y is not."""
-    F = MultiSeries(("x", "y"), {(1, 0): Fraction(1), (0, 1): Fraction(1),
-                                 (2, 1): Fraction(1)}, 6)
-    with pytest.raises(AxiomViolation) as ei:
-        fgl_twist(F, generic_strict_series(6, 5))
-    assert ei.value.axiom == "commutativity" and ei.value.monomial == "x*y^2"
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 12))
+def test_twist_equals_substitution_property(bound, nb):
+    """The table of ``fgl_twist(bound, nb)`` is the (i, j) split of x + y + vxy
+    twisted by the generic strict series by substitution, with x and y
+    dropped, in the same ambient (v, b1..b_nb)."""
+    F, g = multiplicative_law(bound), generic_strict_series(bound, nb)
+    law, want = fgl_twist(bound, nb), fgl_of(twist_by_substitution(F, g))
+    assert law.zero == want.zero
+    assert law.coeff_table() == want.coeff_table()
 
 
 def poly_in(ambient, d):
@@ -198,10 +143,10 @@ def test_twisted_law_images(twisted6):
     """Five printed coefficient images match the source exactly; a32 is
     asserted at its computed value (three of its printed cells are
     transcription errors, see the xfail below and README's "Known source
-    errata").  The law lives in the joint ambient of F = x + y + vxy and g(t)
-    in b1..b5."""
+    errata").  The coefficients live in the ambient of the symbols v and
+    b1..b5."""
     law = twisted6
-    assert law.zero.vars == ("x", "y", "v", "b1", "b2", "b3", "b4", "b5")
+    assert law.zero.vars == ("v", "b1", "b2", "b3", "b4", "b5")
     assert law.a(1, 1) == poly_in(law.zero, {(("v", 1),): 1, (("b1", 1),): 2})
     assert law.a(2, 1) == poly_in(law.zero, {(("v", 1), ("b1", 1)): 1, (("b1", 2),): -2,
                                              (("b2", 1),): 3})
@@ -254,11 +199,11 @@ def test_coeff_table_rebuilds_the_law(twisted6):
 
     rebuilt = mono("x", 1) + mono("y", 1)
     for (i, j), aij in table.items():
-        assert all(e[F.vars.index("x")] == 0 == e[F.vars.index("y")] for e in aij.terms)
-        rebuilt = rebuilt + aij * mono("x", i) * mono("y", j)
+        assert aij.vars == law.zero.vars  # no x or y
+        rebuilt = rebuilt + aij.embed(F.vars, F.weights, F.bound) * mono("x", i) * mono("y", j)
         assert law.a(i, j) == aij
     assert rebuilt == F
-    zero = MultiSeries.zero(F.vars, F.bound, F.weights)
+    zero = MultiSeries.zero(law.zero.vars, F.bound, law.zero.weights)
     assert (1, 0) not in table and law.a(1, 0) == zero
     assert (F.bound, F.bound) not in table and law.a(F.bound, F.bound) == zero
     table.clear()
@@ -273,7 +218,7 @@ def test_twist_table_is_the_split_of_its_law(size):
     entry (j, i) is entry (i, j)."""
     bound, nb = size
     F, g = multiplicative_law(bound), generic_strict_series(bound, nb)
-    law = fgl_twist(F, g)
+    law = fgl_twist(bound, nb)
     table = law.coeff_table()
     assert table == fgl_of(law_of(law)).coeff_table() == fgl_of(twist_by_substitution(F, g)).coeff_table()
     for (i, j), part in table.items():
@@ -281,18 +226,19 @@ def test_twist_table_is_the_split_of_its_law(size):
 
 
 def test_twisted_law_passes_axioms_random_rationals():
+    """The law rebuilt from the universal twist's table, with symbols and at
+    random rational b_i."""
+    fgl_check(law_of(fgl_twist(7, 6)))
     rng = random.Random(RANDOM_SEED)
     for _ in range(5):
-        g = rational_strict_g(rng, 10)
-        fgl_check(law_of(fgl_twist(multiplicative_law(10), g)))
+        fgl_check(twist_by(rational_strict_g(rng, 10)))
 
 
 def test_twist_group_action_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
-    F = multiplicative_law(8)
-    tw = law_of(fgl_twist(F, g))
-    assert law_of(fgl_twist(tw, g.comp_inverse("t"))) == F
+    tw = twist_by(g)
+    assert twist_by_substitution(tw, g.comp_inverse("t")) == multiplicative_law(8)
 
 
 def test_fgl_log_additive_and_multiplicative():
@@ -306,8 +252,7 @@ def test_fgl_log_additive_and_multiplicative():
 
 def test_log_exp_roundtrip():
     rng = random.Random(RANDOM_SEED)
-    g = rational_strict_g(rng, 9)
-    tw = law_of(fgl_twist(multiplicative_law(9), g))
+    tw = twist_by(rational_strict_g(rng, 9))
     lg = fgl_log(tw)
     ex = fgl_exp(tw)
     assert compose(lg, "x", ex) == MultiSeries.var(lg.vars, "x", 9, lg.weights)
@@ -317,15 +262,14 @@ def test_fgl_log_of_twist_is_log_after_inverse():
     rng = random.Random(RANDOM_SEED)
     g = rational_strict_g(rng, 8)
     F = multiplicative_law(8)
-    tw = law_of(fgl_twist(F, g))
+    tw = twist_by(g)
     ginv = rename(g.comp_inverse("t"), {"t": "x"})
     assert fgl_log(tw) == compose(fgl_log(F), "x", ginv)
 
 
 def test_fgl_log_linearizes_the_law():
     rng = random.Random(RANDOM_SEED)
-    g = rational_strict_g(rng, 8)
-    tw = law_of(fgl_twist(multiplicative_law(8), g))
+    tw = twist_by(rational_strict_g(rng, 8))
     lg = fgl_log(tw)
     # compare one order below the bound: substituting the law consumes it
     b = 7
@@ -376,8 +320,7 @@ def test_fgl_binom_trivial_and_closed_form():
 
 def test_fgl_binom_matches_direct_power_random():
     rng = random.Random(RANDOM_SEED)
-    g = rational_strict_g(rng, 8)
-    F = law_of(fgl_twist(multiplicative_law(8), g))
+    F = twist_by(rational_strict_g(rng, 8))
     for k in range(0, 6):
         acc = MultiSeries.zero(F.vars, 8, F.weights)
         for (i, j), val in fgl_binom(F, k).items():
@@ -399,26 +342,14 @@ def test_cpn_boxes_and_modes():
 
 def test_cpn_residue_matches_log_derivative():
     """residue-exact [CP^n] = x^n coefficient of 1/(dF/dy)(x, 0), n <= 8."""
-    nb = 8
-    F = multiplicative_law(9)
-    g = generic_strict_series(9, nb)
-    law = fgl_twist(F, g)
+    law = fgl_twist(9, 8)
     rec = partial(law_of(law), "y").coeff_in_var("y", 0).reciprocal()
     for n in range(1, 9):
         want = rec.coeff_in_var("x", n)
         poly = cpn_in_a(n, "residue-exact")
-        repl = {f"a1_{i}": embed(_xyfree(law.a(1, i)), want) for i in range(1, n + 1)}
+        repl = {f"a1_{i}": embed(law.a(1, i), want) for i in range(1, n + 1)}
         got = poly.substitute(repl)
         assert got == want, n
-
-
-def _xyfree(series):
-    names = tuple(v for v in series.vars if v not in ("x", "y"))
-    terms = {}
-    for exp, c in series.terms.items():
-        terms[tuple(e for v, e in zip(series.vars, exp) if v not in ("x", "y"))] = c
-    weights = tuple(w for v, w in zip(series.vars, series.weights) if v not in ("x", "y"))
-    return MultiSeries(names, terms, series.bound, weights)
 
 
 def test_bordism_grammar():

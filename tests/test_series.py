@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fglab.errors import BoundMismatch, DivisionUndefined, NonUnitConstantTerm, NotStrict, VariableMismatch
-from fglab.fgl import fgl_twist, multiplicative_law
 from fglab.series import (MonomialCode, MultiSeries, _addmul, _lincomb, _lowest_terms, _product,
                           lift, lower, partitions, residue_inverse_coeff)
 
-from helpers import RANDOM_SEED, NonzeroConstantTerm, compose, degree_part, exp_series, log1p_series
+from helpers import (RANDOM_SEED, NonzeroConstantTerm, compose, degree_part, drop_vars, exp_series,
+                     log1p_series, split)
 
 
 def uni(terms, bound=8):
@@ -136,8 +136,8 @@ def test_reciprocal_unit_and_errors():
 
 def test_reciprocal_of_an_unbounded_series_is_a_bound_mismatch():
     """A unit with no truncation bound has an infinite reciprocal: the
-    missing bound is refused as BoundMismatch, as fgl_twist refuses it, not
-    as a constant term that is not a unit."""
+    missing bound is refused as BoundMismatch, not as a constant term that
+    is not a unit."""
     with pytest.raises(BoundMismatch, match="finite truncation bound"):
         (MultiSeries.one(("t",)) + MultiSeries.var(("t",), "t")).reciprocal()
 
@@ -194,8 +194,8 @@ def test_comp_inverse_identity():
 
 def test_comp_inverse_of_an_unbounded_series_is_a_bound_mismatch():
     """t itself is strict, but with no bound its inverse has no last
-    coefficient: the missing bound is refused as BoundMismatch, as fgl_twist
-    refuses it, not as NotStrict."""
+    coefficient: the missing bound is refused as BoundMismatch, not as
+    NotStrict."""
     with pytest.raises(BoundMismatch, match="finite bound"):
         MultiSeries.var(("t",), "t").comp_inverse("t")
 
@@ -204,7 +204,7 @@ def test_comp_inverse_requires_strict():
     """g must have no term free of t and terms linear in t that sum to t.
     Of t + b, t + t*b and t + 2*t*b + t^2, which break it, the recursive
     inverse made t of the first two, and the residue formula read b as a
-    negative power; it, comp_inverse and the twist each refuse all three."""
+    negative power; it and comp_inverse each refuse all three."""
     with pytest.raises(NotStrict):
         uni({1: 2}).comp_inverse("x")
     with pytest.raises(NotStrict):
@@ -216,8 +216,6 @@ def test_comp_inverse_requires_strict():
         for n in range(4):
             with pytest.raises(NotStrict):
                 residue_inverse_coeff(g, "t", n)
-        with pytest.raises(NotStrict):
-            fgl_twist(multiplicative_law(4), g)
 
 
 @st.composite
@@ -364,7 +362,7 @@ def ambient_series(draw):
 def test_split_parts_sum_back(s, data):
     names = data.draw(st.lists(st.sampled_from(s.vars), unique=True))
     total = MultiSeries.zero(s.vars, s.bound, s.weights)
-    for key, part in s.split(names).items():
+    for key, part in split(s, names).items():
         powers = dict(zip(names, key))
         mono = tuple(powers.get(v, 0) for v in s.vars)
         assert part.terms and not any(e[s.vars.index(v)] for e in part.terms for v in names)
@@ -383,7 +381,7 @@ def test_embed_then_drop_is_identity(s, data):
         weights.insert(at, data.draw(st.sampled_from([0, 1, 2])))
     big = s.embed(vars_, weights, s.bound)
     assert big.vars == tuple(vars_) and len(big.terms) == len(s.terms)
-    assert big.drop_vars(extra) == s
+    assert drop_vars(big, extra) == s
 
 
 @settings(max_examples=200, deadline=None)
@@ -396,7 +394,7 @@ def test_embed_rejects_a_dropped_variable_that_occurs(s, data):
         with pytest.raises(VariableMismatch, match=f"variable '{gone}' occurs in"):
             s.embed(*target)
     else:
-        assert s.embed(*target) == s.drop_vars((gone,))
+        assert s.embed(*target) == drop_vars(s, (gone,))
 
 
 def test_compose_carries_outer_by_name():
