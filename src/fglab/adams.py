@@ -441,40 +441,25 @@ class DReducer:
     Modulo the relations the a_ij generate Q[d_2, ..., d_W], so the reduction
     is a ring map phi: a_ij -> D_ij at u = 1, with d_k = sum_i n_k^i a_{i,k-i}.
     Since Q[a]/I -> Q[d_2, ..., d_W] is an isomorphism, phi depends only on W
-    and the n_k^i, and ``DReducer(W, rels=None, nki_mode)`` derives it from
-    either of two inputs.  Either way the image of each a-monomial, the
-    generators a_ij first, is memoised as a pair (see ``_product``) keyed by
-    the u-free a-monomial.
+    and the n_k^i, and ``DReducer(W, rels=None, nki_mode)`` builds it in
+    closed form: a_ij -> A_ij(b), the coefficients of the universal
+    coboundary (``coboundary_coeffs``), then b_k -> d-polynomials weight by
+    weight.  It needs no relations and no elimination.  The image of each
+    a-monomial, the generators a_ij first, is memoised in b as a pair (see
+    ``_product``) keyed by the u-free a-monomial, and ``reduce`` applies
+    b -> d once to their sum.  With A_{i,k-i} = -C(k, i) b_k +
+    R_{i,k-i}(b_2, ..., b_{k-1}), d_k is -gamma_k b_k + sum_i n_k^i
+    R_{i,k-i}, where gamma_k = sum_i n_k^i C(k, i) = gcd C(k, 1..k-1) is
+    nonzero.  So, for k = 2, ..., W in turn, beta(b_k) = (sum_i n_k^i
+    beta(R_{i,k-i}) - d_k) / gamma_k, and phi(a_ij) = beta(A_ij), which
+    ``reduce`` forms only for the sum it is given.  beta is
+    ``_multiplicative`` on b-monomials, whose codes are the d-monomials', so
+    it maps pairs to pairs.
 
-    With no ``rels`` it builds the closed form that the CLI and the golden
-    tables use: a_ij -> A_ij(b), the coefficients of the universal coboundary
-    (``coboundary_coeffs``), then b_k -> d-polynomials weight by weight.  It
-    needs no relations and no elimination.  Its memo holds the images in b,
-    and ``reduce`` applies b -> d once to their sum.  With
-    A_{i,k-i} = -C(k, i) b_k + R_{i,k-i}(b_2, ..., b_{k-1}), d_k is
-    -gamma_k b_k + sum_i n_k^i R_{i,k-i}, where gamma_k = sum_i n_k^i C(k, i)
-    = gcd C(k, 1..k-1) is nonzero.  So, for k = 2, ..., W in turn,
-    beta(b_k) = (sum_i n_k^i beta(R_{i,k-i}) - d_k) / gamma_k, and
-    phi(a_ij) = beta(A_ij), which ``reduce`` forms only for the sum it is
-    given.  beta is ``_multiplicative`` on b-monomials, whose codes are the
-    d-monomials', so it maps pairs to pairs.
-
-    Given ``rels`` it solves that relation set by substitution, one halved
-    weight w <= W at a time.  The unknowns a_{i,w-i} (i <= w/2) appear
-    linearly in each relation of weight w, whose other terms are products of
-    lower a's with phi known; d_w is one more equation.  A target that needs
-    an a_ij left undetermined is NotReducible (relations insufficient).
-    Guard: each equation is one exact echelon row (``_solve_weight``), so one
-    that adds no rank in the unknowns must leave an empty remainder.  If one
-    leaves a d-polynomial, the d-monomials are dependent modulo the
-    relations, and ``reduce`` raises UsageError (the quotient is not
-    polynomial, a real inconsistency).  Each distinct u = 1 equation is
-    solved and checked once: a repeat (a relation and its x <-> z mirror are
-    one polynomial) would repeat the same check, or pass it trivially after
-    its first copy raised the rank.  ``rels`` maps monomials (a, b, c) to
-    relations of weight a + b + c, as ``gen_2structure_relations`` returns
-    them; a polynomial listed under several keys is specialized to u = 1
-    once.  The tests judge the closed form against this solve.
+    ``rels``, if given, maps monomials (a, b, c) to relations of weight
+    a + b + c, as ``gen_2structure_relations`` returns them; each of weight
+    <= W must reduce to 0, or the constructor raises UsageError naming its
+    monomial.  A relation listed under several keys is reduced once.
 
     ``nki_mode`` chooses the n_k^i that define the d_k (see ``nki_coeffs``);
     ``nki`` hands the same choice to every psi on d_k reduced here.
@@ -484,18 +469,6 @@ class DReducer:
         self.W = W
         self.nki_mode = nki_mode
         place = code_places(W)
-        self._phi = {(): ({0: 1}, 1)}    # u-free a-monomial -> phi, as a pair
-        self._beta = None                # closed form: b-monomial code -> d-polynomial
-        self._consistent = True
-        if rels is not None:
-            # one entry per relation object, in the order of its first key
-            listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
-            eqs = {}                   # weight -> [u = 1 polynomial]
-            for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
-                eqs.setdefault(w, []).append(poly)
-            for w in range(2, W + 1):
-                self._solve_weight(w, eqs.get(w, []))
-            return
         A = coboundary_coeffs(W)
         beta = {0: ({0: 1}, 1)}  # b-monomial code -> its d-polynomial, as a pair
         self._beta = _multiplicative(W, beta, _product)
@@ -507,8 +480,16 @@ class DReducer:
             gamma = -dk.pop(bk)
             nums, den = _lincomb([(c, self._beta(m)) for m, c in dk.items()] + [(-1, ({bk: 1}, 1))])
             beta[bk] = _lowest_terms(nums, den * gamma)
-        for pair, bpoly in A.items():
-            self._phi[((pair, 1),)] = (bpoly, 1)
+        # u-free a-monomial -> phi, as a pair in b
+        self._phi = {(): ({0: 1}, 1), **{((pair, 1),): (bpoly, 1) for pair, bpoly in A.items()}}
+        listed = {}  # one entry per relation object, at its first key
+        for abc, poly in (rels or {}).items():
+            if sum(abc) <= W:
+                listed.setdefault(id(poly), (abc, poly))
+        for (a, b, c), poly in listed.values():
+            if self.reduce(poly).terms:
+                raise UsageError(f"the relation at {format_product([('x', a), ('y', b), ('z', c)])}"
+                                 f" does not reduce to 0 in weight {W}")
 
     def nki(self, k):
         """The n_k^i that define d_k here; d_k above weight W is NotReducible."""
@@ -516,54 +497,12 @@ class DReducer:
             raise NotReducible(self.W, f"d{k} exceeds weight {self.W}")
         return nki_coeffs(k, self.nki_mode)
 
-    def _solve_weight(self, w, polys):
-        """Set phi(a_{i,w-i}) for each i that the weight-w relations ``polys``
-        and the definition of d_w determine.
-
-        Each equation is one echelon row of value 0: the coefficient of
-        a_{i,w-i} at column top + i, above every d-monomial code, and the rest
-        as a d-polynomial at the codes (the lower terms through phi, or -d_w).
-        So the remainder of the unit row at top + i has the value a_{i,w-i},
-        and is phi(a_{i,w-i}) if it has no column >= top; a kept row with no
-        such column says 0 = a nonzero d-polynomial."""
-        from .linalg import Echelon
-        top = max(monomial_codes(self.W)) + 1
-        rows = []
-        for poly in polys:
-            lin, parts = {}, []
-            try:
-                for (_, mono), c in poly.terms.items():
-                    if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
-                        lin[top + mono[0][0][0]] = c
-                    else:
-                        parts.append((c, self._phi_of(mono)))
-            except NotReducible:
-                continue  # needs an undetermined lower a_ij: neither solvable nor checkable
-            nums, den = _lincomb(parts)  # the row times den, on integers
-            rows.append({m: v for m, v in nums.items() if v} | {j: c * den for j, c in lin.items()})
-        dw = {code_places(self.W)[w]: -1}  # d_w = sum_i n_w^i a_{i,w-i}
-        for i, n in self.nki(w).items():
-            dw[top + min(i, w - i)] = dw.get(top + min(i, w - i), 0) + n
-        ech = Echelon()
-        for row in rows + [{j: c for j, c in dw.items() if c}]:
-            rem = ech.add(row)
-            if rem and max(rem) < top:
-                self._consistent = False
-        for i in range(1, w // 2 + 1):
-            rem = ech.reduce({top + i: 1})
-            if not rem or max(rem) < top:
-                nums, den = lift(rem.values())
-                self._phi[(((i, w - i), 1),)] = _lowest_terms(dict(zip(rem, nums)), den)
-
     def _phi_of(self, mono):
         """phi of a u-free a-monomial, memoised as phi(prefix) * phi(last generator)."""
         if mono not in self._phi:
             pair, e = mono[-1]
-            gen = ((pair, 1),)
-            if gen not in self._phi:
-                raise NotReducible(self.W, f"{_amono_str((0, gen))} is not determined")
             prefix = mono[:-1] + (((pair, e - 1),) if e > 1 else ())
-            self._phi[mono] = _product(self._phi_of(prefix), self._phi[gen])
+            self._phi[mono] = _product(self._phi_of(prefix), self._phi[((pair, 1),)])
         return self._phi[mono]
 
     def reduce(self, expr: APoly) -> DPoly:
@@ -571,9 +510,9 @@ class DReducer:
 
         The sum of c * phi(m) runs on Python ints: expr's coefficients are
         lifted to numerators over one denominator and summed at u = 1, the
-        memoised images are combined by ``_lincomb`` and, when they are in b,
-        mapped to d by one more ``_lincomb`` over beta, and one Fraction is
-        built per output term.
+        memoised images in b are combined by ``_lincomb`` and mapped to d by
+        one more ``_lincomb`` over beta, and one Fraction is built per output
+        term.
         """
         nums, den = lift(expr.terms.values())
         flat = {}  # u = 1
@@ -586,13 +525,9 @@ class DReducer:
             if _amono_weight(mono) > self.W:
                 raise NotReducible(self.W, f"{_amono_str((0, mono))} exceeds weight {self.W}")
             parts.append((n, self._phi_of(mono)))
-        if not self._consistent:
-            raise UsageError("a relation contradicts the d_k; quotient not polynomial")
         out, D = _lincomb(parts)
-        if self._beta is not None:
-            out, Dd = _lincomb([(v, self._beta(m)) for m, v in out.items() if v])
-            D *= Dd
-        return _dpoly((out, D * den), self.W)
+        out, Dd = _lincomb([(v, self._beta(m)) for m, v in out.items() if v])
+        return _dpoly((out, D * Dd * den), self.W)
 
 
 def psi_tensor_apoly(i: int, j: int, k: int = 3) -> APoly:

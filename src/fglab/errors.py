@@ -60,9 +60,9 @@ class UnsupportedK(FglabError):
 
 
 class NotReducible(FglabError):
-    def __init__(self, degree, msg=""):
-        self.degree = degree
-        super().__init__(f"relation set insufficient in degree {degree}" + (f": {msg}" if msg else ""))
+    def __init__(self, weight, msg=""):
+        self.weight = weight
+        super().__init__(f"not reducible through weight {weight}" + (f": {msg}" if msg else ""))
 
 
 class InsufficientTable(FglabError):

@@ -4,16 +4,18 @@ from fractions import Fraction
 from itertools import compress
 from math import comb, gcd, prod
 
-from fglab.adams import (APoly, DPoly, _amono_str, _amono_weight, _dpoly, _multiplicative,
-                         _psi_minus_id_mod2, code_places, monomial_codes, psi_tensor_apoly)
+from fglab.adams import (APoly, DPoly, DReducer, _amono_str, _amono_weight, _dpoly,
+                         _multiplicative, _psi_minus_id_mod2, code_places, monomial_codes,
+                         psi_tensor_apoly)
 from fglab.cannibal import ThetaGenSeq, ThetaTable, theta_unit, thom_psi_dk
 from fglab.chern import span_test
 from fglab.errors import (EvenK, FglabError, IndexOutOfRange, InsufficientTable, NotInDomain,
                           NotReducible, NotStrict, UsageError)
 from fglab.fgl import FGL, fgl_twist
 from fglab.mahler import NumPoly, Padic2, binom, mahler_expand
-from fglab.linalg import GF2Echelon
-from fglab.series import MultiSeries, _addmul, _lincomb, _product, lift, partitions, val2
+from fglab.linalg import Echelon, GF2Echelon
+from fglab.series import (MultiSeries, _addmul, _lincomb, _lowest_terms, _product, lift,
+                          partitions, val2)
 
 # seed for every randomized property check; recorded here so runs reproduce
 RANDOM_SEED = 271828
@@ -768,27 +770,109 @@ def theta3_sum_of_two(N: int) -> MultiSeries:
     return nine * (theta_L("x") * theta_L("y")).reciprocal()
 
 
+class RelationSolve(DReducer):
+    """``DReducer`` from a relation set, solved by substitution one halved
+    weight w <= W at a time: the judge of the closed form.
+
+    The unknowns a_{i,w-i} (i <= w/2) appear linearly in each relation of
+    weight w, whose other terms are products of lower a's with phi known;
+    d_w is one more equation.  phi is memoised as pairs in d, so ``_beta`` is
+    the identity on codes and ``DReducer.reduce`` runs unchanged.  A target
+    that needs an a_ij left undetermined is NotReducible.  Each equation is
+    one exact echelon row (``_solve_weight``), so one that adds no rank in
+    the unknowns must leave an empty remainder; if one leaves a
+    d-polynomial, the d-monomials are dependent modulo the relations, and
+    ``reduce`` raises UsageError.  Each distinct u = 1 equation is solved
+    once: a relation and its x <-> z mirror are one polynomial.  ``rels``
+    maps monomials (a, b, c) to relations of weight a + b + c, as
+    ``gen_2structure_relations`` returns them."""
+
+    def __init__(self, W: int, rels, nki_mode="auto"):
+        self.W = W
+        self.nki_mode = nki_mode
+        self._phi = {(): ({0: 1}, 1)}  # u-free a-monomial -> phi, as a pair in d
+        self._beta = lambda code: ({code: 1}, 1)
+        self._consistent = True
+        # one entry per relation object, in the order of its first key
+        listed = {id(poly): (poly, a + b + c) for (a, b, c), poly in rels.items()}
+        eqs = {}  # weight -> [u = 1 polynomial]
+        for poly, w in dict.fromkeys((poly.set_u(), w) for poly, w in listed.values()):
+            eqs.setdefault(w, []).append(poly)
+        for w in range(2, W + 1):
+            self._solve_weight(w, eqs.get(w, []))
+
+    def _solve_weight(self, w, polys):
+        """Set phi(a_{i,w-i}) for each i that the weight-w relations ``polys``
+        and the definition of d_w determine.
+
+        Each equation is one echelon row of value 0: the coefficient of
+        a_{i,w-i} at column top + i, above every d-monomial code, and the rest
+        as a d-polynomial at the codes (the lower terms through phi, or -d_w).
+        So the remainder of the unit row at top + i has the value a_{i,w-i},
+        and is phi(a_{i,w-i}) if it has no column >= top; a kept row with no
+        such column says 0 = a nonzero d-polynomial."""
+        top = max(monomial_codes(self.W)) + 1
+        rows = []
+        for poly in polys:
+            lin, parts = {}, []
+            try:
+                for (_, mono), c in poly.terms.items():
+                    if len(mono) == 1 and mono[0][1] == 1 and sum(mono[0][0]) == w:
+                        lin[top + mono[0][0][0]] = c
+                    else:
+                        parts.append((c, self._phi_of(mono)))
+            except NotReducible:
+                continue  # needs an undetermined lower a_ij: neither solvable nor checkable
+            nums, den = _lincomb(parts)  # the row times den, on integers
+            rows.append({m: v for m, v in nums.items() if v} | {j: c * den for j, c in lin.items()})
+        dw = {code_places(self.W)[w]: -1}  # d_w = sum_i n_w^i a_{i,w-i}
+        for i, n in self.nki(w).items():
+            dw[top + min(i, w - i)] = dw.get(top + min(i, w - i), 0) + n
+        ech = Echelon()
+        for row in rows + [{j: c for j, c in dw.items() if c}]:
+            rem = ech.add(row)
+            if rem and max(rem) < top:
+                self._consistent = False
+        for i in range(1, w // 2 + 1):
+            rem = ech.reduce({top + i: 1})
+            if not rem or max(rem) < top:
+                nums, den = lift(rem.values())
+                self._phi[(((i, w - i), 1),)] = _lowest_terms(dict(zip(rem, nums)), den)
+
+    def _phi_of(self, mono):
+        """``DReducer._phi_of``, NotReducible first at the last undetermined generator."""
+        for pair, _ in reversed(mono):
+            if ((pair, 1),) not in self._phi:
+                raise NotReducible(self.W, f"{_amono_str((0, ((pair, 1),)))} is not determined")
+        return super()._phi_of(mono)
+
+    def reduce(self, expr: APoly) -> DPoly:
+        out = super().reduce(expr)
+        if not self._consistent:
+            raise UsageError("a relation contradicts the d_k; quotient not polynomial")
+        return out
+
+
 def generator_images(red):
     """phi(a_ij) for each i <= j, i + j <= W, that a ``DReducer`` determines,
     as {(i, j): {d-monomial: Fraction}}, read off its memo and not through
     ``reduce``, so that the tests which compare against these images see a
-    fault in ``reduce`` itself.  The relation solve memoises each image as a
-    pair in d; the closed form memoises A_ij as a pair in b, which one
-    ``_lincomb`` over ``red._beta`` maps to d.  A reducer whose relations
-    contradict the d_k reduces nothing: its determined a_ij map to None."""
+    fault in ``reduce`` itself.  The closed form memoises A_ij as a pair in
+    b, which one ``_lincomb`` over ``red._beta`` maps to d; ``RelationSolve``
+    memoises each image in d, and its ``_beta`` is the identity.  A solve
+    whose relations contradict the d_k reduces nothing: its determined a_ij
+    map to None."""
     out, codes = {}, monomial_codes(red.W)
     for i in range(1, red.W // 2 + 1):
         for j in range(i, red.W + 1 - i):
             img = red._phi.get((((i, j), 1),))
             if img is None:
                 continue
-            if not red._consistent:
+            if not getattr(red, "_consistent", True):
                 out[i, j] = None
                 continue
-            if red._beta is not None:
-                img = _lincomb([(v, red._beta(m)) for m, v in img[0].items()])
-            nums, den = img
-            out[i, j] = {codes[m]: Fraction(v, den) for m, v in nums.items() if v}
+            nums, den = _lincomb([(v, red._beta(m)) for m, v in img[0].items()])
+            out[i, j] = {codes[m]: Fraction(v, den * img[1]) for m, v in nums.items() if v}
     return out
 
 
@@ -814,7 +898,7 @@ def reduce_by_fractions(red, expr):
                 phi = _addmul({}, phi, gens[pair])
         for m, v in phi.items():
             out[codes[m]] = out.get(codes[m], 0) + c * v
-    if not red._consistent:
+    if not getattr(red, "_consistent", True):
         raise UsageError("a relation contradicts the d_k; quotient not polynomial")
     return DPoly(out)
 

@@ -16,11 +16,11 @@ from fglab.adams import (APoly, DPoly, DReducer, coboundary_coeffs,
 from fglab.cannibal import psi_dk_table, theta3_direct, theta_unit, thom_psi_dk
 from fglab.errors import InsufficientTable, NotReducible, UnsupportedK, UsageError
 
-from helpers import (RANDOM_SEED, LiftObstruction, _psi_dpoly, agen, apoly_mul, apoly_weights, binom_gcd,
-                     bootstrap_lift, cocycle_series, composition_failures, dk_as_apoly, dpoly_mul,
-                     dpoly_product_by_series, generator_images, poly_add, poly_sub, psi3_closed_coeff,
-                     psi_dpoly_by_monomials, rat_val2, reduce_by_fractions, series_relations, unit_class,
-                     xyz_coefficients)
+from helpers import (RANDOM_SEED, LiftObstruction, RelationSolve, _psi_dpoly, agen, apoly_mul,
+                     apoly_weights, binom_gcd, bootstrap_lift, cocycle_series, composition_failures,
+                     dk_as_apoly, dpoly_mul, dpoly_product_by_series, generator_images, poly_add,
+                     poly_sub, psi3_closed_coeff, psi_dpoly_by_monomials, rat_val2, reduce_by_fractions,
+                     series_relations, unit_class, xyz_coefficients)
 from oracle_bu import BUOracle
 from oracle_coboundary import apoly_eval, coboundary_apoly_values
 
@@ -282,7 +282,7 @@ def test_reducer_reads_mirror_copies_once():
     rels = gen_2structure_relations(9)
     copies = {mono: APoly(dict(poly.terms)) for mono, poly in rels.items()}
     assert copies[(2, 1, 1)] is not copies[(1, 1, 2)]
-    shared, copied = DReducer(9, rels), DReducer(9, copies)
+    shared, copied = RelationSolve(9, rels), RelationSolve(9, copies)
     for i in range(1, 9):
         for j in range(i, 10 - i):
             assert shared.reduce(agen(i, j)) == copied.reduce(agen(i, j)), (i, j)
@@ -297,7 +297,7 @@ def test_relations_annihilate_topological_family(rels7):
 
 @pytest.fixture(scope="module")
 def reducer7(rels7):
-    return DReducer(7, rels7)
+    return RelationSolve(7, rels7)
 
 
 def test_reduce_roundtrip(reducer7):
@@ -322,26 +322,29 @@ def test_reduce_dmonomial_images_to_themselves(reducer_at):
 
 def test_reduce_fails_loudly_without_relations():
     # degree-3 sources yield no relations at all, so a bare a22 is stuck
-    red = DReducer(5, gen_2structure_relations(3))
+    red = RelationSolve(5, gen_2structure_relations(3))
     with pytest.raises(NotReducible):
         red.reduce(agen(2, 2))
     # with the degree-4 relation it reduces: a22 = 3d4 + d3 - d2^2
-    red4 = DReducer(5, gen_2structure_relations(4))
+    red4 = RelationSolve(5, gen_2structure_relations(4))
     assert red4.reduce(agen(2, 2)) == DPoly({(4,): 3, (3,): 1, (2, 2): -1})
 
 
 def test_reduce_checks_span_before_dependence():
     """A false relation a13 = 0 contradicts the d_k (the quotient is not
-    polynomial): a reducible target is a UsageError, while a target that
-    needs the undetermined a23 is still NotReducible.  The false relation sits
-    at x y^2 z, a weight-4 key no relation uses."""
+    polynomial): to the relation solve a reducible target is a UsageError,
+    while a target that needs the undetermined a23 is still NotReducible, and
+    the closed form refuses the relation at construction, naming its key.
+    The false relation sits at x y^2 z, a weight-4 key no relation uses."""
     rels = gen_2structure_relations(4)
     assert (1, 2, 1) not in rels
-    red = DReducer(5, {**rels, (1, 2, 1): agen(1, 3)})
+    red = RelationSolve(5, {**rels, (1, 2, 1): agen(1, 3)})
     with pytest.raises(UsageError):
         red.reduce(dk_as_apoly(2, red.nki(2)))
     with pytest.raises(NotReducible):
         red.reduce(agen(2, 3))
+    with pytest.raises(UsageError, match=r"^the relation at x\*y\^2\*z does not reduce to 0 in weight 5$"):
+        DReducer(5, {**rels, (1, 2, 1): agen(1, 3)})
 
 
 @pytest.mark.parametrize("W", [2, 6, 9])
@@ -371,7 +374,7 @@ SOLVE_CASES = ([(W, mode) for mode in ("auto", "extended-gcd") for W in range(3,
 def test_universal_reducer_equals_relation_solve(W, mode):
     """The closed form from the coboundary gives exactly the phi(a_ij) of the
     relation solve, for every i + j <= W, and the solve's exact guard passes."""
-    solved = DReducer(W, gen_2structure_relations(W), nki_mode=mode)
+    solved = RelationSolve(W, gen_2structure_relations(W), nki_mode=mode)
     closed = DReducer(W, nki_mode=mode)
     assert solved._consistent
     assert len(generator_images(solved)) == (W // 2) * ((W + 1) // 2)
@@ -380,9 +383,12 @@ def test_universal_reducer_equals_relation_solve(W, mode):
 
 @pytest.mark.parametrize("W", range(3, 15))
 def test_relations_reduce_to_zero_under_universal_reducer(W):
+    rels = gen_2structure_relations(W)
     red = DReducer(W)
-    for mono, poly in gen_2structure_relations(W).items():
+    for mono, poly in rels.items():
         assert red.reduce(poly) == DPoly(), mono
+    for top in (W - 1, W):  # the constructor checks the relations through its weight, and they pass
+        DReducer(top, rels)
 
 
 def test_universal_reducer_small_weights():
@@ -665,10 +671,10 @@ def reducers_for_reduce():
     return {
         "universal": DReducer(7),
         "universal extended-gcd": DReducer(8, nki_mode="extended-gcd"),
-        "solve": DReducer(7, gen_2structure_relations(7)),
-        "partial": DReducer(8, rels5),
-        "invented": DReducer(8, {**rels5, **invented}),
-        "false": DReducer(5, {**rels4, (1, 2, 1): agen(1, 3)}),
+        "solve": RelationSolve(7, gen_2structure_relations(7)),
+        "partial": RelationSolve(8, rels5),
+        "invented": RelationSolve(8, {**rels5, **invented}),
+        "false": RelationSolve(5, {**rels4, (1, 2, 1): agen(1, 3)}),
     }
 
 

@@ -10,9 +10,9 @@ from fglab.cannibal import (ThetaGenSeq, _q_inverse, theta3_closed, theta3_direc
 from fglab.errors import EvenK, NotReducible
 from fglab.series import MultiSeries
 
-from helpers import (composition_failures, orientation_transport, padic_from_rat, poly_sub,
-                     psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate, theta3_one_bundle,
-                     theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
+from helpers import (RelationSolve, composition_failures, orientation_transport, padic_from_rat,
+                     poly_sub, psi_on_dk_by_apoly, theta3_bilinear, theta3_bivariate,
+                     theta3_one_bundle, theta3_sum_of_two, theta_k_virtual, theta_table_to_series,
                      thom_psi_dk_by_fractions)
 
 
@@ -248,7 +248,7 @@ def test_psi_on_dk_uses_the_reducer_nki(theta30):
     """psi on d_k reads the n_k^i from the reducer that defines the d_k, so
     the extended-gcd choice, not the auto one, gives both levels at k = 6, 8
     and 10, where the two choices differ."""
-    red = DReducer(10, gen_2structure_relations(10), nki_mode="extended-gcd")
+    red = RelationSolve(10, gen_2structure_relations(10), nki_mode="extended-gcd")
     for k, (base, thom) in EXTENDED_GCD_PSI_DK.items():
         assert str(thom_psi_dk(k, theta_unit(10), red)) == base, k
         assert str(thom_psi_dk(k, theta30, red)) == thom, k
@@ -283,7 +283,7 @@ def test_thom_psi_dk_equals_fraction_sum(W, mode):
 
 @pytest.mark.parametrize("W", range(2, 9))
 def test_thom_psi_dk_on_the_relation_solve(W):
-    red = DReducer(W, gen_2structure_relations(W))
+    red = RelationSolve(W, gen_2structure_relations(W))
     theta = theta3_direct(W)
     for k in range(2, W + 1):
         assert thom_psi_dk(k, theta, red) == thom_psi_dk_by_fractions(k, theta, red), k

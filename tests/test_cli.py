@@ -1068,13 +1068,11 @@ print(json.dumps([codes, sorted({(c.co_filename, c.co_firstlineno) for c in call
 """
 
 # The functions of fglab that no command runs, each group with its reason.
-RELATION_SOLVE = {"adams.DReducer._solve_weight"}
 NOT_RUN_BY_A_COMMAND = {
     "the value types' __eq__/__hash__/__repr__ contract":
         lambda name: name.rpartition(".")[2] in ("__eq__", "__hash__", "__repr__"),
     "an error's constructor runs only when its check fails":
         lambda name: name.startswith("errors.") and name.endswith(".__init__"),
-    "the relation solve, kept while bench/tests builds DReducer(4, rels)": RELATION_SOLVE.__contains__,
 }
 
 
@@ -1116,7 +1114,6 @@ def test_every_function_in_src_is_run_by_a_command(tmp_path):
         + [2] * len(INVALID_ARGUMENTS) + [0, 0]
     defined = src_functions()
     names = set(defined.values())
-    assert RELATION_SOLVE <= names
     for reason, excused in NOT_RUN_BY_A_COMMAND.items():
         assert any(map(excused, names)), f"nothing left to excuse: {reason}"
     reached = {defined.get((str(Path(f).resolve()), line)) for f, line in called}
